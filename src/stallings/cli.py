@@ -2,9 +2,9 @@
 
 Every subcommand prints one JSON document on stdout. Errors go to stderr as
 {"error": code, "message": ...}. Exit status: 0 for success or a true
-verdict, 1 for a false verdict or failed verification, 2 for invalid input
-(including violated preconditions), 3 for an exhausted search or resource
-cap.
+verdict, 1 for a false verdict, failed verification or a failed internal
+postcondition (``postcondition_failed``), 2 for invalid input (including
+violated preconditions), 3 for an exhausted search or resource cap.
 """
 
 from __future__ import annotations
@@ -241,13 +241,11 @@ def root_closed(graph: str, l: int) -> None:
     """Is the subgroup closed under l-th roots? Exit 0 iff yes."""
     h = subgroup_from_dict(_load_json(graph))
     result = is_l_root_closed(h, l)
-    fp = fiber_product(h, h)
     _echo(
         {
             "verdict": result.closed,
             "l": l,
             "certificate": None if result.witness is None else str(result.witness),
-            "component_stats": _component_stats(fp),
         }
     )
     sys.exit(0 if result.closed else 1)

@@ -63,6 +63,16 @@ class ForcedCycleError(StallingsError):
     code = "forced_cycle"
 
 
+class PostconditionError(StallingsError):
+    """A result failed a check that the theory guarantees (CLI exit code 1).
+
+    It signals a library bug, not bad input. Unlike ``assert``, the check
+    still runs under ``python -O``.
+    """
+
+    code = "postcondition_failed"
+
+
 class SearchCapError(StallingsError):
     """A bounded search ran out of budget (CLI exit code 3)."""
 

@@ -13,8 +13,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
-from .errors import InputError, PreconditionError, ResourceCapError
+import numpy as np
+
+from .errors import (
+    InputError,
+    PostconditionError,
+    PreconditionError,
+    ResourceCapError,
+)
 from .graphs import (
     GraphMorphism,
     LabeledGraph,
@@ -28,7 +36,7 @@ from .graphs import (
     path_words_from,
     relabel_canonical,
 )
-from .words import Word
+from .words import Word, maximal_root
 
 TUPLE_CAP = 2_000_000
 
@@ -227,44 +235,54 @@ class RootClosureResult:
     witness: Word | None
 
 
-class _TupleDSU:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _tuple_digits(t: int, base: int, l: int) -> list[int]:
-    out = []
-    for _ in range(l):
-        out.append(t % base)
-        t //= base
-    return out
-
-
 def is_l_root_closed(h: SubgroupGraph, l: int) -> RootClosureResult:
     """True iff no word w has w^l in the subgroup but w outside it.
+
+    The method depends on the rank of the subgroup.
+
+    Rank 0: the trivial subgroup is closed, since free groups are
+    torsion-free.
+
+    Rank 1: the subgroup is <a^i>, where the single cycle-basis loop is
+    a^i with a its maximal root. It is closed exactly when gcd(i, l) = 1;
+    for d = gcd(i, l) > 1 the witness is a^(i/d), whose l-th power
+    a^(i * l/d) lies in the subgroup. Proof of closure when d = 1: if
+    w^l = a^(ij) with j != 0, then w centralizes a^(ij), and centralizers
+    in a free group are cyclic, generated by the maximal root, so w = a^k
+    with lk = ij; as gcd(i, l) = 1, i divides k and w lies in <a^i>. (For
+    j = 0, w^l = 1 forces w = 1.) No vertex tuples are built, so
+    ``TUPLE_CAP`` does not apply.
+
+    Rank 2 and up: the l-fold product test of :func:`_product_root_closure`.
+    """
+    if l < 2:
+        raise InputError("root index l must be at least 2")
+    if h.rank() >= 2:
+        return _product_root_closure(h, l)
+    loops = cycle_basis(h.graph)
+    if not loops:
+        return RootClosureResult(True, None)
+    a, i = maximal_root(loops[0])
+    d = gcd(i, l)
+    if d == 1:
+        return RootClosureResult(True, None)
+    return RootClosureResult(False, a ** (i // d))
+
+
+def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
+    """The l-fold product test, valid for every rank.
 
     The subgroup fails to be closed under l-th roots exactly when some
     component of the l-fold simultaneous product of its graph contains a
     non-constant vertex tuple together with its cyclic shift: a path word v
     between them reads t_0 -> t_1, ..., t_{l-1} -> t_0 in the graph, so v^l
     is a loop while v is not.
+
+    Tuple t has digit k equal to (t // nv^k) % nv. The product's i-edges
+    start at the tuples over the vertices with an outgoing i-edge, so only
+    those tuples are listed. The witness comes from the smallest such t,
+    the tuple that a scan in code order meets first.
     """
-    if l < 2:
-        raise InputError("root index l must be at least 2")
     g = h.graph
     nv = len(g.vertices)
     if nv ** l > TUPLE_CAP:
@@ -273,54 +291,61 @@ def is_l_root_closed(h: SubgroupGraph, l: int) -> RootClosureResult:
             vertices=nv,
             l=l,
         )
-    idx = g.vertex_index
-    maps = []
-    for s in _signed_letters(g.n):
-        m = [-1] * nv
-        for (v, t), w in g.steps.items():
-            if t == s:
-                m[idx[v]] = idx[w]
-        maps.append(m)
-
-    total = nv ** l
-    dsu = _TupleDSU(total)
-    for m in maps[::2]:  # positive letters suffice; inverses give the same unions
-        for t in range(total):
-            digits = _tuple_digits(t, nv, l)
-            image = 0
-            ok = True
-            for d in reversed(digits):
-                md = m[d]
-                if md < 0:
-                    ok = False
-                    break
-                image = image * nv + md
-            if ok:
-                dsu.union(t, image)
-
-    def shift(t: int) -> int:
-        digits = _tuple_digits(t, nv, l)
-        rot = digits[1:] + digits[:1]
-        s = 0
-        for d in reversed(rot):
-            s = s * nv + d
-        return s
-
-    hit = None
-    for t in range(total):
-        digits = _tuple_digits(t, nv, l)
-        if all(d == digits[0] for d in digits):
-            continue
-        if dsu.find(t) == dsu.find(shift(t)):
-            hit = digits
-            break
-    if hit is None:
+    maps = _letter_tables(g)  # int32: TUPLE_CAP < 2^31 bounds every tuple code
+    src, dst = [], []
+    for m in maps[::2]:  # positive letters suffice; inverses give the same edges
+        dom = np.flatnonzero(m >= 0).astype(np.int32)
+        tuples = images = np.zeros(1, dtype=np.int32)
+        for k in range(l):  # the tuples over the letter's domain, digit by digit
+            tuples = (tuples[:, None] + dom * nv ** k).ravel()
+            images = (images[:, None] + m[dom] * nv ** k).ravel()
+        src.append(tuples)
+        dst.append(images)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    labels = _component_labels(nv ** l, src, dst)
+    # a tuple on no edge is alone in its component, so hits lie on edges
+    ends = np.concatenate([src, dst])
+    shift = ends // nv + ends % nv * nv ** (l - 1)
+    hits = ends[(shift != ends) & (labels[ends] == labels[shift])]
+    if hits.size == 0:
         return RootClosureResult(True, None)
 
-    v_word = _tuple_path_word(g, maps, hit, l)
+    first = int(hits.min())
+    hit = [first // nv ** k % nv for k in range(l)]
+    v_word = _tuple_path_word(g, maps.tolist(), hit, l)
     u = path_words_from(g, g.basepoint)[g.vertices[hit[0]]]
     witness = u * v_word * u.inverse()
     return RootClosureResult(False, witness)
+
+
+def _letter_tables(g: LabeledGraph) -> np.ndarray:
+    """Row k maps vertex indices along the k-th signed letter; -1 where the
+    graph has no such edge."""
+    signed = _signed_letters(g.n)
+    row = {s: k for k, s in enumerate(signed)}
+    idx = g.vertex_index
+    maps = np.full((len(signed), len(g.vertices)), -1, dtype=np.int32)
+    for (v, s), w in g.steps.items():
+        maps[row[s], idx[v]] = idx[w]
+    return maps
+
+
+def _component_labels(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The smallest member of each vertex's component in the graph on
+    0..size-1 with edges src[j] -- dst[j], by hooking roots onto smaller
+    roots and pointer jumping until every edge joins equal labels."""
+    labels = np.arange(size, dtype=src.dtype)
+    while True:
+        lu, lv = labels[src], labels[dst]
+        apart = lu != lv
+        if not apart.any():
+            return labels
+        np.minimum.at(labels, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def _tuple_path_word(
@@ -359,4 +384,8 @@ def _tuple_path_word(
                 prev[nt] = cur
                 letter_to[nt] = s
                 queue.append(nt)
-    raise AssertionError("shifted tuple vanished from its own component")
+    raise PostconditionError(
+        "the component labelling joined a tuple to its cyclic shift, "
+        "but no path in the product links them",
+        tuple=tuple(start_digits),
+    )

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .arith import is_prime, require_prime, smallest_prime_not_in, valuation
 from .errors import (
     InputError,
+    PostconditionError,
     PreconditionError,
     ResourceCapError,
     RootClosureError,
@@ -568,7 +569,7 @@ def separate_from_cyclic(
         p = smallest_prime_not_in(L)
         base = separate_maximal_cyclic(a, g, p, bound, seed)
         quotient = base.quotient
-        assert quotient.evaluate(g) not in quotient.cyclic_image(c)
+        _require_separated(quotient, c, g)
         transcript = base.transcript + (
             f"maximal root {a} separated; restriction to powers of {c} retained",
         )
@@ -579,14 +580,29 @@ def separate_from_cyclic(
     # Case 2: g is a power of the maximal root a, c = a^i
     e = _power_exponent(a, g)
     m = e % i
-    assert m != 0, "membership test should have caught multiples of i"
+    if m == 0:
+        raise PostconditionError(
+            f"{g} = {a}^{e} is a power of {c}, yet membership rejected it",
+            exponent=e,
+            i=i,
+        )
     p = None
     for cand in sorted(prime_factors(i)):
         if valuation(m, cand) < valuation(i, cand):
             p = cand
             break
-    assert p is not None, "i does not divide m, so some prime factor works"
-    assert p not in L, "root closure forces the prime factors of i out of L"
+    if p is None:
+        raise PostconditionError(
+            f"{i} does not divide {m}, yet no prime factor of {i} shows it", m=m, i=i
+        )
+    if p in L:
+        raise PostconditionError(
+            f"prime {p} divides the exponent {i} and lies in L, yet {c} passed "
+            f"the root-closure check; by the gcd rule <{a}^{i}> is not closed "
+            f"under {p}-th roots",
+            p=p,
+            i=i,
+        )
     k = valuation(m, p) + 1
     q_order = p ** k
     quotient = _cyclic_quotient_killing(a, n, q_order)
@@ -607,8 +623,16 @@ def separate_from_cyclic(
             f"prime {p} divides {i} with excess over its share of {m}",
             f"cyclic quotient Z/{q_order} maps the root to a unit",
         )
-    assert quotient.evaluate(g) not in quotient.cyclic_image(c)
+    _require_separated(quotient, c, g)
     return SeparationWitness(quotient, c, g, frozenset([p]), L, transcript)
+
+
+def _require_separated(quotient: FiniteQuotient, c: Word, g: Word) -> None:
+    if quotient.evaluate(g) in quotient.cyclic_image(c):
+        raise PostconditionError(
+            f"the image of {g} in {quotient.name} lies in the image of <{c}>",
+            quotient=quotient.name,
+        )
 
 
 def _power_exponent(a: Word, g: Word) -> int:
@@ -623,7 +647,10 @@ def _power_exponent(a: Word, g: Word) -> int:
     for cand in (e, -e):
         if a ** cand == g:
             return cand
-    raise AssertionError("membership said g is a power of a, but none matched")
+    raise PostconditionError(
+        f"membership said {g} is a power of {a}, but neither {a}^{e} nor {a}^{-e} is",
+        exponent=e,
+    )
 
 
 def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:

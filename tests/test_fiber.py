@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -14,10 +15,13 @@ from stallings import (
     fiber_product_over,
     is_l_root_closed,
     is_malnormal,
+    maximal_root,
     subgroup_graph,
     to_wedge_morphism,
     wedge_graph,
 )
+from stallings.fiber import TUPLE_CAP, _product_root_closure
+from stallings.suite import random_reduced_word
 
 
 def _sub(*texts: str, n: int = 2):
@@ -131,11 +135,20 @@ def test_root_closure_powers_of_a():
 
 
 def test_root_closure_matches_divisibility_rule():
+    # <a^i> is closed under l-th roots iff gcd(i, l) = 1; composite l counts
     for i in (2, 3, 4, 6):
         h = _sub("a" * i)
-        for l in (2, 3, 5):
+        for l in (2, 3, 4, 5, 6):
             res = is_l_root_closed(h, l)
-            assert res.closed == (i % l != 0), (i, l)
+            assert res.closed == (gcd(i, l) == 1), (i, l)
+    assert is_l_root_closed(_sub("aaaa"), 6).witness == Word.parse("aa", 2)
+    # redundant generators: the subgroup is <a^2>, not <a^4>
+    assert is_l_root_closed(_sub("aa", "aaaa"), 2).witness == Word.parse("a", 2)
+    # rank 1 builds no tuples, so sizes far past TUPLE_CAP are answered
+    long_cycle = _sub("ab" * 20)
+    assert len(long_cycle.graph.vertices) ** 12 > TUPLE_CAP
+    res = is_l_root_closed(long_cycle, 12)
+    assert res.witness == Word.parse("ab" * 5, 2)
 
 
 def test_root_closure_witness_on_mixed_subgroup():
@@ -173,3 +186,118 @@ def test_root_closure_rejects_silly_l_and_caps_blowups():
     big = _sub("abABa", "b")
     with pytest.raises(ResourceCapError):
         is_l_root_closed(big, 12)
+
+
+# Witnesses of rank >= 2 subgroups as the per-tuple Python scan reported
+# them; the numpy product must pick the same smallest tuple, hence the same
+# word. The first pairs are the oracle-sweep pool above. In the last four
+# the smallest such tuple starts no positive-letter edge of the product.
+PINNED_PRODUCT_WITNESSES = {
+    (("abab", "bb"), 2): "b",
+    (("abab", "bb"), 3): None,
+    (("a", "ab"), 2): None,
+    (("a", "ab"), 3): None,
+    (("a", "abab"), 2): "ba",
+    (("a", "abab"), 3): None,
+    (("a", "bb"), 2): "b",
+    (("a", "bb"), 3): None,
+    (("a", "abA"), 2): None,
+    (("a", "abA"), 3): None,
+    (("a", "bab"), 2): "ba",
+    (("a", "bab"), 3): None,
+    (("aa", "ab"), 2): "a",
+    (("aa", "ab"), 3): None,
+    (("aa", "abab"), 2): "a",
+    (("aa", "abab"), 3): None,
+    (("aa", "bb"), 2): "a",
+    (("aa", "bb"), 3): None,
+    (("aa", "abA"), 2): "a",
+    (("aa", "abA"), 3): None,
+    (("aa", "bab"), 2): "a",
+    (("aa", "bab"), 3): None,
+    (("aaa", "ab"), 2): None,
+    (("aaa", "ab"), 3): "A",
+    (("aaa", "abab"), 2): "ab",
+    (("aaa", "abab"), 3): "A",
+    (("aaa", "bb"), 2): "b",
+    (("aaa", "bb"), 3): "A",
+    (("aaa", "abA"), 2): None,
+    (("aaa", "abA"), 3): "A",
+    (("aaa", "bab"), 2): None,
+    (("aaa", "bab"), 3): "A",
+    (("ab", "bb"), 2): "abA",
+    (("ab", "bb"), 3): None,
+    (("ab", "abA"), 2): None,
+    (("ab", "abA"), 3): None,
+    (("ab", "bab"), 2): None,
+    (("ab", "bab"), 3): None,
+    (("abab", "abA"), 2): "aabA",
+    (("abab", "abA"), 3): None,
+    (("abab", "bab"), 2): "ba",
+    (("abab", "bab"), 3): None,
+    (("bb", "abA"), 2): "b",
+    (("bb", "abA"), 3): None,
+    (("bb", "bab"), 2): "b",
+    (("bb", "bab"), 3): None,
+    (("abA", "bab"), 2): None,
+    (("abA", "bab"), 3): None,
+    (("Ab", "Babb"), 2): "Aba",
+    (("bAA", "abaB"), 4): "aaBA",
+    (("Babba", "aBBA"), 4): "abA",
+    (("BBBBB", "ABaa"), 5): "B",
+    (("aBBB", "aBAb"), 5): None,
+    (("BBBa", "bbAAA"), 5): None,
+    (("bAbbAbbAb", "aba", "BaBBa"), 3): "bAb",
+    (("BBBaaBBBaa", "ABBaba"), 2): "AAbbb",
+    (("aCCac", "cAAcb", "c"), 2): "ccA",
+    (("BabccBBabccB", "B"), 2): "abccBB",
+}
+
+
+def test_product_witnesses_are_pinned():
+    for (gens, l), expected in PINNED_PRODUCT_WITNESSES.items():
+        h = _sub(*gens, n=3 if any(c in "cC" for c in "".join(gens)) else 2)
+        assert h.rank() >= 2, gens
+        res = is_l_root_closed(h, l)
+        assert res.closed == (expected is None), (gens, l)
+        assert (None if res.witness is None else str(res.witness)) == expected, (gens, l)
+
+
+def _random_maximal_root(rng: random.Random, n: int, length: int) -> Word:
+    while True:
+        a = random_reduced_word(rng, n, length, length)
+        if (length == 1 or a.letters[0] != -a.letters[-1]) and maximal_root(a)[1] == 1:
+            return a
+
+
+# The product is exponential in l, so it is compared only up to this many tuples.
+CROSS_CHECK_TUPLES = 50_000
+
+
+def test_closed_form_matches_product_on_cyclic_subgroups():
+    rng = random.Random(29)
+    compared = set()
+    for n in (2, 3):
+        for length in range(1, 5):
+            for i in range(1, 7):
+                a = _random_maximal_root(rng, n, length)
+                u = random_reduced_word(rng, n, 1, 2) if rng.random() < 0.5 else Word((), n)
+                c = u * a**i * u.inverse()
+                gens = [c, c**2] if rng.random() < 0.3 else [c]
+                h = subgroup_graph(gens, n)
+                nv = len(h.graph.vertices)
+                for l in (2, 3, 4, 5, 6):
+                    closed_form = is_l_root_closed(h, l)
+                    assert closed_form.closed == (gcd(i, l) == 1), (c, l)
+                    results = [closed_form]
+                    if nv**l <= CROSS_CHECK_TUPLES:
+                        product = _product_root_closure(h, l)
+                        assert product.closed == closed_form.closed, (c, l)
+                        results.append(product)
+                        compared.add((l, product.closed))
+                    for res in results:
+                        if not res.closed:
+                            w = res.witness
+                            assert h.contains(w**l) and not h.contains(w), (c, l, w)
+    # both verdicts were cross-checked for every l
+    assert compared == {(l, v) for l in (2, 3, 4, 5, 6) for v in (True, False)}
