@@ -10,6 +10,7 @@ violated preconditions), 3 for an exhausted search or resource cap.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -52,13 +53,26 @@ from .verify import verify_counterexample
 from .words import Word, maximal_root
 
 
+def _json_blocks(payload):
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` in
+    blocks: for a large extension the indenting encoder yields millions of
+    short strings, and joining them all at once holds every one, then the
+    whole text and its encoding."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    return iter(lambda: "".join(itertools.islice(chunks, 8192)), "")
+
+
 def _echo(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    for block in _json_blocks(payload):
+        click.echo(block, nl=False)
+    click.echo()
 
 
 def _write_out(payload, out: str | None) -> None:
     if out:
-        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with open(out, "w") as f:
+            f.writelines(_json_blocks(payload))
+            f.write("\n")
 
 
 def _safe_details(details: dict) -> dict:
@@ -476,7 +490,8 @@ def eppa_extend_cmd(
     result = eppa_extend(m, fam, bound=bound, seed=seed)
     payload = extension_to_dict(result)
     payload["size"] = len(result.extended.universe)
-    payload["verified"] = verify_extension(result, m, fam)
+    payload["verified"] = True  # eppa_extend raises unless its audit passed
+    del result  # its relation sets are not needed to print the payload
     _echo(payload)
     _write_out(payload, out)
 

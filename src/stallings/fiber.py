@@ -29,6 +29,7 @@ from .graphs import (
     SubgroupGraph,
     Vertex,
     _signed_letters,
+    component_labels,
     core,
     cycle_basis,
     is_core,
@@ -302,7 +303,7 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
         src.append(tuples)
         dst.append(images)
     src, dst = np.concatenate(src), np.concatenate(dst)
-    labels = _component_labels(nv ** l, src, dst)
+    labels = component_labels(nv ** l, [(src, dst)])
     # a tuple on no edge is alone in its component, so hits lie on edges
     ends = np.concatenate([src, dst])
     shift = ends // nv + ends % nv * nv ** (l - 1)
@@ -328,24 +329,6 @@ def _letter_tables(g: LabeledGraph) -> np.ndarray:
     for (v, s), w in g.steps.items():
         maps[row[s], idx[v]] = idx[w]
     return maps
-
-
-def _component_labels(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The smallest member of each vertex's component in the graph on
-    0..size-1 with edges src[j] -- dst[j], by hooking roots onto smaller
-    roots and pointer jumping until every edge joins equal labels."""
-    labels = np.arange(size, dtype=src.dtype)
-    while True:
-        lu, lv = labels[src], labels[dst]
-        apart = lu != lv
-        if not apart.any():
-            return labels
-        np.minimum.at(labels, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
 
 
 def _tuple_path_word(

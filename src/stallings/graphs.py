@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, PreconditionError
 from .words import Word, empty_word, reduce
 
@@ -215,6 +217,35 @@ class _DSU:
         if self.rank_of[rb] < self.rank_of[ra]:
             ra, rb = rb, ra
         self.parent[rb] = ra
+
+
+def component_labels(size: int, edges) -> np.ndarray:
+    """The smallest member of each vertex's component in the graph on
+    0..size-1 (int32 labels; callers keep size below 2^31) with an edge
+    src[j] -- dst[j] for every (src, dst) pair of arrays in ``edges``; src
+    None stands for 0..size-1, which saves storing it for a map defined
+    everywhere. Roots are hooked onto smaller roots, one pair at a time,
+    with pointer jumping after each hook, until every edge joins equal
+    labels."""
+    labels = np.arange(size, dtype=np.int32)
+    while True:
+        joined = True
+        for src, dst in edges:
+            lu = labels if src is None else labels[src]
+            lv = labels[dst]
+            apart = lu != lv
+            if not apart.any():
+                continue
+            joined = False
+            np.minimum.at(labels, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
+            del lu, lv, apart
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+        if joined:
+            return labels
 
 
 def fold(g: LabeledGraph) -> LabeledGraph:

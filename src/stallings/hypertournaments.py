@@ -20,7 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .arith import is_prime
 from .errors import (
@@ -29,13 +32,21 @@ from .errors import (
     NotInjectiveError,
     NotPartialIsomorphismError,
     NotSubtadpoleError,
+    PostconditionError,
     PreconditionError,
     ResourceCapError,
     RootClosureError,
     SearchCapError,
 )
 from .fiber import is_l_root_closed
-from .graphs import LabeledGraph, cycle_basis, make_graph, path_words_from, subgroup_graph
+from .graphs import (
+    LabeledGraph,
+    component_labels,
+    cycle_basis,
+    make_graph,
+    path_words_from,
+    subgroup_graph,
+)
 from .separability import (
     Perm,
     p_identity,
@@ -54,11 +65,16 @@ TUPLE_CAP = 8_000_000
 
 @dataclass(frozen=True)
 class Hypertournament:
-    """Finite L-hypertournament; relations stored per arity."""
+    """Finite L-hypertournament; relations stored per arity.
+
+    ``codes`` holds each relation again as a sorted array of tuple codes
+    over the universe's positions (see :func:`validate`).
+    """
 
     universe: tuple
     L: frozenset
     relations: tuple  # ((l, frozenset of tuples), ...) sorted by l
+    codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.universe)) != len(self.universe):
@@ -70,14 +86,30 @@ class Hypertournament:
         for l in self.L:
             if not (isinstance(l, int) and is_prime(l)):
                 raise InputError(f"arity {l} is not a prime")
+        index = {v: i for i, v in enumerate(self.universe)}
+        n = len(self.universe)
+        codes = {}
         for l, tuples in self.relations:
-            for t in tuples:
-                if len(t) != l:
-                    raise InputError(f"tuple {t} has arity {len(t)}, expected {l}")
-                if len(set(t)) != l:
-                    raise InputError(f"tuple {t} has repeated entries")
-                if not set(t) <= points:
-                    raise InputError(f"tuple {t} uses labels outside the universe")
+            digits = None
+            if set(map(len, tuples)) <= {l}:
+                digits = np.fromiter(
+                    map(index.get, itertools.chain.from_iterable(tuples), itertools.repeat(-1)),
+                    dtype=np.int32,
+                    count=l * len(tuples),
+                ).reshape(-1, l)
+                ordered = np.sort(digits, axis=1)  # -1 marks a label outside the universe
+                if (ordered[:, :1] < 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
+                    digits = None
+            if digits is None:  # name the first bad tuple in iteration order
+                for t in tuples:
+                    if len(t) != l:
+                        raise InputError(f"tuple {t} has arity {len(t)}, expected {l}")
+                    if len(set(t)) != l:
+                        raise InputError(f"tuple {t} has repeated entries")
+                    if not set(t) <= points:
+                        raise InputError(f"tuple {t} uses labels outside the universe")
+            codes[l] = np.sort(_encode(digits, n, _code_dtype(n, l)))
+        object.__setattr__(self, "codes", codes)
 
     @cached_property
     def relation_map(self) -> dict:
@@ -114,8 +146,46 @@ def _canonical_universe(universe: Iterable) -> tuple:
         raise InputError("universe labels must be mutually orderable") from exc
 
 
-def _shifts(t: tuple) -> list[tuple]:
-    return [t[i:] + t[:i] for i in range(len(t))]
+# -- tuple codes ------------------------------------------------------------------
+
+
+def _code_dtype(n: int, l: int):
+    """int32 while n**l fits it, then int64, then Python ints."""
+    if n**l < 2**31:
+        return np.int32
+    return np.int64 if n**l < 2**63 else object
+
+
+def _encode(digits: np.ndarray, n: int, dtype) -> np.ndarray:
+    """Codes of the rows of an (m, l) array of universe positions."""
+    digits = digits.astype(dtype, copy=False)
+    codes = np.zeros(len(digits), dtype=dtype)
+    for k in range(digits.shape[1]):
+        codes = codes * n + digits[:, k]
+    return codes
+
+
+def _decode(codes: np.ndarray, n: int, l: int) -> np.ndarray:
+    """The (m, l) int32 array of universe positions of each code."""
+    return np.stack(
+        [(codes // n ** (l - 1 - k) % n).astype(np.int32) for k in range(l)], axis=1
+    )
+
+
+def _shift(codes: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Code of the cyclic shift (t_1, ..., t_{l-1}, t_0) of each code."""
+    top = n ** (l - 1)
+    return codes % top * n + codes // top
+
+
+def code_labels(codes: np.ndarray, labels: Sequence, l: int) -> np.ndarray:
+    """The (m, l) object array holding ``labels[position]`` at every digit of
+    every code: ``.tolist()`` gives one row per code, ``.T.tolist()`` one
+    column per digit."""
+    lookup = np.empty(len(labels), dtype=object)
+    for i, v in enumerate(labels):  # element-wise: labels may be tuples or lists
+        lookup[i] = v
+    return lookup[_decode(codes, len(labels), l)]
 
 
 @dataclass(frozen=True)
@@ -134,19 +204,42 @@ def validate(h: Hypertournament) -> tuple[bool, Violation | None]:
     cycle condition forbids any arrangement whose l cyclic shifts all lie in
     the relation (quantifying over permuted copies of the relation adds
     nothing beyond shift classes, so this scan is complete).
+
+    Both scans run on tuple codes. With the universe in canonical order and
+    N points, the l-tuple of positions (t_0, ..., t_{l-1}) has the code
+    t_0 * N^(l-1) + ... + t_{l-1}: digit 0 is the most significant, so code
+    order is the lexicographic order of tuples over the canonical universe,
+    the order of ``itertools.combinations`` and ``permutations`` and of
+    serialized relations. Each witness is the smallest violating tuple in
+    that order, whatever the labels hash to.
     """
+    n = len(h.universe)
     for l in sorted(h.L):
-        tuples = h.relation_map[l]
-        for t in tuples:
-            if all(s in tuples for s in _shifts(t)):
-                return False, Violation("cycle", l, t)
-        if len(h.universe) < l:
+        codes = h.codes[l]
+        cyclic = np.ones(len(codes), dtype=bool)
+        shifted = codes
+        for _ in range(l - 1):
+            shifted = _shift(shifted, n, l)
+            cyclic &= np.isin(shifted, codes)
+        if cyclic.any():
+            witness = code_labels(codes[cyclic][:1], h.universe, l)[0]
+            return False, Violation("cycle", l, tuple(witness))
+        if n < l:
             continue
-        for subset in itertools.combinations(h.universe, l):
-            if not any(
-                perm in tuples for perm in itertools.permutations(subset)
-            ):
-                return False, Violation("unoriented", l, subset)
+        subsets = np.sort(_encode(np.sort(_decode(codes, n, l), axis=1), n, codes.dtype))
+        distinct = np.ones(len(subsets), dtype=bool)
+        distinct[1:] = subsets[1:] != subsets[:-1]
+        subsets = subsets[distinct]
+        if len(subsets) < comb(n, l):
+            # the first l-subset missing from the sorted subset codes is
+            # among the first len(subsets) + 1 in combination order
+            head = itertools.islice(itertools.combinations(range(n), l), len(subsets) + 1)
+            first = np.array(list(head), dtype=np.int32).reshape(-1, l)
+            listed = _encode(first, n, codes.dtype)
+            gap = np.flatnonzero(listed[: len(subsets)] != subsets)
+            k = int(gap[0]) if gap.size else len(subsets)
+            witness = tuple(h.universe[i] for i in first[k])
+            return False, Violation("unoriented", l, witness)
     return True, None
 
 
@@ -177,8 +270,8 @@ class PartialAutomorphismFamily:
                     )
                 seen_src.add(x)
                 seen_dst.add(y)
-        for index in range(len(self.maps)):
-            bad = self._iso_violation(index)
+        for index, pairs in enumerate(self.maps):
+            bad = _iso_violation(self.host, dict(pairs))
             if bad is not None:
                 t, image = bad
                 raise NotPartialIsomorphismError(
@@ -188,21 +281,22 @@ class PartialAutomorphismFamily:
                     image=image,
                 )
 
-    def _iso_violation(self, index: int):
-        m = dict(self.maps[index])
-        dom = sorted(m, key=lambda v: (str(type(v)), v))
-        for l in sorted(self.host.L):
-            if len(dom) < l:
-                continue
-            for t in itertools.permutations(dom, l):
-                image = tuple(m[x] for x in t)
-                if self.host.holds(t) != self.host.holds(image):
-                    return t, image
-        return None
-
     @cached_property
     def map_dicts(self) -> tuple:
         return tuple(dict(pairs) for pairs in self.maps)
+
+
+def _iso_violation(host: Hypertournament, m: Mapping) -> tuple | None:
+    """The first tuple over the domain of the injective map m whose relation
+    status differs from its image's, with that image; None if m preserves
+    and reflects every relation."""
+    dom = sorted(m, key=_label_key)
+    for l in sorted(host.L):
+        for t in itertools.permutations(dom, l):
+            image = tuple(m[x] for x in t)
+            if host.holds(t) != host.holds(image):
+                return t, image
+    return None
 
 
 def make_family(
@@ -222,7 +316,8 @@ def family_graph(p: PartialAutomorphismFamily) -> LabeledGraph:
         for x, y in pairs:
             edges.append((x, y, index + 1))
     g = make_graph(max(len(p.maps), 1), p.host.universe, edges)
-    assert g.is_immersed, "injective maps always induce an immersed graph"
+    if not g.is_immersed:
+        raise PostconditionError("injective maps induced a graph that is not immersed")
     return g
 
 
@@ -239,20 +334,30 @@ def is_subtadpole(g: LabeledGraph) -> bool:
 # -- orbit structures ---------------------------------------------------------------
 
 
-def _tuple_orbit(t: tuple, forward: list[dict], backward: list[dict]) -> frozenset:
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for step in (*forward, *backward):
-                if all(x in step for x in cur):
-                    img = tuple(step[x] for x in cur)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+def _orbit_labels(n: int, l: int, steps: list[np.ndarray]) -> np.ndarray:
+    """The smallest code in the orbit of each of the n**l tuple codes.
+
+    ``steps[g]`` maps universe positions along generator g, -1 where it is
+    undefined. A generator moves the tuples over its domain, so the orbits
+    are the components of the graph with an edge t -- g(t) for each of
+    them; the inverse generators add no new edges. A generator defined
+    everywhere moves every code, so only its images are stored.
+    """
+    edges = []
+    for step in steps:
+        dom = np.flatnonzero(step >= 0).astype(np.int32)
+        src = None if len(dom) == n else _product_codes(dom, n, l)
+        edges.append((src, _product_codes(step[dom], n, l)))
+    return component_labels(n**l, edges)
+
+
+def _product_codes(digits: np.ndarray, n: int, l: int) -> np.ndarray:
+    """int32 codes of all l-tuples over ``digits``, in the order of
+    ``itertools.product``; TUPLE_CAP < 2^31 bounds every code."""
+    codes = np.zeros(1, dtype=np.int32)
+    for _ in range(l):
+        codes = (codes[:, None] * n + digits).ravel()
+    return codes
 
 
 def orbit_structure(
@@ -267,6 +372,18 @@ def orbit_structure(
     l-subsets then receive the lexicographically least arrangement whose
     orbit closes no cycle. An l-subset all of whose arrangements force a
     cycle signals a root-closure failure in the acting group.
+
+    Tuples are handled as tuple codes, whose order is the lexicographic one
+    (see :func:`validate`), and orbits are labelled by their smallest code.
+    An orbit closes a cycle by itself exactly when it holds a tuple t and
+    its shift: a word carrying t to its shift carries each shift to the
+    next. The orbit of an arrangement of an l-subset S meets an arrangement
+    of every subset in the orbit of S under the action on subsets, and of
+    no other subset; so related tuples always fill whole subset orbits.
+    When S is reached uncovered, no tuple over its subset orbit is related
+    yet, the choice for S depends on S alone, and S is the least subset of
+    its subset orbit not covered by the seeds. All those choices are
+    therefore made at once.
     """
     universe = _canonical_universe(universe)
     L = frozenset(L)
@@ -274,64 +391,83 @@ def orbit_structure(
         if not is_prime(l):
             raise InputError(f"arity {l} is not a prime")
     position = {v: i for i, v in enumerate(universe)}
-    forward = [dict(g) for g in generators]
-    for g in forward:
+    n = len(universe)
+    steps = []
+    for g in generators:
+        g = dict(g)
         for x, y in g.items():
             if x not in position or y not in position:
                 raise InputError("generator moves labels outside the universe")
         if len(set(g.values())) != len(g):
             raise NotInjectiveError("generator is not injective")
-    backward = [{y: x for x, y in g.items()} for g in forward]
-    if L and len(universe) ** max(L) > TUPLE_CAP:
-        raise ResourceCapError(
-            f"{len(universe)} points at arity {max(L)} exceeds the tuple cap"
-        )
+        step = np.full(n, -1, dtype=np.int32)
+        for x, y in g.items():
+            step[position[x]] = position[y]
+        steps.append(step)
+    if L and n ** max(L) > TUPLE_CAP:
+        raise ResourceCapError(f"{n} points at arity {max(L)} exceeds the tuple cap")
 
-    relations: dict[int, set] = {}
+    relations = {}
     for l in sorted(L):
-        positive: set = set()
-
-        def closes_cycle(orbit) -> bool:
-            for t in orbit:
-                if all(s in positive or s in orbit for s in _shifts(t)):
-                    return True
-            return False
-
+        # a valid seed needs n >= l, so the orbit arrays exist when one is met
+        labels = _orbit_labels(n, l, steps) if n >= l else None
+        positive = np.zeros(n**l, dtype=bool)
         for seed in (seeds or {}).get(l, ()):  # carry over given relations
             seed = tuple(seed)
             if len(seed) != l or len(set(seed)) != l:
                 raise InputError(f"seed {seed} is not an arity-{l} tuple of distinct points")
             if not set(seed) <= set(universe):
                 raise InputError(f"seed {seed} uses labels outside the universe")
-            if seed in positive:
+            code = sum(position[x] * n ** (l - 1 - k) for k, x in enumerate(seed))
+            if positive[code]:
                 continue
-            orbit = _tuple_orbit(seed, forward, backward)
-            if closes_cycle(orbit):
+            orbit = np.flatnonzero(labels == labels[code])
+            closes = np.ones(len(orbit), dtype=bool)
+            shifted = orbit
+            for _ in range(l - 1):
+                shifted = _shift(shifted, n, l)
+                closes &= positive[shifted] | (labels[shifted] == labels[code])
+            if closes.any():
                 raise ForcedCycleError(
                     f"the orbit of seed {seed} closes a cycle at arity {l}",
                     orbit_representative=seed,
                     l=l,
                 )
-            positive |= orbit
-        if len(universe) >= l:
-            for subset in itertools.combinations(universe, l):
-                if any(p in positive for p in itertools.permutations(subset)):
-                    continue
-                chosen = None
-                for arrangement in itertools.permutations(subset):
-                    orbit = _tuple_orbit(arrangement, forward, backward)
-                    if not closes_cycle(orbit):
-                        chosen = orbit
-                        break
-                if chosen is None:
-                    raise ForcedCycleError(
-                        f"every arrangement of {subset} closes a cycle at arity {l}",
-                        orbit_representative=subset,
-                        l=l,
-                    )
-                positive |= chosen
-        relations[l] = positive
-    return make_hypertournament(universe, L, relations)
+            positive[orbit] = True
+        if n >= l:
+            subsets = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(n), l)),
+                dtype=np.int32,
+                count=comb(n, l) * l,
+            ).reshape(-1, l)
+            # column j: the j-th arrangement of each subset in code order
+            arrangements = np.stack(
+                [_encode(subsets[:, list(p)], n, np.int32) for p in itertools.permutations(range(l))],
+                axis=1,
+            )
+            orbit_of = labels[arrangements]
+            forced = np.zeros(n**l, dtype=bool)
+            forced[orbit_of[labels[_shift(arrangements, n, l)] == orbit_of]] = True
+            # The smallest code over a subset orbit is the sorted arrangement
+            # of its least subset: keep those subsets the seeds leave uncovered.
+            first = np.flatnonzero(orbit_of.min(axis=1) == arrangements[:, 0])
+            first = first[~positive[arrangements[first]].any(axis=1)]
+            allowed = ~forced[orbit_of[first]]
+            stuck = ~allowed.any(axis=1)
+            if stuck.any():
+                subset = tuple(universe[i] for i in subsets[first[stuck][0]])
+                raise ForcedCycleError(
+                    f"every arrangement of {subset} closes a cycle at arity {l}",
+                    orbit_representative=subset,
+                    l=l,
+                )
+            chosen = np.zeros(n**l, dtype=bool)
+            chosen[orbit_of[first, allowed.argmax(axis=1)]] = True
+            positive |= chosen[labels]
+            del labels, subsets, arrangements, orbit_of, forced, chosen
+        columns = code_labels(np.flatnonzero(positive), universe, l).T.tolist()
+        relations[l] = frozenset(zip(*columns))
+    return Hypertournament(universe, L, tuple((l, relations[l]) for l in sorted(L)))
 
 
 # -- the extension constructor ------------------------------------------------------
@@ -355,14 +491,15 @@ class ExtensionResult:
 
 def _connect_family(
     p: PartialAutomorphismFamily,
-) -> tuple[tuple, tuple[str, ...]]:
-    """Extended map list whose graph is connected, plus notes on what was
+) -> tuple[PartialAutomorphismFamily, tuple[str, ...]]:
+    """Extended family whose graph is connected, plus notes on what was
     added. Components are chained end to end through low-degree vertices,
     with the unique cyclic or branched component (if any) attached last."""
     maps = [dict(pairs) for pairs in p.maps]
     notes: list[str] = []
     while True:
-        g = _graph_of(maps, p.host.universe)
+        connected = make_family(p.host, maps)
+        g = family_graph(connected)
         comps = g.component_lists
         if len(comps) <= 1:
             break
@@ -396,7 +533,7 @@ def _connect_family(
                     continue
                 candidate = dict(last)
                 candidate[src] = dst
-                if _is_partial_iso(p.host, candidate):
+                if _iso_violation(p.host, candidate) is None:
                     maps[-1] = candidate
                     notes.append(f"extended map {len(maps) - 1} by {src!r} -> {dst!r}")
                     added = True
@@ -404,28 +541,7 @@ def _connect_family(
         if not added:
             maps.append({u: v})
             notes.append(f"added connector map {len(maps) - 1}: {u!r} -> {v!r}")
-    return tuple(tuple(sorted(m.items(), key=lambda kv: (str(type(kv[0])), kv[0]))) for m in maps), tuple(notes)
-
-
-def _graph_of(maps: Sequence[Mapping], universe) -> LabeledGraph:
-    edges = []
-    for index, m in enumerate(maps):
-        for x, y in m.items():
-            edges.append((x, y, index + 1))
-    return make_graph(max(len(maps), 1), universe, edges)
-
-
-def _is_partial_iso(host: Hypertournament, m: Mapping) -> bool:
-    dom = sorted(m, key=lambda v: (str(type(v)), v))
-    if len(set(m.values())) != len(m):
-        return False
-    for l in sorted(host.L):
-        if len(dom) < l:
-            continue
-        for t in itertools.permutations(dom, l):
-            if host.holds(t) != host.holds(tuple(m[x] for x in t)):
-                return False
-    return True
+    return connected, tuple(notes)
 
 
 def eppa_extend(
@@ -440,8 +556,9 @@ def eppa_extend(
     The universe of the extension is a coset space of the free group on the
     letters: with basepoint stabilizer H and a finite quotient separating
     the required cosets (kernel J), the point set is F/HJ. Relations are
-    carried over orbit-wise and completed; every postcondition is
-    re-verified before returning.
+    carried over orbit-wise and completed. The result passes one full
+    :func:`verify_extension` audit before it is returned; a failed audit or
+    any other broken postcondition raises :class:`PostconditionError`.
     """
     if p.host != m:
         raise InputError("family is not over the given hypertournament")
@@ -457,26 +574,27 @@ def eppa_extend(
         identity = tuple((x, x) for x in m.universe)
         autos = tuple(identity for _ in p.maps)
         result = ExtensionResult(m, identity, autos, ("family has no defined pairs",))
-        assert verify_extension(result, m, p)
-        return result
+        return _audited(result, m, p)
 
     g0 = family_graph(p)
     if not is_subtadpole(g0):
         raise NotSubtadpoleError("family graph has too many branch vertices")
-    maps, notes = _connect_family(p)
-    map_dicts = [dict(pairs) for pairs in maps]
-    graph = _graph_of(map_dicts, m.universe)
+    connected, notes = _connect_family(p)
+    map_dicts = connected.map_dicts
+    graph = family_graph(connected)
     if not is_subtadpole(graph):
         raise NotSubtadpoleError("connecting the family graph broke the subtadpole shape")
-    assert graph.is_connected
-    k = max(len(maps), 1)
+    if not graph.is_connected:
+        raise PostconditionError("connecting the family left its graph disconnected")
+    k = max(len(map_dicts), 1)
 
     base = min(m.universe, key=lambda v: (str(type(v)), v))
     paths = path_words_from(graph, base)
     w = {x: paths[x].reversed() for x in m.universe}
 
     loops = cycle_basis(graph, base)
-    assert len(loops) <= 1, "a connected subtadpole has cyclic vertex groups"
+    if len(loops) > 1:
+        raise PostconditionError("a connected subtadpole has cyclic vertex groups")
     h0 = loops[0].reversed() if loops else None
 
     if h0 is not None:
@@ -567,20 +685,22 @@ def eppa_extend(
 
     embed = {x: coset(q.evaluate(w[x])) for x in points}
     if len(set(embed.values())) != len(points):
-        raise AssertionError("separation verified but the embedding is not injective")
+        raise PostconditionError("separation verified but the embedding is not injective")
     for i, mp in enumerate(map_dicts):
         for x, y in mp.items():
-            assert actions[i][embed[x]] == embed[y], "action fails to extend a map"
+            if actions[i][embed[x]] != embed[y]:
+                raise PostconditionError("action fails to extend a map", map_index=i)
 
     # no element of the acting group has order divisible by any l: its order
     # divides the certified quotient order, a product of prime powers away
     # from L; the letter actions are checked directly as well
     for l in sorted(m.L):
-        assert q.order % l, "quotient order admits an excluded prime"
+        if q.order % l == 0:
+            raise PostconditionError("quotient order admits an excluded prime", l=l)
         for act in actions:
             perm = tuple(act[j] for j in range(len(reps)))
             if perm_order(perm) % l == 0:
-                raise AssertionError(f"letter action has order divisible by {l}")
+                raise PostconditionError(f"letter action has order divisible by {l}", l=l)
 
     seeds = {
         l: [tuple(embed[y] for y in ys) for ys in sorted(m.relation_map[l])]
@@ -593,25 +713,34 @@ def eppa_extend(
         for t in itertools.permutations(sorted(embed.values()), l):
             inside = extended.holds(t)
             original = tuple(back[v] for v in t) in m.relation_map[l]
-            assert inside == original, (
-                "relation extension altered the embedded structure; the coset "
-                "separation cannot have held"
-            )
+            if inside != original:
+                raise PostconditionError(
+                    "relation extension altered the embedded structure; the coset "
+                    "separation cannot have held",
+                    tuple=t,
+                )
 
     embedding = tuple(sorted(embed.items(), key=lambda kv: (str(type(kv[0])), kv[0])))
     autos = tuple(
         tuple(sorted(actions[i].items())) for i in range(len(p.maps))
     )
-    result = ExtensionResult(extended, embedding, autos, notes)
-    assert verify_extension(result, m, p), "extension failed its own audit"
-    return result
+    return _audited(ExtensionResult(extended, embedding, autos, notes), m, p)
+
+
+def _audited(
+    r: ExtensionResult, m: Hypertournament, p: PartialAutomorphismFamily
+) -> ExtensionResult:
+    if not verify_extension(r, m, p):
+        raise PostconditionError("extension failed its own audit")
+    return r
 
 
 def verify_extension(
     r: ExtensionResult, m: Hypertournament, p: PartialAutomorphismFamily
 ) -> bool:
     """Re-check every claimed property from scratch; False on the first
-    violation, never an exception."""
+    violation, never an exception. Automorphisms are checked on tuple codes:
+    each must carry the sorted codes of every relation onto themselves."""
     try:
         ext = r.extended
         if not validate(ext)[0] or ext.L != m.L:
@@ -627,14 +756,16 @@ def verify_extension(
                     return False
         if len(r.automorphisms) != len(p.maps):
             return False
+        points = set(ext.universe)
+        index = {v: i for i, v in enumerate(ext.universe)}
+        n = len(ext.universe)
         for auto, pairs in zip(r.automorphism_maps, p.maps):
-            if set(auto) != set(ext.universe):
+            if set(auto) != points or set(auto.values()) != points:
                 return False
-            if set(auto.values()) != set(ext.universe):
-                return False
-            for l in sorted(m.L):
-                tuples = ext.relation_map[l]
-                if frozenset(tuple(auto[x] for x in t) for t in tuples) != tuples:
+            perm = np.array([index[auto[v]] for v in ext.universe], dtype=np.int32)
+            for l, codes in ext.codes.items():
+                image = _encode(perm[_decode(codes, n, l)], n, codes.dtype)
+                if not np.array_equal(np.sort(image), codes):
                     return False
             for x, y in pairs:
                 if auto[e[x]] != e[y]:

@@ -33,6 +33,7 @@ from .hypertournaments import (
     ExtensionResult,
     Hypertournament,
     PartialAutomorphismFamily,
+    code_labels,
     make_family,
     make_hypertournament,
 )
@@ -183,10 +184,12 @@ def parse_cocycle_text(text: str) -> dict:
 
 
 def hypertournament_to_dict(h: Hypertournament) -> dict:
-    relations = {}
-    for l, tuples in h.relations:
-        rows = sorted(tuples, key=lambda t: tuple(_order_key(x) for x in t))
-        relations[str(l)] = [[_thaw(x) for x in t] for t in rows]
+    """Relation rows come in tuple-code order, which is the order of
+    ``_order_key`` on every entry in turn."""
+    labels = [_thaw(x) for x in h.universe]
+    relations = {
+        str(l): code_labels(codes, labels, l).tolist() for l, codes in h.codes.items()
+    }
     return {
         "L": sorted(h.L),
         "universe": [_thaw(x) for x in h.universe],

@@ -208,3 +208,68 @@ def all_small_generating_sets(n: int, max_len: int, max_gens: int):
             for v in words[i + 1:]:
                 sets.append((w, v))
     return sets
+
+
+def _tuple_orbit(t: tuple, forward: list[dict], backward: list[dict]) -> frozenset:
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for step in (*forward, *backward):
+                if all(x in step for x in cur):
+                    img = tuple(step[x] for x in cur)
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _shifts(t: tuple) -> list[tuple]:
+    return [t[i:] + t[:i] for i in range(len(t))]
+
+
+def oracle_orbit_structure(universe, generators, L, seeds=None) -> dict:
+    """Tuple-at-a-time orbit completion, as the library did it before tuple
+    codes: {l: frozenset of tuples}. ``universe`` must already be in
+    canonical order. Raises the library's ForcedCycleError with the same
+    ``orbit_representative`` the library reports."""
+    import itertools
+
+    from stallings.errors import ForcedCycleError
+
+    forward = [dict(g) for g in generators]
+    backward = [{y: x for x, y in g.items()} for g in forward]
+    relations = {}
+    for l in sorted(L):
+        positive: set = set()
+
+        def closes_cycle(orbit) -> bool:
+            for t in orbit:
+                if all(s in positive or s in orbit for s in _shifts(t)):
+                    return True
+            return False
+
+        for seed in (seeds or {}).get(l, ()):
+            seed = tuple(seed)
+            if seed in positive:
+                continue
+            orbit = _tuple_orbit(seed, forward, backward)
+            if closes_cycle(orbit):
+                raise ForcedCycleError("seed orbit closes a cycle", orbit_representative=seed, l=l)
+            positive |= orbit
+        for subset in itertools.combinations(universe, l):
+            if any(p in positive for p in itertools.permutations(subset)):
+                continue
+            chosen = None
+            for arrangement in itertools.permutations(subset):
+                orbit = _tuple_orbit(arrangement, forward, backward)
+                if not closes_cycle(orbit):
+                    chosen = orbit
+                    break
+            if chosen is None:
+                raise ForcedCycleError("every arrangement closes a cycle", orbit_representative=subset, l=l)
+            positive |= chosen
+        relations[l] = frozenset(positive)
+    return relations

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from stallings import RootClosureResult, Word, graph_to_dict, separability, subgroup_graph
+from stallings import (
+    RootClosureResult,
+    Word,
+    graph_to_dict,
+    hypertournaments,
+    separability,
+    subgroup_graph,
+)
 from stallings.cli import main
 
 
@@ -65,3 +74,117 @@ def test_failed_postcondition_is_error_json(monkeypatch):
     error = json.loads(result.stderr)
     assert error["error"] == "postcondition_failed"
     assert error["details"] == {"p": 2, "i": 2}
+
+
+def _json_file(tmp_path, name: str, value) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+def _structure_file(tmp_path, universe, l, relation) -> str:
+    structure = {"L": [l], "universe": universe, "relations": {str(l): relation}}
+    return _json_file(tmp_path, "structure.json", structure)
+
+
+_LETTERS5 = [
+    ["p", "q"], ["q", "r"], ["r", "p"], ["p", "s"], ["q", "s"],
+    ["r", "s"], ["t", "p"], ["t", "q"], ["t", "r"], ["s", "t"],
+]
+
+# Output digests of eppa-extend, taken from the tuple-at-a-time
+# implementation that tuple codes replaced.
+_EPPA_CASES = {
+    "transitive4": (
+        [0, 1, 2, 3], 2, [[i, j] for i in range(4) for j in range(i + 1, 4)],
+        [{"map": {"0": 3}}], 27,
+        "28fa01849d6b0d61a4237d498fa4701d43f9d8f5040fd1082e62fc111ae3e8f1",
+    ),
+    "triples4": (
+        [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        [{"map": {"0": 3}}], 8,
+        "dd74638f55a823ca6900bf4dca7f5dbbde9c2a00b26980951f163b33470f6c73",
+    ),
+    "letters5": (
+        ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 27,
+        "ec0d307c5eb2e5d3dd04246464830a3df94874e446950d72f2af0047d8ae5729",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EPPA_CASES))
+def test_eppa_extend_output_is_pinned(tmp_path, name):
+    universe, l, relation, maps, size, digest = _EPPA_CASES[name]
+    structure = _structure_file(tmp_path, universe, l, relation)
+    maps_path = _json_file(tmp_path, "maps.json", maps)
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["verified"] is True
+    assert payload["size"] == size == len(payload["extended"]["universe"])
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_verify_extension_rejects_a_tampered_extension(tmp_path):
+    universe, l, relation, maps, _, _ = _EPPA_CASES["transitive4"]
+    structure = _structure_file(tmp_path, universe, l, relation)
+    maps_path = _json_file(tmp_path, "maps.json", maps)
+    out = tmp_path / "extension.json"
+    assert _invoke("eppa-extend", structure, maps_path, "--out", str(out)).exit_code == 0
+    result = _invoke("verify-extension", structure, maps_path, str(out))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout) == {"verified": True, "size": 27}
+
+    extension = json.loads(out.read_text())
+    points = extension["extended"]["universe"]
+    extension["automorphisms"] = [[[x, x] for x in points]]
+    out.write_text(json.dumps(extension))
+    result = _invoke("verify-extension", structure, maps_path, str(out))
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.stdout) == {"verified": False, "size": 27}
+
+
+def test_validate_reports_the_smallest_violation(tmp_path):
+    relation = [["y", "x"], ["x", "y"], ["x", "z"], ["y", "z"]]
+    structure = _structure_file(tmp_path, ["x", "y", "z"], 2, relation)
+    result = _invoke("validate", structure)
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.stdout) == {
+        "valid": False,
+        "violation": {"kind": "cycle", "l": 2, "witness": ["x", "y"]},
+    }
+
+    # {w, y} and {x, z} carry no arrangement; the smaller one is reported
+    relation = [["x", "w"], ["z", "w"], ["x", "y"], ["y", "z"]]
+    structure = _structure_file(tmp_path, ["w", "x", "y", "z"], 2, relation)
+    result = _invoke("validate", structure)
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.stdout)["violation"] == {
+        "kind": "unoriented", "l": 2, "witness": ["w", "y"],
+    }
+
+
+def test_eppa_extend_refuses_a_family_that_is_not_a_subtadpole(tmp_path):
+    six = [
+        [0, 1], [2, 5], [4, 3], [0, 5], [3, 1], [0, 2], [0, 3], [0, 4],
+        [1, 2], [1, 4], [1, 5], [2, 3], [2, 4], [3, 5], [4, 5],
+    ]
+    star = [{"map": {"0": 2, "1": 5}}, {"map": {"0": 3, "5": 1}}, {"map": {"0": 4, "1": 3}}]
+    structure = _structure_file(tmp_path, list(range(6)), 2, six)
+    maps_path = _json_file(tmp_path, "maps.json", star)
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr)["error"] == "not_subtadpole"
+
+
+def test_failed_extension_audit_is_error_json(tmp_path, monkeypatch):
+    # The audit inside eppa_extend replaces the assert that python -O drops.
+    monkeypatch.setattr(hypertournaments, "verify_extension", lambda r, m, p: False)
+    universe, l, relation, maps, _, _ = _EPPA_CASES["transitive4"]
+    structure = _structure_file(tmp_path, universe, l, relation)
+    maps_path = _json_file(tmp_path, "maps.json", maps)
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 1, result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "postcondition_failed"
+    assert error["message"] == "extension failed its own audit"

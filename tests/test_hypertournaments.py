@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oracles
+import stallings
 from stallings import (
     ForcedCycleError,
     InputError,
@@ -14,6 +21,7 @@ from stallings import (
     PreconditionError,
     eppa_extend,
     family_graph,
+    hypertournament_to_dict,
     is_subtadpole,
     make_family,
     make_hypertournament,
@@ -221,8 +229,118 @@ def test_verify_extension_catches_tampering():
     result = eppa_extend(m, fam)
     import dataclasses
 
+    e = result.embedding_map
     identity = tuple((x, x) for x in result.extended.universe)
     broken = dataclasses.replace(
         result, automorphisms=tuple(identity for _ in result.automorphisms)
     )
     assert not verify_extension(broken, m, fam)
+
+    # a bijection that still extends the map but moves the relation
+    auto = dict(result.automorphisms[0])
+    used = set(e.values()) | {auto[v] for v in e.values()}
+    u, v = [x for x in result.extended.universe if x not in used][:2]
+    auto[u], auto[v] = auto[v], auto[u]
+    swapped = dataclasses.replace(result, automorphisms=(tuple(sorted(auto.items())),))
+    assert not verify_extension(swapped, m, fam)
+
+
+def _random_partial_injection(rng: random.Random, points: list) -> dict:
+    k = rng.randint(0, len(points))
+    return dict(zip(rng.sample(points, k), rng.sample(points, k)))
+
+
+def test_orbit_structure_matches_the_tuple_at_a_time_reference():
+    rng = random.Random(7)
+    outcomes = {"built": 0, "seed_cycle": 0, "subset_cycle": 0}
+    for trial in range(240):
+        l = 2 if trial % 2 else 3
+        k = rng.randint(l, 7 if l == 2 else 6)
+        if trial % 3 == 0:
+            universe = sorted(rng.sample("abcdefghij", k))
+        else:
+            universe = sorted(rng.sample(range(40), k))
+        gens = [_random_partial_injection(rng, universe) for _ in range(rng.randint(0, 2))]
+        seeds = {l: [tuple(rng.sample(universe, l)) for _ in range(rng.randint(0, 3))]}
+        try:
+            expected = oracles.oracle_orbit_structure(universe, gens, [l], seeds)
+        except ForcedCycleError as exc:
+            with pytest.raises(ForcedCycleError) as caught:
+                orbit_structure(universe, gens, [l], seeds)
+            rep = exc.details["orbit_representative"]
+            assert caught.value.details == exc.details, (universe, gens, seeds)
+            outcomes["seed_cycle" if rep in seeds[l] else "subset_cycle"] += 1
+            continue
+        h = orbit_structure(universe, gens, [l], seeds)
+        assert h.relation_map == expected, (universe, gens, seeds)
+        outcomes["built"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_validate_witness_is_the_smallest_and_ignores_hashing(tmp_path):
+    # three 2-cycles on string labels: set iteration order used to pick one
+    pairs = [("p", "q"), ("q", "p"), ("s", "r"), ("r", "s"), ("t", "u"), ("u", "t")]
+    pairs += [(x, y) for x, y in itertools.combinations("pqrstu", 2) if {x, y} not in
+              ({"p", "q"}, {"r", "s"}, {"t", "u"})]
+    cyclic = {"L": [2], "universe": list("utsrqp"), "relations": {"2": pairs}}
+    unoriented = {"L": [3], "universe": list("vwxyz"), "relations": {"3": [["z", "x", "w"]]}}
+    script = (
+        "import json, sys\n"
+        "from stallings import hypertournament_from_dict, validate\n"
+        "for d in json.load(open(sys.argv[1])):\n"
+        "    ok, v = validate(hypertournament_from_dict(d))\n"
+        "    print(v.kind, v.witness)\n"
+    )
+    data = tmp_path / "structures.json"
+    data.write_text(json.dumps([cyclic, unoriented]))
+    structure = tmp_path / "cyclic.json"
+    structure.write_text(json.dumps(cyclic))
+    src = str(Path(stallings.__file__).resolve().parents[1])
+    seen = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(data)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        seen.add(out)
+        cli = subprocess.run(
+            [sys.executable, "-m", "stallings.cli", "validate", str(structure)],
+            env=env, capture_output=True, text=True,
+        )
+        assert cli.returncode == 1
+        assert json.loads(cli.stdout)["violation"]["witness"] == ["p", "q"]
+    assert seen == {"cycle ('p', 'q')\nunoriented ('v', 'w', 'x')\n"}
+
+
+def test_serialized_rows_follow_the_label_order():
+    universe = [3, 10, "a", "b", (0, 1), (1, 0)]
+    rng = random.Random(5)
+    rel = set()
+    for subset in itertools.combinations(universe, 2):
+        rel.add(tuple(rng.sample(subset, 2)))
+    rel.add((10, 3) if (3, 10) in rel else (3, 10))  # both orders of one pair
+    h = make_hypertournament(universe, [2], {2: rel})
+
+    def key(t):
+        return tuple((str(type(x)), x) for x in t)
+
+    rows = hypertournament_to_dict(h)["relations"]["2"]
+    thaw = [[list(x) if isinstance(x, tuple) else x for x in t] for t in sorted(rel, key=key)]
+    assert rows == thaw
+
+
+def test_codes_past_64_bits():
+    # 18 points at arity 17: 18**17 overflows int64, so codes are Python ints
+    universe = list(range(18))
+    rel = list(itertools.combinations(universe, 17))
+    h = make_hypertournament(universe, [17], {17: rel})
+    assert h.codes[17].dtype == object
+    assert validate(h) == (True, None)
+    assert hypertournament_to_dict(h)["relations"]["17"] == [list(t) for t in rel]
+
+    ok, violation = validate(make_hypertournament(universe, [17], {17: rel[:5] + rel[6:]}))
+    assert not ok and violation.kind == "unoriented" and violation.witness == rel[5]
+    spun = rel + [rel[0][k:] + rel[0][:k] for k in range(1, 17)]
+    ok, violation = validate(make_hypertournament(universe, [17], {17: spun}))
+    assert not ok and violation.kind == "cycle" and violation.witness == rel[0]
