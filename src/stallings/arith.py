@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, PostconditionError
 
 
 def is_prime(m: int) -> bool:
@@ -40,7 +40,7 @@ def smallest_prime_not_in(excluded) -> int:
     for p in primes():
         if p not in ex:
             return p
-    raise AssertionError("unreachable")
+    raise PostconditionError("unreachable: the primes never run out")
 
 
 def valuation(m: int, p: int) -> int:

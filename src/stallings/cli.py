@@ -63,9 +63,12 @@ def _json_blocks(payload):
 
 
 def _echo(payload) -> None:
+    # An explicit file: without one, click caches a wrapper per stream in a
+    # WeakKeyDictionary whose value refers to its key, so every stream an
+    # in-process caller (such as CliRunner) swaps in stays alive for good.
     for block in _json_blocks(payload):
-        click.echo(block, nl=False)
-    click.echo()
+        click.echo(block, nl=False, file=sys.stdout)
+    click.echo(file=sys.stdout)
 
 
 def _write_out(payload, out: str | None) -> None:
@@ -86,7 +89,7 @@ def _fail(exc: StallingsError, status: int) -> None:
     payload = {"error": exc.code, "message": str(exc)}
     if exc.details:
         payload["details"] = _safe_details(exc.details)
-    click.echo(json.dumps(payload, indent=2, sort_keys=True), err=True)
+    click.echo(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
     sys.exit(status)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import require_prime
-from .errors import InputError, NotInjectiveError
+from .errors import InputError, NotInjectiveError, PostconditionError
 from .fiber import FiberProduct, fiber_product_over
 from .graphs import (
     Edge,
@@ -271,5 +271,6 @@ def check_disconnected_embedding(
     to_base = embedding.compose(cover.projection)
     fp = fiber_product_over(to_base, cover.projection)
     connected = fp.product.is_connected
-    assert not connected, "embedded graph produced a connected fiber product"
+    if connected:
+        raise PostconditionError("embedded graph produced a connected fiber product")
     return connected

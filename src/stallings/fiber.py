@@ -86,18 +86,24 @@ class FiberProduct:
     def component_vertices(self, cid: int) -> tuple[Vertex, ...]:
         return self.components[cid]
 
-    def component_edge_counts(self, cid: int) -> dict[int, int]:
-        comp = set(self.components[cid])
-        counts = {i: 0 for i in range(1, self.product.n + 1)}
+    @cached_property
+    def _letter_counts(self) -> tuple[dict[int, int], ...]:
+        """Per component, its number of edges of each letter, from one pass
+        over the product edges."""
+        ix = self.component_index
+        counts = tuple(
+            dict.fromkeys(range(1, self.product.n + 1), 0) for _ in self.components
+        )
         for u, _, i in self.product.edges:
-            if u in comp:
-                counts[i] += 1
+            counts[ix[u]][i] += 1
         return counts
 
+    def component_edge_counts(self, cid: int) -> dict[int, int]:
+        return dict(self._letter_counts[cid])
+
     def component_is_tree(self, cid: int) -> bool:
-        comp = self.components[cid]
-        e = sum(self.component_edge_counts(cid).values())
-        return e == len(comp) - 1
+        e = sum(self._letter_counts[cid].values())
+        return e == len(self.components[cid]) - 1
 
     def projection(self, side: str) -> GraphMorphism:
         target = self.left if side == "left" else self.right

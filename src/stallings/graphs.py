@@ -138,17 +138,8 @@ class LabeledGraph:
         for start in self.vertices:
             if start in seen:
                 continue
-            order = [start]
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w, _ in self.neighbors[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        queue.append(w)
-            comps.append(tuple(order))
+            comps.append((start,) + tuple(w for *_, w in bfs_edges(self.neighbors, start)))
+            seen.update(comps[-1])
         return tuple(comps)
 
     @cached_property
@@ -197,11 +188,13 @@ def wedge_graph(n: int) -> LabeledGraph:
 
 
 class _DSU:
-    def __init__(self, items: Sequence[Vertex], rank_of: Mapping[Vertex, int]):
-        self.parent = {v: v for v in items}
-        self.rank_of = rank_of  # deterministic representative: smallest rank wins
+    """Union-find over 0..size-1 with path compression; each class is named
+    by its smallest member."""
 
-    def find(self, v: Vertex) -> Vertex:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, v: int) -> int:
         p = self.parent
         root = v
         while p[root] != root:
@@ -210,13 +203,15 @@ class _DSU:
             p[v], v = root, p[v]
         return root
 
-    def union(self, a: Vertex, b: Vertex) -> None:
+    def union(self, a: int, b: int) -> tuple[int, int] | None:
+        """Join two classes: their (survivor, absorbed) roots, or None."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
-        if self.rank_of[rb] < self.rank_of[ra]:
+            return None
+        if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
+        return ra, rb
 
 
 def component_labels(size: int, edges) -> np.ndarray:
@@ -250,50 +245,60 @@ def component_labels(size: int, edges) -> np.ndarray:
 
 def fold(g: LabeledGraph) -> LabeledGraph:
     """Stallings folding: merge equal-label edges sharing a source or a target
-    until the graph is immersed. The image of pi_1 in F_n is unchanged."""
-    dsu = _DSU(g.vertices, g.vertex_index)
-    edges = list(g.sorted_edges)
-    while True:
-        out: dict[tuple[Vertex, int], Vertex] = {}
-        inn: dict[tuple[Vertex, int], Vertex] = {}
-        merge: tuple[Vertex, Vertex] | None = None
-        for u, v, i in edges:
-            ru, rv = dsu.find(u), dsu.find(v)
-            prev = out.get((ru, i))
-            if prev is not None and prev != rv:
-                merge = (prev, rv)
-                break
-            out[(ru, i)] = rv
-            prev = inn.get((rv, i))
-            if prev is not None and prev != ru:
-                merge = (prev, ru)
-                break
-            inn[(rv, i)] = ru
-        if merge is None:
-            break
-        dsu.union(*merge)
-    verts = tuple(dict.fromkeys(dsu.find(v) for v in g.vertices))
-    folded = {(dsu.find(u), dsu.find(v), i) for u, v, i in edges}
-    bp = dsu.find(g.basepoint) if g.basepoint is not None else None
+    until the graph is immersed. The image of pi_1 in F_n is unchanged.
+
+    Worklist folding (Kapovich-Myasnikov 2002, Touikan 2006): each class maps
+    signed letters to a vertex they reach; a union moves the absorbed class's
+    entries to the survivor and queues each clash as a pair to merge. The
+    result, the least congruence with an immersed quotient, is unique, so the
+    merge order does not matter. Each class is named by its first vertex."""
+    ix = g.vertex_index
+    dsu = _DSU(len(g.vertices))
+    tables: list[dict[int, int]] = [{} for _ in g.vertices]
+    pending: list[tuple[int, int]] = []
+
+    def enter(table: dict[int, int], t: int, w: int) -> None:
+        seen = table.setdefault(t, w)
+        if seen != w:
+            pending.append((seen, w))
+
+    for u, v, i in g.edges:
+        enter(tables[ix[u]], i, ix[v])
+        enter(tables[ix[v]], -i, ix[u])
+    while pending:
+        joined = dsu.union(*pending.pop())
+        if joined is None:
+            continue
+        survivor, absorbed = joined
+        for t, w in tables[absorbed].items():
+            enter(tables[survivor], t, w)
+    name = [g.vertices[dsu.find(k)] for k in range(len(g.vertices))]
+    verts = tuple(dict.fromkeys(name))
+    folded = {(name[ix[u]], name[ix[v]], i) for u, v, i in g.edges}
+    bp = name[ix[g.basepoint]] if g.basepoint is not None else None
     return make_graph(g.n, verts, folded, bp)
 
 
 def core(g: LabeledGraph) -> LabeledGraph:
     """Restrict to the basepoint component and strip degree-1 vertices other
-    than the basepoint, repeatedly."""
-    if g.basepoint is None:
+    than the basepoint, repeatedly: a queue takes each vertex whose degree
+    among those kept (a loop counts twice) drops to 1 or less. What stays
+    does not depend on the order in which leaves go."""
+    bp = g.basepoint
+    if bp is None:
         raise PreconditionError("core reduction needs a basepoint")
-    cur = g.restrict(g.component_of(g.basepoint), g.basepoint)
-    while True:
-        leaves = [
-            v for v in cur.vertices if v != cur.basepoint and cur.degrees[v] <= 1
-        ]
-        if not leaves:
-            return cur
-        drop = set(leaves)
-        cur = cur.restrict(
-            (v for v in cur.vertices if v not in drop), cur.basepoint
-        )
+    keep = {bp} | {w for *_, w in bfs_edges(g.neighbors, bp)}
+    degree = {v: g.degrees[v] for v in keep}
+    queue = [v for v in keep if v != bp and degree[v] <= 1]
+    keep.difference_update(queue)
+    while queue:
+        for w, _ in g.neighbors[queue.pop()]:
+            if w in keep:
+                degree[w] -= 1
+                if degree[w] <= 1 and w != bp:
+                    keep.remove(w)
+                    queue.append(w)
+    return g.restrict(keep, bp)
 
 
 def is_core(g: LabeledGraph) -> bool:
@@ -311,14 +316,8 @@ def relabel_canonical(g: LabeledGraph) -> LabeledGraph:
     if not g.is_immersed:
         raise PreconditionError("canonical relabeling needs an immersed graph")
     number: dict[Vertex, int] = {g.basepoint: 0}
-    queue = deque([g.basepoint])
-    while queue:
-        v = queue.popleft()
-        for t in _signed_letters(g.n):
-            w = g.steps.get((v, t))
-            if w is not None and w not in number:
-                number[w] = len(number)
-                queue.append(w)
+    for _, _, w in bfs_edges(g.neighbors, g.basepoint):
+        number[w] = len(number)
     verts = tuple(range(len(number)))
     edges = [(number[u], number[v], i) for u, v, i in g.edges]
     return make_graph(g.n, verts, edges, 0)
@@ -424,20 +423,33 @@ def contains(h: SubgroupGraph | LabeledGraph, w: Word) -> bool:
     return trace(g, g.basepoint, w) == g.basepoint
 
 
+def bfs_edges(
+    adjacency: Mapping[Vertex, Sequence[tuple[Vertex, int]]], root: Vertex
+) -> list[tuple[Vertex, int, Vertex]]:
+    """Breadth-first search from ``root``: one (v, t, w) per vertex w reached
+    after the root, in discovery order, first reached from v along signed
+    letter t. ``adjacency[v]`` lists the steps (w, t) in the order to try.
+    Over ``LabeledGraph.neighbors`` of an immersed graph (at most one step per
+    signed letter, in order +1, -1, +2, ...) the search depends only on the
+    root, which makes ``relabel_canonical`` canonical."""
+    seen = {root}
+    found: list[tuple[Vertex, int, Vertex]] = []
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w, t in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                found.append((v, t, w))
+                queue.append(w)
+    return found
+
+
 def path_words_from(g: LabeledGraph, start: Vertex) -> dict[Vertex, Word]:
     """Shortest path words from ``start`` to every reachable vertex (BFS in
     deterministic letter order; words are reduced since BFS paths do not
     backtrack in an immersed graph)."""
-    words: dict[Vertex, Word] = {start: empty_word(g.n)}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for t in _signed_letters(g.n):
-            w = g.steps.get((v, t))
-            if w is not None and w not in words:
-                words[w] = Word(words[v].letters + (t,), g.n)
-                queue.append(w)
-    return words
+    return spanning_tree(g, start)[1]
 
 
 # -- bases and ranks -------------------------------------------------------------
@@ -446,18 +458,15 @@ def path_words_from(g: LabeledGraph, start: Vertex) -> dict[Vertex, Word]:
 def spanning_tree(
     g: LabeledGraph, root: Vertex
 ) -> tuple[set[Edge], dict[Vertex, Word]]:
-    """BFS spanning tree of root's component: (tree edge set, path words)."""
+    """BFS spanning tree of root's component of an immersed graph: (tree edge
+    set, path words)."""
+    if not g.is_immersed:
+        raise PreconditionError("graph is not immersed")
     words: dict[Vertex, Word] = {root: empty_word(g.n)}
     tree: set[Edge] = set()
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for t in _signed_letters(g.n):
-            w = g.steps.get((v, t))
-            if w is not None and w not in words:
-                words[w] = Word(words[v].letters + (t,), g.n)
-                tree.add((v, w, t) if t > 0 else (w, v, -t))
-                queue.append(w)
+    for v, t, w in bfs_edges(g.neighbors, root):
+        words[w] = Word(words[v].letters + (t,), g.n)
+        tree.add((v, w, t) if t > 0 else (w, v, -t))
     return tree, words
 
 

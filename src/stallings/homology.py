@@ -12,17 +12,15 @@ is nilpotent of index exactly p.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
+from functools import cache, cached_property
 
 import numpy as np
 
 from .arith import require_prime
 from .covers import CoverDescription, CoverGraph, build_cover
-from .errors import InputError, PreconditionError
-from .graphs import Edge, GraphMorphism, LabeledGraph, Vertex
+from .errors import InputError, PostconditionError, PreconditionError
+from .graphs import Edge, GraphMorphism, LabeledGraph, Vertex, bfs_edges
 
 
 # -- matrices over GF(p) -----------------------------------------------------------
@@ -188,31 +186,25 @@ def chain_complex(g: LabeledGraph, p: int) -> ChainComplex:
 
 def _component_tree_data(g: LabeledGraph):
     """Per component: BFS tree edge set and per-vertex signed path vectors
-    (indexed by position in sorted_edges), in deterministic order."""
+    (indexed by position in sorted_edges), in deterministic order. Each
+    vertex tries its edges in ``sorted_edges`` order."""
     edges = g.sorted_edges
     eix = {e: j for j, e in enumerate(edges)}
-    adj: dict[Vertex, list[tuple[Vertex, Edge, int]]] = {v: [] for v in g.vertices}
-    for e in edges:
-        u, v, _ = e
-        adj[u].append((v, e, +1))
+    adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in g.vertices}
+    for u, v, i in edges:
+        adj[u].append((v, i))
         if v != u:
-            adj[v].append((u, e, -1))
+            adj[v].append((u, -i))
     tree: set[Edge] = set()
     paths: dict[Vertex, np.ndarray] = {}
     for comp in g.component_lists:
-        root = comp[0]
-        paths[root] = np.zeros(len(edges), dtype=np.int64)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w, e, sign in adj[v]:
-                if w in paths:
-                    continue
-                vec = paths[v].copy()
-                vec[eix[e]] += sign
-                paths[w] = vec
-                tree.add(e)
-                queue.append(w)
+        paths[comp[0]] = np.zeros(len(edges), dtype=np.int64)
+        for v, t, w in bfs_edges(adj, comp[0]):
+            e = (v, w, t) if t > 0 else (w, v, -t)
+            vec = paths[v].copy()
+            vec[eix[e]] += 1 if t > 0 else -1
+            paths[w] = vec
+            tree.add(e)
     return tree, paths
 
 
@@ -258,7 +250,7 @@ def induced_h1_map(f: GraphMorphism, p: int) -> FpMatrix:
     image = edge_pushforward(f, p) @ bx
     sol = by.solve(image)
     if sol is None:
-        raise AssertionError("image of a cycle fell outside the cycle space")
+        raise PostconditionError("image of a cycle fell outside the cycle space")
     return sol
 
 
@@ -273,21 +265,20 @@ def tw_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
+@cache
 def _t_to_s(p: int) -> np.ndarray:
-    """Basis change t^j = (1 - s)^j: entry [k, j] = coeff of s^k."""
-    m = np.zeros((p, p), dtype=np.int64)
-    for j in range(p):
-        for k in range(j + 1):
-            m[k, j] = (comb(j, k) * (-1) ** k) % p
-    return m
-
-
-def _s_to_t(p: int) -> np.ndarray:
-    """Basis change s^j = (1 - t)^j: entry [i, j] = coeff of t^i."""
-    m = np.zeros((p, p), dtype=np.int64)
-    for j in range(p):
-        for i in range(j + 1):
-            m[i, j] = (comb(j, i) * (-1) ** i) % p
+    """Basis change t^j = (1 - s)^j: entry [k, j] = C(j, k) (-1)^k mod p,
+    the coefficient of s^k. With s = 1 - t the map is an involution, so the
+    same matrix also takes s-coefficients back to t-coefficients. Built once
+    per p by Pascal's rule mod p and shared read-only."""
+    binom = np.zeros((p, p), dtype=np.int64)  # binom[j, k] = C(j, k) mod p
+    binom[0, 0] = 1
+    for j in range(1, p):
+        binom[j, 0] = 1
+        binom[j, 1:] = (binom[j - 1, 1:] + binom[j - 1, :-1]) % p
+    sign = np.where(np.arange(p) % 2, p - 1, 1)
+    m = binom.T * sign[:, None] % p
+    m.setflags(write=False)
     return m
 
 
@@ -314,13 +305,13 @@ def one_minus_t_factor(vec: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     k = one_minus_t_valuation(vec, p)
     if k >= p:
         return p, np.zeros_like(vec)
-    t2s, s2t = _t_to_s(p), _s_to_t(p)
+    t2s = _t_to_s(p)
     out = np.zeros_like(vec)
     for r, row in enumerate(vec):
         s_coeffs = (t2s @ row) % p
         shifted = np.zeros(p, dtype=np.int64)
         shifted[: p - k] = s_coeffs[k:]
-        out[r] = (s2t @ shifted) % p
+        out[r] = (t2s @ shifted) % p
     return k, out
 
 
@@ -484,5 +475,6 @@ def gersten_check(
         twisted_chain_map=twisted,
         valuations=tuple(vals),
     )
-    assert report.lift_star_injective, "injectivity failed to lift"
+    if not report.lift_star_injective:
+        raise PostconditionError("injectivity failed to lift", p=p)
     return report

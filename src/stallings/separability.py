@@ -752,5 +752,5 @@ def separate_coset_system(
                 constraint_index=index,
             )
     if prime_factors(q.order) & L:
-        raise AssertionError("product order picked up an excluded prime")
+        raise PostconditionError("product order picked up an excluded prime", order=q.order)
     return q

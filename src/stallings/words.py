@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, PostconditionError
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -157,4 +157,4 @@ def maximal_root(w: Word) -> tuple[Word, int]:
             root = Word(block, w.n)
             exponent = m // d
             return (u * root * u.inverse(), exponent)
-    raise AssertionError("unreachable: d = len(r) always divides")
+    raise PostconditionError("unreachable: d = len(r) always divides")

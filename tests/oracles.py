@@ -273,3 +273,64 @@ def oracle_orbit_structure(universe, generators, L, seeds=None) -> dict:
             positive |= chosen
         relations[l] = frozenset(positive)
     return relations
+
+
+def oracle_fold(g):
+    """Folding as the library did it before worklists: rescan every edge
+    after each single merge. Each class is named by its vertex of smallest
+    index in ``g.vertices``."""
+    from stallings.graphs import make_graph
+
+    parent = {v: v for v in g.vertices}
+    ix = g.vertex_index
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    edges = list(g.sorted_edges)
+    while True:
+        out: dict = {}
+        inn: dict = {}
+        merge = None
+        for u, v, i in edges:
+            ru, rv = find(u), find(v)
+            prev = out.get((ru, i))
+            if prev is not None and prev != rv:
+                merge = (prev, rv)
+                break
+            out[(ru, i)] = rv
+            prev = inn.get((rv, i))
+            if prev is not None and prev != ru:
+                merge = (prev, ru)
+                break
+            inn[(rv, i)] = ru
+        if merge is None:
+            break
+        ra, rb = sorted(map(find, merge), key=ix.__getitem__)
+        parent[rb] = ra
+    verts = tuple(dict.fromkeys(find(v) for v in g.vertices))
+    folded = {(find(u), find(v), i) for u, v, i in edges}
+    bp = find(g.basepoint) if g.basepoint is not None else None
+    return make_graph(g.n, verts, folded, bp)
+
+
+def oracle_core(g):
+    """Core reduction as the library did it before the degree queue: the
+    basepoint component, then one restricted graph per peeled layer of
+    vertices of degree <= 1 other than the basepoint."""
+    comp = {g.basepoint}
+    grown = True
+    while grown:
+        grown = False
+        for u, v, _ in g.edges:
+            if (u in comp) != (v in comp):
+                comp |= {u, v}
+                grown = True
+    cur = g.restrict(comp, g.basepoint)
+    while True:
+        leaves = {v for v in cur.vertices if v != cur.basepoint and cur.degrees[v] <= 1}
+        if not leaves:
+            return cur
+        cur = cur.restrict((v for v in cur.vertices if v not in leaves), cur.basepoint)

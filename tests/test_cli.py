@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,7 @@ from stallings import (
     separability,
     subgroup_graph,
 )
+from stallings import cli
 from stallings.cli import main
 
 
@@ -188,3 +192,87 @@ def test_failed_extension_audit_is_error_json(tmp_path, monkeypatch):
     error = json.loads(result.stderr)
     assert error["error"] == "postcondition_failed"
     assert error["message"] == "extension failed its own audit"
+
+
+# Inputs and output digests of the graph commands, taken from the quadratic
+# fold/core and the per-component edge scans that they replaced.
+_RAW_GRAPH = {  # folds w into x and h1 into z; core drops h2 and the 7-8 component
+    "n": 2,
+    "vertices": ["x", "y", "z", "w", "h1", "h2", 7, 8],
+    "edges": [
+        ["y", "x", "a"], ["x", "z", "b"], ["z", "y", "a"], ["y", "w", "a"],
+        ["w", "h1", "b"], ["h1", "h2", "b"], [7, 8, "a"], [8, 7, "b"],
+    ],
+    "basepoint": "y",
+}
+_GERSTEN_CONFIG = {
+    "p": 5,
+    "domain": {
+        "n": 2,
+        "vertices": [0, 1, 2, 3],
+        "edges": [[0, 1, "a"], [1, 0, "b"], [0, 2, "b"], [2, 3, "a"], [0, 3, "b"]],
+        "basepoint": 0,
+    },
+    "codomain": {"n": 2, "vertices": [0], "edges": [[0, 0, "a"], [0, 0, "b"]], "basepoint": 0},
+    "vertex_map": [[0, 0], [1, 0], [2, 0], [3, 0]],
+    "cocycle": {"a": 2, "b": 3},
+}
+_GRAPH_CASES = {
+    "fold-core": (
+        ("fold", "@raw", "--core"), 0,
+        "e6e9a7345367a467ea5dea1d3dc91a212f0d4e8769e04843c9312f0c56b53b1b",
+    ),
+    "malnormal-yes": (
+        ("malnormal", "@abABa,b"), 0,
+        "8177d7d4994297f9ac8afde7cab1ca22f1cb9faaae1a3ff7f30c59545895e6ed",
+    ),
+    "malnormal-no": (
+        ("malnormal", "@aab,abAB,bbb"), 1,
+        "cbe216c479d932cc445b80a6113abbcb31beb556c6da97eea58a4a937e8e2965",
+    ),
+    "fiber-product": (
+        ("fiber-product", "@abABa,b", "@aa,abb"), 0,
+        "08e2cde014e4e0999d9b8a7864b28892c6f6c7b505b504aa8f701422afdce51f",
+    ),
+    "gersten-check": (
+        ("gersten-check", "@gersten"), 0,
+        "2cdcef57007fe79d736e1816831c03d7f9ef6b8839a693021975d0a5406a6316",
+    ),
+}
+
+
+def _graph_case_file(tmp_path, spec: str, k: int) -> str:
+    if spec == "@raw":
+        return _json_file(tmp_path, f"{k}.json", _RAW_GRAPH)
+    if spec == "@gersten":
+        return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG)
+    h = subgroup_graph([Word.parse(t, 2) for t in spec[1:].split(",")], 2)
+    return _json_file(tmp_path, f"{k}.json", graph_to_dict(h.graph))
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPH_CASES))
+def test_graph_command_output_is_pinned(tmp_path, name):
+    args, status, digest = _GRAPH_CASES[name]
+    args = [_graph_case_file(tmp_path, a, k) if a.startswith("@") else a for k, a in enumerate(args)]
+    result = _invoke(*args)
+    assert result.exit_code == status, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_invocations_leave_no_stream_alive(monkeypatch):
+    # Echoing without a file makes click cache a wrapper per stream, and its
+    # cache entries keep their streams alive: every run's output buffers
+    # would stay in memory for good.
+    streams = []
+    real = cli.maximal_root
+
+    def spy(w):
+        streams.extend([weakref.ref(sys.stdout), weakref.ref(sys.stderr)])
+        return real(w)
+
+    monkeypatch.setattr(cli, "maximal_root", spy)
+    for word, status in (("abab", 0), ("", 2), ("aab", 0), ("", 2)):
+        assert _invoke("root", word).exit_code == status
+    gc.collect()
+    assert len(streams) == 8
+    assert all(ref() is None for ref in streams)

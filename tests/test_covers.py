@@ -7,6 +7,7 @@ from stallings import (
     GraphMorphism,
     InputError,
     NotInjectiveError,
+    PostconditionError,
     Word,
     build_cover,
     check_disconnected_embedding,
@@ -20,6 +21,7 @@ from stallings import (
     tower_pullbacks,
     wedge_graph,
 )
+from stallings import covers
 
 
 def _sub(*texts: str, n: int = 2):
@@ -183,3 +185,17 @@ def test_disconnected_embedding_rejects_bad_maps():
     a = _sub("a").graph
     with pytest.raises(InputError):
         check_disconnected_embedding(a, cov, to_wedge_morphism(a))
+
+
+def test_connected_embedding_product_is_a_postcondition_error(monkeypatch):
+    # A connected fiber product would contradict the lifting argument; the
+    # check must raise, also under python -O, instead of returning True.
+    cov = _wedge_cover(2, 0, 1)
+    a = _sub("a").graph
+    loop_vertex = next(v for v in cov.total.vertices if v[1] == 0)
+    emb = GraphMorphism.from_dict(a, cov.total, {a.basepoint: loop_vertex})
+    connected = pullback_as_fiber_product(to_wedge_morphism(a), _wedge_cover(2, 1, 1))
+    assert connected.product.is_connected
+    monkeypatch.setattr(covers, "fiber_product_over", lambda f, g: connected)
+    with pytest.raises(PostconditionError, match="connected fiber product"):
+        check_disconnected_embedding(a, cov, emb)

@@ -8,6 +8,7 @@ import oracles
 from stallings import (
     GraphMorphism,
     InputError,
+    PreconditionError,
     Word,
     canonical_form,
     core,
@@ -20,6 +21,7 @@ from stallings import (
     wedge_graph,
 )
 from stallings.graphs import is_core, path_words_from, relabel_canonical, spanning_tree, trace
+from stallings.serialize import graph_to_dict
 
 
 def _words(*texts: str, n: int = 2) -> list[Word]:
@@ -143,6 +145,11 @@ def test_spanning_tree_and_path_words():
     assert paths == words
     for v, w in paths.items():
         assert trace(h.graph, h.graph.basepoint, w) == v
+    folds = make_graph(2, [0, 1, 2], [(0, 1, 1), (0, 2, 1)], 0)
+    with pytest.raises(PreconditionError):
+        spanning_tree(folds, 0)
+    with pytest.raises(PreconditionError):
+        path_words_from(folds, 0)
 
 
 def test_trace_missing_edge_is_none():
@@ -186,3 +193,53 @@ def test_rank_formula_on_schreier_covers():
             continue
         assert rank(g) == 1 + k * (n - 1)
         checked += 1
+
+
+_LABEL_KINDS = {
+    "int": lambda k: k * 7 % 23,
+    "str": lambda k: f"v{k}",
+    "tuple": lambda k: (k % 3, str(k)),
+}
+
+
+def _random_raw_graph(rng: random.Random, kind: str):
+    """A random labeled graph in scrambled vertex order, often with loops,
+    parallel edges and several components; sometimes the basepoint hangs
+    off the rest by one edge."""
+    name = _LABEL_KINDS[kind]
+    n = rng.randint(1, 3)
+    names = [name(k) for k in range(rng.randint(1, 14))]
+    rng.shuffle(names)
+    edges = []
+    for _ in range(rng.randint(0, 2 * len(names) + 2)):
+        u = rng.choice(names)
+        v = u if rng.random() < 0.15 else rng.choice(names)
+        edges.append((u, v, rng.randint(1, n)))
+        if rng.random() < 0.15:
+            edges.append((u, v, rng.randint(1, n)))
+    bp = rng.choice(names)
+    if rng.random() < 0.4:
+        bp = name(len(names))
+        names.append(bp)
+        edges.append((rng.choice(names[:-1]), bp, rng.randint(1, n)))
+    return make_graph(n, names, edges, bp)
+
+
+def test_fold_and_core_match_the_quadratic_reference():
+    rng = random.Random(20261018)
+    seen = {"loops": 0, "parallel": 0, "components": 0, "leaf_basepoint": 0}
+    for case in range(600):
+        g = _random_raw_graph(rng, sorted(_LABEL_KINDS)[case % 3])
+        folded = fold(g)
+        reference = oracles.oracle_fold(g)
+        assert folded == reference
+        assert graph_to_dict(folded) == graph_to_dict(reference)
+        assert core(g) == oracles.oracle_core(g)
+        assert relabel_canonical(core(folded)) == relabel_canonical(
+            oracles.oracle_core(reference)
+        )
+        seen["loops"] += any(u == v for u, v, _ in g.edges)
+        seen["parallel"] += len({(u, v) for u, v, _ in g.edges}) < len(g.edges)
+        seen["components"] += len(folded.component_lists) > 1
+        seen["leaf_basepoint"] += core(folded).degrees[folded.basepoint] == 1
+    assert min(seen.values()) >= 20, seen

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stallings import (
     CoverDescription,
     FpMatrix,
     InputError,
+    PostconditionError,
     PreconditionError,
     TwistedMatrix,
     Word,
@@ -25,6 +27,8 @@ from stallings import (
     tw_convolve,
     wedge_graph,
 )
+from stallings import homology
+from stallings.homology import _t_to_s
 
 
 def _sub(*texts: str, n: int = 2):
@@ -143,6 +147,18 @@ def test_one_minus_t_is_nilpotent_of_index_p():
             acc = tw_convolve(acc, omt, p)
             expected = k if k < p else p
             assert one_minus_t_valuation(acc, p) == expected
+
+
+def test_basis_change_matches_binomials_and_is_shared_read_only():
+    for p in (2, 3, 5, 31):
+        m = _t_to_s(p)
+        expected = [[comb(j, k) * (-1) ** k % p for j in range(p)] for k in range(p)]
+        assert m.tolist() == expected
+        assert _t_to_s(p) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+        # t -> s -> t is the identity: the one matrix serves both ways
+        assert np.array_equal(m @ m % p, np.eye(p, dtype=np.int64))
 
 
 def test_one_minus_t_factor_round_trip():
@@ -269,3 +285,19 @@ def test_gersten_check_validates_the_square():
     bad_lift = to_wedge_morphism(h.graph)
     with pytest.raises(InputError):
         gersten_check(f, cx, cy, bad_lift, 2)
+
+
+def test_gersten_check_failed_lift_is_a_postcondition_error(monkeypatch):
+    # A lift whose H_1 map is not injective contradicts the theorem; the
+    # check must raise, also under python -O, instead of reporting it.
+    h = _sub("abABa", "b")
+    f, cx, cy, lift = _square(h, 3, {1: 1, 2: 0})
+    real = homology.induced_h1_map
+
+    def degenerate_on_the_lift(m, p):
+        image = real(m, p)
+        return image if m is f else FpMatrix.zeros(image.rows, image.cols, p)
+
+    monkeypatch.setattr(homology, "induced_h1_map", degenerate_on_the_lift)
+    with pytest.raises(PostconditionError, match="injectivity failed to lift"):
+        gersten_check(f, cx, cy, lift, 3)
