@@ -37,6 +37,7 @@ from .homology import chain_complex, gersten_check, h1_basis
 from .hypertournaments import eppa_extend, validate, verify_extension
 from .separability import separate_from_cyclic, verify_witness
 from .serialize import (
+    _freeze,
     cocycle_from_value,
     extension_from_dict,
     extension_to_dict,
@@ -282,8 +283,8 @@ def h1(graph: str, p: int) -> None:
             "p": p,
             "dimension": basis_matrix.cols,
             "component_ranks": component_ranks(g),
-            "basis": [list(row) for row in basis_matrix.entries],
-            "boundary": [list(row) for row in complex_.boundary.entries],
+            "basis": basis_matrix.array.tolist(),
+            "boundary": complex_.boundary.array.tolist(),
         }
     )
 
@@ -309,7 +310,7 @@ def gersten_check_cmd(config: str) -> None:
     for item in data["vertex_map"]:
         if not isinstance(item, list) or len(item) != 2:
             raise InputError(f"vertex_map entry {item!r} is not a pair")
-        vertex_map[_freeze_json(item[0])] = _freeze_json(item[1])
+        vertex_map[_freeze(item[0])] = _freeze(item[1])
     f = GraphMorphism.from_dict(dom, cod, vertex_map)
     cover_y = cocycle_from_value(cod, p, data["cocycle"])
     pulled, lift = pullback(f, build_cover(cover_y))
@@ -317,19 +318,13 @@ def gersten_check_cmd(config: str) -> None:
     _echo(
         {
             "p": report.p,
-            "f_star": [list(row) for row in report.f_star.entries],
-            "lift_star": [list(row) for row in report.lift_star.entries],
+            "f_star": report.f_star.array.tolist(),
+            "lift_star": report.lift_star.array.tolist(),
             "lift_star_injective": report.lift_star_injective,
             "ranks": dict(report.ranks),
             "valuations": [list(v) for v in report.valuations],
         }
     )
-
-
-def _freeze_json(value):
-    if isinstance(value, list):
-        return tuple(_freeze_json(x) for x in value)
-    return value
 
 
 @main.command()

@@ -26,52 +26,67 @@ from .graphs import Edge, GraphMorphism, LabeledGraph, Vertex, bfs_edges
 # -- matrices over GF(p) -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FpMatrix:
+@dataclass(frozen=True, eq=False)
+class _Residues:
+    """One int64 array with entries in range(p), the only state besides p.
+    The constructor checks it with whole-array operations and makes it
+    read-only; an int64 array is taken over as it is, not copied."""
+
     p: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    array: np.ndarray
+    _AXES = ("rows", "cols")
 
     def __post_init__(self):
         require_prime(self.p)
-        if len(self.entries) != self.rows:
-            raise InputError("row count mismatch")
-        if any(len(r) != self.cols for r in self.entries):
-            raise InputError("ragged matrix")
-        if any(not 0 <= x < self.p for r in self.entries for x in r):
+        arr = np.asarray(self.array)
+        if (
+            arr.dtype.kind not in "iu"
+            or arr.ndim != len(self._AXES)
+            or arr.shape[2:] not in ((), (self.p,))
+        ):
+            raise InputError(
+                f"need an integer array of shape ({', '.join(self._AXES)}), "
+                f"got {arr.dtype} {arr.shape}"
+            )
+        arr = arr.astype(np.int64, copy=False)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.p):
             raise InputError(f"entries not reduced mod {self.p}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class FpMatrix(_Residues):
+    """A matrix over GF(p); ``from_array`` reduces any integer array mod p."""
 
     @staticmethod
     def from_array(a, p: int) -> "FpMatrix":
+        """Reduce mod p; a scalar or a vector becomes a single row."""
         arr = np.asarray(a, dtype=np.int64) % p
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        rows, cols = arr.shape
-        return FpMatrix(
-            p, rows, cols, tuple(tuple(int(x) for x in row) for row in arr)
-        )
+        return FpMatrix(p, arr.reshape(1, -1) if arr.ndim < 2 else arr)
 
     @staticmethod
     def identity(m: int, p: int) -> "FpMatrix":
-        return FpMatrix.from_array(np.eye(m, dtype=np.int64), p)
+        return FpMatrix(p, np.eye(m, dtype=np.int64))
 
     @staticmethod
     def zeros(rows: int, cols: int, p: int) -> "FpMatrix":
-        return FpMatrix.from_array(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+        return FpMatrix(p, np.zeros((rows, cols), dtype=np.int64))
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p:
             raise InputError("modulus mismatch")
         if self.cols != other.rows:
             raise InputError("shape mismatch in product")
-        return FpMatrix.from_array((self.array @ other.array) % self.p, self.p)
+        return FpMatrix.from_array(self.array @ other.array, self.p)
 
     @cached_property
     def _rref(self) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -123,7 +138,7 @@ class FpMatrix:
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    m = (a % p).astype(np.int64)
+    m = a % p
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -146,18 +161,6 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return m, tuple(pivots)
-
-
-def fp_rank(m: FpMatrix) -> int:
-    return m.rank
-
-
-def is_injective(m: FpMatrix) -> bool:
-    return m.is_injective
-
-
-def is_isomorphism(m: FpMatrix) -> bool:
-    return m.is_isomorphism
 
 
 # -- chain complexes ----------------------------------------------------------------
@@ -315,50 +318,31 @@ def one_minus_t_factor(vec: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     return k, out
 
 
-@dataclass(frozen=True)
-class TwistedMatrix:
-    """Matrix over (Z/p)[t]/(1 - t^p); coeffs has shape (rows, cols, p)."""
+@dataclass(frozen=True, eq=False)
+class TwistedMatrix(_Residues):
+    """Matrix over (Z/p)[t]/(1 - t^p): ``array`` has shape (rows, cols, p),
+    and entry [r, c, k] is the coefficient of t^k."""
 
-    p: int
-    rows: int
-    cols: int
-    coeffs: tuple
+    _AXES = ("rows", "cols", "p")
 
     @staticmethod
     def from_array(a, p: int) -> "TwistedMatrix":
         require_prime(p)
-        arr = np.asarray(a, dtype=np.int64) % p
-        if arr.ndim != 3 or arr.shape[2] != p:
-            raise InputError("twisted matrix needs shape (rows, cols, p)")
-        return TwistedMatrix(
-            p,
-            arr.shape[0],
-            arr.shape[1],
-            tuple(tuple(tuple(int(x) for x in c) for c in row) for row in arr),
-        )
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64).reshape(
-            self.rows, self.cols, self.p
-        )
+        return TwistedMatrix(p, np.asarray(a, dtype=np.int64) % p)
 
     def specialize(self) -> FpMatrix:
         """Set t = 1: sum the coefficient vectors."""
-        return FpMatrix.from_array(self.array.sum(axis=2) % self.p, self.p)
+        return FpMatrix.from_array(self.array.sum(axis=2), self.p)
 
     def restriction(self) -> FpMatrix:
         """The same map as a GF(p)-matrix on coefficient columns: each entry
-        becomes the p x p circulant of multiplication by it."""
+        becomes the p x p circulant of multiplication by it, whose [j, k]
+        entry is the coefficient of t^((j - k) mod p)."""
         p = self.p
-        big = np.zeros((self.rows * p, self.cols * p), dtype=np.int64)
-        for r in range(self.rows):
-            for c in range(self.cols):
-                entry = self.array[r, c]
-                for j in range(p):
-                    for k in range(p):
-                        big[r * p + j, c * p + k] = entry[(j - k) % p]
-        return FpMatrix.from_array(big, p)
+        shift = np.subtract.outer(np.arange(p), np.arange(p)) % p
+        blocks = self.array[:, :, shift]  # [r, c, j, k]
+        big = blocks.transpose(0, 2, 1, 3).reshape(self.rows * p, self.cols * p)
+        return FpMatrix(p, big)
 
     @property
     def is_injective(self) -> bool:

@@ -135,6 +135,8 @@ def make_hypertournament(
 
 
 def _label_key(v):
+    """The one order on labels: by type name, then by value, so that a
+    universe mixing ints, strings and tuples still sorts."""
     return (str(type(v)), v)
 
 
@@ -303,7 +305,7 @@ def make_family(
     host: Hypertournament, maps: Sequence[Mapping]
 ) -> PartialAutomorphismFamily:
     canonical = tuple(
-        tuple(sorted(m.items(), key=lambda kv: (str(type(kv[0])), kv[0])))
+        tuple(sorted(m.items(), key=lambda kv: _label_key(kv[0])))
         for m in maps
     )
     return PartialAutomorphismFamily(host, canonical)
@@ -588,7 +590,7 @@ def eppa_extend(
         raise PostconditionError("connecting the family left its graph disconnected")
     k = max(len(map_dicts), 1)
 
-    base = min(m.universe, key=lambda v: (str(type(v)), v))
+    base = min(m.universe, key=_label_key)
     paths = path_words_from(graph, base)
     w = {x: paths[x].reversed() for x in m.universe}
 
@@ -611,7 +613,7 @@ def eppa_extend(
     empty = empty_word(k)
     constraints = []
     labels: list[tuple] = []
-    points = sorted(m.universe, key=lambda v: (str(type(v)), v))
+    points = sorted(m.universe, key=_label_key)
     for x, y in itertools.combinations(points, 2):
         constraints.append(
             ((w[x].inverse() * w[y], h0), (empty, h0))
@@ -720,7 +722,7 @@ def eppa_extend(
                     tuple=t,
                 )
 
-    embedding = tuple(sorted(embed.items(), key=lambda kv: (str(type(kv[0])), kv[0])))
+    embedding = tuple(sorted(embed.items(), key=lambda kv: _label_key(kv[0])))
     autos = tuple(
         tuple(sorted(actions[i].items())) for i in range(len(p.maps))
     )

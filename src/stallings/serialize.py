@@ -33,6 +33,7 @@ from .hypertournaments import (
     ExtensionResult,
     Hypertournament,
     PartialAutomorphismFamily,
+    _label_key,
     code_labels,
     make_family,
     make_hypertournament,
@@ -50,10 +51,6 @@ def _thaw(value):
     if isinstance(value, tuple):
         return [_thaw(x) for x in value]
     return value
-
-
-def _order_key(value):
-    return (str(type(value)), value)
 
 
 def letter_text(i: int, n: int) -> str | int:
@@ -185,7 +182,7 @@ def parse_cocycle_text(text: str) -> dict:
 
 def hypertournament_to_dict(h: Hypertournament) -> dict:
     """Relation rows come in tuple-code order, which is the order of
-    ``_order_key`` on every entry in turn."""
+    ``_label_key`` on every entry in turn."""
     labels = [_thaw(x) for x in h.universe]
     relations = {
         str(l): code_labels(codes, labels, l).tolist() for l, codes in h.codes.items()
@@ -242,6 +239,12 @@ def _key_text(value) -> str:
 
 
 def family_to_list(p: PartialAutomorphismFamily) -> list:
+    """Raises InputError when a key would read back as another label, as
+    the key "1" does in a universe holding both 1 and "1"."""
+    points = set(p.host.universe)
+    for x in {x for pairs in p.maps for x, _ in pairs}:
+        if _resolve_label(_key_text(x), points) != x:
+            raise InputError(f"label {x!r} would read back as another label")
     return [
         {"map": {_key_text(x): _thaw(y) for x, y in pairs}} for pairs in p.maps
     ]
@@ -316,11 +319,11 @@ def extension_from_dict(d: Mapping) -> ExtensionResult:
             if not isinstance(item, Sequence) or len(item) != 2:
                 raise InputError(f"automorphism entry {item!r} is not a pair")
             rows.append((_freeze(item[0]), _freeze(item[1])))
-        autos.append(tuple(sorted(rows, key=lambda kv: _order_key(kv[0]))))
+        autos.append(tuple(sorted(rows, key=lambda kv: _label_key(kv[0]))))
     notes = tuple(str(x) for x in d.get("notes", ()))
     return ExtensionResult(
         extended,
-        tuple(sorted(embedding, key=lambda kv: _order_key(kv[0]))),
+        tuple(sorted(embedding, key=lambda kv: _label_key(kv[0]))),
         tuple(autos),
         notes,
     )

@@ -241,11 +241,40 @@ _GRAPH_CASES = {
 }
 
 
+# h1 on the raw graph (three components) and on the gersten-check domain,
+# and one small property suite run; digests taken from the tuple-of-tuples
+# GF(p) matrices that one read-only array per matrix replaced.
+_GRAPH_CASES.update({
+    "h1-raw-2": (
+        ("h1", "@raw", "--p", "2"), 0,
+        "208b56b42a07c095a9000ce6871230041842656c6fcc85b8354c26222dd3b75f",
+    ),
+    "h1-raw-3": (
+        ("h1", "@raw", "--p", "3"), 0,
+        "f90e6c41ae12e3cbc900cd0005ae7b1ede2b267e1abf3ea3ed8f9ff57f53f2db",
+    ),
+    "h1-domain-2": (
+        ("h1", "@domain", "--p", "2"), 0,
+        "8b36b7e7fa64ef81a8b4881a4f490d80b02ca8f5a5c0afc8ed181e7e45c82a68",
+    ),
+    "h1-domain-3": (
+        ("h1", "@domain", "--p", "3"), 0,
+        "5473f4d5a7b46764c6d1d66a39f9639e5ba993e1ddc96d472999e27755fa47c5",
+    ),
+    "suite": (
+        ("suite", "--seed", "0", "--trials", "2"), 0,
+        "f7e0a8dcdad45433aec519083e9408566c26f6bc76b94f483ff62b88a705da17",
+    ),
+})
+
+
 def _graph_case_file(tmp_path, spec: str, k: int) -> str:
     if spec == "@raw":
         return _json_file(tmp_path, f"{k}.json", _RAW_GRAPH)
     if spec == "@gersten":
         return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG)
+    if spec == "@domain":
+        return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG["domain"])
     h = subgroup_graph([Word.parse(t, 2) for t in spec[1:].split(",")], 2)
     return _json_file(tmp_path, f"{k}.json", graph_to_dict(h.graph))
 

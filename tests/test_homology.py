@@ -51,6 +51,27 @@ def test_fp_matrix_rejects_non_prime():
         FpMatrix.from_array([[1]], 4)
 
 
+def test_fp_matrix_rejects_unreduced_and_non_2d_arrays():
+    with pytest.raises(InputError, match="not reduced mod 3"):
+        FpMatrix(3, np.array([[0, 3]], dtype=np.int64))
+    with pytest.raises(InputError, match="not reduced mod 3"):
+        FpMatrix(3, np.array([[-1]], dtype=np.int64))
+    for bad in (np.arange(3), np.zeros((1, 1, 3), dtype=np.int64), np.zeros((2, 2))):
+        with pytest.raises(InputError, match="shape"):
+            FpMatrix(3, bad)
+    with pytest.raises(InputError, match="shape"):
+        TwistedMatrix(3, np.zeros((1, 1, 2), dtype=np.int64))
+
+
+def test_matrix_arrays_are_read_only():
+    m = FpMatrix.from_array([[1, 2], [3, 4]], 5)
+    t = TwistedMatrix.from_array(np.ones((2, 1, 3), dtype=np.int64), 3)
+    for arr in (m.array, t.array, FpMatrix.identity(2, 3).array, t.restriction().array):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert (m.rows, m.cols, t.rows, t.cols) == (2, 2, 2, 1)
+
+
 def test_solve_and_nullspace_are_verified_by_multiplication():
     rng = random.Random(1)
     for p in (2, 3, 5):
