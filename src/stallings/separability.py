@@ -15,9 +15,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .arith import is_prime, require_prime, smallest_prime_not_in, valuation
 from .errors import (
@@ -192,79 +194,141 @@ def prime_factors(m: int) -> set[int]:
 # -- the p-group library -------------------------------------------------------------
 
 
-def _cyclic_elements(q: int) -> list[Perm]:
-    return [tuple((x + k) % q for x in range(q)) for k in range(q)]
+def _elementary_squared_elements(p: int) -> np.ndarray:
+    """(Z/p)^2 on two disjoint p-cycles: element k1 * p + k2 rotates the
+    first by k1 and the second by k2."""
+    k1, k2 = np.divmod(np.arange(p * p)[:, None], p)
+    x = np.arange(p)
+    return np.hstack([(x + k1) % p, p + (x + k2) % p])
 
 
-def _elementary_squared_elements(p: int) -> list[Perm]:
-    out = []
-    for k1 in range(p):
-        for k2 in range(p):
-            first = tuple((x + k1) % p for x in range(p))
-            second = tuple(p + (x + k2) % p for x in range(p))
-            out.append(first + second)
-    return out
-
-
-def _heisenberg_elements(p: int) -> list[Perm]:
+def _heisenberg_elements(p: int) -> np.ndarray:
     """Order p^3, upper unitriangular 3x3 over Z/p, in its right regular
-    action: (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b')."""
-    def pid(t):
-        return (t[0] * p + t[1]) * p + t[2]
-
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    out = []
-    for g in triples:
-        ga, gb, gc = g
-        perm = [0] * (p ** 3)
-        for x in triples:
-            xa, xb, xc = x
-            y = ((xa + ga) % p, (xb + gb) % p, (xc + gc + xa * gb) % p)
-            perm[pid(x)] = pid(y)
-        out.append(tuple(perm))
-    return out
+    action: (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b'). Element and
+    point (a,b,c) both have index (a*p + b)*p + c. Every intermediate value
+    stays below p^3, so the narrowest dtype holding an index will do."""
+    digit = np.arange(p, dtype=np.min_scalar_type(p**3 - 1))
+    ga, gb, gc, xa, xb, xc = np.ix_(*[digit] * 6)
+    images = ((xa + ga) % p * p + (xb + gb) % p) * p + (xc + gc + xa * gb) % p
+    return images.reshape(p**3, p**3)
 
 
-def _wreath_elements(p: int) -> list[Perm]:
+def _wreath_elements(p: int) -> np.ndarray:
     """Z/p wr Z/p of order p^(p+1) acting on the p x p grid:
-    (i, j) -> (i + s, j + o_i)."""
-    def pid(i, j):
-        return i * p + j
-
-    out = []
-    for s in range(p):
-        for offsets in itertools.product(range(p), repeat=p):
-            perm = [0] * (p * p)
-            for i in range(p):
-                for j in range(p):
-                    perm[pid(i, j)] = pid((i + s) % p, (j + offsets[i]) % p)
-            out.append(tuple(perm))
-    return out
+    (i, j) -> (i + s, j + o_i), point (i, j) having index i*p + j and the
+    element index having base-p digits s, o_0, ..., o_(p-1)."""
+    s, *offsets = np.unravel_index(np.arange(p ** (p + 1)), (p,) * (p + 1))
+    i, j = np.divmod(np.arange(p * p), p)
+    return (i + s[:, None]) % p * p + (j + np.stack(offsets, axis=1)[:, i]) % p
 
 
-def group_library(p: int) -> list[tuple[str, str, object]]:
+TABLE_BLOCK = 1 << 14
+
+
+def _base_keys(elements: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """A base (points whose images tell every element apart), taken
+    greedily in point order, and each element's key: its images of the base
+    read as one integer in radix ``degree``."""
+    order, degree = elements.shape
+    base: list[int] = []
+    distinct = 1
+    for x in range(degree):
+        trial = base + [x]
+        keys = np.ravel_multi_index(tuple(elements[:, trial].T), (degree,) * len(trial))
+        count = len(np.unique(keys))
+        if count > distinct:
+            base, distinct = trial, count
+        if distinct == order:
+            return base, keys
+    raise PostconditionError("library group lists an element twice")
+
+
+def _cayley_table(elements: np.ndarray) -> np.ndarray:
+    """Flat table of element indices: entry i * order + j is the index of
+    "elements[i], then elements[j]". Each product is identified by its
+    images of a base; rows go TABLE_BLOCK products at a time, so the int64
+    keys of a block stay small beside the table itself."""
+    order, degree = elements.shape
+    base, keys = _base_keys(elements)
+    sorter = np.argsort(keys)
+    sorted_keys = keys[sorter]
+    table = np.empty((order, order), np.min_scalar_type(order - 1))
+    step = max(1, TABLE_BLOCK // order)
+    for start in range(0, order, step):
+        # "i, then j" sends base point x to elements[j][elements[i][x]]
+        images = elements[:, elements[start : start + step, base]]
+        product_keys = np.ravel_multi_index(
+            tuple(np.moveaxis(images, -1, 0)), (degree,) * len(base)
+        )
+        at = np.searchsorted(sorted_keys, product_keys).clip(max=order - 1)
+        if not np.array_equal(sorted_keys[at], product_keys):
+            raise PostconditionError("library group is not closed under products")
+        table[start : start + step] = sorter[at].T
+    table = table.ravel()
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class TableGroup:
+    """A non-cyclic library p-group, searched by index arithmetic.
+
+    Element i is the permutation ``elements[i]`` (index 0 is the identity),
+    ``mul[i * order + j]`` is the index of "element i, then element j", and
+    ``inv[i]`` the index of the inverse of element i. Each is a read-only
+    array built on first use from ``build``, which lists the elements.
+    """
+
+    order: int
+    build: Callable[[], np.ndarray]
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        out = self.build()
+        out = out.astype(np.min_scalar_type(out.shape[1] - 1), copy=False)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        return _cayley_table(self.elements)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        out = (np.flatnonzero(self.mul == 0) % self.order).astype(self.mul.dtype)
+        out.flags.writeable = False
+        return out
+
+    def perm(self, i: int) -> Perm:
+        return tuple(self.elements[i].tolist())
+
+
+@cache
+def group_library(p: int) -> tuple[tuple[str, str, object], ...]:
     """Candidate p-groups in increasing order: cyclic up to p^4, elementary
     abelian rank 2, mod-p Heisenberg, and (for p <= 3) the wreath product.
 
     Cyclic entries carry their modulus (("cyclic", q)) so searches can use
-    integer arithmetic; the rest carry explicit permutation element lists.
+    integer arithmetic; the rest carry a ``TableGroup`` (("table", group)),
+    which builds its elements and Cayley table when a search first reaches
+    it. One library per p serves every search in the process.
     """
     require_prime(p)
     entries: list[tuple[int, str, str, object]] = [
         (p, f"Z/{p}", "cyclic", p),
-        (p ** 2, f"(Z/{p})^2", "perm", lambda: _elementary_squared_elements(p)),
-        (p ** 2, f"Z/{p ** 2}", "cyclic", p ** 2),
-        (p ** 3, f"Heis({p})", "perm", lambda: _heisenberg_elements(p)),
-        (p ** 3, f"Z/{p ** 3}", "cyclic", p ** 3),
+        (p**2, f"(Z/{p})^2", "table", partial(_elementary_squared_elements, p)),
+        (p**2, f"Z/{p ** 2}", "cyclic", p**2),
+        (p**3, f"Heis({p})", "table", partial(_heisenberg_elements, p)),
+        (p**3, f"Z/{p ** 3}", "cyclic", p**3),
     ]
     if p <= 3:
-        entries.append((p ** (p + 1), f"Z/{p} wr Z/{p}", "perm", lambda: _wreath_elements(p)))
-    entries.append((p ** 4, f"Z/{p ** 4}", "cyclic", p ** 4))
+        entries.append((p ** (p + 1), f"Z/{p} wr Z/{p}", "table", partial(_wreath_elements, p)))
+    entries.append((p**4, f"Z/{p ** 4}", "cyclic", p**4))
     entries.sort(key=lambda e: e[0])
-    return [
-        (name, kind, data if kind == "cyclic" else data())
-        for _, name, kind, data in entries
-    ]
+    return tuple(
+        (name, kind, data if kind == "cyclic" else TableGroup(order, data))
+        for order, name, kind, data in entries
+    )
 
 
 # -- witnesses ---------------------------------------------------------------------
@@ -388,6 +452,84 @@ def _tower_perm(p: int, levels: int, offsets: Sequence[int]) -> Perm:
     return tuple(perm)
 
 
+def _cyclic_hits(n: int, rows, q: int, active: Sequence[int]):
+    """For each assignment of nonzero shifts in Z/q to the active letters,
+    in search order: its letter images when it satisfies the constraint,
+    else None."""
+    for values in itertools.product(range(1, q), repeat=len(active)):
+        shifts = [0] * n
+        for letter, v in zip(active, values):
+            shifts[letter - 1] = v
+        if _cyclic_satisfied(rows, q, shifts):
+            yield tuple(tuple((x + s) % q for x in range(q)) for s in shifts)
+        else:
+            yield None
+
+
+def _single_letter_can_satisfy(n: int, rows, p: int, order: int, letter: int) -> bool:
+    """Whether some element of a non-cyclic p-group of the given order can
+    satisfy the constraint as the image of one letter, all others trivial.
+
+    The element generates a cyclic group of order p^k < order, in which
+    every word maps to its exponent sum in that letter, so the check runs
+    in Z/p^k for each such k."""
+    shifts = [0] * n
+    shifts[letter - 1] = 1
+    return any(
+        _cyclic_satisfied(rows, p**k, shifts) for k in range(1, valuation(order, p))
+    )
+
+
+def _table_hits(n: int, clauses, group: TableGroup, active: Sequence[int]):
+    """For each assignment of non-identity elements of the group to the
+    active letters, in index order: its letter images as permutations when
+    it satisfies the constraint, else None."""
+    mul = memoryview(group.mul)
+    inverse = group.inv.tolist()
+    order = group.order
+    # look[t] is the index of the image of letter t; negative t (its
+    # inverse) lands in the upper half of the list
+    look = [0] * (2 * n + 1)
+    for values in itertools.product(range(1, order), repeat=len(active)):
+        for letter, v in zip(active, values):
+            look[letter] = v
+            look[-letter] = inverse[v]
+        if _table_satisfied(mul, order, clauses, look):
+            images = [group.perm(0)] * n
+            for letter, v in zip(active, values):
+                images[letter - 1] = group.perm(v)
+            yield images
+        else:
+            yield None
+
+
+def _table_satisfied(mul: memoryview, order: int, clauses, look: Sequence[int]) -> bool:
+    """``constraint_satisfied`` on element indices."""
+    common: set[int] | None = None
+    for coset_word, generator in clauses:
+        rep = _table_evaluate(mul, order, coset_word, look)
+        sub = {0}
+        if generator is not None:
+            h = _table_evaluate(mul, order, generator, look)
+            cur = h
+            while cur not in sub:
+                sub.add(cur)
+                cur = mul[cur * order + h]
+        rep *= order
+        coset = {mul[rep + s] for s in sub}
+        common = coset if common is None else common & coset
+        if not common:
+            return True
+    return False
+
+
+def _table_evaluate(mul: memoryview, order: int, word: Sequence[int], look: Sequence[int]) -> int:
+    acc = 0
+    for t in word:
+        acc = mul[acc * order + look[t]]
+    return acc
+
+
 def _constraint_search(
     n: int,
     p: int,
@@ -405,7 +547,9 @@ def _constraint_search(
     identity everywhere else. Subset size is the outer loop: small-support
     witnesses in any group are tried before any group's full enumeration.
     Cyclic groups are checked by exponent-sum arithmetic, the rest by
-    evaluating permutations.
+    lookups in their Cayley tables; only a hit becomes permutations. With
+    one active letter the image is cyclic, so a non-cyclic group none of
+    whose cyclic subgroup orders can work is counted without being built.
 
     The library stops at nilpotency class 2 for p > 3, and some constraint
     systems (pairs of distinct conjugates of one word) are unsatisfiable in
@@ -423,16 +567,22 @@ def _constraint_search(
         )
         for coset_word, generator in constraint
     )
+    clauses = tuple(
+        (tuple(coset_word), tuple(generator) if generator is not None else None)
+        for coset_word, generator in constraint
+    )
     library = group_library(p)
     examined = 0
     for size in range(1, len(occurring) + 1):
         for name, kind, data in library:
             for active in itertools.combinations(occurring, size):
                 if kind == "cyclic":
-                    choices = itertools.product(range(1, data), repeat=size)
+                    hits = _cyclic_hits(n, rows, data, active)
+                elif size == 1 and not _single_letter_can_satisfy(n, rows, p, data.order, active[0]):
+                    hits = itertools.repeat(None, data.order - 1)
                 else:
-                    choices = itertools.product(data[1:], repeat=size)
-                for values in choices:
+                    hits = _table_hits(n, clauses, data, active)
+                for images in hits:
                     examined += 1
                     if examined > bound:
                         raise SearchCapError(
@@ -440,23 +590,8 @@ def _constraint_search(
                             examined=examined,
                             context=context,
                         )
-                    if kind == "cyclic":
-                        shifts = [0] * n
-                        for letter, v in zip(active, values):
-                            shifts[letter - 1] = v
-                        if _cyclic_satisfied(rows, data, shifts):
-                            images = tuple(
-                                tuple((x + shifts[j]) % data for x in range(data))
-                                for j in range(n)
-                            )
-                            return FiniteQuotient.create(n, images, name), examined
-                    else:
-                        degree = len(data[0])
-                        images = [p_identity(degree)] * n
-                        for letter, g in zip(active, values):
-                            images[letter - 1] = g
-                        if constraint_satisfied(_raw_quotient(n, images), constraint):
-                            return FiniteQuotient.create(n, images, name), examined
+                    if images is not None:
+                        return FiniteQuotient.create(n, images, name), examined
     levels = 3 if p <= 3 else 2
     degree = p ** levels
     nodes = sum(p ** i for i in range(levels))

@@ -38,6 +38,7 @@ from .graphs import (
 from .homology import TwistedMatrix, chain_complex, h1_basis, induced_h1_map
 from .hypertournaments import (
     Hypertournament,
+    _iso_violation,
     eppa_extend,
     make_family,
     make_hypertournament,
@@ -145,17 +146,6 @@ def random_tournament(rng: random.Random, labels: Iterable) -> Hypertournament:
     return make_hypertournament(labels, [2], {2: pairs})
 
 
-def _respects_relations(h: Hypertournament, mapping: Mapping) -> bool:
-    dom = list(mapping)
-    for l in sorted(h.L):
-        if len(dom) < l:
-            continue
-        for t in permutations(dom, l):
-            if h.holds(t) != h.holds(tuple(mapping[x] for x in t)):
-                return False
-    return True
-
-
 def random_disjoint_partial_map(rng: random.Random, h: Hypertournament) -> dict:
     """One partial automorphism whose domain and range are disjoint point
     sets, found by rejection (a single-point map always qualifies)."""
@@ -165,7 +155,7 @@ def random_disjoint_partial_map(rng: random.Random, h: Hypertournament) -> dict:
         size = rng.randint(1, top)
         chosen = rng.sample(points, 2 * size)
         mapping = dict(zip(chosen[:size], chosen[size:]))
-        if _respects_relations(h, mapping):
+        if _iso_violation(h, mapping) is None:
             return mapping
 
 

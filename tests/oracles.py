@@ -334,3 +334,97 @@ def oracle_core(g):
         if not leaves:
             return cur
         cur = cur.restrict((v for v in cur.vertices if v not in leaves), cur.basepoint)
+
+
+def _oracle_library(p: int) -> list:
+    """The p-group library as permutation element lists, in the order and
+    with the element order the library searched before Cayley tables."""
+    import itertools
+
+    def squared():
+        return [
+            tuple((x + k1) % p for x in range(p)) + tuple(p + (x + k2) % p for x in range(p))
+            for k1 in range(p)
+            for k2 in range(p)
+        ]
+
+    def heisenberg():
+        triples = list(itertools.product(range(p), repeat=3))
+        pid = {t: k for k, t in enumerate(triples)}
+        return [
+            tuple(pid[(xa + ga) % p, (xb + gb) % p, (xc + gc + xa * gb) % p] for xa, xb, xc in triples)
+            for ga, gb, gc in triples
+        ]
+
+    def wreath():
+        return [
+            tuple(((i + s) % p) * p + (j + offsets[i]) % p for i in range(p) for j in range(p))
+            for s in range(p)
+            for offsets in itertools.product(range(p), repeat=p)
+        ]
+
+    entries = [
+        (p, f"Z/{p}", p),
+        (p**2, f"(Z/{p})^2", squared),
+        (p**2, f"Z/{p ** 2}", p**2),
+        (p**3, f"Heis({p})", heisenberg),
+        (p**3, f"Z/{p ** 3}", p**3),
+    ]
+    if p <= 3:
+        entries.append((p ** (p + 1), f"Z/{p} wr Z/{p}", wreath))
+    entries.append((p**4, f"Z/{p ** 4}", p**4))
+    entries.sort(key=lambda e: e[0])
+    return [(name, data if isinstance(data, int) else data()) for _, name, data in entries]
+
+
+def oracle_constraint_search(n: int, p: int, constraint, bound: int):
+    """The library part of ``separability._constraint_search`` as it was
+    before Cayley tables: every candidate in a non-cyclic group is built as
+    permutations and checked with ``constraint_satisfied``. Returns
+    (quotient, examined) for the first hit and None when the library is
+    exhausted; raises SearchCapError past ``bound`` candidates."""
+    import itertools
+
+    from stallings.errors import SearchCapError
+    from stallings.separability import (
+        FiniteQuotient,
+        _cyclic_satisfied,
+        _letter_sums,
+        _occurring_letters,
+        constraint_satisfied,
+        p_identity,
+    )
+
+    occurring = _occurring_letters(constraint)
+    rows = tuple(
+        (_letter_sums(c, n), _letter_sums(g, n) if g is not None else None)
+        for c, g in constraint
+    )
+    library = _oracle_library(p)
+    examined = 0
+    for size in range(1, len(occurring) + 1):
+        for name, data in library:
+            for active in itertools.combinations(occurring, size):
+                if isinstance(data, int):
+                    choices = itertools.product(range(1, data), repeat=size)
+                else:
+                    choices = itertools.product(data[1:], repeat=size)
+                for values in choices:
+                    examined += 1
+                    if examined > bound:
+                        raise SearchCapError("search cap", examined=examined)
+                    if isinstance(data, int):
+                        shifts = [0] * n
+                        for letter, v in zip(active, values):
+                            shifts[letter - 1] = v
+                        if _cyclic_satisfied(rows, data, shifts):
+                            images = [tuple((x + s) % data for x in range(data)) for s in shifts]
+                            return FiniteQuotient.create(n, images, name), examined
+                    else:
+                        images = [p_identity(len(data[0]))] * n
+                        for letter, g in zip(active, values):
+                            images[letter - 1] = g
+                        raw = FiniteQuotient(n, len(images[0]), 0, tuple(images), "?")
+                        if constraint_satisfied(raw, constraint):
+                            return FiniteQuotient.create(n, images, name), examined
+    return None

@@ -275,17 +275,109 @@ def _graph_case_file(tmp_path, spec: str, k: int) -> str:
         return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG)
     if spec == "@domain":
         return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG["domain"])
+    if spec == "@missing":
+        return str(tmp_path / "missing.json")
     h = subgroup_graph([Word.parse(t, 2) for t in spec[1:].split(",")], 2)
     return _json_file(tmp_path, f"{k}.json", graph_to_dict(h.graph))
+
+
+def _command_args(tmp_path, args) -> list[str]:
+    return [_graph_case_file(tmp_path, a, k) if a.startswith("@") else a for k, a in enumerate(args)]
 
 
 @pytest.mark.parametrize("name", sorted(_GRAPH_CASES))
 def test_graph_command_output_is_pinned(tmp_path, name):
     args, status, digest = _GRAPH_CASES[name]
-    args = [_graph_case_file(tmp_path, a, k) if a.startswith("@") else a for k, a in enumerate(args)]
-    result = _invoke(*args)
+    result = _invoke(*_command_args(tmp_path, args))
     assert result.exit_code == status, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# separate, with each kind of library group that a witness can land in
+# (Z/7 with both letters active); digests taken from the permutation search
+# that Cayley tables replaced. No
+# separate witness lands in (Z/p)^2: a non-membership constraint that some
+# (Z/p)^2 satisfies is satisfied by a Z/p quotient with at most as many
+# active letters, which the search tries first.
+_SEPARATE_CASES = {
+    "Z/7": (
+        ("--cyclic", "ab", "--word", "b", "--L", "2", "--L", "3", "--L", "5"), 6378,
+        "e48c37ef51895efb3739ba07aa712295a984ff055a468ef07831bce0590153ab",
+    ),
+    "Heis(2)": (
+        ("--cyclic", "a", "--word", "baB", "--L", "3"), 116,
+        "6db2c56ec9d4bbbf7b60c956399d52e450825b3391477896a469efbff3871bcf",
+    ),
+    "Heis(7)": (
+        ("--cyclic", "bbaa", "--word", "bABa", "--L", "2", "--L", "3", "--L", "5"), 13117,
+        "ebcf568b9482e375564ab5edb831c3a323833e9bcb4895ee8b14404df62eca2e",
+    ),
+    "Z/3 wr Z/3": (
+        ("--cyclic", "ab", "--word", "bbaa", "--L", "2"), 1973,
+        "4aa04892d32b44b26f233b6253192a41d6a2ce266d3987274dbf32446662e71d",
+    ),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_SEPARATE_CASES))
+def test_separate_output_is_pinned(group):
+    args, examined, digest = _SEPARATE_CASES[group]
+    result = _invoke("separate", *args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["group"] == group and payload["verified"] is True
+    assert f"({examined} homomorphisms examined)" in payload["transcript"][2]
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# The commands no other test runs: exit status and output digest on one
+# good input, error code on one bad input.
+_COMMAND_CASES = {
+    "membership": (
+        ("membership", "abAB", "--generators", "ab,ba"), 0,
+        "33378be8ef579c9af86474f1e4a4573f9bb6cf791041a2737689c247ed037e32",
+    ),
+    "basis": (
+        ("basis", "@abABa,b"), 0,
+        "9362413e42764018162ef55faaa5a64b033615a2a82ef913fc92ff07039bb9ab",
+    ),
+    "cover": (
+        ("cover", "@a,b", "--p", "3", "--cocycle", "a=1,b=2"), 0,
+        "27f014ada7da31eea2fffc5c891bd65fcfaf5b015f2254fe81962e156b045186",
+    ),
+    "tower": (
+        ("tower", "@a,b", "--p", "2", "--depth", "2", "--pullback", "@abABa,b"), 0,
+        "65d7cd84ac68c9ead2f55ef5f6dc19a9f77f9e1045d368effa1a81a6e4927b70",
+    ),
+    "verify-counterexample": (
+        ("verify-counterexample", "--p", "2", "--depth", "1"), 0,
+        "e023d9ca3babbd41c9be8493f22ef4dc9b26d6bff7f8d8953cc4b5a445785c82",
+    ),
+}
+_COMMAND_ERRORS = {
+    "membership": (("membership", "abAB"), 2, "invalid_input"),
+    "basis": (("basis", "@missing"), 2, "invalid_input"),
+    "cover": (("cover", "@a,b", "--p", "3", "--cocycle", "a1"), 2, "invalid_input"),
+    "tower": (("tower", "@abABa,b", "--p", "2", "--depth", "1", "--pullback", "@a,b"), 2, "invalid_input"),
+    "verify-counterexample": (("verify-counterexample", "--p", "4"), 2, "invalid_input"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_CASES))
+def test_command_output_is_pinned(tmp_path, name):
+    args, status, digest = _COMMAND_CASES[name]
+    result = _invoke(*_command_args(tmp_path, args))
+    assert result.exit_code == status, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_ERRORS))
+def test_command_refuses_bad_input(tmp_path, name):
+    args, status, code = _COMMAND_ERRORS[name]
+    result = _invoke(*_command_args(tmp_path, args))
+    assert result.exit_code == status, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == code
 
 
 def test_invocations_leave_no_stream_alive(monkeypatch):

@@ -29,25 +29,12 @@ from stallings import (
     validate,
     verify_extension,
 )
+from stallings.suite import _brute_validate
 
 
 def _transitive(k: int):
     rel = [(i, j) for i in range(k) for j in range(i + 1, k)]
     return make_hypertournament(range(k), [2], {2: rel})
-
-
-def _brute_validate(h) -> bool:
-    for l in sorted(h.L):
-        tuples = h.relation_map[l]
-        for subset in itertools.combinations(h.universe, l):
-            arrangements = [t for t in itertools.permutations(subset) if t in tuples]
-            if not arrangements:
-                return False
-        for t in tuples:
-            shifts = [t[i:] + t[:i] for i in range(len(t))]
-            if all(s in tuples for s in shifts):
-                return False
-    return True
 
 
 _SIX = [

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import random
 
 import pytest
+
+import oracles
 
 from stallings import (
     FiniteQuotient,
@@ -18,6 +22,9 @@ from stallings import (
     separate_maximal_cyclic,
     verify_witness,
 )
+from stallings import separability
+from stallings.errors import SearchCapError
+from stallings.separability import _constraint_search, group_library
 from stallings.separability import closure as perm_closure
 from stallings.separability import p_identity, p_inv, p_mul, perm_order
 from stallings.words import empty_word
@@ -202,3 +209,133 @@ def test_coset_system_multiple_constraints():
 def test_coset_system_rejects_non_prime_l():
     with pytest.raises(InputError):
         separate_coset_system([_non_membership(_w("b"), _w("a"))], [6])
+
+
+# -- the Cayley-table search ----------------------------------------------------------
+
+
+def _random_word(rng, max_len: int) -> Word:
+    letters: list[int] = []
+    for _ in range(rng.randint(0, max_len)):
+        letters.append(rng.choice([t for t in (1, -1, 2, -2) if not letters or t != -letters[-1]]))
+    return Word(tuple(letters), 2)
+
+
+def _commutator(rng) -> Word:
+    u, v = _random_word(rng, 2), _random_word(rng, 2)
+    return u * v * u.inverse() * v.inverse()
+
+
+def _random_constraints(rng, count: int):
+    """Two-clause non-membership constraints, then eppa-style ones: cosets
+    of conjugates of one word h, one clause per coordinate. Each coset word
+    is a power of h times a commutator, which abelian quotients cannot tell
+    from a power of h, so many searches go on to the non-abelian groups."""
+    out = []
+    for _ in range(count):
+        h = _random_word(rng, 3) or _w("a")
+        out.append(_non_membership(h ** rng.randint(-1, 1) * _commutator(rng), h))
+    for _ in range(count):
+        h = _random_word(rng, 3) or _w("b")
+        clauses = []
+        for _ in range(rng.randint(2, 3)):
+            v = _random_word(rng, 2)
+            generator = v * h * v.inverse() if rng.random() < 0.8 else None
+            clauses.append((h ** rng.randint(-1, 1) * _commutator(rng), generator))
+        out.append(tuple(clauses))
+    return out
+
+
+def _search_outcome(search, *args):
+    try:
+        found = search(*args)
+    except SearchCapError as exc:
+        return ("cap", exc.details["examined"])
+    if found is None:
+        return None
+    q, examined = found
+    return (q.name, q.images, q.order, examined)
+
+
+@pytest.mark.parametrize("p, count, bound", [(2, 12, 2_000), (3, 6, 2_000), (5, 3, 600)])
+def test_table_search_matches_the_permutation_search(p, count, bound):
+    rng = random.Random(1000 + p)
+    compared = 0
+    for constraint in _random_constraints(rng, count):
+        expected = _search_outcome(oracles.oracle_constraint_search, 2, p, constraint, bound)
+        if expected is None:  # the library is exhausted: the fallback takes over
+            continue
+        got = _search_outcome(_constraint_search, 2, p, constraint, bound, "test")
+        assert got == expected, constraint
+        compared += 1
+    assert compared >= count // 2
+
+
+# Three lines of Z^2 meeting pairwise in distinct points. In Z/p each coset
+# is one point or the whole group, so no Z/p quotient keeps all three apart,
+# nor does one active letter: the witness lands in (Z/p)^2.
+_LINES = ((empty_word(2), _w("a")), (_w("a"), _w("b")), (_w("b"), _w("ab")))
+
+
+@pytest.mark.parametrize(
+    "p, constraint, bound, expected",
+    [
+        (3, _non_membership(_w("bbaa"), _w("ab")), 5_000, ("Z/3 wr Z/3", 1973)),
+        (5, _LINES, 5_000, ("(Z/5)^2", 1869)),
+        (7, _LINES, 10_000, ("(Z/7)^2", 6415)),
+        (7, _non_membership(_w("bA"), _w("ab")), 250, ("cap", 251)),
+    ],
+)
+def test_table_search_matches_the_permutation_search_on_fixed_cases(p, constraint, bound, expected):
+    got = _search_outcome(_constraint_search, 2, p, constraint, bound, "test")
+    assert got == _search_outcome(oracles.oracle_constraint_search, 2, p, constraint, bound)
+    assert (got[0], got[-1]) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cayley_tables_follow_the_permutation_product(p):
+    rng = random.Random(p)
+    for name, kind, group in group_library(p):
+        if kind == "cyclic":
+            continue
+        order = group.order
+        perms = [group.perm(i) for i in range(order)]
+        assert len(set(perms)) == order == len(group.elements)
+        assert perms[0] == p_identity(len(perms[0]))
+        if p <= 3:
+            pairs = itertools.product(range(order), repeat=2)
+        else:
+            pairs = [(rng.randrange(order), rng.randrange(order)) for _ in range(400)]
+        for i, j in pairs:
+            assert perms[int(group.mul[i * order + j])] == p_mul(perms[i], perms[j]), (name, i, j)
+        for i in range(order):
+            k = int(group.inv[i])
+            assert int(group.mul[i * order + k]) == 0
+            assert perms[k] == p_inv(perms[i])
+        for array in (group.elements, group.mul, group.inv):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert group.mul is group.mul and group.elements is group.elements
+    assert group_library(p) is group_library(p)
+
+
+def test_library_search_checks_no_permutations(monkeypatch):
+    def forbidden(q, constraint):
+        raise AssertionError("permutation check in the library search")
+
+    monkeypatch.setattr(separability, "constraint_satisfied", forbidden)
+    q, examined = _constraint_search(2, 3, _non_membership(_w("ba"), _w("ab")), 10_000, "test")
+    assert (q.name, examined) == ("Heis(3)", 653)
+
+
+def test_search_builds_only_the_groups_it_reaches():
+    # <aB> and baB are never separated by one nontrivial letter image, and
+    # Z/13 separates them with two, so the single-letter rounds pass over
+    # (Z/13)^2 and Heis(13) without building them.
+    wit = separate_from_cyclic(_w("aB"), _w("baB"), [2, 3, 5, 7, 11])
+    assert wit.quotient.name == "Z/13"
+    assert verify_witness(wit)
+    for name, kind, group in group_library(13):
+        if kind != "cyclic":
+            assert "elements" not in vars(group) and "mul" not in vars(group), name
