@@ -10,7 +10,6 @@ violated preconditions), 3 for an exhausted search or resource cap.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -45,6 +44,7 @@ from .serialize import (
     graph_from_dict,
     graph_to_dict,
     hypertournament_from_dict,
+    json_blocks,
     parse_cocycle_text,
     subgroup_from_dict,
     witness_to_dict,
@@ -54,28 +54,20 @@ from .verify import verify_counterexample
 from .words import Word, maximal_root
 
 
-def _json_blocks(payload):
-    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` in
-    blocks: for a large extension the indenting encoder yields millions of
-    short strings, and joining them all at once holds every one, then the
-    whole text and its encoding."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    return iter(lambda: "".join(itertools.islice(chunks, 8192)), "")
-
-
-def _echo(payload) -> None:
+def _echo(payload, file=None) -> None:
     # An explicit file: without one, click caches a wrapper per stream in a
     # WeakKeyDictionary whose value refers to its key, so every stream an
     # in-process caller (such as CliRunner) swaps in stays alive for good.
-    for block in _json_blocks(payload):
-        click.echo(block, nl=False, file=sys.stdout)
-    click.echo(file=sys.stdout)
+    file = file or sys.stdout
+    for block in json_blocks(payload):
+        click.echo(block, nl=False, file=file)
+    click.echo(file=file)
 
 
 def _write_out(payload, out: str | None) -> None:
     if out:
         with open(out, "w") as f:
-            f.writelines(_json_blocks(payload))
+            f.writelines(json_blocks(payload))
             f.write("\n")
 
 
@@ -90,7 +82,7 @@ def _fail(exc: StallingsError, status: int) -> None:
     payload = {"error": exc.code, "message": str(exc)}
     if exc.details:
         payload["details"] = _safe_details(exc.details)
-    click.echo(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+    _echo(payload, sys.stderr)
     sys.exit(status)
 
 

@@ -140,6 +140,22 @@ class FiniteQuotient:
     def element_orders(self) -> set[int]:
         return {perm_order(g) for g in closure(self.images)}
 
+    @cached_property
+    def _cosets(self) -> dict[CosetClause, frozenset[Perm]]:
+        return {}
+
+    def coset(self, coset_word: Word, generator: Word | None) -> frozenset[Perm]:
+        """The coset evaluate(coset_word) * <evaluate(generator)>, built once
+        per quotient: the constraints of a coset system share a few coset
+        words and generators across thousands of clauses."""
+        key = (coset_word, generator)
+        found = self._cosets.get(key)
+        if found is None:
+            rep = self.evaluate(coset_word)
+            found = frozenset(p_mul(rep, s) for s in self.cyclic_image(generator))
+            self._cosets[key] = found
+        return found
+
 
 def perm_order(g: Perm) -> int:
     order = 1
@@ -378,9 +394,7 @@ def constraint_satisfied(q: FiniteQuotient, constraint: Constraint) -> bool:
     """True when the intersection of the clause cosets is empty in q."""
     common: frozenset[Perm] | None = None
     for coset_word, generator in constraint:
-        rep = q.evaluate(coset_word)
-        sub = q.cyclic_image(generator)
-        coset = frozenset(p_mul(rep, s) for s in sub)
+        coset = q.coset(coset_word, generator)
         common = coset if common is None else common & coset
         if not common:
             return True

@@ -16,7 +16,8 @@ labels).
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from itertools import chain, islice
+from typing import Any, Iterator, Mapping, Sequence
 
 from .covers import CoverDescription
 from .errors import InputError
@@ -75,6 +76,94 @@ def parse_letter(raw, n: int) -> int:
     if not 1 <= i <= n:
         raise InputError(f"edge label {raw!r} out of range 1..{n}")
     return i
+
+
+# -- output text --------------------------------------------------------------------
+
+# The text is made in pieces of at most BLOCK_ITEMS values: that many
+# entries of an integer array, or that many pieces of the json module's
+# encoder (about one value each). Pieces are handed on in blocks of at most
+# BLOCK_CHARS characters, so that a small payload takes one write, and a
+# 128-point extension, which holds over a million integers, never has its
+# whole text in memory at once: that would cost its size several times over
+# in peak memory.
+BLOCK_ITEMS = 768
+BLOCK_CHARS = 1 << 17
+
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def json_blocks(payload) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` in
+    blocks of at most BLOCK_CHARS characters or one piece.
+
+    With ``indent`` set, the json module encodes in pure Python, one call
+    per value. Here dicts whose keys are all strings are walked, lists of
+    plain ints (``type(x) is int``, so no bools) and lists of equal-width
+    rows of them are formatted by one ``%d`` template per piece, and every
+    other subtree goes to the json module, its line breaks indented to the
+    depth it sits at (JSON strings never hold a raw newline)."""
+    buffer: list[str] = []
+    size = 0
+    for piece in _pieces(payload, 0):
+        if size + len(piece) > BLOCK_CHARS and buffer:
+            yield "".join(buffer)
+            buffer, size = [], 0
+        buffer.append(piece)
+        size += len(piece)
+    yield "".join(buffer)
+
+
+def _pieces(value, level: int) -> Iterator[str]:
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        outer = "\n" + "  " * (level + 1)
+        for i, key in enumerate(sorted(value)):
+            yield ("{" if i == 0 else ",") + outer + _ENCODER.encode(key) + ": "
+            yield from _pieces(value[key], level + 1)
+        yield "\n" + "  " * level + "}"
+        return
+    width = _int_array_width(value) if type(value) is list else None
+    if width is not None:
+        yield from _int_array(value, width, level)
+        return
+    if value is None or type(value) in (str, int, float, bool):
+        yield json.dumps(value)  # the C encoder: no indent to apply
+        return
+    pieces = _ENCODER.iterencode(value)
+    indent = "\n" + "  " * level
+    for piece in iter(lambda: "".join(islice(pieces, BLOCK_ITEMS)), ""):
+        yield piece.replace("\n", indent)
+
+
+def _int_array_width(value: list) -> int | None:
+    """0 for a nonempty list of plain ints, w for a nonempty list of lists
+    of w plain ints each (1 <= w <= BLOCK_ITEMS), None for anything else."""
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        return 0
+    if kinds == {list}:
+        widths = set(map(len, value))
+        width = widths.pop()
+        if not widths and 1 <= width <= BLOCK_ITEMS:
+            if set(map(type, chain.from_iterable(value))) == {int}:
+                return width
+    return None
+
+
+def _int_array(value: list, width: int, level: int) -> Iterator[str]:
+    outer = "\n" + "  " * (level + 1)
+    if width:
+        inner = outer + "  "
+        item = "[" + inner + ("," + inner).join(["%d"] * width) + outer + "]"
+        step = BLOCK_ITEMS // width
+    else:
+        item, step = "%d", BLOCK_ITEMS
+    for start in range(0, len(value), step):
+        chunk = value[start : start + step]
+        args = tuple(chain.from_iterable(chunk)) if width else tuple(chunk)
+        head = "[" if start == 0 else ","
+        yield head + outer + ("," + outer).join([item] * len(chunk)) % args
+    yield "\n" + "  " * level + "]"
 
 
 # -- graphs -------------------------------------------------------------------------

@@ -428,3 +428,19 @@ def oracle_constraint_search(n: int, p: int, constraint, bound: int):
                         if constraint_satisfied(raw, constraint):
                             return FiniteQuotient.create(n, images, name), examined
     return None
+
+
+def oracle_constraint_satisfied(q, constraint) -> bool:
+    """``separability.constraint_satisfied`` as it was before the coset
+    memo: every clause's coset is built afresh from permutation products."""
+    from stallings.separability import p_mul
+
+    common = None
+    for coset_word, generator in constraint:
+        rep = q.evaluate(coset_word)
+        sub = q.cyclic_image(generator)
+        coset = frozenset(p_mul(rep, s) for s in sub)
+        common = coset if common is None else common & coset
+        if not common:
+            return True
+    return common is not None and not common

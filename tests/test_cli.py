@@ -6,6 +6,7 @@ import json
 import sys
 import weakref
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -19,6 +20,7 @@ from stallings import (
 )
 from stallings import cli
 from stallings.cli import main
+from stallings.serialize import BLOCK_CHARS
 
 
 def _subgroup_file(tmp_path, *texts: str, n: int = 2):
@@ -127,6 +129,32 @@ def test_eppa_extend_output_is_pinned(tmp_path, name):
     assert payload["verified"] is True
     assert payload["size"] == size == len(payload["extended"]["universe"])
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
+    # The text of a large extension goes out in bounded blocks: blocks of
+    # thousands of rows raised the peak RSS of the eppa benchmark workloads.
+    universe = list(range(6))
+    relation = [[i, j] for i in universe for j in universe if i < j]
+    structure = _structure_file(tmp_path, universe, 2, relation)
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1, "1": 2}}])
+    blocks = []
+    echo = click.echo
+
+    def spy(message=None, *args, **kwargs):
+        if message is not None:
+            blocks.append(message)
+        echo(message, *args, **kwargs)
+
+    monkeypatch.setattr(click, "echo", spy)
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["size"] == 81 and len(payload["extended"]["relations"]["2"]) == 81 * 80 // 2
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert "".join(blocks) == text and result.stdout == text + "\n"
+    assert len(blocks) > len(text) // BLOCK_CHARS >= 1
+    assert max(map(len, blocks)) <= BLOCK_CHARS
 
 
 def test_verify_extension_rejects_a_tampered_extension(tmp_path):

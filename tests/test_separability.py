@@ -16,6 +16,10 @@ from stallings import (
     Word,
     constraint_satisfied,
     direct_product,
+    eppa_extend,
+    hypertournaments,
+    make_family,
+    make_hypertournament,
     prime_factors,
     separate_coset_system,
     separate_from_cyclic,
@@ -209,6 +213,98 @@ def test_coset_system_multiple_constraints():
 def test_coset_system_rejects_non_prime_l():
     with pytest.raises(InputError):
         separate_coset_system([_non_membership(_w("b"), _w("a"))], [6])
+
+
+# -- the coset memo -------------------------------------------------------------------
+
+
+def _library_quotients(rng, p: int) -> list[FiniteQuotient]:
+    """F_2 quotients on seeded elements of every library group of p, and
+    the direct products of neighbouring ones."""
+    out = []
+    for name, kind, data in group_library(p):
+        if kind == "cyclic":
+            shifts = [rng.randrange(data) for _ in range(2)]
+            images = [tuple((x + s) % data for x in range(data)) for s in shifts]
+        else:
+            images = [data.perm(rng.randrange(data.order)) for _ in range(2)]
+        out.append(FiniteQuotient.create(2, images, name))
+    return out + [direct_product(a, b) for a, b in zip(out, out[1:])]
+
+
+def _eppa_style_constraints(rng, points: int = 5) -> list:
+    """Constraints shaped like those of ``eppa_extend``: a path word w[x]
+    per point and a loop h; each clause is (w[z] w[y]^-1, w[y] h w[y]^-1),
+    so clauses share few coset words and generators."""
+    w = [_random_word(rng, 3) for _ in range(points)]
+    h = _random_word(rng, 3) or _w("ab")
+    out = []
+    for _ in range(40):
+        ys, zs = rng.sample(range(points), 3), rng.sample(range(points), 3)
+        out.append(tuple((w[z] * w[y].inverse(), w[y] * h * w[y].inverse()) for y, z in zip(ys, zs)))
+    out += [((w[x].inverse() * w[y], h), (empty_word(2), h)) for x, y in itertools.combinations(range(points), 2)]
+    out.append(((w[0], None), (w[1], None)))
+    return out
+
+
+def _no_evaluation(q, w):
+    raise AssertionError("a coset was built twice")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_memo_matches_the_oracle(p, monkeypatch):
+    rng = random.Random(2000 + p)
+    verdicts = set()
+    for q in _library_quotients(rng, p):
+        constraints = _eppa_style_constraints(rng)
+        expected = [oracles.oracle_constraint_satisfied(q, c) for c in constraints]
+        verdicts.update(expected)
+        # a fresh quotient with the same images starts an empty memo
+        twin = FiniteQuotient(q.n, q.degree, q.order, q.images, q.name)
+        for quotient in (q, twin):
+            order = list(range(len(constraints)))
+            rng.shuffle(order)
+            for i in order:
+                assert constraint_satisfied(quotient, constraints[i]) == expected[i], (q.name, i)
+            with monkeypatch.context() as patch:
+                patch.setattr(FiniteQuotient, "evaluate", _no_evaluation)
+                assert [constraint_satisfied(quotient, c) for c in constraints] == expected
+    assert verdicts == {True, False}
+
+
+def _coset_systems(monkeypatch) -> list:
+    """The constraint systems eppa_extend hands to separate_coset_system on
+    seeded tournaments and 3-hypertournaments, each with a one-pair map."""
+    systems = []
+
+    def record(constraints, L, bound, seed):
+        systems.append((list(constraints), frozenset(L)))
+        return separate_coset_system(constraints, L, bound, seed)
+
+    monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
+    rng = random.Random(11)
+    for l, n in ((2, 5), (2, 6), (3, 4), (3, 5)):
+        points = list(range(n))
+        rows = []
+        for subset in itertools.combinations(points, l):
+            row = list(subset)
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        m = make_hypertournament(points, [l], {l: rows})
+        x, y = rng.sample(points, 2)
+        eppa_extend(m, make_family(m, [{x: y}]))
+    monkeypatch.undo()
+    return systems
+
+
+def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
+    systems = _coset_systems(monkeypatch)
+    assert len(systems) == 4 and min(len(cons) for cons, _ in systems) >= 10
+    got = [separate_coset_system(cons, L) for cons, L in systems]
+    monkeypatch.setattr(separability, "constraint_satisfied", oracles.oracle_constraint_satisfied)
+    for (cons, L), q in zip(systems, got):
+        expected = separate_coset_system(cons, L)
+        assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
 
 
 # -- the Cayley-table search ----------------------------------------------------------

@@ -4,15 +4,24 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stallings import (
     InputError,
+    Word,
     family_from_list,
     family_to_list,
+    graph_from_dict,
+    graph_to_dict,
     make_family,
     make_hypertournament,
+    subgroup_from_dict,
+    subgroup_graph,
 )
+from stallings.graphs import make_graph
 from stallings.hypertournaments import _iso_violation
+from stallings.serialize import BLOCK_CHARS, BLOCK_ITEMS, json_blocks
 
 _LABELS = [0, 1, 2, 10, "a", "b", "x1", (0, 1), (1, "a"), (2, 0, 1)]
 
@@ -50,3 +59,99 @@ def test_family_to_list_refuses_keys_that_read_back_as_another_label():
     for maps in ([{1: 2}], [{1: 2}, {"1": 2}]):
         with pytest.raises(InputError, match="read back"):
             family_to_list(make_family(host, maps))
+
+
+# -- the indented emitter -------------------------------------------------------------
+
+_INTS = st.integers(min_value=-(2**70), max_value=2**70)
+_TEXT = st.text() | st.text(alphabet='"\\/\n\r\t\b\f\x00\x1f\x7f\u00e9\u2028\u6f22\U0001f600')
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _TEXT
+
+
+def _rows(items):
+    """Equal-width rows, as an extension's relation arrays are."""
+    return st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.lists(items, min_size=w, max_size=w), max_size=6)
+    )
+
+
+_LEAVES = (
+    _SCALARS
+    | st.lists(_INTS)
+    | _rows(_INTS)
+    | st.lists(_rows(_INTS), max_size=3)  # 3-level int arrays
+    | _rows(_INTS | st.booleans() | st.floats() | _TEXT)  # ints mixed with others
+    | st.lists(st.lists(_INTS), max_size=6)  # ragged rows
+    | st.lists(st.lists(st.nothing()), max_size=2)  # rows of width 0
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=4)
+    | st.dictionaries(_INTS, children, max_size=3)
+    | st.dictionaries(st.booleans(), children, max_size=2)
+    | st.dictionaries(st.none(), children, max_size=1),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAYLOADS)
+def test_json_blocks_join_to_the_stdlib_text(payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    assert "".join(json_blocks(payload)) == expected
+    assert "".join(json_blocks({"outer": {"inner": payload}})) == json.dumps(
+        {"outer": {"inner": payload}}, indent=2, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5])
+def test_json_blocks_split_int_arrays_on_block_boundaries(width):
+    step = BLOCK_ITEMS // (width or 1)
+    for count in (1, step - 1, step, step + 1, 3 * step):
+        rows = [i * 7919 - 10**6 for i in range(count)]
+        if width:
+            rows = [[x + k for k in range(width)] for x in rows]
+        payload = {"rows": rows, "z": [rows]}
+        blocks = list(json_blocks(payload))
+        assert "".join(blocks) == json.dumps(payload, indent=2, sort_keys=True)
+        assert max(len(b) for b in blocks) <= BLOCK_CHARS
+
+
+# -- graphs over large alphabets --------------------------------------------------------
+
+
+def _wide_graph(n: int):
+    """A based graph on integer vertices using the first, a middle and the
+    last letter of an n-letter alphabet."""
+    letters = [1, n // 2, n]
+    edges = [(0, 1, letters[0]), (1, 2, letters[1]), (2, 0, letters[2]), (1, 1, letters[2]), (2, 3, letters[0])]
+    return make_graph(n, [0, 1, 2, 3], edges, 0)
+
+
+@pytest.mark.parametrize("n", [26, 27, 53])
+def test_graphs_round_trip_through_json_text_on_large_alphabets(n):
+    g = _wide_graph(n)
+    data = json.loads(json.dumps(graph_to_dict(g)))
+    labels = {lab for _, _, lab in data["edges"]}
+    assert labels == ({"a", chr(ord("a") + n // 2 - 1), "z"} if n == 26 else {1, n // 2, n})
+    assert graph_from_dict(data) == g
+    # digit strings such as "27" name letters too
+    data["edges"] = [[u, v, str(i)] for u, v, i in g.sorted_edges]
+    assert graph_from_dict(data) == g
+    data["edges"][0][2] = str(n + 1)
+    with pytest.raises(InputError, match="out of range"):
+        graph_from_dict(data)
+
+
+@pytest.mark.parametrize("n", [26, 27, 53])
+def test_subgroups_round_trip_through_json_text_on_large_alphabets(n):
+    gens = [Word((1, n, -(n // 2)), n), Word((n, n), n), Word((n // 2, 1, n // 2), n)]
+    h = subgroup_graph(gens, n)
+    back = subgroup_from_dict(json.loads(json.dumps(graph_to_dict(h.graph))))
+    assert back.graph == h.graph and back.n == n
+    assert all(back.contains(w) for w in gens)
+    assert not back.contains(Word((n,), n))
+    digits = graph_to_dict(h.graph)
+    digits["edges"] = [[u, v, str(i)] for u, v, i in h.graph.sorted_edges]
+    assert subgroup_from_dict(json.loads(json.dumps(digits))).graph == h.graph
