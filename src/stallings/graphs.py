@@ -105,16 +105,19 @@ class LabeledGraph:
     @cached_property
     def neighbors(self) -> dict[Vertex, tuple[tuple[Vertex, int], ...]]:
         """Undirected adjacency with signed letters, in traversal order."""
+        # Letter by letter, +i entries then -i entries. sorted_edges orders
+        # edges by (source, target, letter), so at each vertex both kinds
+        # arrive in the order of the neighbour's index.
         adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self.vertices}
-        for u, v, i in self.sorted_edges:
-            adj[u].append((v, i))
-            adj[v].append((u, -i))
-        order = {t: k for k, t in enumerate(_signed_letters(self.n))}
-        ix = self.vertex_index
-        return {
-            v: tuple(sorted(lst, key=lambda p: (order[p[1]], ix[p[0]])))
-            for v, lst in adj.items()
-        }
+        by_letter: list[list[Edge]] = [[] for _ in range(self.n + 1)]
+        for e in self.sorted_edges:
+            by_letter[e[2]].append(e)
+        for i, edges in enumerate(by_letter):
+            for u, v, _ in edges:
+                adj[u].append((v, i))
+            for u, v, _ in edges:
+                adj[v].append((u, -i))
+        return {v: tuple(lst) for v, lst in adj.items()}
 
     @cached_property
     def degrees(self) -> dict[Vertex, int]:

@@ -63,75 +63,143 @@ TUPLE_CAP = 8_000_000
 # -- hypertournaments ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypertournament:
-    """Finite L-hypertournament; relations stored per arity.
+    """Finite L-hypertournament; each relation is stored as tuple codes.
 
-    ``codes`` holds each relation again as a sorted array of tuple codes
-    over the universe's positions (see :func:`validate`).
+    ``codes[l]`` is the sorted, read-only array of the codes of the related
+    l-tuples over the universe's positions (see :func:`validate` for the
+    encoding and its order). The constructor checks the codes; label tuples
+    are parsed by :func:`make_hypertournament`. ``relations`` and
+    ``relation_map`` are label-tuple views, built from the codes on first use.
     """
 
     universe: tuple
     L: frozenset
-    relations: tuple  # ((l, frozenset of tuples), ...) sorted by l
-    codes: dict = field(init=False, repr=False, compare=False)
+    codes: dict  # {l: sorted array of tuple codes}
 
     def __post_init__(self):
         if len(set(self.universe)) != len(self.universe):
             raise InputError("universe has repeated labels")
-        points = set(self.universe)
-        arities = [l for l, _ in self.relations]
-        if arities != sorted(self.L) or len(set(arities)) != len(arities):
+        _check_arities(self.L)
+        if not isinstance(self.codes, Mapping) or set(self.codes) != set(self.L):
             raise InputError("need exactly one relation per arity in L")
-        for l in self.L:
-            if not (isinstance(l, int) and is_prime(l)):
-                raise InputError(f"arity {l} is not a prime")
-        index = {v: i for i, v in enumerate(self.universe)}
-        n = len(self.universe)
-        codes = {}
-        for l, tuples in self.relations:
-            digits = None
-            if set(map(len, tuples)) <= {l}:
-                digits = np.fromiter(
-                    map(index.get, itertools.chain.from_iterable(tuples), itertools.repeat(-1)),
-                    dtype=np.int32,
-                    count=l * len(tuples),
-                ).reshape(-1, l)
-                ordered = np.sort(digits, axis=1)  # -1 marks a label outside the universe
-                if (ordered[:, :1] < 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
-                    digits = None
-            if digits is None:  # name the first bad tuple in iteration order
-                for t in tuples:
-                    if len(t) != l:
-                        raise InputError(f"tuple {t} has arity {len(t)}, expected {l}")
-                    if len(set(t)) != l:
-                        raise InputError(f"tuple {t} has repeated entries")
-                    if not set(t) <= points:
-                        raise InputError(f"tuple {t} uses labels outside the universe")
-            codes[l] = np.sort(_encode(digits, n, _code_dtype(n, l)))
+        codes = {l: _checked_codes(self.codes[l], self.universe, l) for l in sorted(self.L)}
         object.__setattr__(self, "codes", codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypertournament):
+            return NotImplemented
+        return (
+            self.universe == other.universe
+            and self.L == other.L
+            and all(np.array_equal(c, other.codes[l]) for l, c in self.codes.items())
+        )
+
+    def __hash__(self):
+        return hash((self.universe, self.L))
 
     @cached_property
     def relation_map(self) -> dict:
-        return {l: tuples for l, tuples in self.relations}
+        """{l: frozenset of label tuples}, decoded from the codes."""
+        return {
+            l: frozenset(zip(*code_labels(codes, self.universe, l).T.tolist()))
+            for l, codes in self.codes.items()
+        }
+
+    @cached_property
+    def relations(self) -> tuple:
+        """((l, frozenset of label tuples), ...) sorted by l."""
+        return tuple(sorted(self.relation_map.items()))
+
+    @cached_property
+    def position(self) -> dict:
+        """Each label's position in the universe: its digit in a code."""
+        return {v: i for i, v in enumerate(self.universe)}
 
     def holds(self, t: tuple) -> bool:
-        return t in self.relation_map[len(t)]
+        """Whether the label tuple is related; False at an arity outside L
+        or with a label outside the universe."""
+        codes = self.codes.get(len(t))
+        digits = [self.position.get(x) for x in t]
+        if codes is None or None in digits:
+            return False
+        code = _encode(np.array([digits], dtype=np.int32), len(self.universe), codes.dtype)
+        return bool(_contains(codes, code)[0])
+
+
+def _check_arities(L: frozenset) -> None:
+    for l in L:
+        if not (isinstance(l, int) and is_prime(l)):
+            raise InputError(f"arity {l} is not a prime")
+
+
+def _checked_codes(codes, universe: tuple, l: int) -> np.ndarray:
+    """A read-only copy, in the code dtype of the universe's size, of one
+    relation's codes; InputError unless they are sorted, distinct, in
+    [0, N^l) and free of repeated digits."""
+    n = len(universe)
+    raw = np.asarray(codes)
+    if raw.ndim != 1 or (len(raw) and raw.dtype.kind not in "iuO"):
+        raise InputError(f"arity-{l} codes must be a flat array of integers")
+    if len(raw):
+        if not (raw[1:] > raw[:-1]).all():
+            raise InputError(f"arity-{l} codes are not sorted and distinct")
+        if int(raw[0]) < 0 or int(raw[-1]) >= n**l:
+            raise InputError(f"arity-{l} codes leave the range [0, {n}^{l})")
+    out = raw.astype(_code_dtype(n, l))
+    digits = _decode(out, n, l)
+    repeated = np.zeros(len(out), dtype=bool)
+    for i, j in itertools.combinations(range(l), 2):
+        repeated |= digits[:, i] == digits[:, j]
+    if repeated.any():
+        t = tuple(universe[i] for i in digits[np.argmax(repeated)])
+        raise InputError(f"tuple {t} has repeated entries")
+    out.setflags(write=False)
+    return out
 
 
 def make_hypertournament(
     universe: Iterable, L: Iterable[int], relations: Mapping[int, Iterable[tuple]]
 ) -> Hypertournament:
+    """The structure with the given label tuples related, each relation
+    parsed into tuple codes; InputError names the first bad tuple."""
     L = frozenset(L)
     extra = set(relations) - L
     if extra:
         raise InputError(f"relations given for arities {sorted(extra)} outside L")
     universe = _canonical_universe(universe)
-    rels = tuple(
-        (l, frozenset(tuple(t) for t in relations.get(l, ())))
+    _check_arities(L)
+    index = {v: i for i, v in enumerate(universe)}
+    codes = {
+        l: _parse_tuples(frozenset(tuple(t) for t in relations.get(l, ())), index, l)
         for l in sorted(L)
-    )
-    return Hypertournament(universe, L, rels)
+    }
+    return Hypertournament(universe, L, codes)
+
+
+def _parse_tuples(tuples: frozenset, index: Mapping, l: int) -> np.ndarray:
+    """Sorted codes of a set of label tuples of arity l."""
+    n = len(index)
+    digits = None
+    if set(map(len, tuples)) <= {l}:
+        digits = np.fromiter(
+            map(index.get, itertools.chain.from_iterable(tuples), itertools.repeat(-1)),
+            dtype=np.int32,
+            count=l * len(tuples),
+        ).reshape(-1, l)
+        ordered = np.sort(digits, axis=1)  # -1 marks a label outside the universe
+        if (ordered[:, :1] < 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
+            digits = None
+    if digits is None:  # name the first bad tuple in iteration order
+        for t in tuples:
+            if len(t) != l:
+                raise InputError(f"tuple {t} has arity {len(t)}, expected {l}")
+            if len(set(t)) != l:
+                raise InputError(f"tuple {t} has repeated entries")
+            if not set(t) <= index.keys():
+                raise InputError(f"tuple {t} uses labels outside the universe")
+    return np.sort(_encode(digits, n, _code_dtype(n, l)))
 
 
 def _label_key(v):
@@ -178,6 +246,29 @@ def _shift(codes: np.ndarray, n: int, l: int) -> np.ndarray:
     """Code of the cyclic shift (t_1, ..., t_{l-1}, t_0) of each code."""
     top = n ** (l - 1)
     return codes % top * n + codes // top
+
+
+def _contains(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which of the query codes lie in the sorted codes. Both arrays share
+    one dtype, so numpy casts neither of them."""
+    k = np.searchsorted(codes, queries)
+    found = k < len(codes)
+    found[found] = codes[k[found]] == queries[found]
+    return found
+
+
+def _permutation_digits(k: int, l: int) -> np.ndarray:
+    """The (m, l) int32 array of ``itertools.permutations(range(k), l)``,
+    in its order."""
+    rows = itertools.permutations(range(k), l)
+    return np.array(list(rows), dtype=np.int32).reshape(-1, l)
+
+
+def _related(h: Hypertournament, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether h relates each tuple ``positions[row]``, for the rows of an
+    (m, l) index array, in one batched lookup."""
+    codes = h.codes[rows.shape[1]]
+    return _contains(codes, _encode(positions[rows], len(h.universe), codes.dtype))
 
 
 def code_labels(codes: np.ndarray, labels: Sequence, l: int) -> np.ndarray:
@@ -293,11 +384,14 @@ def _iso_violation(host: Hypertournament, m: Mapping) -> tuple | None:
     status differs from its image's, with that image; None if m preserves
     and reflects every relation."""
     dom = sorted(m, key=_label_key)
+    src = np.array([host.position[x] for x in dom], dtype=np.int32)
+    dst = np.array([host.position[m[x]] for x in dom], dtype=np.int32)
     for l in sorted(host.L):
-        for t in itertools.permutations(dom, l):
-            image = tuple(m[x] for x in t)
-            if host.holds(t) != host.holds(image):
-                return t, image
+        rows = _permutation_digits(len(dom), l)
+        bad = np.flatnonzero(_related(host, src, rows) != _related(host, dst, rows))
+        if bad.size:
+            t = tuple(dom[i] for i in rows[bad[0]])
+            return t, tuple(m[x] for x in t)
     return None
 
 
@@ -409,7 +503,7 @@ def orbit_structure(
     if L and n ** max(L) > TUPLE_CAP:
         raise ResourceCapError(f"{n} points at arity {max(L)} exceeds the tuple cap")
 
-    relations = {}
+    codes = {}
     for l in sorted(L):
         # a valid seed needs n >= l, so the orbit arrays exist when one is met
         labels = _orbit_labels(n, l, steps) if n >= l else None
@@ -467,9 +561,8 @@ def orbit_structure(
             chosen[orbit_of[first, allowed.argmax(axis=1)]] = True
             positive |= chosen[labels]
             del labels, subsets, arrangements, orbit_of, forced, chosen
-        columns = code_labels(np.flatnonzero(positive), universe, l).T.tolist()
-        relations[l] = frozenset(zip(*columns))
-    return Hypertournament(universe, L, tuple((l, relations[l]) for l in sorted(L)))
+        codes[l] = np.flatnonzero(positive).astype(np.int32)
+    return Hypertournament(universe, L, codes)
 
 
 # -- the extension constructor ------------------------------------------------------
@@ -619,22 +712,23 @@ def eppa_extend(
             ((w[x].inverse() * w[y], h0), (empty, h0))
         )
         labels.append(("embedding", x, y))
+    # the relation clauses share one word per (y, z) pair and one conjugate
+    # of h0 per y
+    w_inv = {y: w[y].inverse() for y in points}
+    coset_word = {(y, z): w[z] * w_inv[y] for y in points for z in points}
+    stabilizer = {y: w[y] * h0 * w_inv[y] if h0 is not None else None for y in points}
     for l in sorted(m.L):
         tuples = m.relation_map[l]
         if len(points) < l:
             continue
+        related = sorted(tuples)
         for zs in itertools.permutations(points, l):
             if zs in tuples:
                 continue
-            for ys in sorted(tuples):
-                clause = tuple(
-                    (
-                        w[z] * w[y].inverse(),
-                        w[y] * h0 * w[y].inverse() if h0 is not None else None,
-                    )
-                    for y, z in zip(ys, zs)
+            for ys in related:
+                constraints.append(
+                    tuple((coset_word[y, z], stabilizer[y]) for y, z in zip(ys, zs))
                 )
-                constraints.append(clause)
                 labels.append(("relation", ys, zs))
 
     try:
@@ -710,17 +804,19 @@ def eppa_extend(
     }
     extended = orbit_structure(range(len(reps)), actions, m.L, seeds)
 
+    images = sorted(embed.values())
     back = {v: x for x, v in embed.items()}
+    inner = np.array([m.position[back[v]] for v in images], dtype=np.int32)
+    outer = np.array([extended.position[v] for v in images], dtype=np.int32)
     for l in sorted(m.L):
-        for t in itertools.permutations(sorted(embed.values()), l):
-            inside = extended.holds(t)
-            original = tuple(back[v] for v in t) in m.relation_map[l]
-            if inside != original:
-                raise PostconditionError(
-                    "relation extension altered the embedded structure; the coset "
-                    "separation cannot have held",
-                    tuple=t,
-                )
+        rows = _permutation_digits(len(images), l)
+        altered = np.flatnonzero(_related(extended, outer, rows) != _related(m, inner, rows))
+        if altered.size:
+            raise PostconditionError(
+                "relation extension altered the embedded structure; the coset "
+                "separation cannot have held",
+                tuple=tuple(images[i] for i in rows[altered[0]]),
+            )
 
     embedding = tuple(sorted(embed.items(), key=lambda kv: _label_key(kv[0])))
     autos = tuple(
@@ -741,8 +837,9 @@ def verify_extension(
     r: ExtensionResult, m: Hypertournament, p: PartialAutomorphismFamily
 ) -> bool:
     """Re-check every claimed property from scratch; False on the first
-    violation, never an exception. Automorphisms are checked on tuple codes:
-    each must carry the sorted codes of every relation onto themselves."""
+    violation, never an exception. Relations are checked on tuple codes:
+    the embedding by one batched lookup per arity, and each automorphism
+    must carry the sorted codes of every relation onto themselves."""
     try:
         ext = r.extended
         if not validate(ext)[0] or ext.L != m.L:
@@ -752,14 +849,16 @@ def verify_extension(
             return False
         if not set(e.values()) <= set(ext.universe):
             return False
+        index = ext.position
+        inner = np.arange(len(m.universe), dtype=np.int32)
+        outer = np.array([index[e[x]] for x in m.universe], dtype=np.int32)
         for l in sorted(m.L):
-            for t in itertools.permutations(m.universe, l):
-                if m.holds(t) != ext.holds(tuple(e[x] for x in t)):
-                    return False
+            rows = _permutation_digits(len(m.universe), l)
+            if not np.array_equal(_related(m, inner, rows), _related(ext, outer, rows)):
+                return False
         if len(r.automorphisms) != len(p.maps):
             return False
         points = set(ext.universe)
-        index = {v: i for i, v in enumerate(ext.universe)}
         n = len(ext.universe)
         for auto, pairs in zip(r.automorphism_maps, p.maps):
             if set(auto) != points or set(auto.values()) != points:

@@ -469,12 +469,25 @@ def _tower_perm(p: int, levels: int, offsets: Sequence[int]) -> Perm:
 def _cyclic_hits(n: int, rows, q: int, active: Sequence[int]):
     """For each assignment of nonzero shifts in Z/q to the active letters,
     in search order: its letter images when it satisfies the constraint,
-    else None."""
+    else None.
+
+    With one active letter, the verdict is computed once per gcd(s, q):
+    shifts with one gcd differ by a unit u of Z/q, and multiplying by u
+    maps each clause progression onto the other shift's while keeping
+    every gcd with q, so it keeps the verdict."""
+    verdicts: dict[int, bool] = {}
     for values in itertools.product(range(1, q), repeat=len(active)):
         shifts = [0] * n
         for letter, v in zip(active, values):
             shifts[letter - 1] = v
-        if _cyclic_satisfied(rows, q, shifts):
+        if len(active) == 1:
+            d = gcd(values[0], q)
+            if d not in verdicts:
+                verdicts[d] = _cyclic_satisfied(rows, q, shifts)
+            satisfied = verdicts[d]
+        else:
+            satisfied = _cyclic_satisfied(rows, q, shifts)
+        if satisfied:
             yield tuple(tuple((x + s) % q for x in range(q)) for s in shifts)
         else:
             yield None

@@ -476,7 +476,7 @@ def _brute_validate(h: Hypertournament) -> bool:
     from itertools import combinations
 
     for l in sorted(h.L):
-        rel = set(dict(h.relations)[l])
+        rel = h.relation_map[l]
         for combo in combinations(h.universe, l):
             arranged = [t for t in permutations(combo) if t in rel]
             if not arranged:
@@ -537,7 +537,7 @@ def _inv_orbits(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if not ok:
             failures.append(f"orbit completion is not a valid structure on {labels}")
             continue
-        rel = set(dict(h.relations)[2])
+        rel = h.relation_map[2]
         for g in gens:
             for x, y in rel:
                 if x in g and y in g and (g[x], g[y]) not in rel:

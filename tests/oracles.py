@@ -444,3 +444,33 @@ def oracle_constraint_satisfied(q, constraint) -> bool:
         if not common:
             return True
     return common is not None and not common
+
+
+def oracle_eppa_constraints(points, w, h0, relations) -> list:
+    """The constraint list ``eppa_extend`` hands to ``separate_coset_system``,
+    built as it was before the word memo: every word of every clause
+    afresh. ``points`` are the input's points in canonical order, ``w`` maps
+    each to its path word, ``h0`` is the basepoint loop or None, and
+    ``relations`` maps each arity to its set of tuples; words are letter
+    tuples."""
+    import itertools
+
+    constraints = []
+    for x, y in itertools.combinations(points, 2):
+        constraints.append(((red_concat(inv(w[x]), w[y]), h0), ((), h0)))
+    for l in sorted(relations):
+        tuples = relations[l]
+        if len(points) < l:
+            continue
+        for zs in itertools.permutations(points, l):
+            if zs in tuples:
+                continue
+            for ys in sorted(tuples):
+                constraints.append(tuple(
+                    (
+                        red_concat(w[z], inv(w[y])),
+                        red_concat(red_concat(w[y], h0), inv(w[y])) if h0 is not None else None,
+                    )
+                    for y, z in zip(ys, zs)
+                ))
+    return constraints

@@ -20,7 +20,14 @@ from stallings import (
     to_wedge_morphism,
     wedge_graph,
 )
-from stallings.graphs import is_core, path_words_from, relabel_canonical, spanning_tree, trace
+from stallings.graphs import (
+    LabeledGraph,
+    is_core,
+    path_words_from,
+    relabel_canonical,
+    spanning_tree,
+    trace,
+)
 from stallings.serialize import graph_to_dict
 
 
@@ -243,3 +250,22 @@ def test_fold_and_core_match_the_quadratic_reference():
         seen["components"] += len(folded.component_lists) > 1
         seen["leaf_basepoint"] += core(folded).degrees[folded.basepoint] == 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_neighbors_follow_letter_order_then_vertex_order():
+    # reference: sort each adjacency by (+1, -1, +2, -2, ... slot, neighbour index)
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        verts = rng.sample(list(range(20)) + [f"v{i}" for i in range(20)], rng.randint(1, 8))
+        edges = [(rng.choice(verts), rng.choice(verts), rng.randint(1, n)) for _ in range(rng.randint(0, 16))]
+        edges += edges[:2]  # repeated edges keep their relative order
+        g = LabeledGraph(n, tuple(verts), tuple(edges))
+        ix = {v: k for k, v in enumerate(verts)}
+        expected = {v: [] for v in verts}
+        for u, v, i in sorted(edges, key=lambda e: (ix[e[0]], ix[e[1]], e[2])):
+            expected[u].append((v, i))
+            expected[v].append((u, -i))
+        for v, entries in expected.items():
+            entries.sort(key=lambda p: (2 * abs(p[1]) - (p[1] > 0), ix[p[0]]))
+            assert g.neighbors[v] == tuple(entries), (verts, edges, v)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -331,3 +332,135 @@ def test_codes_past_64_bits():
     spun = rel + [rel[0][k:] + rel[0][:k] for k in range(1, 17)]
     ok, violation = validate(make_hypertournament(universe, [17], {17: spun}))
     assert not ok and violation.kind == "cycle" and violation.witness == rel[0]
+
+
+def _random_hypertournament3(rng: random.Random, universe: list):
+    triples = []
+    for subset in itertools.combinations(universe, 3):
+        arrangement = list(subset)
+        rng.shuffle(arrangement)
+        triples.append(tuple(arrangement))
+    return make_hypertournament(universe, [3], {3: triples})
+
+
+def _seeded_orbit_structures():
+    """Orbit structures at arity 2 and 3 over int, str and tuple labels."""
+    rng = random.Random(11)
+    pools = (list(range(50)), list("abcdefghij"), [(i, i % 3) for i in range(10)])
+    built = []
+    while len(built) < 36:
+        l = (2, 3)[len(built) % 2]
+        pool = pools[len(built) // 2 % 3]
+        universe = sorted(rng.sample(pool, rng.randint(l, 7)))
+        gens = [_random_partial_injection(rng, universe) for _ in range(rng.randint(0, 2))]
+        try:
+            built.append(orbit_structure(universe, gens, [l]))
+        except ForcedCycleError:
+            continue
+    return built
+
+
+def test_code_built_structure_equals_the_label_parsed_one():
+    for h in _seeded_orbit_structures():
+        (l,) = h.L
+        parsed = make_hypertournament(h.universe, h.L, h.relation_map)
+        assert parsed == h
+        assert parsed.codes[l].dtype == h.codes[l].dtype
+        assert np.array_equal(parsed.codes[l], h.codes[l])
+        assert parsed.relations == h.relations
+        assert not h.codes[l].flags.writeable
+        # relations are a view: one frozenset per arity, in arity order
+        assert [k for k, _ in h.relations] == [l]
+        assert h.relation_map[l] is dict(h.relations)[l]
+
+
+def test_holds_agrees_with_frozenset_membership():
+    structures = _seeded_orbit_structures()[:12]
+    structures.append(make_hypertournament([3, 10, "a", (0, 1)], [2, 3], {}))
+    for h in structures:
+        outside = ("zz", 99, (5, 5))
+        points = list(h.universe) + [x for x in outside if x not in h.universe][:1]
+        for k in range(1, 5):
+            rel = h.relation_map.get(k, frozenset())
+            for t in itertools.product(points, repeat=k):
+                assert h.holds(t) == (t in rel), (h.universe, t)
+
+
+def test_code_constructor_refuses_bad_codes():
+    from stallings import Hypertournament
+
+    universe = (0, 1, 2)
+    ok = Hypertournament(universe, frozenset([2]), {2: np.array([1, 5, 6])})
+    assert ok.relation_map[2] == {(0, 1), (1, 2), (2, 0)}
+    # unsorted, duplicate, below and above the range [0, 9)
+    for codes in ([5, 1], [1, 1, 5], [-1, 5], [5, 9]):
+        with pytest.raises(InputError):
+            Hypertournament(universe, frozenset([2]), {2: np.array(codes)})
+    with pytest.raises(InputError, match=r"tuple \(1, 1\) has repeated entries"):
+        Hypertournament(universe, frozenset([2]), {2: np.array([1, 4])})  # 4 is (1, 1)
+    with pytest.raises(InputError):
+        Hypertournament(universe, frozenset([2]), {3: np.array([5])})
+    with pytest.raises(InputError):
+        Hypertournament(universe, frozenset([2]), {2: np.array([[1, 5]])})
+    # a wider dtype is narrowed to the one the universe's size needs
+    wide = Hypertournament(universe, frozenset([2]), {2: np.array([1, 5, 6], dtype=np.int64)})
+    assert wide.codes[2].dtype == np.int32 and wide == ok
+
+
+def _eppa_inputs(rng: random.Random, l: int, cyclic: bool):
+    """A seeded instance; with ``cyclic`` the map closes a loop (a swap at
+    arity 3, the rotation of a cyclic triangle at arity 2) when one exists,
+    so that the basepoint stabilizer is not trivial."""
+    from stallings.suite import random_disjoint_partial_map, random_tournament
+
+    universe = sorted(rng.sample(range(30), rng.randint(4, 5 if l == 3 else 6)))
+    m = random_tournament(rng, universe) if l == 2 else _random_hypertournament3(rng, universe)
+    if cyclic and l == 3:
+        x, y = rng.sample(universe, 2)
+        return m, make_family(m, [{x: y, y: x}])
+    if cyclic:
+        for x, y, z in itertools.permutations(universe, 3):
+            if m.holds((x, y)) and m.holds((y, z)) and m.holds((z, x)):
+                return m, make_family(m, [{x: y, y: z, z: x}])
+    return m, make_family(m, [random_disjoint_partial_map(rng, m)])
+
+
+def test_constraint_words_match_the_per_clause_reference(monkeypatch):
+    from stallings import hypertournaments as ht
+    from stallings.graphs import cycle_basis, path_words_from
+
+    handed = []
+    real = ht.separate_coset_system
+
+    def spy(constraints, *args, **kwargs):
+        handed.append(constraints)
+        return real(constraints, *args, **kwargs)
+
+    monkeypatch.setattr(ht, "separate_coset_system", spy)
+    rng = random.Random(17)
+    checked = 0
+    loops = 0
+    for trial in range(12):
+        m, fam = _eppa_inputs(rng, 2 if trial % 2 else 3, cyclic=trial % 4 >= 2)
+        handed.clear()
+        eppa_extend(m, fam, seed=trial)
+        graph = family_graph(ht._connect_family(fam)[0])
+        points = sorted(m.universe)
+        paths = path_words_from(graph, points[0])
+        w = {x: paths[x].reversed().letters for x in points}
+        basis = cycle_basis(graph, points[0])
+        h0 = basis[0].reversed().letters if basis else None
+        loops += h0 is not None
+        expected = oracles.oracle_eppa_constraints(points, w, h0, m.relation_map)
+        (constraints,) = handed
+        as_tuples = [
+            tuple((c.letters, g.letters if g is not None else None) for c, g in clause)
+            for clause in constraints
+        ]
+        assert as_tuples == expected, (m.universe, fam.maps)
+        # the relation clauses share one word per (y, z) pair and per y
+        relation_part = constraints[len(points) * (len(points) - 1) // 2:]
+        words = {id(word) for clause in relation_part for pair in clause for word in pair}
+        assert len(words) <= len(points) ** 2 + len(points) + 1
+        checked += len(relation_part)
+    assert checked > 500 and loops >= 4

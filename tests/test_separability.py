@@ -435,3 +435,20 @@ def test_search_builds_only_the_groups_it_reaches():
     for name, kind, group in group_library(13):
         if kind != "cyclic":
             assert "elements" not in vars(group) and "mul" not in vars(group), name
+
+
+def test_cyclic_hits_one_verdict_per_gcd_class_matches_every_shift():
+    rng = random.Random(29)
+    for q in (4, 8, 9, 25, 27, 169):
+        for _ in range(15):
+            rows = tuple(
+                (
+                    tuple(rng.randint(-4, 4) for _ in range(2)),
+                    tuple(rng.randint(-4, 4) for _ in range(2)) if rng.random() < 0.8 else None,
+                )
+                for _ in range(rng.randint(2, 3))
+            )
+            letter = rng.choice((1, 2))
+            got = [hit is not None for hit in separability._cyclic_hits(2, rows, q, (letter,))]
+            shifts = [[s if k == letter else 0 for k in (1, 2)] for s in range(1, q)]
+            assert got == [separability._cyclic_satisfied(rows, q, sh) for sh in shifts], (q, rows)
