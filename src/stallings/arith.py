@@ -53,12 +53,3 @@ def valuation(m: int, p: int) -> int:
         k += 1
     return k
 
-
-def is_smooth(m: int, allowed) -> bool:
-    """True iff every prime factor of m lies in ``allowed``."""
-    if m < 1:
-        return False
-    for p in sorted(set(allowed)):
-        while m % p == 0:
-            m //= p
-    return m == 1

@@ -28,8 +28,9 @@ from .graphs import (
     LabeledGraph,
     SubgroupGraph,
     Vertex,
+    _orbit_labels,
+    _shift,
     _signed_letters,
-    component_labels,
     core,
     cycle_basis,
     is_core,
@@ -285,10 +286,14 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
     between them reads t_0 -> t_1, ..., t_{l-1} -> t_0 in the graph, so v^l
     is a loop while v is not.
 
-    Tuple t has digit k equal to (t // nv^k) % nv. The product's i-edges
-    start at the tuples over the vertices with an outgoing i-edge, so only
-    those tuples are listed. The witness comes from the smallest such t,
-    the tuple that a scan in code order meets first.
+    Tuples are handled as the tuple codes of :func:`graphs._orbit_labels`;
+    the product's components are the orbits of the positive letters. The
+    tuples that meet their shift are closed under reversing their digits:
+    reversal turns the shift of t into the inverse shift of the reversed t,
+    and a word that carries a tuple to its inverse shift carries it to its
+    shift when applied l - 1 times. So the least such code, read from its
+    least significant digit, names one of them too; the witness comes from
+    that tuple.
     """
     g = h.graph
     nv = len(g.vertices)
@@ -299,21 +304,10 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
             l=l,
         )
     maps = _letter_tables(g)  # int32: TUPLE_CAP < 2^31 bounds every tuple code
-    src, dst = [], []
-    for m in maps[::2]:  # positive letters suffice; inverses give the same edges
-        dom = np.flatnonzero(m >= 0).astype(np.int32)
-        tuples = images = np.zeros(1, dtype=np.int32)
-        for k in range(l):  # the tuples over the letter's domain, digit by digit
-            tuples = (tuples[:, None] + dom * nv ** k).ravel()
-            images = (images[:, None] + m[dom] * nv ** k).ravel()
-        src.append(tuples)
-        dst.append(images)
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    labels = component_labels(nv ** l, [(src, dst)])
-    # a tuple on no edge is alone in its component, so hits lie on edges
-    ends = np.concatenate([src, dst])
-    shift = ends // nv + ends % nv * nv ** (l - 1)
-    hits = ends[(shift != ends) & (labels[ends] == labels[shift])]
+    labels = _orbit_labels(nv, l, maps[::2])
+    codes = np.arange(nv**l, dtype=np.int32)
+    shift = _shift(codes, nv, l)
+    hits = codes[(shift != codes) & (labels == labels[shift])]
     if hits.size == 0:
         return RootClosureResult(True, None)
 

@@ -93,16 +93,6 @@ class LabeledGraph:
         return table
 
     @cached_property
-    def letter_maps(self) -> dict[int, dict[Vertex, Vertex]]:
-        """Per-letter partial injections (immersed graphs only)."""
-        if not self.is_immersed:
-            raise PreconditionError("graph is not immersed")
-        maps: dict[int, dict[Vertex, Vertex]] = {i: {} for i in range(1, self.n + 1)}
-        for u, v, i in self.edges:
-            maps[i][u] = v
-        return maps
-
-    @cached_property
     def neighbors(self) -> dict[Vertex, tuple[tuple[Vertex, int], ...]]:
         """Undirected adjacency with signed letters, in traversal order."""
         # Letter by letter, +i entries then -i entries. sorted_edges orders
@@ -244,6 +234,45 @@ def component_labels(size: int, edges) -> np.ndarray:
                 labels = jumped
         if joined:
             return labels
+
+
+# -- l-fold products of partial maps ------------------------------------------
+#
+# An l-tuple (t_0, ..., t_{l-1}) over 0..n-1 has the code
+# t_0 * n^(l-1) + ... + t_{l-1}: digit 0 is the most significant, so code
+# order is the lexicographic order of tuples.
+
+
+def _product_codes(digits: np.ndarray, n: int, l: int) -> np.ndarray:
+    """int32 codes of all l-tuples over ``digits``, in the order of
+    ``itertools.product``; callers keep n**l below 2^31."""
+    codes = np.zeros(1, dtype=np.int32)
+    for _ in range(l):
+        codes = (codes[:, None] * n + digits).ravel()
+    return codes
+
+
+def _shift(codes: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Code of the cyclic shift (t_1, ..., t_{l-1}, t_0) of each code."""
+    top = n ** (l - 1)
+    return codes % top * n + codes // top
+
+
+def _orbit_labels(n: int, l: int, steps: Iterable[np.ndarray]) -> np.ndarray:
+    """The smallest code in the orbit of each of the n**l tuple codes.
+
+    ``steps[g]`` maps 0..n-1 along generator g, -1 where it is undefined.
+    A generator moves the tuples over its domain, so the orbits are the
+    components of the graph with an edge t -- g(t) for each of them; the
+    inverse generators add no new edges. A generator defined everywhere
+    moves every code, so only its images are stored.
+    """
+    edges = []
+    for step in steps:
+        dom = np.flatnonzero(step >= 0).astype(np.int32)
+        src = None if len(dom) == n else _product_codes(dom, n, l)
+        edges.append((src, _product_codes(step[dom], n, l)))
+    return component_labels(n**l, edges)
 
 
 def fold(g: LabeledGraph) -> LabeledGraph:

@@ -41,7 +41,8 @@ from .errors import (
 from .fiber import is_l_root_closed
 from .graphs import (
     LabeledGraph,
-    component_labels,
+    _orbit_labels,
+    _shift,
     cycle_basis,
     make_graph,
     path_words_from,
@@ -49,6 +50,7 @@ from .graphs import (
 )
 from .separability import (
     Perm,
+    left_coset,
     p_identity,
     p_mul,
     perm_order,
@@ -69,9 +71,11 @@ class Hypertournament:
 
     ``codes[l]`` is the sorted, read-only array of the codes of the related
     l-tuples over the universe's positions (see :func:`validate` for the
-    encoding and its order). The constructor checks the codes; label tuples
-    are parsed by :func:`make_hypertournament`. ``relations`` and
-    ``relation_map`` are label-tuple views, built from the codes on first use.
+    encoding and its order). The universe is a tuple in label order (by type
+    name, then value), so code order is the order of label tuples. The
+    constructor checks the universe and the codes; label tuples are parsed
+    by :func:`make_hypertournament`. ``relations`` and ``relation_map`` are
+    label-tuple views, built from the codes on first use.
     """
 
     universe: tuple
@@ -81,6 +85,8 @@ class Hypertournament:
     def __post_init__(self):
         if len(set(self.universe)) != len(self.universe):
             raise InputError("universe has repeated labels")
+        if self.universe != _canonical_universe(self.universe):
+            raise InputError("universe is not a tuple in label order")
         _check_arities(self.L)
         if not isinstance(self.codes, Mapping) or set(self.codes) != set(self.L):
             raise InputError("need exactly one relation per arity in L")
@@ -240,12 +246,6 @@ def _decode(codes: np.ndarray, n: int, l: int) -> np.ndarray:
     return np.stack(
         [(codes // n ** (l - 1 - k) % n).astype(np.int32) for k in range(l)], axis=1
     )
-
-
-def _shift(codes: np.ndarray, n: int, l: int) -> np.ndarray:
-    """Code of the cyclic shift (t_1, ..., t_{l-1}, t_0) of each code."""
-    top = n ** (l - 1)
-    return codes % top * n + codes // top
 
 
 def _contains(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -430,39 +430,16 @@ def is_subtadpole(g: LabeledGraph) -> bool:
 # -- orbit structures ---------------------------------------------------------------
 
 
-def _orbit_labels(n: int, l: int, steps: list[np.ndarray]) -> np.ndarray:
-    """The smallest code in the orbit of each of the n**l tuple codes.
-
-    ``steps[g]`` maps universe positions along generator g, -1 where it is
-    undefined. A generator moves the tuples over its domain, so the orbits
-    are the components of the graph with an edge t -- g(t) for each of
-    them; the inverse generators add no new edges. A generator defined
-    everywhere moves every code, so only its images are stored.
-    """
-    edges = []
-    for step in steps:
-        dom = np.flatnonzero(step >= 0).astype(np.int32)
-        src = None if len(dom) == n else _product_codes(dom, n, l)
-        edges.append((src, _product_codes(step[dom], n, l)))
-    return component_labels(n**l, edges)
-
-
-def _product_codes(digits: np.ndarray, n: int, l: int) -> np.ndarray:
-    """int32 codes of all l-tuples over ``digits``, in the order of
-    ``itertools.product``; TUPLE_CAP < 2^31 bounds every code."""
-    codes = np.zeros(1, dtype=np.int32)
-    for _ in range(l):
-        codes = (codes[:, None] * n + digits).ravel()
-    return codes
-
-
 def orbit_structure(
     universe: Iterable,
-    generators: Sequence[Mapping],
+    generators: Iterable[Mapping | Iterable[tuple]],
     L: Iterable[int],
     seeds: Mapping[int, Iterable[tuple]] | None = None,
 ) -> Hypertournament:
     """An L-hypertournament on the set, invariant under the partial action.
+
+    Each generator is a partial injection, given as a Mapping or as its
+    (x, y) pairs.
 
     Seed tuples are first closed under the action orbit by orbit; remaining
     l-subsets then receive the lexicographically least arrangement whose
@@ -483,9 +460,7 @@ def orbit_structure(
     """
     universe = _canonical_universe(universe)
     L = frozenset(L)
-    for l in L:
-        if not is_prime(l):
-            raise InputError(f"arity {l} is not a prime")
+    _check_arities(L)
     position = {v: i for i, v in enumerate(universe)}
     n = len(universe)
     steps = []
@@ -683,9 +658,11 @@ def eppa_extend(
         raise PostconditionError("connecting the family left its graph disconnected")
     k = max(len(map_dicts), 1)
 
-    base = min(m.universe, key=_label_key)
+    points = m.universe  # in label order, so tuple codes list tuples in label order
+    n = len(points)
+    base = points[0]
     paths = path_words_from(graph, base)
-    w = {x: paths[x].reversed() for x in m.universe}
+    w = {x: paths[x].reversed() for x in points}
 
     loops = cycle_basis(graph, base)
     if len(loops) > 1:
@@ -706,7 +683,6 @@ def eppa_extend(
     empty = empty_word(k)
     constraints = []
     labels: list[tuple] = []
-    points = sorted(m.universe, key=_label_key)
     for x, y in itertools.combinations(points, 2):
         constraints.append(
             ((w[x].inverse() * w[y], h0), (empty, h0))
@@ -717,14 +693,11 @@ def eppa_extend(
     w_inv = {y: w[y].inverse() for y in points}
     coset_word = {(y, z): w[z] * w_inv[y] for y in points for z in points}
     stabilizer = {y: w[y] * h0 * w_inv[y] if h0 is not None else None for y in points}
-    for l in sorted(m.L):
-        tuples = m.relation_map[l]
-        if len(points) < l:
-            continue
-        related = sorted(tuples)
-        for zs in itertools.permutations(points, l):
-            if zs in tuples:
-                continue
+    for l, codes in m.codes.items():
+        every = _encode(_permutation_digits(n, l), n, codes.dtype)
+        free = every[~_contains(codes, every)]
+        related = list(map(tuple, code_labels(codes, points, l).tolist()))
+        for zs in map(tuple, code_labels(free, points, l).tolist()):
             for ys in related:
                 constraints.append(
                     tuple((coset_word[y, z], stabilizer[y]) for y, z in zip(ys, zs))
@@ -743,44 +716,36 @@ def eppa_extend(
             ) from exc
         raise
 
-    # enumerate the coset space by a Schreier walk from the identity coset;
-    # the full quotient group is never listed
-    stab = q.cyclic_image(h0)
+    # Enumerate the coset space by a Schreier walk from the identity coset;
+    # the full quotient group is never listed. table[s][j] is the coset that
+    # step s (the letter images, then their inverses) sends coset j to, so
+    # the first k rows are the letter actions.
+    shifts = q.cyclic_image(h0) - {p_identity(q.degree)}
 
     def canon(perm: Perm) -> Perm:
-        return min(p_mul(perm, s) for s in stab)
+        return min(left_coset(perm, shifts))
 
-    start = canon(p_identity(q.degree))
-    coset_of: dict[Perm, int] = {start: 0}
-    reps: list[Perm] = [start]
-    steps = list(q.images) + list(q.inverse_images)
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for r0 in frontier:
-            for g in steps:
-                c = canon(p_mul(g, r0))
-                if c not in coset_of:
-                    if len(reps) >= COSET_CAP:
-                        raise ResourceCapError(
-                            f"coset space exceeds {COSET_CAP} points",
-                            attempted_index=len(reps) + 1,
-                        )
-                    coset_of[c] = len(reps)
-                    reps.append(c)
-                    nxt.append(c)
-        frontier = nxt
+    steps = q.images + q.inverse_images
+    reps = [canon(p_identity(q.degree))]
+    coset_of = {reps[0]: 0}
+    table: list[list[int]] = [[] for _ in steps]
+    for r0 in reps:  # first in, first out: cosets found here join the walk
+        for g, row in zip(steps, table):
+            c = canon(p_mul(g, r0))
+            j = coset_of.get(c)
+            if j is None:
+                if len(reps) >= COSET_CAP:
+                    raise ResourceCapError(
+                        f"coset space exceeds {COSET_CAP} points",
+                        attempted_index=len(reps) + 1,
+                    )
+                j = coset_of[c] = len(reps)
+                reps.append(c)
+            row.append(j)
+    actions = table[:k]
 
-    def coset(perm: Perm) -> int:
-        return coset_of[canon(perm)]
-
-    actions = []
-    for i in range(k):
-        img = q.images[i]
-        actions.append({j: coset(p_mul(img, reps[j])) for j in range(len(reps))})
-
-    embed = {x: coset(q.evaluate(w[x])) for x in points}
-    if len(set(embed.values())) != len(points):
+    embed = {x: coset_of[canon(q.evaluate(w[x]))] for x in points}
+    if len(set(embed.values())) != n:
         raise PostconditionError("separation verified but the embedding is not injective")
     for i, mp in enumerate(map_dicts):
         for x, y in mp.items():
@@ -793,35 +758,27 @@ def eppa_extend(
     for l in sorted(m.L):
         if q.order % l == 0:
             raise PostconditionError("quotient order admits an excluded prime", l=l)
-        for act in actions:
-            perm = tuple(act[j] for j in range(len(reps)))
-            if perm_order(perm) % l == 0:
+        for row in actions:
+            if perm_order(row) % l == 0:
                 raise PostconditionError(f"letter action has order divisible by {l}", l=l)
 
-    seeds = {
-        l: [tuple(embed[y] for y in ys) for ys in sorted(m.relation_map[l])]
-        for l in sorted(m.L)
-    }
-    extended = orbit_structure(range(len(reps)), actions, m.L, seeds)
+    cosets = np.array(list(embed.values()), dtype=np.int32)  # in universe order
+    seeds = {l: cosets[_decode(codes, n, l)].tolist() for l, codes in m.codes.items()}
+    extended = orbit_structure(range(len(reps)), map(enumerate, actions), m.L, seeds)
 
-    images = sorted(embed.values())
-    back = {v: x for x, v in embed.items()}
-    inner = np.array([m.position[back[v]] for v in images], dtype=np.int32)
-    outer = np.array([extended.position[v] for v in images], dtype=np.int32)
+    inner = np.arange(n, dtype=np.int32)
     for l in sorted(m.L):
-        rows = _permutation_digits(len(images), l)
-        altered = np.flatnonzero(_related(extended, outer, rows) != _related(m, inner, rows))
+        perms = _permutation_digits(n, l)
+        altered = np.flatnonzero(_related(extended, cosets, perms) != _related(m, inner, perms))
         if altered.size:
             raise PostconditionError(
                 "relation extension altered the embedded structure; the coset "
                 "separation cannot have held",
-                tuple=tuple(images[i] for i in rows[altered[0]]),
+                tuple=tuple(cosets[perms[altered[0]]].tolist()),
             )
 
-    embedding = tuple(sorted(embed.items(), key=lambda kv: _label_key(kv[0])))
-    autos = tuple(
-        tuple(sorted(actions[i].items())) for i in range(len(p.maps))
-    )
+    embedding = tuple(embed.items())
+    autos = tuple(tuple(enumerate(row)) for row in actions[: len(p.maps)])
     return _audited(ExtensionResult(extended, embedding, autos, notes), m, p)
 
 

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,6 +46,12 @@ def p_identity(degree: int) -> Perm:
 def p_mul(f: Perm, g: Perm) -> Perm:
     """Apply f first, then g."""
     return tuple(g[x] for x in f)
+
+
+def left_coset(rep: Perm, shifts: Iterable[Perm]) -> list[Perm]:
+    """rep and rep * s for each s in shifts, the non-identity elements of a
+    subgroup: rep stands for rep * 1, so a trivial subgroup costs no product."""
+    return [rep, *(p_mul(rep, s) for s in shifts)]
 
 
 def p_inv(f: Perm) -> Perm:
@@ -151,8 +157,8 @@ class FiniteQuotient:
         key = (coset_word, generator)
         found = self._cosets.get(key)
         if found is None:
-            rep = self.evaluate(coset_word)
-            found = frozenset(p_mul(rep, s) for s in self.cyclic_image(generator))
+            shifts = self.cyclic_image(generator) - {p_identity(self.degree)}
+            found = frozenset(left_coset(self.evaluate(coset_word), shifts))
             self._cosets[key] = found
         return found
 
@@ -169,12 +175,8 @@ def perm_order(g: Perm) -> int:
             seen[x] = True
             x = g[x]
             length += 1
-        order = _lcm(order, length)
+        order = lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def direct_product(a: FiniteQuotient, b: FiniteQuotient, name: str | None = None) -> FiniteQuotient:
@@ -818,9 +820,7 @@ def _power_exponent(a: Word, g: Word) -> int:
 def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
     """A homomorphism to Z/q sending a to 1, via exponent sums; None when
     impossible (all exponent sums share the relevant prime)."""
-    sums = [0] * n
-    for t in a:
-        sums[abs(t) - 1] += 1 if t > 0 else -1
+    sums = _letter_sums(a, n)
     unit_at = None
     for j, s in enumerate(sums):
         if _invertible_mod(s, q):

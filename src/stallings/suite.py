@@ -114,18 +114,6 @@ def random_homology_iso_subgroup(
     raise AssertionError("no homology isomorphism instance found")
 
 
-def random_homology_injective_subgroup(
-    rng: random.Random, p: int, tries: int = 2000
-) -> SubgroupGraph:
-    for _ in range(tries):
-        h = random_subgroup(rng, 2, 2, 4)
-        if h.rank() == 0:
-            continue
-        if induced_h1_map(to_wedge_morphism(h.graph), p).is_injective:
-            return h
-    raise AssertionError("no homology injection instance found")
-
-
 def random_twisted_matrix(
     rng: random.Random, p: int, rows: int, cols: int
 ) -> TwistedMatrix:

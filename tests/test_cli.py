@@ -115,6 +115,16 @@ _EPPA_CASES = {
         ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 27,
         "ec0d307c5eb2e5d3dd04246464830a3df94874e446950d72f2af0047d8ae5729",
     ),
+    # the two families below have a nontrivial basepoint stabilizer
+    "rotation3": (
+        [0, 1, 2], 2, [[0, 1], [1, 2], [2, 0]], [{"map": {"0": 1, "1": 2, "2": 0}}], 3,
+        "d5fdbd10600f72c339cb6be24cb7608e7ea48b4a078483004057b94f11e8b438",
+    ),
+    "swap3": (
+        [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        [{"map": {"0": 1, "1": 0}}], 8,
+        "1472e56a8da672020f2472c5add2476ed2be119b6aeaebf3802066060abf5ead",
+    ),
 }
 
 

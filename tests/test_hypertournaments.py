@@ -195,6 +195,17 @@ def test_eppa_extend_arity_three():
     assert result.extended.L == frozenset([3])
 
 
+def test_eppa_extend_over_mixed_label_types():
+    # ints and strings have no common native order; relations are read in
+    # code order, which follows the universe's label order
+    m = make_hypertournament([1, "a", 2], [2], {2: [(1, "a"), ("a", 2), (1, 2)]})
+    assert m.universe == (1, 2, "a")
+    fam = make_family(m, [{1: 2}])
+    result = eppa_extend(m, fam)
+    assert verify_extension(result, m, fam)
+    assert len(result.extended.universe) == 9
+
+
 def test_eppa_extend_refuses_non_subtadpole_families():
     m = make_hypertournament(range(6), [2], {2: _SIX})
     fam = make_family(m, [{0: 2, 1: 5}, {0: 3, 5: 1}, {0: 4, 1: 3}])
@@ -402,6 +413,10 @@ def test_code_constructor_refuses_bad_codes():
         Hypertournament(universe, frozenset([2]), {3: np.array([5])})
     with pytest.raises(InputError):
         Hypertournament(universe, frozenset([2]), {2: np.array([[1, 5]])})
+    # the universe must be a tuple in label order: ints before strings
+    for unsorted in ((1, 0, 2), [0, 1, 2], (0, "a", 1)):
+        with pytest.raises(InputError, match="label order"):
+            Hypertournament(unsorted, frozenset([2]), {2: np.array([1, 5, 6])})
     # a wider dtype is narrowed to the one the universe's size needs
     wide = Hypertournament(universe, frozenset([2]), {2: np.array([1, 5, 6], dtype=np.int64)})
     assert wide.codes[2].dtype == np.int32 and wide == ok

@@ -46,3 +46,75 @@ def test_the_rule_sees_both_forms():
     tree = ast.parse("assert x\nraise AssertionError\nraise AssertionError('no')\n")
     if _asserts(tree) != [1, 2, 3]:
         pytest.fail(f"rule found {_asserts(tree)}, not [1, 2, 3]")
+
+
+# Every function, method and class the library defines is named somewhere:
+# in an import, an attribute, a name or a string constant (the benchmark's
+# tracer wraps functions by string) of src/, tests/ or bench/. Dunders are
+# called by Python itself, and CLI callbacks by click through their
+# decorator.
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SOURCES = sorted(
+    p for d in ("src", "tests", "bench") for p in (_ROOT / d).rglob("*.py")
+)
+
+
+def _is_cli_callback(node: ast.AST) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if isinstance(f, ast.Attribute) and f.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _unused_definitions(trees: dict[str, ast.AST]) -> list[str]:
+    named: set[str] = set()
+    defined: list[tuple[str, str, int]] = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if path.startswith("src/") and not dunder and not _is_cli_callback(node):
+                    defined.append((node.name, path, node.lineno))
+    return [f"{path}:{line} {name}" for name, path, line in defined if name not in named]
+
+
+def test_every_library_definition_is_named_somewhere():
+    if not any(p.name == "tracing.py" for p in _SOURCES):
+        pytest.fail(f"bench/tracing.py not found under {_ROOT}")
+    trees = {
+        p.relative_to(_ROOT).as_posix(): ast.parse(p.read_text(), filename=str(p))
+        for p in _SOURCES
+    }
+    unused = _unused_definitions(trees)
+    if unused:
+        pytest.fail(f"defined but named nowhere: {unused}")
+
+
+def test_the_naming_rule_sees_definitions_and_uses():
+    trees = {
+        "src/m.py": ast.parse(
+            "import click\n"
+            "def used(): pass\n"
+            "def by_string(): pass\n"
+            "def dead(): pass\n"
+            "class Dead:\n"
+            "    def __init__(self): pass\n"
+            "    def method(self): pass\n"
+            "@main.command('x')\n"
+            "def callback(): pass\n"
+        ),
+        "tests/t.py": ast.parse("from m import used\nx.method()\nwrap('by_string')\n"),
+    }
+    found = [entry.split()[1] for entry in _unused_definitions(trees)]
+    if found != ["dead", "Dead"]:
+        pytest.fail(f"rule found {found}, not ['dead', 'Dead']")
