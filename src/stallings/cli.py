@@ -37,6 +37,7 @@ from .hypertournaments import eppa_extend, validate, verify_extension
 from .separability import separate_from_cyclic, verify_witness
 from .serialize import (
     _freeze,
+    _integer,
     cocycle_from_value,
     extension_from_dict,
     extension_to_dict,
@@ -295,9 +296,11 @@ def gersten_check_cmd(config: str) -> None:
     for key in ("p", "domain", "codomain", "vertex_map", "cocycle"):
         if key not in data:
             raise InputError(f"config is missing {key!r}")
-    p = int(data["p"])
+    p = _integer(data["p"], "p")
     dom = graph_from_dict(data["domain"])
     cod = graph_from_dict(data["codomain"])
+    if not isinstance(data["vertex_map"], list):
+        raise InputError("vertex_map must be a list of pairs")
     vertex_map = {}
     for item in data["vertex_map"]:
         if not isinstance(item, list) or len(item) != 2:

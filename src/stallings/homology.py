@@ -138,6 +138,10 @@ class FpMatrix(_Residues):
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form mod p and its pivot columns. Rows from the
+    current pivot row down are zero left of the current column, so each
+    pivot clears its column with one update of the rows that are nonzero
+    there, from that column on."""
     m = a % p
     rows, cols = m.shape
     pivots = []
@@ -145,19 +149,16 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     for c in range(cols):
         if r == rows:
             break
-        hit = None
-        for rr in range(r, rows):
-            if m[rr, c]:
-                hit = rr
-                break
-        if hit is None:
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
             continue
+        hit = r + below[0]
         if hit != r:
             m[[r, hit]] = m[[hit, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), p - 2, p)) % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, tuple(pivots)

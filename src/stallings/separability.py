@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ def p_inv(f: Perm) -> Perm:
     return tuple(out)
 
 
-def closure(perms: Iterable[Perm], cap: int = GROUP_ORDER_CAP) -> frozenset[Perm]:
+def closure(perms: Iterable[Perm]) -> frozenset[Perm]:
     gens = [p for p in perms]
     if not gens:
         raise InputError("closure of an empty generator list has no degree")
@@ -73,9 +73,9 @@ def closure(perms: Iterable[Perm], cap: int = GROUP_ORDER_CAP) -> frozenset[Perm
             for g in gens:
                 h = p_mul(f, g)
                 if h not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= GROUP_ORDER_CAP:
                         raise ResourceCapError(
-                            f"permutation group exceeds {cap} elements"
+                            f"permutation group exceeds {GROUP_ORDER_CAP} elements"
                         )
                     seen.add(h)
                     nxt.append(h)
@@ -179,20 +179,27 @@ def perm_order(g: Perm) -> int:
     return order
 
 
-def direct_product(a: FiniteQuotient, b: FiniteQuotient, name: str | None = None) -> FiniteQuotient:
-    """Product quotient acting on the disjoint union of the factors' points.
+def direct_product(*factors: FiniteQuotient) -> FiniteQuotient:
+    """Product quotient acting on the disjoint union of the factors' points,
+    in the order given.
 
     The image is a subgroup of the full direct product, so the certified
     order is the product of the factor orders; no closure is computed.
     """
-    if a.n != b.n:
+    n = factors[0].n
+    if any(f.n != n for f in factors):
         raise InputError("alphabet mismatch in product")
-    da = a.degree
+    offsets = list(itertools.accumulate((f.degree for f in factors), initial=0))
     images = tuple(
-        ga + tuple(x + da for x in gb) for ga, gb in zip(a.images, b.images)
+        tuple(x + d for g, d in zip(letter, offsets) for x in g)
+        for letter in zip(*(f.images for f in factors))
     )
     return FiniteQuotient(
-        a.n, da + b.degree, a.order * b.order, images, name or f"{a.name} x {b.name}"
+        n,
+        offsets[-1],
+        prod(f.order for f in factors),
+        images,
+        " x ".join(f.name for f in factors),
     )
 
 
@@ -892,21 +899,18 @@ def separate_coset_system(
         factors.append(found)
         q = direct_product(q, found)
 
-    def assemble(parts: Sequence[FiniteQuotient]) -> FiniteQuotient:
-        out = FiniteQuotient.trivial(n)
-        for part in parts:
-            out = direct_product(out, part)
-        return out
-
     keep = [True] * len(factors)
     for i in sorted(range(len(factors)), key=lambda j: -factors[j].order):
         if sum(keep) <= 1:
             break
         keep[i] = False
-        trial = assemble([f for f, k in zip(factors, keep) if k])
-        if not all(constraint_satisfied(trial, cons) for cons in constraints):
+        trial = direct_product(
+            FiniteQuotient.trivial(n), *(f for f, k in zip(factors, keep) if k)
+        )
+        if all(constraint_satisfied(trial, cons) for cons in constraints):
+            q = trial
+        else:
             keep[i] = True
-    q = assemble([f for f, k in zip(factors, keep) if k])
     for index, cons in enumerate(constraints):
         if not constraint_satisfied(q, cons):
             raise SearchCapError(

@@ -45,6 +45,8 @@ from .separability import SeparationWitness
 def _freeze(value):
     if isinstance(value, list):
         return tuple(_freeze(x) for x in value)
+    if isinstance(value, dict):
+        raise InputError(f"a JSON object {value!r} is not a label")
     return value
 
 
@@ -222,7 +224,7 @@ def cocycle_from_value(base: LabeledGraph, p: int, value) -> CoverDescription:
     if isinstance(value, Mapping):
         shifts = {}
         for k, v in value.items():
-            shifts[parse_letter(k, base.n)] = int(v)
+            shifts[parse_letter(k, base.n)] = _integer(v, "cocycle value")
         values = {e: shifts.get(e[2], 0) for e in base.edges}
         return CoverDescription.from_dict(base, p, values)
     if isinstance(value, Sequence) and not isinstance(value, str):
@@ -241,10 +243,17 @@ def cocycle_from_value(base: LabeledGraph, p: int, value) -> CoverDescription:
             )
             if e not in edge_set:
                 raise InputError(f"cocycle names a non-edge {raw_edge!r}")
-            given[e] = int(val)
+            given[e] = _integer(val, "cocycle value")
         values = {e: given.get(e, 0) for e in base.edges}
         return CoverDescription.from_dict(base, p, values)
     raise InputError("cocycle must be a per-letter object or an [edge, value] list")
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} {value!r} is not an integer") from exc
 
 
 def parse_cocycle_text(text: str) -> dict:
@@ -257,10 +266,7 @@ def parse_cocycle_text(text: str) -> dict:
         if "=" not in part:
             raise InputError(f"cocycle term {part!r} is not letter=value")
         key, _, val = part.partition("=")
-        try:
-            out[key.strip()] = int(val)
-        except ValueError as exc:
-            raise InputError(f"cocycle value {val!r} is not an integer") from exc
+        out[key.strip()] = _integer(val, "cocycle value")
     if not out:
         raise InputError("empty cocycle")
     return out
@@ -300,6 +306,8 @@ def hypertournament_from_dict(d: Mapping) -> Hypertournament:
             l = int(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"relation arity {key!r} is not an integer") from exc
+        if not isinstance(tuples, list):
+            raise InputError(f"relation {key!r} is not a list of tuples")
         rows = []
         for t in tuples:
             if not isinstance(t, Sequence) or isinstance(t, str):
@@ -345,7 +353,7 @@ def family_from_list(host: Hypertournament, items) -> PartialAutomorphismFamily:
     points = set(host.universe)
     maps = []
     for k, item in enumerate(items):
-        if not isinstance(item, Mapping) or "map" not in item:
+        if not isinstance(item, Mapping) or not isinstance(item.get("map"), Mapping):
             raise InputError(f"entry {k} must be an object with a map field")
         m = {}
         for src, dst in item["map"].items():
@@ -403,6 +411,8 @@ def extension_from_dict(d: Mapping) -> ExtensionResult:
         embedding.append((_freeze(item[0]), _freeze(item[1])))
     autos = []
     for pairs in raw_autos:
+        if not isinstance(pairs, list):
+            raise InputError(f"automorphism {pairs!r} is not a list of pairs")
         rows = []
         for item in pairs:
             if not isinstance(item, Sequence) or len(item) != 2:

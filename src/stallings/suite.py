@@ -47,7 +47,7 @@ from .hypertournaments import (
     verify_extension,
 )
 from .separability import separate_from_cyclic, verify_witness
-from .words import Word, empty_word, maximal_root
+from .words import Word, empty_word, maximal_root, reduce_letters
 
 # -- instance generators ---------------------------------------------------------
 
@@ -175,15 +175,6 @@ def _inv_fold(rng: random.Random, trials: int) -> tuple[int, Failures]:
     return trials, failures
 
 
-def _reduce_concat(a: tuple, b: tuple) -> tuple:
-    out = list(a)
-    i = 0
-    while out and i < len(b) and out[-1] == -b[i]:
-        out.pop()
-        i += 1
-    return tuple(out) + tuple(b[i:])
-
-
 def _enumerate_subgroup(
     gens, factors: int, lmax: int, max_size: int = 300_000
 ) -> set:
@@ -199,7 +190,7 @@ def _enumerate_subgroup(
         nxt = []
         for cur in frontier:
             for s in steps:
-                w = _reduce_concat(cur, s)
+                w = reduce_letters(cur + s)
                 if len(w) > cap or w in seen:
                     continue
                 seen.add(w)

@@ -18,7 +18,7 @@ from typing import Any
 from .arith import require_prime
 from .covers import cover_tower, tower_pullbacks
 from .errors import InputError
-from .fiber import fiber_product, is_malnormal
+from .fiber import is_malnormal
 from .graphs import component_ranks, rank, subgroup_graph, to_wedge_morphism, wedge_graph
 from .homology import induced_h1_map
 from .words import Word
@@ -92,7 +92,8 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
         f"got {sub_counts}",
     )
 
-    fp = fiber_product(h, h)
+    mal = is_malnormal(h)
+    fp = mal.product
     prod_counts = _counts(fp.product)
     check(
         "fiber product size",
@@ -119,7 +120,6 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
         f"{sum(1 for _, t in trees if t)}/{len(trees)} components are trees",
     )
 
-    mal = is_malnormal(h)
     check("malnormal", mal.malnormal, "no conjugate intersects nontrivially")
 
     f = to_wedge_morphism(h.graph)

@@ -474,3 +474,100 @@ def oracle_eppa_constraints(points, w, h0, relations) -> list:
                     for y, z in zip(ys, zs)
                 ))
     return constraints
+
+
+def oracle_row_reduce(a, p: int):
+    """Reduced row echelon form mod p and its pivot columns, one row at a
+    time: the loop that the vectorised ``homology._row_reduce`` replaced."""
+    m = a % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hit = None
+        for rr in range(r, rows):
+            if m[rr, c]:
+                hit = rr
+                break
+        if hit is None:
+            continue
+        if hit != r:
+            m[[r, hit]] = m[[hit, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        for rr in range(rows):
+            if rr != r and m[rr, c]:
+                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def oracle_separate_coset_system(constraints, L, bound: int = 500_000, seed: int = 0):
+    """``separability.separate_coset_system`` as it was before each pruning
+    trial became one product: every trial and the final quotient are
+    assembled by pairwise products from the trivial quotient. Returns the
+    quotient and the keep flag of each factor found."""
+    from stallings.arith import is_prime, smallest_prime_not_in
+    from stallings.errors import InputError, PostconditionError, SearchCapError
+    from stallings.separability import (
+        FiniteQuotient,
+        _constraint_search,
+        constraint_satisfied,
+        direct_product,
+        prime_factors,
+    )
+
+    L = frozenset(L)
+    for l in sorted(L):
+        if not is_prime(l):
+            raise InputError(f"{l} in L is not prime")
+    ns = [w.n for cons in constraints for cl in cons for w in cl if w is not None]
+    n = max(ns, default=1)
+    q = FiniteQuotient.trivial(n)
+    factors = []
+    ladder = []
+    seen_p = set()
+    while len(ladder) < 3:
+        p = smallest_prime_not_in(L | seen_p)
+        ladder.append(p)
+        seen_p.add(p)
+    for index, cons in enumerate(constraints):
+        if constraint_satisfied(q, cons):
+            continue
+        found = None
+        for p in ladder:
+            try:
+                found, _ = _constraint_search(n, p, cons, bound, f"constraint {index}", seed)
+                break
+            except SearchCapError:
+                continue
+        if found is None:
+            raise SearchCapError(f"no quotient found for constraint {index}", constraint_index=index)
+        factors.append(found)
+        q = direct_product(q, found)
+
+    def assemble(parts):
+        out = FiniteQuotient.trivial(n)
+        for part in parts:
+            out = direct_product(out, part)
+        return out
+
+    keep = [True] * len(factors)
+    for i in sorted(range(len(factors)), key=lambda j: -factors[j].order):
+        if sum(keep) <= 1:
+            break
+        keep[i] = False
+        trial = assemble([f for f, k in zip(factors, keep) if k])
+        if not all(constraint_satisfied(trial, cons) for cons in constraints):
+            keep[i] = True
+    q = assemble([f for f, k in zip(factors, keep) if k])
+    for index, cons in enumerate(constraints):
+        if not constraint_satisfied(q, cons):
+            raise SearchCapError(
+                f"constraint {index} failed in the assembled product", constraint_index=index
+            )
+    if prime_factors(q.order) & L:
+        raise PostconditionError("product order picked up an excluded prime", order=q.order)
+    return q, keep

@@ -418,6 +418,48 @@ def test_command_refuses_bad_input(tmp_path, name):
     assert json.loads(result.stderr)["error"] == code
 
 
+# Malformed JSON that reached a Python exception instead of the error-JSON
+# contract: a container of the wrong type, a JSON object used as a label,
+# and an integer field that is not an integer.
+_FOUR = {
+    "L": [2],
+    "universe": [0, 1, 2, 3],
+    "relations": {"2": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+}
+_OBJECT = {"x": 1}
+_MALFORMED = {
+    "eppa-extend map list": ("eppa-extend", _FOUR, [{"map": [1, 2]}]),
+    "verify-extension map list": ("verify-extension", _FOUR, [{"map": [1, 2]}], {}),
+    "relation rows not a list": ("validate", {"L": [2], "universe": [0, 1], "relations": {"2": 5}}),
+    "object in a relation row": ("validate", {"L": [2], "universe": [0, 1], "relations": {"2": [[_OBJECT, 0]]}}),
+    "object as a graph vertex": ("fold", {"n": 2, "vertices": [_OBJECT], "edges": []}),
+    "object as a map value": ("eppa-extend", _FOUR, [{"map": {"0": _OBJECT}}]),
+    "object in an extension pair": (
+        "verify-extension", _FOUR, [{"map": {"0": 3}}],
+        {"extended": _FOUR, "embedding": [[0, _OBJECT]], "automorphisms": []},
+    ),
+    "automorphism not a list": (
+        "verify-extension", _FOUR, [{"map": {"0": 3}}],
+        {"extended": _FOUR, "embedding": [[x, x] for x in range(4)], "automorphisms": [5]},
+    ),
+    "object in a vertex_map entry": ("gersten-check", {**_GERSTEN_CONFIG, "vertex_map": [[_OBJECT, 0]]}),
+    "vertex_map not a list": ("gersten-check", {**_GERSTEN_CONFIG, "vertex_map": 5}),
+    "p not an integer": ("gersten-check", {**_GERSTEN_CONFIG, "p": "q"}),
+    "per-letter cocycle value": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": {"a": "x"}}),
+    "per-edge cocycle value": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": [[[0, 0, "a"], "x"]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_json_gives_error_json(tmp_path, name):
+    command, *documents = _MALFORMED[name]
+    paths = [_json_file(tmp_path, f"{k}.json", doc) for k, doc in enumerate(documents)]
+    result = _invoke(command, *paths)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert json.loads(result.stderr)["error"] == "invalid_input"
+
+
 def test_invocations_leave_no_stream_alive(monkeypatch):
     # Echoing without a file makes click cache a wrapper per stream, and its
     # cache entries keep their streams alive: every run's output buffers

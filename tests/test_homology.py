@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import oracles
 from stallings import (
     CoverDescription,
     FpMatrix,
@@ -92,6 +93,48 @@ def test_solve_and_nullspace_are_verified_by_multiplication():
             if ns.array.shape[1]:
                 assert not np.any((a @ ns).array)
             assert a.is_injective == (ns.array.shape[1] == 0)
+
+
+def _seeded_residue_matrices(rng, p: int, count: int):
+    """Dense and sparse matrices up to 12x12, some with zero rows or
+    columns, some empty."""
+    for _ in range(count):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        density = rng.choice((0.1, 0.4, 1.0))
+        a = np.array(
+            [[rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)],
+            dtype=np.int64,
+        ).reshape(rows, cols)
+        if rows and rng.random() < 0.3:
+            a[rng.randrange(rows)] = 0
+        if cols and rng.random() < 0.3:
+            a[:, rng.randrange(cols)] = 0
+        yield a
+
+
+def test_row_reduce_matches_the_row_by_row_reference(monkeypatch):
+    rng = random.Random(5)
+    cases = [
+        (p, a) for p in (2, 3, 5, 7, 31, 101) for a in _seeded_residue_matrices(rng, p, 60)
+    ]
+    got = []
+    for p, a in cases:
+        red, pivots = homology._row_reduce(a, p)
+        want_red, want_pivots = oracles.oracle_row_reduce(a.copy(), p)
+        assert pivots == want_pivots and np.array_equal(red, want_red), (p, a)
+        m = FpMatrix(p, a)
+        column = [[rng.randrange(p)] for _ in range(m.rows)]
+        rhs = FpMatrix(p, np.array(column, dtype=np.int64).reshape(-1, 1))
+        got.append((m.rank, m.solve(rhs), m.nullspace(), rhs))
+    monkeypatch.setattr(homology, "_row_reduce", oracles.oracle_row_reduce)
+    for (p, a), (rank, sol, null, rhs) in zip(cases, got):
+        m = FpMatrix(p, a)
+        want_sol = m.solve(rhs)
+        assert rank == m.rank
+        assert (sol is None) == (want_sol is None)
+        assert sol is None or np.array_equal(sol.array, want_sol.array)
+        assert np.array_equal(null.array, m.nullspace().array)
 
 
 def test_solve_reports_unsolvable_systems():

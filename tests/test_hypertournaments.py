@@ -459,7 +459,7 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
         m, fam = _eppa_inputs(rng, 2 if trial % 2 else 3, cyclic=trial % 4 >= 2)
         handed.clear()
         eppa_extend(m, fam, seed=trial)
-        graph = family_graph(ht._connect_family(fam)[0])
+        graph = ht._connect_family(fam)[1]
         points = sorted(m.universe)
         paths = path_words_from(graph, points[0])
         w = {x: paths[x].reversed().letters for x in points}

@@ -272,7 +272,7 @@ def test_coset_memo_matches_the_oracle(p, monkeypatch):
     assert verdicts == {True, False}
 
 
-def _coset_systems(monkeypatch) -> list:
+def _coset_systems(monkeypatch, seed: int = 11) -> list:
     """The constraint systems eppa_extend hands to separate_coset_system on
     seeded tournaments and 3-hypertournaments, each with a one-pair map."""
     systems = []
@@ -282,7 +282,7 @@ def _coset_systems(monkeypatch) -> list:
         return separate_coset_system(constraints, L, bound, seed)
 
     monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
-    rng = random.Random(11)
+    rng = random.Random(seed)
     for l, n in ((2, 5), (2, 6), (3, 4), (3, 5)):
         points = list(range(n))
         rows = []
@@ -305,6 +305,33 @@ def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
     for (cons, L), q in zip(systems, got):
         expected = separate_coset_system(cons, L)
         assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
+
+
+def test_pruning_trials_match_the_pairwise_products(monkeypatch):
+    # seed 11 gives systems whose pruning drops factors, seed 13 one with
+    # three factors that pruning keeps
+    systems = _coset_systems(monkeypatch, 11) + _coset_systems(monkeypatch, 13)
+    kept_all = set()
+    for cons, L in systems:
+        q = separate_coset_system(cons, L)
+        expected, keep = oracles.oracle_separate_coset_system(cons, L)
+        assert (q.images, q.degree, q.order, q.name) == (
+            expected.images, expected.degree, expected.order, expected.name
+        )
+        if len(keep) > 1:
+            kept_all.add(all(keep))
+    assert kept_all == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_direct_product_of_three_is_the_nested_product(p):
+    factors = _library_quotients(random.Random(3000 + p), p)
+    for a, b, c in zip(factors, factors[1:], factors[2:]):
+        flat = direct_product(a, b, c)
+        assert flat == direct_product(direct_product(a, b), c)
+        assert flat == direct_product(a, direct_product(b, c))
+        assert flat.degree == a.degree + b.degree + c.degree
+        assert flat.order == a.order * b.order * c.order
 
 
 # -- the Cayley-table search ----------------------------------------------------------
