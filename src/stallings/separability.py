@@ -860,10 +860,30 @@ def separate_coset_system(
     """One finite quotient, of order prime to every l in L, in which every
     constraint's coset intersection is empty.
 
-    Built constraint by constraint as a direct product of individual
-    witnesses; satisfied constraints stay satisfied under products. Factors
-    made redundant by later, stronger ones are pruned, largest first, and
-    all constraints are re-verified against the final product.
+    Two tiers, the first that applies wins:
+
+    - Cyclic, when there are constraints and every clause generator is
+      trivial, so that each coset is one element. In Z/q with letter shifts
+      s, a word maps to a . s, where a is its exponent-sum vector; a
+      constraint holds exactly when some difference d = a_i - a_1 of its
+      clause vectors has d . s != 0 mod q. A constraint whose clause vectors
+      are all equal over Z holds in no abelian quotient (it is
+      Z-obstructed), and one such constraint sends the system to the
+      product tier. Otherwise q runs over 2, 3, ... coprime to L, and the
+      shifts over the moment curve s = (1, t, ..., t^(k-1)) mod q,
+      t = 0, ..., q - 1, for k letters; the first Z/q that satisfies every
+      constraint is returned. A nonzero d makes d . s a polynomial in t of
+      degree < k, nonzero mod a prime q above every |d_j|. With V distinct
+      clause vectors there are at most V(V - 1)/2 such polynomials up to
+      sign, so a prime q not in L above both (k - 1) * V(V - 1)/2 and every
+      |d_j| leaves some t that is a root of none: the search ends there at
+      the latest.
+    - Product: constraint by constraint, a direct product of individual
+      library witnesses; satisfied constraints stay satisfied under
+      products. Factors made redundant by later, stronger ones are pruned,
+      largest first.
+
+    Every constraint is re-verified against the returned quotient.
     """
     L = frozenset(L)
     for l in sorted(L):
@@ -871,6 +891,87 @@ def separate_coset_system(
             raise InputError(f"{l} in L is not prime")
     ns = [w.n for cons in constraints for cl in cons for w in cl if w is not None]
     n = max(ns, default=1)
+    q = None
+    if constraints and all(g is None for cons in constraints for _, g in cons):
+        q = _cyclic_tier(constraints, n, L)
+    if q is None:
+        q = _product_tier(constraints, n, L, bound, seed)
+    for index, cons in enumerate(constraints):
+        if not constraint_satisfied(q, cons):
+            raise SearchCapError(
+                f"constraint {index} fails in {q.name}",
+                constraint_index=index,
+            )
+    if prime_factors(q.order) & L:
+        raise PostconditionError("quotient order picked up an excluded prime", order=q.order)
+    return q
+
+
+def _cyclic_tier(
+    constraints: Sequence[Constraint], n: int, L: frozenset
+) -> FiniteQuotient | None:
+    """The cyclic tier of :func:`separate_coset_system`: the first Z/q on the
+    moment curve, or None when some constraint is Z-obstructed.
+
+    Each constraint comes down to the set of its clauses' distinct
+    exponent-sum vectors, and holds at a shift when their values differ."""
+    # words are keyed by identity: the clauses of a system share a few word
+    # objects, and all of them live as long as the constraints do
+    row_of_word: dict[int, int] = {}
+    row_of_sums: dict[tuple[int, ...], int] = {}
+    distinct: set[frozenset[int]] = set()
+    for cons in constraints:
+        rows = []
+        for word, _ in cons:
+            row = row_of_word.get(id(word))
+            if row is None:
+                sums = _letter_sums(word, n)
+                row = row_of_word[id(word)] = row_of_sums.setdefault(sums, len(row_of_sums))
+            rows.append(row)
+        vectors = frozenset(rows)
+        if len(vectors) == 1:
+            return None
+        distinct.add(vectors)
+    sums = np.array(list(row_of_sums), dtype=np.int64)
+    # fewest vectors first: with eppa_extend's systems, the embedding
+    # constraints rule out most shifts before the relation constraints run
+    by_size: dict[int, list[list[int]]] = {}
+    for vectors in distinct:
+        by_size.setdefault(len(vectors), []).append(list(vectors))
+    groups = [np.array(by_size[size]) for size in sorted(by_size)]
+    pairs = len(sums) * (len(sums) - 1) // 2
+    limit = max((n - 1) * pairs, int(sums.max() - sums.min()))
+    excluded = prod(L)
+    for q in itertools.count(2):
+        if gcd(q, excluded) > 1:
+            continue
+        t = np.arange(q if n > 1 else 1)  # with one letter every t gives the shift 1
+        curve = np.ones((n, len(t)), dtype=np.int64)
+        for j in range(1, n):
+            curve[j] = curve[j - 1] * t % q
+        # each clause vector's value at each t; a narrow dtype keeps the
+        # gathers below small
+        values = (sums @ curve % q).astype(np.min_scalar_type(q - 1))
+        for rows in groups:
+            at = values[rows]
+            survive = (at != at[:, :1]).any(axis=1).all(axis=0)
+            t, values = t[survive], values[:, survive]
+        if t.size:
+            shifts = [pow(int(t[0]), j, q) for j in range(n)]
+            images = tuple(tuple((x + s) % q for x in range(q)) for s in shifts)
+            return FiniteQuotient(n, q, q, images, f"Z/{q}")
+        if q > limit and is_prime(q):
+            raise PostconditionError(
+                f"no shift on the moment curve mod the prime {q} past the bound {limit}",
+                q=q,
+            )
+
+
+def _product_tier(
+    constraints: Sequence[Constraint], n: int, L: frozenset, bound: int, seed: int
+) -> FiniteQuotient:
+    """The product tier of :func:`separate_coset_system`, before its final
+    check."""
     q = FiniteQuotient.trivial(n)
     factors: list[FiniteQuotient] = []
     ladder = []
@@ -911,12 +1012,4 @@ def separate_coset_system(
             q = trial
         else:
             keep[i] = True
-    for index, cons in enumerate(constraints):
-        if not constraint_satisfied(q, cons):
-            raise SearchCapError(
-                f"constraint {index} failed in the assembled product",
-                constraint_index=index,
-            )
-    if prime_factors(q.order) & L:
-        raise PostconditionError("product order picked up an excluded prime", order=q.order)
     return q

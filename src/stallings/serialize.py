@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, islice
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from .covers import CoverDescription
 from .errors import InputError
@@ -196,7 +196,7 @@ def graph_from_dict(d: Mapping) -> LabeledGraph:
     vertices = [_freeze(v) for v in raw_vertices]
     edges = []
     for item in raw_edges:
-        if not isinstance(item, Sequence) or len(item) != 3:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise InputError(f"edge {item!r} is not a [src, dst, label] triple")
         u, v, lab = item
         edges.append((_freeze(u), _freeze(v), parse_letter(lab, n)))
@@ -227,14 +227,14 @@ def cocycle_from_value(base: LabeledGraph, p: int, value) -> CoverDescription:
             shifts[parse_letter(k, base.n)] = _integer(v, "cocycle value")
         values = {e: shifts.get(e[2], 0) for e in base.edges}
         return CoverDescription.from_dict(base, p, values)
-    if isinstance(value, Sequence) and not isinstance(value, str):
+    if isinstance(value, (list, tuple)):
         given = {}
         edge_set = set(base.edges)
         for item in value:
-            if not isinstance(item, Sequence) or len(item) != 2:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise InputError(f"cocycle entry {item!r} is not an [edge, value] pair")
             raw_edge, val = item
-            if not isinstance(raw_edge, Sequence) or len(raw_edge) != 3:
+            if not isinstance(raw_edge, (list, tuple)) or len(raw_edge) != 3:
                 raise InputError(f"cocycle edge {raw_edge!r} is not a triple")
             e = (
                 _freeze(raw_edge[0]),
@@ -310,7 +310,7 @@ def hypertournament_from_dict(d: Mapping) -> Hypertournament:
             raise InputError(f"relation {key!r} is not a list of tuples")
         rows = []
         for t in tuples:
-            if not isinstance(t, Sequence) or isinstance(t, str):
+            if not isinstance(t, (list, tuple)):
                 raise InputError(f"relation tuple {t!r} is not a list")
             rows.append(tuple(_freeze(x) for x in t))
         relations[l] = rows
@@ -406,7 +406,7 @@ def extension_from_dict(d: Mapping) -> ExtensionResult:
         raise InputError(f"extension JSON is missing a field: {exc}") from exc
     embedding = []
     for item in raw_embedding:
-        if not isinstance(item, Sequence) or len(item) != 2:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise InputError(f"embedding entry {item!r} is not a pair")
         embedding.append((_freeze(item[0]), _freeze(item[1])))
     autos = []
@@ -415,7 +415,7 @@ def extension_from_dict(d: Mapping) -> ExtensionResult:
             raise InputError(f"automorphism {pairs!r} is not a list of pairs")
         rows = []
         for item in pairs:
-            if not isinstance(item, Sequence) or len(item) != 2:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise InputError(f"automorphism entry {item!r} is not a pair")
             rows.append((_freeze(item[0]), _freeze(item[1])))
         autos.append(tuple(sorted(rows, key=lambda kv: _label_key(kv[0]))))

@@ -446,6 +446,37 @@ def oracle_constraint_satisfied(q, constraint) -> bool:
     return common is not None and not common
 
 
+def oracle_cyclic_quotient(constraints, L, max_q: int = 1_000):
+    """The cyclic tier of ``separability.separate_coset_system`` by brute
+    force, for systems whose clause generators are all trivial. None when
+    some constraint's clause words all have one exponent-sum vector (no
+    abelian quotient tells them apart); else the first Z/q, q = 2, 3, ...
+    prime to every l in L, with the first t = 0, ..., q - 1, whose letter
+    shifts 1, t, ..., t^(k-1) mod q satisfy every constraint. Each candidate
+    is built as permutations and checked by ``oracle_constraint_satisfied``."""
+    from stallings.separability import FiniteQuotient
+
+    n = max(word.n for cons in constraints for word, _ in cons)
+
+    def sums(word) -> tuple:
+        out = [0] * n
+        for t in word:
+            out[abs(t) - 1] += 1 if t > 0 else -1
+        return tuple(out)
+
+    if any(len({sums(word) for word, _ in cons}) == 1 for cons in constraints):
+        return None
+    for q in range(2, max_q + 1):
+        if any(q % l == 0 for l in L):
+            continue
+        for t in range(q):
+            images = tuple(tuple((x + pow(t, j, q)) % q for x in range(q)) for j in range(n))
+            quotient = FiniteQuotient(n, q, q, images, f"Z/{q}")
+            if all(oracle_constraint_satisfied(quotient, c) for c in constraints):
+                return quotient
+    raise ValueError(f"no cyclic quotient up to Z/{max_q}")
+
+
 def oracle_eppa_constraints(points, w, h0, relations) -> list:
     """The constraint list ``eppa_extend`` hands to ``separate_coset_system``,
     built as it was before the word memo: every word of every clause

@@ -99,17 +99,19 @@ _LETTERS5 = [
 ]
 
 # Output digests of eppa-extend, taken from the tuple-at-a-time
-# implementation that tuple codes replaced.
+# implementation that tuple codes replaced. transitive4 and triples4 were
+# re-pinned when trivial-generator coset systems got one cyclic quotient
+# (27 and 8 points before, 7 after); the others are product-tier cases.
 _EPPA_CASES = {
     "transitive4": (
         [0, 1, 2, 3], 2, [[i, j] for i in range(4) for j in range(i + 1, 4)],
-        [{"map": {"0": 3}}], 27,
-        "28fa01849d6b0d61a4237d498fa4701d43f9d8f5040fd1082e62fc111ae3e8f1",
+        [{"map": {"0": 3}}], 7,
+        "94ef230eaeb8a7d99c2624ecc6c3869673d39722b97886af36cf2e3f47b5713a",
     ),
     "triples4": (
         [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-        [{"map": {"0": 3}}], 8,
-        "dd74638f55a823ca6900bf4dca7f5dbbde9c2a00b26980951f163b33470f6c73",
+        [{"map": {"0": 3}}], 7,
+        "b5c505fda791ee16dbfe5265c457b9a7853cea19f487a0d82418f2abb5bf8e5d",
     ),
     "letters5": (
         ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 27,
@@ -144,10 +146,14 @@ def test_eppa_extend_output_is_pinned(tmp_path, name):
 def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     # The text of a large extension goes out in bounded blocks: blocks of
     # thousands of rows raised the peak RSS of the eppa benchmark workloads.
+    # The map sends 0 -> 1 along an arc and 3 -> 2 against one. In an
+    # abelian quotient the map is a translation, so the translation taking 0
+    # to 3 takes the arc (0, 1) onto the non-arc (3, 2): no abelian quotient
+    # serves the system, and the product tier makes 81 points.
     universe = list(range(6))
     relation = [[i, j] for i in universe for j in universe if i < j]
     structure = _structure_file(tmp_path, universe, 2, relation)
-    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1, "1": 2}}])
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1, "3": 2}}])
     blocks = []
     echo = click.echo
 
@@ -175,7 +181,7 @@ def test_verify_extension_rejects_a_tampered_extension(tmp_path):
     assert _invoke("eppa-extend", structure, maps_path, "--out", str(out)).exit_code == 0
     result = _invoke("verify-extension", structure, maps_path, str(out))
     assert result.exit_code == 0, result.output
-    assert json.loads(result.stdout) == {"verified": True, "size": 27}
+    assert json.loads(result.stdout) == {"verified": True, "size": 7}
 
     extension = json.loads(out.read_text())
     points = extension["extended"]["universe"]
@@ -183,7 +189,7 @@ def test_verify_extension_rejects_a_tampered_extension(tmp_path):
     out.write_text(json.dumps(extension))
     result = _invoke("verify-extension", structure, maps_path, str(out))
     assert result.exit_code == 1, result.output
-    assert json.loads(result.stdout) == {"verified": False, "size": 27}
+    assert json.loads(result.stdout) == {"verified": False, "size": 7}
 
 
 def test_validate_reports_the_smallest_violation(tmp_path):

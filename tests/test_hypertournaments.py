@@ -203,7 +203,7 @@ def test_eppa_extend_over_mixed_label_types():
     fam = make_family(m, [{1: 2}])
     result = eppa_extend(m, fam)
     assert verify_extension(result, m, fam)
-    assert len(result.extended.universe) == 9
+    assert len(result.extended.universe) == 5
 
 
 def test_eppa_extend_refuses_non_subtadpole_families():
@@ -235,13 +235,34 @@ def test_verify_extension_catches_tampering():
     )
     assert not verify_extension(broken, m, fam)
 
-    # a bijection that still extends the map but moves the relation
+    # a bijection that still extends the map but moves the relation:
+    # swapping the images of two points other than e[0] composes the
+    # automorphism with a transposition, which reverses the arc between them
     auto = dict(result.automorphisms[0])
-    used = set(e.values()) | {auto[v] for v in e.values()}
-    u, v = [x for x in result.extended.universe if x not in used][:2]
+    u, v = [x for x in result.extended.universe if x != e[0]][:2]
     auto[u], auto[v] = auto[v], auto[u]
+    assert auto[e[0]] == e[3]
     swapped = dataclasses.replace(result, automorphisms=(tuple(sorted(auto.items())),))
     assert not verify_extension(swapped, m, fam)
+
+
+def test_ten_point_tournament_with_a_two_pair_map_stays_small():
+    # Seed 10 draws a map that one cyclic quotient serves (97 points); a
+    # product of one library witness per constraint made 2,187 of it.
+    from stallings.suite import random_tournament
+
+    rng = random.Random(10)
+    m = random_tournament(rng, range(10))
+    while True:
+        a, b, c, d = rng.sample(range(10), 4)
+        try:
+            fam = make_family(m, [{a: c, b: d}])
+            break
+        except NotPartialIsomorphismError:
+            continue
+    result = eppa_extend(m, fam)
+    assert len(result.extended.universe) < 200
+    assert verify_extension(result, m, fam)
 
 
 def _random_partial_injection(rng: random.Random, points: list) -> dict:

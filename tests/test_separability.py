@@ -297,13 +297,19 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
     return systems
 
 
+def _product_tier(constraints, L):
+    """The product tier of separate_coset_system alone, on any system."""
+    n = max(w.n for cons in constraints for clause in cons for w in clause if w is not None)
+    return separability._product_tier(constraints, n, frozenset(L), 500_000, 0)
+
+
 def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
     systems = _coset_systems(monkeypatch)
     assert len(systems) == 4 and min(len(cons) for cons, _ in systems) >= 10
-    got = [separate_coset_system(cons, L) for cons, L in systems]
+    got = [_product_tier(cons, L) for cons, L in systems]
     monkeypatch.setattr(separability, "constraint_satisfied", oracles.oracle_constraint_satisfied)
     for (cons, L), q in zip(systems, got):
-        expected = separate_coset_system(cons, L)
+        expected = _product_tier(cons, L)
         assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
 
 
@@ -313,7 +319,7 @@ def test_pruning_trials_match_the_pairwise_products(monkeypatch):
     systems = _coset_systems(monkeypatch, 11) + _coset_systems(monkeypatch, 13)
     kept_all = set()
     for cons, L in systems:
-        q = separate_coset_system(cons, L)
+        q = _product_tier(cons, L)
         expected, keep = oracles.oracle_separate_coset_system(cons, L)
         assert (q.images, q.degree, q.order, q.name) == (
             expected.images, expected.degree, expected.order, expected.name
@@ -321,6 +327,64 @@ def test_pruning_trials_match_the_pairwise_products(monkeypatch):
         if len(keep) > 1:
             kept_all.add(all(keep))
     assert kept_all == {True, False}
+
+
+def _trivial_generator_system(rng) -> list:
+    """Up to eight constraints of two or three distinct random words over
+    one to three letters, every clause generator trivial. Now and then a
+    constraint is a word and that word times a commutator, which no abelian
+    quotient tells apart."""
+    n = rng.randint(1, 3)
+    out = []
+    for _ in range(rng.randint(1, 8)):
+        w = _random_word(rng, 4, n)
+        if n > 1 and rng.random() < 0.1:
+            u, v = _random_word(rng, 2, n), _random_word(rng, 2, n)
+            words = {w, w * u * v * u.inverse() * v.inverse()}
+        else:
+            size = rng.randint(2, 3)
+            words = {w}
+            while len(words) < size:
+                words.add(_random_word(rng, 4, n))
+        if len(words) > 1:
+            out.append(tuple((w, None) for w in sorted(words)))
+    return out or [((_w("a", n), None), (empty_word(n), None))]
+
+
+def test_cyclic_tier_matches_the_brute_force_oracle(monkeypatch):
+    systems = _coset_systems(monkeypatch, 11)
+    rng = random.Random(4001)
+    systems += [
+        (_trivial_generator_system(rng), frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))
+        for _ in range(60)
+    ]
+    served = set()
+    for cons, L in systems:
+        q = separate_coset_system(cons, L)
+        expected = oracles.oracle_cyclic_quotient(cons, L)
+        if expected is None:
+            expected = _product_tier(cons, L)
+        assert (q.images, q.degree, q.order, q.name) == (
+            expected.images, expected.degree, expected.order, expected.name
+        ), cons
+        assert all(oracles.oracle_constraint_satisfied(q, c) for c in cons)
+        assert not prime_factors(q.order) & L
+        served.add(q.name.startswith("Z/") and q.order == q.degree)
+    assert served == {True, False}
+
+
+def test_systems_outside_the_cyclic_tier_take_the_product_unchanged():
+    # ab and ba have one exponent-sum vector, so no abelian quotient
+    # separates them; the second constraint alone Z/3 would serve
+    obstructed = [((_w("ab"), None), (_w("ba"), None)), ((_w("a"), None), (_w("b"), None))]
+    with_generator = [_non_membership(_w("b"), _w("a")), ((_w("a"), None), (_w("b"), None))]
+    for cons in (obstructed, with_generator):
+        q = separate_coset_system(cons, [2])
+        expected = _product_tier(cons, [2])
+        assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
+        assert all(constraint_satisfied(q, c) for c in cons)
+    assert "Heis(3)" in separate_coset_system(obstructed, [2]).name
+    assert separate_coset_system(obstructed[1:], [2]).name == "Z/3"
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -337,11 +401,12 @@ def test_direct_product_of_three_is_the_nested_product(p):
 # -- the Cayley-table search ----------------------------------------------------------
 
 
-def _random_word(rng, max_len: int) -> Word:
+def _random_word(rng, max_len: int, n: int = 2) -> Word:
+    signed = [t for k in range(1, n + 1) for t in (k, -k)]
     letters: list[int] = []
     for _ in range(rng.randint(0, max_len)):
-        letters.append(rng.choice([t for t in (1, -1, 2, -2) if not letters or t != -letters[-1]]))
-    return Word(tuple(letters), 2)
+        letters.append(rng.choice([t for t in signed if not letters or t != -letters[-1]]))
+    return Word(tuple(letters), n)
 
 
 def _commutator(rng) -> Word:
