@@ -7,7 +7,11 @@ scalars; tuple labels (cover sheets, product pairs) are written as nested
 lists and frozen back into tuples on read, since JSON has no tuple type.
 
 Hypertournaments: {"L": [2], "universe": [...], "relations": {"2":
-[[x, y], ...]}}. Partial map families: [{"map": {"0": "1"}}, ...]; object
+[[x, y], ...]}}. ``hypertournament_to_dict`` and ``extension_to_dict``
+return a payload for ``json_blocks``: each relation's rows there are one
+read-only ``RelationRows`` value, which ``json_blocks`` writes without making
+a Python list per row; call its ``.tolist()`` for plain lists (``json.dumps``
+does not take it). Partial map families: [{"map": {"0": "1"}}, ...]; object
 keys are always strings in JSON, so keys are matched against the universe
 first verbatim and then through a JSON parse (which also restores integer
 labels).
@@ -16,8 +20,11 @@ labels).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Any, Iterator, Mapping
+
+import numpy as np
 
 from .covers import CoverDescription
 from .errors import InputError
@@ -34,8 +41,8 @@ from .hypertournaments import (
     ExtensionResult,
     Hypertournament,
     PartialAutomorphismFamily,
+    _decode,
     _label_key,
-    code_labels,
     make_family,
     make_hypertournament,
 )
@@ -100,11 +107,13 @@ def json_blocks(payload) -> Iterator[str]:
     blocks of at most BLOCK_CHARS characters or one piece.
 
     With ``indent`` set, the json module encodes in pure Python, one call
-    per value. Here dicts whose keys are all strings are walked, lists of
-    plain ints (``type(x) is int``, so no bools) and lists of equal-width
-    rows of them are formatted by one ``%d`` template per piece, and every
-    other subtree goes to the json module, its line breaks indented to the
-    depth it sits at (JSON strings never hold a raw newline)."""
+    per value. Here dicts whose keys are all strings are walked, a
+    ``RelationRows`` value is written as its ``.tolist()`` would be, from a
+    table of its labels' texts, lists of plain ints (``type(x) is int``, so
+    no bools) and lists of equal-width rows of them are formatted by one
+    ``%d`` template per piece, and every other subtree goes to the json
+    module, its line breaks indented to the depth it sits at (JSON strings
+    never hold a raw newline)."""
     buffer: list[str] = []
     size = 0
     for piece in _pieces(payload, 0):
@@ -123,6 +132,9 @@ def _pieces(value, level: int) -> Iterator[str]:
             yield ("{" if i == 0 else ",") + outer + _ENCODER.encode(key) + ": "
             yield from _pieces(value[key], level + 1)
         yield "\n" + "  " * level + "}"
+        return
+    if type(value) is RelationRows:
+        yield from _rows_text(value, level)
         return
     width = _int_array_width(value) if type(value) is list else None
     if width is not None:
@@ -165,6 +177,49 @@ def _int_array(value: list, width: int, level: int) -> Iterator[str]:
         args = tuple(chain.from_iterable(chunk)) if width else tuple(chunk)
         head = "[" if start == 0 else ","
         yield head + outer + ("," + outer).join([item] * len(chunk)) % args
+    yield "\n" + "  " * level + "]"
+
+
+@dataclass(frozen=True, eq=False)
+class RelationRows:
+    """One relation's rows as they are written: ``digits[r, k]`` is the
+    position in ``labels`` of entry k of row r. Read-only, so a payload can
+    be written more than once."""
+
+    labels: tuple
+    digits: np.ndarray  # (m, l) integer array
+
+    def __post_init__(self):
+        self.digits.setflags(write=False)
+
+    def tolist(self) -> list:
+        """The rows as lists of labels."""
+        labels = self.labels
+        return [[labels[i] for i in row] for row in self.digits.tolist()]
+
+
+def _rows_text(rows: RelationRows, level: int) -> Iterator[str]:
+    """The text of ``rows.tolist()`` at a depth, BLOCK_ITEMS entries per
+    piece. Each entry is looked up in a table holding, per column and label,
+    the label's text with the separator and brackets around it, so a piece
+    is one gather and one join whatever the labels' types."""
+    m, width = rows.digits.shape
+    if m == 0:
+        yield "[]"
+        return
+    outer = "\n" + "  " * (level + 1)
+    inner = outer + "  "
+    texts = [_ENCODER.encode(v).replace("\n", inner) for v in rows.labels]
+    table = np.empty((width, len(texts)), dtype=object)
+    for k in range(width):
+        before = "," + outer + "[" + inner if k == 0 else "," + inner
+        after = outer + "]" if k == width - 1 else ""
+        table[k] = [before + t + after for t in texts]
+    columns = np.arange(width)
+    step = max(1, BLOCK_ITEMS // width)
+    for start in range(0, m, step):
+        piece = "".join(table[columns, rows.digits[start : start + step]].ravel())
+        yield "[" + piece[1:] if start == 0 else piece
     yield "\n" + "  " * level + "]"
 
 
@@ -276,11 +331,13 @@ def parse_cocycle_text(text: str) -> dict:
 
 
 def hypertournament_to_dict(h: Hypertournament) -> dict:
-    """Relation rows come in tuple-code order, which is the order of
-    ``_label_key`` on every entry in turn."""
-    labels = [_thaw(x) for x in h.universe]
+    """A payload for ``json_blocks``. Relation rows are ``RelationRows`` in
+    tuple-code order, which is the order of ``_label_key`` on every entry in
+    turn."""
+    labels = tuple(_thaw(x) for x in h.universe)
+    n = len(labels)
     relations = {
-        str(l): code_labels(codes, labels, l).tolist() for l, codes in h.codes.items()
+        str(l): RelationRows(labels, _decode(codes, n, l)) for l, codes in h.codes.items()
     }
     return {
         "L": sorted(h.L),

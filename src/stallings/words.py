@@ -45,6 +45,11 @@ class Word:
                 raise InputError(
                     f"word {self.letters} is not freely reduced at {a}, {b}"
                 )
+        # words key the coset memos, so the hash is computed once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.letters, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- construction ----------------------------------------------------
 

@@ -13,8 +13,12 @@ from click.testing import CliRunner
 from stallings import (
     RootClosureResult,
     Word,
+    eppa_extend,
+    extension_to_dict,
     graph_to_dict,
     hypertournaments,
+    make_family,
+    make_hypertournament,
     separability,
     subgroup_graph,
 )
@@ -171,6 +175,16 @@ def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     assert "".join(blocks) == text and result.stdout == text + "\n"
     assert len(blocks) > len(text) // BLOCK_CHARS >= 1
     assert max(map(len, blocks)) <= BLOCK_CHARS
+
+    # --out walks the same payload a second time
+    out = tmp_path / "extension.json"
+    result = _invoke("eppa-extend", structure, maps_path, "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == result.stdout == text + "\n"
+    m = make_hypertournament(universe, [2], {2: relation})
+    extension = eppa_extend(m, make_family(m, [{0: 1, 3: 2}]), bound=500_000, seed=0)
+    rows = extension_to_dict(extension)["extended"]["relations"]["2"]
+    assert payload["extended"]["relations"]["2"] == rows.tolist()
 
 
 def test_verify_extension_rejects_a_tampered_extension(tmp_path):

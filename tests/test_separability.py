@@ -272,6 +272,25 @@ def test_coset_memo_matches_the_oracle(p, monkeypatch):
     assert verdicts == {True, False}
 
 
+def test_equal_words_share_one_coset_memo_entry(monkeypatch):
+    q = FiniteQuotient.create(2, [(1, 2, 0), (1, 0, 2)], "S3")
+    a, b = Word.parse("a", 2), Word.parse("b", 2)
+    built = [
+        Word.parse("abA"),
+        a * b * a.inverse(),
+        Word((1, 2, -1), 2),
+        Word.parse("abbBA", 2) * Word.parse("aBbA"),
+        (a * b.inverse() * a.inverse()).inverse(),
+    ]
+    assert len(set(built)) == 1 and len({hash(w) for w in built}) == 1
+    assert built[0] != Word.parse("aBA") and built[0] != Word((1, 2, -1), 3)
+    assert sorted([Word.parse("ba"), built[1], Word.parse("aB")]) == [Word.parse("aB"), built[0], Word.parse("ba")]
+    first = q.coset(built[0], None)
+    monkeypatch.setattr(FiniteQuotient, "evaluate", _no_evaluation)
+    assert all(q.coset(w, None) is first for w in built)
+    assert q._cosets.keys() == {(built[0], None)}
+
+
 def _coset_systems(monkeypatch, seed: int = 11) -> list:
     """The constraint systems eppa_extend hands to separate_coset_system on
     seeded tournaments and 3-hypertournaments, each with a one-pair map."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from stallings import (
 )
 from stallings.graphs import make_graph
 from stallings.hypertournaments import _iso_violation
-from stallings.serialize import BLOCK_CHARS, BLOCK_ITEMS, json_blocks
+from stallings.serialize import BLOCK_CHARS, BLOCK_ITEMS, RelationRows, json_blocks
 
 _LABELS = [0, 1, 2, 10, "a", "b", "x1", (0, 1), (1, "a"), (2, 0, 1)]
 
@@ -105,6 +106,16 @@ def test_json_blocks_join_to_the_stdlib_text(payload):
     )
 
 
+def _mismatch(text: str, expected: str):
+    """None when the texts agree, else where they first differ: pytest's
+    diff of two long texts takes minutes."""
+    if text == expected:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), None)
+    i = min(len(text), len(expected)) if i is None else i
+    return i, text[max(0, i - 40) : i + 40], expected[max(0, i - 40) : i + 40]
+
+
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5])
 def test_json_blocks_split_int_arrays_on_block_boundaries(width):
     step = BLOCK_ITEMS // (width or 1)
@@ -114,8 +125,45 @@ def test_json_blocks_split_int_arrays_on_block_boundaries(width):
             rows = [[x + k for k in range(width)] for x in rows]
         payload = {"rows": rows, "z": [rows]}
         blocks = list(json_blocks(payload))
-        assert "".join(blocks) == json.dumps(payload, indent=2, sort_keys=True)
+        assert _mismatch("".join(blocks), json.dumps(payload, indent=2, sort_keys=True)) is None
         assert max(len(b) for b in blocks) <= BLOCK_CHARS
+
+
+# tuple labels are written as (nested) lists
+_TUPLE_LABELS = st.recursive(
+    st.lists(_INTS | _TEXT, max_size=3), lambda inner: st.lists(inner | _INTS, max_size=3), max_leaves=6
+)
+_UNIVERSES = st.lists(_INTS, min_size=1, max_size=6) | st.lists(
+    _INTS | _TEXT | _TUPLE_LABELS, min_size=1, max_size=6
+)
+
+
+@st.composite
+def _relation_rows(draw):
+    labels = tuple(draw(_UNIVERSES))
+    width = draw(st.integers(1, 5))
+    step = BLOCK_ITEMS // width
+    count = max(0, draw(st.integers(0, 2)) * step + draw(st.sampled_from([-1, 0, 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return RelationRows(labels, rng.integers(0, len(labels), (count, width)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relation_rows())
+def test_relation_rows_are_written_as_their_lists(rows):
+    plain = {"L": [2], "universe": list(rows.labels), "relations": {"2": rows.tolist()}}
+    payload = {"L": [2], "universe": list(rows.labels), "relations": {"2": rows}}
+    for value, expected in ((payload, plain), ({"outer": {"inner": payload}}, {"outer": {"inner": plain}})):
+        blocks = list(json_blocks(value))
+        text = "".join(blocks)
+        assert _mismatch(text, json.dumps(expected, indent=2, sort_keys=True)) is None
+        assert _mismatch("".join(json_blocks(value)), text) is None  # a second walk
+        if all(type(v) is int for v in rows.labels):
+            assert max(map(len, blocks)) <= BLOCK_CHARS
+    assert _mismatch("".join(json_blocks(rows)), json.dumps(rows.tolist(), indent=2)) is None
+    assert not rows.digits.flags.writeable
+    empty = RelationRows(rows.labels, np.zeros((0, rows.digits.shape[1]), dtype=np.int32))
+    assert "".join(json_blocks({"2": empty})) == '{\n  "2": []\n}'
 
 
 # -- graphs over large alphabets --------------------------------------------------------
