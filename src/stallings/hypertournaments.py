@@ -555,59 +555,33 @@ class ExtensionResult:
         return tuple(dict(pairs) for pairs in self.automorphisms)
 
 
-def _connect_family(
-    p: PartialAutomorphismFamily,
-) -> tuple[PartialAutomorphismFamily, LabeledGraph, tuple[str, ...]]:
-    """Extended family, its graph, which is connected, and notes on what was
-    added. Components are chained end to end through low-degree vertices,
-    with the unique cyclic or branched component (if any) attached last."""
-    maps = [dict(pairs) for pairs in p.maps]
-    notes: list[str] = []
-    while True:
-        connected = make_family(p.host, maps)
-        g = family_graph(connected)
-        comps = g.component_lists
-        if len(comps) <= 1:
-            break
-        special = []
-        plain = []
-        for comp in comps:
-            edges = sum(1 for e in g.edges if e[0] in comp)
-            has_cycle = edges >= len(comp)
-            has_branch = any(g.degrees[v] >= 3 for v in comp)
-            (special if has_cycle or has_branch else plain).append(comp)
-        if len(special) > 1:
-            raise NotSubtadpoleError(
-                "multiple components with cycles or branch vertices cannot be "
-                "joined while keeping every vertex group cyclic"
-            )
-        # with at most one special component and >= 2 components total, the
-        # first chain element is always a line or a point
-        order = plain + special
-        a, b = order[0], order[1]
-        u = min((x for x in a if g.degrees[x] <= 1), key=_label_key)
-        v = min(
-            (x for x in b if g.degrees[x] <= 1),
-            key=_label_key,
-            default=min(b, key=_label_key),
+def _connect_family(g: LabeledGraph) -> tuple[LabeledGraph, tuple[str, ...]]:
+    """The family graph g joined into one component, and one note per join.
+
+    Components are chained end to end, each entered at its least vertex of
+    degree at most 1 and left at its greatest, with the unique cyclic or
+    branched component (if any) last. Each join is a connector map of one
+    pair under a fresh letter: a one-pair map is a partial isomorphism at
+    every arity >= 2, and the input maps stay as they are, so a join forces
+    no new equal exponent-sum difference, the abelian obstruction."""
+    plain, special = [], []
+    for comp in g.component_lists:
+        inside = set(comp)
+        arcs = sum(1 for u, _, _ in g.edges if u in inside)
+        is_path = arcs < len(comp) and max(g.degrees[x] for x in comp) <= 2
+        (plain if is_path else special).append(sorted(comp, key=_label_key))
+    if len(special) > 1:
+        raise NotSubtadpoleError(
+            "multiple components with cycles or branch vertices cannot be "
+            "joined while keeping every vertex group cyclic"
         )
-        added = False
-        if maps:
-            last = maps[-1]
-            for src, dst in ((u, v), (v, u)):
-                if src in last or dst in set(last.values()):
-                    continue
-                candidate = dict(last)
-                candidate[src] = dst
-                if _iso_violation(p.host, candidate) is None:
-                    maps[-1] = candidate
-                    notes.append(f"extended map {len(maps) - 1} by {src!r} -> {dst!r}")
-                    added = True
-                    break
-        if not added:
-            maps.append({u: v})
-            notes.append(f"added connector map {len(maps) - 1}: {u!r} -> {v!r}")
-    return connected, g, tuple(notes)
+    chain = [[x for x in comp if g.degrees[x] <= 1] or comp for comp in plain + special]
+    edges = list(g.edges)
+    notes = []
+    for letter, (a, b) in enumerate(zip(chain, chain[1:]), start=g.n + 1):
+        edges.append((a[-1], b[0], letter))
+        notes.append(f"added connector map {letter - 1}: {a[-1]!r} -> {b[0]!r}")
+    return make_graph(g.n + len(notes), g.vertices, edges), tuple(notes)
 
 
 def eppa_extend(
@@ -645,10 +619,10 @@ def eppa_extend(
     g0 = family_graph(p)
     if not is_subtadpole(g0):
         raise NotSubtadpoleError("family graph has too many branch vertices")
-    connected, graph, notes = _connect_family(p)
+    graph, notes = _connect_family(g0)
     if not is_subtadpole(graph):
         raise NotSubtadpoleError("connecting the family graph broke the subtadpole shape")
-    k = max(len(connected.maps), 1)
+    k = graph.n
 
     points = m.universe  # in label order, so tuple codes list tuples in label order
     n = len(points)

@@ -860,30 +860,21 @@ def separate_coset_system(
     """One finite quotient, of order prime to every l in L, in which every
     constraint's coset intersection is empty.
 
-    Two tiers, the first that applies wins:
+    When there are constraints and every clause generator is trivial, each
+    coset is one element and a constraint holds exactly when its clause
+    words do not all have one image. In an abelian quotient a word's image
+    depends only on its exponent-sum vector, so a constraint whose clause
+    vectors are all equal over Z (it is Z-obstructed) holds in no abelian
+    quotient. The quotient is then N x Z/q: N is the product tier run on
+    the Z-obstructed constraints alone, and Z/q the cyclic tier run on the
+    constraints N leaves unsatisfied (N alone, or Z/q alone, when the other
+    has nothing left to do). A constraint satisfied in one factor stays
+    satisfied in a product. Otherwise the product tier serves every
+    constraint.
 
-    - Cyclic, when there are constraints and every clause generator is
-      trivial, so that each coset is one element. In Z/q with letter shifts
-      s, a word maps to a . s, where a is its exponent-sum vector; a
-      constraint holds exactly when some difference d = a_i - a_1 of its
-      clause vectors has d . s != 0 mod q. A constraint whose clause vectors
-      are all equal over Z holds in no abelian quotient (it is
-      Z-obstructed), and one such constraint sends the system to the
-      product tier. Otherwise q runs over 2, 3, ... coprime to L, and the
-      shifts over the moment curve s = (1, t, ..., t^(k-1)) mod q,
-      t = 0, ..., q - 1, for k letters; the first Z/q that satisfies every
-      constraint is returned. A nonzero d makes d . s a polynomial in t of
-      degree < k, nonzero mod a prime q above every |d_j|. With V distinct
-      clause vectors there are at most V(V - 1)/2 such polynomials up to
-      sign, so a prime q not in L above both (k - 1) * V(V - 1)/2 and every
-      |d_j| leaves some t that is a root of none: the search ends there at
-      the latest.
-    - Product: constraint by constraint, a direct product of individual
-      library witnesses; satisfied constraints stay satisfied under
-      products. Factors made redundant by later, stronger ones are pruned,
-      largest first.
-
-    Every constraint is re-verified against the returned quotient.
+    Every constraint is re-verified against the returned quotient; with
+    trivial generators this compares the images of each distinct clause
+    word, evaluated once.
     """
     L = frozenset(L)
     for l in sorted(L):
@@ -891,52 +882,74 @@ def separate_coset_system(
             raise InputError(f"{l} in L is not prime")
     ns = [w.n for cons in constraints for cl in cons for w in cl if w is not None]
     n = max(ns, default=1)
-    q = None
     if constraints and all(g is None for cons in constraints for _, g in cons):
-        q = _cyclic_tier(constraints, n, L)
-    if q is None:
-        q = _product_tier(constraints, n, L, bound, seed)
-    for index, cons in enumerate(constraints):
-        if not constraint_satisfied(q, cons):
-            raise SearchCapError(
-                f"constraint {index} fails in {q.name}",
-                constraint_index=index,
-            )
+        sets, sums = _clause_values(constraints, partial(_letter_sums, n=n))
+        obstructed = [(i, cons) for i, (cons, s) in enumerate(zip(constraints, sets)) if len(s) < 2]
+        rest = [(cons, s) for cons, s in zip(constraints, sets) if len(s) > 1]
+        factors = []
+        if obstructed:
+            factors.append(_product_tier(obstructed, n, L, bound, seed))
+            held, _ = _clause_values([cons for cons, _ in rest], factors[0].evaluate)
+            rest = [r for r, h in zip(rest, held) if len(h) < 2]
+        if rest:
+            factors.append(_cyclic_tier([s for _, s in rest], sums, n, L))
+        q = direct_product(*factors)
+        images, _ = _clause_values(constraints, q.evaluate)
+        failing = (i for i, ids in enumerate(images) if len(ids) < 2)
+    else:
+        q = _product_tier(list(enumerate(constraints)), n, L, bound, seed)
+        failing = (i for i, cons in enumerate(constraints) if not constraint_satisfied(q, cons))
+    index = next(failing, None)
+    if index is not None:
+        raise SearchCapError(f"constraint {index} fails in {q.name}", constraint_index=index)
     if prime_factors(q.order) & L:
         raise PostconditionError("quotient order picked up an excluded prime", order=q.order)
     return q
 
 
-def _cyclic_tier(
-    constraints: Sequence[Constraint], n: int, L: frozenset
-) -> FiniteQuotient | None:
-    """The cyclic tier of :func:`separate_coset_system`: the first Z/q on the
-    moment curve, or None when some constraint is Z-obstructed.
-
-    Each constraint comes down to the set of its clauses' distinct
-    exponent-sum vectors, and holds at a shift when their values differ."""
-    # words are keyed by identity: the clauses of a system share a few word
-    # objects, and all of them live as long as the constraints do
-    row_of_word: dict[int, int] = {}
-    row_of_sums: dict[tuple[int, ...], int] = {}
-    distinct: set[frozenset[int]] = set()
+def _clause_values(
+    constraints: Sequence[Constraint], value: Callable[[Word], object]
+) -> tuple[list[frozenset[int]], list]:
+    """For each constraint, the ids of the distinct values its clause words
+    take, and the list of those values by id. Words are keyed by identity:
+    the clauses of a system share a few word objects, and all of them live
+    as long as the constraints do."""
+    id_of_word: dict[int, int] = {}
+    id_of_value: dict = {}
+    sets = []
     for cons in constraints:
-        rows = []
+        ids = set()
         for word, _ in cons:
-            row = row_of_word.get(id(word))
-            if row is None:
-                sums = _letter_sums(word, n)
-                row = row_of_word[id(word)] = row_of_sums.setdefault(sums, len(row_of_sums))
-            rows.append(row)
-        vectors = frozenset(rows)
-        if len(vectors) == 1:
-            return None
-        distinct.add(vectors)
-    sums = np.array(list(row_of_sums), dtype=np.int64)
+            i = id_of_word.get(id(word))
+            if i is None:
+                i = id_of_word[id(word)] = id_of_value.setdefault(value(word), len(id_of_value))
+            ids.add(i)
+        sets.append(frozenset(ids))
+    return sets, list(id_of_value)
+
+
+def _cyclic_tier(
+    sets: Sequence[frozenset[int]], sums: Sequence[tuple[int, ...]], n: int, L: frozenset
+) -> FiniteQuotient:
+    """The first Z/q on the moment curve in which every constraint holds,
+    each given as the set of its clauses' distinct exponent-sum vectors
+    (ids into ``sums``), at least two of them.
+
+    In Z/q with letter shifts s, a word maps to a . s, where a is its
+    exponent-sum vector; a constraint holds exactly when some difference
+    d = a_i - a_1 of its clause vectors has d . s != 0 mod q. q runs over
+    2, 3, ... coprime to L, and the shifts over the moment curve
+    s = (1, t, ..., t^(k-1)) mod q, t = 0, ..., q - 1, for k letters. A
+    nonzero d makes d . s a polynomial in t of degree < k, nonzero mod a
+    prime q above every |d_j|. With V distinct clause vectors there are at
+    most V(V - 1)/2 such polynomials up to sign, so a prime q not in L above
+    both (k - 1) * V(V - 1)/2 and every |d_j| leaves some t that is a root
+    of none: the search ends there at the latest."""
+    sums = np.array(sums, dtype=np.int64)
     # fewest vectors first: with eppa_extend's systems, the embedding
     # constraints rule out most shifts before the relation constraints run
     by_size: dict[int, list[list[int]]] = {}
-    for vectors in distinct:
+    for vectors in set(sets):
         by_size.setdefault(len(vectors), []).append(list(vectors))
     groups = [np.array(by_size[size]) for size in sorted(by_size)]
     pairs = len(sums) * (len(sums) - 1) // 2
@@ -968,10 +981,15 @@ def _cyclic_tier(
 
 
 def _product_tier(
-    constraints: Sequence[Constraint], n: int, L: frozenset, bound: int, seed: int
+    numbered: Sequence[tuple[int, Constraint]], n: int, L: frozenset, bound: int, seed: int
 ) -> FiniteQuotient:
     """The product tier of :func:`separate_coset_system`, before its final
-    check."""
+    check, on (index, constraint) pairs; errors name a constraint by its
+    index.
+
+    Constraint by constraint, a direct product of individual library
+    witnesses; satisfied constraints stay satisfied under products. Factors
+    made redundant by later, stronger ones are pruned, largest first."""
     q = FiniteQuotient.trivial(n)
     factors: list[FiniteQuotient] = []
     ladder = []
@@ -980,7 +998,7 @@ def _product_tier(
         p = smallest_prime_not_in(L | seen_p)
         ladder.append(p)
         seen_p.add(p)
-    for index, cons in enumerate(constraints):
+    for index, cons in numbered:
         if constraint_satisfied(q, cons):
             continue
         found = None
@@ -1008,7 +1026,7 @@ def _product_tier(
         trial = direct_product(
             FiniteQuotient.trivial(n), *(f for f, k in zip(factors, keep) if k)
         )
-        if all(constraint_satisfied(trial, cons) for cons in constraints):
+        if all(constraint_satisfied(trial, cons) for _, cons in numbered):
             q = trial
         else:
             keep[i] = True

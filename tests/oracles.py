@@ -446,17 +446,11 @@ def oracle_constraint_satisfied(q, constraint) -> bool:
     return common is not None and not common
 
 
-def oracle_cyclic_quotient(constraints, L, max_q: int = 1_000):
-    """The cyclic tier of ``separability.separate_coset_system`` by brute
-    force, for systems whose clause generators are all trivial. None when
-    some constraint's clause words all have one exponent-sum vector (no
-    abelian quotient tells them apart); else the first Z/q, q = 2, 3, ...
-    prime to every l in L, with the first t = 0, ..., q - 1, whose letter
-    shifts 1, t, ..., t^(k-1) mod q satisfy every constraint. Each candidate
-    is built as permutations and checked by ``oracle_constraint_satisfied``."""
-    from stallings.separability import FiniteQuotient
-
-    n = max(word.n for cons in constraints for word, _ in cons)
+def oracle_z_obstructed(constraint) -> bool:
+    """Whether the clause words of a constraint with trivial generators all
+    have one exponent-sum vector, so that no abelian quotient tells them
+    apart."""
+    n = max(word.n for word, _ in constraint)
 
     def sums(word) -> tuple:
         out = [0] * n
@@ -464,7 +458,21 @@ def oracle_cyclic_quotient(constraints, L, max_q: int = 1_000):
             out[abs(t) - 1] += 1 if t > 0 else -1
         return tuple(out)
 
-    if any(len({sums(word) for word, _ in cons}) == 1 for cons in constraints):
+    return len({sums(word) for word, _ in constraint}) < 2
+
+
+def oracle_cyclic_quotient(constraints, L, max_q: int = 1_000):
+    """The cyclic tier of ``separability.separate_coset_system`` by brute
+    force, for systems whose clause generators are all trivial. None when
+    some constraint is Z-obstructed (``oracle_z_obstructed``); else the
+    first Z/q, q = 2, 3, ... prime to every l in L, with the first
+    t = 0, ..., q - 1, whose letter shifts 1, t, ..., t^(k-1) mod q satisfy
+    every constraint. Each candidate is built as permutations and checked
+    by ``oracle_constraint_satisfied``."""
+    from stallings.separability import FiniteQuotient
+
+    n = max(word.n for cons in constraints for word, _ in cons)
+    if any(oracle_z_obstructed(cons) for cons in constraints):
         return None
     for q in range(2, max_q + 1):
         if any(q % l == 0 for l in L):

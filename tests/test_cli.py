@@ -105,21 +105,30 @@ _LETTERS5 = [
 # Output digests of eppa-extend, taken from the tuple-at-a-time
 # implementation that tuple codes replaced. transitive4 and triples4 were
 # re-pinned when trivial-generator coset systems got one cyclic quotient
-# (27 and 8 points before, 7 after); the others are product-tier cases.
+# (27 and 8 points before, 7 after). All four families with more than one
+# component were re-pinned when components were joined by one-pair
+# connector maps under fresh letters instead of by extending the last map:
+# - letters5 (27 -> 17): map 0 extended by r -> p left two Z-obstructed
+#   constraints, which sent the system to the product (Heis(3)); with fresh
+#   letters none is left and Z/17 serves it;
+# - transitive4 (7 -> 9) and triples4 (7): three letters instead of two; on
+#   transitive4 the first moment-curve quotient over three letters is Z/9;
+# - swap3 (8): the product tier meets one more letter, Z/2 x Z/2 x Z/2
+#   instead of Z/2 x Z/4, and the notes and letter actions change.
 _EPPA_CASES = {
     "transitive4": (
         [0, 1, 2, 3], 2, [[i, j] for i in range(4) for j in range(i + 1, 4)],
-        [{"map": {"0": 3}}], 7,
-        "94ef230eaeb8a7d99c2624ecc6c3869673d39722b97886af36cf2e3f47b5713a",
+        [{"map": {"0": 3}}], 9,
+        "39f7045b0f445c3214d4abf9bcaaa9b4bb760614bca0200fbd1948f840efe6e7",
     ),
     "triples4": (
         [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
         [{"map": {"0": 3}}], 7,
-        "b5c505fda791ee16dbfe5265c457b9a7853cea19f487a0d82418f2abb5bf8e5d",
+        "931824514ff8de8dce14e84a45e4f51e66e08b35c81ef8357a712b1853416535",
     ),
     "letters5": (
-        ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 27,
-        "ec0d307c5eb2e5d3dd04246464830a3df94874e446950d72f2af0047d8ae5729",
+        ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 17,
+        "537c5c2e474ee1a5f9d38132e0f5d30d385801a51d3888b3b29e4cb1cc5c2d40",
     ),
     # the two families below have a nontrivial basepoint stabilizer
     "rotation3": (
@@ -129,7 +138,7 @@ _EPPA_CASES = {
     "swap3": (
         [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
         [{"map": {"0": 1, "1": 0}}], 8,
-        "1472e56a8da672020f2472c5add2476ed2be119b6aeaebf3802066060abf5ead",
+        "5efbdea4b1e53a1b3e2a482f669ebf51309921c40d4fec998f43473653e3aa7a",
     ),
 }
 
@@ -153,7 +162,8 @@ def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     # The map sends 0 -> 1 along an arc and 3 -> 2 against one. In an
     # abelian quotient the map is a translation, so the translation taking 0
     # to 3 takes the arc (0, 1) onto the non-arc (3, 2): no abelian quotient
-    # serves the system, and the product tier makes 81 points.
+    # serves the system. The product tier serves those constraints (Heis(3))
+    # and Z/5 the rest, 135 points.
     universe = list(range(6))
     relation = [[i, j] for i in universe for j in universe if i < j]
     structure = _structure_file(tmp_path, universe, 2, relation)
@@ -170,7 +180,7 @@ def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     result = _invoke("eppa-extend", structure, maps_path)
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
-    assert payload["size"] == 81 and len(payload["extended"]["relations"]["2"]) == 81 * 80 // 2
+    assert payload["size"] == 135 and len(payload["extended"]["relations"]["2"]) == 135 * 134 // 2
     text = json.dumps(payload, indent=2, sort_keys=True)
     assert "".join(blocks) == text and result.stdout == text + "\n"
     assert len(blocks) > len(text) // BLOCK_CHARS >= 1
@@ -195,7 +205,7 @@ def test_verify_extension_rejects_a_tampered_extension(tmp_path):
     assert _invoke("eppa-extend", structure, maps_path, "--out", str(out)).exit_code == 0
     result = _invoke("verify-extension", structure, maps_path, str(out))
     assert result.exit_code == 0, result.output
-    assert json.loads(result.stdout) == {"verified": True, "size": 7}
+    assert json.loads(result.stdout) == {"verified": True, "size": 9}
 
     extension = json.loads(out.read_text())
     points = extension["extended"]["universe"]
@@ -203,7 +213,7 @@ def test_verify_extension_rejects_a_tampered_extension(tmp_path):
     out.write_text(json.dumps(extension))
     result = _invoke("verify-extension", structure, maps_path, str(out))
     assert result.exit_code == 1, result.output
-    assert json.loads(result.stdout) == {"verified": False, "size": 7}
+    assert json.loads(result.stdout) == {"verified": False, "size": 9}
 
 
 def test_validate_reports_the_smallest_violation(tmp_path):

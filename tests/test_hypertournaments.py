@@ -247,23 +247,68 @@ def test_verify_extension_catches_tampering():
     assert not verify_extension(swapped, m, fam)
 
 
-def test_ten_point_tournament_with_a_two_pair_map_stays_small():
-    # Seed 10 draws a map that one cyclic quotient serves (97 points); a
-    # product of one library witness per constraint made 2,187 of it.
+def _ten_point_tournament_with_a_two_pair_map(seed: int):
+    """A seeded tournament on ten points and the first two-pair partial
+    isomorphism the same generator then draws."""
     from stallings.suite import random_tournament
 
-    rng = random.Random(10)
+    rng = random.Random(seed)
     m = random_tournament(rng, range(10))
     while True:
         a, b, c, d = rng.sample(range(10), 4)
         try:
-            fam = make_family(m, [{a: c, b: d}])
-            break
+            return m, make_family(m, [{a: c, b: d}])
         except NotPartialIsomorphismError:
             continue
+
+
+def test_ten_point_tournament_with_a_two_pair_map_stays_small():
+    # Seed 10 draws a map that one cyclic quotient serves; a product of one
+    # library witness per constraint made 2,187 points of it.
+    m, fam = _ten_point_tournament_with_a_two_pair_map(10)
     result = eppa_extend(m, fam)
     assert len(result.extended.universe) < 200
     assert verify_extension(result, m, fam)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 11])
+def test_z_obstructed_ten_point_tournaments_finish_under_the_caps(seed):
+    # Each map sends x1 -> y1 and x2 -> y2 with arcs that no abelian quotient
+    # keeps apart. A product of one library witness per constraint exceeds
+    # COSET_CAP on seeds 0 and 11 and gives 729 points on seed 2; the product
+    # tier on the Z-obstructed constraints alone, with a cyclic factor for
+    # the rest, finishes on each.
+    m, fam = _ten_point_tournament_with_a_two_pair_map(seed)
+    result = eppa_extend(m, fam)
+    assert verify_extension(result, m, fam)
+
+
+def test_connectors_are_fresh_one_pair_maps():
+    # Components are joined by new one-pair maps under fresh letters: the
+    # input maps keep their pairs, and the joined graph is one subtadpole
+    # with one note per connector.
+    from stallings.hypertournaments import _connect_family
+
+    rng = random.Random(23)
+    joined = 0
+    for trial in range(16):
+        m, fam = _eppa_inputs(rng, 2 if trial % 2 else 3, cyclic=trial % 4 >= 2)
+        if trial % 8 >= 6:  # split the map in two, so that two letters are input maps
+            (pairs,) = fam.maps
+            fam = make_family(m, [dict(pairs[:1]), dict(pairs[1:])])
+        g = family_graph(fam)
+        graph, notes = _connect_family(g)
+        assert graph.vertices == g.vertices and graph.is_connected and is_subtadpole(graph)
+        assert graph.n == g.n + len(notes) == len(fam.maps) + len(notes)
+        for letter in range(1, graph.n + 1):
+            pairs = sorted((u, v) for u, v, i in graph.edges if i == letter)
+            if letter <= g.n:
+                assert pairs == sorted(fam.maps[letter - 1]), (fam.maps, notes)
+            else:
+                ((u, v),) = pairs
+                assert notes[letter - g.n - 1] == f"added connector map {letter - 1}: {u!r} -> {v!r}"
+        joined += len(notes)
+    assert joined >= 16
 
 
 def _random_partial_injection(rng: random.Random, points: list) -> dict:
@@ -487,7 +532,7 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
         m, fam = _eppa_inputs(rng, 2 if trial % 2 else 3, cyclic=trial % 4 >= 2)
         handed.clear()
         eppa_extend(m, fam, seed=trial)
-        graph = ht._connect_family(fam)[1]
+        graph = ht._connect_family(ht.family_graph(fam))[0]
         points = sorted(m.universe)
         paths = path_words_from(graph, points[0])
         w = {x: paths[x].reversed().letters for x in points}

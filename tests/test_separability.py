@@ -27,7 +27,7 @@ from stallings import (
     verify_witness,
 )
 from stallings import separability
-from stallings.errors import SearchCapError
+from stallings.errors import NotPartialIsomorphismError, SearchCapError
 from stallings.separability import _constraint_search, group_library
 from stallings.separability import closure as perm_closure
 from stallings.separability import p_identity, p_inv, p_mul, perm_order
@@ -319,7 +319,7 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
 def _product_tier(constraints, L):
     """The product tier of separate_coset_system alone, on any system."""
     n = max(w.n for cons in constraints for clause in cons for w in clause if w is not None)
-    return separability._product_tier(constraints, n, frozenset(L), 500_000, 0)
+    return separability._product_tier(list(enumerate(constraints)), n, frozenset(L), 500_000, 0)
 
 
 def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
@@ -332,10 +332,42 @@ def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
         assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
 
 
+def _looped_systems(monkeypatch, seed: int) -> list:
+    """The systems separate_coset_system hands to its product tier while
+    eppa_extend runs on seeded 3-hypertournaments on four and five points,
+    each with one map that swaps two points and sends a third to a fourth
+    (the first such partial isomorphism in permutation order). The swap
+    closes a loop, so the clause generators are not trivial and the
+    product tier serves every constraint."""
+    systems = []
+    product_tier = separability._product_tier
+
+    def record(numbered, n, L, bound, seed):
+        systems.append(([cons for _, cons in numbered], L))
+        return product_tier(numbered, n, L, bound, seed)
+
+    monkeypatch.setattr(separability, "_product_tier", record)
+    rng = random.Random(seed)
+    for n in (4, 5):
+        rows = [rng.sample(t, 3) for t in itertools.combinations(range(n), 3)]
+        m = make_hypertournament(range(n), [3], {3: rows})
+        for x, y, z, w in itertools.permutations(range(n), 4):
+            try:
+                family = make_family(m, [{x: y, y: x, z: w}])
+            except NotPartialIsomorphismError:
+                continue
+            eppa_extend(m, family)
+            break
+    monkeypatch.undo()
+    return systems
+
+
 def test_pruning_trials_match_the_pairwise_products(monkeypatch):
-    # seed 11 gives systems whose pruning drops factors, seed 13 one with
-    # three factors that pruning keeps
-    systems = _coset_systems(monkeypatch, 11) + _coset_systems(monkeypatch, 13)
+    # With one-pair maps, joined by fresh connector letters, the seed-11
+    # systems keep every factor (one per letter). The seed-5 looped systems
+    # give one that keeps both of its factors and one whose pruning drops
+    # three of five.
+    systems = _coset_systems(monkeypatch, 11) + _looped_systems(monkeypatch, 5)
     kept_all = set()
     for cons, L in systems:
         q = _product_tier(cons, L)
@@ -377,33 +409,73 @@ def test_cyclic_tier_matches_the_brute_force_oracle(monkeypatch):
         (_trivial_generator_system(rng), frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))
         for _ in range(60)
     ]
-    served = set()
+    kinds = set()
     for cons, L in systems:
         q = separate_coset_system(cons, L)
         expected = oracles.oracle_cyclic_quotient(cons, L)
+        kind = "cyclic"
         if expected is None:
-            expected = _product_tier(cons, L)
+            # the product tier serves the Z-obstructed constraints, and a
+            # cyclic factor those its product leaves unsatisfied
+            obstructed = [c for c in cons if oracles.oracle_z_obstructed(c)]
+            expected = _product_tier(obstructed, L)
+            rest = [
+                c for c in cons
+                if not oracles.oracle_z_obstructed(c)
+                and not oracles.oracle_constraint_satisfied(expected, c)
+            ]
+            if rest:
+                expected = direct_product(expected, oracles.oracle_cyclic_quotient(rest, L))
+            kind = "product x cyclic" if rest else "product"
         assert (q.images, q.degree, q.order, q.name) == (
             expected.images, expected.degree, expected.order, expected.name
         ), cons
         assert all(oracles.oracle_constraint_satisfied(q, c) for c in cons)
         assert not prime_factors(q.order) & L
-        served.add(q.name.startswith("Z/") and q.order == q.degree)
-    assert served == {True, False}
+        kinds.add(kind)
+    assert kinds == {"cyclic", "product", "product x cyclic"}
 
 
 def test_systems_outside_the_cyclic_tier_take_the_product_unchanged():
-    # ab and ba have one exponent-sum vector, so no abelian quotient
-    # separates them; the second constraint alone Z/3 would serve
-    obstructed = [((_w("ab"), None), (_w("ba"), None)), ((_w("a"), None), (_w("b"), None))]
+    # A clause generator sends every constraint to the product tier.
     with_generator = [_non_membership(_w("b"), _w("a")), ((_w("a"), None), (_w("b"), None))]
-    for cons in (obstructed, with_generator):
-        q = separate_coset_system(cons, [2])
-        expected = _product_tier(cons, [2])
-        assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
-        assert all(constraint_satisfied(q, c) for c in cons)
-    assert "Heis(3)" in separate_coset_system(obstructed, [2]).name
+    q = separate_coset_system(with_generator, [2])
+    expected = _product_tier(with_generator, [2])
+    assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
+    assert all(constraint_satisfied(q, c) for c in with_generator)
+    # ab and ba have one exponent-sum vector, so no abelian quotient
+    # separates them: the product tier serves that constraint alone. Its
+    # Heis(3) also tells a from b, which Z/3 alone would serve; c stays
+    # trivial in it, so c != 1 takes a cyclic factor.
+    obstructed = [((_w("ab"), None), (_w("ba"), None)), ((_w("a"), None), (_w("b"), None))]
+    q = separate_coset_system(obstructed, [2])
+    expected = _product_tier(obstructed[:1], [2])
+    assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
+    assert "Heis(3)" in q.name and all(constraint_satisfied(q, c) for c in obstructed)
     assert separate_coset_system(obstructed[1:], [2]).name == "Z/3"
+    three = [((_w("ab", 3), None), (_w("ba", 3), None)), ((_w("c", 3), None), (empty_word(3), None))]
+    q = separate_coset_system(three, [2])
+    assert q.name == _product_tier(three[:1], [2]).name + " x Z/3" and q.order == 81
+
+
+@pytest.mark.parametrize("tier", ["_cyclic_tier", "_product_tier"])
+def test_final_check_names_the_first_failing_constraint(monkeypatch, tier):
+    # a -> 1 and b -> 0 in Z/3: b != 1 and b != bb fail there. The clause
+    # generator of the last constraint sends the system to the product tier.
+    bad = FiniteQuotient(2, 3, 3, ((1, 2, 0), (0, 1, 2)), "Z/3")
+    e = empty_word(2)
+    constraints = [
+        ((_w("a"), None), (e, None)),
+        ((_w("b"), None), (e, None)),
+        ((_w("a"), None), (_w("b"), None)),
+        ((_w("b"), None), (_w("bb"), None)),
+    ]
+    if tier == "_product_tier":
+        constraints.append(_non_membership(_w("a"), _w("aaa")))
+    monkeypatch.setattr(separability, tier, lambda *args: bad)
+    with pytest.raises(SearchCapError) as caught:
+        separate_coset_system(constraints, [2])
+    assert caught.value.details == {"constraint_index": 1}
 
 
 @pytest.mark.parametrize("p", [2, 3])
