@@ -3,7 +3,10 @@ induced maps, and the injectivity-lifting check for Z/p covers.
 
 H_1 of a graph is the kernel of the boundary map C_1 -> C_0; we present it
 by the fundamental cycles of spanning-tree chords, which makes every matrix
-here deterministic. The lifting check follows the module-theoretic argument:
+here deterministic. In that basis each column is 1 on its own chord and 0 on
+every other chord, so the coordinates of any cycle are its entries on the
+chords: induced maps are read off the chord rows, with no elimination. The
+lifting check follows the module-theoretic argument:
 the chain group of a Z/p cover is a free module over (Z/p)[t]/(1 - t^p)
 with t the deck shift, one basis element per base edge, and a module map
 whose t->1 specialization is injective is itself injective because 1 - t
@@ -18,7 +21,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .arith import require_prime
-from .covers import CoverDescription, CoverGraph, build_cover
+from .covers import CoverDescription, build_cover
 from .errors import InputError, PostconditionError, PreconditionError
 from .graphs import Edge, GraphMorphism, LabeledGraph, Vertex, bfs_edges
 
@@ -105,33 +108,18 @@ class FpMatrix(_Residues):
         return self.rows == self.cols and self.rank == self.rows
 
     def solve(self, rhs: "FpMatrix") -> "FpMatrix | None":
-        """An X with self @ X = rhs, free coordinates set to 0, or None."""
+        """An X with self @ X = rhs, free coordinates set to 0, or None. No
+        library code calls it; ``bench/tracing.py`` still wraps it."""
         if self.p != rhs.p:
             raise InputError("modulus mismatch")
         if self.rows != rhs.rows:
             raise InputError("shape mismatch in solve")
-        p = self.p
-        aug = np.concatenate([self.array, rhs.array], axis=1)
-        red, pivots = _row_reduce(aug, p)
-        ncols = self.cols
-        if any(c >= ncols for c in pivots):
+        red, pivots = _row_reduce(np.concatenate([self.array, rhs.array], axis=1), self.p)
+        if pivots and pivots[-1] >= self.cols:
             return None
-        x = np.zeros((ncols, rhs.cols), dtype=np.int64)
-        for r, c in enumerate(pivots):
-            x[c] = red[r, ncols:]
-        return FpMatrix.from_array(x, p)
-
-    def nullspace(self) -> "FpMatrix":
-        """Columns form a basis of the kernel."""
-        red, pivots = self._rref
-        p = self.p
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        for j, c in enumerate(free):
-            basis[c, j] = 1
-            for r, pc in enumerate(pivots):
-                basis[pc, j] = (-red[r, c]) % p
-        return FpMatrix.from_array(basis, p)
+        x = np.zeros((self.cols, rhs.cols), dtype=np.int64)
+        x[list(pivots)] = red[: len(pivots), self.cols :]
+        return FpMatrix.from_array(x, self.p)
 
     def column(self, j: int) -> np.ndarray:
         return self.array[:, j].copy()
@@ -176,86 +164,102 @@ class ChainComplex:
     boundary: FpMatrix
 
 
+def _edge_ends(g: LabeledGraph) -> np.ndarray:
+    """Shape (E, 2): the tail and head vertex index of each sorted edge."""
+    vix = g.vertex_index
+    ends = [(vix[u], vix[v]) for u, v, _ in g.sorted_edges]
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
+
+
 def chain_complex(g: LabeledGraph, p: int) -> ChainComplex:
     require_prime(p)
-    verts = g.vertices
-    edges = g.sorted_edges
+    ends = _edge_ends(g)
+    cols = np.arange(len(ends))
+    b = np.zeros((len(g.vertices), len(ends)), dtype=np.int64)
+    np.add.at(b, (ends[:, 1], cols), 1)
+    np.subtract.at(b, (ends[:, 0], cols), 1)
+    return ChainComplex(g, p, g.vertices, g.sorted_edges, FpMatrix.from_array(b, p))
+
+
+@dataclass(frozen=True)
+class _SpanningForest:
+    """A BFS tree per component, rooted at the component's first vertex, with
+    each vertex trying its edges in ``sorted_edges`` order. Arrays are indexed
+    by vertex index: the parent (-1 at a root), the depth, the index in
+    ``sorted_edges`` of the tree edge to the parent, and its sign (+1 when
+    the edge points away from the root). ``is_tree`` masks the tree edges."""
+
+    parent: np.ndarray
+    depth: np.ndarray
+    edge: np.ndarray
+    sign: np.ndarray
+    is_tree: np.ndarray
+
+
+def _spanning_forest(g: LabeledGraph) -> _SpanningForest:
     vix = g.vertex_index
-    b = np.zeros((len(verts), len(edges)), dtype=np.int64)
-    for j, (u, v, _) in enumerate(edges):
-        b[vix[v], j] += 1
-        b[vix[u], j] -= 1
-    return ChainComplex(g, p, verts, edges, FpMatrix.from_array(b, p))
-
-
-def _component_tree_data(g: LabeledGraph):
-    """Per component: BFS tree edge set and per-vertex signed path vectors
-    (indexed by position in sorted_edges), in deterministic order. Each
-    vertex tries its edges in ``sorted_edges`` order."""
-    edges = g.sorted_edges
-    eix = {e: j for j, e in enumerate(edges)}
     adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in g.vertices}
-    for u, v, i in edges:
-        adj[u].append((v, i))
+    for j, (u, v, _) in enumerate(g.sorted_edges, start=1):
+        adj[u].append((v, j))
         if v != u:
-            adj[v].append((u, -i))
-    tree: set[Edge] = set()
-    paths: dict[Vertex, np.ndarray] = {}
+            adj[v].append((u, -j))
+    nv = len(g.vertices)
+    parent, depth, edge, sign = [-1] * nv, [0] * nv, [-1] * nv, [0] * nv
     for comp in g.component_lists:
-        paths[comp[0]] = np.zeros(len(edges), dtype=np.int64)
         for v, t, w in bfs_edges(adj, comp[0]):
-            e = (v, w, t) if t > 0 else (w, v, -t)
-            vec = paths[v].copy()
-            vec[eix[e]] += 1 if t > 0 else -1
-            paths[w] = vec
-            tree.add(e)
-    return tree, paths
+            a, b = vix[v], vix[w]
+            parent[b], depth[b] = a, depth[a] + 1
+            edge[b], sign[b] = abs(t) - 1, 1 if t > 0 else -1
+    parent, depth, edge, sign = (np.array(a, dtype=np.int64) for a in (parent, depth, edge, sign))
+    is_tree = np.zeros(len(g.sorted_edges), dtype=bool)
+    is_tree[edge[edge >= 0]] = True
+    return _SpanningForest(parent, depth, edge, sign, is_tree)
 
 
 def h1_basis(g: LabeledGraph, p: int) -> FpMatrix:
     """Columns are the fundamental cycles of spanning-tree chords; they span
-    the kernel of the boundary, E - V + 1 columns per component."""
+    the kernel of the boundary, E - V + 1 columns per component. The cycle
+    of chord (u, v) is +1 on the chord, plus the tree path from the root to
+    u, minus the tree path to v; the two paths are walked up from u and v
+    together until they meet, so the common part is never written."""
     require_prime(p)
-    edges = g.sorted_edges
-    tree, paths = _component_tree_data(g)
-    cols = []
-    for j, e in enumerate(edges):
-        if e in tree:
-            continue
-        u, v, _ = e
-        z = paths[u].copy()
-        z[j] += 1
-        z -= paths[v]
-        cols.append(z % p)
-    mat = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((len(edges), 0), dtype=np.int64)
-    )
-    return FpMatrix.from_array(mat, p)
-
-
-def edge_pushforward(f: GraphMorphism, p: int) -> FpMatrix:
-    """Matrix of f on chain groups: each domain edge maps to its image edge
-    with coefficient +1 (label-preserving morphisms preserve orientation)."""
-    dom = f.domain.sorted_edges
-    cod = f.codomain.sorted_edges
-    cix = {e: j for j, e in enumerate(cod)}
-    m = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    for j, e in enumerate(dom):
-        m[cix[f.edge_image(e)], j] = 1
-    return FpMatrix.from_array(m, p)
+    forest = _spanning_forest(g)
+    chords = np.flatnonzero(~forest.is_tree)
+    ends = _edge_ends(g)[chords]
+    mat = np.zeros((len(forest.is_tree), len(chords)), dtype=np.int64)
+    cols = np.arange(len(chords))
+    mat[chords, cols] = 1
+    u, v = ends[:, 0], ends[:, 1]
+    while cols.size:
+        apart = u != v
+        u, v, cols = u[apart], v[apart], cols[apart]
+        up_u = forest.depth[u] >= forest.depth[v]
+        up_v = forest.depth[v] >= forest.depth[u]
+        mat[forest.edge[u[up_u]], cols[up_u]] = forest.sign[u[up_u]] % p
+        mat[forest.edge[v[up_v]], cols[up_v]] = -forest.sign[v[up_v]] % p
+        u = np.where(up_u, forest.parent[u], u)
+        v = np.where(up_v, forest.parent[v], v)
+    return FpMatrix(p, mat)
 
 
 def induced_h1_map(f: GraphMorphism, p: int) -> FpMatrix:
-    """Matrix of the induced map on first homology in the chord-cycle bases."""
+    """Matrix of the induced map on first homology in the chord-cycle bases:
+    each domain cycle is pushed forward edge by edge, checked to be a cycle,
+    and read off the codomain's chord rows."""
     bx = h1_basis(f.domain, p)
-    by = h1_basis(f.codomain, p)
-    image = edge_pushforward(f, p) @ bx
-    sol = by.solve(image)
-    if sol is None:
+    cod = f.codomain
+    cix = {e: j for j, e in enumerate(cod.sorted_edges)}
+    target = np.array([cix[f.edge_image(e)] for e in f.domain.sorted_edges], dtype=np.int64)
+    image = np.zeros((len(cod.sorted_edges), bx.cols), dtype=np.int64)
+    np.add.at(image, target, bx.array)
+    image %= p
+    ends = _edge_ends(cod)
+    boundary = np.zeros((len(cod.vertices), bx.cols), dtype=np.int64)
+    np.add.at(boundary, ends[:, 1], image)
+    np.subtract.at(boundary, ends[:, 0], image)
+    if np.any(boundary % p):
         raise PostconditionError("image of a cycle fell outside the cycle space")
-    return sol
+    return FpMatrix(p, image[~_spanning_forest(cod).is_tree])
 
 
 # -- the twisted group ring (Z/p)[t] / (1 - t^p) --------------------------------------
@@ -374,21 +378,14 @@ class GerstenReport:
 
 
 def _twisted_coordinates(
-    cover: CoverGraph, chain_vec: np.ndarray, edge_order: tuple[Edge, ...]
+    chain_vec: np.ndarray, base_ix: np.ndarray, sheet: np.ndarray, n_base: int, p: int
 ) -> np.ndarray:
     """Regroup a GF(p) chain vector of the total graph (indexed by its sorted
     edges) into module coordinates over the base edges: the lift of base edge
-    e at source sheet k is t^k times the chosen lift at sheet 0."""
-    p = cover.degree
-    base_edges = cover.base.sorted_edges
-    bix = {e: j for j, e in enumerate(base_edges)}
-    out = np.zeros((len(base_edges), p), dtype=np.int64)
-    for j, e in enumerate(edge_order):
-        c = int(chain_vec[j])
-        if not c:
-            continue
-        (u, k), (v, _), i = e
-        out[bix[(u, v, i)], k] += c
+    e at source sheet k is t^k times the chosen lift at sheet 0. Total edge j
+    lies over base edge ``base_ix[j]`` and starts on sheet ``sheet[j]``."""
+    out = np.zeros((n_base, p), dtype=np.int64)
+    np.add.at(out, (base_ix, sheet), chain_vec)
     return out % p
 
 
@@ -437,10 +434,12 @@ def gersten_check(
     twisted = TwistedMatrix.from_array(coeffs, p)
 
     bh = h1_basis(xhat.total, p)
-    xhat_edges = xhat.total.sorted_edges
+    bxix = {e: j for j, e in enumerate(bx_edges)}
+    over = [(bxix[(u, v, i)], k) for (u, k), (v, _), i in xhat.total.sorted_edges]
+    base_ix, sheet = np.array(over, dtype=np.int64).reshape(-1, 2).T
     vals = []
     for col in range(bh.cols):
-        alpha = _twisted_coordinates(xhat, bh.column(col), xhat_edges)
+        alpha = _twisted_coordinates(bh.column(col), base_ix, sheet, len(bx_edges), p)
         image = twisted.matvec(alpha)
         vals.append(
             (one_minus_t_valuation(alpha, p), one_minus_t_valuation(image, p))

@@ -543,6 +543,32 @@ def oracle_row_reduce(a, p: int):
     return m, tuple(pivots)
 
 
+def oracle_induced_h1_map(f, p: int):
+    """The induced map on H_1 mod p by elimination, the way
+    ``homology.induced_h1_map`` found it before it read the chord rows:
+    push the domain's cycle basis forward through the dense edge matrix,
+    row-reduce ``[by | image]`` and read the solution off the pivot rows.
+    None when an image column is not a cycle."""
+    import numpy as np
+    from stallings.homology import h1_basis
+
+    bx = h1_basis(f.domain, p).array
+    by = h1_basis(f.codomain, p).array
+    cix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
+    push = np.zeros((len(cix), len(f.domain.sorted_edges)), dtype=np.int64)
+    for j, e in enumerate(f.domain.sorted_edges):
+        push[cix[f.edge_image(e)], j] = 1
+    image = push @ bx % p
+    red, pivots = oracle_row_reduce(np.concatenate([by, image], axis=1), p)
+    ncols = by.shape[1]
+    if any(c >= ncols for c in pivots):
+        return None
+    x = np.zeros((ncols, image.shape[1]), dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, ncols:]
+    return x
+
+
 def oracle_separate_coset_system(constraints, L, bound: int = 500_000, seed: int = 0):
     """``separability.separate_coset_system`` as it was before each pruning
     trial became one product: every trial and the final quotient are

@@ -10,16 +10,20 @@ import oracles
 from stallings import (
     CoverDescription,
     FpMatrix,
+    GraphMorphism,
     InputError,
+    LabeledGraph,
     PostconditionError,
     PreconditionError,
     TwistedMatrix,
     Word,
     build_cover,
     chain_complex,
+    fiber_product,
     gersten_check,
     h1_basis,
     induced_h1_map,
+    make_graph,
     one_minus_t_factor,
     one_minus_t_valuation,
     pullback,
@@ -73,7 +77,7 @@ def test_matrix_arrays_are_read_only():
     assert (m.rows, m.cols, t.rows, t.cols) == (2, 2, 2, 1)
 
 
-def test_solve_and_nullspace_are_verified_by_multiplication():
+def test_solve_is_verified_by_multiplication():
     rng = random.Random(1)
     for p in (2, 3, 5):
         for _ in range(20):
@@ -88,11 +92,6 @@ def test_solve_and_nullspace_are_verified_by_multiplication():
             sol = a.solve(b)
             assert sol is not None
             assert np.array_equal((a @ sol).array, b.array)
-            ns = a.nullspace()
-            assert ns.array.shape[1] == cols - a.rank
-            if ns.array.shape[1]:
-                assert not np.any((a @ ns).array)
-            assert a.is_injective == (ns.array.shape[1] == 0)
 
 
 def _seeded_residue_matrices(rng, p: int, count: int):
@@ -126,15 +125,14 @@ def test_row_reduce_matches_the_row_by_row_reference(monkeypatch):
         m = FpMatrix(p, a)
         column = [[rng.randrange(p)] for _ in range(m.rows)]
         rhs = FpMatrix(p, np.array(column, dtype=np.int64).reshape(-1, 1))
-        got.append((m.rank, m.solve(rhs), m.nullspace(), rhs))
+        got.append((m.rank, m.solve(rhs), rhs))
     monkeypatch.setattr(homology, "_row_reduce", oracles.oracle_row_reduce)
-    for (p, a), (rank, sol, null, rhs) in zip(cases, got):
+    for (p, a), (rank, sol, rhs) in zip(cases, got):
         m = FpMatrix(p, a)
         want_sol = m.solve(rhs)
         assert rank == m.rank
         assert (sol is None) == (want_sol is None)
         assert sol is None or np.array_equal(sol.array, want_sol.array)
-        assert np.array_equal(null.array, m.nullspace().array)
 
 
 def test_solve_reports_unsolvable_systems():
@@ -169,6 +167,16 @@ def test_h1_basis_dimension_and_cycles():
             bd = chain_complex(g, p).boundary
             assert not np.any((bd @ basis).array)
             assert basis.rank == expected
+            # chord coordinates: each column is 1 on its own chord, 0 on the others
+            chords = ~homology._spanning_forest(g).is_tree
+            assert np.array_equal(basis.array[chords], np.eye(expected, dtype=np.int64))
+
+
+def test_h1_basis_counts_a_repeated_edge():
+    # two copies of one edge bound a cycle: tree edges are told apart by
+    # position, not by their (tail, head, letter) triple
+    g = LabeledGraph(1, (0, 1), ((0, 1, 1), (0, 1, 1)))
+    assert h1_basis(g, 3).array.tolist() == [[2], [1]]
 
 
 def test_induced_h1_map_known_isomorphism():
@@ -185,6 +193,56 @@ def test_induced_h1_map_known_degenerate_case():
     f = to_wedge_morphism(h.graph)
     assert not induced_h1_map(f, 2).is_injective
     assert induced_h1_map(f, 3).is_isomorphism
+
+
+def _induced_map_cases():
+    """Morphisms whose codomains have tree edges, so that reading the wrong
+    rows would show: lifts of ``gersten_check`` squares, projections of
+    fiber products (domains with several components) and their pull-back
+    lifts, with cocycle value 0 giving loops, and a codomain that is a tree."""
+    rng = random.Random(14)
+    pool = ["a", "b", "ab", "aa", "abA", "bab", "aab", "bb", "aBaB"]
+    for p in (2, 3, 5, 7):
+        for k in range(6):
+            h = _sub(*rng.sample(pool, rng.randint(1, 3)))
+            values = {1: 1, 2: 0} if k == 0 else {1: rng.randrange(p), 2: rng.randrange(p)}
+            yield _square(h, p, values)[3], p
+            proj = fiber_product(h, _sub(*rng.sample(pool, rng.randint(1, 3)))).projection("left")
+            yield proj, p
+            cover = CoverDescription.from_dict(
+                h.graph, p, {e: rng.randrange(p) for e in h.graph.edges}
+            )
+            yield pullback(proj, build_cover(cover))[1], p
+    # a cycle x -a-> y <-a- x' -b-> w <-b- x folded onto a tree
+    square = make_graph(2, ["x", "X", "y", "w"], [("x", "y", 1), ("X", "y", 1), ("X", "w", 2), ("x", "w", 2)])
+    tree = make_graph(2, [0, 1, 2], [(0, 1, 1), (0, 2, 2)])
+    to_tree = GraphMorphism.from_dict(square, tree, {"x": 0, "X": 0, "y": 1, "w": 2})
+    for p in (2, 3, 5, 7):
+        yield to_tree, p
+
+
+def test_induced_h1_map_matches_the_elimination_oracle():
+    seen = {"several components": 0, "codomain loops": 0, "tree codomain": 0, "rank >= 2": 0}
+    for f, p in _induced_map_cases():
+        got = induced_h1_map(f, p).array
+        want = oracles.oracle_induced_h1_map(f, p)
+        assert want is not None and np.array_equal(got, want), (f, p)
+        seen["several components"] += len(f.domain.component_lists) > 1
+        seen["codomain loops"] += any(u == v for u, v, _ in f.codomain.edges)
+        seen["tree codomain"] += got.shape[0] == 0
+        seen["rank >= 2"] += got.shape[0] >= 2 and len(f.codomain.vertices) > 1
+    assert all(seen.values()), seen
+
+
+def test_induced_h1_map_rejects_an_image_that_is_not_a_cycle(monkeypatch):
+    # two edges 0 -> 1 and 1 -> 0 form a cycle; sending both to 0 -> 1
+    # gives twice that edge, whose boundary is not zero mod 3
+    g = make_graph(1, [0, 1], [(0, 1, 1), (1, 0, 1)])
+    f = GraphMorphism.from_dict(g, g, {0: 0, 1: 1})
+    assert induced_h1_map(f, 3).is_isomorphism
+    monkeypatch.setattr(GraphMorphism, "edge_image", lambda self, e: (0, 1, 1))
+    with pytest.raises(PostconditionError, match="image of a cycle fell outside the cycle space"):
+        induced_h1_map(f, 3)
 
 
 # -- the twisted module -----------------------------------------------------------
