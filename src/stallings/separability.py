@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,8 +45,16 @@ def p_identity(degree: int) -> Perm:
 
 
 def p_mul(f: Perm, g: Perm) -> Perm:
-    """Apply f first, then g."""
-    return tuple(g[x] for x in f)
+    """Apply f first, then g. ``itemgetter`` gathers in C, but returns a bare
+    item rather than a tuple when given one index."""
+    if len(f) < 2:
+        return tuple(g[x] for x in f)
+    return itemgetter(*f)(g)
+
+
+def _rotation(q: int, s: int) -> Perm:
+    """The element s of Z/q, acting on 0, ..., q - 1 by adding s."""
+    return tuple((x + s) % q for x in range(q))
 
 
 def left_coset(rep: Perm, shifts: Iterable[Perm]) -> list[Perm]:
@@ -394,6 +403,14 @@ def verify_witness(w: SeparationWitness) -> bool:
 # satisfied in a quotient when the intersection of the cosets
 # evaluate(coset_word) * <evaluate(generator)> is empty. Non-membership of g in
 # a cyclic subgroup <h> is the two-clause constraint ((g, h), (empty, h)).
+#
+# The library search goes round by round: one round is one group and one set
+# of active letters, and its assignments put non-identity values on those
+# letters in itertools.product order. A round is checked SEARCH_BLOCK
+# assignments at a time in numpy (_first_hit): in Z/q by exponent-sum
+# arithmetic over the block (_cyclic_block), in a table group by gathers from
+# its Cayley table (_table_block). A one-letter round in Z/q needs no block:
+# its first hit is the shift 1 or there is none (_cyclic_satisfied).
 
 CosetClause = tuple[Word, "Word | None"]
 Constraint = tuple[CosetClause, ...]
@@ -429,7 +446,15 @@ def _occurring_letters(constraint: Constraint) -> tuple[int, ...]:
 def _cyclic_satisfied(rows, q: int, shifts: Sequence[int]) -> bool:
     """Constraint check in Z/q by integer arithmetic: each clause coset is an
     arithmetic progression a + gZ mod q, and the intersection is empty exactly
-    when some pair of progressions disagrees modulo the gcd of their steps."""
+    when some pair of progressions disagrees modulo the gcd of their steps.
+
+    With one nonzero shift s, on a letter in which the clauses have exponent
+    sums c_i (coset words) and g_i (generators), and q = p^k, some shift
+    satisfies the constraint exactly when s = 1 does. Multiplying s by a
+    unit keeps the verdict, so take s = p^t: clauses i and j disagree when
+    v(c_i - c_j) + t < min(v(g_i) + t, v(g_j) + t, k), v the p-adic
+    valuation (infinite at 0), and that implies the same inequality at
+    t = 0."""
     data = []
     for coset_sums, gen_sums in rows:
         a = sum(e * s for e, s in zip(coset_sums, shifts)) % q
@@ -475,33 +500,6 @@ def _tower_perm(p: int, levels: int, offsets: Sequence[int]) -> Perm:
     return tuple(perm)
 
 
-def _cyclic_hits(n: int, rows, q: int, active: Sequence[int]):
-    """For each assignment of nonzero shifts in Z/q to the active letters,
-    in search order: its letter images when it satisfies the constraint,
-    else None.
-
-    With one active letter, the verdict is computed once per gcd(s, q):
-    shifts with one gcd differ by a unit u of Z/q, and multiplying by u
-    maps each clause progression onto the other shift's while keeping
-    every gcd with q, so it keeps the verdict."""
-    verdicts: dict[int, bool] = {}
-    for values in itertools.product(range(1, q), repeat=len(active)):
-        shifts = [0] * n
-        for letter, v in zip(active, values):
-            shifts[letter - 1] = v
-        if len(active) == 1:
-            d = gcd(values[0], q)
-            if d not in verdicts:
-                verdicts[d] = _cyclic_satisfied(rows, q, shifts)
-            satisfied = verdicts[d]
-        else:
-            satisfied = _cyclic_satisfied(rows, q, shifts)
-        if satisfied:
-            yield tuple(tuple((x + s) % q for x in range(q)) for s in shifts)
-        else:
-            yield None
-
-
 def _single_letter_can_satisfy(n: int, rows, p: int, order: int, letter: int) -> bool:
     """Whether some element of a non-cyclic p-group of the given order can
     satisfy the constraint as the image of one letter, all others trivial.
@@ -516,54 +514,85 @@ def _single_letter_can_satisfy(n: int, rows, p: int, order: int, letter: int) ->
     )
 
 
-def _table_hits(n: int, clauses, group: TableGroup, active: Sequence[int]):
-    """For each assignment of non-identity elements of the group to the
-    active letters, in index order: its letter images as permutations when
-    it satisfies the constraint, else None."""
-    mul = memoryview(group.mul)
-    inverse = group.inv.tolist()
-    order = group.order
-    # look[t] is the index of the image of letter t; negative t (its
-    # inverse) lands in the upper half of the list
-    look = [0] * (2 * n + 1)
-    for values in itertools.product(range(1, order), repeat=len(active)):
-        for letter, v in zip(active, values):
-            look[letter] = v
-            look[-letter] = inverse[v]
-        if _table_satisfied(mul, order, clauses, look):
-            images = [group.perm(0)] * n
-            for letter, v in zip(active, values):
-                images[letter - 1] = group.perm(v)
-            yield images
-        else:
-            yield None
+SEARCH_BLOCK = 1 << 12
 
 
-def _table_satisfied(mul: memoryview, order: int, clauses, look: Sequence[int]) -> bool:
-    """``constraint_satisfied`` on element indices."""
-    common: set[int] | None = None
+def _first_hit(
+    satisfied: Callable[[np.ndarray], np.ndarray], radix: int, size: int, stop: int
+) -> int | None:
+    """Index of the first of the assignments 0, ..., stop - 1 that satisfies
+    the constraint, or None. Assignment k puts the values
+    ``unravel_index(k, (radix - 1,) * size) + 1`` on the active letters,
+    which is ``itertools.product(range(1, radix), repeat=size)`` order;
+    ``satisfied`` takes a (size, block) array of values and returns one
+    verdict per column. SEARCH_BLOCK assignments are checked at a time."""
+    for start in range(0, stop, SEARCH_BLOCK):
+        k = np.arange(start, min(start + SEARCH_BLOCK, stop))
+        values = np.array(np.unravel_index(k, (radix - 1,) * size)) + 1
+        found = np.flatnonzero(satisfied(values))
+        if found.size:
+            return start + int(found[0])
+    return None
+
+
+def _cyclic_block(
+    coset_sums: np.ndarray, gen_sums: np.ndarray, q: int, values: np.ndarray
+) -> np.ndarray:
+    """``_cyclic_satisfied`` over a block: ``coset_sums`` and ``gen_sums``
+    are the clauses' exponent sums in the active letters (a trivial
+    generator has all sums 0, so its step is q), ``values`` the shifts."""
+    a = coset_sums @ values % q
+    step = np.gcd(gen_sums @ values, q)
+    out = np.zeros(values.shape[1], dtype=bool)
+    for i, j in itertools.combinations(range(len(a)), 2):
+        out |= (a[i] - a[j]) % np.gcd(step[i], step[j]) != 0
+    return out
+
+
+def _table_block(
+    group: TableGroup, clauses, active: Sequence[int], values: np.ndarray
+) -> np.ndarray:
+    """``constraint_satisfied`` over a block of assignments of element
+    indices to the active letters, by gathers from the Cayley table: one
+    index array per distinct word, each generator's cyclic subgroup as its
+    powers up to the largest order in the block, each coset as the products
+    of its representative with those powers, and the first clause's coset
+    compared element by element with each other clause's."""
+
+    def product(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return group.mul[i.astype(np.intp, copy=False) * group.order + j]
+
+    look = {}
+    for letter, v in zip(active, values):
+        look[letter] = v
+        look[-letter] = group.inv[v]
+    images: dict[tuple[int, ...], np.ndarray] = {}
+
+    def image(word: tuple[int, ...]) -> np.ndarray:
+        found = images.get(word)
+        if found is None:
+            found = np.zeros(values.shape[1], dtype=int)
+            for t in word:
+                if t in look:  # inactive letters map to the identity, index 0
+                    found = product(found, look[t])
+            images[word] = found
+        return found
+
+    powers: dict[tuple[int, ...] | None, np.ndarray] = {None: np.zeros((values.shape[1], 1), int)}
+    common = None
     for coset_word, generator in clauses:
-        rep = _table_evaluate(mul, order, coset_word, look)
-        sub = {0}
-        if generator is not None:
-            h = _table_evaluate(mul, order, generator, look)
-            cur = h
-            while cur not in sub:
-                sub.add(cur)
-                cur = mul[cur * order + h]
-        rep *= order
-        coset = {mul[rep + s] for s in sub}
-        common = coset if common is None else common & coset
-        if not common:
-            return True
-    return False
-
-
-def _table_evaluate(mul: memoryview, order: int, word: Sequence[int], look: Sequence[int]) -> int:
-    acc = 0
-    for t in word:
-        acc = mul[acc * order + look[t]]
-    return acc
+        if generator not in powers:
+            h = image(generator)
+            column = [np.zeros_like(h), h]
+            while (column[-1] != 0).any():
+                column.append(product(column[-1], h))
+            powers[generator] = np.stack(column[:-1], axis=1)
+        coset = product(image(coset_word)[:, None], powers[generator])
+        if common is None:
+            first, common = coset, np.ones(coset.shape, dtype=bool)
+        else:
+            common &= (first[:, :, None] == coset[:, None, :]).any(axis=2)
+    return ~common.any(axis=1)
 
 
 def _constraint_search(
@@ -582,10 +611,18 @@ def _constraint_search(
     non-identity elements on a subset of the occurring letters and the
     identity everywhere else. Subset size is the outer loop: small-support
     witnesses in any group are tried before any group's full enumeration.
+    ``examined`` counts assignments in that order up to the first hit, as if
+    each were checked alone, and past ``bound`` the search stops with
+    SearchCapError at ``bound + 1``.
+
+    A round (one group, one set of active letters) is checked a block of
+    assignments at a time, and the first satisfying assignment of the first
+    block that has one is the hit; only the hit becomes permutations.
     Cyclic groups are checked by exponent-sum arithmetic, the rest by
-    lookups in their Cayley tables; only a hit becomes permutations. With
-    one active letter the image is cyclic, so a non-cyclic group none of
-    whose cyclic subgroup orders can work is counted without being built.
+    gathers from their Cayley tables. With one active letter the image is
+    cyclic: in Z/p^k the shift 1 is the first hit if any shift is one, and
+    a non-cyclic group none of whose cyclic subgroup orders can work is
+    counted without being built.
 
     The library stops at nilpotency class 2 for p > 3, and some constraint
     systems (pairs of distinct conjugates of one word) are unsatisfiable in
@@ -607,27 +644,44 @@ def _constraint_search(
         (tuple(coset_word), tuple(generator) if generator is not None else None)
         for coset_word, generator in constraint
     )
+    coset_sums = np.array([c for c, _ in rows]).reshape(len(rows), n)
+    gen_sums = np.array([g or (0,) * n for _, g in rows]).reshape(len(rows), n)
     library = group_library(p)
     examined = 0
     for size in range(1, len(occurring) + 1):
         for name, kind, data in library:
+            radix = data if kind == "cyclic" else data.order
+            total = (radix - 1) ** size
             for active in itertools.combinations(occurring, size):
-                if kind == "cyclic":
-                    hits = _cyclic_hits(n, rows, data, active)
-                elif size == 1 and not _single_letter_can_satisfy(n, rows, p, data.order, active[0]):
-                    hits = itertools.repeat(None, data.order - 1)
+                stop = min(total, bound - examined)
+                if kind == "cyclic" and size == 1:
+                    unit = [int(letter == active[0]) for letter in range(1, n + 1)]
+                    hit = 0 if _cyclic_satisfied(rows, data, unit) else None
+                elif kind == "cyclic":
+                    columns = [letter - 1 for letter in active]
+                    block = partial(
+                        _cyclic_block, coset_sums[:, columns], gen_sums[:, columns], data
+                    )
+                    hit = _first_hit(block, radix, size, stop)
+                elif size == 1 and not _single_letter_can_satisfy(n, rows, p, radix, active[0]):
+                    hit = None
                 else:
-                    hits = _table_hits(n, clauses, data, active)
-                for images in hits:
-                    examined += 1
-                    if examined > bound:
-                        raise SearchCapError(
-                            f"search cap {bound} exhausted in {context}",
-                            examined=examined,
-                            context=context,
-                        )
-                    if images is not None:
-                        return FiniteQuotient.create(n, images, name), examined
+                    block = partial(_table_block, data, clauses, active)
+                    hit = _first_hit(block, radix, size, stop)
+                if hit is not None and hit < stop:  # a closed-form hit may lie past the cap
+                    values = np.unravel_index(hit, (radix - 1,) * size)
+                    element = partial(_rotation, radix) if kind == "cyclic" else data.perm
+                    images = [element(0)] * n
+                    for letter, v in zip(active, values):
+                        images[letter - 1] = element(int(v) + 1)
+                    return FiniteQuotient.create(n, images, name), examined + hit + 1
+                if total > stop:
+                    raise SearchCapError(
+                        f"search cap {bound} exhausted in {context}",
+                        examined=bound + 1,
+                        context=context,
+                    )
+                examined += total
     levels = 3 if p <= 3 else 2
     degree = p ** levels
     nodes = sum(p ** i for i in range(levels))
@@ -838,9 +892,7 @@ def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
     inv = pow(sums[unit_at] % q, -1, q)
     shifts = [0] * n
     shifts[unit_at] = inv
-    images = [
-        tuple((x + shifts[j]) % q for x in range(q)) for j in range(n)
-    ]
+    images = [_rotation(q, s) for s in shifts]
     return FiniteQuotient.create(n, images, f"Z/{q}")
 
 
@@ -971,8 +1023,7 @@ def _cyclic_tier(
             t, values = t[survive], values[:, survive]
         if t.size:
             shifts = [pow(int(t[0]), j, q) for j in range(n)]
-            images = tuple(tuple((x + s) % q for x in range(q)) for s in shifts)
-            return FiniteQuotient(n, q, q, images, f"Z/{q}")
+            return FiniteQuotient(n, q, q, tuple(_rotation(q, s) for s in shifts), f"Z/{q}")
         if q > limit and is_prime(q):
             raise PostconditionError(
                 f"no shift on the moment curve mod the prime {q} past the bound {limit}",

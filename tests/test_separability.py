@@ -27,6 +27,7 @@ from stallings import (
     verify_witness,
 )
 from stallings import separability
+from stallings.arith import valuation
 from stallings.errors import NotPartialIsomorphismError, SearchCapError
 from stallings.separability import _constraint_search, group_library
 from stallings.separability import closure as perm_closure
@@ -48,6 +49,19 @@ def test_perm_arithmetic():
     assert perm_order(c) == 3
     assert perm_order(p_identity(5)) == 1
     assert len(perm_closure([s, c])) == 6
+
+
+def test_p_mul_returns_tuples_at_every_degree():
+    assert p_mul((0,), (0,)) == (0,)
+    assert p_mul((1, 0), (1, 0)) == (0, 1)
+    assert type(p_mul((0,), (0,))) is tuple and type(p_mul((1, 0), (0, 1))) is tuple
+    rng = random.Random(7)
+    for degree in range(1, 61):
+        f, g = rng.sample(range(degree), degree), rng.sample(range(degree), degree)
+        f, g = tuple(f), tuple(g)
+        got = p_mul(f, g)
+        assert type(got) is tuple and got == tuple(g[x] for x in f), degree
+    assert FiniteQuotient.trivial(2).evaluate(_w("abA")) == (0,)
 
 
 def test_prime_factors():
@@ -620,18 +634,70 @@ def test_search_builds_only_the_groups_it_reaches():
             assert "elements" not in vars(group) and "mul" not in vars(group), name
 
 
-def test_cyclic_hits_one_verdict_per_gcd_class_matches_every_shift():
+def test_one_letter_cyclic_first_hit_is_the_shift_one():
+    # the closed form of the one-letter Z/q rounds: exponent sums that are
+    # multiples of powers of p tell the gcd classes p^j apart, and some
+    # constraints hold for no shift, which costs the round q - 1 assignments
     rng = random.Random(29)
-    for q in (4, 8, 9, 25, 27, 169):
+    for q in (4, 8, 9, 25, 27, 169, 2401):
+        p = min(prime_factors(q))
+        scales = [p**j for j in range(valuation(q, p) + 1)]
         for _ in range(15):
             rows = tuple(
                 (
-                    tuple(rng.randint(-4, 4) for _ in range(2)),
-                    tuple(rng.randint(-4, 4) for _ in range(2)) if rng.random() < 0.8 else None,
+                    tuple(rng.choice(scales) * rng.randint(-4, 4) for _ in range(2)),
+                    tuple(rng.choice(scales) * rng.randint(-4, 4) for _ in range(2))
+                    if rng.random() < 0.8
+                    else None,
                 )
                 for _ in range(rng.randint(2, 3))
             )
             letter = rng.choice((1, 2))
-            got = [hit is not None for hit in separability._cyclic_hits(2, rows, q, (letter,))]
             shifts = [[s if k == letter else 0 for k in (1, 2)] for s in range(1, q)]
-            assert got == [separability._cyclic_satisfied(rows, q, sh) for sh in shifts], (q, rows)
+            hits = [s for s, sh in enumerate(shifts, 1) if separability._cyclic_satisfied(rows, q, sh)]
+            # (first hit, assignments examined)
+            closed_form = (1, 1) if separability._cyclic_satisfied(rows, q, shifts[0]) else (None, q - 1)
+            assert closed_form == ((hits[0], hits[0]) if hits else (None, q - 1)), (q, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_letter_search_matches_the_permutation_search(p):
+    # one-letter constraints with sums scaled by powers of p: every Z/p^k
+    # round is decided in closed form, and examined counts each round whole
+    rng = random.Random(300 + p)
+    compared = 0
+    for _ in range(8):
+        clauses = []
+        for _ in range(rng.randint(2, 3)):
+            coset = Word.parse("a" * (rng.choice((1, p, p * p)) * rng.randint(0, 3)), 1)
+            generator = Word.parse("a" * (p ** rng.randint(0, 4)), 1) if rng.random() < 0.7 else None
+            clauses.append((coset, generator))
+        constraint = tuple(clauses)
+        expected = _search_outcome(oracles.oracle_constraint_search, 1, p, constraint, 50_000)
+        if expected is None:  # the library is exhausted: the fallback takes over
+            continue
+        assert _search_outcome(_constraint_search, 1, p, constraint, 50_000, "test") == expected
+        compared += 1
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("block", [3, 7])
+@pytest.mark.parametrize("p, count, bound", [(2, 12, 2_000), (3, 6, 2_000), (5, 3, 600)])
+def test_search_blocks_of_any_size_match_the_permutation_search(monkeypatch, block, p, count, bound):
+    monkeypatch.setattr(separability, "SEARCH_BLOCK", block)
+    test_table_search_matches_the_permutation_search(p, count, bound)
+
+
+@pytest.mark.parametrize("block", [3, 7, separability.SEARCH_BLOCK])
+def test_search_cap_falls_on_the_same_assignment_at_any_block_size(monkeypatch, block):
+    # a table-group hit at assignment 653, and a one-letter Z/4 hit, decided
+    # in closed form, at 5 (after Z/2 and the three skipped ones of (Z/2)^2)
+    monkeypatch.setattr(separability, "SEARCH_BLOCK", block)
+    cases = [
+        (2, 3, _non_membership(_w("ba"), _w("ab")), "Heis(3)", 653),
+        (1, 2, _non_membership(_w("aa", 1), _w("aaaa", 1)), "Z/4", 5),
+    ]
+    for n, p, constraint, name, at in cases:
+        for bound in (at - 1, at, at + 1):
+            got = _search_outcome(_constraint_search, n, p, constraint, bound, "test")
+            assert (got[0], got[-1]) == (("cap", at) if bound < at else (name, at)), bound
