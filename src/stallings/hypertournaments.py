@@ -4,10 +4,12 @@ For a set L of primes, an L-hypertournament carries one relation of arity l
 per l in L such that every l-subset of distinct points supports the relation
 in at least one arrangement, and no arrangement has all of its l cyclic
 shifts in the relation. A family of partial automorphisms induces a labeled
-graph on the universe (one letter per map); when that graph is a subtadpole
-(at most one vertex of degree 3, the rest of degree at most 2), every
-vertex group is cyclic and the extension problem reduces to separating
-finitely many cosets in a finite quotient of the free group on the letters.
+graph on the universe (one letter per map). When that graph is a subtadpole
+(no vertex of degree above 3, at most one of degree 3), the vertex group of
+each component is trivial or cyclic, and the extension problem reduces to
+separating finitely many cosets in one finite quotient G of the free group
+on the letters. The extension is a disjoint union of G-orbits, one coset
+space G/H_C per component C, where H_C is the image of C's vertex group.
 
 Word actions on points compose right to left: ``w(x)`` follows the letters
 of w from last to first, each letter moving along (or against) its edge. A
@@ -18,10 +20,10 @@ loop in the graph, so vertex groups are read off cycle bases by reversal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .graphs import (
     subgroup_graph,
 )
 from .separability import (
+    FiniteQuotient,
     Perm,
     left_coset,
     p_identity,
@@ -544,7 +547,6 @@ class ExtensionResult:
     extended: Hypertournament
     embedding: tuple  # sorted (point, extended-point) pairs
     automorphisms: tuple  # one permutation dict (as sorted pairs) per input map
-    notes: tuple = field(default=())
 
     @cached_property
     def embedding_map(self) -> dict:
@@ -553,35 +555,6 @@ class ExtensionResult:
     @cached_property
     def automorphism_maps(self) -> tuple:
         return tuple(dict(pairs) for pairs in self.automorphisms)
-
-
-def _connect_family(g: LabeledGraph) -> tuple[LabeledGraph, tuple[str, ...]]:
-    """The family graph g joined into one component, and one note per join.
-
-    Components are chained end to end, each entered at its least vertex of
-    degree at most 1 and left at its greatest, with the unique cyclic or
-    branched component (if any) last. Each join is a connector map of one
-    pair under a fresh letter: a one-pair map is a partial isomorphism at
-    every arity >= 2, and the input maps stay as they are, so a join forces
-    no new equal exponent-sum difference, the abelian obstruction."""
-    plain, special = [], []
-    for comp in g.component_lists:
-        inside = set(comp)
-        arcs = sum(1 for u, _, _ in g.edges if u in inside)
-        is_path = arcs < len(comp) and max(g.degrees[x] for x in comp) <= 2
-        (plain if is_path else special).append(sorted(comp, key=_label_key))
-    if len(special) > 1:
-        raise NotSubtadpoleError(
-            "multiple components with cycles or branch vertices cannot be "
-            "joined while keeping every vertex group cyclic"
-        )
-    chain = [[x for x in comp if g.degrees[x] <= 1] or comp for comp in plain + special]
-    edges = list(g.edges)
-    notes = []
-    for letter, (a, b) in enumerate(zip(chain, chain[1:]), start=g.n + 1):
-        edges.append((a[-1], b[0], letter))
-        notes.append(f"added connector map {letter - 1}: {a[-1]!r} -> {b[0]!r}")
-    return make_graph(g.n + len(notes), g.vertices, edges), tuple(notes)
 
 
 def eppa_extend(
@@ -593,12 +566,19 @@ def eppa_extend(
     """Extend every partial map of a subtadpole family to an automorphism of
     a finite hypertournament containing m.
 
-    The universe of the extension is a coset space of the free group on the
-    letters: with basepoint stabilizer H and a finite quotient separating
-    the required cosets (kernel J), the point set is F/HJ. Relations are
-    carried over orbit-wise and completed. The result passes one full
-    :func:`verify_extension` audit before it is returned; a failed audit or
-    any other broken postcondition raises :class:`PostconditionError`.
+    The letters are the input maps. Each component C of the family graph,
+    based at its least point, has a vertex group H_C that is trivial or
+    cyclic, and a point x of C stands for the coset w_x H_C of its path
+    word. With a finite quotient G of the free group, of order prime to
+    every l in L, that keeps the required cosets apart, the extension's
+    universe is the disjoint union of the orbits G/H_C, laid out component
+    by component. No group element carries one orbit to another, so only
+    two points of one component need separating, and a related tuple only
+    from the free tuples that pair its points, position by position, with
+    points of the same components. Relations are carried over orbit-wise
+    and completed. The result passes one full :func:`verify_extension`
+    audit before it is returned; a failed audit or any other broken
+    postcondition raises :class:`PostconditionError`.
     """
     if p.host != m:
         raise InputError("family is not over the given hypertournament")
@@ -610,68 +590,69 @@ def eppa_extend(
             f"input is not a hypertournament: {violation.kind} at {violation.witness}",
             violation=violation,
         )
-    if not any(p.maps):
-        identity = tuple((x, x) for x in m.universe)
-        autos = tuple(identity for _ in p.maps)
-        result = ExtensionResult(m, identity, autos, ("family has no defined pairs",))
-        return _audited(result, m, p)
-
-    g0 = family_graph(p)
-    if not is_subtadpole(g0):
-        raise NotSubtadpoleError("family graph has too many branch vertices")
-    graph, notes = _connect_family(g0)
+    graph = family_graph(p)
     if not is_subtadpole(graph):
-        raise NotSubtadpoleError("connecting the family graph broke the subtadpole shape")
+        raise NotSubtadpoleError("family graph has too many branch vertices")
     k = graph.n
-
     points = m.universe  # in label order, so tuple codes list tuples in label order
     n = len(points)
-    base = points[0]
-    paths = path_words_from(graph, base)
-    w = {x: paths[x].reversed() for x in points}
 
-    loops = cycle_basis(graph, base)
-    if len(loops) > 1:
-        raise PostconditionError("a connected subtadpole has cyclic vertex groups")
-    h0 = loops[0].reversed() if loops else None
+    # per component, in the order of its least point: the path words from
+    # that point, and the generator of its vertex group (None when trivial)
+    component: dict = {}
+    w: dict = {}
+    loops: list[Word | None] = []
+    for c, comp in enumerate(graph.component_lists):
+        sub = graph.restrict(comp)
+        basis = cycle_basis(sub, comp[0])
+        if len(basis) > 1:
+            raise PostconditionError("a subtadpole component has a vertex group of rank above 1")
+        loops.append(basis[0].reversed() if basis else None)
+        for x, path in path_words_from(sub, comp[0]).items():
+            component[x] = c
+            w[x] = path.reversed()
 
-    if h0 is not None:
-        sub = subgroup_graph([h0], k)
+    for loop in dict.fromkeys(loop for loop in loops if loop is not None):
+        sub = subgroup_graph([loop], k)
         for l in sorted(m.L):
             res = is_l_root_closed(sub, l)
             if not res.closed:
                 raise RootClosureError(
-                    f"the basepoint stabilizer is not closed under {l}-th roots",
+                    f"a vertex group of the family graph is not closed under {l}-th roots",
                     witness=res.witness,
                     l=l,
                 )
 
+    h = {x: loops[component[x]] for x in points}
     empty = empty_word(k)
     constraints = []
     labels: list[tuple] = []
     for x, y in itertools.combinations(points, 2):
-        constraints.append(
-            ((w[x].inverse() * w[y], h0), (empty, h0))
-        )
-        labels.append(("embedding", x, y))
+        if component[x] == component[y]:
+            constraints.append(((w[x].inverse() * w[y], h[x]), (empty, h[x])))
+            labels.append(("embedding", x, y))
     # the relation clauses share one word per (y, z) pair and one conjugate
-    # of h0 per y
+    # of the vertex group per y
     w_inv = {y: w[y].inverse() for y in points}
-    coset_word = {(y, z): w[z] * w_inv[y] for y in points for z in points}
-    stabilizer = {y: w[y] * h0 * w_inv[y] if h0 is not None else None for y in points}
+    coset_word = {
+        (y, z): w[z] * w_inv[y] for y in points for z in points if component[y] == component[z]
+    }
+    stabilizer = {y: w[y] * h[y] * w_inv[y] if h[y] is not None else None for y in points}
     for l, codes in m.codes.items():
         every = _encode(_permutation_digits(n, l), n, codes.dtype)
         free = every[~_contains(codes, every)]
-        related = list(map(tuple, code_labels(codes, points, l).tolist()))
+        related: dict[tuple, list[tuple]] = {}
+        for ys in map(tuple, code_labels(codes, points, l).tolist()):
+            related.setdefault(tuple(component[y] for y in ys), []).append(ys)
         for zs in map(tuple, code_labels(free, points, l).tolist()):
-            for ys in related:
+            for ys in related.get(tuple(component[z] for z in zs), ()):
                 constraints.append(
                     tuple((coset_word[y, z], stabilizer[y]) for y, z in zip(ys, zs))
                 )
                 labels.append(("relation", ys, zs))
 
     try:
-        q = separate_coset_system(constraints, m.L, bound, seed)
+        q = separate_coset_system(constraints, k, m.L, bound, seed)
     except SearchCapError as exc:
         index = exc.details.get("constraint_index")
         if index is not None and index < len(labels):
@@ -682,35 +663,22 @@ def eppa_extend(
             ) from exc
         raise
 
-    # Enumerate the coset space by a Schreier walk from the identity coset;
-    # the full quotient group is never listed. table[s][j] is the coset that
-    # step s (the letter images, then their inverses) sends coset j to, so
-    # the first k rows are the letter actions.
-    shifts = q.cyclic_image(h0) - {p_identity(q.degree)}
-
-    def canon(perm: Perm) -> Perm:
-        return min(left_coset(perm, shifts))
-
-    steps = q.images + q.inverse_images
-    reps = [canon(p_identity(q.degree))]
-    coset_of = {reps[0]: 0}
-    table: list[list[int]] = [[] for _ in steps]
-    for r0 in reps:  # first in, first out: cosets found here join the walk
-        for g, row in zip(steps, table):
-            c = canon(p_mul(g, r0))
-            j = coset_of.get(c)
-            if j is None:
-                if len(reps) >= COSET_CAP:
-                    raise ResourceCapError(
-                        f"coset space exceeds {COSET_CAP} points",
-                        attempted_index=len(reps) + 1,
-                    )
-                j = coset_of[c] = len(reps)
-                reps.append(c)
-            row.append(j)
-    actions = table[:k]
-
-    embed = {x: coset_of[canon(q.evaluate(w[x]))] for x in points}
+    # one orbit per component, laid out in component order; components with
+    # one vertex group share its coset space
+    spaces = {loop: _coset_space(q, loop) for loop in dict.fromkeys(loops)}
+    orbits = [spaces[loop] for loop in loops]
+    offsets = list(itertools.accumulate((len(acts[0]) for acts, _ in orbits), initial=0))
+    if offsets[-1] > COSET_CAP:
+        raise ResourceCapError(
+            f"coset spaces exceed {COSET_CAP} points", attempted_index=offsets[-1]
+        )
+    actions = [
+        [start + j for (acts, _), start in zip(orbits, offsets) for j in acts[s]]
+        for s in range(k)
+    ]
+    embed = {
+        x: offsets[component[x]] + orbits[component[x]][1](q.evaluate(w[x])) for x in points
+    }
 
     # no element of the acting group has order divisible by any l: its order
     # divides the certified quotient order, which separate_coset_system keeps
@@ -722,18 +690,45 @@ def eppa_extend(
 
     cosets = np.array(list(embed.values()), dtype=np.int32)  # in universe order
     seeds = {l: cosets[_decode(codes, n, l)].tolist() for l, codes in m.codes.items()}
-    extended = orbit_structure(range(len(reps)), map(enumerate, actions), m.L, seeds)
+    extended = orbit_structure(range(offsets[-1]), map(enumerate, actions), m.L, seeds)
     embedding = tuple(embed.items())
     autos = tuple(tuple(enumerate(row)) for row in actions[: len(p.maps)])
-    return _audited(ExtensionResult(extended, embedding, autos, notes), m, p)
-
-
-def _audited(
-    r: ExtensionResult, m: Hypertournament, p: PartialAutomorphismFamily
-) -> ExtensionResult:
-    if not verify_extension(r, m, p):
+    result = ExtensionResult(extended, embedding, autos)
+    if not verify_extension(result, m, p):
         raise PostconditionError("extension failed its own audit")
-    return r
+    return result
+
+
+def _coset_space(
+    q: FiniteQuotient, h: Word | None
+) -> tuple[list[list[int]], Callable[[Perm], int]]:
+    """The letter actions on the left cosets of the image of <h> in q, and
+    the index of the coset of an element. ``actions[s][j]`` is the coset
+    that letter s + 1 sends coset j to. A Schreier walk from the identity
+    coset finds them; the quotient group is never listed, and the letter
+    images alone reach every coset, since each has finite order."""
+    shifts = q.cyclic_image(h) - {p_identity(q.degree)}
+
+    def canon(perm: Perm) -> Perm:
+        return min(left_coset(perm, shifts))
+
+    reps = [canon(p_identity(q.degree))]
+    coset_of = {reps[0]: 0}
+    actions: list[list[int]] = [[] for _ in q.images]
+    for r0 in reps:  # first in, first out: cosets found here join the walk
+        for g, row in zip(q.images, actions):
+            c = canon(p_mul(g, r0))
+            j = coset_of.get(c)
+            if j is None:
+                if len(reps) >= COSET_CAP:
+                    raise ResourceCapError(
+                        f"coset space exceeds {COSET_CAP} points",
+                        attempted_index=len(reps) + 1,
+                    )
+                j = coset_of[c] = len(reps)
+                reps.append(c)
+            row.append(j)
+    return actions, lambda perm: coset_of[canon(perm)]
 
 
 def verify_extension(

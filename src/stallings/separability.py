@@ -905,12 +905,14 @@ def _invertible_mod(s: int, q: int) -> bool:
 
 def separate_coset_system(
     constraints: Sequence[Constraint],
+    n: int,
     L: Iterable[int],
     bound: int = 500_000,
     seed: int = 0,
 ) -> FiniteQuotient:
-    """One finite quotient, of order prime to every l in L, in which every
-    constraint's coset intersection is empty.
+    """One finite quotient of the free group on n letters, of order prime to
+    every l in L, in which every constraint's coset intersection is empty.
+    An empty system gets the trivial quotient.
 
     When there are constraints and every clause generator is trivial, each
     coset is one element and a constraint holds exactly when its clause
@@ -932,8 +934,8 @@ def separate_coset_system(
     for l in sorted(L):
         if not is_prime(l):
             raise InputError(f"{l} in L is not prime")
-    ns = [w.n for cons in constraints for cl in cons for w in cl if w is not None]
-    n = max(ns, default=1)
+    if any(w is not None and w.n > n for cons in constraints for cl in cons for w in cl):
+        raise InputError(f"a constraint word uses letters beyond the {n} given")
     if constraints and all(g is None for cons in constraints for _, g in cons):
         sets, sums = _clause_values(constraints, partial(_letter_sums, n=n))
         obstructed = [(i, cons) for i, (cons, s) in enumerate(zip(constraints, sets)) if len(s) < 2]

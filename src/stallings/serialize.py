@@ -448,7 +448,6 @@ def extension_to_dict(r: ExtensionResult) -> dict:
         "automorphisms": [
             [[_thaw(u), _thaw(v)] for u, v in pairs] for pairs in r.automorphisms
         ],
-        "notes": list(r.notes),
     }
 
 
@@ -476,10 +475,8 @@ def extension_from_dict(d: Mapping) -> ExtensionResult:
                 raise InputError(f"automorphism entry {item!r} is not a pair")
             rows.append((_freeze(item[0]), _freeze(item[1])))
         autos.append(tuple(sorted(rows, key=lambda kv: _label_key(kv[0]))))
-    notes = tuple(str(x) for x in d.get("notes", ()))
     return ExtensionResult(
         extended,
         tuple(sorted(embedding, key=lambda kv: _label_key(kv[0]))),
         tuple(autos),
-        notes,
     )

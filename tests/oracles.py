@@ -461,17 +461,16 @@ def oracle_z_obstructed(constraint) -> bool:
     return len({sums(word) for word, _ in constraint}) < 2
 
 
-def oracle_cyclic_quotient(constraints, L, max_q: int = 1_000):
+def oracle_cyclic_quotient(constraints, n, L, max_q: int = 1_000):
     """The cyclic tier of ``separability.separate_coset_system`` by brute
-    force, for systems whose clause generators are all trivial. None when
-    some constraint is Z-obstructed (``oracle_z_obstructed``); else the
-    first Z/q, q = 2, 3, ... prime to every l in L, with the first
-    t = 0, ..., q - 1, whose letter shifts 1, t, ..., t^(k-1) mod q satisfy
-    every constraint. Each candidate is built as permutations and checked
-    by ``oracle_constraint_satisfied``."""
+    force, for systems on n letters whose clause generators are all
+    trivial. None when some constraint is Z-obstructed
+    (``oracle_z_obstructed``); else the first Z/q, q = 2, 3, ... prime to
+    every l in L, with the first t = 0, ..., q - 1, whose letter shifts
+    1, t, ..., t^(n-1) mod q satisfy every constraint. Each candidate is
+    built as permutations and checked by ``oracle_constraint_satisfied``."""
     from stallings.separability import FiniteQuotient
 
-    n = max(word.n for cons in constraints for word, _ in cons)
     if any(oracle_z_obstructed(cons) for cons in constraints):
         return None
     for q in range(2, max_q + 1):
@@ -485,18 +484,22 @@ def oracle_cyclic_quotient(constraints, L, max_q: int = 1_000):
     raise ValueError(f"no cyclic quotient up to Z/{max_q}")
 
 
-def oracle_eppa_constraints(points, w, h0, relations) -> list:
+def oracle_eppa_constraints(points, w, h, component, relations) -> list:
     """The constraint list ``eppa_extend`` hands to ``separate_coset_system``,
     built as it was before the word memo: every word of every clause
-    afresh. ``points`` are the input's points in canonical order, ``w`` maps
-    each to its path word, ``h0`` is the basepoint loop or None, and
-    ``relations`` maps each arity to its set of tuples; words are letter
-    tuples."""
+    afresh. ``points`` are the input's points in canonical order; ``w`` maps
+    each to its path word from the least point of its component, ``h`` to
+    the loop of that component or None, and ``component`` to a name of the
+    component; ``relations`` maps each arity to its set of tuples. Words
+    are letter tuples. Two points are kept apart only inside one component,
+    and a related tuple only from the free tuples whose points lie,
+    position by position, in the same components as its own."""
     import itertools
 
     constraints = []
     for x, y in itertools.combinations(points, 2):
-        constraints.append(((red_concat(inv(w[x]), w[y]), h0), ((), h0)))
+        if component[x] == component[y]:
+            constraints.append(((red_concat(inv(w[x]), w[y]), h[x]), ((), h[x])))
     for l in sorted(relations):
         tuples = relations[l]
         if len(points) < l:
@@ -505,10 +508,12 @@ def oracle_eppa_constraints(points, w, h0, relations) -> list:
             if zs in tuples:
                 continue
             for ys in sorted(tuples):
+                if any(component[y] != component[z] for y, z in zip(ys, zs)):
+                    continue
                 constraints.append(tuple(
                     (
                         red_concat(w[z], inv(w[y])),
-                        red_concat(red_concat(w[y], h0), inv(w[y])) if h0 is not None else None,
+                        red_concat(red_concat(w[y], h[y]), inv(w[y])) if h[y] is not None else None,
                     )
                     for y, z in zip(ys, zs)
                 ))
@@ -569,11 +574,11 @@ def oracle_induced_h1_map(f, p: int):
     return x
 
 
-def oracle_separate_coset_system(constraints, L, bound: int = 500_000, seed: int = 0):
+def oracle_separate_coset_system(constraints, n, L, bound: int = 500_000, seed: int = 0):
     """``separability.separate_coset_system`` as it was before each pruning
     trial became one product: every trial and the final quotient are
-    assembled by pairwise products from the trivial quotient. Returns the
-    quotient and the keep flag of each factor found."""
+    assembled by pairwise products from the trivial quotient on n letters.
+    Returns the quotient and the keep flag of each factor found."""
     from stallings.arith import is_prime, smallest_prime_not_in
     from stallings.errors import InputError, PostconditionError, SearchCapError
     from stallings.separability import (
@@ -588,8 +593,6 @@ def oracle_separate_coset_system(constraints, L, bound: int = 500_000, seed: int
     for l in sorted(L):
         if not is_prime(l):
             raise InputError(f"{l} in L is not prime")
-    ns = [w.n for cons in constraints for cl in cons for w in cl if w is not None]
-    n = max(ns, default=1)
     q = FiniteQuotient.trivial(n)
     factors = []
     ladder = []

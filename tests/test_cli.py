@@ -102,43 +102,44 @@ _LETTERS5 = [
     ["r", "s"], ["t", "p"], ["t", "q"], ["t", "r"], ["s", "t"],
 ]
 
-# Output digests of eppa-extend, taken from the tuple-at-a-time
-# implementation that tuple codes replaced. transitive4 and triples4 were
-# re-pinned when trivial-generator coset systems got one cyclic quotient
-# (27 and 8 points before, 7 after). All four families with more than one
-# component were re-pinned when components were joined by one-pair
-# connector maps under fresh letters instead of by extending the last map:
-# - letters5 (27 -> 17): map 0 extended by r -> p left two Z-obstructed
-#   constraints, which sent the system to the product (Heis(3)); with fresh
-#   letters none is left and Z/17 serves it;
-# - transitive4 (7 -> 9) and triples4 (7): three letters instead of two; on
-#   transitive4 the first moment-curve quotient over three letters is Z/9;
-# - swap3 (8): the product tier meets one more letter, Z/2 x Z/2 x Z/2
-#   instead of Z/2 x Z/4, and the notes and letter actions change.
+# Output digests of eppa-extend, first taken from the tuple-at-a-time
+# implementation that tuple codes replaced, and re-pinned on purpose each
+# time the construction changed. The latest change gives each component of
+# the family graph its own orbit G/H_C under the input letters alone,
+# instead of joining the components by connector maps under fresh letters
+# into one orbit. A tree component's orbit is all of G, so these sizes are
+# |G| per component:
+# - transitive4 (9): Z/3 on three components; the digest moved;
+# - triples4 (7 -> 6): Z/2 on three components;
+# - letters5 (17 -> 12): Z/3 on four components;
+# - swap3 (8 -> 6): Z/2 on three components; the swap's loop a^2 dies in
+#   Z/2, so its component's orbit is Z/2 as well;
+# - rotation3 (3): the same extension; the digest moved with the JSON's
+#   "notes" key, which is gone.
 _EPPA_CASES = {
     "transitive4": (
         [0, 1, 2, 3], 2, [[i, j] for i in range(4) for j in range(i + 1, 4)],
         [{"map": {"0": 3}}], 9,
-        "39f7045b0f445c3214d4abf9bcaaa9b4bb760614bca0200fbd1948f840efe6e7",
+        "e0b8923b5dcaae73b77bccf5aa26e843bf949f31da0e302a3d603e859ad0c7e7",
     ),
     "triples4": (
         [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-        [{"map": {"0": 3}}], 7,
-        "931824514ff8de8dce14e84a45e4f51e66e08b35c81ef8357a712b1853416535",
+        [{"map": {"0": 3}}], 6,
+        "868740591d49af013eb949c18062933181e0c0854b8f3ffed38d9525130bceb6",
     ),
     "letters5": (
-        ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 17,
-        "537c5c2e474ee1a5f9d38132e0f5d30d385801a51d3888b3b29e4cb1cc5c2d40",
+        ["p", "q", "r", "s", "t"], 2, _LETTERS5, [{"map": {"p": "q"}}], 12,
+        "fe5c18b7e702c7c45eb7b84039fe667f917fe1fab9b0d4e991fa04114faa1ef3",
     ),
     # the two families below have a nontrivial basepoint stabilizer
     "rotation3": (
         [0, 1, 2], 2, [[0, 1], [1, 2], [2, 0]], [{"map": {"0": 1, "1": 2, "2": 0}}], 3,
-        "d5fdbd10600f72c339cb6be24cb7608e7ea48b4a078483004057b94f11e8b438",
+        "3b2dcbc3a2072524a755858e65cd2199fbeb7c36ecefdae55f5f1bec225b5284",
     ),
     "swap3": (
         [0, 1, 2, 3], 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-        [{"map": {"0": 1, "1": 0}}], 8,
-        "5efbdea4b1e53a1b3e2a482f669ebf51309921c40d4fec998f43473653e3aa7a",
+        [{"map": {"0": 1, "1": 0}}], 6,
+        "51038143f35e34d71a00152f1021afccf45a4250f84e6c6eeefaa18978cf81c8",
     ),
 }
 
@@ -159,15 +160,18 @@ def test_eppa_extend_output_is_pinned(tmp_path, name):
 def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     # The text of a large extension goes out in bounded blocks: blocks of
     # thousands of rows raised the peak RSS of the eppa benchmark workloads.
-    # The map sends 0 -> 1 along an arc and 3 -> 2 against one. In an
-    # abelian quotient the map is a translation, so the translation taking 0
-    # to 3 takes the arc (0, 1) onto the non-arc (3, 2): no abelian quotient
-    # serves the system. The product tier serves those constraints (Heis(3))
-    # and Z/5 the rest, 135 points.
-    universe = list(range(6))
+    # On the transitive tournament on eight points, map 0 sends 0 -> 1 along
+    # an arc and 3 -> 2 against one, and map 1 sends 1 -> 3, so 0, 1, 3, 2
+    # form one component with path words 1, a, ba, aba. Keeping the arc
+    # (0, 1) off the non-arc (3, 2) separates ba from ab, which have one
+    # exponent-sum vector, so no abelian quotient serves the system. The
+    # product tier's Heis(3) does, with one 27-point orbit for each of the
+    # five components: 135 points.
+    universe = list(range(8))
     relation = [[i, j] for i in universe for j in universe if i < j]
     structure = _structure_file(tmp_path, universe, 2, relation)
-    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1, "3": 2}}])
+    maps = [{"0": 1, "3": 2}, {"1": 3}]
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": mp} for mp in maps])
     blocks = []
     echo = click.echo
 
@@ -192,7 +196,8 @@ def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert out.read_text() == result.stdout == text + "\n"
     m = make_hypertournament(universe, [2], {2: relation})
-    extension = eppa_extend(m, make_family(m, [{0: 1, 3: 2}]), bound=500_000, seed=0)
+    family = make_family(m, [{int(x): y for x, y in mp.items()} for mp in maps])
+    extension = eppa_extend(m, family, bound=500_000, seed=0)
     rows = extension_to_dict(extension)["extended"]["relations"]["2"]
     assert payload["extended"]["relations"]["2"] == rows.tolist()
 
@@ -207,7 +212,15 @@ def test_verify_extension_rejects_a_tampered_extension(tmp_path):
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout) == {"verified": True, "size": 9}
 
+    # files from before the "notes" key was dropped still load
     extension = json.loads(out.read_text())
+    assert "notes" not in extension
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({**extension, "notes": ["added connector map 1: 0 -> 1"]}))
+    result = _invoke("verify-extension", structure, maps_path, str(older))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout) == {"verified": True, "size": 9}
+
     points = extension["extended"]["universe"]
     extension["automorphisms"] = [[[x, x] for x in points]]
     out.write_text(json.dumps(extension))

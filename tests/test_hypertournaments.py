@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from stallings import (
     verify_extension,
 )
 from stallings.serialize import json_blocks
-from stallings.suite import _brute_validate
+from stallings.suite import _brute_validate, random_tournament
 
 
 def _transitive(k: int):
@@ -184,6 +185,63 @@ def test_eppa_extend_empty_family():
     assert len(result.extended.universe) == 3
 
 
+def test_eppa_extend_families_whose_coset_systems_are_empty():
+    # Maps that only fix points leave every component a single point, so
+    # no constraint arises and the trivial quotient gives each point an
+    # orbit of its own. Two such maps give two components with loops.
+    m = _transitive(4)
+    for maps in ([{0: 0}], [{0: 0}, {1: 1}]):
+        fam = make_family(m, maps)
+        result = eppa_extend(m, fam)
+        assert verify_extension(result, m, fam)
+        assert len(result.extended.universe) == 4
+
+
+def test_two_cyclic_triangles_under_one_rotation_map():
+    # Both components are cycles with the loop aaa: one orbit each, walked
+    # once for the shared vertex group.
+    triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    m = make_hypertournament(range(6), [2], {2: triangles + [(i, j) for i in range(3) for j in range(3, 6)]})
+    fam = make_family(m, [{0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}])
+    result = eppa_extend(m, fam)
+    assert verify_extension(result, m, fam) and _brute_validate(result.extended)
+
+
+def test_coset_cap_bounds_each_walk_and_the_total(monkeypatch):
+    from stallings import ResourceCapError
+    from stallings import hypertournaments as ht
+
+    m = _transitive(4)
+    fam = make_family(m, [{0: 3}])  # Z/3 on three components: 9 points
+    for cap, attempted in ((8, 9), (2, 3)):
+        monkeypatch.setattr(ht, "COSET_CAP", cap)
+        with pytest.raises(ResourceCapError) as caught:
+            eppa_extend(m, fam)
+        assert caught.value.details == {"attempted_index": attempted}
+
+
+def test_each_cyclic_vertex_group_is_checked_for_root_closure(monkeypatch):
+    # No valid input is known to fail the check; a stand-in verdict shows
+    # that each cyclic vertex group reaches it, and a tree's does not.
+    import types
+
+    from stallings import RootClosureError
+    from stallings import hypertournaments as ht
+
+    checked = []
+
+    def not_closed(sub, l):
+        checked.append(l)
+        return types.SimpleNamespace(closed=False, witness=None)
+
+    monkeypatch.setattr(ht, "is_l_root_closed", not_closed)
+    m = make_hypertournament(range(3), [2], {2: [(0, 1), (1, 2), (2, 0)]})
+    eppa_extend(m, make_family(m, [{0: 1}]))  # a tree: nothing to check
+    with pytest.raises(RootClosureError):
+        eppa_extend(m, make_family(m, [{0: 1, 1: 2, 2: 0}]))
+    assert checked == [2]
+
+
 def test_eppa_extend_arity_three():
     m = make_hypertournament(
         range(4),
@@ -204,7 +262,7 @@ def test_eppa_extend_over_mixed_label_types():
     fam = make_family(m, [{1: 2}])
     result = eppa_extend(m, fam)
     assert verify_extension(result, m, fam)
-    assert len(result.extended.universe) == 5
+    assert len(result.extended.universe) == 6  # Z/3 on the components {1, 2} and {"a"}
 
 
 def test_eppa_extend_refuses_non_subtadpole_families():
@@ -247,68 +305,75 @@ def test_verify_extension_catches_tampering():
     assert not verify_extension(swapped, m, fam)
 
 
-def _ten_point_tournament_with_a_two_pair_map(seed: int):
-    """A seeded tournament on ten points and the first two-pair partial
-    isomorphism the same generator then draws."""
-    from stallings.suite import random_tournament
-
+def _tournament_with_a_map(seed: int, n: int = 10, pairs: int = 2):
+    """A seeded tournament on n points and the first partial isomorphism of
+    the given number of pairs that the same generator then draws."""
     rng = random.Random(seed)
-    m = random_tournament(rng, range(10))
+    m = random_tournament(rng, range(n))
     while True:
-        a, b, c, d = rng.sample(range(10), 4)
+        chosen = rng.sample(range(n), 2 * pairs)
         try:
-            return m, make_family(m, [{a: c, b: d}])
+            return m, make_family(m, [dict(zip(chosen[:pairs], chosen[pairs:]))])
         except NotPartialIsomorphismError:
             continue
 
 
-def test_ten_point_tournament_with_a_two_pair_map_stays_small():
-    # Seed 10 draws a map that one cyclic quotient serves; a product of one
-    # library witness per constraint made 2,187 points of it.
-    m, fam = _ten_point_tournament_with_a_two_pair_map(10)
-    result = eppa_extend(m, fam)
-    assert len(result.extended.universe) < 200
-    assert verify_extension(result, m, fam)
-
-
-@pytest.mark.parametrize("seed", [0, 2, 11])
+@pytest.mark.parametrize("seed", range(12))
 def test_z_obstructed_ten_point_tournaments_finish_under_the_caps(seed):
-    # Each map sends x1 -> y1 and x2 -> y2 with arcs that no abelian quotient
-    # keeps apart. A product of one library witness per constraint exceeds
-    # COSET_CAP on seeds 0 and 11 and gives 729 points on seed 2; the product
-    # tier on the Z-obstructed constraints alone, with a cyclic factor for
-    # the rest, finishes on each.
-    m, fam = _ten_point_tournament_with_a_two_pair_map(seed)
+    # Each map sends x1 -> y1 and x2 -> y2. When one orbit held every point,
+    # the translation taking x1 to x2 left constraints that no abelian
+    # quotient serves on seeds 0, 2 and 11: a product of one library witness
+    # per constraint exceeded COSET_CAP on seeds 0 and 11, gave 729 points on
+    # seed 2 and 2,187 on seed 10. With one orbit per component, x1 and x2
+    # lie in different orbits and each seed gives Z/3 on eight components.
+    m, fam = _tournament_with_a_map(seed)
     result = eppa_extend(m, fam)
+    assert len(result.extended.universe) < 50
     assert verify_extension(result, m, fam)
 
 
-def test_connectors_are_fresh_one_pair_maps():
-    # Components are joined by new one-pair maps under fresh letters: the
-    # input maps keep their pairs, and the joined graph is one subtadpole
-    # with one note per connector.
-    from stallings.hypertournaments import _connect_family
+@pytest.mark.parametrize("seed", range(8))
+def test_twenty_point_tournaments_with_a_three_pair_map_finish_quickly(seed):
+    # One orbit for all the components took about 35 s, or exceeded
+    # COSET_CAP, on these: a cyclic quotient of order about 1,000 over one
+    # letter per component.
+    m, fam = _tournament_with_a_map(seed, n=20, pairs=3)
+    start = time.perf_counter()
+    result = eppa_extend(m, fam)
+    assert time.perf_counter() - start < 1.0
+    assert verify_extension(result, m, fam)
 
-    rng = random.Random(23)
-    joined = 0
-    for trial in range(16):
-        m, fam = _eppa_inputs(rng, 2 if trial % 2 else 3, cyclic=trial % 4 >= 2)
-        if trial % 8 >= 6:  # split the map in two, so that two letters are input maps
-            (pairs,) = fam.maps
-            fam = make_family(m, [dict(pairs[:1]), dict(pairs[1:])])
+
+def test_seeded_families_of_up_to_three_maps_extend_and_validate():
+    # Maps of one to three pairs over the same points, so domains and
+    # ranges overlap: components of several letters, cycles and fixed
+    # points.
+    rng = random.Random(29)
+    outcomes = {"extended": 0, "looped": 0, "refused": 0}
+    for trial in range(80):
+        l = 2 if trial % 2 else 3
+        universe = sorted(rng.sample(range(30), rng.randint(4, 6 if l == 2 else 5)))
+        m = random_tournament(rng, universe) if l == 2 else _random_hypertournament3(rng, universe)
+        maps = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 3)
+            maps.append(dict(zip(rng.sample(universe, k), rng.sample(universe, k))))
+        try:
+            fam = make_family(m, maps)
+        except NotPartialIsomorphismError:
+            continue
         g = family_graph(fam)
-        graph, notes = _connect_family(g)
-        assert graph.vertices == g.vertices and graph.is_connected and is_subtadpole(graph)
-        assert graph.n == g.n + len(notes) == len(fam.maps) + len(notes)
-        for letter in range(1, graph.n + 1):
-            pairs = sorted((u, v) for u, v, i in graph.edges if i == letter)
-            if letter <= g.n:
-                assert pairs == sorted(fam.maps[letter - 1]), (fam.maps, notes)
-            else:
-                ((u, v),) = pairs
-                assert notes[letter - g.n - 1] == f"added connector map {letter - 1}: {u!r} -> {v!r}"
-        joined += len(notes)
-    assert joined >= 16
+        if not is_subtadpole(g):
+            with pytest.raises(NotSubtadpoleError):
+                eppa_extend(m, fam)
+            outcomes["refused"] += 1
+            continue
+        result = eppa_extend(m, fam, seed=trial)
+        assert verify_extension(result, m, fam), (m.relations, maps)
+        assert _brute_validate(result.extended), (m.relations, maps)
+        outcomes["extended"] += 1
+        outcomes["looped"] += len(g.edges) - len(g.vertices) + len(g.component_lists) > 0
+    assert outcomes["extended"] >= 30 and min(outcomes.values()) >= 3, outcomes
 
 
 def _random_partial_injection(rng: random.Random, points: list) -> dict:
@@ -499,7 +564,7 @@ def _eppa_inputs(rng: random.Random, l: int, cyclic: bool):
     """A seeded instance; with ``cyclic`` the map closes a loop (a swap at
     arity 3, the rotation of a cyclic triangle at arity 2) when one exists,
     so that the basepoint stabilizer is not trivial."""
-    from stallings.suite import random_disjoint_partial_map, random_tournament
+    from stallings.suite import random_disjoint_partial_map
 
     universe = sorted(rng.sample(range(30), rng.randint(4, 5 if l == 3 else 6)))
     m = random_tournament(rng, universe) if l == 2 else _random_hypertournament3(rng, universe)
@@ -528,18 +593,27 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
     rng = random.Random(17)
     checked = 0
     loops = 0
-    for trial in range(12):
+    for trial in range(24):
         m, fam = _eppa_inputs(rng, 2 if trial % 2 else 3, cyclic=trial % 4 >= 2)
+        if trial % 8 >= 4:  # a second letter: a one-pair map, which may join two components
+            u, v = rng.sample(m.universe, 2)
+            fam = make_family(m, [dict(fam.maps[0]), {u: v}])
+        graph = family_graph(fam)
+        if not is_subtadpole(graph):
+            continue
         handed.clear()
         eppa_extend(m, fam, seed=trial)
-        graph = ht._connect_family(ht.family_graph(fam))[0]
         points = sorted(m.universe)
-        paths = path_words_from(graph, points[0])
-        w = {x: paths[x].reversed().letters for x in points}
-        basis = cycle_basis(graph, points[0])
-        h0 = basis[0].reversed().letters if basis else None
-        loops += h0 is not None
-        expected = oracles.oracle_eppa_constraints(points, w, h0, m.relation_map)
+        w, h, component = {}, {}, {}
+        for comp in graph.component_lists:
+            base = min(comp)
+            sub = graph.restrict(comp)
+            basis = cycle_basis(sub, base)
+            loop = basis[0].reversed().letters if basis else None
+            for x, path in path_words_from(sub, base).items():
+                w[x], h[x], component[x] = path.reversed().letters, loop, base
+        loops += any(loop is not None for loop in h.values())
+        expected = oracles.oracle_eppa_constraints(points, w, h, component, m.relation_map)
         (constraints,) = handed
         as_tuples = [
             tuple((c.letters, g.letters if g is not None else None) for c, g in clause)
@@ -547,8 +621,9 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
         ]
         assert as_tuples == expected, (m.universe, fam.maps)
         # the relation clauses share one word per (y, z) pair and per y
-        relation_part = constraints[len(points) * (len(points) - 1) // 2:]
+        pairs = sum(component[x] == component[y] for x, y in itertools.combinations(points, 2))
+        relation_part = constraints[pairs:]
         words = {id(word) for clause in relation_part for pair in clause for word in pair}
         assert len(words) <= len(points) ** 2 + len(points) + 1
         checked += len(relation_part)
-    assert checked > 500 and loops >= 4
+    assert checked > 500 and loops >= 4, (checked, loops)

@@ -207,7 +207,7 @@ def test_constraint_semantics_on_trivial_quotient():
 
 def test_coset_system_single_constraint():
     cons = [_non_membership(_w("b"), _w("a"))]
-    q = separate_coset_system(cons, [3])
+    q = separate_coset_system(cons, 2, [3])
     assert constraint_satisfied(q, cons[0])
     assert not prime_factors(q.order) & {3}
 
@@ -218,7 +218,7 @@ def test_coset_system_multiple_constraints():
         _non_membership(_w("a"), _w("b")),
         _non_membership(_w("ab"), _w("ba")),
     ]
-    q = separate_coset_system(cons, [5])
+    q = separate_coset_system(cons, 2, [5])
     for c in cons:
         assert constraint_satisfied(q, c)
     assert not prime_factors(q.order) & {5}
@@ -226,7 +226,15 @@ def test_coset_system_multiple_constraints():
 
 def test_coset_system_rejects_non_prime_l():
     with pytest.raises(InputError):
-        separate_coset_system([_non_membership(_w("b"), _w("a"))], [6])
+        separate_coset_system([_non_membership(_w("b"), _w("a"))], 2, [6])
+
+
+def test_coset_system_takes_its_letter_count_from_the_caller():
+    # an empty system has no words to count letters from
+    q = separate_coset_system([], 3, [2])
+    assert (q.n, q.order) == (3, 1) and q.evaluate(Word.parse("c", 3)) == p_identity(1)
+    with pytest.raises(InputError, match="beyond the 1 given"):
+        separate_coset_system([_non_membership(_w("b"), _w("a"))], 1, [3])
 
 
 # -- the coset memo -------------------------------------------------------------------
@@ -306,13 +314,15 @@ def test_equal_words_share_one_coset_memo_entry(monkeypatch):
 
 
 def _coset_systems(monkeypatch, seed: int = 11) -> list:
-    """The constraint systems eppa_extend hands to separate_coset_system on
-    seeded tournaments and 3-hypertournaments, each with a one-pair map."""
+    """The (constraints, letters, L) systems eppa_extend hands to
+    separate_coset_system on seeded tournaments and 3-hypertournaments, each
+    with the one-pair maps x -> y and y -> z: one three-point component
+    under two letters, which gives each system at least ten constraints."""
     systems = []
 
-    def record(constraints, L, bound, seed):
-        systems.append((list(constraints), frozenset(L)))
-        return separate_coset_system(constraints, L, bound, seed)
+    def record(constraints, n, L, bound, seed):
+        systems.append((list(constraints), n, frozenset(L)))
+        return separate_coset_system(constraints, n, L, bound, seed)
 
     monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
     rng = random.Random(seed)
@@ -324,25 +334,24 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
             rng.shuffle(row)
             rows.append(tuple(row))
         m = make_hypertournament(points, [l], {l: rows})
-        x, y = rng.sample(points, 2)
-        eppa_extend(m, make_family(m, [{x: y}]))
+        x, y, z = rng.sample(points, 3)
+        eppa_extend(m, make_family(m, [{x: y}, {y: z}]))
     monkeypatch.undo()
     return systems
 
 
-def _product_tier(constraints, L):
+def _product_tier(constraints, n, L):
     """The product tier of separate_coset_system alone, on any system."""
-    n = max(w.n for cons in constraints for clause in cons for w in clause if w is not None)
     return separability._product_tier(list(enumerate(constraints)), n, frozenset(L), 500_000, 0)
 
 
 def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
     systems = _coset_systems(monkeypatch)
-    assert len(systems) == 4 and min(len(cons) for cons, _ in systems) >= 10
-    got = [_product_tier(cons, L) for cons, L in systems]
+    assert len(systems) == 4 and min(len(cons) for cons, _, _ in systems) >= 10
+    got = [_product_tier(*system) for system in systems]
     monkeypatch.setattr(separability, "constraint_satisfied", oracles.oracle_constraint_satisfied)
-    for (cons, L), q in zip(systems, got):
-        expected = _product_tier(cons, L)
+    for system, q in zip(systems, got):
+        expected = _product_tier(*system)
         assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
 
 
@@ -357,7 +366,7 @@ def _looped_systems(monkeypatch, seed: int) -> list:
     product_tier = separability._product_tier
 
     def record(numbered, n, L, bound, seed):
-        systems.append(([cons for _, cons in numbered], L))
+        systems.append(([cons for _, cons in numbered], n, L))
         return product_tier(numbered, n, L, bound, seed)
 
     monkeypatch.setattr(separability, "_product_tier", record)
@@ -377,15 +386,14 @@ def _looped_systems(monkeypatch, seed: int) -> list:
 
 
 def test_pruning_trials_match_the_pairwise_products(monkeypatch):
-    # With one-pair maps, joined by fresh connector letters, the seed-11
-    # systems keep every factor (one per letter). The seed-5 looped systems
-    # give one that keeps both of its factors and one whose pruning drops
-    # three of five.
+    # Each seed-11 system of two one-pair maps keeps both of its factors,
+    # one per letter. Of the seed-5 looped systems, one has a single factor
+    # and the other's pruning drops the first of its two.
     systems = _coset_systems(monkeypatch, 11) + _looped_systems(monkeypatch, 5)
     kept_all = set()
-    for cons, L in systems:
-        q = _product_tier(cons, L)
-        expected, keep = oracles.oracle_separate_coset_system(cons, L)
+    for cons, n, L in systems:
+        q = _product_tier(cons, n, L)
+        expected, keep = oracles.oracle_separate_coset_system(cons, n, L)
         assert (q.images, q.degree, q.order, q.name) == (
             expected.images, expected.degree, expected.order, expected.name
         )
@@ -394,11 +402,11 @@ def test_pruning_trials_match_the_pairwise_products(monkeypatch):
     assert kept_all == {True, False}
 
 
-def _trivial_generator_system(rng) -> list:
+def _trivial_generator_system(rng) -> tuple[list, int]:
     """Up to eight constraints of two or three distinct random words over
-    one to three letters, every clause generator trivial. Now and then a
-    constraint is a word and that word times a commutator, which no abelian
-    quotient tells apart."""
+    one to three letters, every clause generator trivial, and the letter
+    count. Now and then a constraint is a word and that word times a
+    commutator, which no abelian quotient tells apart."""
     n = rng.randint(1, 3)
     out = []
     for _ in range(rng.randint(1, 8)):
@@ -413,33 +421,33 @@ def _trivial_generator_system(rng) -> list:
                 words.add(_random_word(rng, 4, n))
         if len(words) > 1:
             out.append(tuple((w, None) for w in sorted(words)))
-    return out or [((_w("a", n), None), (empty_word(n), None))]
+    return out or [((_w("a", n), None), (empty_word(n), None))], n
 
 
 def test_cyclic_tier_matches_the_brute_force_oracle(monkeypatch):
     systems = _coset_systems(monkeypatch, 11)
     rng = random.Random(4001)
     systems += [
-        (_trivial_generator_system(rng), frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))
+        (*_trivial_generator_system(rng), frozenset(rng.sample([2, 3, 5], rng.randint(0, 2))))
         for _ in range(60)
     ]
     kinds = set()
-    for cons, L in systems:
-        q = separate_coset_system(cons, L)
-        expected = oracles.oracle_cyclic_quotient(cons, L)
+    for cons, n, L in systems:
+        q = separate_coset_system(cons, n, L)
+        expected = oracles.oracle_cyclic_quotient(cons, n, L)
         kind = "cyclic"
         if expected is None:
             # the product tier serves the Z-obstructed constraints, and a
             # cyclic factor those its product leaves unsatisfied
             obstructed = [c for c in cons if oracles.oracle_z_obstructed(c)]
-            expected = _product_tier(obstructed, L)
+            expected = _product_tier(obstructed, n, L)
             rest = [
                 c for c in cons
                 if not oracles.oracle_z_obstructed(c)
                 and not oracles.oracle_constraint_satisfied(expected, c)
             ]
             if rest:
-                expected = direct_product(expected, oracles.oracle_cyclic_quotient(rest, L))
+                expected = direct_product(expected, oracles.oracle_cyclic_quotient(rest, n, L))
             kind = "product x cyclic" if rest else "product"
         assert (q.images, q.degree, q.order, q.name) == (
             expected.images, expected.degree, expected.order, expected.name
@@ -453,8 +461,8 @@ def test_cyclic_tier_matches_the_brute_force_oracle(monkeypatch):
 def test_systems_outside_the_cyclic_tier_take_the_product_unchanged():
     # A clause generator sends every constraint to the product tier.
     with_generator = [_non_membership(_w("b"), _w("a")), ((_w("a"), None), (_w("b"), None))]
-    q = separate_coset_system(with_generator, [2])
-    expected = _product_tier(with_generator, [2])
+    q = separate_coset_system(with_generator, 2, [2])
+    expected = _product_tier(with_generator, 2, [2])
     assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
     assert all(constraint_satisfied(q, c) for c in with_generator)
     # ab and ba have one exponent-sum vector, so no abelian quotient
@@ -462,14 +470,14 @@ def test_systems_outside_the_cyclic_tier_take_the_product_unchanged():
     # Heis(3) also tells a from b, which Z/3 alone would serve; c stays
     # trivial in it, so c != 1 takes a cyclic factor.
     obstructed = [((_w("ab"), None), (_w("ba"), None)), ((_w("a"), None), (_w("b"), None))]
-    q = separate_coset_system(obstructed, [2])
-    expected = _product_tier(obstructed[:1], [2])
+    q = separate_coset_system(obstructed, 2, [2])
+    expected = _product_tier(obstructed[:1], 2, [2])
     assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
     assert "Heis(3)" in q.name and all(constraint_satisfied(q, c) for c in obstructed)
-    assert separate_coset_system(obstructed[1:], [2]).name == "Z/3"
+    assert separate_coset_system(obstructed[1:], 2, [2]).name == "Z/3"
     three = [((_w("ab", 3), None), (_w("ba", 3), None)), ((_w("c", 3), None), (empty_word(3), None))]
-    q = separate_coset_system(three, [2])
-    assert q.name == _product_tier(three[:1], [2]).name + " x Z/3" and q.order == 81
+    q = separate_coset_system(three, 3, [2])
+    assert q.name == _product_tier(three[:1], 3, [2]).name + " x Z/3" and q.order == 81
 
 
 @pytest.mark.parametrize("tier", ["_cyclic_tier", "_product_tier"])
@@ -488,7 +496,7 @@ def test_final_check_names_the_first_failing_constraint(monkeypatch, tier):
         constraints.append(_non_membership(_w("a"), _w("aaa")))
     monkeypatch.setattr(separability, tier, lambda *args: bad)
     with pytest.raises(SearchCapError) as caught:
-        separate_coset_system(constraints, [2])
+        separate_coset_system(constraints, 2, [2])
     assert caught.value.details == {"constraint_index": 1}
 
 
