@@ -50,7 +50,7 @@ from .serialize import (
     subgroup_from_dict,
     witness_to_dict,
 )
-from .suite import run_property_suite
+from .suite import DEFAULT_TRIALS, run_property_suite
 from .verify import verify_counterexample
 from .words import Word, maximal_root
 
@@ -521,12 +521,11 @@ def verify_counterexample_cmd(p: int, depth: int, out: str | None) -> None:
 
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=None, help="Instances per invariant.")
+@click.option("--trials", default=DEFAULT_TRIALS, show_default=True, help="Instances per invariant.")
 @_guarded
-def suite(seed: int, trials: int | None) -> None:
+def suite(seed: int, trials: int) -> None:
     """Seeded randomized property suite; exit 0 iff every invariant holds."""
-    sizes = {"trials": trials} if trials is not None else None
-    report = run_property_suite(seed, sizes)
+    report = run_property_suite(seed, trials)
     _echo(report.as_dict())
     sys.exit(0 if report.passed else 1)
 

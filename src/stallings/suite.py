@@ -1,12 +1,13 @@
 """Seeded randomized property suite.
 
 run_property_suite draws every instance from a deterministic stream, so two
-runs with the same seed and sizes produce identical reports. Each invariant
-gets its own substream keyed by name; a failure message carries the trial
-index, which is enough to regenerate the offending instance.
+runs with the same seed and trial count produce identical reports. Each
+invariant gets its own substream keyed by name; a failure message carries the
+trial index, which is enough to regenerate the offending instance.
 
-The instance generators are exported because the test suite drives the same
-distributions at larger sizes.
+INVARIANTS is the one place these laws are stated: the test suite runs each
+entry at DEFAULT_TRIALS, and draws from the exported instance generators where
+it needs the same distributions.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .covers import build_cover, pullback, surjective_cocycle
-from .errors import ForcedCycleError, InputError, StallingsError
+from .errors import ForcedCycleError, InputError, SearchCapError, StallingsError
 from .fiber import component_pi1, fiber_product, is_l_root_closed, is_malnormal
 from .graphs import (
     LabeledGraph,
@@ -35,7 +38,7 @@ from .graphs import (
     to_wedge_morphism,
     wedge_graph,
 )
-from .homology import TwistedMatrix, chain_complex, h1_basis, induced_h1_map
+from .homology import TwistedMatrix, _spanning_forest, chain_complex, h1_basis, induced_h1_map
 from .hypertournaments import (
     Hypertournament,
     _iso_violation,
@@ -111,7 +114,7 @@ def random_homology_iso_subgroup(
         f_star = induced_h1_map(to_wedge_morphism(h.graph), p)
         if f_star.is_isomorphism:
             return h
-    raise AssertionError("no homology isomorphism instance found")
+    raise SearchCapError("no homology isomorphism instance found", tries=tries)
 
 
 def random_twisted_matrix(
@@ -162,11 +165,12 @@ def _inv_fold(rng: random.Random, trials: int) -> tuple[int, Failures]:
             continue
         perm = list(range(len(g.vertices)))
         rng.shuffle(perm)
+        name = {v: ("x", perm[v]) for v in g.vertices}
         relabeled = make_graph(
             g.n,
-            [perm[v] for v in g.vertices],
-            [(perm[u], perm[v], i) for u, v, i in g.edges],
-            basepoint=perm[g.basepoint],
+            [name[v] for v in g.vertices],
+            [(name[u], name[v], i) for u, v, i in g.edges],
+            basepoint=name[g.basepoint],
         )
         left = canonical_form(core(folded))
         right = canonical_form(core(fold(relabeled)))
@@ -281,6 +285,8 @@ def _inv_cycle_basis(rng: random.Random, trials: int) -> tuple[int, Failures]:
             failures.append(f"trial {t}: basis size {len(basis)} != rank {h.rank()}")
         if not all(h.contains(w) for w in basis):
             failures.append(f"trial {t}: basis word escapes the subgroup")
+        if canonical_form(subgroup_graph(basis, 2).graph) != canonical_form(h.graph):
+            failures.append(f"trial {t}: basis generates another subgroup")
     return trials, failures
 
 
@@ -371,6 +377,11 @@ def _inv_h1(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if basis.cols != expected:
             failures.append(f"trial {t}: h1 dimension {basis.cols} != {expected}")
             continue
+        chords = ~_spanning_forest(g).is_tree
+        if basis.rank != expected or not np.array_equal(
+            basis.array[chords], np.eye(expected)
+        ):
+            failures.append(f"trial {t}: h1 basis is not the identity on the chords")
         boundary = chain_complex(g, p).boundary
         product = boundary @ basis
         if product.array.any():
@@ -422,10 +433,17 @@ def _inv_deck(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if len(maps) != p:
             failures.append(f"trial {t}: deck maps are not distinct")
         proj = cover.projection
+        if set(proj.mapping.values()) != set(cover.base.vertices):
+            failures.append(f"trial {t}: projection misses a base vertex")
         for a in autos:
             if a.compose(proj).mapping != proj.mapping:
                 failures.append(f"trial {t}: deck map does not cover the identity")
                 break
+        power = autos[1]
+        for _ in range(p - 1):
+            power = power.compose(autos[1])
+        if power.mapping != {v: v for v in cover.total.vertices}:
+            failures.append(f"trial {t}: deck generator ** {p} is not the identity")
     return trials, failures
 
 
@@ -565,7 +583,7 @@ INVARIANTS: tuple[tuple[str, Callable[[random.Random, int], tuple[int, Failures]
 @dataclass(frozen=True)
 class SuiteReport:
     seed: int
-    sizes: tuple
+    trials: int
     results: tuple
 
     @property
@@ -575,7 +593,7 @@ class SuiteReport:
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "sizes": dict(self.sizes),
+            "sizes": {"trials": self.trials},
             "results": [
                 {"invariant": name, "runs": runs, "failures": list(failures)}
                 for name, runs, failures in self.results
@@ -587,13 +605,9 @@ class SuiteReport:
 DEFAULT_TRIALS = 12
 
 
-def run_property_suite(
-    seed: int = 0, sizes: Mapping[str, int] | None = None
-) -> SuiteReport:
-    """Run every registered invariant on fresh seeded instances. sizes may
-    carry a "trials" entry; identical (seed, sizes) give identical reports."""
-    sizes = dict(sizes or {})
-    trials = int(sizes.get("trials", DEFAULT_TRIALS))
+def run_property_suite(seed: int = 0, trials: int = DEFAULT_TRIALS) -> SuiteReport:
+    """Run every registered invariant on `trials` fresh seeded instances;
+    identical (seed, trials) give identical reports."""
     if trials < 1:
         raise InputError(f"trials must be positive, got {trials}")
     results = []
@@ -601,6 +615,4 @@ def run_property_suite(
         rng = random.Random(f"{seed}:{name}")
         runs, failures = check(rng, trials)
         results.append((name, runs, tuple(failures)))
-    return SuiteReport(
-        seed=seed, sizes=tuple(sorted(sizes.items())), results=tuple(results)
-    )
+    return SuiteReport(seed=seed, trials=trials, results=tuple(results))

@@ -441,6 +441,7 @@ _COMMAND_ERRORS = {
     "cover": (("cover", "@a,b", "--p", "3", "--cocycle", "a1"), 2, "invalid_input"),
     "tower": (("tower", "@abABa,b", "--p", "2", "--depth", "1", "--pullback", "@a,b"), 2, "invalid_input"),
     "verify-counterexample": (("verify-counterexample", "--p", "4"), 2, "invalid_input"),
+    "suite": (("suite", "--trials", "0"), 2, "invalid_input"),
 }
 
 

@@ -56,21 +56,6 @@ def test_cocycle_must_cover_every_edge():
         CoverDescription.from_dict(wedge, 9, {e: 0 for e in wedge.edges})
 
 
-def test_projection_and_deck_transformations():
-    cov = _wedge_cover(3, 1, 2)
-    proj = cov.projection
-    assert set(proj.mapping.values()) == set(cov.base.vertices)
-    decks = cov.deck_automorphisms()
-    assert len(decks) == 3
-    for d in decks:
-        assert d.compose(proj).mapping == proj.mapping
-    # composing the generator with itself p times is the identity
-    walk = decks[1]
-    for _ in range(2):
-        walk = decks[1].compose(walk)
-    assert walk.mapping == decks[0].mapping
-
-
 def test_connectivity_tracks_the_cocycle():
     assert _wedge_cover(2, 1, 0).is_connected
     assert _wedge_cover(2, 0, 1).is_connected

@@ -28,19 +28,6 @@ def _sub(*texts: str, n: int = 2):
     return subgroup_graph([Word.parse(t, n) for t in texts], n)
 
 
-def test_product_cardinalities_multiply():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = _sub(*rng.sample(["a", "ab", "bb", "abA", "ba"], rng.randint(1, 2)))
-        b = _sub(*rng.sample(["b", "aab", "aa", "bab"], rng.randint(1, 2)))
-        fp = fiber_product(a, b)
-        assert len(fp.product.vertices) == len(a.graph.vertices) * len(b.graph.vertices)
-        for letter in (1, 2):
-            assert fp.product.edge_count(letter) == a.graph.edge_count(
-                letter
-            ) * b.graph.edge_count(letter)
-
-
 def test_projections_are_graph_maps():
     fp = fiber_product(_sub("ab", "ba"), _sub("aa", "b"))
     for side in ("left", "right"):

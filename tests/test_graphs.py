@@ -10,12 +10,9 @@ from stallings import (
     InputError,
     PreconditionError,
     Word,
-    canonical_form,
     core,
-    cycle_basis,
     fold,
     make_graph,
-    rank,
     subgroup_graph,
     to_wedge_morphism,
     wedge_graph,
@@ -69,33 +66,6 @@ def test_fold_whole_group():
     assert h.rank() == 2
 
 
-def test_fold_is_idempotent_and_label_invariant():
-    rng = random.Random(7)
-    for _ in range(40):
-        k = rng.randint(1, 3)
-        gens = []
-        while len(gens) < k:
-            m = rng.randint(1, 5)
-            raw = [rng.choice([1, -1, 2, -2]) for _ in range(m)]
-            w = Word(oracles.reduce_tuple(raw), 2)
-            if w:
-                gens.append(w)
-        folded = subgroup_graph(gens, 2).graph
-        assert canonical_form(fold(folded)) == canonical_form(folded)
-
-        # shuffle the vertex names; the canonical form must not move
-        names = list(folded.vertices)
-        rng.shuffle(names)
-        perm = {v: ("x", i) for i, v in enumerate(names)}
-        shuffled = make_graph(
-            folded.n,
-            [perm[v] for v in names],
-            [(perm[u], perm[v], a) for u, v, a in folded.edges],
-            perm[folded.basepoint],
-        )
-        assert canonical_form(shuffled) == canonical_form(folded)
-
-
 def test_known_core_shape():
     h = subgroup_graph(_words("abABa", "b"), 2)
     v, by_letter = _counts(h.graph)
@@ -134,16 +104,6 @@ def test_membership_against_oracle():
                 assert letters in deep, (gen_set, w)
 
 
-def test_cycle_basis_generates_and_has_rank_many_words():
-    h = subgroup_graph(_words("abABa", "b"), 2)
-    basis = cycle_basis(h.graph)
-    assert len(basis) == rank(h.graph) == 2
-    for w in basis:
-        assert h.contains(w)
-    again = subgroup_graph(list(basis), 2)
-    assert canonical_form(again.graph) == canonical_form(h.graph)
-
-
 def test_spanning_tree_and_path_words():
     h = subgroup_graph(_words("abABa", "b"), 2)
     tree, words = spanning_tree(h.graph, h.graph.basepoint)
@@ -177,29 +137,6 @@ def test_morphism_validation():
     assert set(f.mapping.values()) == {f.codomain.basepoint}
     with pytest.raises(InputError):
         GraphMorphism(h.graph, wedge_graph(2), {})
-
-
-def test_rank_formula_on_schreier_covers():
-    rng = random.Random(11)
-    checked = 0
-    while checked < 25:
-        n = rng.randint(1, 3)
-        k = rng.randint(1, 8)
-        perms = {}
-        for letter in range(1, n + 1):
-            images = list(range(k))
-            rng.shuffle(images)
-            perms[letter] = images
-        edges = [
-            (s, perms[letter][s], letter)
-            for letter in range(1, n + 1)
-            for s in range(k)
-        ]
-        g = make_graph(n, range(k), edges, 0)
-        if not g.is_connected:
-            continue
-        assert rank(g) == 1 + k * (n - 1)
-        checked += 1
 
 
 _LABEL_KINDS = {

@@ -34,6 +34,7 @@ from stallings import (
 )
 from stallings import homology
 from stallings.homology import _t_to_s
+from stallings.suite import random_twisted_matrix
 
 
 def _sub(*texts: str, n: int = 2):
@@ -152,24 +153,6 @@ def test_chain_complex_boundary_shape():
     for j in range(6):
         col = cc.boundary.column(j)
         assert int(col.sum()) % 3 == 0
-
-
-def test_h1_basis_dimension_and_cycles():
-    rng = random.Random(2)
-    pool = ["a", "b", "ab", "aa", "abA", "bab", "aab", "bb"]
-    for _ in range(25):
-        h = _sub(*rng.sample(pool, rng.randint(1, 3)))
-        g = h.graph
-        for p in (2, 3, 5):
-            basis = h1_basis(g, p)
-            expected = len(g.edges) - len(g.vertices) + 1
-            assert basis.array.shape == (len(g.edges), expected)
-            bd = chain_complex(g, p).boundary
-            assert not np.any((bd @ basis).array)
-            assert basis.rank == expected
-            # chord coordinates: each column is 1 on its own chord, 0 on the others
-            chords = ~homology._spanning_forest(g).is_tree
-            assert np.array_equal(basis.array[chords], np.eye(expected, dtype=np.int64))
 
 
 def test_h1_basis_counts_a_repeated_edge():
@@ -326,14 +309,7 @@ def test_twisted_matvec_matches_restriction():
     for p in (2, 3):
         for _ in range(15):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-            coeffs = np.array(
-                [
-                    [[rng.randrange(p) for _ in range(p)] for _ in range(cols)]
-                    for _ in range(rows)
-                ],
-                dtype=np.int64,
-            )
-            m = TwistedMatrix.from_array(coeffs, p)
+            m = random_twisted_matrix(rng, p, rows, cols)
             vec = np.array(
                 [[rng.randrange(p) for _ in range(p)] for _ in range(cols)],
                 dtype=np.int64,
@@ -343,27 +319,6 @@ def test_twisted_matvec_matches_restriction():
                 m.restriction() @ FpMatrix.from_array(vec.reshape(-1, 1), p)
             ).array.reshape(-1)
             assert np.array_equal(direct, via_restriction)
-
-
-def test_specialize_injective_implies_injective():
-    rng = random.Random(8)
-    seen = 0
-    while seen < 25:
-        p = rng.choice([2, 3])
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, rows)
-        coeffs = np.array(
-            [
-                [[rng.randrange(p) for _ in range(p)] for _ in range(cols)]
-                for _ in range(rows)
-            ],
-            dtype=np.int64,
-        )
-        m = TwistedMatrix.from_array(coeffs, p)
-        if not m.specialize().is_injective:
-            continue
-        assert m.is_injective
-        seen += 1
 
 
 # -- the lifting check ------------------------------------------------------------

@@ -79,23 +79,6 @@ def test_validate_known_shapes():
     assert set(violation.witness) <= {0, 1, 2}
 
 
-def test_validate_matches_brute_force():
-    rng = random.Random(13)
-    for _ in range(60):
-        k = rng.randint(2, 5)
-        rel = []
-        for i, j in itertools.combinations(range(k), 2):
-            roll = rng.random()
-            if roll < 0.45:
-                rel.append((i, j))
-            elif roll < 0.9:
-                rel.append((j, i))
-            if rng.random() < 0.1:
-                rel.append((j, i) if rel and rel[-1] == (i, j) else (i, j))
-        h = make_hypertournament(range(k), [2], {2: rel})
-        assert validate(h)[0] == _brute_validate(h)
-
-
 def test_arity_three_validation():
     h = make_hypertournament(
         range(3), [3], {3: [(0, 1, 2)]}
