@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import require_prime
-from .errors import InputError, NotInjectiveError, PostconditionError
+from .errors import InputError, NotInjectiveError, PostconditionError, PreconditionError
 from .fiber import FiberProduct, fiber_product_over
 from .graphs import (
     Edge,
     GraphMorphism,
     LabeledGraph,
+    bfs_edges,
     identity_morphism,
     make_graph,
-    spanning_tree,
 )
 
 
@@ -198,8 +198,10 @@ def surjective_cocycle(
     require_prime(p)
     if not g.is_connected:
         raise InputError("cover towers need a connected base")
+    if not g.is_immersed:
+        raise PreconditionError("graph is not immersed")
     root = g.basepoint if g.basepoint is not None else g.vertices[0]
-    tree, _ = spanning_tree(g, root)
+    tree = {(v, w, t) if t > 0 else (w, v, -t) for v, t, w in bfs_edges(g.neighbors, root)}
     chords = [e for e in g.sorted_edges if e not in tree]
     if not chords:
         raise InputError("no surjective cocycle: the graph is a tree")

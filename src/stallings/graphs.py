@@ -535,11 +535,11 @@ def rank(g: LabeledGraph) -> int:
 
 def component_ranks(g: LabeledGraph) -> list[int]:
     """E - V + 1 for each connected component, in component order."""
-    out = []
-    for comp in g.component_lists:
-        comp_set = set(comp)
-        e = sum(1 for u, v, _ in g.edges if u in comp_set)
-        out.append(e - len(comp) + 1)
+    comps = g.component_lists
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    out = [1 - len(comp) for comp in comps]
+    for u, _, _ in g.edges:
+        out[where[u]] += 1
     return out
 
 

@@ -11,6 +11,12 @@ the chain group of a Z/p cover is a free module over (Z/p)[t]/(1 - t^p)
 with t the deck shift, one basis element per base edge, and a module map
 whose t->1 specialization is injective is itself injective because 1 - t
 is nilpotent of index exactly p.
+
+Both module kernels are closed forms. A matrix acts by one scatter: the
+term a t^k of entry [r, c] adds a times coordinate c, rolled by k, to row r.
+The (1-t)-valuation of a vector is read after one change of basis of all
+its rows to powers of s = 1 - t: it is the first power at which some row
+is nonzero, and dividing by (1-t)^k shifts every row down by k powers.
 """
 
 from __future__ import annotations
@@ -265,14 +271,6 @@ def induced_h1_map(f: GraphMorphism, p: int) -> FpMatrix:
 # -- the twisted group ring (Z/p)[t] / (1 - t^p) --------------------------------------
 
 
-def tw_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(p, dtype=np.int64)
-    for i, c in enumerate(a):
-        if c:
-            out += c * np.roll(b, i)
-    return out % p
-
-
 @cache
 def _t_to_s(p: int) -> np.ndarray:
     """Basis change t^j = (1 - s)^j: entry [k, j] = C(j, k) (-1)^k mod p,
@@ -290,37 +288,30 @@ def _t_to_s(p: int) -> np.ndarray:
     return m
 
 
+def _s_coefficients(vec: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Every row of ``vec`` in powers of s = 1 - t, and the (1-t)-valuation:
+    the first power at which some row is nonzero, p if none is."""
+    s = np.atleast_2d(np.asarray(vec, dtype=np.int64)) % p @ _t_to_s(p).T % p
+    hit = s.any(axis=0)
+    return s, int(hit.argmax()) if hit.any() else p
+
+
 def one_minus_t_valuation(vec: np.ndarray, p: int) -> int:
     """Largest k <= p with vec divisible by (1-t)^k coordinatewise; p for 0.
 
     ``vec`` holds one length-p coefficient row per module coordinate.
     """
-    vec = np.atleast_2d(np.asarray(vec, dtype=np.int64)) % p
-    t2s = _t_to_s(p)
-    val = p
-    for row in vec:
-        s_coeffs = (t2s @ row) % p
-        nz = np.nonzero(s_coeffs)[0]
-        if nz.size:
-            val = min(val, int(nz[0]))
-    return val
+    return _s_coefficients(vec, p)[1]
 
 
 def one_minus_t_factor(vec: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """(k, w) with vec = (1-t)^k * w and k maximal (k = p for the zero vector,
     with w = 0)."""
-    vec = np.atleast_2d(np.asarray(vec, dtype=np.int64)) % p
-    k = one_minus_t_valuation(vec, p)
-    if k >= p:
-        return p, np.zeros_like(vec)
-    t2s = _t_to_s(p)
-    out = np.zeros_like(vec)
-    for r, row in enumerate(vec):
-        s_coeffs = (t2s @ row) % p
-        shifted = np.zeros(p, dtype=np.int64)
-        shifted[: p - k] = s_coeffs[k:]
-        out[r] = (t2s @ shifted) % p
-    return k, out
+    s, k = _s_coefficients(vec, p)
+    w = np.zeros_like(s)
+    if k < p:
+        w[:, : p - k] = s[:, k:]
+    return k, w @ _t_to_s(p).T % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,12 +346,13 @@ class TwistedMatrix(_Residues):
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """Apply to a module vector of shape (cols, p)."""
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        out = np.zeros((self.rows, self.p), dtype=np.int64)
-        for r in range(self.rows):
-            for c in range(self.cols):
-                out[r] += tw_convolve(self.array[r, c], vec[c], self.p)
-        return out % self.p
+        p = self.p
+        vec = np.asarray(vec, dtype=np.int64) % p
+        r, c, k = np.nonzero(self.array)
+        rolled = vec[c[:, None], (np.arange(p) - k[:, None]) % p]
+        out = np.zeros((self.rows, p), dtype=np.int64)
+        np.add.at(out, r, self.array[r, c, k][:, None] * rolled)
+        return out % p
 
 
 # -- the lifting check ------------------------------------------------------------
@@ -375,18 +367,6 @@ class GerstenReport:
     ranks: dict
     twisted_chain_map: TwistedMatrix
     valuations: tuple[tuple[int, int], ...]
-
-
-def _twisted_coordinates(
-    chain_vec: np.ndarray, base_ix: np.ndarray, sheet: np.ndarray, n_base: int, p: int
-) -> np.ndarray:
-    """Regroup a GF(p) chain vector of the total graph (indexed by its sorted
-    edges) into module coordinates over the base edges: the lift of base edge
-    e at source sheet k is t^k times the chosen lift at sheet 0. Total edge j
-    lies over base edge ``base_ix[j]`` and starts on sheet ``sheet[j]``."""
-    out = np.zeros((n_base, p), dtype=np.int64)
-    np.add.at(out, (base_ix, sheet), chain_vec)
-    return out % p
 
 
 def gersten_check(
@@ -433,13 +413,16 @@ def gersten_check(
         coeffs[byix[f.edge_image(e)], j, sheet] = 1
     twisted = TwistedMatrix.from_array(coeffs, p)
 
+    # module coordinates of the cover's cycles: the lift of base edge e
+    # starting on sheet k is t^k times its lift at sheet 0, so slot
+    # (e, k) holds the entry of the total edge over e that starts on sheet k
     bh = h1_basis(xhat.total, p)
     bxix = {e: j for j, e in enumerate(bx_edges)}
-    over = [(bxix[(u, v, i)], k) for (u, k), (v, _), i in xhat.total.sorted_edges]
-    base_ix, sheet = np.array(over, dtype=np.int64).reshape(-1, 2).T
+    slot = [bxix[(u, v, i)] * p + k for (u, k), (v, _), i in xhat.total.sorted_edges]
+    edge_at = np.argsort(slot)
     vals = []
     for col in range(bh.cols):
-        alpha = _twisted_coordinates(bh.column(col), base_ix, sheet, len(bx_edges), p)
+        alpha = bh.array[edge_at, col].reshape(-1, p)
         image = twisted.matvec(alpha)
         vals.append(
             (one_minus_t_valuation(alpha, p), one_minus_t_valuation(image, p))

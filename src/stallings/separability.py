@@ -236,88 +236,67 @@ def _elementary_squared_elements(p: int) -> np.ndarray:
     return np.hstack([(x + k1) % p, p + (x + k2) % p])
 
 
-def _heisenberg_elements(p: int) -> np.ndarray:
-    """Order p^3, upper unitriangular 3x3 over Z/p, in its right regular
-    action: (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b'). Element and
-    point (a,b,c) both have index (a*p + b)*p + c. Every intermediate value
-    stays below p^3, so the narrowest dtype holding an index will do."""
+def _elementary_squared_table(p: int) -> np.ndarray:
+    """(Z/p)^2 adds its digits k1, k2."""
+    k1, k2 = np.divmod(np.arange(p * p), p)
+    return (k1[:, None] + k1) % p * p + (k2[:, None] + k2) % p
+
+
+def _heisenberg_table(p: int) -> np.ndarray:
+    """Order p^3, upper unitriangular 3x3 over Z/p, by its law
+    (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b'), with (a,b,c) at index
+    (a*p + b)*p + c. Every intermediate value stays below p^3, so the
+    narrowest dtype holding an index will do."""
     digit = np.arange(p, dtype=np.min_scalar_type(p**3 - 1))
-    ga, gb, gc, xa, xb, xc = np.ix_(*[digit] * 6)
-    images = ((xa + ga) % p * p + (xb + gb) % p) * p + (xc + gc + xa * gb) % p
-    return images.reshape(p**3, p**3)
+    a, b, c, a2, b2, c2 = np.ix_(*[digit] * 6)
+    table = ((a + a2) % p * p + (b + b2) % p) * p + (c + c2 + a * b2) % p
+    return table.reshape(p**3, p**3)
+
+
+def _wreath_digits(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z/p wr Z/p of order p^(p+1): the element index has base-p digits
+    s, o_0, ..., o_(p-1); returns s and the rows o."""
+    s, *offsets = np.unravel_index(np.arange(p ** (p + 1)), (p,) * (p + 1))
+    return s, np.stack(offsets, axis=1)
 
 
 def _wreath_elements(p: int) -> np.ndarray:
-    """Z/p wr Z/p of order p^(p+1) acting on the p x p grid:
-    (i, j) -> (i + s, j + o_i), point (i, j) having index i*p + j and the
-    element index having base-p digits s, o_0, ..., o_(p-1)."""
-    s, *offsets = np.unravel_index(np.arange(p ** (p + 1)), (p,) * (p + 1))
+    """Z/p wr Z/p acting on the p x p grid: (i, j) -> (i + s, j + o_i),
+    point (i, j) having index i*p + j."""
+    s, o = _wreath_digits(p)
     i, j = np.divmod(np.arange(p * p), p)
-    return (i + s[:, None]) % p * p + (j + np.stack(offsets, axis=1)[:, i]) % p
+    return (i + s[:, None]) % p * p + (j + o[:, i]) % p
 
 
-TABLE_BLOCK = 1 << 14
-
-
-def _base_keys(elements: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """A base (points whose images tell every element apart), taken
-    greedily in point order, and each element's key: its images of the base
-    read as one integer in radix ``degree``."""
-    order, degree = elements.shape
-    base: list[int] = []
-    distinct = 1
-    for x in range(degree):
-        trial = base + [x]
-        keys = np.ravel_multi_index(tuple(elements[:, trial].T), (degree,) * len(trial))
-        count = len(np.unique(keys))
-        if count > distinct:
-            base, distinct = trial, count
-        if distinct == order:
-            return base, keys
-    raise PostconditionError("library group lists an element twice")
-
-
-def _cayley_table(elements: np.ndarray) -> np.ndarray:
-    """Flat table of element indices: entry i * order + j is the index of
-    "elements[i], then elements[j]". Each product is identified by its
-    images of a base; rows go TABLE_BLOCK products at a time, so the int64
-    keys of a block stay small beside the table itself."""
-    order, degree = elements.shape
-    base, keys = _base_keys(elements)
-    sorter = np.argsort(keys)
-    sorted_keys = keys[sorter]
-    table = np.empty((order, order), np.min_scalar_type(order - 1))
-    step = max(1, TABLE_BLOCK // order)
-    for start in range(0, order, step):
-        # "i, then j" sends base point x to elements[j][elements[i][x]]
-        images = elements[:, elements[start : start + step, base]]
-        product_keys = np.ravel_multi_index(
-            tuple(np.moveaxis(images, -1, 0)), (degree,) * len(base)
-        )
-        at = np.searchsorted(sorted_keys, product_keys).clip(max=order - 1)
-        if not np.array_equal(sorted_keys[at], product_keys):
-            raise PostconditionError("library group is not closed under products")
-        table[start : start + step] = sorter[at].T
-    table = table.ravel()
-    table.flags.writeable = False
-    return table
+def _wreath_table(p: int) -> np.ndarray:
+    """f, then g, sends (i, j) to (i + s_f + s_g, j + o_f[i] + o_g[i + s_f])."""
+    s, o = _wreath_digits(p)
+    f, g = np.ix_(np.arange(len(s)), np.arange(len(s)))
+    offsets = (o[f] + o[g[..., None], (np.arange(p) + s[f][..., None]) % p]) % p
+    return np.ravel_multi_index(((s[f] + s[g]) % p, *np.moveaxis(offsets, -1, 0)), (p,) * (p + 1))
 
 
 @dataclass(frozen=True, eq=False)
 class TableGroup:
     """A non-cyclic library p-group, searched by index arithmetic.
 
-    Element i is the permutation ``elements[i]`` (index 0 is the identity),
-    ``mul[i * order + j]`` is the index of "element i, then element j", and
-    ``inv[i]`` the index of the inverse of element i. Each is a read-only
-    array built on first use from ``build``, which lists the elements.
+    ``mul[i * order + j]`` is the index of "element i, then element j",
+    written by ``law`` from the group's product law (index 0 is the
+    identity). Element i is the permutation ``elements[i]``, listed by
+    ``build``; with no ``build`` the group acts on itself by right
+    multiplication, so element i sends x to x * i and is column i of the
+    table. ``inv[i]`` is the index of the inverse of element i. Each is a
+    read-only array built on first use.
     """
 
     order: int
-    build: Callable[[], np.ndarray]
+    law: Callable[[], np.ndarray]
+    build: Callable[[], np.ndarray] | None = None
 
     @cached_property
     def elements(self) -> np.ndarray:
+        if self.build is None:
+            return self.mul.reshape(self.order, self.order).T
         out = self.build()
         out = out.astype(np.min_scalar_type(out.shape[1] - 1), copy=False)
         out.flags.writeable = False
@@ -325,7 +304,9 @@ class TableGroup:
 
     @cached_property
     def mul(self) -> np.ndarray:
-        return _cayley_table(self.elements)
+        out = self.law().astype(np.min_scalar_type(self.order - 1), copy=False).ravel()
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -348,21 +329,23 @@ def group_library(p: int) -> tuple[tuple[str, str, object], ...]:
     it. One library per p serves every search in the process.
     """
     require_prime(p)
+    squared = TableGroup(
+        p**2, partial(_elementary_squared_table, p), partial(_elementary_squared_elements, p)
+    )
     entries: list[tuple[int, str, str, object]] = [
         (p, f"Z/{p}", "cyclic", p),
-        (p**2, f"(Z/{p})^2", "table", partial(_elementary_squared_elements, p)),
+        (p**2, f"(Z/{p})^2", "table", squared),
         (p**2, f"Z/{p ** 2}", "cyclic", p**2),
-        (p**3, f"Heis({p})", "table", partial(_heisenberg_elements, p)),
+        (p**3, f"Heis({p})", "table", TableGroup(p**3, partial(_heisenberg_table, p))),
         (p**3, f"Z/{p ** 3}", "cyclic", p**3),
     ]
     if p <= 3:
-        entries.append((p ** (p + 1), f"Z/{p} wr Z/{p}", "table", partial(_wreath_elements, p)))
+        order = p ** (p + 1)
+        wreath = TableGroup(order, partial(_wreath_table, p), partial(_wreath_elements, p))
+        entries.append((order, f"Z/{p} wr Z/{p}", "table", wreath))
     entries.append((p**4, f"Z/{p ** 4}", "cyclic", p**4))
     entries.sort(key=lambda e: e[0])
-    return tuple(
-        (name, kind, data if kind == "cyclic" else TableGroup(order, data))
-        for order, name, kind, data in entries
-    )
+    return tuple((name, kind, data) for _, name, kind, data in entries)
 
 
 # -- witnesses ---------------------------------------------------------------------

@@ -461,11 +461,11 @@ def _inv_witness(rng: random.Random, trials: int) -> tuple[int, Failures]:
             continue
         l = rng.choice((2, 3))
         witness = separate_from_cyclic(c, g, {l}, seed=rng.randrange(2**31))
-        done += 1
         if not verify_witness(witness):
-            failures.append(f"witness for {g} outside <{c}> fails to verify")
+            failures.append(f"trial {done}: witness for {g} outside <{c}> fails to verify")
         if witness.quotient.order % l == 0:
-            failures.append(f"witness order divisible by excluded prime {l}")
+            failures.append(f"trial {done}: witness order divisible by excluded prime {l}")
+        done += 1
     return trials, failures
 
 
@@ -529,16 +529,16 @@ def _inv_orbits(rng: random.Random, trials: int) -> tuple[int, Failures]:
             h = orbit_structure(labels, gens, [2])
         except ForcedCycleError:
             continue
-        done += 1
+        t, done = done, done + 1
         ok, _ = validate(h)
         if not ok:
-            failures.append(f"orbit completion is not a valid structure on {labels}")
+            failures.append(f"trial {t}: orbit completion is not a valid structure on {labels}")
             continue
         rel = h.relation_map[2]
         for g in gens:
             for x, y in rel:
                 if x in g and y in g and (g[x], g[y]) not in rel:
-                    failures.append(f"orbit structure not invariant under {g}")
+                    failures.append(f"trial {t}: orbit structure not invariant under {g}")
                     break
     return done, failures
 

@@ -574,6 +574,18 @@ def oracle_induced_h1_map(f, p: int):
     return x
 
 
+def tw_convolve(a, b, p: int):
+    """Product in (Z/p)[t]/(1 - t^p) of two length-p coefficient vectors,
+    one term of ``a`` at a time: each t^i rolls ``b`` by i."""
+    import numpy as np
+
+    out = np.zeros(p, dtype=np.int64)
+    for i, c in enumerate(a):
+        if c:
+            out += c * np.roll(b, i)
+    return out % p
+
+
 def oracle_separate_coset_system(constraints, n, L, bound: int = 500_000, seed: int = 0):
     """``separability.separate_coset_system`` as it was before each pruning
     trial became one product: every trial and the final quotient are

@@ -10,6 +10,7 @@ from stallings import (
     InputError,
     PreconditionError,
     Word,
+    component_ranks,
     core,
     fold,
     make_graph,
@@ -206,3 +207,28 @@ def test_neighbors_follow_letter_order_then_vertex_order():
         for v, entries in expected.items():
             entries.sort(key=lambda p: (2 * abs(p[1]) - (p[1] > 0), ix[p[0]]))
             assert g.neighbors[v] == tuple(entries), (verts, edges, v)
+
+
+def test_component_ranks_on_thousands_of_components():
+    # four component shapes with known E - V + 1, their vertices shuffled,
+    # so component order is the order of each component's first vertex
+    shapes = {
+        0: ([0], [], 0),
+        1: ([0], [(0, 0, 1)], 1),
+        2: ([0, 1], [(0, 1, 1), (1, 1, 2)], 1),
+        3: ([0, 1], [(0, 1, 1), (0, 1, 2), (1, 1, 1)], 2),
+    }
+    rng = random.Random(3)
+    kinds = [rng.randrange(4) for _ in range(4000)]
+    vertices, edges = [], []
+    for k, kind in enumerate(kinds):
+        local, local_edges, _ = shapes[kind]
+        vertices += [(k, x) for x in local]
+        edges += [((k, u), (k, v), i) for u, v, i in local_edges]
+    rng.shuffle(vertices)
+    first = {}
+    for v in vertices:
+        first.setdefault(v[0], len(first))
+    g = make_graph(2, vertices, edges)
+    expected = [shapes[kinds[k]][2] for k in sorted(first, key=first.get)]
+    assert component_ranks(g) == expected

@@ -29,12 +29,10 @@ from stallings import (
     pullback,
     subgroup_graph,
     to_wedge_morphism,
-    tw_convolve,
     wedge_graph,
 )
 from stallings import homology
 from stallings.homology import _t_to_s
-from stallings.suite import random_twisted_matrix
 
 
 def _sub(*texts: str, n: int = 2):
@@ -238,7 +236,7 @@ def test_tw_convolve_is_cyclic():
     acc = np.zeros(p, dtype=np.int64)
     acc[0] = 1
     for _ in range(p):
-        acc = tw_convolve(acc, t, p)
+        acc = oracles.tw_convolve(acc, t, p)
     assert acc[0] == 1 and not np.any(acc[1:])
 
 
@@ -249,7 +247,7 @@ def test_one_minus_t_is_nilpotent_of_index_p():
         acc = np.zeros(p, dtype=np.int64)
         acc[0] = 1
         for k in range(1, p + 1):
-            acc = tw_convolve(acc, omt, p)
+            acc = oracles.tw_convolve(acc, omt, p)
             expected = k if k < p else p
             assert one_minus_t_valuation(acc, p) == expected
 
@@ -266,27 +264,49 @@ def test_basis_change_matches_binomials_and_is_shared_read_only():
         assert np.array_equal(m @ m % p, np.eye(p, dtype=np.int64))
 
 
+def _times_one_minus_t(rows: np.ndarray, p: int) -> np.ndarray:
+    omt = np.zeros(p, dtype=np.int64)
+    omt[0], omt[1] = 1, p - 1
+    return np.array([oracles.tw_convolve(omt, row, p) for row in rows]).reshape(rows.shape)
+
+
+def _reference_valuation(rows: np.ndarray, p: int) -> int:
+    """(Z/p)[t]/(1 - t^p) is Z/p[s]/(s^p) with s = 1 - t, so (1-t)^k divides
+    a vector exactly when (1-t)^(p-k) annihilates it."""
+    for j in range(p + 1):
+        if not rows.any():
+            return p - j
+        rows = _times_one_minus_t(rows, p)
+    raise AssertionError("(1 - t)^p is not zero")
+
+
+def _random_module_vector(rng: random.Random, p: int, cols: int) -> np.ndarray:
+    """A random power of 1 - t times random rows, with a row zeroed now and
+    then; rows of length p, one per module coordinate."""
+    vec = np.array([rng.randrange(p) for _ in range(cols * p)], dtype=np.int64).reshape(cols, p)
+    for _ in range(rng.randint(0, p)):
+        vec = _times_one_minus_t(vec, p)
+    if cols and rng.random() < 0.3:
+        vec[rng.randrange(cols)] = 0
+    return vec
+
+
 def test_one_minus_t_factor_round_trip():
+    # the closed forms against the convolution reference, on the zero
+    # vector, the empty vector and vectors with zero rows as well
     rng = random.Random(4)
-    for p in (2, 3, 5):
-        omt = np.zeros(p, dtype=np.int64)
-        omt[0], omt[1] = 1, p - 1
-        for _ in range(30):
-            vec = np.array(
-                [[rng.randrange(p) for _ in range(p)] for _ in range(2)],
-                dtype=np.int64,
-            )
+    for p in (2, 3, 5, 31):
+        for trial in range(30):
+            vec = _random_module_vector(rng, p, rng.randint(0, 3))
+            if trial == 0:
+                vec[:] = 0
             k, w = one_minus_t_factor(vec, p)
-            if k >= p:
-                assert not np.any(vec % p)
-                continue
-            rebuilt = w.copy()
+            assert one_minus_t_valuation(vec, p) == k == _reference_valuation(vec, p)
+            rebuilt = w
             for _ in range(k):
-                rebuilt = np.stack(
-                    [tw_convolve(row, omt, p) for row in rebuilt]
-                )
-            assert np.array_equal(rebuilt % p, vec % p)
-            assert one_minus_t_valuation(w, p) == 0
+                rebuilt = _times_one_minus_t(rebuilt, p)
+            assert np.array_equal(rebuilt, vec)
+            assert _reference_valuation(w, p) == (0 if k < p else p)
 
 
 def test_twisted_identity_and_nilpotent():
@@ -305,20 +325,26 @@ def test_twisted_identity_and_nilpotent():
 
 
 def test_twisted_matvec_matches_restriction():
+    # sparse matrices, zero rows included, against the entry-by-entry
+    # convolution and against the circulant restriction
     rng = random.Random(6)
-    for p in (2, 3):
+    for p in (2, 3, 5, 31):
         for _ in range(15):
-            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-            m = random_twisted_matrix(rng, p, rows, cols)
-            vec = np.array(
-                [[rng.randrange(p) for _ in range(p)] for _ in range(cols)],
+            rows, cols = rng.randint(0, 3), rng.randint(1, 3)
+            coeffs = np.array(
+                [rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(rows * cols * p)],
                 dtype=np.int64,
-            )
-            direct = m.matvec(vec).reshape(-1)
-            via_restriction = (
-                m.restriction() @ FpMatrix.from_array(vec.reshape(-1, 1), p)
-            ).array.reshape(-1)
-            assert np.array_equal(direct, via_restriction)
+            ).reshape(rows, cols, p)
+            m = TwistedMatrix.from_array(coeffs, p)
+            vec = _random_module_vector(rng, p, cols)
+            want = np.zeros((rows, p), dtype=np.int64)
+            for r in range(rows):
+                for c in range(cols):
+                    want[r] += oracles.tw_convolve(coeffs[r, c], vec[c], p)
+            direct = m.matvec(vec)
+            assert np.array_equal(direct, want % p)
+            via_restriction = m.restriction() @ FpMatrix.from_array(vec.reshape(-1, 1), p)
+            assert np.array_equal(direct.reshape(-1, 1), via_restriction.array)
 
 
 # -- the lifting check ------------------------------------------------------------

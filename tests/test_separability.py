@@ -593,7 +593,7 @@ def test_table_search_matches_the_permutation_search_on_fixed_cases(p, constrain
     assert (got[0], got[-1]) == expected
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_cayley_tables_follow_the_permutation_product(p):
     rng = random.Random(p)
     for name, kind, group in group_library(p):

@@ -118,3 +118,23 @@ def test_the_naming_rule_sees_definitions_and_uses():
     found = [entry.split()[1] for entry in _unused_definitions(trees)]
     if found != ["dead", "Dead"]:
         pytest.fail(f"rule found {found}, not ['dead', 'Dead']")
+
+
+# The naming rule counts the strings of ``__all__`` as uses, so it cannot see
+# a stale export; this one can.
+
+
+def test_all_lists_exactly_the_imported_names():
+    init = _PACKAGE / "__init__.py"
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text(), filename=str(init)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = list(stallings.__all__)
+    if sorted(exported) != sorted(imported) or len(set(exported)) != len(exported):
+        pytest.fail(f"__all__ differs from the imports: {sorted(set(exported) ^ set(imported))}")
+    unbound = [name for name in exported if not hasattr(stallings, name)]
+    if unbound:
+        pytest.fail(f"__all__ names unbound attributes: {unbound}")
