@@ -2,12 +2,13 @@
 
 Quotients are given as permutation actions: a homomorphism from the free
 group assigns one permutation per letter, a word evaluates by composing
-left to right, and the quotient order is the size of the generated
-permutation group. Witnesses certify that the image of a word avoids the
-image of a cyclic subgroup, with the quotient order constrained to
-prescribed primes. The search enumerates homomorphisms into a small graded
-library of p-groups, so failures are honest cap reports rather than
-non-constructive appeals to residual properties.
+left to right, and the quotient order is that of the group the images
+were drawn from, which contains the image. Witnesses certify that the
+image of a word avoids the image of a cyclic subgroup, with the quotient
+order constrained to prescribed primes. The search enumerates
+homomorphisms into a small graded library of p-groups, so failures are
+honest cap reports rather than non-constructive appeals to residual
+properties.
 """
 
 from __future__ import annotations
@@ -96,11 +97,13 @@ def closure(perms: Iterable[Perm]) -> frozenset[Perm]:
 class FiniteQuotient:
     """A quotient of F_n presented by letter images in a permutation group.
 
-    ``order`` is the order of a certified ambient permutation group
-    containing the image: exact for single library groups, and a product of
-    certified factor orders for direct products. Every order-theoretic
-    guarantee (which primes can divide element orders) passes from the
-    ambient group to the image by Lagrange.
+    ``order`` is the order of the group the images were drawn from: a
+    library group, Z/q, a sampled group's closure, or for a direct product
+    the product of its factors' orders. The image is a subgroup of it, so
+    every order-theoretic guarantee (which primes can divide element
+    orders) passes to the image by Lagrange; ``verify_witness`` computes the
+    image's order, by the one closure a witness gets, and checks that it
+    divides this one.
     """
 
     n: int
@@ -115,13 +118,6 @@ class FiniteQuotient:
         for g in self.images:
             if sorted(g) != list(range(self.degree)):
                 raise InputError("images must be permutations of 0..degree-1")
-
-    @staticmethod
-    def create(n: int, images: Sequence[Perm], name: str) -> "FiniteQuotient":
-        images = tuple(tuple(g) for g in images)
-        degree = len(images[0]) if images else 1
-        order = len(closure(images)) if images else 1
-        return FiniteQuotient(n, degree, order, images, name)
 
     @staticmethod
     def trivial(n: int) -> "FiniteQuotient":
@@ -152,9 +148,6 @@ class FiniteQuotient:
             cur = p_mul(cur, g)
         return frozenset(out)
 
-    def element_orders(self) -> set[int]:
-        return {perm_order(g) for g in closure(self.images)}
-
     @cached_property
     def _cosets(self) -> dict[CosetClause, frozenset[Perm]]:
         return {}
@@ -170,6 +163,15 @@ class FiniteQuotient:
             found = frozenset(left_coset(self.evaluate(coset_word), shifts))
             self._cosets[key] = found
         return found
+
+
+def _capped_quotient(n: int, images: Sequence[Perm], order: int, name: str) -> FiniteQuotient:
+    """The quotient on images drawn from a group of the given order. A group
+    past GROUP_ORDER_CAP is refused here, with the error that the closure in
+    ``verify_witness`` raises on images that generate it."""
+    if order > GROUP_ORDER_CAP:
+        raise ResourceCapError(f"permutation group exceeds {GROUP_ORDER_CAP} elements")
+    return FiniteQuotient(n, len(images[0]), order, tuple(images), name)
 
 
 def perm_order(g: Perm) -> int:
@@ -392,8 +394,10 @@ def verify_witness(w: SeparationWitness) -> bool:
 # letters in itertools.product order. A round is checked SEARCH_BLOCK
 # assignments at a time in numpy (_first_hit): in Z/q by exponent-sum
 # arithmetic over the block (_cyclic_block), in a table group by gathers from
-# its Cayley table (_table_block). A one-letter round in Z/q needs no block:
-# its first hit is the shift 1 or there is none (_cyclic_satisfied).
+# its Cayley table (_table_block). A one-letter round needs no block of its
+# own: in Z/q its first hit is the shift 1 or there is none, and one block
+# per search checks the shift 1 of every letter in every Z/q; in a table
+# group there is none.
 
 CosetClause = tuple[Word, "Word | None"]
 Constraint = tuple[CosetClause, ...]
@@ -426,34 +430,6 @@ def _occurring_letters(constraint: Constraint) -> tuple[int, ...]:
     return tuple(sorted(letters))
 
 
-def _cyclic_satisfied(rows, q: int, shifts: Sequence[int]) -> bool:
-    """Constraint check in Z/q by integer arithmetic: each clause coset is an
-    arithmetic progression a + gZ mod q, and the intersection is empty exactly
-    when some pair of progressions disagrees modulo the gcd of their steps.
-
-    With one nonzero shift s, on a letter in which the clauses have exponent
-    sums c_i (coset words) and g_i (generators), and q = p^k, some shift
-    satisfies the constraint exactly when s = 1 does. Multiplying s by a
-    unit keeps the verdict, so take s = p^t: clauses i and j disagree when
-    v(c_i - c_j) + t < min(v(g_i) + t, v(g_j) + t, k), v the p-adic
-    valuation (infinite at 0), and that implies the same inequality at
-    t = 0."""
-    data = []
-    for coset_sums, gen_sums in rows:
-        a = sum(e * s for e, s in zip(coset_sums, shifts)) % q
-        step = 0
-        if gen_sums is not None:
-            step = sum(e * s for e, s in zip(gen_sums, shifts)) % q
-        data.append((a, gcd(step, q)))
-    for i in range(len(data)):
-        ai, gi = data[i]
-        for j in range(i + 1, len(data)):
-            aj, gj = data[j]
-            if (ai - aj) % gcd(gi, gj):
-                return True
-    return False
-
-
 FALLBACK_SAMPLES = 2_000
 FALLBACK_CLOSURE_TRIES = 40
 FALLBACK_POOL = 10
@@ -483,20 +459,6 @@ def _tower_perm(p: int, levels: int, offsets: Sequence[int]) -> Perm:
     return tuple(perm)
 
 
-def _single_letter_can_satisfy(n: int, rows, p: int, order: int, letter: int) -> bool:
-    """Whether some element of a non-cyclic p-group of the given order can
-    satisfy the constraint as the image of one letter, all others trivial.
-
-    The element generates a cyclic group of order p^k < order, in which
-    every word maps to its exponent sum in that letter, so the check runs
-    in Z/p^k for each such k."""
-    shifts = [0] * n
-    shifts[letter - 1] = 1
-    return any(
-        _cyclic_satisfied(rows, p**k, shifts) for k in range(1, valuation(order, p))
-    )
-
-
 SEARCH_BLOCK = 1 << 12
 
 
@@ -519,11 +481,15 @@ def _first_hit(
 
 
 def _cyclic_block(
-    coset_sums: np.ndarray, gen_sums: np.ndarray, q: int, values: np.ndarray
+    coset_sums: np.ndarray, gen_sums: np.ndarray, q: int | np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """``_cyclic_satisfied`` over a block: ``coset_sums`` and ``gen_sums``
+    """Constraint check in Z/q by integer arithmetic, over a block of shift
+    assignments: each clause coset is an arithmetic progression a + gZ mod
+    q, and the intersection is empty exactly when some pair of progressions
+    disagrees modulo the gcd of their steps. ``coset_sums`` and ``gen_sums``
     are the clauses' exponent sums in the active letters (a trivial
-    generator has all sums 0, so its step is q), ``values`` the shifts."""
+    generator has all sums 0, so its step is q), ``values`` the shifts, one
+    assignment per column, and ``q`` one modulus or one per column."""
     a = coset_sums @ values % q
     step = np.gcd(gen_sums @ values, q)
     out = np.zeros(values.shape[1], dtype=bool)
@@ -600,12 +566,12 @@ def _constraint_search(
 
     A round (one group, one set of active letters) is checked a block of
     assignments at a time, and the first satisfying assignment of the first
-    block that has one is the hit; only the hit becomes permutations.
-    Cyclic groups are checked by exponent-sum arithmetic, the rest by
-    gathers from their Cayley tables. With one active letter the image is
-    cyclic: in Z/p^k the shift 1 is the first hit if any shift is one, and
-    a non-cyclic group none of whose cyclic subgroup orders can work is
-    counted without being built.
+    block that has one is the hit; only the hit becomes permutations, and
+    its quotient's order is its group's, so no closure runs here. Cyclic
+    groups are checked by exponent-sum arithmetic, the rest by gathers from
+    their Cayley tables. With one active letter the image is cyclic: in
+    Z/p^k the shift 1 is the first hit if any shift is one, and a
+    non-cyclic group has no hit and is counted without being built.
 
     The library stops at nilpotency class 2 for p > 3, and some constraint
     systems (pairs of distinct conjugates of one word) are unsatisfiable in
@@ -616,20 +582,26 @@ def _constraint_search(
     certification cap, so witnesses remain checkable.
     """
     occurring = _occurring_letters(constraint)
-    rows = tuple(
-        (
-            _letter_sums(coset_word, n),
-            _letter_sums(generator, n) if generator is not None else None,
-        )
-        for coset_word, generator in constraint
-    )
     clauses = tuple(
         (tuple(coset_word), tuple(generator) if generator is not None else None)
         for coset_word, generator in constraint
     )
-    coset_sums = np.array([c for c, _ in rows]).reshape(len(rows), n)
-    gen_sums = np.array([g or (0,) * n for _, g in rows]).reshape(len(rows), n)
+    # a trivial generator has exponent sums 0
+    coset_sums = np.array([_letter_sums(c, n) for c, _ in clauses]).reshape(len(clauses), n)
+    gen_sums = np.array([_letter_sums(g or (), n) for _, g in clauses]).reshape(len(clauses), n)
     library = group_library(p)
+    # With one letter, on which the clauses have exponent sums c_i (coset
+    # words) and g_i (generators), and q = p^k, some shift satisfies the
+    # constraint exactly when the shift 1 does. Multiplying a shift by a unit
+    # keeps the verdict, so take s = p^t: clauses i and j disagree when
+    # v(c_i - c_j) + t < min(v(g_i) + t, v(g_j) + t, k), v the p-adic
+    # valuation (infinite at 0), and that implies the same inequality at
+    # t = 0. So one block decides every one-letter Z/q round: column
+    # (letter, q) shifts that letter by 1 modulo q.
+    moduli = [data for _, kind, data in library if kind == "cyclic"]
+    units = np.repeat(np.eye(n, dtype=int), len(moduli), axis=1)
+    verdicts = _cyclic_block(coset_sums, gen_sums, np.tile(moduli, n), units)
+    shift_one = dict(zip(itertools.product(range(1, n + 1), moduli), verdicts))
     examined = 0
     for size in range(1, len(occurring) + 1):
         for name, kind, data in library:
@@ -638,15 +610,19 @@ def _constraint_search(
             for active in itertools.combinations(occurring, size):
                 stop = min(total, bound - examined)
                 if kind == "cyclic" and size == 1:
-                    unit = [int(letter == active[0]) for letter in range(1, n + 1)]
-                    hit = 0 if _cyclic_satisfied(rows, data, unit) else None
+                    hit = 0 if shift_one[active[0], data] else None
                 elif kind == "cyclic":
                     columns = [letter - 1 for letter in active]
                     block = partial(
                         _cyclic_block, coset_sums[:, columns], gen_sums[:, columns], data
                     )
                     hit = _first_hit(block, radix, size, stop)
-                elif size == 1 and not _single_letter_can_satisfy(n, rows, p, radix, active[0]):
+                elif size == 1:
+                    # One letter's image in a non-cyclic group of order p^m
+                    # is cyclic of order p^k, k < m, and satisfies the
+                    # constraint exactly when a generator of Z/p^k does.
+                    # That Z/p^k comes earlier in the library, and its
+                    # one-letter round on this letter missed.
                     hit = None
                 else:
                     block = partial(_table_block, data, clauses, active)
@@ -657,7 +633,7 @@ def _constraint_search(
                     images = [element(0)] * n
                     for letter, v in zip(active, values):
                         images[letter - 1] = element(int(v) + 1)
-                    return FiniteQuotient.create(n, images, name), examined + hit + 1
+                    return _capped_quotient(n, images, radix, name), examined + hit + 1
                 if total > stop:
                     raise SearchCapError(
                         f"search cap {bound} exhausted in {context}",
@@ -682,7 +658,8 @@ def _constraint_search(
         for letter in occurring:
             offsets = [rng.randrange(p) for _ in range(nodes)]
             images[letter - 1] = _tower_perm(p, levels, offsets)
-        raw = _raw_quotient(n, images)
+        # the iterated wreath product has one Z/p per internal node
+        raw = FiniteQuotient(n, degree, p**nodes, tuple(images), name)
         if not constraint_satisfied(raw, constraint):
             continue
         try:
@@ -738,11 +715,6 @@ def separate_maximal_cyclic(
     return SeparationWitness(
         quotient, a, g, frozenset([p]), frozenset(), transcript
     )
-
-
-def _raw_quotient(n: int, images) -> FiniteQuotient:
-    """Ephemeral quotient for search loops: skips the closure computation."""
-    return FiniteQuotient(n, len(images[0]), 0, tuple(images), "?")
 
 
 def separate_from_cyclic(
@@ -876,7 +848,7 @@ def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
     shifts = [0] * n
     shifts[unit_at] = inv
     images = [_rotation(q, s) for s in shifts]
-    return FiniteQuotient.create(n, images, f"Z/{q}")
+    return _capped_quotient(n, images, q, f"Z/{q}")
 
 
 def _invertible_mod(s: int, q: int) -> bool:

@@ -377,21 +377,58 @@ def _oracle_library(p: int) -> list:
     return [(name, data if isinstance(data, int) else data()) for _, name, data in entries]
 
 
+def oracle_cyclic_satisfied(rows, q: int, shifts) -> bool:
+    """Whether a constraint holds in Z/q with the given letter shifts, each
+    clause given as (coset exponent sums, generator exponent sums or None).
+    Each clause coset is an arithmetic progression a + gZ mod q, and the
+    intersection is empty exactly when some pair of progressions disagrees
+    modulo the gcd of their steps."""
+    from math import gcd
+
+    data = []
+    for coset_sums, gen_sums in rows:
+        a = sum(e * s for e, s in zip(coset_sums, shifts)) % q
+        step = sum(e * s for e, s in zip(gen_sums or (), shifts)) % q
+        data.append((a, gcd(step, q)))
+    return any(
+        (ai - aj) % gcd(gi, gj)
+        for i, (ai, gi) in enumerate(data)
+        for aj, gj in data[i + 1 :]
+    )
+
+
+def oracle_group_order(images) -> int:
+    """Order of the permutation group the images generate, by a
+    breadth-first search over its elements."""
+    identity = tuple(range(len(images[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in images:
+                h = tuple(g[x] for x in f)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return len(seen)
+
+
 def oracle_constraint_search(n: int, p: int, constraint, bound: int):
     """The library part of ``separability._constraint_search`` as it was
     before Cayley tables: every candidate in a non-cyclic group is built as
-    permutations and checked with ``constraint_satisfied``. Returns
-    (quotient, examined) for the first hit and None when the library is
-    exhausted; raises SearchCapError past ``bound`` candidates."""
+    permutations and checked with ``oracle_constraint_satisfied``. Returns
+    (quotient, examined) for the first hit, its order that of the group its
+    images generate, and None when the library is exhausted; raises
+    SearchCapError past ``bound`` candidates."""
     import itertools
 
     from stallings.errors import SearchCapError
     from stallings.separability import (
         FiniteQuotient,
-        _cyclic_satisfied,
         _letter_sums,
         _occurring_letters,
-        constraint_satisfied,
         p_identity,
     )
 
@@ -417,16 +454,17 @@ def oracle_constraint_search(n: int, p: int, constraint, bound: int):
                         shifts = [0] * n
                         for letter, v in zip(active, values):
                             shifts[letter - 1] = v
-                        if _cyclic_satisfied(rows, data, shifts):
+                        if oracle_cyclic_satisfied(rows, data, shifts):
                             images = [tuple((x + s) % data for x in range(data)) for s in shifts]
-                            return FiniteQuotient.create(n, images, name), examined
+                            return FiniteQuotient(n, data, oracle_group_order(images), tuple(images), name), examined
                     else:
                         images = [p_identity(len(data[0]))] * n
                         for letter, g in zip(active, values):
                             images[letter - 1] = g
-                        raw = FiniteQuotient(n, len(images[0]), 0, tuple(images), "?")
-                        if constraint_satisfied(raw, constraint):
-                            return FiniteQuotient.create(n, images, name), examined
+                        raw = FiniteQuotient(n, len(images[0]), len(data), tuple(images), name)
+                        if oracle_constraint_satisfied(raw, constraint):
+                            order = oracle_group_order(images)
+                            return FiniteQuotient(n, raw.degree, order, raw.images, name), examined
     return None
 
 

@@ -393,6 +393,10 @@ _SEPARATE_CASES = {
         ("--cyclic", "bbaa", "--word", "bABa", "--L", "2", "--L", "3", "--L", "5"), 13117,
         "ebcf568b9482e375564ab5edb831c3a323833e9bcb4895ee8b14404df62eca2e",
     ),
+    "Heis(11)": (
+        ("--cyclic", "bbaa", "--word", "bABa", "--L", "2", "--L", "3", "--L", "5", "--L", "7"), 77421,
+        "db739da3a61a2a7e7cc1e016da82e59aadd2c3fcbd77148fe887d27cd8647f76",
+    ),
     "Z/3 wr Z/3": (
         ("--cyclic", "ab", "--word", "bbaa", "--L", "2"), 1973,
         "4aa04892d32b44b26f233b6253192a41d6a2ce266d3987274dbf32446662e71d",
@@ -409,6 +413,37 @@ def test_separate_output_is_pinned(group):
     assert payload["group"] == group and payload["verified"] is True
     assert f"({examined} homomorphisms examined)" in payload["transcript"][2]
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_separate_closes_the_witness_group_once(monkeypatch):
+    # the library hit carries its group's order, so the one closure is the
+    # independent check in verify_witness
+    calls = []
+    closure = separability.closure
+
+    def spy(perms):
+        calls.append(1)
+        return closure(perms)
+
+    monkeypatch.setattr(separability, "closure", spy)
+    args, _, digest = _SEPARATE_CASES["Heis(7)"]
+    result = _invoke("separate", *args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+    assert len(calls) == 1
+
+
+def test_separate_refuses_a_witness_group_past_the_order_cap():
+    # the first hit is the shift 1 in Z/13^4, whose 28,561 elements are more
+    # than the closure in verify_witness may build
+    L = ("--L", "2", "--L", "3", "--L", "5", "--L", "7", "--L", "11")
+    result = _invoke("separate", "--cyclic", "b", "--word", "a" * 2197, *L)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": "resource_cap_exceeded",
+        "message": f"permutation group exceeds {separability.GROUP_ORDER_CAP} elements",
+    }
 
 
 # The commands no other test runs: exit status and output digest on one

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -73,31 +74,30 @@ def test_prime_factors():
 # -- finite quotients ---------------------------------------------------------------
 
 
+_S3 = FiniteQuotient(2, 3, 6, ((1, 0, 2), (1, 2, 0)), "S3")
+
+
 def test_quotient_evaluation():
-    s3 = FiniteQuotient.create(2, [(1, 0, 2), (1, 2, 0)], "S3")
-    assert s3.order == 6
-    ab = s3.evaluate(_w("ab"))
-    assert ab == p_mul((1, 0, 2), (1, 2, 0))
-    assert s3.evaluate(_w("aA")) == p_identity(3)
-    assert len(s3.cyclic_image(_w("b"))) == 3
-    assert s3.cyclic_image(None) == frozenset([p_identity(3)])
-    assert s3.element_orders() <= {1, 2, 3, 6}
+    assert len(perm_closure(_S3.images)) == _S3.order
+    assert _S3.evaluate(_w("ab")) == p_mul((1, 0, 2), (1, 2, 0))
+    assert _S3.evaluate(_w("aA")) == p_identity(3)
+    assert len(_S3.cyclic_image(_w("b"))) == 3
+    assert _S3.cyclic_image(None) == frozenset([p_identity(3)])
 
 
 def test_quotient_validation():
     with pytest.raises(InputError):
-        FiniteQuotient.create(2, [(1, 0, 2)], "half")
+        FiniteQuotient(2, 3, 6, ((1, 0, 2),), "half")
     with pytest.raises(InputError):
-        FiniteQuotient.create(1, [(0, 0)], "not a perm")
+        FiniteQuotient(1, 2, 2, ((0, 0),), "not a perm")
     trivial = FiniteQuotient.trivial(2)
     with pytest.raises(InputError):
         trivial.evaluate(Word.parse("c", 3))
 
 
 def test_direct_product_orders_multiply():
-    s3 = FiniteQuotient.create(2, [(1, 0, 2), (1, 2, 0)], "S3")
-    z2 = FiniteQuotient.create(2, [(1, 0), (0, 1)], "Z2")
-    prod = direct_product(s3, z2)
+    z2 = FiniteQuotient(2, 2, 2, ((1, 0), (0, 1)), "Z2")
+    prod = direct_product(_S3, z2)
     assert prod.degree == 5
     assert prod.order == 12
     assert prod.evaluate(_w("a")) == (1, 0, 2, 4, 3)
@@ -247,10 +247,11 @@ def _library_quotients(rng, p: int) -> list[FiniteQuotient]:
     for name, kind, data in group_library(p):
         if kind == "cyclic":
             shifts = [rng.randrange(data) for _ in range(2)]
-            images = [tuple((x + s) % data for x in range(data)) for s in shifts]
+            images = tuple(tuple((x + s) % data for x in range(data)) for s in shifts)
+            out.append(FiniteQuotient(2, data, data, images, name))
         else:
-            images = [data.perm(rng.randrange(data.order)) for _ in range(2)]
-        out.append(FiniteQuotient.create(2, images, name))
+            images = tuple(data.perm(rng.randrange(data.order)) for _ in range(2))
+            out.append(FiniteQuotient(2, len(images[0]), data.order, images, name))
     return out + [direct_product(a, b) for a, b in zip(out, out[1:])]
 
 
@@ -295,7 +296,7 @@ def test_coset_memo_matches_the_oracle(p, monkeypatch):
 
 
 def test_equal_words_share_one_coset_memo_entry(monkeypatch):
-    q = FiniteQuotient.create(2, [(1, 2, 0), (1, 0, 2)], "S3")
+    q = FiniteQuotient(2, 3, 6, ((1, 2, 0), (1, 0, 2)), "S3")
     a, b = Word.parse("a", 2), Word.parse("b", 2)
     built = [
         Word.parse("abA"),
@@ -630,6 +631,20 @@ def test_library_search_checks_no_permutations(monkeypatch):
     assert (q.name, examined) == ("Heis(3)", 653)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_table_groups_follow_their_cyclic_subgroup_orders(p):
+    # a one-letter round in a table group of order p^m misses without being
+    # built because every Z/p^k, k < m, comes earlier in the library
+    cyclic_before = set()
+    for name, kind, data in group_library(p):
+        if kind == "cyclic":
+            cyclic_before.add(data)
+        else:
+            m = valuation(data.order, p)
+            assert p**m == data.order
+            assert {p**k for k in range(1, m)} <= cyclic_before, name
+
+
 def test_search_builds_only_the_groups_it_reaches():
     # <aB> and baB are never separated by one nontrivial letter image, and
     # Z/13 separates them with two, so the single-letter rounds pass over
@@ -662,9 +677,13 @@ def test_one_letter_cyclic_first_hit_is_the_shift_one():
             )
             letter = rng.choice((1, 2))
             shifts = [[s if k == letter else 0 for k in (1, 2)] for s in range(1, q)]
-            hits = [s for s, sh in enumerate(shifts, 1) if separability._cyclic_satisfied(rows, q, sh)]
-            # (first hit, assignments examined)
-            closed_form = (1, 1) if separability._cyclic_satisfied(rows, q, shifts[0]) else (None, q - 1)
+            hits = [s for s, sh in enumerate(shifts, 1) if oracles.oracle_cyclic_satisfied(rows, q, sh)]
+            # the search checks the shift 1 of each letter as one column of a
+            # block, modulo q; (first hit, assignments examined)
+            coset_sums = np.array([c for c, _ in rows])
+            gen_sums = np.array([g or (0, 0) for _, g in rows])
+            shift_one = separability._cyclic_block(coset_sums, gen_sums, np.array([q, q]), np.eye(2, dtype=int))
+            closed_form = (1, 1) if shift_one[letter - 1] else (None, q - 1)
             assert closed_form == ((hits[0], hits[0]) if hits else (None, q - 1)), (q, rows)
 
 
