@@ -307,9 +307,9 @@ def gersten_check_cmd(config: str) -> None:
             raise InputError(f"vertex_map entry {item!r} is not a pair")
         vertex_map[_freeze(item[0])] = _freeze(item[1])
     f = GraphMorphism.from_dict(dom, cod, vertex_map)
-    cover_y = cocycle_from_value(cod, p, data["cocycle"])
-    pulled, lift = pullback(f, build_cover(cover_y))
-    report = gersten_check(f, pulled.description, cover_y, lift, p)
+    yhat = build_cover(cocycle_from_value(cod, p, data["cocycle"]))
+    xhat, lift = pullback(f, yhat)
+    report = gersten_check(f, xhat, yhat, lift, p)
     _echo(
         {
             "p": report.p,
@@ -333,14 +333,15 @@ def cover(graph: str, p: int, cocycle_text: str, out: str | None) -> None:
     base = graph_from_dict(_load_json(graph))
     desc = cocycle_from_value(base, p, parse_cocycle_text(cocycle_text))
     built = build_cover(desc)
+    total = graph_to_dict(built.total)
     payload = {
-        "graph": graph_to_dict(built.total),
+        "graph": total,
         "degree": built.degree,
         "connected": built.is_connected,
-        "h1_ranks": component_ranks(built.total),
+        "h1_ranks": built.space.component_ranks(),
     }
     _echo(payload)
-    _write_out(graph_to_dict(built.total), out)
+    _write_out(total, out)
 
 
 @main.command()
@@ -371,15 +372,15 @@ def tower(
     base = graph_from_dict(_load_json(graph))
     built = cover_tower(base, p, depth, strategy=strategy, seed=seed)
     levels = []
-    for k, level in enumerate(built.levels):
+    for k, level in enumerate(built.spaces):
         levels.append(
             {
                 "level": k,
                 "degree": p**k,
-                "vertices": len(level.vertices),
-                "edges": len(level.edges),
+                "vertices": level.size,
+                "edges": len(level.src),
                 "connected": level.is_connected,
-                "h1_ranks": component_ranks(level),
+                "h1_ranks": level.component_ranks(),
             }
         )
     payload = {"p": p, "depth": depth, "levels": levels}
@@ -396,14 +397,15 @@ def tower(
             rows.append(
                 {
                     "level": k,
-                    "vertices": len(pulled.total.vertices),
+                    "vertices": pulled.space.size,
                     "connected": pulled.is_connected,
-                    "h1_ranks": component_ranks(pulled.total),
+                    "h1_ranks": pulled.space.component_ranks(),
                 }
             )
         payload["pullbacks"] = rows
     _echo(payload)
-    _write_out(graph_to_dict(built.levels[-1]), out)
+    if out:
+        _write_out(graph_to_dict(built.levels[-1]), out)
 
 
 @main.command()

@@ -27,7 +27,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .arith import require_prime
-from .covers import CoverDescription, build_cover
+from .covers import CoverGraph, IndexMorphism
 from .errors import InputError, PostconditionError, PreconditionError
 from .graphs import Edge, GraphMorphism, LabeledGraph, Vertex, bfs_edges
 
@@ -371,58 +371,55 @@ class GerstenReport:
 
 def gersten_check(
     f: GraphMorphism,
-    cover_x: CoverDescription,
-    cover_y: CoverDescription,
-    lift: GraphMorphism,
+    xhat: CoverGraph,
+    yhat: CoverGraph,
+    lift: IndexMorphism,
     p: int,
 ) -> GerstenReport:
     """Verify the homology-injectivity lifting across a commuting square of
     Z/p covers, and report the twisted-module data behind it.
 
-    Raises PreconditionError when the base map is not injective on H_1 and
-    InputError when the covers or the square are malformed.
+    ``xhat`` and ``yhat`` are built covers of f's domain and codomain, and
+    ``lift`` maps xhat's total space to yhat's; ``pullback(f, yhat)``
+    returns such an ``xhat`` and ``lift``. Raises PreconditionError when the
+    base map is not injective on H_1 and InputError when the covers or the
+    square are malformed.
     """
     require_prime(p)
-    if cover_x.p != p or cover_y.p != p:
+    if xhat.degree != p or yhat.degree != p:
         raise InputError("cover degrees disagree with p")
-    if cover_x.base != f.domain or cover_y.base != f.codomain:
+    if xhat.base != f.domain or yhat.base != f.codomain:
         raise InputError("cover bases disagree with the morphism")
-    xhat = build_cover(cover_x)
-    yhat = build_cover(cover_y)
-    if lift.domain != xhat.total or lift.codomain != yhat.total:
+    if lift.domain is not xhat.space or lift.codomain is not yhat.space:
         raise InputError("lift endpoints disagree with the built covers")
-    px, py = xhat.projection, yhat.projection
-    for v in xhat.total.vertices:
-        if py(lift(v)) != f(px(v)):
-            raise InputError(f"square does not commute at {v!r}")
+    base_map = IndexMorphism.of(f, yhat.base_space)
+    apart = np.flatnonzero(lift.vertices // p != np.repeat(base_map.vertices, p))
+    if len(apart):
+        a, k = divmod(int(apart[0]), p)
+        raise InputError(f"square does not commute at {(f.domain.vertices[a], k)!r}")
 
     f_star = induced_h1_map(f, p)
     if not f_star.is_injective:
         raise PreconditionError("base map is not injective on H_1")
 
-    lift_star = induced_h1_map(lift, p)
+    lift_star = induced_h1_map(lift.morphism, p)
 
-    # twisted chain matrix of the lift: column per base edge of X
-    bx_edges = cover_x.base.sorted_edges
-    by_edges = cover_y.base.sorted_edges
-    byix = {e: j for j, e in enumerate(by_edges)}
-    coeffs = np.zeros((len(by_edges), len(bx_edges), p), dtype=np.int64)
-    for j, e in enumerate(bx_edges):
-        ehat = xhat.lifted_edge(e, 0)
-        (_, sheet), _, _ = lift.edge_image(ehat)
-        coeffs[byix[f.edge_image(e)], j, sheet] = 1
+    # twisted chain matrix of the lift: column j for base edge j of X holds
+    # t^k in the row of f(j), where k is the sheet that the lift of j
+    # starting on sheet 0 is sent to
+    cols = len(base_map.edges)
+    coeffs = np.zeros((len(yhat.base_space.src), cols, p), dtype=np.int64)
+    sheet = lift.vertices[xhat.base_space.src * p] % p
+    coeffs[base_map.edges, np.arange(cols), sheet] = 1
     twisted = TwistedMatrix.from_array(coeffs, p)
 
-    # module coordinates of the cover's cycles: the lift of base edge e
+    # module coordinates of the cover's cycles: the lift of base edge j
     # starting on sheet k is t^k times its lift at sheet 0, so slot
-    # (e, k) holds the entry of the total edge over e that starts on sheet k
+    # j·p + k holds the entry of total edge position[j·p + k]
     bh = h1_basis(xhat.total, p)
-    bxix = {e: j for j, e in enumerate(bx_edges)}
-    slot = [bxix[(u, v, i)] * p + k for (u, k), (v, _), i in xhat.total.sorted_edges]
-    edge_at = np.argsort(slot)
     vals = []
     for col in range(bh.cols):
-        alpha = bh.array[edge_at, col].reshape(-1, p)
+        alpha = bh.array[xhat.position, col].reshape(-1, p)
         image = twisted.matvec(alpha)
         vals.append(
             (one_minus_t_valuation(alpha, p), one_minus_t_valuation(image, p))

@@ -402,7 +402,7 @@ def _inv_pullback(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if not pulled.is_connected:
             failures.append(f"trial {t}: pull-back disconnected at p={p}")
             continue
-        if rank(pulled.total) != rank(cover.total):
+        if pulled.space.component_ranks() != cover.space.component_ranks():
             failures.append(f"trial {t}: pull-back h1 rank differs at p={p}")
     return trials, failures
 

@@ -612,6 +612,44 @@ def oracle_induced_h1_map(f, p: int):
     return x
 
 
+def oracle_cover_edges(base_edges, size: int, p: int, values) -> list[tuple]:
+    """Edges (src, dst, letter) of the Z/p cover of a graph on 0..size-1,
+    one lift per base edge (u, v, letter) and sheet k, from sheet k of u to
+    sheet k + value of v; sheet k over u is the vertex u * p + k."""
+    return [
+        (u * p + k, v * p + (k + c) % p, i)
+        for (u, v, i), c in zip(base_edges, values)
+        for k in range(p)
+    ]
+
+
+def oracle_components(size: int, edges) -> tuple[bool, list[int]]:
+    """Connectivity and E - V + 1 per component of the graph on 0..size-1
+    with the (src, dst, ...) tuples ``edges``, by breadth-first search from
+    each vertex not yet reached; components come in the order of their
+    least vertex."""
+    adjacent = [[] for _ in range(size)]
+    for u, v, *_ in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    where = [-1] * size
+    ranks = []
+    for start in range(size):
+        if where[start] >= 0:
+            continue
+        where[start] = len(ranks)
+        queue = [start]
+        for u in queue:
+            for w in adjacent[u]:
+                if where[w] < 0:
+                    where[w] = len(ranks)
+                    queue.append(w)
+        ranks.append(1 - len(queue))
+    for u, *_ in edges:
+        ranks[where[u]] += 1
+    return len(ranks) <= 1, ranks
+
+
 def tw_convolve(a, b, p: int):
     """Product in (Z/p)[t]/(1 - t^p) of two length-p coefficient vectors,
     one term of ``a`` at a time: each t^i rolls ``b`` by i."""

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import sys
+import time
 import weakref
 
 import click
@@ -446,6 +447,17 @@ def test_separate_refuses_a_witness_group_past_the_order_cap():
     }
 
 
+def test_verify_counterexample_refuses_a_tower_past_the_cover_cap():
+    # 101^6 sheets: the cap refuses the tower before any of it is built, so
+    # the run ends within a second where it would otherwise not end at all.
+    start = time.perf_counter()
+    result = _invoke("verify-counterexample", "--p", "101", "--depth", "6")
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "resource_cap_exceeded"
+
+
 # The commands no other test runs: exit status and output digest on one
 # good input, error code on one bad input.
 _COMMAND_CASES = {
@@ -486,6 +498,55 @@ def test_command_output_is_pinned(tmp_path, name):
     result = _invoke(*_command_args(tmp_path, args))
     assert result.exit_code == status, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# verify-counterexample at the bench's (p, depth) configs, tower with its
+# --out file, a random tower and a cover on a non-wedge base: stdout digest
+# and --out file digest, taken from the tuple-labelled covers that index
+# arrays replaced. The random tower's --out file depends on the spanning
+# tree of each level, so it pins the neighbors order of the search.
+_COVER_CASES = {
+    "verify-counterexample 2^9": (
+        ("verify-counterexample", "--p", "2", "--depth", "9"),
+        "03809ad8d458b2a65d5d69c119639a985d1d68bd4d6099864f945f3af9101408", None,
+    ),
+    "verify-counterexample 3^6": (
+        ("verify-counterexample", "--p", "3", "--depth", "6"),
+        "a41f591a371f039116bee9edf0086d0086bd44b3a57e9c9de7d5e1f5620627d6", None,
+    ),
+    "verify-counterexample 11^3": (
+        ("verify-counterexample", "--p", "11", "--depth", "3"),
+        "db3364e12490c43f11b1f40c00f1affc9156f593583b8e0a954fb5c21dd77713", None,
+    ),
+    "tower 3^3": (
+        ("tower", "@a,b", "--p", "3", "--depth", "3", "--pullback", "@abABa,b", "--out", "@out"),
+        "fddc407ffc8771e16e8c65068aa8300dc29f07e67e7bf648e717e1eba9e3f55c",
+        "19465a0463457b29fe3d840597f3aedc0f55507e7f9af68671b5d1a3284146fa",
+    ),
+    "tower of the core graph, random": (
+        ("tower", "@abABa,b", "--p", "3", "--depth", "3", "--strategy", "random", "--seed", "0",
+         "--out", "@out"),
+        "a578d3aafccab7366f7ef0b3aeb90e3fd83fa3b7bddbdc7c2b196683426abbf8",
+        "8e4476613a68f24f7a9d47a455f9dbbd95a24491fa32c34508c9fecb6a9c7436",
+    ),
+    "cover of the core graph": (
+        ("cover", "@abABa,b", "--p", "3", "--cocycle", "a=1,b=2", "--out", "@out"),
+        "bbc06ea0f82aa552fd4757f0142d021256253e39ed3f4a9b14c2071f9053fb46",
+        "2f2a4743c811cbb65666c5fa1804c89b989711d35b0b81a0647ed5fc89048fa7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COVER_CASES))
+def test_cover_command_output_is_pinned(tmp_path, name):
+    args, digest, out_digest = _COVER_CASES[name]
+    out = tmp_path / "out.json"
+    args = [str(out) if a == "@out" else a for a in args]
+    result = _invoke(*_command_args(tmp_path, args))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+    if out_digest is not None:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
 
 
 @pytest.mark.parametrize("name", sorted(_COMMAND_ERRORS))

@@ -11,6 +11,7 @@ from stallings import (
     CoverDescription,
     FpMatrix,
     GraphMorphism,
+    IndexMorphism,
     InputError,
     LabeledGraph,
     PostconditionError,
@@ -32,6 +33,7 @@ from stallings import (
     wedge_graph,
 )
 from stallings import homology
+from stallings.graphs import identity_morphism
 from stallings.homology import _t_to_s
 
 
@@ -187,13 +189,13 @@ def _induced_map_cases():
         for k in range(6):
             h = _sub(*rng.sample(pool, rng.randint(1, 3)))
             values = {1: 1, 2: 0} if k == 0 else {1: rng.randrange(p), 2: rng.randrange(p)}
-            yield _square(h, p, values)[3], p
+            yield _square(h, p, values)[3].morphism, p
             proj = fiber_product(h, _sub(*rng.sample(pool, rng.randint(1, 3)))).projection("left")
             yield proj, p
             cover = CoverDescription.from_dict(
                 h.graph, p, {e: rng.randrange(p) for e in h.graph.edges}
             )
-            yield pullback(proj, build_cover(cover))[1], p
+            yield pullback(proj, build_cover(cover))[1].morphism, p
     # a cycle x -a-> y <-a- x' -b-> w <-b- x folded onto a tree
     square = make_graph(2, ["x", "X", "y", "w"], [("x", "y", 1), ("X", "y", 1), ("X", "w", 2), ("x", "w", 2)])
     tree = make_graph(2, [0, 1, 2], [(0, 1, 1), (0, 2, 2)])
@@ -353,11 +355,11 @@ def test_twisted_matvec_matches_restriction():
 def _square(h, p: int, values: dict):
     f = to_wedge_morphism(h.graph)
     wedge = wedge_graph(2)
-    cover_y = CoverDescription.from_dict(
+    cover_y = build_cover(CoverDescription.from_dict(
         wedge, p, {e: values[e[2]] for e in wedge.edges}
-    )
-    cover_x, lift = pullback(f, build_cover(cover_y))
-    return f, cover_x.description, cover_y, lift
+    ))
+    cover_x, lift = pullback(f, cover_y)
+    return f, cover_x, cover_y, lift
 
 
 def test_gersten_check_known_pass():
@@ -388,6 +390,15 @@ def test_gersten_check_validates_the_square():
     bad_lift = to_wedge_morphism(h.graph)
     with pytest.raises(InputError):
         gersten_check(f, cx, cy, bad_lift, 2)
+    # over a base with five vertices, a lift that keeps each sheet but moves
+    # every vertex to another fiber does not commute with the projections
+    f = identity_morphism(h.graph)
+    cy = build_cover(CoverDescription.from_dict(h.graph, 2, {e: 1 for e in h.graph.edges}))
+    cx, lift = pullback(f, cy)
+    assert gersten_check(f, cx, cy, lift, 2).lift_star_injective
+    moved = IndexMorphism(lift.domain, lift.codomain, np.roll(lift.vertices, 2), lift.edges)
+    with pytest.raises(InputError, match="square does not commute"):
+        gersten_check(f, cx, cy, moved, 2)
 
 
 def test_gersten_check_failed_lift_is_a_postcondition_error(monkeypatch):
