@@ -22,10 +22,11 @@ from .errors import (
     SearchCapError,
     StallingsError,
 )
-from .covers import build_cover, cover_tower, pullback, tower_pullbacks
+from .covers import build_cover, cover_tower, pullback, require_cover_size, tower_pullbacks
 from .fiber import fiber_product, is_l_root_closed, is_malnormal
 from .graphs import (
     GraphMorphism,
+    IndexGraph,
     component_ranks,
     core,
     fold,
@@ -114,18 +115,18 @@ def _load_json(path: str):
 
 
 def _component_stats(fp) -> list[dict]:
-    rows = []
-    for cid in range(len(fp.components)):
-        rows.append(
-            {
-                "component": cid,
-                "vertices": len(fp.component_vertices(cid)),
-                "edges": fp.component_edge_counts(cid),
-                "tree": fp.component_is_tree(cid),
-                "diagonal": fp.diagonal == cid,
-            }
-        )
-    return rows
+    letters = range(1, fp.space.n + 1)
+    rows = zip(fp.space.component_sizes.tolist(), fp.letter_counts.tolist(), fp.trees.tolist())
+    return [
+        {
+            "component": cid,
+            "vertices": size,
+            "edges": dict(zip(letters, counts)),
+            "tree": tree,
+            "diagonal": fp.diagonal == cid,
+        }
+        for cid, (size, counts, tree) in enumerate(rows)
+    ]
 
 
 @click.group()
@@ -370,6 +371,15 @@ def tower(
     """Tower of degree-p covers from surjective cocycles, with an optional
     pull-back report for a based graph over a one-vertex base."""
     base = graph_from_dict(_load_json(graph))
+    if pullback_path is not None:
+        # the pull-back outgrows the tower, so it is checked first
+        if len(base.vertices) != 1:
+            raise InputError("pull-back reports need a one-vertex base graph")
+        a = graph_from_dict(_load_json(pullback_path))
+        if a.basepoint is None:
+            raise InputError("the pulled-back graph needs a basepoint")
+        f = GraphMorphism.from_dict(a, base, {v: base.vertices[0] for v in a.vertices})
+        require_cover_size(IndexGraph.of(a), p, depth)
     built = cover_tower(base, p, depth, strategy=strategy, seed=seed)
     levels = []
     for k, level in enumerate(built.spaces):
@@ -385,13 +395,6 @@ def tower(
         )
     payload = {"p": p, "depth": depth, "levels": levels}
     if pullback_path is not None:
-        if len(base.vertices) != 1:
-            raise InputError("pull-back reports need a one-vertex base graph")
-        a = graph_from_dict(_load_json(pullback_path))
-        if a.basepoint is None:
-            raise InputError("the pulled-back graph needs a basepoint")
-        x0 = base.vertices[0]
-        f = GraphMorphism.from_dict(a, base, {v: x0 for v in a.vertices})
         rows = []
         for k, (pulled, _lift) in enumerate(tower_pullbacks(f, built), start=1):
             rows.append(

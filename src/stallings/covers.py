@@ -6,22 +6,18 @@ sheet k to sheet k + cocycle(e). Every regular Z/p cover arises this way,
 and cocycles vanishing on a spanning tree give a canonical finite
 enumeration. The deck transformation shifts sheets by one.
 
-Covers, towers and pull-backs are held as integer arrays (``IndexGraph``).
-Vertex (v, k) of a cover, sheet k over base vertex v, has index v·p + k,
-and the edges are src/dst/letter arrays in ``sorted_edges`` order. A lift
-is index arithmetic, (a, k) -> f(a)·p + k, and connectivity and component
-ranks come from ``graphs.component_labels``. The nested-tuple labels
-(v, k) and the ``LabeledGraph``/``GraphMorphism`` views built on them
-(``.total``, ``.base``, ``.levels``, ``.projection``, ``.deck``, a lift's
-``.morphism``) are made only when asked for, and each graph's labels once.
+Covers, towers and pull-backs are ``IndexGraph``s in the index layout of
+``graphs`` (sheet k over v is v·p + k), so a lift is index arithmetic. The
+labels (v, k) and the views built on them (``.total``, ``.base``,
+``.levels``, ``.projection``, ``.deck``, a lift's ``.morphism``) are made
+only when asked for, and each graph's labels once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable
 
 import numpy as np
 
@@ -37,9 +33,11 @@ from .fiber import FiberProduct, fiber_product_over
 from .graphs import (
     Edge,
     GraphMorphism,
+    IndexGraph,
+    IndexMorphism,
     LabeledGraph,
+    _pair_graph,
     bfs_edges,
-    component_labels,
     identity_morphism,
 )
 
@@ -89,84 +87,6 @@ class CoverDescription:
 
 def sorted_repr(edges) -> str:
     return ", ".join(repr(e) for e in sorted(edges, key=repr))
-
-
-# -- graphs and morphisms on vertex indices ------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class IndexGraph:
-    """A graph on vertices 0..size-1 whose edge j runs from src[j] to dst[j]
-    with letter[j], in ``sorted_edges`` order. ``labelled(self)`` builds the
-    LabeledGraph whose vertex j is this graph's vertex j; ``graph`` calls it
-    on first use."""
-
-    n: int
-    size: int
-    src: np.ndarray
-    dst: np.ndarray
-    letter: np.ndarray
-    basepoint: int | None
-    labelled: Callable[["IndexGraph"], LabeledGraph] = field(repr=False)
-
-    @staticmethod
-    def of(g: LabeledGraph) -> "IndexGraph":
-        ix = g.vertex_index
-        rows = np.array(
-            [(ix[u], ix[v], i) for u, v, i in g.sorted_edges], dtype=np.int64
-        ).reshape(-1, 3)
-        bp = None if g.basepoint is None else ix[g.basepoint]
-        return IndexGraph(g.n, len(g.vertices), *rows.T, bp, lambda _: g)
-
-    @cached_property
-    def graph(self) -> LabeledGraph:
-        return self.labelled(self)
-
-    @cached_property
-    def components(self) -> np.ndarray:
-        """The least vertex of each vertex's component."""
-        return component_labels(self.size, [(self.src, self.dst)])
-
-    @property
-    def is_connected(self) -> bool:
-        return not self.components.any()
-
-    def component_ranks(self) -> list[int]:
-        """E - V + 1 for each component, in the order of their least vertex,
-        which is the order of ``graphs.component_ranks``."""
-        roots, comp = np.unique(self.components, return_inverse=True)
-        edges = np.bincount(comp[self.src], minlength=len(roots))
-        return (edges - np.bincount(comp, minlength=len(roots)) + 1).tolist()
-
-
-@dataclass(frozen=True, eq=False)
-class IndexMorphism:
-    """A graph morphism on indices: vertex a of ``domain`` goes to vertex
-    ``vertices[a]`` of ``codomain``, and edge j to edge ``edges[j]``."""
-
-    domain: IndexGraph
-    codomain: IndexGraph
-    vertices: np.ndarray
-    edges: np.ndarray
-
-    @staticmethod
-    def of(f: GraphMorphism, codomain: IndexGraph) -> "IndexMorphism":
-        """f on indices; ``codomain`` holds f.codomain."""
-        vix = f.codomain.vertex_index
-        eix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
-        dom = f.domain
-        return IndexMorphism(
-            IndexGraph.of(dom),
-            codomain,
-            np.array([vix[f(v)] for v in dom.vertices], dtype=np.int64),
-            np.array([eix[f.edge_image(e)] for e in dom.sorted_edges], dtype=np.int64),
-        )
-
-    @cached_property
-    def morphism(self) -> GraphMorphism:
-        dom, cod = self.domain.graph, self.codomain.graph
-        images = map(cod.vertices.__getitem__, self.vertices.tolist())
-        return GraphMorphism(dom, cod, tuple(zip(dom.vertices, images)))
 
 
 # -- covers --------------------------------------------------------------------------
@@ -243,15 +163,6 @@ def require_cover_size(g: IndexGraph, p: int, depth: int = 1) -> None:
             )
 
 
-def _sheet_graph(base: IndexGraph, p: int, space: IndexGraph) -> LabeledGraph:
-    """The labelled total space: vertex v·p + k is (v, k)."""
-    verts = tuple((v, k) for v in base.graph.vertices for k in range(p))
-    at = verts.__getitem__
-    edges = zip(map(at, space.src.tolist()), map(at, space.dst.tolist()), space.letter.tolist())
-    bp = None if space.basepoint is None else verts[space.basepoint]
-    return LabeledGraph(space.n, verts, tuple(edges), bp)
-
-
 def _cover(base: IndexGraph, p: int, shift: np.ndarray) -> CoverGraph:
     sheets = np.arange(p)
     src = (base.src[:, None] * p + sheets).ravel()
@@ -263,7 +174,7 @@ def _cover(base: IndexGraph, p: int, shift: np.ndarray) -> CoverGraph:
     bp = None if base.basepoint is None else base.basepoint * p
     space = IndexGraph(
         base.n, base.size * p, src[order], dst[order], letter[order], bp,
-        partial(_sheet_graph, base, p),
+        partial(_pair_graph, base, range(p), None),
     )
     return CoverGraph(base, p, shift, space, position)
 
@@ -462,7 +373,7 @@ def check_disconnected_embedding(
         raise NotInjectiveError("embedding is not injective on vertices")
     to_base = embedding.compose(cover.projection)
     fp = fiber_product_over(to_base, cover.projection)
-    connected = fp.product.is_connected
+    connected = fp.space.is_connected
     if connected:
         raise PostconditionError("embedded graph produced a connected fiber product")
     return connected

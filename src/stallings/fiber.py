@@ -6,13 +6,16 @@ The product of A and B has vertex set V(A) x V(B) and an i-edge
 (a,b) -> (a',b') for every pair of i-edges a -> a', b -> b'. Reading a word
 in the product reads it in both coordinates simultaneously, which is what
 makes component fundamental groups compute intersections of conjugates.
+
+A product is an ``IndexGraph`` in the pair layout of ``graphs``; its
+labelled view, on pair vertices (a, b), is built only when asked for.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 import numpy as np
@@ -25,26 +28,27 @@ from .errors import (
 )
 from .graphs import (
     GraphMorphism,
+    IndexGraph,
+    IndexMorphism,
     LabeledGraph,
     SubgroupGraph,
     Vertex,
     _orbit_labels,
+    _pair_graph,
     _shift,
     _signed_letters,
     core,
     cycle_basis,
     is_core,
-    make_graph,
     path_words_from,
     relabel_canonical,
+    wedge_graph,
 )
 from .words import Word, maximal_root
 
+# Most vertex tuples of an l-fold product, and most vertex pairs or edge
+# pairs of a fiber product; it keeps every tuple code and pair index int32.
 TUPLE_CAP = 2_000_000
-
-
-def _as_graph(g: LabeledGraph | SubgroupGraph) -> LabeledGraph:
-    return g.graph if isinstance(g, SubgroupGraph) else g
 
 
 def _check_product_input(g: LabeledGraph, side: str) -> None:
@@ -57,54 +61,43 @@ def _check_product_input(g: LabeledGraph, side: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberProduct:
+    """``space`` is the product on indices, and ``pairs[k]`` is the pair
+    index u·|V_B| + v of its vertex k."""
+
     left: LabeledGraph
     right: LabeledGraph
-    product: LabeledGraph
-
-    @cached_property
-    def component_index(self) -> dict[Vertex, int]:
-        comps = self.product.component_lists
-        return {v: k for k, comp in enumerate(comps) for v in comp}
+    space: IndexGraph
+    pairs: np.ndarray
 
     @property
-    def components(self) -> tuple[tuple[Vertex, ...], ...]:
-        return self.product.component_lists
+    def product(self) -> LabeledGraph:
+        return self.space.graph
 
     @cached_property
     def diagonal(self) -> int | None:
         """Component id of the diagonal, when the two factors coincide."""
-        if self.left != self.right:
+        diag = np.arange(len(self.left.vertices)) * (len(self.left.vertices) + 1)
+        at = np.searchsorted(self.pairs, diag)  # len(pairs) if past the end
+        if self.left != self.right or not np.array_equal(np.append(self.pairs, -1)[at], diag):
             return None
-        ix = self.component_index
-        ids = {ix[(v, v)] for v in self.left.vertices}
-        if len(ids) != 1:
-            # can only happen for a disconnected factor
-            return None
-        return next(iter(ids))
-
-    def component_vertices(self, cid: int) -> tuple[Vertex, ...]:
-        return self.components[cid]
+        ids = np.unique(self.space.component_ids[at])
+        # more than one id can only happen for a disconnected factor
+        return int(ids[0]) if len(ids) == 1 else None
 
     @cached_property
-    def _letter_counts(self) -> tuple[dict[int, int], ...]:
-        """Per component, its number of edges of each letter, from one pass
-        over the product edges."""
-        ix = self.component_index
-        counts = tuple(
-            dict.fromkeys(range(1, self.product.n + 1), 0) for _ in self.components
-        )
-        for u, _, i in self.product.edges:
-            counts[ix[u]][i] += 1
-        return counts
+    def letter_counts(self) -> np.ndarray:
+        """Row c, column i - 1: the i-edges of component c."""
+        g = self.space
+        shape = (len(g.component_sizes), g.n)
+        keys = g.component_ids[g.src] * g.n + g.letter - 1
+        return np.bincount(keys, minlength=shape[0] * shape[1]).reshape(shape)
 
-    def component_edge_counts(self, cid: int) -> dict[int, int]:
-        return dict(self._letter_counts[cid])
-
-    def component_is_tree(self, cid: int) -> bool:
-        e = sum(self._letter_counts[cid].values())
-        return e == len(self.components[cid]) - 1
+    @cached_property
+    def trees(self) -> np.ndarray:
+        """Whether each component is a tree."""
+        return self.letter_counts.sum(axis=1) == self.space.component_sizes - 1
 
     def projection(self, side: str) -> GraphMorphism:
         target = self.left if side == "left" else self.right
@@ -118,35 +111,64 @@ class FiberProduct:
         d = self.diagonal
         if d is None:
             raise PreconditionError("no diagonal: the factors differ")
-        diag = set(self.components[d])
-        counts = {i: 0 for i in range(1, self.product.n + 1)}
-        for u, _, i in self.product.edges:
-            if u not in diag:
-                counts[i] += 1
-        return counts
+        counts = self.letter_counts.sum(axis=0) - self.letter_counts[d]
+        return dict(enumerate(counts.tolist(), start=1))
+
+
+def _product(a: IndexMorphism, b: IndexMorphism) -> FiberProduct:
+    """The fiber product of two morphisms into one graph: the pairs of
+    vertices with equal image, and the pairs of edges with equal image."""
+    ga, gb = a.domain, b.domain
+    na = np.bincount(a.edges, minlength=len(a.codomain.src))
+    nb = np.bincount(b.edges, minlength=len(a.codomain.src))
+    edge_pairs = int(na @ nb)
+    if ga.size * gb.size > TUPLE_CAP or edge_pairs > TUPLE_CAP:
+        raise ResourceCapError(
+            f"{ga.size}x{gb.size} vertex pairs or {edge_pairs} edge pairs exceed the cap "
+            f"of {TUPLE_CAP}",
+            vertex_pairs=ga.size * gb.size, edge_pairs=edge_pairs,
+        )
+    kept = (a.vertices[:, None] == b.vertices).ravel()
+    pairs = np.flatnonzero(kept)
+    number = np.cumsum(kept) - 1
+    # edge j of A meets each B edge with its image, in B's edge order
+    by_image = np.argsort(b.edges, kind="stable")
+    reps = nb[a.edges]
+    ea = np.repeat(np.arange(len(a.edges)), reps)
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    eb = by_image[(np.cumsum(nb) - nb)[a.edges[ea]] + np.arange(len(ea)) - first]
+    src = number[ga.src[ea] * gb.size + gb.src[eb]]
+    dst = number[ga.dst[ea] * gb.size + gb.dst[eb]]
+    letter = ga.letter[ea]
+    order = np.lexsort((letter, dst, src))
+    bp = None
+    if ga.basepoint is not None and gb.basepoint is not None:
+        if a.vertices[ga.basepoint] == b.vertices[gb.basepoint]:
+            bp = int(number[ga.basepoint * gb.size + gb.basepoint])
+    space = IndexGraph(
+        ga.n, len(pairs), src[order], dst[order], letter[order], bp,
+        partial(_pair_graph, ga, gb.graph.vertices, pairs),
+    )
+    return FiberProduct(ga.graph, gb.graph, space, pairs)
 
 
 def fiber_product(
     a: LabeledGraph | SubgroupGraph, b: LabeledGraph | SubgroupGraph
 ) -> FiberProduct:
     """The fiber product of two core immersed graphs over the wedge."""
-    ga, gb = _as_graph(a), _as_graph(b)
+    ga, gb = (g.graph if isinstance(g, SubgroupGraph) else g for g in (a, b))
     if ga.n != gb.n:
         raise InputError(f"alphabet mismatch: {ga.n} vs {gb.n}")
     _check_product_input(ga, "left")
     _check_product_input(gb, "right")
-    verts = [(u, v) for u in ga.vertices for v in gb.vertices]
-    by_letter: dict[int, list[tuple[Vertex, Vertex]]] = {}
-    for u, v, i in gb.edges:
-        by_letter.setdefault(i, []).append((u, v))
-    edges = []
-    for u1, u2, i in ga.edges:
-        for v1, v2 in by_letter.get(i, ()):
-            edges.append(((u1, v1), (u2, v2), i))
-    bp = None
-    if ga.basepoint is not None and gb.basepoint is not None:
-        bp = (ga.basepoint, gb.basepoint)
-    return FiberProduct(ga, gb, make_graph(ga.n, verts, edges, bp))
+    wedge = IndexGraph.of(wedge_graph(ga.n))
+
+    def to_wedge(g: LabeledGraph) -> IndexMorphism:
+        # every vertex goes to 0, and an i-edge to the wedge's edge i - 1
+        x = IndexGraph.of(g)
+        return IndexMorphism(x, wedge, np.zeros(x.size, dtype=np.int64), x.letter - 1)
+
+    return _product(to_wedge(ga), to_wedge(gb))
 
 
 def fiber_product_over(f: GraphMorphism, g: GraphMorphism) -> FiberProduct:
@@ -155,23 +177,8 @@ def fiber_product_over(f: GraphMorphism, g: GraphMorphism) -> FiberProduct:
     Over the wedge this is exactly :func:`fiber_product`."""
     if f.codomain != g.codomain:
         raise InputError("fiber product needs a common codomain")
-    ga, gb = f.domain, g.domain
-    verts = [
-        (u, v) for u in ga.vertices for v in gb.vertices if f(u) == g(v)
-    ]
-    edges = []
-    by_image: dict[tuple, list] = {}
-    for e in gb.edges:
-        by_image.setdefault(g.edge_image(e), []).append(e)
-    for e in ga.edges:
-        for e2 in by_image.get(f.edge_image(e), ()):
-            edges.append(((e[0], e2[0]), (e[1], e2[1]), e[2]))
-    bp = None
-    if ga.basepoint is not None and gb.basepoint is not None:
-        cand = (ga.basepoint, gb.basepoint)
-        if f(ga.basepoint) == g(gb.basepoint):
-            bp = cand
-    return FiberProduct(ga, gb, make_graph(ga.n, verts, edges, bp))
+    codomain = IndexGraph.of(f.codomain)
+    return _product(IndexMorphism.of(f, codomain), IndexMorphism.of(g, codomain))
 
 
 def component_pi1(
@@ -182,10 +189,15 @@ def component_pi1(
     v = (a, b)
     if v not in fp.product.vertex_index:
         raise InputError(f"({a!r}, {b!r}) is not a product vertex")
-    comp = fp.product.component_of(v)
-    sub = fp.product.restrict(comp, basepoint=v)
+    sub = _component_graph(fp, fp.space.component_ids[fp.product.vertex_index[v]], v)
     cored = relabel_canonical(core(sub))
     return SubgroupGraph(cored, tuple(cycle_basis(cored)))
+
+
+def _component_graph(fp: FiberProduct, cid: int, basepoint: Vertex) -> LabeledGraph:
+    """Component cid of the labelled product, based at ``basepoint``."""
+    comp = np.flatnonzero(fp.space.component_ids == cid)
+    return fp.product.restrict(map(fp.product.vertices.__getitem__, comp.tolist()), basepoint)
 
 
 # -- malnormality ---------------------------------------------------------------
@@ -215,23 +227,23 @@ def is_malnormal(h: SubgroupGraph) -> MalnormalityResult:
     """A subgroup is malnormal iff every non-diagonal component of the fiber
     product of its graph with itself is a tree."""
     fp = fiber_product(h, h)
-    d = fp.diagonal
+    bad = ~fp.trees & (np.arange(len(fp.trees)) != fp.diagonal)
+    if not bad.any():
+        return MalnormalityResult(True, None, fp)
+    cid = int(np.argmax(bad))
+    x1, x2 = start = fp.product.vertices[int(np.argmax(fp.space.component_ids == cid))]
+    sub = _component_graph(fp, cid, start)
+    w = cycle_basis(sub)[0]
     paths = path_words_from(h.graph, h.graph.basepoint)
-    for cid, comp in enumerate(fp.components):
-        if cid == d or fp.component_is_tree(cid):
-            continue
-        x1, x2 = comp[0]
-        w = cycle_basis(fp.product.restrict(comp, basepoint=comp[0]))[0]
-        p1, p2 = paths[x1], paths[x2]
-        cert = MalnormalityCertificate(
-            component_id=cid,
-            component=comp,
-            conjugator=p1 * p2.inverse(),
-            element=p2 * w * p2.inverse(),
-            conjugated=p1 * w * p1.inverse(),
-        )
-        return MalnormalityResult(False, cert, fp)
-    return MalnormalityResult(True, None, fp)
+    p1, p2 = paths[x1], paths[x2]
+    cert = MalnormalityCertificate(
+        component_id=cid,
+        component=sub.vertices,
+        conjugator=p1 * p2.inverse(),
+        element=p2 * w * p2.inverse(),
+        conjugated=p1 * w * p1.inverse(),
+    )
+    return MalnormalityResult(False, cert, fp)
 
 
 # -- closure under l-th roots -----------------------------------------------------
@@ -320,14 +332,12 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
 
 
 def _letter_tables(g: LabeledGraph) -> np.ndarray:
-    """Row k maps vertex indices along the k-th signed letter; -1 where the
-    graph has no such edge."""
-    signed = _signed_letters(g.n)
-    row = {s: k for k, s in enumerate(signed)}
-    idx = g.vertex_index
-    maps = np.full((len(signed), len(g.vertices)), -1, dtype=np.int32)
-    for (v, s), w in g.steps.items():
-        maps[row[s], idx[v]] = idx[w]
+    """Rows 2i - 2 and 2i - 1 map vertex indices along letters i and -i, the
+    order of ``_signed_letters``; -1 where the graph has no such edge."""
+    x = IndexGraph.of(g)
+    maps = np.full((2 * g.n, x.size), -1, dtype=np.int32)
+    maps[2 * x.letter - 2, x.src] = x.dst
+    maps[2 * x.letter - 1, x.dst] = x.src
     return maps
 
 

@@ -11,6 +11,12 @@ backwards).
 Edges are a *set* of (src, dst, letter) triples: parallel edges with equal
 endpoints and equal label coincide, which is harmless because folding would
 identify them immediately anyway.
+
+Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s:
+vertices 0..size-1, edge arrays src/dst/letter in ``sorted_edges`` order. A
+vertex made from a pair (u, k) of indices, k < m, has index u·m + k, kept
+pairs numbered in that order: sheet k over base vertex u of a Z/p cover is
+u·p + k, and the pair (u, v) of a fiber product is u·|V_B| + v.
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .words import Word, empty_word, reduce
+from .words import Word, empty_word
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex, int]
@@ -117,11 +123,6 @@ class LabeledGraph:
             deg[v] += 1
         return deg
 
-    def edge_count(self, letter: int | None = None) -> int:
-        if letter is None:
-            return len(self.edges)
-        return sum(1 for e in self.edges if e[2] == letter)
-
     # -- components ----------------------------------------------------------
 
     @cached_property
@@ -138,12 +139,6 @@ class LabeledGraph:
     @cached_property
     def is_connected(self) -> bool:
         return len(self.component_lists) <= 1
-
-    def component_of(self, v: Vertex) -> tuple[Vertex, ...]:
-        for comp in self.component_lists:
-            if v in comp:
-                return comp
-        raise InputError(f"{v!r} is not a vertex")
 
     def restrict(
         self, keep: Iterable[Vertex], basepoint: Vertex | None = None
@@ -535,12 +530,7 @@ def rank(g: LabeledGraph) -> int:
 
 def component_ranks(g: LabeledGraph) -> list[int]:
     """E - V + 1 for each connected component, in component order."""
-    comps = g.component_lists
-    where = {v: k for k, comp in enumerate(comps) for v in comp}
-    out = [1 - len(comp) for comp in comps]
-    for u, _, _ in g.edges:
-        out[where[u]] += 1
-    return out
+    return IndexGraph.of(g).component_ranks()
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -612,3 +602,99 @@ def to_wedge_morphism(g: LabeledGraph) -> GraphMorphism:
 
 def identity_morphism(g: LabeledGraph) -> GraphMorphism:
     return GraphMorphism.from_dict(g, g, {v: v for v in g.vertices})
+
+
+# -- graphs and morphisms on vertex indices ------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class IndexGraph:
+    """A graph on vertices 0..size-1 whose edge j runs from src[j] to dst[j]
+    with letter[j], in ``sorted_edges`` order. ``labelled(self)`` builds the
+    LabeledGraph whose vertex j is this graph's vertex j; ``graph`` calls it
+    on first use."""
+
+    n: int
+    size: int
+    src: np.ndarray
+    dst: np.ndarray
+    letter: np.ndarray
+    basepoint: int | None
+    labelled: Callable[["IndexGraph"], LabeledGraph] = field(repr=False)
+
+    @staticmethod
+    def of(g: LabeledGraph) -> "IndexGraph":
+        ix = g.vertex_index
+        rows = np.array(
+            [(ix[u], ix[v], i) for u, v, i in g.sorted_edges], dtype=np.int64
+        ).reshape(-1, 3)
+        bp = None if g.basepoint is None else ix[g.basepoint]
+        return IndexGraph(g.n, len(g.vertices), *rows.T, bp, lambda _: g)
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        return self.labelled(self)
+
+    @cached_property
+    def component_ids(self) -> np.ndarray:
+        """Each vertex's component; components are numbered by least vertex."""
+        labels = component_labels(self.size, [(self.src, self.dst)])
+        return (np.cumsum(labels == np.arange(self.size)) - 1)[labels]
+
+    @property
+    def is_connected(self) -> bool:
+        return not self.component_ids.any()
+
+    @cached_property
+    def component_sizes(self) -> np.ndarray:
+        return np.bincount(self.component_ids)
+
+    def component_ranks(self) -> list[int]:
+        """E - V + 1 for each component, in ``component_ids`` order."""
+        sizes = self.component_sizes
+        edges = np.bincount(self.component_ids[self.src], minlength=len(sizes))
+        return (edges - sizes + 1).tolist()
+
+
+def _pair_graph(
+    left: IndexGraph, right: Sequence, pairs: np.ndarray | None, space: IndexGraph
+) -> LabeledGraph:
+    """``space`` on pair vertices: vertex k is (vertex u of left, right[v])
+    for pairs[k] = u·len(right) + v; pairs None stands for 0..size-1."""
+    u, v = np.divmod(np.arange(space.size) if pairs is None else pairs, len(right))
+    a, b = map(left.graph.vertices.__getitem__, u.tolist()), map(right.__getitem__, v.tolist())
+    verts = tuple(zip(a, b))
+    at = verts.__getitem__
+    edges = zip(map(at, space.src.tolist()), map(at, space.dst.tolist()), space.letter.tolist())
+    bp = None if space.basepoint is None else verts[space.basepoint]
+    return LabeledGraph(space.n, verts, tuple(edges), bp)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexMorphism:
+    """A graph morphism on indices: vertex a of ``domain`` goes to vertex
+    ``vertices[a]`` of ``codomain``, and edge j to edge ``edges[j]``."""
+
+    domain: IndexGraph
+    codomain: IndexGraph
+    vertices: np.ndarray
+    edges: np.ndarray
+
+    @staticmethod
+    def of(f: GraphMorphism, codomain: IndexGraph) -> "IndexMorphism":
+        """f on indices; ``codomain`` holds f.codomain."""
+        vix = f.codomain.vertex_index
+        eix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
+        dom = f.domain
+        return IndexMorphism(
+            IndexGraph.of(dom),
+            codomain,
+            np.array([vix[f(v)] for v in dom.vertices], dtype=np.int64),
+            np.array([eix[f.edge_image(e)] for e in dom.sorted_edges], dtype=np.int64),
+        )
+
+    @cached_property
+    def morphism(self) -> GraphMorphism:
+        dom, cod = self.domain.graph, self.codomain.graph
+        images = map(cod.vertices.__getitem__, self.vertices.tolist())
+        return GraphMorphism(dom, cod, tuple(zip(dom.vertices, images)))

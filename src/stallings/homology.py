@@ -27,9 +27,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .arith import require_prime
-from .covers import CoverGraph, IndexMorphism
+from .covers import CoverGraph
 from .errors import InputError, PostconditionError, PreconditionError
-from .graphs import Edge, GraphMorphism, LabeledGraph, Vertex, bfs_edges
+from .graphs import Edge, GraphMorphism, IndexGraph, IndexMorphism, LabeledGraph, Vertex, bfs_edges
 
 
 # -- matrices over GF(p) -----------------------------------------------------------
@@ -170,20 +170,13 @@ class ChainComplex:
     boundary: FpMatrix
 
 
-def _edge_ends(g: LabeledGraph) -> np.ndarray:
-    """Shape (E, 2): the tail and head vertex index of each sorted edge."""
-    vix = g.vertex_index
-    ends = [(vix[u], vix[v]) for u, v, _ in g.sorted_edges]
-    return np.array(ends, dtype=np.int64).reshape(-1, 2)
-
-
 def chain_complex(g: LabeledGraph, p: int) -> ChainComplex:
     require_prime(p)
-    ends = _edge_ends(g)
-    cols = np.arange(len(ends))
-    b = np.zeros((len(g.vertices), len(ends)), dtype=np.int64)
-    np.add.at(b, (ends[:, 1], cols), 1)
-    np.subtract.at(b, (ends[:, 0], cols), 1)
+    x = IndexGraph.of(g)
+    cols = np.arange(len(x.src))
+    b = np.zeros((x.size, len(x.src)), dtype=np.int64)
+    np.add.at(b, (x.dst, cols), 1)
+    np.subtract.at(b, (x.src, cols), 1)
     return ChainComplex(g, p, g.vertices, g.sorted_edges, FpMatrix.from_array(b, p))
 
 
@@ -202,22 +195,20 @@ class _SpanningForest:
     is_tree: np.ndarray
 
 
-def _spanning_forest(g: LabeledGraph) -> _SpanningForest:
-    vix = g.vertex_index
-    adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in g.vertices}
-    for j, (u, v, _) in enumerate(g.sorted_edges, start=1):
+def _spanning_forest(x: IndexGraph) -> _SpanningForest:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(x.size)]
+    for j, (u, v) in enumerate(zip(x.src.tolist(), x.dst.tolist()), start=1):
         adj[u].append((v, j))
         if v != u:
             adj[v].append((u, -j))
-    nv = len(g.vertices)
-    parent, depth, edge, sign = [-1] * nv, [0] * nv, [-1] * nv, [0] * nv
-    for comp in g.component_lists:
-        for v, t, w in bfs_edges(adj, comp[0]):
-            a, b = vix[v], vix[w]
-            parent[b], depth[b] = a, depth[a] + 1
-            edge[b], sign[b] = abs(t) - 1, 1 if t > 0 else -1
+    parent, depth, edge, sign = [-1] * x.size, [0] * x.size, [-1] * x.size, [0] * x.size
+    for root in range(x.size):
+        if edge[root] < 0:  # not reached from an earlier root
+            for a, t, b in bfs_edges(adj, root):
+                parent[b], depth[b] = a, depth[a] + 1
+                edge[b], sign[b] = abs(t) - 1, 1 if t > 0 else -1
     parent, depth, edge, sign = (np.array(a, dtype=np.int64) for a in (parent, depth, edge, sign))
-    is_tree = np.zeros(len(g.sorted_edges), dtype=bool)
+    is_tree = np.zeros(len(x.src), dtype=bool)
     is_tree[edge[edge >= 0]] = True
     return _SpanningForest(parent, depth, edge, sign, is_tree)
 
@@ -229,13 +220,13 @@ def h1_basis(g: LabeledGraph, p: int) -> FpMatrix:
     u, minus the tree path to v; the two paths are walked up from u and v
     together until they meet, so the common part is never written."""
     require_prime(p)
-    forest = _spanning_forest(g)
+    x = IndexGraph.of(g)
+    forest = _spanning_forest(x)
     chords = np.flatnonzero(~forest.is_tree)
-    ends = _edge_ends(g)[chords]
     mat = np.zeros((len(forest.is_tree), len(chords)), dtype=np.int64)
     cols = np.arange(len(chords))
     mat[chords, cols] = 1
-    u, v = ends[:, 0], ends[:, 1]
+    u, v = x.src[chords], x.dst[chords]
     while cols.size:
         apart = u != v
         u, v, cols = u[apart], v[apart], cols[apart]
@@ -253,19 +244,18 @@ def induced_h1_map(f: GraphMorphism, p: int) -> FpMatrix:
     each domain cycle is pushed forward edge by edge, checked to be a cycle,
     and read off the codomain's chord rows."""
     bx = h1_basis(f.domain, p)
-    cod = f.codomain
-    cix = {e: j for j, e in enumerate(cod.sorted_edges)}
+    y = IndexGraph.of(f.codomain)
+    cix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
     target = np.array([cix[f.edge_image(e)] for e in f.domain.sorted_edges], dtype=np.int64)
-    image = np.zeros((len(cod.sorted_edges), bx.cols), dtype=np.int64)
+    image = np.zeros((len(y.src), bx.cols), dtype=np.int64)
     np.add.at(image, target, bx.array)
     image %= p
-    ends = _edge_ends(cod)
-    boundary = np.zeros((len(cod.vertices), bx.cols), dtype=np.int64)
-    np.add.at(boundary, ends[:, 1], image)
-    np.subtract.at(boundary, ends[:, 0], image)
+    boundary = np.zeros((y.size, bx.cols), dtype=np.int64)
+    np.add.at(boundary, y.dst, image)
+    np.subtract.at(boundary, y.src, image)
     if np.any(boundary % p):
         raise PostconditionError("image of a cycle fell outside the cycle space")
-    return FpMatrix(p, image[~_spanning_forest(cod).is_tree])
+    return FpMatrix(p, image[~_spanning_forest(y).is_tree])
 
 
 # -- the twisted group ring (Z/p)[t] / (1 - t^p) --------------------------------------

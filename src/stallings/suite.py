@@ -23,6 +23,7 @@ from .covers import build_cover, pullback, surjective_cocycle
 from .errors import ForcedCycleError, InputError, SearchCapError, StallingsError
 from .fiber import component_pi1, fiber_product, is_l_root_closed, is_malnormal
 from .graphs import (
+    IndexGraph,
     LabeledGraph,
     SubgroupGraph,
     canonical_form,
@@ -316,11 +317,12 @@ def _inv_fiber_counts(rng: random.Random, trials: int) -> tuple[int, Failures]:
         b = random_subgroup(rng, 2, 2, 4)
         fp = fiber_product(a, b)
         va, vb = len(a.graph.vertices), len(b.graph.vertices)
-        if len(fp.product.vertices) != va * vb:
+        if fp.space.size != va * vb:
             failures.append(f"trial {t}: vertex count is not {va * vb}")
+        counts = fp.letter_counts.sum(axis=0).tolist()
         for letter in (1, 2):
-            ea, eb = a.graph.edge_count(letter), b.graph.edge_count(letter)
-            if fp.product.edge_count(letter) != ea * eb:
+            ea, eb = (int((IndexGraph.of(h.graph).letter == letter).sum()) for h in (a, b))
+            if counts[letter - 1] != ea * eb:
                 failures.append(f"trial {t}: letter {letter} count is not {ea * eb}")
     return trials, failures
 
@@ -367,7 +369,7 @@ def _inv_h1(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if basis.cols != expected:
             failures.append(f"trial {t}: h1 dimension {basis.cols} != {expected}")
             continue
-        chords = ~_spanning_forest(g).is_tree
+        chords = ~_spanning_forest(IndexGraph.of(g)).is_tree
         if basis.rank != expected or not np.array_equal(
             basis.array[chords], np.eye(expected)
         ):

@@ -13,13 +13,12 @@ one row per sub-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .arith import require_prime
-from .covers import IndexGraph, cover_tower, require_cover_size, tower_pullbacks
+from .covers import cover_tower, require_cover_size, tower_pullbacks
 from .errors import InputError
 from .fiber import is_malnormal
-from .graphs import subgroup_graph, to_wedge_morphism, wedge_graph
+from .graphs import IndexGraph, subgroup_graph, to_wedge_morphism, wedge_graph
 from .homology import induced_h1_map
 from .words import Word
 
@@ -63,11 +62,11 @@ class VerificationReport:
         }
 
 
-def _counts(g) -> dict:
+def _counts(g: IndexGraph) -> dict:
     return {
-        "vertices": len(g.vertices),
-        "a_edges": g.edge_count(1),
-        "b_edges": g.edge_count(2),
+        "vertices": g.size,
+        "a_edges": int((g.letter == 1).sum()),
+        "b_edges": int((g.letter == 2).sum()),
     }
 
 
@@ -85,7 +84,7 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
 
     gens = [Word.parse(text, 2) for text in GENERATOR_TEXTS]
     h = subgroup_graph(gens, 2)
-    sub_counts = _counts(h.graph)
+    sub_counts = _counts(IndexGraph.of(h.graph))
     check(
         "core graph size",
         sub_counts == {"vertices": 5, "a_edges": 3, "b_edges": 3},
@@ -94,7 +93,7 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
 
     mal = is_malnormal(h)
     fp = mal.product
-    prod_counts = _counts(fp.product)
+    prod_counts = _counts(fp.space)
     check(
         "fiber product size",
         prod_counts == {"vertices": 25, "a_edges": 9, "b_edges": 9},
@@ -110,9 +109,7 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
 
     diagonal = fp.diagonal
     trees = tuple(
-        (cid, fp.component_is_tree(cid))
-        for cid in range(len(fp.components))
-        if cid != diagonal
+        (cid, tree) for cid, tree in enumerate(fp.trees.tolist()) if cid != diagonal
     )
     check(
         "non-diagonal components are trees",

@@ -623,31 +623,85 @@ def oracle_cover_edges(base_edges, size: int, p: int, values) -> list[tuple]:
     ]
 
 
-def oracle_components(size: int, edges) -> tuple[bool, list[int]]:
-    """Connectivity and E - V + 1 per component of the graph on 0..size-1
-    with the (src, dst, ...) tuples ``edges``, by breadth-first search from
-    each vertex not yet reached; components come in the order of their
+def oracle_component_of(size: int, edges) -> list[int]:
+    """The component of each vertex of the graph on 0..size-1 with the
+    (src, dst, ...) tuples ``edges``, by breadth-first search from each
+    vertex not yet reached; components are numbered in the order of their
     least vertex."""
     adjacent = [[] for _ in range(size)]
     for u, v, *_ in edges:
         adjacent[u].append(v)
         adjacent[v].append(u)
     where = [-1] * size
-    ranks = []
+    count = 0
     for start in range(size):
         if where[start] >= 0:
             continue
-        where[start] = len(ranks)
+        where[start] = count
         queue = [start]
         for u in queue:
             for w in adjacent[u]:
                 if where[w] < 0:
-                    where[w] = len(ranks)
+                    where[w] = count
                     queue.append(w)
-        ranks.append(1 - len(queue))
+        count += 1
+    return where
+
+
+def oracle_components(size: int, edges) -> tuple[bool, list[int]]:
+    """Connectivity and E - V + 1 per component, in the order of
+    :func:`oracle_component_of`."""
+    where = oracle_component_of(size, edges)
+    ranks = [1] * (max(where) + 1 if where else 0)
+    for k in where:
+        ranks[k] -= 1
     for u, *_ in edges:
         ranks[where[u]] += 1
     return len(ranks) <= 1, ranks
+
+
+def oracle_fiber_product(n: int, left, right) -> dict:
+    """The fiber product of two maps into one graph, pair by pair.
+
+    A factor is (vertex images, edges) on vertices 0..len(images)-1, each
+    edge (src, dst, letter, image edge), images being any hashable names.
+    Returns the kept pairs (u, v) in lexicographic order; the product edges
+    (src, dst, letter) on the positions of those pairs, sorted; the
+    component rows of the ``malnormal`` command; the diagonal
+    component when the factors are equal and their diagonal pairs meet one
+    component, else None; and the tree flags."""
+    (fa, ea), (fb, eb) = left, right
+    pairs = [(u, v) for u in range(len(fa)) for v in range(len(fb)) if fa[u] == fb[v]]
+    at = {pair: k for k, pair in enumerate(pairs)}
+    edges = sorted(
+        (at[(u1, v1)], at[(u2, v2)], i)
+        for u1, u2, i, x in ea
+        for v1, v2, j, y in eb
+        if x == y
+    )
+    where = oracle_component_of(len(pairs), edges)
+    count = max(where) + 1 if where else 0
+    sizes = [where.count(c) for c in range(count)]
+    letters = [{i: 0 for i in range(1, n + 1)} for _ in range(count)]
+    for u, _, i in edges:
+        letters[where[u]][i] += 1
+    trees = [sum(letters[c].values()) == sizes[c] - 1 for c in range(count)]
+    diagonal = None
+    if left == right:
+        ids = {where[at[(v, v)]] for v in range(len(fa)) if (v, v) in at}
+        if len(ids) == 1 and all((v, v) in at for v in range(len(fa))):
+            diagonal = ids.pop()
+    rows = [
+        {
+            "component": c,
+            "vertices": sizes[c],
+            "edges": letters[c],
+            "tree": trees[c],
+            "diagonal": c == diagonal,
+        }
+        for c in range(count)
+    ]
+    return {"pairs": pairs, "edges": edges, "rows": rows, "diagonal": diagonal, "trees": trees}
 
 
 def tw_convolve(a, b, p: int):

@@ -23,7 +23,7 @@ from stallings import (
     separability,
     subgroup_graph,
 )
-from stallings import cli
+from stallings import cli, fiber
 from stallings.cli import main
 from stallings.serialize import BLOCK_CHARS
 
@@ -456,6 +456,61 @@ def test_verify_counterexample_refuses_a_tower_past_the_cover_cap():
     assert result.exit_code == 3, result.output
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == "resource_cap_exceeded"
+
+
+def test_tower_refuses_an_oversized_pullback_before_building_the_tower(tmp_path, monkeypatch):
+    # 2^19 sheets of the wedge fit the cover cap, but its pull-back of G's
+    # core (six edges) does not; refused before the tower is built.
+    towers = []
+    monkeypatch.setattr(cli, "cover_tower", lambda *args, **kwargs: towers.append(args))
+    start = time.perf_counter()
+    result = _invoke(*_command_args(tmp_path, ("tower", "@a,b", "--p", "2", "--depth", "19",
+                                               "--pullback", "@abABa,b")))
+    assert time.perf_counter() - start < 10
+    assert towers == []
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "resource_cap_exceeded"
+
+
+# With --pullback, the pull-back is checked before the tower: a multi-vertex
+# base, an unreadable pull-back file and the cover cap are reported ahead of
+# a tower that could not be built (p = 4 is not prime).
+_TOWER_PRECEDENCE = {
+    "base before p": (("@abABa,b", "--p", "4", "--pullback", "@missing"), 2,
+                      "pull-back reports need a one-vertex base graph"),
+    "pull-back file before p": (("@a,b", "--p", "4", "--pullback", "@missing"), 2, "cannot read"),
+    "cap before p": (("@a,b", "--p", "4", "--depth", "19", "--pullback", "@abABa,b"), 3,
+                     "exceed the cap"),
+    "p without a pull-back": (("@a,b", "--p", "4", "--depth", "19"), 2, "4 is not prime"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOWER_PRECEDENCE))
+def test_tower_checks_its_pullback_first(tmp_path, name):
+    args, status, message = _TOWER_PRECEDENCE[name]
+    if "--depth" not in args:
+        args += ("--depth", "2")
+    result = _invoke(*_command_args(tmp_path, ("tower", *args)))
+    assert result.exit_code == status, result.output
+    assert result.stdout == ""
+    assert message in json.loads(result.stderr)["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ("fiber-product", "@abABa,b", "@abABa,b"),
+    ("malnormal", "@abABa,b"),
+])
+def test_fiber_products_past_the_cap_are_refused(tmp_path, monkeypatch, command):
+    # G's core has 5 vertices and 3 edges of each letter: 25 vertex pairs
+    # and 18 edge pairs
+    monkeypatch.setattr(fiber, "TUPLE_CAP", 24)
+    result = _invoke(*_command_args(tmp_path, command))
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "resource_cap_exceeded"
+    monkeypatch.setattr(fiber, "TUPLE_CAP", 25)
+    assert _invoke(*_command_args(tmp_path, command)).exit_code == 0
 
 
 # The commands no other test runs: exit status and output digest on one

@@ -1,27 +1,39 @@
 from __future__ import annotations
 
+import json
 import random
 from math import gcd
 
 import pytest
+from click.testing import CliRunner
 
 import oracles
 from stallings import (
+    CoverDescription,
+    GraphMorphism,
     InputError,
+    LabeledGraph,
     ResourceCapError,
     Word,
+    build_cover,
+    check_disconnected_embedding,
     component_pi1,
     fiber_product,
     fiber_product_over,
+    graph_to_dict,
     is_l_root_closed,
     is_malnormal,
     maximal_root,
+    pullback_as_fiber_product,
     subgroup_graph,
     to_wedge_morphism,
     wedge_graph,
 )
+from stallings import fiber
+from stallings.cli import _component_stats, main
 from stallings.fiber import TUPLE_CAP, _product_root_closure
 from stallings.suite import random_reduced_word
+from stallings.verify import verify_counterexample
 
 
 def _sub(*texts: str, n: int = 2):
@@ -66,6 +78,120 @@ def test_fiber_product_over_mixes_targets():
     f = to_wedge_morphism(h.graph)
     fp = fiber_product_over(f, to_wedge_morphism(wedge_graph(2)))
     assert len(fp.product.vertices) == len(h.graph.vertices)
+
+
+def _random_core(rng: random.Random, n: int = 2):
+    """A subgroup graph none of whose vertices, the basepoint included, has
+    degree below 2."""
+    while True:
+        gens = [random_reduced_word(rng, n, 1, 5) for _ in range(rng.randint(1, 3))]
+        h = subgroup_graph(gens, n)
+        if h.graph.edges and min(h.graph.degrees.values()) >= 2:
+            return h
+
+
+def _disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
+    verts = tuple(("x", v) for v in g.vertices) + tuple(("y", v) for v in h.vertices)
+    edges = tuple((("x", u), ("x", v), i) for u, v, i in g.edges)
+    edges += tuple((("y", u), ("y", v), i) for u, v, i in h.edges)
+    return LabeledGraph(g.n, verts, edges, ("x", g.basepoint))
+
+
+def _factor(f: GraphMorphism):
+    """The oracle's view of a morphism: vertex images, and edges on vertex
+    positions with their image edges."""
+    ix = f.domain.vertex_index
+    edges = [(ix[u], ix[v], i, f.edge_image((u, v, i))) for u, v, i in f.domain.edges]
+    return [f(v) for v in f.domain.vertices], edges
+
+
+def _random_cover(rng: random.Random, base: LabeledGraph, p: int):
+    return build_cover(CoverDescription.from_dict(base, p, {e: rng.randrange(p) for e in base.edges}))
+
+
+def _check_against_oracle(fp, f: GraphMorphism, g: GraphMorphism):
+    want = oracles.oracle_fiber_product(f.domain.n, _factor(f), _factor(g))
+    left, right = f.domain.vertices, g.domain.vertices
+    assert fp.product.vertices == tuple((left[u], right[v]) for u, v in want["pairs"])
+    space = fp.space
+    assert list(zip(space.src.tolist(), space.dst.tolist(), space.letter.tolist())) == want["edges"]
+    assert _component_stats(fp) == want["rows"]
+    assert fp.diagonal == want["diagonal"]
+    assert fp.trees.tolist() == want["trees"]
+
+
+def test_fiber_products_match_the_pairwise_oracle():
+    rng = random.Random(41)
+    kinds = set()
+    dropped = 0
+    for _ in range(12):
+        a, b = _random_core(rng), _random_core(rng)
+        disjoint = _disjoint_union(a.graph, b.graph)
+        for x, y in ((a, a), (a, b), (disjoint, disjoint), (disjoint, a)):
+            gx, gy = getattr(x, "graph", x), getattr(y, "graph", y)
+            fp = fiber_product(x, y)
+            _check_against_oracle(fp, to_wedge_morphism(gx), to_wedge_morphism(gy))
+            kinds.add((gx is gy, gx.is_connected, fp.diagonal is None))
+        # two covers of a's graph: a pair of vertices over different base
+        # vertices is dropped
+        base = a.graph
+        f, g = (_random_cover(rng, base, p).projection for p in (2, 3))
+        fp = fiber_product_over(f, g)
+        _check_against_oracle(fp, f, g)
+        assert fp.space.size == 6 * len(base.vertices)
+        dropped += len(base.vertices) > 1
+        # a pull-back onto a cover of the wedge
+        cov = _random_cover(rng, wedge_graph(2), 3)
+        f = to_wedge_morphism(b.graph)
+        _check_against_oracle(pullback_as_fiber_product(f, cov), f, cov.projection)
+    # two maps of one graph that differ at every vertex keep no diagonal pair
+    cycle = LabeledGraph(2, (0, 1), ((0, 1, 1), (1, 0, 1)), 0)
+    f, g = (GraphMorphism.from_dict(cycle, cycle, {0: x, 1: 1 - x}) for x in (0, 1))
+    fp = fiber_product_over(f, g)
+    _check_against_oracle(fp, f, g)
+    assert fp.product.vertices == ((0, 1), (1, 0)) and fp.diagonal is None
+    # (equal factors, connected, no diagonal): each kind of wedge product ran
+    assert {(True, True, False), (False, True, True), (True, False, True), (False, False, True)} <= kinds
+    assert dropped
+
+
+def test_fiber_products_past_the_cap_are_refused(monkeypatch):
+    h = _sub("abABa", "b")  # 5 vertices, 3 edges of each letter
+    monkeypatch.setattr(fiber, "TUPLE_CAP", 24)
+    with pytest.raises(ResourceCapError):
+        fiber_product(h, h)  # 25 vertex pairs
+    monkeypatch.setattr(fiber, "TUPLE_CAP", 25)
+    assert fiber_product(h, h).space.size == 25
+    monkeypatch.setattr(fiber, "TUPLE_CAP", 5)
+    with pytest.raises(ResourceCapError, match="6 edge pairs"):
+        fiber_product(h, wedge_graph(2))  # 5 vertex pairs
+    f = to_wedge_morphism(h.graph)
+    with pytest.raises(ResourceCapError):
+        fiber_product_over(f, f)
+
+
+class _LabelsBuilt(Exception):
+    pass
+
+
+def test_array_readers_build_no_labelled_product(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise _LabelsBuilt
+
+    monkeypatch.setattr(fiber, "_pair_graph", refuse)
+    for gens in (("abABa", "b"), ("a",), ("ab",)):
+        assert is_malnormal(_sub(*gens)).malnormal
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_dict(_sub("abABa", "b").graph)))
+    assert CliRunner().invoke(main, ["malnormal", str(path)]).exit_code == 0
+    assert verify_counterexample(3, 2).passed
+    cov = build_cover(CoverDescription.from_dict(wedge_graph(2), 2, {(0, 0, 1): 0, (0, 0, 2): 1}))
+    a = _sub("a").graph
+    loop_vertex = next(v for v in cov.total.vertices if v[1] == 0)
+    emb = GraphMorphism.from_dict(a, cov.total, {a.basepoint: loop_vertex})
+    assert check_disconnected_embedding(a, cov, emb) is False
+    with pytest.raises(_LabelsBuilt):  # a certificate reads labels
+        is_malnormal(_sub("aa"))
 
 
 def test_malnormality_known_cases():

@@ -120,6 +120,47 @@ def test_the_naming_rule_sees_definitions_and_uses():
         pytest.fail(f"rule found {found}, not ['dead', 'Dead']")
 
 
+# A module-level import that no code of its module reads is dead weight;
+# ``__init__`` imports to re-export, and ``__future__`` imports are
+# directives.
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line} {name}" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in _MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_library_module_has_no_unused_import(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    if unused:
+        pytest.fail(f"{path.name}: unused imports at {unused}")
+
+
+def test_the_import_rule_sees_unused_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Any, Callable\n"
+        "from .graphs import fold\n"
+        "def f(x: Callable) -> None:\n"
+        "    return os.path.join(fold(x))\n"
+    )
+    if _unused_imports(tree) != ["3 np", "4 Any"]:
+        pytest.fail(f"rule found {_unused_imports(tree)}, not ['3 np', '4 Any']")
+
+
 # The naming rule counts the strings of ``__all__`` as uses, so it cannot see
 # a stale export; this one can.
 
