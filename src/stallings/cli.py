@@ -115,17 +115,21 @@ def _load_json(path: str):
 
 
 def _component_stats(fp) -> list[dict]:
+    # components with equal letter counts share one "edges" dict: the rows
+    # are only written out, and a few dozen distinct rows serve thousands
     letters = range(1, fp.space.n + 1)
-    rows = zip(fp.space.component_sizes.tolist(), fp.letter_counts.tolist(), fp.trees.tolist())
+    counts = list(map(tuple, fp.letter_counts.tolist()))
+    edges = {c: dict(zip(letters, c)) for c in set(counts)}
+    rows = zip(fp.space.component_sizes.tolist(), map(edges.__getitem__, counts), fp.trees.tolist())
     return [
         {
             "component": cid,
             "vertices": size,
-            "edges": dict(zip(letters, counts)),
+            "edges": shared,
             "tree": tree,
             "diagonal": fp.diagonal == cid,
         }
-        for cid, (size, counts, tree) in enumerate(rows)
+        for cid, (size, shared, tree) in enumerate(rows)
     ]
 
 

@@ -186,18 +186,30 @@ def component_pi1(
 ) -> SubgroupGraph:
     """Core based graph of the product component at (a, b); its membership
     predicate is 'loop at a in the left factor AND loop at b in the right'."""
-    v = (a, b)
-    if v not in fp.product.vertex_index:
-        raise InputError(f"({a!r}, {b!r}) is not a product vertex")
-    sub = _component_graph(fp, fp.space.component_ids[fp.product.vertex_index[v]], v)
-    cored = relabel_canonical(core(sub))
-    return SubgroupGraph(cored, tuple(cycle_basis(cored)))
+    ia, ib = fp.left.vertex_index.get(a), fp.right.vertex_index.get(b)
+    if ia is not None and ib is not None:
+        pair = ia * len(fp.right.vertices) + ib
+        k = int(np.searchsorted(fp.pairs, pair))
+        if k < len(fp.pairs) and fp.pairs[k] == pair:
+            cored = relabel_canonical(core(_component_graph(fp, k)))
+            return SubgroupGraph(cored, tuple(cycle_basis(cored)))
+    raise InputError(f"({a!r}, {b!r}) is not a product vertex")
 
 
-def _component_graph(fp: FiberProduct, cid: int, basepoint: Vertex) -> LabeledGraph:
-    """Component cid of the labelled product, based at ``basepoint``."""
-    comp = np.flatnonzero(fp.space.component_ids == cid)
-    return fp.product.restrict(map(fp.product.vertices.__getitem__, comp.tolist()), basepoint)
+def _component_graph(fp: FiberProduct, k: int) -> LabeledGraph:
+    """The component of product vertex k, labelled and based at k. Only the
+    component's vertices and edges are labelled; its vertices and edges
+    keep the product's order."""
+    g = fp.space
+    cid = g.component_ids[k]
+    comp = np.flatnonzero(g.component_ids == cid)
+    inside = g.component_ids[g.src] == cid
+    src, dst = (np.searchsorted(comp, end[inside]) for end in (g.src, g.dst))
+    sub = IndexGraph(
+        g.n, len(comp), src, dst, g.letter[inside], int(np.searchsorted(comp, k)),
+        partial(_pair_graph, IndexGraph.of(fp.left), fp.right.vertices, fp.pairs[comp]),
+    )
+    return sub.graph
 
 
 # -- malnormality ---------------------------------------------------------------
@@ -231,8 +243,8 @@ def is_malnormal(h: SubgroupGraph) -> MalnormalityResult:
     if not bad.any():
         return MalnormalityResult(True, None, fp)
     cid = int(np.argmax(bad))
-    x1, x2 = start = fp.product.vertices[int(np.argmax(fp.space.component_ids == cid))]
-    sub = _component_graph(fp, cid, start)
+    sub = _component_graph(fp, int(np.argmax(fp.space.component_ids == cid)))
+    x1, x2 = sub.basepoint
     w = cycle_basis(sub)[0]
     paths = path_words_from(h.graph, h.graph.basepoint)
     p1, p2 = paths[x1], paths[x2]

@@ -12,11 +12,15 @@ with t the deck shift, one basis element per base edge, and a module map
 whose t->1 specialization is injective is itself injective because 1 - t
 is nilpotent of index exactly p.
 
-Both module kernels are closed forms. A matrix acts by one scatter: the
-term a t^k of entry [r, c] adds a times coordinate c, rolled by k, to row r.
-The (1-t)-valuation of a vector is read after one change of basis of all
-its rows to powers of s = 1 - t: it is the first power at which some row
-is nonzero, and dividing by (1-t)^k shifts every row down by k powers.
+Both module kernels are closed forms and act on a stack of vectors at
+once. A matrix acts by one gather and one sum per row: the term a t^k of
+entry [r, c] adds a times coordinate c, rolled by k, to row r. The
+(1-t)-valuation of a vector is found by exact division by 1 - t: a(t) is
+divisible exactly when its coefficients sum to 0 mod p, and the quotient's
+coefficients are the running sums of a's. ``one_minus_t_factor`` reads
+the factorisation after one change of basis of all rows to powers of
+s = 1 - t: the valuation is the first power at which some row is nonzero,
+and dividing by (1-t)^k shifts every row down by k powers.
 """
 
 from __future__ import annotations
@@ -213,14 +217,14 @@ def _spanning_forest(x: IndexGraph) -> _SpanningForest:
     return _SpanningForest(parent, depth, edge, sign, is_tree)
 
 
-def h1_basis(g: LabeledGraph, p: int) -> FpMatrix:
+def h1_basis(g: LabeledGraph | IndexGraph, p: int) -> FpMatrix:
     """Columns are the fundamental cycles of spanning-tree chords; they span
     the kernel of the boundary, E - V + 1 columns per component. The cycle
     of chord (u, v) is +1 on the chord, plus the tree path from the root to
     u, minus the tree path to v; the two paths are walked up from u and v
     together until they meet, so the common part is never written."""
     require_prime(p)
-    x = IndexGraph.of(g)
+    x = g if isinstance(g, IndexGraph) else IndexGraph.of(g)
     forest = _spanning_forest(x)
     chords = np.flatnonzero(~forest.is_tree)
     mat = np.zeros((len(forest.is_tree), len(chords)), dtype=np.int64)
@@ -239,16 +243,16 @@ def h1_basis(g: LabeledGraph, p: int) -> FpMatrix:
     return FpMatrix(p, mat)
 
 
-def induced_h1_map(f: GraphMorphism, p: int) -> FpMatrix:
+def induced_h1_map(f: GraphMorphism | IndexMorphism, p: int) -> FpMatrix:
     """Matrix of the induced map on first homology in the chord-cycle bases:
     each domain cycle is pushed forward edge by edge, checked to be a cycle,
     and read off the codomain's chord rows."""
+    if isinstance(f, GraphMorphism):
+        f = IndexMorphism.of(f, IndexGraph.of(f.codomain))
     bx = h1_basis(f.domain, p)
-    y = IndexGraph.of(f.codomain)
-    cix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
-    target = np.array([cix[f.edge_image(e)] for e in f.domain.sorted_edges], dtype=np.int64)
+    y = f.codomain
     image = np.zeros((len(y.src), bx.cols), dtype=np.int64)
-    np.add.at(image, target, bx.array)
+    np.add.at(image, f.edges, bx.array)
     image %= p
     boundary = np.zeros((y.size, bx.cols), dtype=np.int64)
     np.add.at(boundary, y.dst, image)
@@ -286,12 +290,31 @@ def _s_coefficients(vec: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     return s, int(hit.argmax()) if hit.any() else p
 
 
-def one_minus_t_valuation(vec: np.ndarray, p: int) -> int:
+def one_minus_t_valuation(vec: np.ndarray, p: int) -> int | np.ndarray:
     """Largest k <= p with vec divisible by (1-t)^k coordinatewise; p for 0.
 
-    ``vec`` holds one length-p coefficient row per module coordinate.
+    ``vec`` holds one length-p coefficient row per module coordinate. A
+    stack (..., rows, p) of such vectors gives an array of shape (...), one
+    valuation per vector. Each step divides every vector still divisible by
+    1 - t and drops the others, so a vector of valuation k costs k + 1
+    passes over its rows; every sum stays below p^2.
     """
-    return _s_coefficients(vec, p)[1]
+    a = np.asarray(vec, dtype=np.int64)
+    lead = a.shape[:-2]
+    a = a.reshape((int(np.prod(lead)),) + a.shape[-2:] if a.ndim >= 2 else (1, 1, -1))
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    k = np.zeros(len(a), dtype=np.int64)
+    live = np.arange(len(a))
+    for _ in range(p):
+        divisible = ~(a.sum(axis=2) % p).any(axis=1)
+        live, a = live[divisible], a[divisible]
+        if not live.size:
+            break
+        k[live] += 1
+        a = np.cumsum(a, axis=2)  # a = (1 - t) * quotient
+        a %= p
+    return int(k[0]) if np.ndim(vec) <= 2 else k.reshape(lead)
 
 
 def one_minus_t_factor(vec: np.ndarray, p: int) -> tuple[int, np.ndarray]:
@@ -335,17 +358,29 @@ class TwistedMatrix(_Residues):
         return self.restriction().is_injective
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Apply to a module vector of shape (cols, p)."""
+        """Apply to a module vector of shape (cols, p), or to each vector of
+        a stack (..., cols, p). The nonzero terms come in row order, so
+        each row's terms are one segment of one ``add.reduceat``."""
         p = self.p
-        vec = np.asarray(vec, dtype=np.int64) % p
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.size and (vec.min() < 0 or vec.max() >= p):
+            vec = vec % p
+        out = np.zeros(vec.shape[:-2] + (self.rows, p), dtype=np.int64)
         r, c, k = np.nonzero(self.array)
-        rolled = vec[c[:, None], (np.arange(p) - k[:, None]) % p]
-        out = np.zeros((self.rows, p), dtype=np.int64)
-        np.add.at(out, r, self.array[r, c, k][:, None] * rolled)
-        return out % p
+        if len(r):
+            terms = vec[..., c[:, None], (np.arange(p) - k[:, None]) % p]
+            terms *= self.array[r, c, k][:, None]
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            out[..., r[starts], :] = np.add.reduceat(terms, starts, axis=-2)
+        out %= p
+        return out
 
 
 # -- the lifting check ------------------------------------------------------------
+
+# Most module entries (cycles x base edges x p) that gersten_check hands the
+# stacked kernels at once.
+STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -392,7 +427,7 @@ def gersten_check(
     if not f_star.is_injective:
         raise PreconditionError("base map is not injective on H_1")
 
-    lift_star = induced_h1_map(lift.morphism, p)
+    lift_star = induced_h1_map(lift, p)
 
     # twisted chain matrix of the lift: column j for base edge j of X holds
     # t^k in the row of f(j), where k is the sheet that the lift of j
@@ -405,15 +440,16 @@ def gersten_check(
 
     # module coordinates of the cover's cycles: the lift of base edge j
     # starting on sheet k is t^k times its lift at sheet 0, so slot
-    # j·p + k holds the entry of total edge position[j·p + k]
-    bh = h1_basis(xhat.total, p)
-    vals = []
-    for col in range(bh.cols):
-        alpha = bh.array[xhat.position, col].reshape(-1, p)
-        image = twisted.matvec(alpha)
-        vals.append(
-            (one_minus_t_valuation(alpha, p), one_minus_t_valuation(image, p))
-        )
+    # j·p + k holds the entry of total edge position[j·p + k]. The cycles
+    # and their images go through the stacked kernels STACK_ENTRIES module
+    # entries at a time; each valuation is found by exact division by 1 - t
+    bh = h1_basis(xhat.space, p)
+    vals = np.zeros((bh.cols, 2), dtype=np.int64)
+    step = max(1, STACK_ENTRIES // max(1, len(xhat.position)))
+    for lo in range(0, bh.cols, step):
+        alpha = bh.array[:, lo : lo + step].T.take(xhat.position, axis=1).reshape(-1, cols, p)
+        vals[lo : lo + step, 0] = one_minus_t_valuation(alpha, p)
+        vals[lo : lo + step, 1] = one_minus_t_valuation(twisted.matvec(alpha), p)
 
     report = GerstenReport(
         p=p,
@@ -427,7 +463,7 @@ def gersten_check(
             "h1_cover_codomain": lift_star.rows,
         },
         twisted_chain_map=twisted,
-        valuations=tuple(vals),
+        valuations=tuple(map(tuple, vals.tolist())),
     )
     if not report.lift_star_injective:
         raise PostconditionError("injectivity failed to lift", p=p)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
 import sys
 import time
 import weakref
@@ -371,6 +372,75 @@ def _command_args(tmp_path, args) -> list[str]:
 def test_graph_command_output_is_pinned(tmp_path, name):
     args, status, digest = _GRAPH_CASES[name]
     result = _invoke(*_command_args(tmp_path, args))
+    assert result.exit_code == status, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def _random_words(seed: int, n: int, lengths) -> list[str]:
+    """Seeded freely reduced words over n letters, one per length."""
+    rng = random.Random(seed)
+    letters = [chr(ord("a") + i) for i in range(n)] + [chr(ord("A") + i) for i in range(n)]
+    out = []
+    for length in lengths:
+        word = [rng.choice(letters)]
+        while len(word) < length:
+            c = rng.choice(letters)
+            if c != word[-1].swapcase():
+                word.append(c)
+        out.append("".join(word))
+    return out
+
+
+# Graph commands at the bench's scale, with digests taken before the record
+# writer of json_blocks and the stacked (1-t)-valuations: malnormal on a
+# 3-letter subgroup (4,575 component rows), a non-malnormal subgroup with
+# its certificate (1,756 rows), a fiber product over 12 letters, whose
+# edge counts are keyed 1..12 (written in numeric order), and gersten-check
+# at p=101 with valuations (100, 100), the configuration the bench's
+# generator draws from random.Random(7).
+_GERSTEN_101 = {
+    "p": 101,
+    "domain": {
+        "n": 2,
+        "vertices": [0, 1, 2, 3, 4],
+        "edges": [[0, 1, "b"], [1, 2, "b"], [0, 2, "a"], [3, 0, "b"], [3, 4, "a"], [4, 0, "a"]],
+        "basepoint": 0,
+    },
+    "codomain": {"n": 2, "vertices": [0], "edges": [[0, 0, "a"], [0, 0, "b"]], "basepoint": 0},
+    "vertex_map": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]],
+    "cocycle": {"a": 47, "b": 74},
+}
+_BENCH_SCALE_CASES = {
+    "malnormal": (
+        ("malnormal", (0, 3, (30, 30, 30))), 0,
+        "dff43ade12e1b1a882578a61c1ab054572888301034ef7af5789ad5fe2029e05",
+    ),
+    "not malnormal": (
+        ("malnormal", (1, 3, (20, 20, 20), "aa")), 1,
+        "989fc1a8a7fd6fd17470eb7c166ea07985312b9bca672d84126e7d338bcd470b",
+    ),
+    "fiber-product over 12 letters": (
+        ("fiber-product", (2, 12, (15, 15, 15)), (3, 12, (15, 15, 15))), 0,
+        "515d85460c18da5339cfd728ee057ab5ecc6285a264d6a6c5656dc561ff76f0e",
+    ),
+    "gersten-check p=101": (
+        ("gersten-check", _GERSTEN_101), 0,
+        "17c8e19eb1d48fa551dc182a438d976e6fb79b03859e9856fa3813bdc836a34b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SCALE_CASES))
+def test_bench_scale_output_is_pinned(tmp_path, name):
+    (command, *specs), status, digest = _BENCH_SCALE_CASES[name]
+    args = [command]
+    for k, spec in enumerate(specs):
+        if isinstance(spec, tuple):  # (seed, n, lengths, extra words...)
+            seed, n, lengths, *extra = spec
+            texts = _random_words(seed, n, lengths) + extra
+            spec = graph_to_dict(subgroup_graph([Word.parse(t, n) for t in texts], n).graph)
+        args.append(_json_file(tmp_path, f"{k}.json", spec))
+    result = _invoke(*args)
     assert result.exit_code == status, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 

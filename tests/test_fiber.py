@@ -32,6 +32,7 @@ from stallings import (
 from stallings import fiber
 from stallings.cli import _component_stats, main
 from stallings.fiber import TUPLE_CAP, _product_root_closure
+from stallings.graphs import core, relabel_canonical
 from stallings.suite import random_reduced_word
 from stallings.verify import verify_counterexample
 
@@ -118,6 +119,13 @@ def _check_against_oracle(fp, f: GraphMorphism, g: GraphMorphism):
     assert _component_stats(fp) == want["rows"]
     assert fp.diagonal == want["diagonal"]
     assert fp.trees.tolist() == want["trees"]
+    # a component labelled alone is the labelled product's restriction
+    ids = space.component_ids.tolist()
+    for k in range(0, space.size, max(1, space.size // 4)):
+        keep = [v for v, c in zip(fp.product.vertices, ids) if c == ids[k]]
+        restricted = fp.product.restrict(keep, fp.product.vertices[k])
+        assert fiber._component_graph(fp, k) == restricted
+        assert component_pi1(fp, *fp.product.vertices[k]).graph == relabel_canonical(core(restricted))
 
 
 def test_fiber_products_match_the_pairwise_oracle():
@@ -140,6 +148,12 @@ def test_fiber_products_match_the_pairwise_oracle():
         _check_against_oracle(fp, f, g)
         assert fp.space.size == 6 * len(base.vertices)
         dropped += len(base.vertices) > 1
+        vertices = set(fp.product.vertices)
+        for pair in ((u, v) for u in f.domain.vertices for v in g.domain.vertices):
+            if pair not in vertices:
+                with pytest.raises(InputError, match="not a product vertex"):
+                    component_pi1(fp, *pair)
+                break
         # a pull-back onto a cover of the wedge
         cov = _random_cover(rng, wedge_graph(2), 3)
         f = to_wedge_morphism(b.graph)

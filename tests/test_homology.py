@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -32,9 +33,13 @@ from stallings import (
     to_wedge_morphism,
     wedge_graph,
 )
-from stallings import homology
+from click.testing import CliRunner
+
+from stallings import covers, homology
+from stallings.cli import main
 from stallings.graphs import identity_morphism
-from stallings.homology import _t_to_s
+from stallings.homology import _s_coefficients, _t_to_s
+from stallings.serialize import graph_to_dict
 
 
 def _sub(*texts: str, n: int = 2):
@@ -349,6 +354,62 @@ def test_twisted_matvec_matches_restriction():
             assert np.array_equal(direct.reshape(-1, 1), via_restriction.array)
 
 
+def _stack(rng: random.Random, p: int, cols: int, depth: int) -> np.ndarray:
+    """depth module vectors of cols coordinates: the zero vector, a vector
+    of valuation p - 1 (multiples of 1 + t + ... + t^(p-1) = (1-t)^(p-1)),
+    then random ones."""
+    stack = np.array([_random_module_vector(rng, p, cols) for _ in range(depth)])
+    stack[0] = 0
+    if depth > 1:
+        stack[1] = np.array([rng.randrange(p) for _ in range(cols)])[:, None]
+        stack[1, 0] = 1
+    return stack.reshape(depth, cols, p)
+
+
+def test_stacked_valuations_match_the_basis_change():
+    rng = random.Random(9)
+    seen = set()
+    for p in (2, 3, 5, 7, 31):
+        for _ in range(25):
+            cols, depth = rng.randint(1, 3), rng.randint(1, 6)
+            stack = _stack(rng, p, cols, depth)
+            want = [_s_coefficients(v, p)[1] for v in stack]
+            got = one_minus_t_valuation(stack, p)
+            assert got.shape == (depth,) and got.tolist() == want
+            assert one_minus_t_valuation(stack[None], p).tolist() == [want]
+            assert one_minus_t_valuation(stack[:1], p).tolist() == want[:1]  # a stack of one
+            assert [one_minus_t_valuation(v, p) for v in stack] == want
+            # unreduced entries are reduced first
+            assert one_minus_t_valuation(stack - p * 3, p).tolist() == want
+            seen.update((p, k) for k in want)
+    assert {(p, k) for p in (2, 3, 5, 7, 31) for k in (0, 1, p - 1, p)} <= seen
+
+
+def test_stacked_matvec_matches_the_per_vector_product():
+    rng = random.Random(10)
+    for p in (2, 3, 5, 7, 31):
+        for trial in range(12):
+            rows, cols, depth = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 5)
+            density = 0.0 if trial == 0 else 0.4  # the zero matrix first
+            coeffs = np.array(
+                [rng.randrange(p) if rng.random() < density else 0 for _ in range(rows * cols * p)],
+                dtype=np.int64,
+            ).reshape(rows, cols, p)
+            m = TwistedMatrix.from_array(coeffs, p)
+            stack = _stack(rng, p, cols, depth)
+            got = m.matvec(stack)
+            assert got.shape == (depth, rows, p)
+            for vec, image in zip(stack, got):
+                want = np.zeros((rows, p), dtype=np.int64)
+                for r in range(rows):
+                    for c in range(cols):
+                        want[r] += oracles.tw_convolve(coeffs[r, c], vec[c], p)
+                assert np.array_equal(image, want % p)
+                assert np.array_equal(m.matvec(vec), image)
+            assert np.array_equal(m.matvec(stack + p), got)
+            assert np.array_equal(m.matvec(stack[None]), got[None])
+
+
 # -- the lifting check ------------------------------------------------------------
 
 
@@ -370,6 +431,22 @@ def test_gersten_check_known_pass():
         assert report.lift_star_injective
         assert report.p == p
         assert all(0 <= k <= p for _, k in report.valuations)
+
+
+def test_gersten_check_values_each_cycle_and_its_image(monkeypatch):
+    # a matvec that also multiplies by 1 - t raises each image's valuation
+    # by one (up to p) and leaves the cycles' own valuations alone
+    h = _sub("abABa", "b")
+    real = TwistedMatrix.matvec
+    for p in (3, 5):
+        f, cx, cy, lift = _square(h, p, {1: 1, 2: 1})
+        plain = gersten_check(f, cx, cy, lift, p).valuations
+        monkeypatch.setattr(
+            TwistedMatrix, "matvec", lambda m, vec: (real(m, vec) - np.roll(real(m, vec), 1, axis=-1)) % m.p
+        )
+        shifted = gersten_check(f, cx, cy, lift, p).valuations
+        monkeypatch.setattr(TwistedMatrix, "matvec", real)
+        assert plain and shifted == tuple((k, min(j + 1, p)) for k, j in plain)
 
 
 def test_gersten_check_refuses_degenerate_base_map():
@@ -415,3 +492,32 @@ def test_gersten_check_failed_lift_is_a_postcondition_error(monkeypatch):
     monkeypatch.setattr(homology, "induced_h1_map", degenerate_on_the_lift)
     with pytest.raises(PostconditionError, match="injectivity failed to lift"):
         gersten_check(f, cx, cy, lift, 3)
+
+
+class _LabelsBuilt(Exception):
+    pass
+
+
+def test_gersten_check_builds_no_labelled_cover(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise _LabelsBuilt
+
+    monkeypatch.setattr(covers, "_pair_graph", refuse)
+    h = _sub("abABa", "b")
+    for p in (2, 3, 5, 31):
+        f, cx, cy, lift = _square(h, p, {1: 1, 2: 1})
+        assert gersten_check(f, cx, cy, lift, p).lift_star_injective
+    with pytest.raises(_LabelsBuilt):  # labels of a cover do go through the patched function
+        cx.total
+    config = {
+        "p": 7,
+        "domain": graph_to_dict(h.graph),
+        "codomain": graph_to_dict(wedge_graph(2)),
+        "vertex_map": [[v, 0] for v in h.graph.vertices],
+        "cocycle": {"a": 3, "b": 5},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, ["gersten-check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["lift_star_injective"] is True

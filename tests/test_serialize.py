@@ -22,6 +22,7 @@ from stallings import (
 )
 from stallings.graphs import make_graph
 from stallings.hypertournaments import _iso_violation
+from stallings import serialize
 from stallings.serialize import BLOCK_CHARS, BLOCK_ITEMS, RelationRows, json_blocks
 
 _LABELS = [0, 1, 2, 10, "a", "b", "x1", (0, 1), (1, "a"), (2, 0, 1)]
@@ -85,6 +86,46 @@ _LEAVES = (
     | st.lists(st.lists(_INTS), max_size=6)  # ragged rows
     | st.lists(st.lists(st.nothing()), max_size=2)  # rows of width 0
 )
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of records with one set of string keys: columns of ints, of
+    bools and None, and of int-keyed dicts of ints (keys past 9 as well,
+    inserted in any order), and now and then one near miss that the json
+    module must write instead."""
+    keys = draw(st.lists(st.sampled_from(["a", "b", "c", "%", "%d", "x%s", "\u00e9"]), min_size=1, max_size=4, unique=True))
+    kinds = {k: draw(st.sampled_from(["int", "literal", "nested"])) for k in keys}
+    inner = draw(st.lists(st.integers(0, 12) | _INTS, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = {}
+        for k in keys:
+            if kinds[k] == "int":
+                row[k] = draw(_INTS)
+            elif kinds[k] == "literal":
+                row[k] = draw(st.none() | st.booleans())
+            else:
+                row[k] = {j: draw(_INTS) for j in draw(st.permutations(inner))}
+        rows.append(row)
+    miss = draw(st.sampled_from([None, None, "float", "string", "missing", "extra", "renamed", "bool", "empty"]))
+    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    if miss in ("float", "string"):
+        row[key] = 1.5 if miss == "float" else "1"
+    elif miss == "missing":
+        del row[key]
+    elif miss == "extra":
+        rows[-1][key + "+"] = 0
+    elif miss == "renamed":
+        row[key + "!"] = row.pop(key)
+    elif miss == "bool":
+        row[key] = True if kinds[key] == "int" else 1
+    elif miss == "empty":
+        row[key] = {}
+    return rows
+
+
+_LEAVES = _LEAVES | _record_lists()
 _PAYLOADS = st.recursive(
     _LEAVES,
     lambda children: st.lists(children, max_size=4)
@@ -127,6 +168,41 @@ def test_json_blocks_split_int_arrays_on_block_boundaries(width):
         blocks = list(json_blocks(payload))
         assert _mismatch("".join(blocks), json.dumps(payload, indent=2, sort_keys=True)) is None
         assert max(len(b) for b in blocks) <= BLOCK_CHARS
+
+
+def test_json_blocks_write_near_miss_record_lists_as_the_json_module_does():
+    for rows in (
+        [{"a": 1}, {"a": 2, "b": 3}],  # a key only a later row has
+        [{"a": 1, "b": 2}, {"a": 3, "c": 4}],  # as many keys, not the same ones
+        [{"a": {1: 2}}, {"a": {1: 2, 3: 4}}],  # nested dicts with more keys
+        [{"a": {1: 2}}, {"a": {3: 4}}],
+        [{"a": {1: 2}}, {"a": {}}],
+        [{"a": 1}, {"a": True}],
+        [{"a": {True: 1}}],
+        [{"a": {1: 1.0}}],
+        [{1: 1}],
+    ):
+        assert "".join(json_blocks(rows)) == json.dumps(rows, indent=2, sort_keys=True)
+
+
+def test_json_blocks_split_record_lists_on_block_boundaries(monkeypatch):
+    # written by templates, not by the json module's encoder
+    monkeypatch.setattr(serialize._ENCODER, "iterencode", None)
+    rows = [
+        {
+            "component": i * 7919 - 10**6,
+            "diagonal": i == 3,
+            "edges": {k: i * k % 97 for k in (12, 2, 10, 1)},
+            "empty": {},
+            "note": None if i % 5 else i % 2 == 0,
+            "vertices": i % 50 + 1,
+        }
+        for i in range(20_000)
+    ]
+    payload = {"component_stats": rows, "z": {"inner": rows[:3]}}
+    blocks = list(json_blocks(payload))
+    assert _mismatch("".join(blocks), json.dumps(payload, indent=2, sort_keys=True)) is None
+    assert max(map(len, blocks)) <= BLOCK_CHARS
 
 
 # tuple labels are written as (nested) lists
