@@ -48,6 +48,7 @@ from .serialize import (
     hypertournament_from_dict,
     json_blocks,
     parse_cocycle_text,
+    read_graph,
     subgroup_from_dict,
     witness_to_dict,
 )
@@ -147,10 +148,8 @@ def main() -> None:
 @_guarded
 def fold_cmd(graph: str, take_core: bool, out: str | None) -> None:
     """Fold a labeled graph; prints the folded graph as JSON."""
-    g = fold(graph_from_dict(_load_json(graph)))
-    if take_core:
-        g = relabel_canonical(core(g))
-    payload = graph_to_dict(g)
+    g = fold(read_graph(_load_json(graph)))
+    payload = graph_to_dict(relabel_canonical(core(g)) if take_core else g.graph)
     _echo(payload)
     _write_out(payload, out)
 

@@ -12,6 +12,10 @@ Edges are a *set* of (src, dst, letter) triples: parallel edges with equal
 endpoints and equal label coincide, which is harmless because folding would
 identify them immediately anyway.
 
+Graphs read from JSON or built from words are :class:`ListGraph`s of Python
+ints (no numpy per call). The fold's class tables are the step table that
+core and canonical numbering read; only the graph returned gets labels.
+
 Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s:
 vertices 0..size-1, edge arrays src/dst/letter in ``sorted_edges`` order. A
 vertex made from a pair (u, k) of indices, k < m, has index u·m + k, kept
@@ -24,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -172,34 +177,44 @@ def wedge_graph(n: int) -> LabeledGraph:
     return make_graph(n, [0], [(0, 0, i) for i in range(1, n + 1)], basepoint=0)
 
 
+@dataclass(frozen=True, eq=False)
+class ListGraph:
+    """A graph on vertex indices 0..len(vertices)-1: edge j runs from src[j]
+    to dst[j] with letter[j], repeats allowed, or once folded, steps[v] maps
+    each signed letter at v to the vertex it leads to. ``graph`` is the
+    LabeledGraph whose vertex k is vertices[k]."""
+
+    n: int
+    vertices: Sequence[Vertex]
+    basepoint: int | None
+    src: Sequence[int] = ()
+    dst: Sequence[int] = ()
+    letter: Sequence[int] = ()
+    steps: list[dict[int, int]] | None = None
+
+    @staticmethod
+    def of(g: LabeledGraph) -> "ListGraph":
+        ix = g.vertex_index
+        us, vs, letter = zip(*g.edges) if g.edges else ((), (), ())
+        bp = None if g.basepoint is None else ix[g.basepoint]
+        return ListGraph(g.n, g.vertices, bp, [ix[u] for u in us], [ix[v] for v in vs], letter)
+
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """The distinct edges (src, dst, letter), in ``sorted_edges`` order."""
+        if self.steps is None:
+            return sorted(set(zip(self.src, self.dst, self.letter)))
+        return sorted((v, w, t) for v, step in enumerate(self.steps) for t, w in step.items() if t > 0)
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        at = self.vertices.__getitem__
+        edges = tuple((at(u), at(v), i) for u, v, i in self.edges)
+        bp = None if self.basepoint is None else at(self.basepoint)
+        return LabeledGraph(self.n, tuple(self.vertices), edges, bp)
+
+
 # -- folding ------------------------------------------------------------------
-
-
-class _DSU:
-    """Union-find over 0..size-1 with path compression; each class is named
-    by its smallest member."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        root = v
-        while p[root] != root:
-            root = p[root]
-        while p[v] != root:
-            p[v], v = root, p[v]
-        return root
-
-    def union(self, a: int, b: int) -> tuple[int, int] | None:
-        """Join two classes: their (survivor, absorbed) roots, or None."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra, rb
 
 
 def component_labels(size: int, edges) -> np.ndarray:
@@ -270,62 +285,104 @@ def _orbit_labels(n: int, l: int, steps: Iterable[np.ndarray]) -> np.ndarray:
     return component_labels(n**l, edges)
 
 
-def fold(g: LabeledGraph) -> LabeledGraph:
+def fold(g: LabeledGraph | ListGraph) -> LabeledGraph | ListGraph:
     """Stallings folding: merge equal-label edges sharing a source or a target
     until the graph is immersed. The image of pi_1 in F_n is unchanged.
 
     Worklist folding (Kapovich-Myasnikov 2002, Touikan 2006): each class maps
-    signed letters to a vertex they reach; a union moves the absorbed class's
-    entries to the survivor and queues each clash as a pair to merge. The
-    result, the least congruence with an immersed quotient, is unique, so the
-    merge order does not matter. Each class is named by its first vertex."""
-    ix = g.vertex_index
-    dsu = _DSU(len(g.vertices))
-    tables: list[dict[int, int]] = [{} for _ in g.vertices]
+    signed letters to a vertex they reach; a union into the smaller index
+    moves the absorbed class's entries to the survivor and queues each clash
+    as a pair to merge. The result, the least congruence with an immersed
+    quotient, is unique, so the merge order does not matter. Each class is
+    named by its first vertex. A ListGraph folds to one with ``steps``."""
+    if isinstance(g, LabeledGraph):
+        return _fold(ListGraph.of(g)).graph
+    return _fold(g)
+
+
+def _fold(g: ListGraph) -> ListGraph:
+    size = len(g.vertices)
+    tables: list[dict[int, int]] = [{} for _ in range(size)]
     pending: list[tuple[int, int]] = []
-
-    def enter(table: dict[int, int], t: int, w: int) -> None:
-        seen = table.setdefault(t, w)
-        if seen != w:
-            pending.append((seen, w))
-
-    for u, v, i in g.edges:
-        enter(tables[ix[u]], i, ix[v])
-        enter(tables[ix[v]], -i, ix[u])
+    for u, v, i in zip(g.src, g.dst, g.letter):
+        w = tables[u].setdefault(i, v)
+        if w != v:
+            pending.append((w, v))
+        w = tables[v].setdefault(-i, u)
+        if w != u:
+            pending.append((w, u))
+    parent = list(range(size))  # parent[v] < v but at the least vertex of a class
     while pending:
-        joined = dsu.union(*pending.pop())
-        if joined is None:
+        a, b = pending.pop()
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
             continue
-        survivor, absorbed = joined
-        for t, w in tables[absorbed].items():
-            enter(tables[survivor], t, w)
-    name = [g.vertices[dsu.find(k)] for k in range(len(g.vertices))]
-    verts = tuple(dict.fromkeys(name))
-    folded = {(name[ix[u]], name[ix[v]], i) for u, v, i in g.edges}
-    bp = name[ix[g.basepoint]] if g.basepoint is not None else None
-    return make_graph(g.n, verts, folded, bp)
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        table = tables[a]
+        for t, w in tables[b].items():
+            seen = table.setdefault(t, w)
+            if seen != w:
+                pending.append((seen, w))
+    roots = [k for k, up in enumerate(parent) if up == k]
+    bp = g.basepoint
+    if len(roots) < size:
+        number = dict(zip(roots, range(len(roots))))
+        for k, up in enumerate(parent):  # after its parent: class numbers in place
+            parent[k] = number[k] if up == k else parent[up]
+        tables = [{t: parent[w] for t, w in tables[r].items()} for r in roots]
+        bp = None if bp is None else parent[bp]
+    return ListGraph(g.n, [g.vertices[r] for r in roots], bp, steps=tables)
 
 
-def core(g: LabeledGraph) -> LabeledGraph:
+def core(g: LabeledGraph | ListGraph) -> LabeledGraph | ListGraph:
     """Restrict to the basepoint component and strip degree-1 vertices other
     than the basepoint, repeatedly: a queue takes each vertex whose degree
     among those kept (a loop counts twice) drops to 1 or less. What stays
-    does not depend on the order in which leaves go."""
-    bp = g.basepoint
-    if bp is None:
+    does not depend on the order in which leaves go, and since taking a
+    leaf never splits what is left, leaves go first, everywhere. A
+    LabeledGraph need not be immersed; a ListGraph must be folded. The core
+    keeps the vertex order."""
+    if g.basepoint is None:
         raise PreconditionError("core reduction needs a basepoint")
-    keep = {bp} | {w for *_, w in bfs_edges(g.neighbors, bp)}
-    degree = {v: g.degrees[v] for v in keep}
-    queue = [v for v in keep if v != bp and degree[v] <= 1]
-    keep.difference_update(queue)
+    # adj[v] holds one entry per edge end at vertex v
+    if isinstance(g, LabeledGraph):
+        ix = g.vertex_index
+        adj, bp = [[ix[w] for w, _ in g.neighbors[v]] for v in g.vertices], ix[g.basepoint]
+    else:
+        adj, bp = [step.values() for step in g.steps], g.basepoint
+    degree = [len(a) for a in adj]
+    kept = bytearray(b"\1") * len(adj)
+    queue = [v for v, d in enumerate(degree) if d <= 1 and v != bp]
     while queue:
-        for w, _ in g.neighbors[queue.pop()]:
-            if w in keep:
-                degree[w] -= 1
-                if degree[w] <= 1 and w != bp:
-                    keep.remove(w)
-                    queue.append(w)
-    return g.restrict(keep, bp)
+        v = queue.pop()
+        kept[v] = 0
+        for w in adj[v]:
+            degree[w] -= 1
+            if degree[w] == 1 and w != bp:
+                queue.append(w)
+    reached = bytearray(len(adj))
+    reached[bp] = 1
+    order = [bp]
+    for v in order:  # the basepoint's component of what is kept
+        for w in adj[v]:
+            if kept[w] and not reached[w]:
+                reached[w] = 1
+                order.append(w)
+    keep = list(compress(range(len(adj)), reached))
+    if isinstance(g, LabeledGraph):
+        return g.restrict(map(g.vertices.__getitem__, keep), g.basepoint)
+    number = [-1] * len(adj)
+    for k, v in enumerate(keep):
+        number[v] = k
+    steps = [{t: number[w] for t, w in g.steps[v].items() if number[w] >= 0} for v in keep]
+    return ListGraph(g.n, [g.vertices[v] for v in keep], number[bp], steps=steps)
 
 
 def is_core(g: LabeledGraph) -> bool:
@@ -335,19 +392,31 @@ def is_core(g: LabeledGraph) -> bool:
     )
 
 
-def relabel_canonical(g: LabeledGraph) -> LabeledGraph:
-    """Rename vertices 0..V-1 in deterministic traversal order from the
-    basepoint (connected based immersed graphs only)."""
-    if g.basepoint is None or not g.is_connected:
+def relabel_canonical(g: LabeledGraph | ListGraph) -> LabeledGraph:
+    """Rename vertices 0..V-1 in breadth-first order from the basepoint,
+    each vertex taking its steps in slot order +1, -1, +2, ... (connected
+    based graphs only: an immersed LabeledGraph or a folded ListGraph)."""
+    if g.basepoint is None:
         raise PreconditionError("canonical relabeling needs a connected based graph")
-    if not g.is_immersed:
-        raise PreconditionError("canonical relabeling needs an immersed graph")
-    number: dict[Vertex, int] = {g.basepoint: 0}
-    for _, _, w in bfs_edges(g.neighbors, g.basepoint):
-        number[w] = len(number)
-    verts = tuple(range(len(number)))
-    edges = [(number[u], number[v], i) for u, v, i in g.edges]
-    return make_graph(g.n, verts, edges, 0)
+    if isinstance(g, LabeledGraph):
+        if not g.is_immersed:
+            raise PreconditionError("canonical relabeling needs an immersed graph")
+        g = _fold(ListGraph.of(g))  # no merges: its step table
+    slots = _signed_letters(g.n)
+    number = [-1] * len(g.steps)
+    number[g.basepoint] = 0
+    order = [g.basepoint]
+    for v in order:
+        step = g.steps[v]
+        for t in slots:
+            w = step.get(t)
+            if w is not None and number[w] < 0:
+                number[w] = len(order)
+                order.append(w)
+    if len(order) < len(number):
+        raise PreconditionError("canonical relabeling needs a connected based graph")
+    edges = sorted((number[v], number[w], t) for v, step in enumerate(g.steps) for t, w in step.items() if t > 0)
+    return LabeledGraph(g.n, tuple(range(len(order))), tuple(edges), 0)
 
 
 def canonical_form(g: LabeledGraph) -> tuple:
@@ -398,26 +467,19 @@ def subgroup_graph(gens: Sequence[Word], n: int) -> SubgroupGraph:
     for w in gens:
         if w.n > n:
             raise InputError(f"generator {w} uses letters beyond alphabet size {n}")
-    vertices: list[Vertex] = [0]
-    edges: list[Edge] = []
-    fresh = 1
+    src: list[int] = []
+    dst: list[int] = []
+    size = 1
     for w in gens:
-        letters = w.letters
-        if not letters:
-            continue
-        prev = 0
-        for k, t in enumerate(letters):
-            nxt = 0 if k == len(letters) - 1 else fresh
-            if nxt != 0:
-                vertices.append(nxt)
-                fresh += 1
-            if t > 0:
-                edges.append((prev, nxt, t))
-            else:
-                edges.append((nxt, prev, -t))
+        prev, last = 0, len(w.letters) - 1
+        for k, t in enumerate(w.letters):
+            nxt = 0 if k == last else size + k
+            src.append(prev if t > 0 else nxt)
+            dst.append(nxt if t > 0 else prev)
             prev = nxt
-    raw = make_graph(n, vertices, edges, basepoint=0)
-    cored = core(fold(raw))
+        size += max(last, 0)
+    letters = [abs(t) for w in gens for t in w.letters]
+    cored = core(fold(ListGraph(n, range(size), 0, src, dst, letters)))
     return SubgroupGraph(relabel_canonical(cored), gens)
 
 

@@ -249,8 +249,12 @@ def induced_h1_map(f: GraphMorphism | IndexMorphism, p: int) -> FpMatrix:
     and read off the codomain's chord rows."""
     if isinstance(f, GraphMorphism):
         f = IndexMorphism.of(f, IndexGraph.of(f.codomain))
-    bx = h1_basis(f.domain, p)
-    y = f.codomain
+    return _push_forward(f, h1_basis(f.domain, p))
+
+
+def _push_forward(f: IndexMorphism, bx: FpMatrix) -> FpMatrix:
+    """``induced_h1_map`` on the domain cycles given as the columns of bx."""
+    p, y = bx.p, f.codomain
     image = np.zeros((len(y.src), bx.cols), dtype=np.int64)
     np.add.at(image, f.edges, bx.array)
     image %= p
@@ -427,7 +431,8 @@ def gersten_check(
     if not f_star.is_injective:
         raise PreconditionError("base map is not injective on H_1")
 
-    lift_star = induced_h1_map(lift, p)
+    bh = h1_basis(xhat.space, p)
+    lift_star = _push_forward(lift, bh)
 
     # twisted chain matrix of the lift: column j for base edge j of X holds
     # t^k in the row of f(j), where k is the sheet that the lift of j
@@ -443,7 +448,6 @@ def gersten_check(
     # j·p + k holds the entry of total edge position[j·p + k]. The cycles
     # and their images go through the stacked kernels STACK_ENTRIES module
     # entries at a time; each valuation is found by exact division by 1 - t
-    bh = h1_basis(xhat.space, p)
     vals = np.zeros((bh.cols, 2), dtype=np.int64)
     step = max(1, STACK_ENTRIES // max(1, len(xhat.position)))
     for lo in range(0, bh.cols, step):

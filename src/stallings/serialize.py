@@ -31,11 +31,11 @@ from .covers import CoverDescription
 from .errors import InputError
 from .graphs import (
     LabeledGraph,
+    ListGraph,
     SubgroupGraph,
     core,
     cycle_basis,
     fold,
-    make_graph,
     relabel_canonical,
 )
 from .hypertournaments import (
@@ -325,30 +325,54 @@ def graph_to_dict(g: LabeledGraph) -> dict:
     return out
 
 
-def graph_from_dict(d: Mapping) -> LabeledGraph:
+def read_graph(d: Mapping) -> ListGraph:
+    """A graph document read once into int lists: labels frozen and
+    deduplicated (a repeated id keeps its first place), endpoints looked up
+    by label, letters read as ``parse_letter`` reads them. Each column goes
+    through C in one pass, or item by item when that fails."""
     if not isinstance(d, Mapping):
         raise InputError("graph JSON must be an object")
     try:
-        n = int(d["n"])
-        raw_vertices = list(d["vertices"])
-        raw_edges = list(d["edges"])
+        n = _integer(d["n"], "alphabet size")
+        raw_vertices, raw_edges = list(d["vertices"]), list(d["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"graph JSON needs n, vertices and edges: {exc}") from exc
-    vertices = [_freeze(v) for v in raw_vertices]
-    edges = []
-    for item in raw_edges:
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
-            raise InputError(f"edge {item!r} is not a [src, dst, label] triple")
-        u, v, lab = item
-        edges.append((_freeze(u), _freeze(v), parse_letter(lab, n)))
-    bp = _freeze(d["basepoint"]) if d.get("basepoint") is not None else None
-    return make_graph(n, vertices, edges, bp)
+    try:
+        index = dict.fromkeys(raw_vertices)
+    except TypeError:  # list labels
+        index = dict.fromkeys(map(_freeze, raw_vertices))
+    labels = tuple(index)
+    index.update(zip(labels, range(len(labels))))
+    if not set(map(type, raw_edges)) <= {list, tuple} or set(map(len, raw_edges)) - {3}:
+        bad = next(e for e in raw_edges if not isinstance(e, (list, tuple)) or len(e) != 3)
+        raise InputError(f"edge {bad!r} is not a [src, dst, label] triple")
+
+    def vertex(label, what="edge endpoint") -> int:
+        k = index.get(_freeze(label))
+        if k is None:
+            raise InputError(f"{what} {label!r} is not a vertex")
+        return k
+
+    letters = {chr(ord("a") + i - 1): i for i in range(1, min(n, 26) + 1)}
+    columns = []
+    for j, known, read in ((0, index, vertex), (1, index, vertex), (2, letters, lambda x: parse_letter(x, n))):
+        raw = list(map(itemgetter(j), raw_edges))
+        try:
+            columns.append(list(map(known.__getitem__, raw)))
+        except (KeyError, TypeError):
+            columns.append(list(map(read, raw)))
+    bp = d.get("basepoint")
+    return ListGraph(n, labels, None if bp is None else vertex(bp, "basepoint"), *columns)
+
+
+def graph_from_dict(d: Mapping) -> LabeledGraph:
+    return read_graph(d).graph
 
 
 def subgroup_from_dict(d: Mapping) -> SubgroupGraph:
     """Read a based graph and normalize it into a subgroup graph (fold, take
     the core, relabel); the stored generators are a cycle basis."""
-    g = graph_from_dict(d)
+    g = read_graph(d)
     if g.basepoint is None:
         raise InputError("a subgroup graph needs a basepoint")
     cored = relabel_canonical(core(fold(g)))
@@ -391,6 +415,10 @@ def cocycle_from_value(base: LabeledGraph, p: int, value) -> CoverDescription:
 
 
 def _integer(value, what: str) -> int:
+    """An int, a float of integral value, or a string that int() reads;
+    bools and other floats are refused, though int() takes them too."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise InputError(f"{what} {value!r} is not an integer")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

@@ -445,6 +445,117 @@ def test_bench_scale_output_is_pinned(tmp_path, name):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+def _raw_graph(seed: int, vertices: int, edges: int) -> dict:
+    """The bench's raw fold input (which has twice as many edges as
+    vertices): random edges on two letters, repeated edges included."""
+    rng = random.Random(seed)
+    edges = [[rng.randrange(vertices), rng.randrange(vertices), rng.choice("ab")] for _ in range(edges)]
+    return {"n": 2, "vertices": list(range(vertices)), "edges": edges, "basepoint": 0}
+
+
+def _hair_graph(seed: int, hair: int) -> dict:
+    """The cycle abAB through the basepoint with an immersed path of
+    ``hair`` edges hanging off it, as in the bench's hair ops; its core is
+    the cycle."""
+    rng = random.Random(seed)
+    edges = [[0, 1, "a"], [1, 2, "b"], [3, 2, "a"], [0, 3, "b"]]
+    at, step = 0, rng.choice([-1, -2])
+    for k in range(hair):
+        letter = "ab"[abs(step) - 1]
+        edges.append([at, 4 + k, letter] if step > 0 else [4 + k, at, letter])
+        at, step = 4 + k, rng.choice([s for s in (1, -1, 2, -2) if s != -step])
+    return {"n": 2, "vertices": list(range(4 + hair)), "edges": edges, "basepoint": 0}
+
+
+# Vertex labels that are lists (frozen to tuples on read), letters given as
+# ints and digit strings, a repeated edge, a loop, parallel edges, an
+# isolated vertex, a second component and a leaf basepoint; [[]] folds into
+# 5, and the core is 6 vertices of rank 5.
+_LIST_LABELS = {
+    "n": 3,
+    "vertices": [[0, "x"], [1, [2, 3]], "z", [0, "y"], 5, [[]], "leaf", [9], [[], 7]],
+    "edges": [
+        [[0, "x"], [1, [2, 3]], "a"], [[1, [2, 3]], "z", 2], ["z", [0, "x"], "1"],
+        [[0, "x"], [0, "y"], "b"], [[0, "x"], [0, "y"], "b"], [[0, "y"], 5, "1"],
+        [5, [0, "x"], 2], [[0, "y"], [[]], "a"], [[[]], [1, [2, 3]], "3"], ["z", "z", "c"],
+        [[0, "y"], [0, "x"], "c"], [[1, [2, 3]], "leaf", "a"], [[[], 7], [[], 7], "2"],
+    ],
+    "basepoint": "leaf",
+}
+# Duplicate vertex ids are read as one vertex, at its first place.
+_DUPLICATE_IDS = {
+    "n": 2,
+    "vertices": [3, "s", 3, 1, "s", 2, 1],
+    "edges": [[3, "s", "a"], ["s", 1, "b"], [1, 3, "a"], [2, 3, "a"], [2, 2, "b"]],
+    "basepoint": 2,
+}
+# Inputs of the graph reader, with digests taken before it built index
+# lists: bench-shaped raw graphs folded without --core (so every class
+# keeps the label of its first vertex; the sparse one keeps 1,024 classes),
+# the hair op at its bench size, and the two label cases above.
+_READER_CASES = {
+    "fold V=1200": (("fold", _raw_graph(12, 1200, 2400)), 0,
+        "9f5f67692447763e14b172a76c86251b0a911d736390305a4b703c15873043cb",
+    ),
+    "fold V=1200 E=600": (("fold", _raw_graph(6, 1200, 600)), 0,
+        "a232accc226f99e786ca8ca1143768432970c8c501e448ad4af3797d1041d067",
+    ),
+    "fold --core hair=1600": (("fold", _hair_graph(16, 1600), "--core"), 0,
+        "f055dfd4c796cdf5b96d9091715d4515b5eb2cfed97c9344456c1a9bc059e4f5",
+    ),
+    "fold list labels": (("fold", _LIST_LABELS), 0,
+        "08d34ee2cf20dada22de379aeea7e70e2fa8e475c91a41fcbd59935774835005",
+    ),
+    "fold --core list labels": (("fold", _LIST_LABELS, "--core"), 0,
+        "dd89b24bed9e55fb1e39590aa7ba05842a49f050b6c6ed0580c601b216efb8de",
+    ),
+    "basis list labels": (("basis", _LIST_LABELS), 0,
+        "b31243e281f06838c6dd41868e7cba775660a082c06baf8b63c393de2e0868b3",
+    ),
+    "fold duplicate ids": (("fold", _DUPLICATE_IDS), 0,
+        "53549c486d62adb676179e52c19da70929305333bb044a7dc5073bd9d7e087c0",
+    ),
+    "basis duplicate ids": (("basis", _DUPLICATE_IDS), 0,
+        "a1ea52ed197ebafb23f47bd971cad96ffb2a202d8934a320ab6403a10bd68232",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READER_CASES))
+def test_graph_reader_output_is_pinned(tmp_path, name):
+    (command, graph, *flags), status, digest = _READER_CASES[name]
+    result = _invoke(command, _json_file(tmp_path, "graph.json", graph), *flags)
+    assert result.exit_code == status, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+_GRAPH_ERRORS = {
+    "unknown endpoint": {"edges": [[0, 2, "a"]]},
+    "true as a label": {"edges": [[0, 1, True]]},
+    "letter out of range": {"edges": [[0, 1, "c"]]},
+    "int letter out of range": {"edges": [[0, 1, 3]]},
+    "basepoint not a vertex": {"basepoint": 5},
+    "edge not a triple": {"edges": [[0, 1]]},
+    "edge not a list": {"edges": ["01a"]},
+    "n not integral": {"n": 2.9},
+    "n a bool": {"n": True},
+    "n missing": {"n": None},
+    "n negative": {"n": -1, "edges": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPH_ERRORS))
+@pytest.mark.parametrize("command", ["fold", "basis"])
+def test_graph_reader_refuses_bad_input(tmp_path, name, command):
+    graph = {"n": 2, "vertices": [0, 1], "edges": [[0, 1, "a"]], "basepoint": 0, **_GRAPH_ERRORS[name]}
+    if graph["n"] is None:
+        del graph["n"]
+    result = _invoke(command, _json_file(tmp_path, "graph.json", graph))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "invalid_input"
+
+
 # separate, with each kind of library group that a witness can land in
 # (Z/7 with both letters active); digests taken from the permutation search
 # that Cayley tables replaced. No
@@ -712,6 +823,12 @@ _MALFORMED = {
     "p not an integer": ("gersten-check", {**_GERSTEN_CONFIG, "p": "q"}),
     "per-letter cocycle value": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": {"a": "x"}}),
     "per-edge cocycle value": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": [[[0, 0, "a"], "x"]]}),
+    # numbers that Python's int() would take: a bool, or a float cut short
+    "per-letter cocycle value not integral": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": {"a": 1.7}}),
+    "per-letter cocycle value a bool": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": {"a": True}}),
+    "per-edge cocycle value not integral": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": [[[0, 0, "a"], 1.7]]}),
+    "per-edge cocycle value a bool": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": [[[0, 0, "a"], True]]}),
+    "p not integral": ("gersten-check", {**_GERSTEN_CONFIG, "p": 5.5}),
 }
 
 

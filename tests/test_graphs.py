@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from stallings.graphs import (
     spanning_tree,
     trace,
 )
-from stallings.serialize import graph_to_dict
+from stallings.serialize import graph_from_dict, graph_to_dict, read_graph
 
 
 def _words(*texts: str, n: int = 2) -> list[Word]:
@@ -125,6 +126,15 @@ def test_trace_missing_edge_is_none():
     assert trace(w, w.basepoint, Word.parse("ab", 2)) is None
 
 
+def test_relabel_canonical_refuses_graphs_it_cannot_number():
+    two_parts = make_graph(2, [0, 1, 2], [(0, 0, 1), (1, 2, 1)], 0)
+    for g in (two_parts, make_graph(2, [0, 1], [(0, 1, 1), (0, 0, 1)], 0), make_graph(2, [0], [])):
+        with pytest.raises(PreconditionError):
+            relabel_canonical(g)
+    with pytest.raises(PreconditionError):
+        relabel_canonical(fold(read_graph(graph_to_dict(two_parts))))
+
+
 def test_relabel_canonical_is_stable():
     h = subgroup_graph(_words("ab", "aab"), 2)
     g1 = relabel_canonical(h.graph)
@@ -188,6 +198,98 @@ def test_fold_and_core_match_the_quadratic_reference():
         seen["components"] += len(folded.component_lists) > 1
         seen["leaf_basepoint"] += core(folded).degrees[folded.basepoint] == 1
     assert min(seen.values()) >= 20, seen
+
+
+def _document(rng: random.Random, g) -> dict:
+    """g as a graph document in the forms a reader meets: letters as
+    letters, ints or digit strings, vertex ids repeated after their first
+    place, repeated edges, tuple labels as lists (through a JSON round
+    trip), and now and then no basepoint."""
+    doc = graph_to_dict(g)
+    for edge in doc["edges"]:
+        i = ord(edge[2]) - ord("a") + 1
+        edge[2] = rng.choice([edge[2], i, str(i)])
+    vertices, edges = doc["vertices"], doc["edges"]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(vertices))
+        vertices.insert(rng.randint(k + 1, len(vertices)), vertices[k])
+    for _ in range(rng.randint(0, 2) if edges else 0):
+        edges.insert(rng.randint(0, len(edges)), list(rng.choice(edges)))
+    if rng.random() < 0.1:
+        del doc["basepoint"]
+    return json.loads(json.dumps(doc))
+
+
+def _text(g) -> str:
+    return json.dumps(graph_to_dict(g))
+
+
+def test_read_fold_core_canonical_match_the_labelled_route():
+    # the reader's int lists against make_graph, and fold, core and the
+    # canonical numbering on them against the quadratic references and the
+    # LabeledGraph route, as JSON text; the counts the tracer reads agree
+    rng = random.Random(20261019)
+    seen = {"loops": 0, "parallel": 0, "repeated ids": 0, "repeated edges": 0, "int letters": 0, "digit letters": 0,
+            "leaf basepoint": 0}
+    for case in range(600):
+        g = _random_raw_graph(rng, sorted(_LABEL_KINDS)[case % 3])
+        doc = _document(rng, g)
+        if "basepoint" not in doc:
+            g = make_graph(g.n, g.vertices, g.edges)
+        lists = read_graph(doc)
+        assert lists.graph == graph_from_dict(doc) == g
+        assert len(lists.edges) == len(g.edges) and len(lists.vertices) == len(g.vertices)
+        folded = fold(lists)
+        reference = oracles.oracle_fold(g)
+        assert _text(folded.graph) == _text(fold(g)) == _text(reference)
+        assert len(folded.vertices) == len(reference.vertices)
+        if g.basepoint is None:
+            with pytest.raises(PreconditionError):
+                core(folded)
+            continue
+        cored = core(folded)
+        assert _text(cored.graph) == _text(core(fold(g))) == _text(oracles.oracle_core(reference))
+        assert len(cored.vertices) == len(core(reference).vertices)
+        assert _text(relabel_canonical(cored)) == _text(relabel_canonical(oracles.oracle_core(reference)))
+        seen["loops"] += any(u == v for u, v, _ in g.edges)
+        seen["parallel"] += len({(u, v) for u, v, _ in g.edges}) < len(g.edges)
+        seen["repeated ids"] += len(doc["vertices"]) > len(g.vertices)
+        seen["repeated edges"] += len(doc["edges"]) > len(g.edges)
+        seen["int letters"] += any(type(e[2]) is int for e in doc["edges"])
+        seen["digit letters"] += any(str(e[2]).isdigit() and type(e[2]) is str for e in doc["edges"])
+        seen["leaf basepoint"] += g.degrees[g.basepoint] == 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _bouquet(words, n: int):
+    """The wedge of one loop per word as a LabeledGraph, built as
+    subgroup_graph built it before its int lists."""
+    vertices, edges = [0], []
+    for w in words:
+        prev = 0
+        for k, t in enumerate(w.letters):
+            nxt = 0 if k == len(w.letters) - 1 else len(vertices)
+            if nxt:
+                vertices.append(nxt)
+            edges.append((prev, nxt, t) if t > 0 else (nxt, prev, -t))
+            prev = nxt
+    return make_graph(n, vertices, edges, 0)
+
+
+def test_subgroup_graph_matches_the_quadratic_route():
+    rng = random.Random(7)
+    cases = [([], 2), ([""], 2), (["", "a", ""], 1), (["a", "a"], 2), (["aA"], 1)]
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        texts = []
+        for _ in range(rng.randint(0, 4)):
+            letters = [rng.choice([i for i in range(-n, n + 1) if i]) for _ in range(rng.randint(0, 8))]
+            texts.append("".join(chr(ord("a" if t > 0 else "A") + abs(t) - 1) for t in letters))
+        cases.append((texts, n))
+    for texts, n in cases:
+        words = [Word.parse(t, n) for t in texts]
+        reference = relabel_canonical(oracles.oracle_core(oracles.oracle_fold(_bouquet(words, n))))
+        assert _text(subgroup_graph(words, n).graph) == _text(reference), texts
 
 
 def test_neighbors_follow_letter_order_then_vertex_order():

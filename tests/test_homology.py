@@ -483,15 +483,33 @@ def test_gersten_check_failed_lift_is_a_postcondition_error(monkeypatch):
     # check must raise, also under python -O, instead of reporting it.
     h = _sub("abABa", "b")
     f, cx, cy, lift = _square(h, 3, {1: 1, 2: 0})
-    real = homology.induced_h1_map
+    real = homology._push_forward
 
-    def degenerate_on_the_lift(m, p):
-        image = real(m, p)
-        return image if m is f else FpMatrix.zeros(image.rows, image.cols, p)
+    def degenerate_on_the_lift(m, cycles):
+        image = real(m, cycles)
+        return FpMatrix.zeros(image.rows, image.cols, image.p) if m is lift else image
 
-    monkeypatch.setattr(homology, "induced_h1_map", degenerate_on_the_lift)
+    monkeypatch.setattr(homology, "_push_forward", degenerate_on_the_lift)
     with pytest.raises(PostconditionError, match="injectivity failed to lift"):
         gersten_check(f, cx, cy, lift, 3)
+
+
+def test_gersten_check_builds_the_cover_basis_once(monkeypatch):
+    # the lift's H_1 map and the valuations read one basis of the domain
+    # cover's cycles
+    h = _sub("abABa", "b")
+    f, cx, cy, lift = _square(h, 5, {1: 2, 2: 1})
+    want = gersten_check(f, cx, cy, lift, 5)
+    real, spaces = homology.h1_basis, []
+
+    def counted(g, p):
+        spaces.append(g)
+        return real(g, p)
+
+    monkeypatch.setattr(homology, "h1_basis", counted)
+    got = gersten_check(f, cx, cy, lift, 5)
+    assert sum(g is cx.space for g in spaces) == 1 and len(spaces) == 2
+    assert (got.lift_star.array.tolist(), got.valuations) == (want.lift_star.array.tolist(), want.valuations)
 
 
 class _LabelsBuilt(Exception):
