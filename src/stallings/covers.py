@@ -264,7 +264,7 @@ def _surjective_shift(
     if not g.size or not g.is_connected:
         raise InputError("cover towers need a connected base")
     # Step slot of each edge at its ends: out along +i at src, in along -i at
-    # dst; slots are numbered in LabeledGraph.neighbors order, +1, -1, +2, ...
+    # dst; slots are numbered in the walk's order, +1, -1, +2, ...
     slots = np.concatenate(
         [(g.src * g.n + g.letter - 1) * 2, (g.dst * g.n + g.letter - 1) * 2 + 1]
     )
@@ -305,7 +305,7 @@ def surjective_cocycle(
     is surjective onto Z/p, so the resulting cover is connected.
 
     The cocycle vanishes on a BFS spanning tree (of the whole connected
-    graph, from the basepoint or else the first vertex, in ``neighbors``
+    graph, from the basepoint or else the first vertex, in the walk's slot
     order); its value on a chord equals its pairing with that chord's
     fundamental cycle, so surjectivity just needs one nonzero chord value.
     ``first`` takes the lexicographically first such assignment in chord

@@ -52,8 +52,10 @@ TUPLE_CAP = 2_000_000
 
 
 def _check_product_input(g: LabeledGraph, side: str) -> None:
-    if not g.is_immersed:
-        raise PreconditionError(f"{side} factor is not immersed")
+    try:
+        g.table
+    except PreconditionError:
+        raise PreconditionError(f"{side} factor is not immersed") from None
     if not is_core(g):
         raise PreconditionError(
             f"{side} factor has a degree-1 vertex off the basepoint; "
@@ -346,11 +348,9 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
 def _letter_tables(g: LabeledGraph) -> np.ndarray:
     """Rows 2i - 2 and 2i - 1 map vertex indices along letters i and -i, the
     order of ``_signed_letters``; -1 where the graph has no such edge."""
-    x = IndexGraph.of(g)
-    maps = np.full((2 * g.n, x.size), -1, dtype=np.int32)
-    maps[2 * x.letter - 2, x.src] = x.dst
-    maps[2 * x.letter - 1, x.dst] = x.src
-    return maps
+    steps = g.table.steps
+    rows = [[step.get(t, -1) for step in steps] for t in _signed_letters(g.n)]
+    return np.array(rows, dtype=np.int32).reshape(2 * g.n, len(steps))
 
 
 def _tuple_path_word(

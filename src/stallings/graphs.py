@@ -15,6 +15,9 @@ identify them immediately anyway.
 Graphs read from JSON or built from words are :class:`ListGraph`s of Python
 ints (no numpy per call). The fold's class tables are the step table that
 core and canonical numbering read; only the graph returned gets labels.
+An immersed graph is read through that table (``LabeledGraph.table``): words
+are traced on it, and one walk (BFS, steps in slot order +1, -1, +2, ...)
+numbers it canonically and gives spanning trees, path words and cycle bases.
 
 Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s:
 vertices 0..size-1, edge arrays src/dst/letter in ``sorted_edges`` order. A
@@ -82,43 +85,14 @@ class LabeledGraph:
         return tuple(sorted(self.edges, key=lambda e: (ix[e[0]], ix[e[1]], e[2])))
 
     @cached_property
-    def is_immersed(self) -> bool:
-        out_seen: set[tuple[Vertex, int]] = set()
-        in_seen: set[tuple[Vertex, int]] = set()
-        for u, v, i in self.edges:
-            if (u, i) in out_seen or (v, i) in in_seen:
-                return False
-            out_seen.add((u, i))
-            in_seen.add((v, i))
-        return True
-
-    @cached_property
-    def steps(self) -> dict[tuple[Vertex, int], Vertex]:
-        """Partial transition map (vertex, signed letter) -> vertex."""
-        if not self.is_immersed:
+    def table(self) -> "ListGraph":
+        """The step table of an immersed graph: a folded ListGraph on vertex
+        indices, refused unless folding keeps all 2·E edge ends (which also
+        refuses a repeated edge)."""
+        table = _fold(ListGraph.of(self))
+        if sum(map(len, table.steps)) != 2 * len(self.edges):
             raise PreconditionError("graph is not immersed")
-        table: dict[tuple[Vertex, int], Vertex] = {}
-        for u, v, i in self.edges:
-            table[(u, i)] = v
-            table[(v, -i)] = u
         return table
-
-    @cached_property
-    def neighbors(self) -> dict[Vertex, tuple[tuple[Vertex, int], ...]]:
-        """Undirected adjacency with signed letters, in traversal order."""
-        # Letter by letter, +i entries then -i entries. sorted_edges orders
-        # edges by (source, target, letter), so at each vertex both kinds
-        # arrive in the order of the neighbour's index.
-        adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self.vertices}
-        by_letter: list[list[Edge]] = [[] for _ in range(self.n + 1)]
-        for e in self.sorted_edges:
-            by_letter[e[2]].append(e)
-        for i, edges in enumerate(by_letter):
-            for u, v, _ in edges:
-                adj[u].append((v, i))
-            for u, v, _ in edges:
-                adj[v].append((u, -i))
-        return {v: tuple(lst) for v, lst in adj.items()}
 
     @cached_property
     def degrees(self) -> dict[Vertex, int]:
@@ -132,14 +106,13 @@ class LabeledGraph:
 
     @cached_property
     def component_lists(self) -> tuple[tuple[Vertex, ...], ...]:
-        seen: set[Vertex] = set()
-        comps: list[tuple[Vertex, ...]] = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comps.append((start,) + tuple(w for *_, w in bfs_edges(self.neighbors, start)))
-            seen.update(comps[-1])
-        return tuple(comps)
+        """The components in order of first vertex, each in vertex order."""
+        comps: list[list[Vertex]] = []
+        for v, c in zip(self.vertices, IndexGraph.of(self).component_ids.tolist()):
+            if c == len(comps):
+                comps.append([])
+            comps[c].append(v)
+        return tuple(map(tuple, comps))
 
     @cached_property
     def is_connected(self) -> bool:
@@ -211,7 +184,23 @@ class ListGraph:
         at = self.vertices.__getitem__
         edges = tuple((at(u), at(v), i) for u, v, i in self.edges)
         bp = None if self.basepoint is None else at(self.basepoint)
-        return LabeledGraph(self.n, tuple(self.vertices), edges, bp)
+        g = LabeledGraph(self.n, tuple(self.vertices), edges, bp)
+        if self.steps is not None:
+            g.__dict__["table"] = self  # so the view re-derives no table
+        return g
+
+    @property
+    def table(self) -> "ListGraph":
+        if self.steps is None:
+            raise PreconditionError("graph is not folded: fold it first")
+        return self
+
+    @cached_property
+    def slot_steps(self) -> list[list[tuple[int, int]]]:
+        """Each vertex's steps (w, t) in slot order +1, -1, +2, ... (folded
+        graphs only): the adjacency of the one walk, ``bfs_edges``."""
+        slots = _signed_letters(self.n)
+        return [[(step[t], t) for t in slots if t in step] for step in self.steps]
 
 
 # -- folding ------------------------------------------------------------------
@@ -353,10 +342,13 @@ def core(g: LabeledGraph | ListGraph) -> LabeledGraph | ListGraph:
         raise PreconditionError("core reduction needs a basepoint")
     # adj[v] holds one entry per edge end at vertex v
     if isinstance(g, LabeledGraph):
-        ix = g.vertex_index
-        adj, bp = [[ix[w] for w, _ in g.neighbors[v]] for v in g.vertices], ix[g.basepoint]
+        x = ListGraph.of(g)
+        adj, bp = [[] for _ in x.vertices], x.basepoint
+        for u, v in zip(x.src, x.dst):
+            adj[u].append(v)
+            adj[v].append(u)
     else:
-        adj, bp = [step.values() for step in g.steps], g.basepoint
+        adj, bp = [step.values() for step in g.table.steps], g.basepoint
     degree = [len(a) for a in adj]
     kept = bytearray(b"\1") * len(adj)
     queue = [v for v, d in enumerate(degree) if d <= 1 and v != bp]
@@ -387,36 +379,22 @@ def core(g: LabeledGraph | ListGraph) -> LabeledGraph | ListGraph:
 
 def is_core(g: LabeledGraph) -> bool:
     """No vertex of degree <= 1 except possibly the basepoint."""
-    return all(
-        g.degrees[v] > 1 for v in g.vertices if v != g.basepoint
-    )
+    return all(d > 1 for v, d in g.degrees.items() if v != g.basepoint)
 
 
 def relabel_canonical(g: LabeledGraph | ListGraph) -> LabeledGraph:
-    """Rename vertices 0..V-1 in breadth-first order from the basepoint,
-    each vertex taking its steps in slot order +1, -1, +2, ... (connected
-    based graphs only: an immersed LabeledGraph or a folded ListGraph)."""
+    """Rename vertices 0..V-1 in the order of the walk from the basepoint
+    (connected based graphs only: an immersed LabeledGraph or a folded
+    ListGraph)."""
     if g.basepoint is None:
         raise PreconditionError("canonical relabeling needs a connected based graph")
-    if isinstance(g, LabeledGraph):
-        if not g.is_immersed:
-            raise PreconditionError("canonical relabeling needs an immersed graph")
-        g = _fold(ListGraph.of(g))  # no merges: its step table
-    slots = _signed_letters(g.n)
-    number = [-1] * len(g.steps)
-    number[g.basepoint] = 0
-    order = [g.basepoint]
-    for v in order:
-        step = g.steps[v]
-        for t in slots:
-            w = step.get(t)
-            if w is not None and number[w] < 0:
-                number[w] = len(order)
-                order.append(w)
-    if len(order) < len(number):
+    g = g.table
+    order = [g.basepoint] + [w for *_, w in bfs_edges(g.slot_steps, g.basepoint)]
+    if len(order) < len(g.steps):
         raise PreconditionError("canonical relabeling needs a connected based graph")
-    edges = sorted((number[v], number[w], t) for v, step in enumerate(g.steps) for t, w in step.items() if t > 0)
-    return LabeledGraph(g.n, tuple(range(len(order))), tuple(edges), 0)
+    number = {v: k for k, v in enumerate(order)}
+    steps = [{t: number[w] for t, w in g.steps[v].items()} for v in order]
+    return ListGraph(g.n, range(len(order)), 0, steps=steps).graph
 
 
 def canonical_form(g: LabeledGraph) -> tuple:
@@ -437,17 +415,19 @@ class SubgroupGraph:
     generators: tuple[Word, ...]
 
     def __post_init__(self):
-        g = self.graph
-        if g.basepoint is None:
+        if self.graph.basepoint is None:
             raise InputError("subgroup graph needs a basepoint")
-        if not g.is_immersed:
-            raise InputError("subgroup graph must be immersed")
-        if not g.is_connected:
+        try:
+            g = self.graph.table
+        except PreconditionError:
+            raise InputError("subgroup graph must be immersed") from None
+        bp = g.basepoint
+        if len(bfs_edges(g.slot_steps, bp)) + 1 < len(g.steps):
             raise InputError("subgroup graph must be connected")
-        if not is_core(g):
+        if any(len(step) < 2 and v != bp for v, step in enumerate(g.steps)):
             raise InputError("subgroup graph must be core")
         for w in self.generators:
-            if trace(g, g.basepoint, w) != g.basepoint:
+            if _trace(g, bp, w) != bp:
                 raise InputError(f"generator {w} is not a loop at the basepoint")
 
     @property
@@ -458,7 +438,7 @@ class SubgroupGraph:
         return contains(self, w)
 
     def rank(self) -> int:
-        return rank(self.graph)
+        return len(self.graph.edges) - len(self.graph.vertices) + 1
 
 
 def subgroup_graph(gens: Sequence[Word], n: int) -> SubgroupGraph:
@@ -483,7 +463,23 @@ def subgroup_graph(gens: Sequence[Word], n: int) -> SubgroupGraph:
     return SubgroupGraph(relabel_canonical(cored), gens)
 
 
-# -- reading words --------------------------------------------------------------
+# -- reading words ---------------------------------------------------------------
+
+
+def _vertex(g: LabeledGraph, v: Vertex) -> int:
+    k = g.vertex_index.get(v)
+    if k is None:
+        raise InputError(f"{v!r} is not a vertex")
+    return k
+
+
+def _trace(g: ListGraph, v: int, w: Iterable[int]) -> int | None:
+    steps = g.steps
+    for t in w:
+        v = steps[v].get(t)
+        if v is None:
+            return None
+    return v
 
 
 def trace(
@@ -493,14 +489,8 @@ def trace(
     graph. Words are read left-to-right; negative letters walk edges backwards."""
     if isinstance(g, SubgroupGraph):
         g = g.graph
-    if v not in g.vertex_index:
-        raise InputError(f"{v!r} is not a vertex")
-    steps = g.steps
-    for t in w:
-        v = steps.get((v, t))
-        if v is None:
-            return None
-    return v
+    k = _trace(g.table, _vertex(g, v), w)
+    return None if k is None else g.vertices[k]
 
 
 def contains(h: SubgroupGraph | LabeledGraph, w: Word) -> bool:
@@ -509,7 +499,7 @@ def contains(h: SubgroupGraph | LabeledGraph, w: Word) -> bool:
     g = h.graph if isinstance(h, SubgroupGraph) else h
     if g.basepoint is None:
         raise PreconditionError("membership needs a based graph")
-    return trace(g, g.basepoint, w) == g.basepoint
+    return _trace(g.table, g.table.basepoint, w) == g.table.basepoint
 
 
 def bfs_edges(
@@ -518,8 +508,8 @@ def bfs_edges(
     """Breadth-first search from ``root``: one (v, t, w) per vertex w reached
     after the root, in discovery order, first reached from v along signed
     letter t. ``adjacency[v]`` lists the steps (w, t) in the order to try.
-    Over ``LabeledGraph.neighbors`` of an immersed graph (at most one step per
-    signed letter, in order +1, -1, +2, ...) the search depends only on the
+    Over ``ListGraph.slot_steps`` (at most one step per signed letter, in
+    order +1, -1, +2, ...) it is the walk: the search depends only on the
     root, which makes ``relabel_canonical`` canonical."""
     seen = {root}
     found: list[tuple[Vertex, int, Vertex]] = []
@@ -534,10 +524,27 @@ def bfs_edges(
     return found
 
 
+def _walk(
+    g: ListGraph, root: int
+) -> tuple[dict[int, Word], set[tuple[int, int, int]], list[Word]]:
+    """The walk from ``root`` over a step table: path words of root's
+    component (reduced, since the walk does not backtrack), its tree edges,
+    and the loop word of each other edge of the component, in edge order."""
+    words = {root: empty_word(g.n)}
+    tree = set()
+    for v, t, w in bfs_edges(g.slot_steps, root):
+        words[w] = Word(words[v].letters + (t,), g.n)
+        tree.add((v, w, t) if t > 0 else (w, v, -t))
+    chords = sorted(
+        (u, w, t) for u in words for t, w in g.steps[u].items() if t > 0 and (u, w, t) not in tree
+    )
+    loops = [words[u] * Word((t,), g.n) * words[w].inverse() for u, w, t in chords]
+    return words, tree, loops
+
+
 def path_words_from(g: LabeledGraph, start: Vertex) -> dict[Vertex, Word]:
-    """Shortest path words from ``start`` to every reachable vertex (BFS in
-    deterministic letter order; words are reduced since BFS paths do not
-    backtrack in an immersed graph)."""
+    """Shortest path words from ``start`` to every reachable vertex, in the
+    order of the walk."""
     return spanning_tree(g, start)[1]
 
 
@@ -547,16 +554,11 @@ def path_words_from(g: LabeledGraph, start: Vertex) -> dict[Vertex, Word]:
 def spanning_tree(
     g: LabeledGraph, root: Vertex
 ) -> tuple[set[Edge], dict[Vertex, Word]]:
-    """BFS spanning tree of root's component of an immersed graph: (tree edge
-    set, path words)."""
-    if not g.is_immersed:
-        raise PreconditionError("graph is not immersed")
-    words: dict[Vertex, Word] = {root: empty_word(g.n)}
-    tree: set[Edge] = set()
-    for v, t, w in bfs_edges(g.neighbors, root):
-        words[w] = Word(words[v].letters + (t,), g.n)
-        tree.add((v, w, t) if t > 0 else (w, v, -t))
-    return tree, words
+    """The walk's spanning tree of root's component of an immersed graph:
+    (tree edge set, path words)."""
+    words, tree, _ = _walk(g.table, _vertex(g, root))
+    at = g.vertices
+    return {(at[u], at[v], t) for u, v, t in tree}, {at[v]: w for v, w in words.items()}
 
 
 def cycle_basis(g: LabeledGraph, v: Vertex | None = None) -> list[Word]:
@@ -568,16 +570,10 @@ def cycle_basis(g: LabeledGraph, v: Vertex | None = None) -> list[Word]:
         v = g.basepoint
     if v is None:
         raise PreconditionError("cycle basis needs a basepoint")
-    if not g.is_connected:
+    words, _, loops = _walk(g.table, _vertex(g, v))
+    if len(words) < len(g.vertices):
         raise InputError("cycle basis needs a connected graph")
-    tree, words = spanning_tree(g, v)
-    basis = []
-    for u, w, i in g.sorted_edges:
-        if (u, w, i) in tree:
-            continue
-        loop = words[u] * Word((i,), g.n) * words[w].inverse()
-        basis.append(loop)
-    return basis
+    return loops
 
 
 def rank(g: LabeledGraph) -> int:

@@ -45,9 +45,8 @@ from .graphs import (
     LabeledGraph,
     _orbit_labels,
     _shift,
-    cycle_basis,
+    _walk,
     make_graph,
-    path_words_from,
     subgroup_graph,
 )
 from .separability import (
@@ -411,8 +410,10 @@ def family_graph(p: PartialAutomorphismFamily) -> LabeledGraph:
         for x, y in pairs:
             edges.append((x, y, index + 1))
     g = make_graph(max(len(p.maps), 1), p.host.universe, edges)
-    if not g.is_immersed:
-        raise PostconditionError("injective maps induced a graph that is not immersed")
+    try:
+        g.table
+    except PreconditionError:
+        raise PostconditionError("injective maps induced a graph that is not immersed") from None
     return g
 
 
@@ -602,15 +603,16 @@ def eppa_extend(
     component: dict = {}
     w: dict = {}
     loops: list[Word | None] = []
-    for c, comp in enumerate(graph.component_lists):
-        sub = graph.restrict(comp)
-        basis = cycle_basis(sub, comp[0])
+    for root, x in enumerate(graph.vertices):
+        if x in component:
+            continue
+        words, _, basis = _walk(graph.table, root)
         if len(basis) > 1:
             raise PostconditionError("a subtadpole component has a vertex group of rank above 1")
+        for v, path in words.items():
+            component[graph.vertices[v]] = len(loops)
+            w[graph.vertices[v]] = path.reversed()
         loops.append(basis[0].reversed() if basis else None)
-        for x, path in path_words_from(sub, comp[0]).items():
-            component[x] = c
-            w[x] = path.reversed()
 
     for loop in dict.fromkeys(loop for loop in loops if loop is not None):
         sub = subgroup_graph([loop], k)

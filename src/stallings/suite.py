@@ -26,6 +26,7 @@ from .graphs import (
     IndexGraph,
     LabeledGraph,
     SubgroupGraph,
+    _walk,
     canonical_form,
     component_ranks,
     contains,
@@ -33,7 +34,6 @@ from .graphs import (
     cycle_basis,
     fold,
     make_graph,
-    path_words_from,
     rank,
     subgroup_graph,
     to_wedge_morphism,
@@ -205,12 +205,12 @@ def _schreier_factors(h: SubgroupGraph, w: Word) -> list[Word] | None:
     """Split a loop into fundamental-cycle factors (tree path, edge, tree
     path back). The caller re-multiplies them, so a wrong decomposition
     cannot certify anything."""
-    g = h.graph
-    paths = path_words_from(g, g.basepoint)
+    g = h.graph.table
+    paths = _walk(g, g.basepoint)[0]
     v = g.basepoint
     factors = []
     for c in w.letters:
-        u = g.steps.get((v, c))
+        u = g.steps[v].get(c)
         if u is None:
             return None
         f = paths[v] * Word((c,), g.n) * paths[u].inverse()

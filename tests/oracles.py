@@ -336,6 +336,36 @@ def oracle_core(g):
         cur = cur.restrict((v for v in cur.vertices if v not in leaves), cur.basepoint)
 
 
+def oracle_walk(n: int, vertices, edges, root):
+    """Breadth-first search from ``root`` over an immersed graph, each vertex
+    taking its steps in slot order +1, -1, +2, -2, ...: the path word of
+    every vertex reached (in discovery order), the tree edges, and the loop
+    word of every other edge of root's component, in the order of
+    (index of source, index of target, letter)."""
+    step = {}
+    for u, v, i in edges:
+        step[(u, i)] = v
+        step[(v, -i)] = u
+    words = {root: ()}
+    tree = set()
+    queue = [root]
+    for v in queue:
+        for i in range(1, n + 1):
+            for t in (i, -i):
+                w = step.get((v, t))
+                if w is not None and w not in words:
+                    words[w] = words[v] + (t,)
+                    tree.add((v, w, i) if t > 0 else (w, v, i))
+                    queue.append(w)
+    ix = {v: k for k, v in enumerate(vertices)}
+    chords = sorted(
+        (e for e in set(edges) if e[0] in words and e not in tree),
+        key=lambda e: (ix[e[0]], ix[e[1]], e[2]),
+    )
+    loops = [red_concat(red_concat(words[u], (i,)), inv(words[v])) for u, v, i in chords]
+    return words, tree, loops
+
+
 def _oracle_library(p: int) -> list:
     """The p-group library as permutation element lists, in the order and
     with the element order the library searched before Cayley tables."""

@@ -740,7 +740,7 @@ def test_command_output_is_pinned(tmp_path, name):
 # --out file, a random tower and a cover on a non-wedge base: stdout digest
 # and --out file digest, taken from the tuple-labelled covers that index
 # arrays replaced. The random tower's --out file depends on the spanning
-# tree of each level, so it pins the neighbors order of the search.
+# tree of each level, so it pins the slot order of the search.
 _COVER_CASES = {
     "verify-counterexample 2^9": (
         ("verify-counterexample", "--p", "2", "--depth", "9"),

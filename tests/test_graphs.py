@@ -21,6 +21,8 @@ from stallings import (
 )
 from stallings.graphs import (
     LabeledGraph,
+    SubgroupGraph,
+    cycle_basis,
     is_core,
     path_words_from,
     relabel_canonical,
@@ -292,23 +294,78 @@ def test_subgroup_graph_matches_the_quadratic_route():
         assert _text(subgroup_graph(words, n).graph) == _text(reference), texts
 
 
-def test_neighbors_follow_letter_order_then_vertex_order():
-    # reference: sort each adjacency by (+1, -1, +2, -2, ... slot, neighbour index)
+def _random_immersed_graph(rng: random.Random) -> LabeledGraph:
+    """One random partial injection per letter on shuffled mixed labels, no
+    basepoint: loops, several components and isolated vertices all occur."""
+    n, size = rng.randint(1, 3), rng.randint(1, 12)
+    labels = rng.sample(list(range(40)) + [f"v{i}" for i in range(40)], size)
+    edges = []
+    for i in range(1, n + 1):
+        dom = rng.sample(range(size), rng.randint(0, size))
+        edges += [(labels[a], labels[b], i) for a, b in zip(dom, rng.sample(range(size), len(dom)))]
+    rng.shuffle(edges)
+    return LabeledGraph(n, tuple(labels), tuple(edges))
+
+
+def test_walk_matches_a_slot_order_bfs():
     rng = random.Random(41)
-    for _ in range(300):
-        n = rng.randint(1, 3)
-        verts = rng.sample(list(range(20)) + [f"v{i}" for i in range(20)], rng.randint(1, 8))
-        edges = [(rng.choice(verts), rng.choice(verts), rng.randint(1, n)) for _ in range(rng.randint(0, 16))]
-        edges += edges[:2]  # repeated edges keep their relative order
-        g = LabeledGraph(n, tuple(verts), tuple(edges))
-        ix = {v: k for k, v in enumerate(verts)}
-        expected = {v: [] for v in verts}
-        for u, v, i in sorted(edges, key=lambda e: (ix[e[0]], ix[e[1]], e[2])):
-            expected[u].append((v, i))
-            expected[v].append((u, -i))
-        for v, entries in expected.items():
-            entries.sort(key=lambda p: (2 * abs(p[1]) - (p[1] > 0), ix[p[0]]))
-            assert g.neighbors[v] == tuple(entries), (verts, edges, v)
+    seen = dict.fromkeys(("components", "loop edge", "root not first", "several loops"), 0)
+    for _ in range(400):
+        g = _random_immersed_graph(rng)
+        root = rng.choice(g.vertices)
+        words, tree, loops = oracles.oracle_walk(g.n, g.vertices, g.edges, root)
+        paths = path_words_from(g, root)
+        assert [(v, w.letters) for v, w in paths.items()] == list(words.items()), (g, root)
+        assert spanning_tree(g, root) == (tree, paths)
+        comp = g.restrict(words, root)
+        assert [w.letters for w in cycle_basis(comp)] == loops, (g, root)
+        if len(words) < len(g.vertices):
+            with pytest.raises(InputError, match="connected"):
+                cycle_basis(g, root)
+        else:
+            assert [w.letters for w in cycle_basis(g, root)] == loops
+        number = {v: k for k, v in enumerate(words)}
+        canon = relabel_canonical(comp)
+        assert canon.vertices == tuple(range(len(words)))
+        assert canon.edges == tuple(sorted((number[u], number[v], i) for u, v, i in comp.edges))
+        seen["components"] += len(g.component_lists) > 1
+        seen["loop edge"] += any(u == v for u, v, _ in comp.edges)
+        seen["root not first"] += root != g.vertices[0]
+        seen["several loops"] += len(loops) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_walk_readers_refuse_a_root_that_is_not_a_vertex():
+    g = subgroup_graph(_words("ab", "aBB"), 2).graph
+    readers = (spanning_tree, path_words_from, cycle_basis, lambda g, v: trace(g, v, Word((), 2)))
+    for read in readers:
+        with pytest.raises(InputError, match="99 is not a vertex"):
+            read(g, 99)
+
+
+def test_subgroup_graph_refuses_each_broken_invariant():
+    a, b = _words("a", "b")
+    loop_a = make_graph(2, [0], [(0, 0, 1)], 0)
+    cases = [
+        ("needs a basepoint", make_graph(2, [0], [(0, 0, 1)]), ()),
+        ("must be immersed", make_graph(2, [0, 1], [(0, 0, 1), (0, 1, 1), (1, 1, 2)], 0), ()),
+        ("must be immersed", LabeledGraph(2, (0,), ((0, 0, 1), (0, 0, 1)), 0), ()),
+        ("must be connected", make_graph(2, [0, 1], [(0, 0, 1), (1, 1, 1)], 0), ()),
+        ("must be core", make_graph(2, [0, 1], [(0, 0, 1), (0, 1, 2)], 0), ()),
+        ("is not a loop at the basepoint", loop_a, (a, b)),
+    ]
+    for message, g, gens in cases:
+        with pytest.raises(InputError, match=message):
+            SubgroupGraph(g, gens)
+    assert SubgroupGraph(loop_a, (a,)).rank() == 1
+
+
+def test_core_and_canonical_numbering_ask_for_a_folded_graph():
+    raw = read_graph(graph_to_dict(make_graph(1, [0, 1], [(0, 1, 1), (0, 0, 1)], 0)))
+    for step in (core, relabel_canonical):
+        with pytest.raises(PreconditionError, match="fold it first"):
+            step(raw)
+    assert relabel_canonical(core(fold(raw))) == wedge_graph(1)
 
 
 def test_component_ranks_on_thousands_of_components():
