@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .errors import (
     InputError,
@@ -37,6 +38,7 @@ from .homology import chain_complex, gersten_check, h1_basis
 from .hypertournaments import eppa_extend, validate, verify_extension
 from .separability import separate_from_cyclic, verify_witness
 from .serialize import (
+    RecordColumns,
     _freeze,
     _integer,
     cocycle_from_value,
@@ -115,23 +117,12 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _component_stats(fp) -> list[dict]:
-    # components with equal letter counts share one "edges" dict: the rows
-    # are only written out, and a few dozen distinct rows serve thousands
-    letters = range(1, fp.space.n + 1)
-    counts = list(map(tuple, fp.letter_counts.tolist()))
-    edges = {c: dict(zip(letters, c)) for c in set(counts)}
-    rows = zip(fp.space.component_sizes.tolist(), map(edges.__getitem__, counts), fp.trees.tolist())
-    return [
-        {
-            "component": cid,
-            "vertices": size,
-            "edges": shared,
-            "tree": tree,
-            "diagonal": fp.diagonal == cid,
-        }
-        for cid, (size, shared, tree) in enumerate(rows)
-    ]
+def _component_stats(fp) -> RecordColumns:
+    ids = np.arange(len(fp.trees))
+    return RecordColumns({
+        "component": ids, "vertices": fp.space.component_sizes, "edges": fp.letter_counts,
+        "tree": fp.trees, "diagonal": ids == fp.diagonal,
+    })
 
 
 @click.group()
@@ -219,7 +210,7 @@ def fiber_product_cmd(left: str, right: str, out: str | None) -> None:
         "component_stats": _component_stats(fp),
     }
     _echo(payload)
-    _write_out(graph_to_dict(fp.product), out)
+    _write_out(payload["graph"], out)
 
 
 @main.command()

@@ -533,7 +533,7 @@ def _walk(
     words = {root: empty_word(g.n)}
     tree = set()
     for v, t, w in bfs_edges(g.slot_steps, root):
-        words[w] = Word(words[v].letters + (t,), g.n)
+        words[w] = words[v].then(t)
         tree.add((v, w, t) if t > 0 else (w, v, -t))
     chords = sorted(
         (u, w, t) for u in words for t, w in g.steps[u].items() if t > 0 and (u, w, t) not in tree

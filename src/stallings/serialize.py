@@ -11,10 +11,11 @@ Hypertournaments: {"L": [2], "universe": [...], "relations": {"2":
 return a payload for ``json_blocks``: each relation's rows there are one
 read-only ``RelationRows`` value, which ``json_blocks`` writes without making
 a Python list per row; call its ``.tolist()`` for plain lists (``json.dumps``
-does not take it). Partial map families: [{"map": {"0": "1"}}, ...]; object
-keys are always strings in JSON, so keys are matched against the universe
-first verbatim and then through a JSON parse (which also restores integer
-labels).
+does not take it). Component tables are likewise one read-only
+``RecordColumns`` value, one numpy column per key. Partial map families:
+[{"map": {"0": "1"}}, ...]; object keys are always strings in JSON, so keys
+are matched against the universe first verbatim and then through a JSON
+parse (which also restores integer labels).
 """
 
 from __future__ import annotations
@@ -108,15 +109,15 @@ def json_blocks(payload) -> Iterator[str]:
     blocks of at most BLOCK_CHARS characters or one piece.
 
     With ``indent`` set, the json module encodes in pure Python, one call
-    per value. Here dicts whose keys are all strings are walked, a
-    ``RelationRows`` value is written as its ``.tolist()`` would be, from a
-    table of its labels' texts, lists of plain ints (``type(x) is int``, so
-    no bools) and lists of equal-width rows of them are formatted by one
-    ``%d`` template per piece, lists of records with one set of string keys
-    (leaves plain ints, bools, None, or dicts of int keys to plain ints, one
-    kind per key) by one template per row shape (see ``_records``), and
-    every other subtree goes to the json module, its line breaks indented to
-    the depth it sits at (JSON strings never hold a raw newline)."""
+    per value. Here dicts whose keys are all strings are walked; a
+    ``RelationRows`` or ``RecordColumns`` value is written as its
+    ``.tolist()`` would be, the first from a table of its labels' texts, the
+    second from its columns by one template per combination of its bool
+    values; lists of plain ints (``type(x) is int``, so no bools) and lists
+    of equal-width rows of them are formatted by one ``%d`` template per
+    piece; and every other subtree goes to the json module, its line breaks
+    indented to the depth it sits at (JSON strings never hold a raw
+    newline)."""
     buffer: list[str] = []
     size = 0
     for piece in _pieces(payload, 0):
@@ -139,13 +140,12 @@ def _pieces(value, level: int) -> Iterator[str]:
     if type(value) is RelationRows:
         yield from _rows_text(value, level)
         return
+    if type(value) is RecordColumns:
+        yield from _columns_text(value, level)
+        return
     width = _int_array_width(value) if type(value) is list else None
     if width is not None:
         yield from _int_array(value, width, level)
-        return
-    columns = _record_columns(value) if type(value) is list else None
-    if columns is not None:
-        yield from _records(value, columns, level)
         return
     if value is None or type(value) in (str, int, float, bool):
         yield json.dumps(value)  # the C encoder: no indent to apply
@@ -184,85 +184,6 @@ def _int_array(value: list, width: int, level: int) -> Iterator[str]:
         args = tuple(chain.from_iterable(chunk)) if width else tuple(chunk)
         head = "[" if start == 0 else ","
         yield head + outer + ("," + outer).join([item] * len(chunk)) % args
-    yield "\n" + "  " * level + "]"
-
-
-def _record_columns(value: list) -> list[tuple[str, object]] | None:
-    """For a nonempty list of dicts that share one set of string keys, each
-    key in sorted order with the kind of its column: ``int`` for plain ints,
-    ``bool`` for bools and None, and for dicts that share one set of int
-    keys and hold plain ints, those keys sorted. None for any other list,
-    which the json module then writes. Rows of one length that all hold the
-    first row's keys hold the same keys, so every check is a whole-column
-    pass in C."""
-    if not value or set(map(type, value)) != {dict}:
-        return None
-    keys = value[0].keys()
-    if not keys or not all(type(k) is str for k in keys) or set(map(len, value)) != {len(keys)}:
-        return None
-    columns: list[tuple[str, object]] = []
-    try:  # itemgetter raises KeyError on a row without one of the keys
-        for key in sorted(keys):
-            get = itemgetter(key)
-            kinds = set(map(type, map(get, value)))
-            if kinds == {int} or kinds <= {bool, type(None)}:
-                columns.append((key, int if kinds == {int} else bool))
-            elif kinds == {dict}:
-                inner = value[0][key].keys()
-                if not all(type(k) is int for k in inner) or set(map(len, map(get, value))) != {len(inner)}:
-                    return None
-                if any(set(map(type, map(itemgetter(k), map(get, value)))) != {int} for k in inner):
-                    return None
-                columns.append((key, tuple(sorted(inner))))
-            else:
-                return None
-    except KeyError:
-        return None
-    return columns
-
-
-def _records(value: list, columns: list[tuple[str, object]], level: int) -> Iterator[str]:
-    """The text of a list of records with the given columns. A row's
-    template holds its bools and Nones as literals, so there is one template
-    per combination of them; each piece is one ``%`` of the templates of
-    a few rows."""
-    outer = "\n" + "  " * (level + 1)
-    inner, deep = outer + "  ", outer + "    "
-    texts = []  # each column's key and, but for bool columns, its value's template
-    for key, kind in columns:
-        text = _ENCODER.encode(key).replace("%", "%%") + ": "
-        if kind is int:
-            text += "%d"
-        elif kind is not bool:
-            fields = ("," + deep).join('"%d": %%d' % k for k in kind)
-            text += "{" + deep + fields + inner + "}" if kind else "{}"
-        texts.append(text)
-    literal = [itemgetter(key) for key, kind in columns if kind is bool]
-    counted = [(itemgetter(key), kind) for key, kind in columns if kind is not bool]
-    templates: dict[tuple, str] = {}
-
-    def template(shown: tuple) -> str:
-        shown = iter(shown)
-        parts = [t + json.dumps(next(shown)) if k is bool else t for t, (_, k) in zip(texts, columns)]
-        return "," + outer + "{" + inner + ("," + inner).join(parts) + outer + "}"
-
-    # A value here, with its key and indent, takes about four times the text
-    # of an array entry, so a piece holds about BLOCK_ITEMS // 4 values: the
-    # blocks then fill up, and fewer blocks mean fewer reallocations of
-    # whatever buffer they are written to.
-    width = sum(1 if kind in (int, bool) else len(kind) for _, kind in columns)
-    step = max(1, BLOCK_ITEMS // 4 // max(1, width))
-    for start in range(0, len(value), step):
-        chunk = value[start : start + step]
-        args = []
-        for get, kind in counted:
-            column = list(map(get, chunk))
-            args.extend([column] if kind is int else (list(map(itemgetter(k), column)) for k in kind))
-        rows = list(zip(*(map(get, chunk) for get in literal))) if literal else [()] * len(chunk)
-        for row in set(rows).difference(templates):
-            templates[row] = template(row)
-        piece = "".join(map(templates.__getitem__, rows)) % tuple(chain.from_iterable(zip(*args)))
-        yield "[" + piece[1:] if start == 0 else piece
     yield "\n" + "  " * level + "]"
 
 
@@ -305,6 +226,77 @@ def _rows_text(rows: RelationRows, level: int) -> Iterator[str]:
     step = max(1, BLOCK_ITEMS // width)
     for start in range(0, m, step):
         piece = "".join(table[columns, rows.digits[start : start + step]].ravel())
+        yield "[" + piece[1:] if start == 0 else piece
+    yield "\n" + "  " * level + "]"
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """A list of records with one set of string keys, held as one numpy
+    column per key: a 1-D signed int column holds ints, a 1-D bool column
+    bools, and a 2-D signed int column of width k dicts keyed 1..k (written
+    in numeric key order, as ``sort_keys`` does). Read-only views of
+    the given arrays, kept in key order, so a payload can be written more
+    than once."""
+
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        views = {key: self.columns[key].view() for key in sorted(self.columns)}
+        for column in views.values():
+            column.setflags(write=False)
+        object.__setattr__(self, "columns", views)
+
+    def tolist(self) -> list[dict]:
+        """The records as dicts."""
+        values = [
+            [dict(enumerate(row, start=1)) for row in c.tolist()] if c.ndim == 2 else c.tolist()
+            for c in self.columns.values()
+        ]
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
+
+
+def _columns_text(table: RecordColumns, level: int) -> Iterator[str]:
+    """The text of ``table.tolist()`` at a depth. A row's template holds its
+    bools as literals, so there is one template per combination of them;
+    each piece is one ``%`` over the templates of a few rows and the row
+    ints of the int columns, side by side."""
+    columns = table.columns
+    m = len(next(iter(columns.values()), ()))
+    if m == 0:
+        yield "[]"
+        return
+    outer = "\n" + "  " * (level + 1)
+    inner, deep = outer + "  ", outer + "    "
+    texts = []  # each column's key and, but for bool columns, its value's template
+    for key, column in columns.items():
+        text = _ENCODER.encode(key).replace("%", "%%") + ": "
+        if column.ndim == 2:
+            fields = ("," + deep).join('"%d": %%d' % k for k in range(1, column.shape[1] + 1))
+            text += "{" + deep + fields + inner + "}" if column.shape[1] else "{}"
+        elif column.dtype != bool:
+            text += "%d"
+        texts.append(text)
+    flags = [c for c in columns.values() if c.dtype == bool]
+    ints = np.column_stack([c for c in columns.values() if c.dtype != bool] or [np.zeros((m, 0), int)])
+    codes = sum((c.astype(np.int64) << i for i, c in enumerate(flags)), np.zeros(m, np.int64))
+    templates: dict[int, str] = {}
+
+    def template(code: int) -> str:
+        shown = iter(("false", "true")[code >> i & 1] for i in range(len(flags)))
+        parts = [t + next(shown) if c.dtype == bool else t for t, c in zip(texts, columns.values())]
+        return "," + outer + "{" + inner + ("," + inner).join(parts) + outer + "}"
+
+    # A value here, with its key and indent, takes about four times the text
+    # of an array entry, so a piece holds about BLOCK_ITEMS // 4 values: the
+    # blocks then fill up, and fewer blocks mean fewer reallocations of
+    # whatever buffer they are written to.
+    step = max(1, BLOCK_ITEMS // 4 // max(1, ints.shape[1] + len(flags)))
+    for start in range(0, m, step):
+        rows = codes[start : start + step].tolist()
+        for code in set(rows).difference(templates):
+            templates[code] = template(code)
+        piece = "".join(map(templates.__getitem__, rows)) % tuple(ints[start : start + step].ravel().tolist())
         yield "[" + piece[1:] if start == 0 else piece
     yield "\n" + "  " * level + "]"
 

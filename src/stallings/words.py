@@ -48,6 +48,19 @@ class Word:
         # words key the coset memos, so the hash is computed once, not per lookup
         object.__setattr__(self, "_hash", hash((self.letters, self.n)))
 
+    def then(self, t: int) -> "Word":
+        """This word followed by the letter t. Only t is checked, for its
+        range and against cancelling the last letter: the word's own
+        letters were checked when it was built."""
+        if not isinstance(t, int) or t == 0 or abs(t) > self.n or self.letters[-1:] == (-t,):
+            raise InputError(f"letter {t!r} cannot follow {self.letters} over an alphabet of size {self.n}")
+        out = object.__new__(Word)
+        letters = self.letters + (t,)
+        object.__setattr__(out, "letters", letters)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "_hash", hash((letters, self.n)))
+        return out
+
     def __hash__(self) -> int:
         return self._hash
 

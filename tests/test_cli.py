@@ -694,6 +694,23 @@ def test_fiber_products_past_the_cap_are_refused(tmp_path, monkeypatch, command)
     assert _invoke(*_command_args(tmp_path, command)).exit_code == 0
 
 
+def test_fiber_product_writes_its_stdout_graph_to_out(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return graph_to_dict(g)
+
+    monkeypatch.setattr(cli, "graph_to_dict", counted)
+    out = tmp_path / "product.json"
+    args = _command_args(tmp_path, ("fiber-product", "@abABa,b", "@aa,abb"))
+    result = _invoke(*args, "--out", str(out))
+    assert result.exit_code == 0, result.output
+    graph = json.loads(result.stdout)["graph"]
+    assert out.read_text() == json.dumps(graph, indent=2, sort_keys=True) + "\n"
+    assert len(calls) == 1  # the --out file is the payload's own graph
+
+
 # The commands no other test runs: exit status and output digest on one
 # good input, error code on one bad input.
 _COMMAND_CASES = {

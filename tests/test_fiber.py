@@ -33,6 +33,7 @@ from stallings import fiber
 from stallings.cli import _component_stats, main
 from stallings.fiber import TUPLE_CAP, _product_root_closure
 from stallings.graphs import core, relabel_canonical
+from stallings.serialize import json_blocks
 from stallings.suite import random_reduced_word
 from stallings.verify import verify_counterexample
 
@@ -116,7 +117,7 @@ def _check_against_oracle(fp, f: GraphMorphism, g: GraphMorphism):
     assert fp.product.vertices == tuple((left[u], right[v]) for u, v in want["pairs"])
     space = fp.space
     assert list(zip(space.src.tolist(), space.dst.tolist(), space.letter.tolist())) == want["edges"]
-    assert _component_stats(fp) == want["rows"]
+    assert _component_stats(fp).tolist() == want["rows"]
     assert fp.diagonal == want["diagonal"]
     assert fp.trees.tolist() == want["trees"]
     # a component labelled alone is the labelled product's restriction
@@ -167,6 +168,35 @@ def test_fiber_products_match_the_pairwise_oracle():
     # (equal factors, connected, no diagonal): each kind of wedge product ran
     assert {(True, True, False), (False, True, True), (True, False, True), (False, False, True)} <= kinds
     assert dropped
+
+
+def test_component_tables_are_written_as_the_oracle_rows():
+    rng = random.Random(43)
+    a, b = _random_core(rng), _random_core(rng)
+    wide = _random_core(rng, 12)
+    # two maps of a one-vertex graph onto the two loops of another: no pairs
+    loops = LabeledGraph(1, (0, 1), ((0, 0, 1), (1, 1, 1)), 0)
+    point = LabeledGraph(1, (0,), ((0, 0, 1),), 0)
+    apart = [GraphMorphism.from_dict(point, loops, {0: x}) for x in (0, 1)]
+    cases = [
+        (a.graph, a.graph),  # a self-product: the diagonal is set
+        (a.graph, b.graph),  # distinct factors: no diagonal
+        (_sub("aa", n=1).graph,) * 2,  # n = 1
+        (wide.graph, wide.graph),  # keys 1..12 in numeric order
+        (a.graph, wedge_graph(2)),  # a single component
+    ]
+    products = [(fiber_product(x, y), to_wedge_morphism(x), to_wedge_morphism(y)) for x, y in cases]
+    products.append((fiber_product_over(*apart), *apart))  # zero rows
+    for fp, f, g in products:
+        rows = oracles.oracle_fiber_product(f.domain.n, _factor(f), _factor(g))["rows"]
+        table = _component_stats(fp)
+        assert table.tolist() == rows
+        assert "".join(json_blocks(table)) == json.dumps(rows, indent=2, sort_keys=True)
+    assert [fp.space.component_sizes.size for fp, _, _ in products[4:]] == [1, 0]
+    assert products[0][0].diagonal is not None and products[1][0].diagonal is None
+    text = "".join(json_blocks(_component_stats(products[3][0])))
+    at = [text.index(f'"{k}": ') for k in range(1, 13)]
+    assert at == sorted(at)
 
 
 def test_fiber_products_past_the_cap_are_refused(monkeypatch):

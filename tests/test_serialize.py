@@ -23,7 +23,7 @@ from stallings import (
 from stallings.graphs import make_graph
 from stallings.hypertournaments import _iso_violation
 from stallings import serialize
-from stallings.serialize import BLOCK_CHARS, BLOCK_ITEMS, RelationRows, json_blocks
+from stallings.serialize import BLOCK_CHARS, BLOCK_ITEMS, RecordColumns, RelationRows, json_blocks
 
 _LABELS = [0, 1, 2, 10, "a", "b", "x1", (0, 1), (1, "a"), (2, 0, 1)]
 
@@ -188,21 +188,27 @@ def test_json_blocks_write_near_miss_record_lists_as_the_json_module_does():
 def test_json_blocks_split_record_lists_on_block_boundaries(monkeypatch):
     # written by templates, not by the json module's encoder
     monkeypatch.setattr(serialize._ENCODER, "iterencode", None)
-    rows = [
+    i = np.arange(20_000)
+    table = RecordColumns(
         {
-            "component": i * 7919 - 10**6,
-            "diagonal": i == 3,
-            "edges": {k: i * k % 97 for k in (12, 2, 10, 1)},
-            "empty": {},
-            "note": None if i % 5 else i % 2 == 0,
             "vertices": i % 50 + 1,
+            "note": i % 2 == 0,
+            "edges": i[:, None] * np.arange(1, 13) % 97,
+            "empty": np.zeros((len(i), 0), dtype=np.int64),
+            "diagonal": i == 3,
+            "component": i * 7919 - 10**6,
         }
-        for i in range(20_000)
-    ]
-    payload = {"component_stats": rows, "z": {"inner": rows[:3]}}
+    )
+    rows = table.tolist()
+    assert list(rows[0]) == ["component", "diagonal", "edges", "empty", "note", "vertices"]
+    assert rows[3]["diagonal"] and rows[4]["note"] and not rows[5]["note"]
+    head = RecordColumns({key: column[:3] for key, column in table.columns.items()})
+    payload = {"component_stats": table, "z": {"inner": head}}
     blocks = list(json_blocks(payload))
-    assert _mismatch("".join(blocks), json.dumps(payload, indent=2, sort_keys=True)) is None
+    expected = json.dumps({"component_stats": rows, "z": {"inner": rows[:3]}}, indent=2, sort_keys=True)
+    assert _mismatch("".join(blocks), expected) is None
     assert max(map(len, blocks)) <= BLOCK_CHARS
+    assert not any(column.flags.writeable for column in table.columns.values())
 
 
 # tuple labels are written as (nested) lists

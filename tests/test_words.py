@@ -53,6 +53,20 @@ def test_inverse_cancels(raw):
     assert w.inverse().inverse() == w
 
 
+@given(raw_words, st.sampled_from([1, -1, 2, -2, 0, 3, -3, 1.0, None]))
+@settings(max_examples=200, deadline=None)
+def test_then_checks_only_the_new_letter(raw, t):
+    w = reduce(raw, 2)
+    try:
+        built = Word(w.letters + (t,), 2)
+    except InputError:
+        with pytest.raises(InputError):
+            w.then(t)
+        return
+    out = w.then(t)
+    assert out == built and hash(out) == hash(built) and out.letters == built.letters
+
+
 def test_power_and_conjugate():
     w = Word.parse("ab", 2)
     assert str(w**3) == "ababab"
