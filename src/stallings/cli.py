@@ -26,20 +26,19 @@ from .errors import (
 from .covers import build_cover, cover_tower, pullback, require_cover_size, tower_pullbacks
 from .fiber import fiber_product, is_l_root_closed, is_malnormal
 from .graphs import (
-    GraphMorphism,
     IndexGraph,
     component_ranks,
     core,
     fold,
     relabel_canonical,
     subgroup_graph,
+    to_wedge,
 )
 from .homology import chain_complex, gersten_check, h1_basis
 from .hypertournaments import eppa_extend, validate, verify_extension
 from .separability import separate_from_cyclic, verify_witness
 from .serialize import (
     RecordColumns,
-    _freeze,
     _integer,
     cocycle_from_value,
     extension_from_dict,
@@ -51,6 +50,7 @@ from .serialize import (
     json_blocks,
     parse_cocycle_text,
     read_graph,
+    read_morphism,
     subgroup_from_dict,
     witness_to_dict,
 )
@@ -292,17 +292,8 @@ def gersten_check_cmd(config: str) -> None:
         if key not in data:
             raise InputError(f"config is missing {key!r}")
     p = _integer(data["p"], "p")
-    dom = graph_from_dict(data["domain"])
-    cod = graph_from_dict(data["codomain"])
-    if not isinstance(data["vertex_map"], list):
-        raise InputError("vertex_map must be a list of pairs")
-    vertex_map = {}
-    for item in data["vertex_map"]:
-        if not isinstance(item, list) or len(item) != 2:
-            raise InputError(f"vertex_map entry {item!r} is not a pair")
-        vertex_map[_freeze(item[0])] = _freeze(item[1])
-    f = GraphMorphism.from_dict(dom, cod, vertex_map)
-    yhat = build_cover(cocycle_from_value(cod, p, data["cocycle"]))
+    f = read_morphism(data)
+    yhat = build_cover(cocycle_from_value(f.codomain.graph, p, data["cocycle"]))
     xhat, lift = pullback(f, yhat)
     report = gersten_check(f, xhat, yhat, lift, p)
     _echo(
@@ -328,7 +319,7 @@ def cover(graph: str, p: int, cocycle_text: str, out: str | None) -> None:
     base = graph_from_dict(_load_json(graph))
     desc = cocycle_from_value(base, p, parse_cocycle_text(cocycle_text))
     built = build_cover(desc)
-    total = graph_to_dict(built.total)
+    total = graph_to_dict(built.space.graph)
     payload = {
         "graph": total,
         "degree": built.degree,
@@ -372,8 +363,8 @@ def tower(
         a = graph_from_dict(_load_json(pullback_path))
         if a.basepoint is None:
             raise InputError("the pulled-back graph needs a basepoint")
-        f = GraphMorphism.from_dict(a, base, {v: base.vertices[0] for v in a.vertices})
-        require_cover_size(IndexGraph.of(a), p, depth)
+        f = to_wedge(a, IndexGraph.of(base))
+        require_cover_size(f.domain, p, depth)
     built = cover_tower(base, p, depth, strategy=strategy, seed=seed)
     levels = []
     for k, level in enumerate(built.spaces):
@@ -402,7 +393,7 @@ def tower(
         payload["pullbacks"] = rows
     _echo(payload)
     if out:
-        _write_out(graph_to_dict(built.levels[-1]), out)
+        _write_out(graph_to_dict(built.spaces[-1].graph), out)
 
 
 @main.command()

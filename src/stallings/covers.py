@@ -1,4 +1,5 @@
-"""Regular Z/p covers of labeled graphs, built from edge cocycles.
+"""Regular Z/p covers of labeled graphs, built from edge cocycles, their
+towers, and pull-backs of covers along morphisms.
 
 A cocycle assigns an element of Z/p to every edge of the base graph; the
 cover places p sheets over each vertex and routes the lift of an edge from
@@ -7,10 +8,10 @@ and cocycles vanishing on a spanning tree give a canonical finite
 enumeration. The deck transformation shifts sheets by one.
 
 Covers, towers and pull-backs are ``IndexGraph``s in the index layout of
-``graphs`` (sheet k over v is v·p + k), so a lift is index arithmetic. The
-labels (v, k) and the views built on them (``.total``, ``.base``,
-``.levels``, ``.projection``, ``.deck``, a lift's ``.morphism``) are made
-only when asked for, and each graph's labels once.
+``graphs`` (sheet k over v is v·p + k): the projection is v·p + k -> v, a
+deck shift by s sends v·p + k to v·p + (k + s) mod p, and a lift along an
+``IndexMorphism`` is index arithmetic. The labels (v, k) of ``.graph`` are
+made only when asked for.
 """
 
 from __future__ import annotations
@@ -24,21 +25,18 @@ import numpy as np
 from .arith import require_prime
 from .errors import (
     InputError,
-    NotInjectiveError,
     PostconditionError,
     PreconditionError,
     ResourceCapError,
 )
-from .fiber import FiberProduct, fiber_product_over
 from .graphs import (
     Edge,
-    GraphMorphism,
     IndexGraph,
     IndexMorphism,
     LabeledGraph,
     _pair_graph,
     bfs_edges,
-    identity_morphism,
+    same_graph,
 )
 
 # Most vertices, and most edges, that one cover may have. Every vertex index
@@ -106,46 +104,8 @@ class CoverGraph:
     position: np.ndarray
 
     @property
-    def base(self) -> LabeledGraph:
-        return self.base_space.graph
-
-    @property
-    def total(self) -> LabeledGraph:
-        return self.space.graph
-
-    @cached_property
-    def description(self) -> CoverDescription:
-        base = self.base
-        return CoverDescription(
-            base, self.degree, tuple(zip(base.sorted_edges, self.shift.tolist()))
-        )
-
-    @cached_property
-    def projection(self) -> GraphMorphism:
-        return GraphMorphism.from_dict(
-            self.total, self.base, {v: v[0] for v in self.total.vertices}
-        )
-
-    def deck(self, shift: int = 1) -> GraphMorphism:
-        """The deck transformation (v, k) -> (v, k + shift)."""
-        p = self.degree
-        return GraphMorphism.from_dict(
-            self.total,
-            self.total,
-            {(v, k): (v, (k + shift) % p) for v, k in self.total.vertices},
-        )
-
-    def deck_automorphisms(self) -> list[GraphMorphism]:
-        return [self.deck(j) for j in range(self.degree)]
-
-    @property
     def is_connected(self) -> bool:
         return self.space.is_connected
-
-    def lifted_edge(self, e: Edge, sheet: int = 0) -> Edge:
-        u, v, i = e
-        c = self.description.values[e]
-        return ((u, sheet), (v, (sheet + c) % self.degree), i)
 
 
 def require_cover_size(g: IndexGraph, p: int, depth: int = 1) -> None:
@@ -188,7 +148,16 @@ def build_cover(c: CoverDescription) -> CoverGraph:
 # -- pull-backs -------------------------------------------------------------------
 
 
-def _pull(f: IndexMorphism, cover: CoverGraph) -> tuple[CoverGraph, IndexMorphism]:
+def pullback(f: IndexMorphism, cover: CoverGraph) -> tuple[CoverGraph, IndexMorphism]:
+    """Pull a cover back along a morphism f into its base (``same_graph``).
+
+    Returns the induced cover of f's domain (cocycle = cocycle o f) and the
+    lift a·p + k -> f(a)·p + k, which commutes with the projections. The
+    pull-back is the fiber product of f with the projection v·p + k -> v,
+    pair (a, f(a)·p + k) being vertex a·p + k.
+    """
+    if not same_graph(f.codomain, cover.base_space):
+        raise InputError("morphism codomain is not the cover's base")
     p = cover.degree
     require_cover_size(f.domain, p)
     pulled = _cover(f.domain, p, cover.shift[f.edges])
@@ -197,26 +166,6 @@ def _pull(f: IndexMorphism, cover: CoverGraph) -> tuple[CoverGraph, IndexMorphis
     edges[pulled.position] = cover.position[(f.edges[:, None] * p + sheets).ravel()]
     vertices = (f.vertices[:, None] * p + sheets).ravel()
     return pulled, IndexMorphism(pulled.space, cover.space, vertices, edges)
-
-
-def pullback(
-    f: GraphMorphism, cover: CoverGraph
-) -> tuple[CoverGraph, IndexMorphism]:
-    """Pull a cover back along a morphism into its base.
-
-    Returns the induced cover of f's domain (cocycle = cocycle o f) and the
-    lifted morphism (a, k) -> (f(a), k), which commutes with the projections.
-    The total graph is canonically isomorphic to the fiber product of f with
-    the cover projection via (a, k) <-> (a, (f(a), k)).
-    """
-    if f.codomain != cover.base:
-        raise InputError("morphism codomain is not the cover's base")
-    return _pull(IndexMorphism.of(f, cover.base_space), cover)
-
-
-def pullback_as_fiber_product(f: GraphMorphism, cover: CoverGraph) -> FiberProduct:
-    """The same pull-back presented on pair vertices (a, (f(a), k))."""
-    return fiber_product_over(f, cover.projection)
 
 
 # -- towers -----------------------------------------------------------------------
@@ -233,27 +182,6 @@ class CoverTower:
     @property
     def depth(self) -> int:
         return len(self.steps)
-
-    @cached_property
-    def levels(self) -> tuple[LabeledGraph, ...]:
-        return tuple(x.graph for x in self.spaces)
-
-    def degrees(self) -> list[int]:
-        out = [1]
-        for s in self.steps:
-            out.append(out[-1] * s.degree)
-        return out
-
-    def composite_projection(self, level: int) -> GraphMorphism:
-        """Morphism X_level -> X_0."""
-        if not 0 <= level < len(self.spaces):
-            raise InputError(f"no tower level {level}")
-        if level == 0:
-            return identity_morphism(self.levels[0])
-        m = self.steps[level - 1].projection
-        for k in range(level - 2, -1, -1):
-            m = m.compose(self.steps[k].projection)
-        return m
 
 
 def _surjective_shift(
@@ -341,39 +269,17 @@ def cover_tower(
 
 
 def tower_pullbacks(
-    f: GraphMorphism, tower: CoverTower
+    f: IndexMorphism, tower: CoverTower
 ) -> list[tuple[CoverGraph, IndexMorphism]]:
-    """Pull f's domain back along each tower step: returns, per level i >= 1,
-    the cover of the previous pulled-back graph and the lift into X_i."""
-    if f.codomain != tower.spaces[0].graph:
+    """Pull f's domain back along each step of a tower over f's codomain:
+    returns, per level i >= 1, the cover of the previous pulled-back graph
+    and the lift into X_i."""
+    if not same_graph(f.codomain, tower.spaces[0]):
         raise InputError("morphism codomain is not the cover's base")
-    lift = IndexMorphism.of(f, tower.spaces[0])
     if tower.depth:
-        require_cover_size(lift.domain, tower.steps[0].degree, tower.depth)
+        require_cover_size(f.domain, tower.steps[0].degree, tower.depth)
     out: list[tuple[CoverGraph, IndexMorphism]] = []
     for step in tower.steps:
-        cov, lift = _pull(lift, step)
-        out.append((cov, lift))
+        cov, f = pullback(f, step)
+        out.append((cov, f))
     return out
-
-
-# -- embeddings into covers ---------------------------------------------------------
-
-
-def check_disconnected_embedding(
-    a: LabeledGraph, cover: CoverGraph, embedding: GraphMorphism
-) -> bool:
-    """For a graph embedded in a cover of degree > 1, the fiber product of
-    the graph with the total space is disconnected (the embedding lifts, and
-    its graph is a full component). Returns the connectivity verdict (always
-    False) after asserting disconnectedness."""
-    if embedding.domain != a or embedding.codomain != cover.total:
-        raise InputError("embedding must map the given graph into the cover total")
-    if not embedding.is_vertex_injective:
-        raise NotInjectiveError("embedding is not injective on vertices")
-    to_base = embedding.compose(cover.projection)
-    fp = fiber_product_over(to_base, cover.projection)
-    connected = fp.space.is_connected
-    if connected:
-        raise PostconditionError("embedded graph produced a connected fiber product")
-    return connected

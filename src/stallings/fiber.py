@@ -1,14 +1,14 @@
-"""Fiber products of immersed graphs over the wedge of n circles, with the
-two decision procedures they support: malnormality and closure under l-th
-roots.
+"""Fiber products of graph morphisms, and the two decision procedures that
+products over the wedge of n circles support: malnormality and closure
+under l-th roots.
 
-The product of A and B has vertex set V(A) x V(B) and an i-edge
-(a,b) -> (a',b') for every pair of i-edges a -> a', b -> b'. Reading a word
-in the product reads it in both coordinates simultaneously, which is what
-makes component fundamental groups compute intersections of conjugates.
-
-A product is an ``IndexGraph`` in the pair layout of ``graphs``; its
-labelled view, on pair vertices (a, b), is built only when asked for.
+The product of A -> C and B -> C has a vertex for every pair (a, b) with
+equal images and an edge for every pair of edges with equal images. Over
+the wedge, reading a word in the product reads it in both coordinates
+simultaneously, which is what makes component fundamental groups compute
+intersections of conjugates. The morphisms are ``IndexMorphism``s, and the
+product is an ``IndexGraph`` in the pair layout of ``graphs``; its labelled
+view, on pair vertices (a, b), is built only when asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     ResourceCapError,
 )
 from .graphs import (
-    GraphMorphism,
     IndexGraph,
     IndexMorphism,
     LabeledGraph,
@@ -42,6 +41,8 @@ from .graphs import (
     is_core,
     path_words_from,
     relabel_canonical,
+    same_graph,
+    to_wedge,
     wedge_graph,
 )
 from .words import Word, maximal_root
@@ -101,13 +102,6 @@ class FiberProduct:
         """Whether each component is a tree."""
         return self.letter_counts.sum(axis=1) == self.space.component_sizes - 1
 
-    def projection(self, side: str) -> GraphMorphism:
-        target = self.left if side == "left" else self.right
-        coord = 0 if side == "left" else 1
-        return GraphMorphism.from_dict(
-            self.product, target, {v: v[coord] for v in self.product.vertices}
-        )
-
     def non_diagonal_edge_counts(self) -> dict[int, int]:
         """Per-letter edge counts outside the diagonal component."""
         d = self.diagonal
@@ -117,9 +111,12 @@ class FiberProduct:
         return dict(enumerate(counts.tolist(), start=1))
 
 
-def _product(a: IndexMorphism, b: IndexMorphism) -> FiberProduct:
-    """The fiber product of two morphisms into one graph: the pairs of
-    vertices with equal image, and the pairs of edges with equal image."""
+def fiber_product_over(a: IndexMorphism, b: IndexMorphism) -> FiberProduct:
+    """The fiber product of two morphisms with a common codomain: the pairs
+    of vertices with equal image, and the pairs of edges with equal image.
+    Over the wedge this is :func:`fiber_product`."""
+    if not same_graph(a.codomain, b.codomain):
+        raise InputError("fiber product needs a common codomain")
     ga, gb = a.domain, b.domain
     na = np.bincount(a.edges, minlength=len(a.codomain.src))
     nb = np.bincount(b.edges, minlength=len(a.codomain.src))
@@ -164,23 +161,7 @@ def fiber_product(
     _check_product_input(ga, "left")
     _check_product_input(gb, "right")
     wedge = IndexGraph.of(wedge_graph(ga.n))
-
-    def to_wedge(g: LabeledGraph) -> IndexMorphism:
-        # every vertex goes to 0, and an i-edge to the wedge's edge i - 1
-        x = IndexGraph.of(g)
-        return IndexMorphism(x, wedge, np.zeros(x.size, dtype=np.int64), x.letter - 1)
-
-    return _product(to_wedge(ga), to_wedge(gb))
-
-
-def fiber_product_over(f: GraphMorphism, g: GraphMorphism) -> FiberProduct:
-    """Fiber product of two morphisms with a common codomain: vertices are
-    pairs with equal image, edges are pairs of edges with equal image edge.
-    Over the wedge this is exactly :func:`fiber_product`."""
-    if f.codomain != g.codomain:
-        raise InputError("fiber product needs a common codomain")
-    codomain = IndexGraph.of(f.codomain)
-    return _product(IndexMorphism.of(f, codomain), IndexMorphism.of(g, codomain))
+    return fiber_product_over(to_wedge(ga, wedge), to_wedge(gb, wedge))
 
 
 def component_pi1(

@@ -23,7 +23,8 @@ Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s:
 vertices 0..size-1, edge arrays src/dst/letter in ``sorted_edges`` order. A
 vertex made from a pair (u, k) of indices, k < m, has index u·m + k, kept
 pairs numbered in that order: sheet k over base vertex u of a Z/p cover is
-u·p + k, and the pair (u, v) of a fiber product is u·|V_B| + v.
+u·p + k, and the pair (u, v) of a fiber product is u·|V_B| + v. Morphisms
+between them are :class:`IndexMorphism`s, arrays of vertex and edge images.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceCapError
 from .words import Word, empty_word
 
 Vertex = Hashable
@@ -591,77 +592,6 @@ def component_ranks(g: LabeledGraph) -> list[int]:
     return IndexGraph.of(g).component_ranks()
 
 
-# -- morphisms -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphMorphism:
-    """Label-preserving graph morphism given by its vertex map."""
-
-    domain: LabeledGraph
-    codomain: LabeledGraph
-    vertex_map: tuple[tuple[Vertex, Vertex], ...] = field()
-
-    def __post_init__(self):
-        vmap = dict(self.vertex_map)
-        if set(vmap) != set(self.domain.vertices):
-            raise InputError("vertex map must be defined on every domain vertex")
-        cod = set(self.codomain.vertices)
-        for v, fv in vmap.items():
-            if fv not in cod:
-                raise InputError(f"image {fv!r} of {v!r} is not a codomain vertex")
-        cod_edges = set(self.codomain.edges)
-        for u, v, i in self.domain.edges:
-            if (vmap[u], vmap[v], i) not in cod_edges:
-                raise InputError(
-                    f"edge ({u!r}, {v!r}, {i}) has no image edge "
-                    f"({vmap[u]!r}, {vmap[v]!r}, {i})"
-                )
-
-    @staticmethod
-    def from_dict(
-        domain: LabeledGraph, codomain: LabeledGraph, vmap: Mapping[Vertex, Vertex]
-    ) -> "GraphMorphism":
-        ix = domain.vertex_index
-        items = tuple(sorted(vmap.items(), key=lambda p: ix[p[0]]))
-        return GraphMorphism(domain, codomain, items)
-
-    @cached_property
-    def mapping(self) -> dict[Vertex, Vertex]:
-        return dict(self.vertex_map)
-
-    def __call__(self, v: Vertex) -> Vertex:
-        return self.mapping[v]
-
-    def edge_image(self, e: Edge) -> Edge:
-        u, v, i = e
-        return (self.mapping[u], self.mapping[v], i)
-
-    def compose(self, then: "GraphMorphism") -> "GraphMorphism":
-        """The morphism (then o self): domain -> then.codomain."""
-        if self.codomain is not then.domain and self.codomain != then.domain:
-            raise InputError("composition mismatch")
-        return GraphMorphism.from_dict(
-            self.domain,
-            then.codomain,
-            {v: then.mapping[fv] for v, fv in self.mapping.items()},
-        )
-
-    @cached_property
-    def is_vertex_injective(self) -> bool:
-        vals = list(self.mapping.values())
-        return len(set(vals)) == len(vals)
-
-
-def to_wedge_morphism(g: LabeledGraph) -> GraphMorphism:
-    """The canonical morphism of any labeled graph to the wedge of n circles."""
-    return GraphMorphism.from_dict(g, wedge_graph(g.n), {v: 0 for v in g.vertices})
-
-
-def identity_morphism(g: LabeledGraph) -> GraphMorphism:
-    return GraphMorphism.from_dict(g, g, {v: v for v in g.vertices})
-
-
 # -- graphs and morphisms on vertex indices ------------------------------------------
 
 
@@ -731,28 +661,53 @@ def _pair_graph(
 @dataclass(frozen=True, eq=False)
 class IndexMorphism:
     """A graph morphism on indices: vertex a of ``domain`` goes to vertex
-    ``vertices[a]`` of ``codomain``, and edge j to edge ``edges[j]``."""
+    ``vertices[a]`` of ``codomain``, and edge j to edge ``edges[j]``. It is
+    built from its vertex map by ``index_morphism`` or ``to_wedge``."""
 
     domain: IndexGraph
     codomain: IndexGraph
     vertices: np.ndarray
     edges: np.ndarray
 
-    @staticmethod
-    def of(f: GraphMorphism, codomain: IndexGraph) -> "IndexMorphism":
-        """f on indices; ``codomain`` holds f.codomain."""
-        vix = f.codomain.vertex_index
-        eix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
-        dom = f.domain
-        return IndexMorphism(
-            IndexGraph.of(dom),
-            codomain,
-            np.array([vix[f(v)] for v in dom.vertices], dtype=np.int64),
-            np.array([eix[f.edge_image(e)] for e in dom.sorted_edges], dtype=np.int64),
-        )
 
-    @cached_property
-    def morphism(self) -> GraphMorphism:
-        dom, cod = self.domain.graph, self.codomain.graph
-        images = map(cod.vertices.__getitem__, self.vertices.tolist())
-        return GraphMorphism(dom, cod, tuple(zip(dom.vertices, images)))
+def index_morphism(domain: IndexGraph, codomain: IndexGraph, vertices) -> IndexMorphism:
+    """The morphism that sends vertex a of ``domain`` to ``vertices[a]`` and
+    each edge to the codomain edge with the images as ends and the same
+    letter; refused when there is no such edge. Codomain edges are distinct
+    and in ``sorted_edges`` order, so their keys are sorted."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    width = max(domain.n, codomain.n) + 1
+    if codomain.size**2 * width >= 1 << 63:  # so that every key fits int64
+        raise ResourceCapError(f"{codomain.size} vertices and {width - 1} letters overflow the edge keys")
+
+    def keys(src, dst, letter):
+        return (src * codomain.size + dst) * width + letter
+
+    have = keys(codomain.src, codomain.dst, codomain.letter)
+    want = keys(vertices[domain.src], vertices[domain.dst], domain.letter)
+    at = np.searchsorted(have, want)
+    missing = np.flatnonzero(np.append(have, -1)[at] != want)
+    if len(missing):
+        j = int(missing[0])
+        u, v, i = (int(a[j]) for a in (domain.src, domain.dst, domain.letter))
+        dom, cod = domain.graph.vertices, codomain.graph.vertices
+        fu, fv = cod[vertices[u]], cod[vertices[v]]
+        raise InputError(f"edge ({dom[u]!r}, {dom[v]!r}, {i}) has no image edge ({fu!r}, {fv!r}, {i})")
+    return IndexMorphism(domain, codomain, vertices, at)
+
+
+def to_wedge(g: LabeledGraph, point: IndexGraph | None = None) -> IndexMorphism:
+    """g's map onto the one-vertex graph ``point``, by default the wedge of
+    g.n circles: every vertex goes to 0, and an i-edge to the i-loop."""
+    if point is None:
+        point = IndexGraph.of(wedge_graph(g.n))
+    return index_morphism(IndexGraph.of(g), point, np.zeros(len(g.vertices), dtype=np.int64))
+
+
+def same_graph(a: IndexGraph, b: IndexGraph) -> bool:
+    """Whether a and b are one graph on indices: one object, or equal sizes
+    and equal edge arrays."""
+    return a is b or (
+        (a.n, a.size) == (b.n, b.size)
+        and all(map(np.array_equal, (a.src, a.dst, a.letter), (b.src, b.dst, b.letter)))
+    )

@@ -33,7 +33,7 @@ import numpy as np
 from .arith import require_prime
 from .covers import CoverGraph
 from .errors import InputError, PostconditionError, PreconditionError
-from .graphs import Edge, GraphMorphism, IndexGraph, IndexMorphism, LabeledGraph, Vertex, bfs_edges
+from .graphs import Edge, IndexGraph, IndexMorphism, LabeledGraph, Vertex, bfs_edges, same_graph
 
 
 # -- matrices over GF(p) -----------------------------------------------------------
@@ -243,12 +243,10 @@ def h1_basis(g: LabeledGraph | IndexGraph, p: int) -> FpMatrix:
     return FpMatrix(p, mat)
 
 
-def induced_h1_map(f: GraphMorphism | IndexMorphism, p: int) -> FpMatrix:
+def induced_h1_map(f: IndexMorphism, p: int) -> FpMatrix:
     """Matrix of the induced map on first homology in the chord-cycle bases:
     each domain cycle is pushed forward edge by edge, checked to be a cycle,
     and read off the codomain's chord rows."""
-    if isinstance(f, GraphMorphism):
-        f = IndexMorphism.of(f, IndexGraph.of(f.codomain))
     return _push_forward(f, h1_basis(f.domain, p))
 
 
@@ -399,7 +397,7 @@ class GerstenReport:
 
 
 def gersten_check(
-    f: GraphMorphism,
+    f: IndexMorphism,
     xhat: CoverGraph,
     yhat: CoverGraph,
     lift: IndexMorphism,
@@ -408,24 +406,23 @@ def gersten_check(
     """Verify the homology-injectivity lifting across a commuting square of
     Z/p covers, and report the twisted-module data behind it.
 
-    ``xhat`` and ``yhat`` are built covers of f's domain and codomain, and
-    ``lift`` maps xhat's total space to yhat's; ``pullback(f, yhat)``
-    returns such an ``xhat`` and ``lift``. Raises PreconditionError when the
-    base map is not injective on H_1 and InputError when the covers or the
-    square are malformed.
+    ``xhat`` and ``yhat`` are built covers of f's domain and codomain, as
+    ``same_graph`` compares graphs, and ``lift`` maps xhat's total space to
+    yhat's; ``pullback(f, yhat)`` returns such an ``xhat`` and ``lift``.
+    Raises PreconditionError when the base map is not injective on H_1 and
+    InputError when the covers or the square are malformed.
     """
     require_prime(p)
     if xhat.degree != p or yhat.degree != p:
         raise InputError("cover degrees disagree with p")
-    if xhat.base != f.domain or yhat.base != f.codomain:
+    if not same_graph(xhat.base_space, f.domain) or not same_graph(yhat.base_space, f.codomain):
         raise InputError("cover bases disagree with the morphism")
     if lift.domain is not xhat.space or lift.codomain is not yhat.space:
         raise InputError("lift endpoints disagree with the built covers")
-    base_map = IndexMorphism.of(f, yhat.base_space)
-    apart = np.flatnonzero(lift.vertices // p != np.repeat(base_map.vertices, p))
+    apart = np.flatnonzero(lift.vertices // p != np.repeat(f.vertices, p))
     if len(apart):
         a, k = divmod(int(apart[0]), p)
-        raise InputError(f"square does not commute at {(f.domain.vertices[a], k)!r}")
+        raise InputError(f"square does not commute at {(f.domain.graph.vertices[a], k)!r}")
 
     f_star = induced_h1_map(f, p)
     if not f_star.is_injective:
@@ -437,10 +434,10 @@ def gersten_check(
     # twisted chain matrix of the lift: column j for base edge j of X holds
     # t^k in the row of f(j), where k is the sheet that the lift of j
     # starting on sheet 0 is sent to
-    cols = len(base_map.edges)
+    cols = len(f.edges)
     coeffs = np.zeros((len(yhat.base_space.src), cols, p), dtype=np.int64)
     sheet = lift.vertices[xhat.base_space.src * p] % p
-    coeffs[base_map.edges, np.arange(cols), sheet] = 1
+    coeffs[f.edges, np.arange(cols), sheet] = 1
     twisted = TwistedMatrix.from_array(coeffs, p)
 
     # module coordinates of the cover's cycles: the lift of base edge j

@@ -31,12 +31,15 @@ import numpy as np
 from .covers import CoverDescription
 from .errors import InputError
 from .graphs import (
+    IndexGraph,
+    IndexMorphism,
     LabeledGraph,
     ListGraph,
     SubgroupGraph,
     core,
     cycle_basis,
     fold,
+    index_morphism,
     relabel_canonical,
 )
 from .hypertournaments import (
@@ -371,6 +374,36 @@ def subgroup_from_dict(d: Mapping) -> SubgroupGraph:
     return SubgroupGraph(cored, tuple(cycle_basis(cored)))
 
 
+def read_morphism(d: Mapping) -> IndexMorphism:
+    """A morphism as ``gersten-check`` reads it: graph documents ``domain``
+    and ``codomain``, and a ``vertex_map`` of [vertex, image] pairs naming
+    every domain vertex once. Refused unless each image is a codomain vertex
+    and each edge has an image edge."""
+    dom, cod = (read_graph(d[key]).graph for key in ("domain", "codomain"))
+    images = {}
+    for v, fv in _pairs(d["vertex_map"], "vertex_map"):
+        if v not in dom.vertex_index:
+            raise InputError(f"vertex_map key {v!r} is not a domain vertex")
+        if v in images:
+            raise InputError(f"vertex_map names {v!r} twice")
+        if fv not in cod.vertex_index:
+            raise InputError(f"image {fv!r} of {v!r} is not a codomain vertex")
+        images[v] = cod.vertex_index[fv]
+    if len(images) < len(dom.vertices):
+        raise InputError("vertex map must be defined on every domain vertex")
+    return index_morphism(IndexGraph.of(dom), IndexGraph.of(cod), [images[v] for v in dom.vertices])
+
+
+def _pairs(items, what: str) -> list[tuple]:
+    """A JSON list of [x, y] pairs, labels frozen."""
+    if not isinstance(items, list):
+        raise InputError(f"{what} must be a list of pairs")
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2:
+            raise InputError(f"{what} entry {item!r} is not a pair")
+    return [(_freeze(x), _freeze(y)) for x, y in items]
+
+
 # -- cocycles -----------------------------------------------------------------------
 
 
@@ -566,23 +599,10 @@ def extension_from_dict(d: Mapping) -> ExtensionResult:
         raw_autos = list(d["automorphisms"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"extension JSON is missing a field: {exc}") from exc
-    embedding = []
-    for item in raw_embedding:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise InputError(f"embedding entry {item!r} is not a pair")
-        embedding.append((_freeze(item[0]), _freeze(item[1])))
-    autos = []
-    for pairs in raw_autos:
-        if not isinstance(pairs, list):
-            raise InputError(f"automorphism {pairs!r} is not a list of pairs")
-        rows = []
-        for item in pairs:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise InputError(f"automorphism entry {item!r} is not a pair")
-            rows.append((_freeze(item[0]), _freeze(item[1])))
-        autos.append(tuple(sorted(rows, key=lambda kv: _label_key(kv[0]))))
-    return ExtensionResult(
-        extended,
-        tuple(sorted(embedding, key=lambda kv: _label_key(kv[0]))),
-        tuple(autos),
-    )
+
+    def by_label(pairs, what: str) -> tuple:
+        return tuple(sorted(_pairs(pairs, what), key=lambda kv: _label_key(kv[0])))
+
+    embedding = by_label(raw_embedding, "embedding")
+    autos = tuple(by_label(pairs, "automorphism") for pairs in raw_autos)
+    return ExtensionResult(extended, embedding, autos)

@@ -98,10 +98,6 @@ class Word:
             out = out * base
         return out
 
-    def conjugate_by(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * u.inverse()
-
     def reversed(self) -> "Word":
         """Letters in reverse order, *not* inverted (an anti-automorphism)."""
         return Word(tuple(reversed(self.letters)), self.n)

@@ -627,10 +627,9 @@ def oracle_induced_h1_map(f, p: int):
 
     bx = h1_basis(f.domain, p).array
     by = h1_basis(f.codomain, p).array
-    cix = {e: j for j, e in enumerate(f.codomain.sorted_edges)}
-    push = np.zeros((len(cix), len(f.domain.sorted_edges)), dtype=np.int64)
-    for j, e in enumerate(f.domain.sorted_edges):
-        push[cix[f.edge_image(e)], j] = 1
+    push = np.zeros((len(f.codomain.src), len(f.domain.src)), dtype=np.int64)
+    for j, image in enumerate(f.edges.tolist()):
+        push[image, j] = 1
     image = push @ bx % p
     red, pivots = oracle_row_reduce(np.concatenate([by, image], axis=1), p)
     ncols = by.shape[1]
@@ -688,6 +687,30 @@ def oracle_components(size: int, edges) -> tuple[bool, list[int]]:
     for u, *_ in edges:
         ranks[where[u]] += 1
     return len(ranks) <= 1, ranks
+
+
+def oracle_morphism(domain, codomain, vertices):
+    """The ``IndexMorphism`` with the given vertex images, each edge's image
+    looked up edge by edge in a dict of the codomain's edges; None when an
+    edge has no image edge. It gives maps that the library does not make:
+    a cover's projection v·p + k -> v, a fiber product's coordinates."""
+    import numpy as np
+    from stallings import IndexMorphism
+
+    def triples(g):
+        return zip(g.src.tolist(), g.dst.tolist(), g.letter.tolist())
+
+    at = {e: j for j, e in enumerate(triples(codomain))}
+    images = [int(v) for v in vertices]
+    edges = [at.get((images[u], images[v], i)) for u, v, i in triples(domain)]
+    if None in edges:
+        return None
+    return IndexMorphism(domain, codomain, np.array(images, dtype=np.int64), np.array(edges, dtype=np.int64))
+
+
+def oracle_cover_projection(cover):
+    """The projection v·p + k -> v of a built cover, as ``oracle_morphism``."""
+    return oracle_morphism(cover.space, cover.base_space, [v // cover.degree for v in range(cover.space.size)])
 
 
 def oracle_fiber_product(n: int, left, right) -> dict:

@@ -664,6 +664,8 @@ _TOWER_PRECEDENCE = {
     "cap before p": (("@a,b", "--p", "4", "--depth", "19", "--pullback", "@abABa,b"), 3,
                      "exceed the cap"),
     "p without a pull-back": (("@a,b", "--p", "4", "--depth", "19"), 2, "4 is not prime"),
+    "pull-back map before the tower": (("@a", "--p", "4", "--pullback", "@abABa,b"), 2,
+                                       "edge (0, 0, 2) has no image edge (0, 0, 2)"),
 }
 
 
@@ -846,6 +848,22 @@ _MALFORMED = {
     "per-edge cocycle value not integral": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": [[[0, 0, "a"], 1.7]]}),
     "per-edge cocycle value a bool": ("gersten-check", {**_GERSTEN_CONFIG, "cocycle": [[[0, 0, "a"], True]]}),
     "p not integral": ("gersten-check", {**_GERSTEN_CONFIG, "p": 5.5}),
+    # a vertex_map that is not a morphism of the two graphs
+    "vertex_map misses a vertex": ("gersten-check", {**_GERSTEN_CONFIG, "vertex_map": [[0, 0], [1, 0], [2, 0]]}),
+    "vertex_map image not a codomain vertex": (
+        "gersten-check", {**_GERSTEN_CONFIG, "vertex_map": [[0, 0], [1, 0], [2, 0], [3, 7]]},
+    ),
+    "edge without an image edge": ("gersten-check", {
+        **_GERSTEN_CONFIG,  # (0, 2, b) would go to (0, 1, b)
+        "codomain": {"n": 2, "vertices": [0, 1], "edges": [[0, 1, "a"], [1, 0, "b"], [1, 0, "a"], [0, 0, "b"]]},
+        "vertex_map": [[0, 0], [1, 1], [2, 1], [3, 0]],
+    }),
+    "vertex_map key not a domain vertex": (
+        "gersten-check", {**_GERSTEN_CONFIG, "vertex_map": _GERSTEN_CONFIG["vertex_map"] + [[9, 0]]},
+    ),
+    "vertex_map key listed twice": (
+        "gersten-check", {**_GERSTEN_CONFIG, "vertex_map": _GERSTEN_CONFIG["vertex_map"] + [[0, 0]]},
+    ),
 }
 
 

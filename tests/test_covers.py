@@ -9,22 +9,21 @@ import oracles
 from stallings import (
     CoverDescription,
     CoverTower,
-    GraphMorphism,
+    IndexGraph,
     InputError,
-    NotInjectiveError,
     PostconditionError,
     ResourceCapError,
     Word,
     build_cover,
-    check_disconnected_embedding,
     cover_tower,
+    fiber_product_over,
+    index_morphism,
     make_graph,
     pullback,
-    pullback_as_fiber_product,
     rank,
     subgroup_graph,
     surjective_cocycle,
-    to_wedge_morphism,
+    to_wedge,
     tower_pullbacks,
     wedge_graph,
 )
@@ -46,14 +45,16 @@ def _wedge_cover(p: int, a_val: int, b_val: int):
 def test_build_cover_counts_and_lifts():
     for p in (2, 3, 5):
         cov = _wedge_cover(p, 1, 0)
-        base = cov.base
-        assert len(cov.total.vertices) == p * len(base.vertices)
-        assert len(cov.total.edges) == p * len(base.edges)
-        a_edge = next(e for e in base.edges if e[2] == 1)
+        base, total = cov.base_space.graph, cov.space.graph
+        assert len(total.vertices) == p * len(base.vertices)
+        assert len(total.edges) == p * len(base.edges)
+        g = cov.space
+        a_edge = base.sorted_edges.index(next(e for e in base.edges if e[2] == 1))
         for k in range(p):
-            (u, ku), (v, kv), i = cov.lifted_edge(a_edge, k)
-            assert (u, v, i) == a_edge
-            assert ku == k and kv == (k + 1) % p
+            # the lift of the a-loop at sheet k, and its labelled view
+            lift = cov.position[a_edge * p + k]
+            assert (g.src[lift], g.dst[lift], g.letter[lift]) == (k, (k + 1) % p, 1)
+            assert total.sorted_edges[lift] == ((0, k), (0, (k + 1) % p), 1)
 
 
 def test_cocycle_must_cover_every_edge():
@@ -100,99 +101,103 @@ def test_surjective_cocycle_determinism_and_errors():
 
 
 def test_pullback_commutes_with_projections():
-    h = _sub("aa", "b")
-    f = to_wedge_morphism(h.graph)
-    cov = _wedge_cover(3, 1, 1)
-    pulled, lift = pullback(f, cov)
-    assert pulled.base == h.graph
-    assert pulled.degree == 3
-    left = lift.morphism.compose(cov.projection)
-    right = pulled.projection.compose(f)
-    assert left.mapping == right.mapping
+    # lift, then project = project, then f, on vertices and on edges: over
+    # the wedge, and along the identity of a base with five vertices
+    cases = [(to_wedge(_sub("aa", "b").graph), _wedge_cover(3, 1, 1))]
+    h = _sub("abABa", "b")
+    for p in (2, 5):
+        cov = build_cover(surjective_cocycle(h.graph, p, "random", p))
+        cases.append((index_morphism(cov.base_space, cov.base_space, range(5)), cov))
+    for f, cov in cases:
+        p = cov.degree
+        pulled, lift = pullback(f, cov)
+        assert pulled.base_space is f.domain and pulled.degree == p
+        down, across = (oracles.oracle_cover_projection(c) for c in (cov, pulled))
+        assert np.array_equal(down.vertices[lift.vertices], f.vertices[across.vertices])
+        assert np.array_equal(down.edges[lift.edges], f.edges[across.edges])
+        assert np.array_equal(lift.vertices % p, np.arange(pulled.space.size) % p)
 
 
 def test_pullback_matches_fiber_product_presentation():
-    h = _sub("ab", "ba")
-    f = to_wedge_morphism(h.graph)
-    cov = _wedge_cover(2, 1, 0)
-    pulled, _ = pullback(f, cov)
-    fp = pullback_as_fiber_product(f, cov)
-    assert len(fp.product.vertices) == len(pulled.total.vertices)
-    assert len(fp.product.edges) == len(pulled.total.edges)
-    assert fp.product.component_lists and (
-        len(fp.product.component_lists) == len(pulled.total.component_lists)
-    )
+    # the pull-back along f is the fiber product of f with the cover
+    # projection: pair (a, f(a)·p + k) is vertex a·p + k
+    rng = random.Random(22)
+    for gens in (("ab", "ba"), ("abABa", "b"), ("aab", "bA", "abab"), ("a",)):
+        h = _sub(*gens)
+        f = to_wedge(h.graph)
+        for p in (2, 3, 5):
+            cov = _wedge_cover(p, rng.randrange(p), rng.randrange(p))
+            pulled, _ = pullback(f, cov)
+            fp = fiber_product_over(f, oracles.oracle_cover_projection(cov))
+            a, c = np.divmod(fp.pairs, cov.space.size)
+            assert np.array_equal(c // p, f.vertices[a])
+            vertex = a * p + c % p
+            assert np.array_equal(vertex, np.arange(pulled.space.size))
+            got = sorted(zip(vertex[fp.space.src].tolist(), vertex[fp.space.dst].tolist(), fp.space.letter.tolist()))
+            space = pulled.space
+            assert got == list(zip(space.src.tolist(), space.dst.tolist(), space.letter.tolist()))
 
 
 def test_pullback_rejects_mismatched_bases():
-    h = _sub("aa")
     cov = _wedge_cover(2, 1, 0)
     with pytest.raises(InputError):
-        pullback(to_wedge_morphism(wedge_graph(3)), cov)
+        pullback(to_wedge(wedge_graph(3)), cov)
+    h = _sub("aa")
+    two = build_cover(CoverDescription.from_dict(h.graph, 2, {e: 1 for e in h.graph.edges}))
+    with pytest.raises(InputError):
+        pullback(to_wedge(h.graph), two)
 
 
 def test_cover_tower_shape():
     for p in (2, 3):
         tower = cover_tower(wedge_graph(2), p, 3)
         assert tower.depth == 3
-        assert tower.degrees() == [1, p, p * p, p**3]
-        for k, level in enumerate(tower.levels):
+        assert [step.degree for step in tower.steps] == [p] * 3
+        for k, level in enumerate(tower.spaces):
             assert level.is_connected
-            assert len(level.vertices) == p**k
-        proj = tower.composite_projection(3)
-        assert proj.domain == tower.levels[3]
-        assert proj.codomain == tower.levels[0]
+            assert level.size == p**k
+        for k, step in enumerate(tower.steps):
+            assert step.base_space is tower.spaces[k] and step.space is tower.spaces[k + 1]
     with pytest.raises(InputError):
         cover_tower(wedge_graph(2), 2, -1)
-    with pytest.raises(InputError):
-        tower.composite_projection(9)
 
 
 def test_tower_pullbacks_keep_rank_and_connectivity():
     h = _sub("abABa", "b")
-    f = to_wedge_morphism(h.graph)
+    f = to_wedge(h.graph)
     for p in (2, 3):
         tower = cover_tower(wedge_graph(2), p, 2)
         pulls = tower_pullbacks(f, tower)
         assert len(pulls) == 2
         for k, (cov, lift) in enumerate(pulls, start=1):
-            assert cov.total.is_connected
-            assert rank(cov.total) == p**k + 1
-            assert lift.morphism.codomain == tower.levels[k]
+            assert cov.is_connected
+            assert rank(cov.space.graph) == p**k + 1
+            assert lift.codomain is tower.spaces[k]
 
 
 def test_disconnected_embedding_verdict():
-    cov = _wedge_cover(2, 0, 1)
-    a = _sub("a").graph
-    loop_vertex = next(v for v in cov.total.vertices if v[1] == 0)
-    emb = GraphMorphism.from_dict(a, cov.total, {a.basepoint: loop_vertex})
-    assert check_disconnected_embedding(a, cov, emb) is False
-
-
-def test_disconnected_embedding_rejects_bad_maps():
-    cov = _wedge_cover(2, 0, 1)
-    a2 = _sub("aa").graph
-    target = next(v for v in cov.total.vertices if v[1] == 0)
-    squash = GraphMorphism.from_dict(a2, cov.total, {v: target for v in a2.vertices})
-    with pytest.raises(NotInjectiveError):
-        check_disconnected_embedding(a2, cov, squash)
-    a = _sub("a").graph
-    with pytest.raises(InputError):
-        check_disconnected_embedding(a, cov, to_wedge_morphism(a))
-
-
-def test_connected_embedding_product_is_a_postcondition_error(monkeypatch):
-    # A connected fiber product would contradict the lifting argument; the
-    # check must raise, also under python -O, instead of returning True.
-    cov = _wedge_cover(2, 0, 1)
-    a = _sub("a").graph
-    loop_vertex = next(v for v in cov.total.vertices if v[1] == 0)
-    emb = GraphMorphism.from_dict(a, cov.total, {a.basepoint: loop_vertex})
-    connected = pullback_as_fiber_product(to_wedge_morphism(a), _wedge_cover(2, 1, 1))
-    assert connected.product.is_connected
-    monkeypatch.setattr(covers, "fiber_product_over", lambda f, g: connected)
-    with pytest.raises(PostconditionError, match="connected fiber product"):
-        check_disconnected_embedding(a, cov, emb)
+    # A graph A embedded in a cover X^ -> X of degree p > 1 has a
+    # disconnected fiber product with X^ over X: A -> X lifts, so the
+    # product is p copies of A, and the embedding's graph is one of them.
+    rng = random.Random(23)
+    for trial in range(30):
+        p = rng.choice((2, 3, 5))
+        base = _sub(*rng.sample(("ab", "aB", "abA", "bb", "aab"), 2)).graph
+        cov = build_cover(surjective_cocycle(base, p, "random", trial))
+        g = cov.space
+        # A: the part of the cover spanned by some of its vertices
+        keep = sorted(rng.sample(range(g.size), rng.randint(1, g.size)))
+        total = cov.space.graph
+        a = IndexGraph.of(total.restrict(total.vertices[k] for k in keep))
+        embedding = index_morphism(a, g, keep)
+        down = index_morphism(a, cov.base_space, embedding.vertices // p)
+        fp = fiber_product_over(down, oracles.oracle_cover_projection(cov))
+        assert not fp.space.is_connected
+        assert len(fp.space.component_sizes) == p * len(a.component_sizes)
+        # the embedding's graph is a union of whole components
+        ids = fp.space.component_ids
+        graph = np.searchsorted(fp.pairs, np.arange(a.size) * g.size + embedding.vertices)
+        assert np.isin(ids, ids[graph]).sum() == a.size
 
 
 def test_a_disconnected_tower_step_is_a_postcondition_error(monkeypatch):
@@ -255,7 +260,7 @@ def test_pullback_components_match_the_bfs_oracle():
         for strategy, seed in (("first", None), ("random", p)):
             tower = cover_tower(wedge_graph(2), p, 3, strategy, seed)
             for g in graphs:
-                pulls = tower_pullbacks(to_wedge_morphism(g), tower)
+                pulls = tower_pullbacks(to_wedge(g), tower)
                 for level, (cov, lift) in enumerate(pulls, start=1):
                     assert lift.domain is cov.space and lift.codomain is tower.spaces[level]
                     space = cov.space
@@ -318,7 +323,7 @@ def test_covers_past_the_cap_are_refused(monkeypatch):
     assert cover_tower(wedge, 2, 4).depth == 4
     with pytest.raises(ResourceCapError):
         cover_tower(wedge, 2, 5)  # 64 edges at the top
-    f = to_wedge_morphism(_sub("abABa", "b").graph)  # 5 vertices, 6 edges
+    f = to_wedge(_sub("abABa", "b").graph)  # 5 vertices, 6 edges
     with pytest.raises(ResourceCapError):
         pullback(f, build_cover(wedge_desc(11)))  # 66 edges
     with pytest.raises(ResourceCapError):

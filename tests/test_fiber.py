@@ -10,23 +10,22 @@ from click.testing import CliRunner
 import oracles
 from stallings import (
     CoverDescription,
-    GraphMorphism,
+    IndexGraph,
     InputError,
     LabeledGraph,
     ResourceCapError,
     Word,
     build_cover,
-    check_disconnected_embedding,
     component_pi1,
     fiber_product,
     fiber_product_over,
     graph_to_dict,
+    index_morphism,
     is_l_root_closed,
     is_malnormal,
     maximal_root,
-    pullback_as_fiber_product,
     subgroup_graph,
-    to_wedge_morphism,
+    to_wedge,
     wedge_graph,
 )
 from stallings import fiber
@@ -43,10 +42,12 @@ def _sub(*texts: str, n: int = 2):
 
 
 def test_projections_are_graph_maps():
+    # pair index u·|V_B| + v: its quotient and remainder are the coordinates
     fp = fiber_product(_sub("ab", "ba"), _sub("aa", "b"))
-    for side in ("left", "right"):
-        proj = fp.projection(side)
-        assert set(proj.mapping) == set(fp.product.vertices)
+    for factor, coordinate in zip((fp.left, fp.right), divmod(fp.pairs, len(fp.right.vertices))):
+        proj = index_morphism(fp.space, IndexGraph.of(factor), coordinate)
+        assert proj.vertices.tolist() == [v[factor is fp.right] for v in fp.product.vertices]
+        assert set(proj.edges.tolist()) <= set(range(len(factor.edges)))
 
 
 def test_diagonal_exists_only_for_equal_factors():
@@ -77,9 +78,11 @@ def test_component_pi1_rejects_unknown_vertex():
 
 def test_fiber_product_over_mixes_targets():
     h = _sub("aa", "b")
-    f = to_wedge_morphism(h.graph)
-    fp = fiber_product_over(f, to_wedge_morphism(wedge_graph(2)))
+    f = to_wedge(h.graph)
+    fp = fiber_product_over(f, to_wedge(wedge_graph(2)))  # a second wedge, equal arrays
     assert len(fp.product.vertices) == len(h.graph.vertices)
+    with pytest.raises(InputError, match="common codomain"):
+        fiber_product_over(f, to_wedge(_sub("a", n=3).graph))
 
 
 def _random_core(rng: random.Random, n: int = 2):
@@ -99,21 +102,20 @@ def _disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.n, verts, edges, ("x", g.basepoint))
 
 
-def _factor(f: GraphMorphism):
+def _factor(f):
     """The oracle's view of a morphism: vertex images, and edges on vertex
     positions with their image edges."""
-    ix = f.domain.vertex_index
-    edges = [(ix[u], ix[v], i, f.edge_image((u, v, i))) for u, v, i in f.domain.edges]
-    return [f(v) for v in f.domain.vertices], edges
+    d = f.domain
+    return f.vertices.tolist(), list(zip(*(a.tolist() for a in (d.src, d.dst, d.letter, f.edges))))
 
 
 def _random_cover(rng: random.Random, base: LabeledGraph, p: int):
     return build_cover(CoverDescription.from_dict(base, p, {e: rng.randrange(p) for e in base.edges}))
 
 
-def _check_against_oracle(fp, f: GraphMorphism, g: GraphMorphism):
+def _check_against_oracle(fp, f, g):
     want = oracles.oracle_fiber_product(f.domain.n, _factor(f), _factor(g))
-    left, right = f.domain.vertices, g.domain.vertices
+    left, right = f.domain.graph.vertices, g.domain.graph.vertices
     assert fp.product.vertices == tuple((left[u], right[v]) for u, v in want["pairs"])
     space = fp.space
     assert list(zip(space.src.tolist(), space.dst.tolist(), space.letter.tolist())) == want["edges"]
@@ -139,29 +141,30 @@ def test_fiber_products_match_the_pairwise_oracle():
         for x, y in ((a, a), (a, b), (disjoint, disjoint), (disjoint, a)):
             gx, gy = getattr(x, "graph", x), getattr(y, "graph", y)
             fp = fiber_product(x, y)
-            _check_against_oracle(fp, to_wedge_morphism(gx), to_wedge_morphism(gy))
+            _check_against_oracle(fp, to_wedge(gx), to_wedge(gy))
             kinds.add((gx is gy, gx.is_connected, fp.diagonal is None))
         # two covers of a's graph: a pair of vertices over different base
         # vertices is dropped
         base = a.graph
-        f, g = (_random_cover(rng, base, p).projection for p in (2, 3))
+        f, g = (oracles.oracle_cover_projection(_random_cover(rng, base, p)) for p in (2, 3))
         fp = fiber_product_over(f, g)
         _check_against_oracle(fp, f, g)
         assert fp.space.size == 6 * len(base.vertices)
         dropped += len(base.vertices) > 1
         vertices = set(fp.product.vertices)
-        for pair in ((u, v) for u in f.domain.vertices for v in g.domain.vertices):
+        for pair in ((u, v) for u in f.domain.graph.vertices for v in g.domain.graph.vertices):
             if pair not in vertices:
                 with pytest.raises(InputError, match="not a product vertex"):
                     component_pi1(fp, *pair)
                 break
         # a pull-back onto a cover of the wedge
         cov = _random_cover(rng, wedge_graph(2), 3)
-        f = to_wedge_morphism(b.graph)
-        _check_against_oracle(pullback_as_fiber_product(f, cov), f, cov.projection)
+        f = to_wedge(b.graph)
+        g = oracles.oracle_cover_projection(cov)
+        _check_against_oracle(fiber_product_over(f, g), f, g)
     # two maps of one graph that differ at every vertex keep no diagonal pair
-    cycle = LabeledGraph(2, (0, 1), ((0, 1, 1), (1, 0, 1)), 0)
-    f, g = (GraphMorphism.from_dict(cycle, cycle, {0: x, 1: 1 - x}) for x in (0, 1))
+    cycle = IndexGraph.of(LabeledGraph(2, (0, 1), ((0, 1, 1), (1, 0, 1)), 0))
+    f, g = (index_morphism(cycle, cycle, [x, 1 - x]) for x in (0, 1))
     fp = fiber_product_over(f, g)
     _check_against_oracle(fp, f, g)
     assert fp.product.vertices == ((0, 1), (1, 0)) and fp.diagonal is None
@@ -175,9 +178,9 @@ def test_component_tables_are_written_as_the_oracle_rows():
     a, b = _random_core(rng), _random_core(rng)
     wide = _random_core(rng, 12)
     # two maps of a one-vertex graph onto the two loops of another: no pairs
-    loops = LabeledGraph(1, (0, 1), ((0, 0, 1), (1, 1, 1)), 0)
-    point = LabeledGraph(1, (0,), ((0, 0, 1),), 0)
-    apart = [GraphMorphism.from_dict(point, loops, {0: x}) for x in (0, 1)]
+    loops = IndexGraph.of(LabeledGraph(1, (0, 1), ((0, 0, 1), (1, 1, 1)), 0))
+    point = IndexGraph.of(LabeledGraph(1, (0,), ((0, 0, 1),), 0))
+    apart = [index_morphism(point, loops, [x]) for x in (0, 1)]
     cases = [
         (a.graph, a.graph),  # a self-product: the diagonal is set
         (a.graph, b.graph),  # distinct factors: no diagonal
@@ -185,7 +188,7 @@ def test_component_tables_are_written_as_the_oracle_rows():
         (wide.graph, wide.graph),  # keys 1..12 in numeric order
         (a.graph, wedge_graph(2)),  # a single component
     ]
-    products = [(fiber_product(x, y), to_wedge_morphism(x), to_wedge_morphism(y)) for x, y in cases]
+    products = [(fiber_product(x, y), to_wedge(x), to_wedge(y)) for x, y in cases]
     products.append((fiber_product_over(*apart), *apart))  # zero rows
     for fp, f, g in products:
         rows = oracles.oracle_fiber_product(f.domain.n, _factor(f), _factor(g))["rows"]
@@ -209,7 +212,7 @@ def test_fiber_products_past_the_cap_are_refused(monkeypatch):
     monkeypatch.setattr(fiber, "TUPLE_CAP", 5)
     with pytest.raises(ResourceCapError, match="6 edge pairs"):
         fiber_product(h, wedge_graph(2))  # 5 vertex pairs
-    f = to_wedge_morphism(h.graph)
+    f = to_wedge(h.graph)
     with pytest.raises(ResourceCapError):
         fiber_product_over(f, f)
 
@@ -229,11 +232,6 @@ def test_array_readers_build_no_labelled_product(monkeypatch, tmp_path):
     path.write_text(json.dumps(graph_to_dict(_sub("abABa", "b").graph)))
     assert CliRunner().invoke(main, ["malnormal", str(path)]).exit_code == 0
     assert verify_counterexample(3, 2).passed
-    cov = build_cover(CoverDescription.from_dict(wedge_graph(2), 2, {(0, 0, 1): 0, (0, 0, 2): 1}))
-    a = _sub("a").graph
-    loop_vertex = next(v for v in cov.total.vertices if v[1] == 0)
-    emb = GraphMorphism.from_dict(a, cov.total, {a.basepoint: loop_vertex})
-    assert check_disconnected_embedding(a, cov, emb) is False
     with pytest.raises(_LabelsBuilt):  # a certificate reads labels
         is_malnormal(_sub("aa"))
 

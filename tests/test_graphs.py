@@ -7,16 +7,18 @@ import pytest
 
 import oracles
 from stallings import (
-    GraphMorphism,
+    IndexGraph,
     InputError,
     PreconditionError,
+    ResourceCapError,
     Word,
     component_ranks,
     core,
     fold,
     make_graph,
+    index_morphism,
     subgroup_graph,
-    to_wedge_morphism,
+    to_wedge,
     wedge_graph,
 )
 from stallings.graphs import (
@@ -30,6 +32,7 @@ from stallings.graphs import (
     trace,
 )
 from stallings.serialize import graph_from_dict, graph_to_dict, read_graph
+from stallings.suite import random_cover_of_wedge, random_raw_graph
 
 
 def _words(*texts: str, n: int = 2) -> list[Word]:
@@ -145,11 +148,33 @@ def test_relabel_canonical_is_stable():
 
 
 def test_morphism_validation():
-    h = subgroup_graph(_words("aa"), 2)
-    f = to_wedge_morphism(h.graph)
-    assert set(f.mapping.values()) == {f.codomain.basepoint}
-    with pytest.raises(InputError):
-        GraphMorphism(h.graph, wedge_graph(2), {})
+    h = subgroup_graph(_words("aab"), 2)
+    f = to_wedge(h.graph)
+    assert f.vertices.tolist() == [0] * len(h.graph.vertices)
+    assert f.edges.tolist() == [i - 1 for _, _, i in h.graph.sorted_edges]
+    with pytest.raises(InputError, match=r"edge \(2, 0, 2\) has no image edge \(0, 0, 2\)"):
+        to_wedge(h.graph, IndexGraph.of(wedge_graph(1)))
+    huge = IndexGraph.of(make_graph(2**61, [0, 1], [(0, 1, 2**61)]))
+    with pytest.raises(ResourceCapError, match="overflow the edge keys"):
+        index_morphism(huge, huge, [0, 1])
+
+
+def test_index_morphism_matches_the_lookup_oracle():
+    rng = random.Random(31)
+    refused = 0
+    for _ in range(200):
+        y = IndexGraph.of(random_cover_of_wedge(rng, 2, rng.randint(1, 3)))
+        x = IndexGraph.of(random_raw_graph(rng, 2, 5))
+        images = [rng.randrange(y.size) for _ in range(x.size)]
+        want = oracles.oracle_morphism(x, y, images)
+        if want is None:
+            refused += 1
+            with pytest.raises(InputError, match="has no image edge"):
+                index_morphism(x, y, images)
+            continue
+        got = index_morphism(x, y, images)
+        assert got.vertices.tolist() == images and got.edges.tolist() == want.edges.tolist()
+    assert 0 < refused < 200
 
 
 _LABEL_KINDS = {

@@ -5,6 +5,7 @@ The rule covers every module of the package, the property suite included."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -179,3 +180,31 @@ def test_all_lists_exactly_the_imported_names():
     unbound = [name for name in exported if not hasattr(stallings, name)]
     if unbound:
         pytest.fail(f"__all__ names unbound attributes: {unbound}")
+
+
+# The benchmark's tracer wraps library functions by name, and a name that is
+# gone only shows up as an absent wrap when bench/tests runs; tier-1 runs
+# tests/ only, so it reads the tracer's WRAPS list itself.
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    path = _ROOT / "bench" / "tracing.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WRAPS" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    pytest.fail(f"no WRAPS list in {path}")
+
+
+def test_every_traced_name_resolves():
+    names = _traced_names()
+    if len(names) < 30:
+        pytest.fail(f"only {len(names)} traced names read from bench/tracing.py")
+    absent = []
+    for module, attr in names:
+        owner = importlib.import_module(f"stallings.{module}")
+        for part in attr.split("."):  # "FpMatrix.solve" names a method
+            owner = getattr(owner, part, None)
+        if owner is None:
+            absent.append(f"{module}.{attr}")
+    if absent:
+        pytest.fail(f"traced names missing from the library: {absent}")

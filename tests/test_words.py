@@ -71,8 +71,9 @@ def test_power_and_conjugate():
     w = Word.parse("ab", 2)
     assert str(w**3) == "ababab"
     assert str(w**-2) == "BABA"
-    assert str(w.conjugate_by(Word.parse("b", 2))) == "ba"
-    assert str(Word.parse("a", 2).conjugate_by(Word.parse("b", 2))) == "baB"
+    b = Word.parse("b", 2)
+    assert str(b * w * b.inverse()) == "ba"
+    assert str(b * Word.parse("a", 2) * b.inverse()) == "baB"
 
 
 def test_cyclic_reduce_identity():
