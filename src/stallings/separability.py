@@ -244,6 +244,17 @@ def _elementary_squared_table(p: int) -> np.ndarray:
     return (k1[:, None] + k1) % p * p + (k2[:, None] + k2) % p
 
 
+def _heisenberg_elements(p: int) -> np.ndarray:
+    """Heis(p) acting faithfully on F_p^2, point (u, v) at index u*p + v.
+    (a,b,c) is the matrix [[1, a, c], [0, 1, b], [0, 0, 1]] acting on row
+    vectors (1, u, v) from the right: it sends (u, v) to (u + a, v + b*u + c),
+    and "element i, then element j" acts as the matrix product, which is the
+    law of ``_heisenberg_table``."""
+    a, b, c = (d[:, None] for d in np.unravel_index(np.arange(p**3), (p, p, p)))
+    u, v = np.divmod(np.arange(p * p), p)
+    return (u + a) % p * p + (v + b * u + c) % p
+
+
 def _heisenberg_table(p: int) -> np.ndarray:
     """Order p^3, upper unitriangular 3x3 over Z/p, by its law
     (a,b,c) * (a',b',c') = (a+a', b+b', c+c'+a*b'), with (a,b,c) at index
@@ -285,20 +296,17 @@ class TableGroup:
     ``mul[i * order + j]`` is the index of "element i, then element j",
     written by ``law`` from the group's product law (index 0 is the
     identity). Element i is the permutation ``elements[i]``, listed by
-    ``build``; with no ``build`` the group acts on itself by right
-    multiplication, so element i sends x to x * i and is column i of the
-    table. ``inv[i]`` is the index of the inverse of element i. Each is a
-    read-only array built on first use.
+    ``build`` in a faithful action on at most p^2 points. ``inv[i]`` is the
+    index of the inverse of element i. Each is a read-only array built on
+    first use.
     """
 
     order: int
     law: Callable[[], np.ndarray]
-    build: Callable[[], np.ndarray] | None = None
+    build: Callable[[], np.ndarray]
 
     @cached_property
     def elements(self) -> np.ndarray:
-        if self.build is None:
-            return self.mul.reshape(self.order, self.order).T
         out = self.build()
         out = out.astype(np.min_scalar_type(out.shape[1] - 1), copy=False)
         out.flags.writeable = False
@@ -327,18 +335,20 @@ def group_library(p: int) -> tuple[tuple[str, str, object], ...]:
 
     Cyclic entries carry their modulus (("cyclic", q)) so searches can use
     integer arithmetic; the rest carry a ``TableGroup`` (("table", group)),
-    which builds its elements and Cayley table when a search first reaches
-    it. One library per p serves every search in the process.
+    which builds its Cayley table and its elements, as permutations of at
+    most p^2 points, when a search first reaches it. One library per p
+    serves every search in the process.
     """
     require_prime(p)
     squared = TableGroup(
         p**2, partial(_elementary_squared_table, p), partial(_elementary_squared_elements, p)
     )
+    heisenberg = TableGroup(p**3, partial(_heisenberg_table, p), partial(_heisenberg_elements, p))
     entries: list[tuple[int, str, str, object]] = [
         (p, f"Z/{p}", "cyclic", p),
         (p**2, f"(Z/{p})^2", "table", squared),
         (p**2, f"Z/{p ** 2}", "cyclic", p**2),
-        (p**3, f"Heis({p})", "table", TableGroup(p**3, partial(_heisenberg_table, p))),
+        (p**3, f"Heis({p})", "table", heisenberg),
         (p**3, f"Z/{p ** 3}", "cyclic", p**3),
     ]
     if p <= 3:

@@ -368,7 +368,8 @@ def oracle_walk(n: int, vertices, edges, root):
 
 def _oracle_library(p: int) -> list:
     """The p-group library as permutation element lists, in the order and
-    with the element order the library searched before Cayley tables."""
+    with the element order the library searched before Cayley tables;
+    Heis(p) acts on p^2 points, by matrices on row vectors."""
     import itertools
 
     def squared():
@@ -379,11 +380,17 @@ def _oracle_library(p: int) -> list:
         ]
 
     def heisenberg():
-        triples = list(itertools.product(range(p), repeat=3))
-        pid = {t: k for k, t in enumerate(triples)}
+        # (a, b, c) is the matrix [[1, a, c], [0, 1, b], [0, 0, 1]], acting on
+        # the row vectors (1, u, v) of F_p^2 by the matrix product; point
+        # (u, v) is u * p + v
+        def point(row, matrix):
+            _, u, v = (sum(x * matrix[k][j] for k, x in enumerate(row)) % p for j in range(3))
+            return u * p + v
+
+        rows = [(1, u, v) for u in range(p) for v in range(p)]
         return [
-            tuple(pid[(xa + ga) % p, (xb + gb) % p, (xc + gc + xa * gb) % p] for xa, xb, xc in triples)
-            for ga, gb, gc in triples
+            tuple(point(row, ((1, a, c), (0, 1, b), (0, 0, 1))) for row in rows)
+            for a, b, c in itertools.product(range(p), repeat=3)
         ]
 
     def wreath():

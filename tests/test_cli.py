@@ -558,9 +558,9 @@ def test_graph_reader_refuses_bad_input(tmp_path, name, command):
 
 # separate, with each kind of library group that a witness can land in
 # (Z/7 with both letters active); digests taken from the permutation search
-# that Cayley tables replaced. No
-# separate witness lands in (Z/p)^2: a non-membership constraint that some
-# (Z/p)^2 satisfies is satisfied by a Z/p quotient with at most as many
+# that Cayley tables replaced, those of Heis(p) since it acts on p^2 points.
+# No separate witness lands in (Z/p)^2: a non-membership constraint that
+# some (Z/p)^2 satisfies is satisfied by a Z/p quotient with at most as many
 # active letters, which the search tries first.
 _SEPARATE_CASES = {
     "Z/7": (
@@ -569,15 +569,15 @@ _SEPARATE_CASES = {
     ),
     "Heis(2)": (
         ("--cyclic", "a", "--word", "baB", "--L", "3"), 116,
-        "6db2c56ec9d4bbbf7b60c956399d52e450825b3391477896a469efbff3871bcf",
+        "5ffed88798f417b7916082ef2ead5fd6096ee7cc3a735e695a212bdb932df59c",
     ),
     "Heis(7)": (
         ("--cyclic", "bbaa", "--word", "bABa", "--L", "2", "--L", "3", "--L", "5"), 13117,
-        "ebcf568b9482e375564ab5edb831c3a323833e9bcb4895ee8b14404df62eca2e",
+        "23ec15671092f7affcc915b3daa7b760ab55a4feffd2478adae6243d1be53e63",
     ),
     "Heis(11)": (
         ("--cyclic", "bbaa", "--word", "bABa", "--L", "2", "--L", "3", "--L", "5", "--L", "7"), 77421,
-        "db739da3a61a2a7e7cc1e016da82e59aadd2c3fcbd77148fe887d27cd8647f76",
+        "b5cf186b64780a70c491f8f752de4b3e961c22ced80d4056630d7dd482cc68f1",
     ),
     "Z/3 wr Z/3": (
         ("--cyclic", "ab", "--word", "bbaa", "--L", "2"), 1973,
@@ -594,6 +594,9 @@ def test_separate_output_is_pinned(group):
     payload = json.loads(result.stdout)
     assert payload["group"] == group and payload["verified"] is True
     assert f"({examined} homomorphisms examined)" in payload["transcript"][2]
+    if group.startswith("Heis"):
+        p = int(group[5:-1])
+        assert (payload["order"], payload["degree"]) == (p**3, p**2)
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 

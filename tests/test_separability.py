@@ -186,6 +186,30 @@ def test_witness_tampering_is_caught():
     assert not verify_witness(lying)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_witnesses_act_on_p_squared_points_and_tampering_is_caught(p):
+    # pytest.fail rather than assert, so that the verdicts are checked under
+    # -O as well
+    wit = separate_from_cyclic(_w("bbaa"), _w("bABa"), [l for l in (2, 3, 5) if l < p])
+    q = wit.quotient
+    if (q.name, q.degree, q.order) != (f"Heis({p})", p**2, p**3):
+        pytest.fail(f"witness in {q.name}, degree {q.degree}, order {q.order}")
+    if not verify_witness(wit):
+        pytest.fail("the witness is rejected")
+    tampered = {"order p^2": dataclasses.replace(q, order=p**2)}
+    for letter, image in enumerate(q.images):
+        swapped = list(image)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        images = q.images[:letter] + (tuple(swapped),) + q.images[letter + 1 :]
+        tampered[f"entries 0 and 1 of image {letter} swapped"] = dataclasses.replace(q, images=images)
+    forged = {what: dataclasses.replace(wit, quotient=quotient) for what, quotient in tampered.items()}
+    for k in (-2, -1, 0, 1, 3):
+        forged[f"excluded word c^{k}"] = dataclasses.replace(wit, excluded=wit.subgroup**k)
+    accepted = [what for what, w in forged.items() if verify_witness(w)]
+    if accepted:
+        pytest.fail(f"tampered witnesses accepted: {accepted}")
+
+
 def test_separation_is_deterministic():
     a = separate_from_cyclic(_w("ab"), _w("ba"), [2], seed=7)
     b = separate_from_cyclic(_w("ab"), _w("ba"), [2], seed=7)
@@ -603,6 +627,12 @@ def test_cayley_tables_follow_the_permutation_product(p):
         order = group.order
         perms = [group.perm(i) for i in range(order)]
         assert len(set(perms)) == order == len(group.elements)
+        # no group of order p^3 or more acts regularly: a witness carries
+        # permutations of a small faithful action, Heis(p) that on F_p^2
+        if order >= p**3:
+            assert group.elements.shape[1] < order, name
+        if name.startswith("Heis"):
+            assert group.elements.shape[1] == p**2
         assert perms[0] == p_identity(len(perms[0]))
         if p <= 3:
             pairs = itertools.product(range(order), repeat=2)
