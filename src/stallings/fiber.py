@@ -253,20 +253,10 @@ class RootClosureResult:
 def is_l_root_closed(h: SubgroupGraph, l: int) -> RootClosureResult:
     """True iff no word w has w^l in the subgroup but w outside it.
 
-    The method depends on the rank of the subgroup.
-
-    Rank 0: the trivial subgroup is closed, since free groups are
-    torsion-free.
-
-    Rank 1: the subgroup is <a^i>, where the single cycle-basis loop is
-    a^i with a its maximal root. It is closed exactly when gcd(i, l) = 1;
-    for d = gcd(i, l) > 1 the witness is a^(i/d), whose l-th power
-    a^(i * l/d) lies in the subgroup. Proof of closure when d = 1: if
-    w^l = a^(ij) with j != 0, then w centralizes a^(ij), and centralizers
-    in a free group are cyclic, generated by the maximal root, so w = a^k
-    with lk = ij; as gcd(i, l) = 1, i divides k and w lies in <a^i>. (For
-    j = 0, w^l = 1 forces w = 1.) No vertex tuples are built, so
-    ``TUPLE_CAP`` does not apply.
+    Rank 0 and 1: :func:`cyclic_root_closure` on the cycle-basis loop a^i,
+    a its maximal root (the empty word for rank 0). Then g lies in the
+    subgroup exactly when g = a^e with i | e, and the subgroup is closed
+    exactly when gcd(i, l) = 1. No vertex tuples are built.
 
     Rank 2 and up: the l-fold product test of :func:`_product_root_closure`.
     """
@@ -275,9 +265,27 @@ def is_l_root_closed(h: SubgroupGraph, l: int) -> RootClosureResult:
     if h.rank() >= 2:
         return _product_root_closure(h, l)
     loops = cycle_basis(h.graph)
-    if not loops:
+    return cyclic_root_closure(loops[0] if loops else Word((), h.n), l)
+
+
+def cyclic_root_closure(c: Word, l: int) -> RootClosureResult:
+    """Whether the cyclic subgroup <c> is closed under l-th roots.
+
+    Write c = a^i with a its maximal root. The subgroup is closed exactly
+    when gcd(i, l) = 1; for d = gcd(i, l) > 1 the witness is a^(i/d), whose
+    l-th power a^(i * l/d) lies in the subgroup. Proof of closure when
+    d = 1: if w^l = a^(ij) with j != 0, then w centralizes a^(ij), and
+    centralizers in a free group are cyclic, generated by the maximal root
+    (Lyndon-Schupp, Combinatorial Group Theory, 1977), so w = a^k with
+    lk = ij; as gcd(i, l) = 1, i divides k and w lies in <a^i>. (For j = 0,
+    w^l = 1 forces w = 1.) The trivial subgroup, c empty, is closed, since
+    free groups are torsion-free.
+    """
+    if l < 2:
+        raise InputError("root index l must be at least 2")
+    if not c:
         return RootClosureResult(True, None)
-    a, i = maximal_root(loops[0])
+    a, i = maximal_root(c)
     d = gcd(i, l)
     if d == 1:
         return RootClosureResult(True, None)

@@ -38,7 +38,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceCapError
-from .words import Word, empty_word
+from .words import Word, empty_word, reduce_letters
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex, int]
@@ -539,7 +539,10 @@ def _walk(
     chords = sorted(
         (u, w, t) for u in words for t, w in g.steps[u].items() if t > 0 and (u, w, t) not in tree
     )
-    loops = [words[u] * Word((t,), g.n) * words[w].inverse() for u, w, t in chords]
+    loops = [
+        Word(reduce_letters(words[u].letters + (t,) + tuple(-s for s in reversed(words[w].letters))), g.n)
+        for u, w, t in chords
+    ]
     return words, tree, loops
 
 

@@ -40,14 +40,13 @@ from .errors import (
     RootClosureError,
     SearchCapError,
 )
-from .fiber import is_l_root_closed
+from .fiber import cyclic_root_closure
 from .graphs import (
     LabeledGraph,
     _orbit_labels,
     _shift,
     _walk,
     make_graph,
-    subgroup_graph,
 )
 from .separability import (
     FiniteQuotient,
@@ -615,9 +614,8 @@ def eppa_extend(
         loops.append(basis[0].reversed() if basis else None)
 
     for loop in dict.fromkeys(loop for loop in loops if loop is not None):
-        sub = subgroup_graph([loop], k)
         for l in sorted(m.L):
-            res = is_l_root_closed(sub, l)
+            res = cyclic_root_closure(loop, l)
             if not res.closed:
                 raise RootClosureError(
                     f"a vertex group of the family graph is not closed under {l}-th roots",

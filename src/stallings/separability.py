@@ -32,9 +32,8 @@ from .errors import (
     RootClosureError,
     SearchCapError,
 )
-from .fiber import is_l_root_closed
-from .graphs import subgroup_graph
-from .words import Word, cyclic_reduce, empty_word, maximal_root
+from .fiber import cyclic_root_closure
+from .words import Word, empty_word, maximal_root, power_exponent
 
 Perm = tuple[int, ...]
 
@@ -320,7 +319,12 @@ class TableGroup:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        out = (np.flatnonzero(self.mul == 0) % self.order).astype(self.mul.dtype)
+        # x^-1 = x^(E-1) for the exponent E, the first power at which every
+        # element is the identity: E column gathers, not a scan of the table
+        prev = power = x = np.arange(self.order)
+        while power.any():
+            prev, power = power, self.mul[power * self.order + x].astype(np.intp)
+        out = prev.astype(self.mul.dtype)
         out.flags.writeable = False
         return out
 
@@ -710,8 +714,7 @@ def separate_maximal_cyclic(
     if exponent != 1:
         raise PreconditionError(f"{a} is a proper power, not a maximal root")
     n = max(a.n, g.n)
-    h = subgroup_graph([a], n)
-    if h.contains(g):
+    if power_exponent(g, a) is not None:
         raise PreconditionError(f"{g} lies in the cyclic subgroup of {a}")
     constraint: Constraint = ((g, a), (empty_word(n), a))
     quotient, examined = _constraint_search(
@@ -732,7 +735,12 @@ def separate_from_cyclic(
 ) -> SeparationWitness:
     """Witness that g avoids the cyclic subgroup generated by c, in a finite
     quotient whose order avoids every prime in L. Requires that subgroup to
-    be closed under l-th roots for each l in L."""
+    be closed under l-th roots for each l in L.
+
+    Both are decided on words: with c = a^i, a its maximal root, g lies in
+    <c> exactly when g = a^e with i | e, and <c> is closed under l-th roots
+    exactly when gcd(i, l) = 1 (:func:`fiber.cyclic_root_closure`).
+    """
     L = frozenset(L)
     for l in sorted(L):
         if not is_prime(l):
@@ -740,21 +748,20 @@ def separate_from_cyclic(
     if not c:
         raise InputError("cyclic generator must be nontrivial")
     n = max(c.n, g.n)
-    h = subgroup_graph([c], n)
     for l in sorted(L):
-        res = is_l_root_closed(h, l)
+        res = cyclic_root_closure(c, l)
         if not res.closed:
             raise RootClosureError(
                 f"the subgroup of {c} is not closed under {l}-th roots",
                 witness=res.witness,
                 l=l,
             )
-    if h.contains(g):
+    a, i = maximal_root(c)
+    e = power_exponent(g, a)
+    if e is not None and e % i == 0:
         raise PreconditionError(f"{g} lies in the cyclic subgroup of {c}")
 
-    a, i = maximal_root(c)
-    ha = subgroup_graph([a], n)
-    if not ha.contains(g):
+    if e is None:
         # Case 1: g avoids even the maximal cyclic subgroup
         p = smallest_prime_not_in(L)
         base = separate_maximal_cyclic(a, g, p, bound, seed)
@@ -767,15 +774,8 @@ def separate_from_cyclic(
             quotient, c, g, frozenset([p]), L, transcript
         )
 
-    # Case 2: g is a power of the maximal root a, c = a^i
-    e = _power_exponent(a, g)
+    # Case 2: g = a^e is a power of the maximal root a, c = a^i
     m = e % i
-    if m == 0:
-        raise PostconditionError(
-            f"{g} = {a}^{e} is a power of {c}, yet membership rejected it",
-            exponent=e,
-            i=i,
-        )
     p = None
     for cand in sorted(prime_factors(i)):
         if valuation(m, cand) < valuation(i, cand):
@@ -825,44 +825,17 @@ def _require_separated(quotient: FiniteQuotient, c: Word, g: Word) -> None:
         )
 
 
-def _power_exponent(a: Word, g: Word) -> int:
-    """g known to be a power of a: find the exponent.
-
-    Lengths are compared after cyclic reduction, since a = u r u^-1 gives
-    a^e = u r^e u^-1 and the conjugating prefix does not scale with e.
-    """
-    _, ra = cyclic_reduce(a)
-    _, rg = cyclic_reduce(g)
-    e = len(rg) // len(ra)
-    for cand in (e, -e):
-        if a ** cand == g:
-            return cand
-    raise PostconditionError(
-        f"membership said {g} is a power of {a}, but neither {a}^{e} nor {a}^{-e} is",
-        exponent=e,
-    )
-
-
 def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
     """A homomorphism to Z/q sending a to 1, via exponent sums; None when
     impossible (all exponent sums share the relevant prime)."""
     sums = _letter_sums(a, n)
-    unit_at = None
-    for j, s in enumerate(sums):
-        if _invertible_mod(s, q):
-            unit_at = j
-            break
+    unit_at = next((j for j, s in enumerate(sums) if gcd(s, q) == 1), None)
     if unit_at is None:
         return None
-    inv = pow(sums[unit_at] % q, -1, q)
     shifts = [0] * n
-    shifts[unit_at] = inv
+    shifts[unit_at] = pow(sums[unit_at], -1, q)
     images = [_rotation(q, s) for s in shifts]
     return _capped_quotient(n, images, q, f"Z/{q}")
-
-
-def _invertible_mod(s: int, q: int) -> bool:
-    return gcd(s % q, q) == 1
 
 
 # -- coset systems -----------------------------------------------------------------

@@ -92,11 +92,13 @@ class Word:
         return Word(tuple(-t for t in reversed(self.letters)), self.n)
 
     def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else self.inverse()
-        out = Word((), self.n)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        """u * r^k * u^-1 for self = u * r * u^-1, r cyclically reduced, written once."""
+        if k == 0 or not self:
+            return Word((), self.n)
+        u, r = cyclic_reduce(self)
+        if k < 0:
+            r, k = r.inverse(), -k
+        return Word(u.letters + r.letters * k + u.inverse().letters, self.n)
 
     def reversed(self) -> "Word":
         """Letters in reverse order, *not* inverted (an anti-automorphism)."""
@@ -144,12 +146,29 @@ def empty_word(n: int) -> Word:
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split w = u * r * u^-1 with r cyclically reduced; return (u, r)."""
-    letters = list(w.letters)
-    pre: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    return Word(tuple(pre), w.n), Word(tuple(letters), w.n)
+    t = w.letters
+    k = 0
+    while len(t) - 2 * k >= 2 and t[k] == -t[-1 - k]:
+        k += 1
+    return Word(t[:k], w.n), Word(t[k : len(t) - k], w.n)
+
+
+def power_exponent(g: Word, a: Word) -> int | None:
+    """The e with g = a^e, or None when g is no power of the nontrivial a.
+
+    With a = u * r * u^-1, r cyclically reduced, a^e is the reduced word
+    u * r^e * u^-1, so g is read against that form once, in O(|g|).
+    """
+    if not g:
+        return 0
+    u, r = cyclic_reduce(a)
+    body = g.letters[len(u) : len(g) - len(u)]
+    if g.letters != u.letters + body + u.inverse().letters or len(body) % len(r):
+        return None
+    e = len(body) // len(r)
+    if body == r.letters * e:
+        return e
+    return -e if body == r.inverse().letters * e else None
 
 
 def maximal_root(w: Word) -> tuple[Word, int]:
@@ -168,7 +187,6 @@ def maximal_root(w: Word) -> tuple[Word, int]:
             continue
         block = r.letters[:d]
         if block * (m // d) == r.letters:
-            root = Word(block, w.n)
-            exponent = m // d
-            return (u * root * u.inverse(), exponent)
+            # u + block + u^-1 is reduced: block starts and ends as r does
+            return Word(u.letters + block + u.inverse().letters, w.n), m // d
     raise PostconditionError("unreachable: d = len(r) always divides")

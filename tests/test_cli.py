@@ -24,7 +24,7 @@ from stallings import (
     separability,
     subgroup_graph,
 )
-from stallings import cli, fiber
+from stallings import cli, fiber, graphs
 from stallings.cli import main
 from stallings.serialize import BLOCK_CHARS
 
@@ -79,7 +79,7 @@ def test_failed_postcondition_is_error_json(monkeypatch):
     # A root-closure check that wrongly passes <a^2> for l = 2 lets
     # separate_from_cyclic reach its gcd-rule postcondition.
     monkeypatch.setattr(
-        separability, "is_l_root_closed", lambda h, l: RootClosureResult(True, None)
+        separability, "cyclic_root_closure", lambda c, l: RootClosureResult(True, None)
     )
     result = _invoke("separate", "--cyclic", "aa", "--word", "a", "--L", "2")
     assert result.exit_code == 1, result.output
@@ -598,6 +598,56 @@ def test_separate_output_is_pinned(group):
         p = int(group[5:-1])
         assert (payload["order"], payload["degree"]) == (p**3, p**2)
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# separate's branches that no library-group pin above reaches; digests taken
+# while membership and root closure still folded subgroup graphs
+_SEPARATE_BRANCH_CASES = {
+    "power case, cyclic quotient": (
+        ("--cyclic", "aa", "--word", "a", "--L", "3"),
+        "422f2d9549eb613ce28be8012c63bf27911b74498761803f78796e52f61a32e3",
+    ),
+    "power case, library fallback": (
+        ("--cyclic", "abABabAB", "--word", "abAB", "--L", "3"),
+        "c08cfd1d1a8547ad68d1c159ba5b53a8bef695b319b1d22c40c74615100e598a",
+    ),
+    "sampled Z/2 wr Z/2 wr Z/2": (
+        ("--cyclic", "AbAbAbAb", "--word", "bbAB", "--L", "3"),
+        "216f0f2db90ddf10114cf0788233ad67436e3d29ba2029d3b568a589593f7687",
+    ),
+    "not cyclically reduced": (
+        ("--cyclic", "aabAA", "--word", "aBA", "--L", "2"),
+        "ff62697c6943ecb8f4685c03d12913a1f753bb3da145fe708bc3f82c2ed1df61",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEPARATE_BRANCH_CASES))
+def test_separate_branch_output_is_pinned(case):
+    args, digest = _SEPARATE_BRANCH_CASES[case]
+    result = _invoke("separate", *args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["verified"] is True
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_separate_builds_no_subgroup_graph(monkeypatch):
+    # membership in a cyclic subgroup and its root closure are decided on words
+    calls = []
+    for original in (graphs.subgroup_graph, fiber.is_l_root_closed):
+        def spy(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("stallings")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    cases = [args for args, *_ in _SEPARATE_CASES.values()]
+    cases += [args for args, _ in _SEPARATE_BRANCH_CASES.values()]
+    for args in cases:
+        assert _invoke("separate", *args).exit_code == 0
+    assert calls == []
 
 
 def test_separate_closes_the_witness_group_once(monkeypatch):

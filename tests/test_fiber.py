@@ -30,7 +30,7 @@ from stallings import (
 )
 from stallings import fiber
 from stallings.cli import _component_stats, main
-from stallings.fiber import TUPLE_CAP, _product_root_closure
+from stallings.fiber import TUPLE_CAP, _product_root_closure, cyclic_root_closure
 from stallings.graphs import core, relabel_canonical
 from stallings.serialize import json_blocks
 from stallings.suite import random_reduced_word
@@ -444,7 +444,9 @@ def test_closed_form_matches_product_on_cyclic_subgroups():
                 for l in (2, 3, 4, 5, 6):
                     closed_form = is_l_root_closed(h, l)
                     assert closed_form.closed == (gcd(i, l) == 1), (c, l)
-                    results = [closed_form]
+                    on_word = cyclic_root_closure(c, l)
+                    assert on_word.closed == closed_form.closed, (c, l)
+                    results = [closed_form, on_word]
                     if nv**l <= CROSS_CHECK_TUPLES:
                         product = _product_root_closure(h, l)
                         assert product.closed == closed_form.closed, (c, l)

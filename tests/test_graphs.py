@@ -24,6 +24,7 @@ from stallings import (
 from stallings.graphs import (
     LabeledGraph,
     SubgroupGraph,
+    _walk,
     cycle_basis,
     is_core,
     path_words_from,
@@ -358,6 +359,18 @@ def test_walk_matches_a_slot_order_bfs():
         seen["root not first"] += root != g.vertices[0]
         seen["several loops"] += len(loops) > 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_walk_loops_equal_the_products_of_their_path_words():
+    # each chord loop is written as one word: path(u) * t * path(w)^-1
+    rng = random.Random(43)
+    for _ in range(300):
+        g = _random_immersed_graph(rng)
+        words, tree, loops = _walk(g.table, rng.randrange(len(g.vertices)))
+        chords = sorted(
+            (u, w, t) for u in words for t, w in g.table.steps[u].items() if t > 0 and (u, w, t) not in tree
+        )
+        assert loops == [words[u] * Word((t,), g.n) * words[w].inverse() for u, w, t in chords], g
 
 
 def test_walk_readers_refuse_a_root_that_is_not_a_vertex():

@@ -213,11 +213,11 @@ def test_each_cyclic_vertex_group_is_checked_for_root_closure(monkeypatch):
 
     checked = []
 
-    def not_closed(sub, l):
+    def not_closed(loop, l):
         checked.append(l)
         return types.SimpleNamespace(closed=False, witness=None)
 
-    monkeypatch.setattr(ht, "is_l_root_closed", not_closed)
+    monkeypatch.setattr(ht, "cyclic_root_closure", not_closed)
     m = make_hypertournament(range(3), [2], {2: [(0, 1), (1, 2), (2, 0)]})
     eppa_extend(m, make_family(m, [{0: 1}]))  # a tree: nothing to check
     with pytest.raises(RootClosureError):

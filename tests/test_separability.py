@@ -652,6 +652,14 @@ def test_cayley_tables_follow_the_permutation_product(p):
     assert group_library(p) is group_library(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inverse_index_equals_the_table_scan(p):
+    for name, kind, group in group_library(p):
+        if kind != "cyclic":
+            scan = np.flatnonzero(group.mul == 0) % group.order
+            assert np.array_equal(group.inv, scan) and group.inv.dtype == group.mul.dtype, name
+
+
 def test_library_search_checks_no_permutations(monkeypatch):
     def forbidden(q, constraint):
         raise AssertionError("permutation check in the library search")

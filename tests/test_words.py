@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from stallings import InputError, Word, cyclic_reduce, maximal_root, reduce
-from stallings.words import empty_word
+from stallings import InputError, Word, cyclic_reduce, maximal_root, reduce, subgroup_graph
+from stallings.words import empty_word, power_exponent
 
 letters = st.integers(min_value=1, max_value=2).flatmap(
     lambda i: st.sampled_from([i, -i])
@@ -74,6 +76,45 @@ def test_power_and_conjugate():
     b = Word.parse("b", 2)
     assert str(b * w * b.inverse()) == "ba"
     assert str(b * Word.parse("a", 2) * b.inverse()) == "baB"
+
+
+def _seeded_words(rng: random.Random, count: int, n: int = 3):
+    for _ in range(count):
+        yield reduce([rng.choice((1, -1, 2, -2, 3, -3)[: 2 * n]) for _ in range(rng.randint(0, 9))], n)
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(7)
+    conjugated = 0
+    for w, u in zip(_seeded_words(rng, 300), _seeded_words(rng, 300)):
+        if rng.random() < 0.5:
+            w = u * w * u.inverse()
+        conjugated += len(cyclic_reduce(w)[0]) > 0
+        for k in range(-6, 7):
+            base, out = (w if k >= 0 else w.inverse()), empty_word(3)
+            for _ in range(abs(k)):
+                out = out * base
+            assert w**k == out, (w, k)
+    assert conjugated >= 120
+
+
+def test_power_exponent_reads_powers_and_membership():
+    rng = random.Random(11)
+    found = 0
+    for a in _seeded_words(rng, 300, n=2):
+        if not a:
+            continue
+        for k in range(-6, 7):
+            assert power_exponent(a**k, a) == k, (a, k)
+        root, i = maximal_root(a)
+        h = subgroup_graph([a], 2)
+        for g in [root**e for e in range(-7, 8)] + list(_seeded_words(rng, 20, n=2)):
+            e = power_exponent(g, root)
+            assert e is None or root**e == g, (g, root)
+            found += e is not None and e % i != 0
+            # <a> = <root^i>: g lies in it exactly when g = root^e with i | e
+            assert h.contains(g) == (e is not None and e % i == 0), (a, g)
+    assert found >= 100
 
 
 def test_cyclic_reduce_identity():
