@@ -269,23 +269,28 @@ def is_l_root_closed(h: SubgroupGraph, l: int) -> RootClosureResult:
 
 
 def cyclic_root_closure(c: Word, l: int) -> RootClosureResult:
-    """Whether the cyclic subgroup <c> is closed under l-th roots.
+    """Whether the cyclic subgroup <c> is closed under l-th roots, by
+    :func:`power_root_closure` on c = a^i, a its maximal root. The trivial
+    subgroup, c empty, is taken as c^1: it is closed, since free groups are
+    torsion-free."""
+    a, i = maximal_root(c) if c else (c, 1)
+    return power_root_closure(a, i, l)
 
-    Write c = a^i with a its maximal root. The subgroup is closed exactly
-    when gcd(i, l) = 1; for d = gcd(i, l) > 1 the witness is a^(i/d), whose
-    l-th power a^(i * l/d) lies in the subgroup. Proof of closure when
-    d = 1: if w^l = a^(ij) with j != 0, then w centralizes a^(ij), and
-    centralizers in a free group are cyclic, generated by the maximal root
-    (Lyndon-Schupp, Combinatorial Group Theory, 1977), so w = a^k with
-    lk = ij; as gcd(i, l) = 1, i divides k and w lies in <a^i>. (For j = 0,
-    w^l = 1 forces w = 1.) The trivial subgroup, c empty, is closed, since
-    free groups are torsion-free.
+
+def power_root_closure(a: Word, i: int, l: int) -> RootClosureResult:
+    """Whether <a^i> is closed under l-th roots, for a a maximal root (or
+    empty) and i >= 1.
+
+    The subgroup is closed exactly when gcd(i, l) = 1; for d = gcd(i, l) > 1
+    the witness is a^(i/d), whose l-th power a^(i * l/d) lies in the
+    subgroup. Proof of closure when d = 1: if w^l = a^(ij) with j != 0,
+    then w centralizes a^(ij), and centralizers in a free group are cyclic,
+    generated by the maximal root (Lyndon-Schupp, Combinatorial Group
+    Theory, 1977), so w = a^k with lk = ij; as gcd(i, l) = 1, i divides k
+    and w lies in <a^i>. (For j = 0, w^l = 1 forces w = 1.)
     """
     if l < 2:
         raise InputError("root index l must be at least 2")
-    if not c:
-        return RootClosureResult(True, None)
-    a, i = maximal_root(c)
     d = gcd(i, l)
     if d == 1:
         return RootClosureResult(True, None)

@@ -179,7 +179,7 @@ def make_hypertournament(
     _check_arities(L)
     index = {v: i for i, v in enumerate(universe)}
     codes = {
-        l: _parse_tuples(frozenset(tuple(t) for t in relations.get(l, ())), index, l)
+        l: _parse_tuples(frozenset(map(tuple, relations.get(l, ()))), index, l)
         for l in sorted(L)
     }
     return Hypertournament(universe, L, codes)
@@ -314,7 +314,7 @@ def validate(h: Hypertournament) -> tuple[bool, Violation | None]:
         shifted = codes
         for _ in range(l - 1):
             shifted = _shift(shifted, n, l)
-            cyclic &= np.isin(shifted, codes)
+            cyclic &= _contains(codes, shifted)
         if cyclic.any():
             witness = code_labels(codes[cyclic][:1], h.universe, l)[0]
             return False, Violation("cycle", l, tuple(witness))
@@ -429,6 +429,56 @@ def is_subtadpole(g: LabeledGraph) -> bool:
 # -- orbit structures ---------------------------------------------------------------
 
 
+def _seed_orbits(
+    seeds: Iterable, position: Mapping, labels: np.ndarray | None, l: int
+) -> np.ndarray:
+    """The union of the orbits of the seeds at arity l over the n**l codes,
+    n the size of the universe. Raises on the first seed that completes a
+    cycle, by the stage rule of :func:`orbit_structure`, or on the first
+    bad seed, whichever comes first. Only the held codes and their shifts
+    are looked at."""
+    n = len(position)
+    seeds = list(seeds)
+    misfit = np.fromiter(map(len, seeds), dtype=np.int64, count=len(seeds)) != l
+    m = int(misfit.argmax()) if misfit.any() else len(seeds)  # the seeds of length l first
+    head = itertools.chain.from_iterable(itertools.islice(seeds, m))
+    digits = np.fromiter(
+        map(position.get, head, itertools.repeat(-1)),
+        dtype=np.int32,
+        count=l * m,
+    ).reshape(-1, l)
+    ordered = np.sort(digits, axis=1)  # -1 marks a label outside the universe
+    wrong = (ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if wrong.any():
+        m = int(wrong.argmax())
+    positive = np.zeros(n**l, dtype=bool)
+    if m:
+        # each seed orbit, by its label, and its stage
+        orbits, stage = np.unique(labels[_encode(digits[:m], n, np.int32)], return_index=True)
+        positive[orbits] = True  # marks orbit labels, then the codes that carry them
+        positive = positive[labels]
+        cycle = np.flatnonzero(positive).astype(np.int32)
+        latest = stage[np.searchsorted(orbits, labels[cycle])]
+        for _ in range(l - 1):
+            cycle = _shift(cycle, n, l)
+            held = positive[cycle]
+            cycle = cycle[held]
+            latest = np.maximum(latest[held], stage[np.searchsorted(orbits, labels[cycle])])
+        if len(latest):
+            seed = tuple(seeds[latest.min()])
+            raise ForcedCycleError(
+                f"the orbit of seed {seed} closes a cycle at arity {l}",
+                orbit_representative=seed,
+                l=l,
+            )
+    if m < len(seeds):
+        seed = tuple(seeds[m])
+        if len(seed) != l or len(set(seed)) != l:
+            raise InputError(f"seed {seed} is not an arity-{l} tuple of distinct points")
+        raise InputError(f"seed {seed} uses labels outside the universe")
+    return positive
+
+
 def orbit_structure(
     universe: Iterable,
     generators: Iterable[Mapping | Iterable[tuple]],
@@ -444,6 +494,15 @@ def orbit_structure(
     l-subsets then receive the lexicographically least arrangement whose
     orbit closes no cycle. An l-subset all of whose arrangements force a
     cycle signals a root-closure failure in the acting group.
+
+    Seeds are read in order, as if their orbits were added one at a time;
+    a bad seed raises InputError unless an earlier seed closed a cycle. The
+    stage of a seed orbit is the index of its first seed, and a cycle of
+    shifts (t, shift t, ...) is complete once all of its tuples are held,
+    at the latest stage among them. ForcedCycleError names the seed of the
+    least stage at which some cycle completes: the first seed whose orbit,
+    added to the orbits before it, would hold a whole cycle. So one pass
+    over the held codes and their shifts stands for the seed-by-seed loop.
 
     Tuples are handled as tuple codes, whose order is the lexicographic one
     (see :func:`validate`), and orbits are labelled by their smallest code.
@@ -481,29 +540,7 @@ def orbit_structure(
     for l in sorted(L):
         # a valid seed needs n >= l, so the orbit arrays exist when one is met
         labels = _orbit_labels(n, l, steps) if n >= l else None
-        positive = np.zeros(n**l, dtype=bool)
-        for seed in (seeds or {}).get(l, ()):  # carry over given relations
-            seed = tuple(seed)
-            if len(seed) != l or len(set(seed)) != l:
-                raise InputError(f"seed {seed} is not an arity-{l} tuple of distinct points")
-            if not set(seed) <= set(universe):
-                raise InputError(f"seed {seed} uses labels outside the universe")
-            code = sum(position[x] * n ** (l - 1 - k) for k, x in enumerate(seed))
-            if positive[code]:
-                continue
-            orbit = np.flatnonzero(labels == labels[code])
-            closes = np.ones(len(orbit), dtype=bool)
-            shifted = orbit
-            for _ in range(l - 1):
-                shifted = _shift(shifted, n, l)
-                closes &= positive[shifted] | (labels[shifted] == labels[code])
-            if closes.any():
-                raise ForcedCycleError(
-                    f"the orbit of seed {seed} closes a cycle at arity {l}",
-                    orbit_representative=seed,
-                    l=l,
-                )
-            positive[orbit] = True
+        positive = _seed_orbits((seeds or {}).get(l, ()), position, labels, l)
         if n >= l:
             subsets = np.fromiter(
                 itertools.chain.from_iterable(itertools.combinations(range(n), l)),

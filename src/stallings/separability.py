@@ -32,7 +32,7 @@ from .errors import (
     RootClosureError,
     SearchCapError,
 )
-from .fiber import cyclic_root_closure
+from .fiber import power_root_closure
 from .words import Word, empty_word, maximal_root, power_exponent
 
 Perm = tuple[int, ...]
@@ -713,9 +713,14 @@ def separate_maximal_cyclic(
     _, exponent = maximal_root(a)
     if exponent != 1:
         raise PreconditionError(f"{a} is a proper power, not a maximal root")
-    n = max(a.n, g.n)
     if power_exponent(g, a) is not None:
         raise PreconditionError(f"{g} lies in the cyclic subgroup of {a}")
+    return _separate_maximal_root(a, g, p, bound, seed)
+
+
+def _separate_maximal_root(a: Word, g: Word, p: int, bound: int, seed: int) -> SeparationWitness:
+    """:func:`separate_maximal_cyclic` once its preconditions are known."""
+    n = max(a.n, g.n)
     constraint: Constraint = ((g, a), (empty_word(n), a))
     quotient, examined = _constraint_search(
         n, p, constraint, bound, "separate_maximal_cyclic", seed
@@ -739,7 +744,8 @@ def separate_from_cyclic(
 
     Both are decided on words: with c = a^i, a its maximal root, g lies in
     <c> exactly when g = a^e with i | e, and <c> is closed under l-th roots
-    exactly when gcd(i, l) = 1 (:func:`fiber.cyclic_root_closure`).
+    exactly when gcd(i, l) = 1 (:func:`fiber.power_root_closure`). The
+    maximal root is taken once.
     """
     L = frozenset(L)
     for l in sorted(L):
@@ -748,15 +754,15 @@ def separate_from_cyclic(
     if not c:
         raise InputError("cyclic generator must be nontrivial")
     n = max(c.n, g.n)
+    a, i = maximal_root(c)
     for l in sorted(L):
-        res = cyclic_root_closure(c, l)
+        res = power_root_closure(a, i, l)
         if not res.closed:
             raise RootClosureError(
                 f"the subgroup of {c} is not closed under {l}-th roots",
                 witness=res.witness,
                 l=l,
             )
-    a, i = maximal_root(c)
     e = power_exponent(g, a)
     if e is not None and e % i == 0:
         raise PreconditionError(f"{g} lies in the cyclic subgroup of {c}")
@@ -764,7 +770,7 @@ def separate_from_cyclic(
     if e is None:
         # Case 1: g avoids even the maximal cyclic subgroup
         p = smallest_prime_not_in(L)
-        base = separate_maximal_cyclic(a, g, p, bound, seed)
+        base = _separate_maximal_root(a, g, p, bound, seed)
         quotient = base.quotient
         _require_separated(quotient, c, g)
         transcript = base.transcript + (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Any, Iterator, Mapping
 
@@ -118,9 +118,9 @@ def json_blocks(payload) -> Iterator[str]:
     second from its columns by one template per combination of its bool
     values; lists of plain ints (``type(x) is int``, so no bools) and lists
     of equal-width rows of them are formatted by one ``%d`` template per
-    piece; and every other subtree goes to the json module, its line breaks
-    indented to the depth it sits at (JSON strings never hold a raw
-    newline)."""
+    piece, and a list of such lists item by item; and every other subtree
+    goes to the json module, its line breaks indented to the depth it sits
+    at (JSON strings never hold a raw newline)."""
     buffer: list[str] = []
     size = 0
     for piece in _pieces(payload, 0):
@@ -150,6 +150,14 @@ def _pieces(value, level: int) -> Iterator[str]:
     if width is not None:
         yield from _int_array(value, width, level)
         return
+    widths = _int_arrays_widths(value) if type(value) is list else None
+    if widths is not None:
+        outer = "\n" + "  " * (level + 1)
+        for i, (item, width) in enumerate(zip(value, widths)):
+            yield ("[" if i == 0 else ",") + outer
+            yield from _int_array(item, width, level + 1)
+        yield "\n" + "  " * level + "]"
+        return
     if value is None or type(value) in (str, int, float, bool):
         yield json.dumps(value)  # the C encoder: no indent to apply
         return
@@ -172,6 +180,19 @@ def _int_array_width(value: list) -> int | None:
             if set(map(type, chain.from_iterable(value))) == {int}:
                 return width
     return None
+
+
+def _int_arrays_widths(value: list) -> list[int] | None:
+    """The width of each item of a nonempty list of nonempty lists that
+    ``_int_array_width`` accepts, None for anything else. It stops at the
+    first other item, so a list of mixed rows costs one check."""
+    widths = []
+    for item in value:
+        width = _int_array_width(item) if type(item) is list else None
+        if width is None:
+            return None
+        widths.append(width)
+    return widths or None
 
 
 def _int_array(value: list, width: int, level: int) -> Iterator[str]:
@@ -219,7 +240,7 @@ def _rows_text(rows: RelationRows, level: int) -> Iterator[str]:
         return
     outer = "\n" + "  " * (level + 1)
     inner = outer + "  "
-    texts = [_ENCODER.encode(v).replace("\n", inner) for v in rows.labels]
+    texts = ["".join(_pieces(v, level + 2)) for v in rows.labels]
     table = np.empty((width, len(texts)), dtype=object)
     for k in range(width):
         before = "," + outer + "[" + inner if k == 0 else "," + inner
@@ -504,12 +525,14 @@ def hypertournament_from_dict(d: Mapping) -> Hypertournament:
             raise InputError(f"relation arity {key!r} is not an integer") from exc
         if not isinstance(tuples, list):
             raise InputError(f"relation {key!r} is not a list of tuples")
-        rows = []
-        for t in tuples:
-            if not isinstance(t, (list, tuple)):
-                raise InputError(f"relation tuple {t!r} is not a list")
-            rows.append(tuple(_freeze(x) for x in t))
-        relations[l] = rows
+        if not all(map(isinstance, tuples, repeat((list, tuple)))):
+            bad = next(t for t in tuples if not isinstance(t, (list, tuple)))
+            raise InputError(f"relation tuple {bad!r} is not a list")
+        # _freeze changes only lists (tuple labels) and refuses objects
+        kinds = set(map(type, chain.from_iterable(tuples)))
+        if any(issubclass(kind, (list, dict)) for kind in kinds):
+            tuples = [tuple(map(_freeze, t)) for t in tuples]
+        relations[l] = tuples
     return make_hypertournament(universe, L, relations)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -24,7 +25,7 @@ from stallings import (
     separability,
     subgroup_graph,
 )
-from stallings import cli, fiber, graphs
+from stallings import cli, fiber, graphs, words
 from stallings.cli import main
 from stallings.serialize import BLOCK_CHARS
 
@@ -79,7 +80,7 @@ def test_failed_postcondition_is_error_json(monkeypatch):
     # A root-closure check that wrongly passes <a^2> for l = 2 lets
     # separate_from_cyclic reach its gcd-rule postcondition.
     monkeypatch.setattr(
-        separability, "cyclic_root_closure", lambda c, l: RootClosureResult(True, None)
+        separability, "power_root_closure", lambda a, i, l: RootClosureResult(True, None)
     )
     result = _invoke("separate", "--cyclic", "aa", "--word", "a", "--L", "2")
     assert result.exit_code == 1, result.output
@@ -156,6 +157,39 @@ def test_eppa_extend_output_is_pinned(tmp_path, name):
     payload = json.loads(result.stdout)
     assert payload["verified"] is True
     assert payload["size"] == size == len(payload["extended"]["universe"])
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def _random_structure(l: int, n: int) -> list:
+    """A random tournament (l = 2) or 3-hypertournament (l = 3) on range(n),
+    one arrangement per l-subset, drawn from a fixed seed."""
+    rng = random.Random(f"eppa-scale/{l}/{n}")
+    relation = []
+    for subset in itertools.combinations(range(n), l):
+        arrangement = list(subset)
+        rng.shuffle(arrangement)
+        relation.append(arrangement)
+    return relation
+
+
+# Digests of eppa-extend on larger random inputs with the one-pair map
+# {0 -> 1}, taken from the seed-at-a-time orbit completion: 38 points under
+# Z/2 at arity 3, and 237 points under Z/3 at arity 2.
+_EPPA_SCALE_CASES = {
+    (3, 20): (38, "05bd512ac5338c4128fddd5f390df44bbc340f09b66ebe280d0b9b0df271600c"),
+    (2, 80): (237, "1c50b5e544789c078d60100afe3db253006a2e931d36eb56fb517323362089ca"),
+}
+
+
+@pytest.mark.parametrize("l, n", sorted(_EPPA_SCALE_CASES))
+def test_eppa_extend_output_is_pinned_at_scale(tmp_path, l, n):
+    size, digest = _EPPA_SCALE_CASES[l, n]
+    structure = _structure_file(tmp_path, list(range(n)), l, _random_structure(l, n))
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1}}])
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["verified"] is True and payload["size"] == size
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
@@ -632,9 +666,10 @@ def test_separate_branch_output_is_pinned(case):
 
 
 def test_separate_builds_no_subgroup_graph(monkeypatch):
-    # membership in a cyclic subgroup and its root closure are decided on words
+    # membership in a cyclic subgroup and its root closure are decided on
+    # words, from the one maximal root of c
     calls = []
-    for original in (graphs.subgroup_graph, fiber.is_l_root_closed):
+    for original in (graphs.subgroup_graph, fiber.is_l_root_closed, words.maximal_root):
         def spy(*args, _original=original, **kwargs):
             calls.append(_original.__name__)
             return _original(*args, **kwargs)
@@ -646,8 +681,9 @@ def test_separate_builds_no_subgroup_graph(monkeypatch):
     cases = [args for args, *_ in _SEPARATE_CASES.values()]
     cases += [args for args, _ in _SEPARATE_BRANCH_CASES.values()]
     for args in cases:
+        calls.clear()
         assert _invoke("separate", *args).exit_code == 0
-    assert calls == []
+        assert calls == ["maximal_root"], args
 
 
 def test_separate_closes_the_witness_group_once(monkeypatch):

@@ -141,6 +141,53 @@ def test_orbit_structure_detects_forced_cycles():
         orbit_structure([0, 1], [{0: 1, 1: 0}], [2])
 
 
+def _forced_cycle_seed(universe, gens, l, seeds):
+    with pytest.raises(ForcedCycleError) as caught:
+        orbit_structure(universe, gens, [l], {l: seeds})
+    assert caught.value.details["l"] == l
+    return caught.value.details["orbit_representative"]
+
+
+def test_a_cycle_closed_before_a_bad_seed_is_reported_first():
+    swap = [{0: 1, 1: 0}]  # the orbit of (0, 1) holds its shift (1, 0)
+    assert _forced_cycle_seed(range(4), swap, 2, [(2, 3), (0, 1), (0, 0)]) == (0, 1)
+    assert _forced_cycle_seed(range(4), swap, 2, [(0, 1), (0, 9)]) == (0, 1)
+    # the rotation's third tuple completes it: stage 2, before the bad seed
+    rotations = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 1)]
+    assert _forced_cycle_seed(range(4), [], 3, rotations) == (2, 0, 1)
+
+
+def test_a_bad_seed_before_the_cycle_raises_input_error():
+    with pytest.raises(InputError, match="distinct"):
+        orbit_structure(range(4), [{0: 1, 1: 0}], [2], {2: [(2, 3), (0, 0), (0, 1)]})
+    with pytest.raises(InputError, match="outside"):
+        orbit_structure(range(4), [], [3], {3: [(0, 1, 2), (1, 2, 0), (1, 2, 9), (2, 0, 1)]})
+    with pytest.raises(InputError, match="arity-2"):
+        orbit_structure(range(4), [{0: 1, 1: 0}], [2], {2: [(0, 1, 2), (0, 1)]})
+
+
+def test_repeated_seeds_and_seeds_of_one_orbit_report_the_earlier_seed():
+    swap = [{0: 1, 1: 0}]
+    assert _forced_cycle_seed(range(4), swap, 2, [(2, 3), (1, 0), (2, 3), (0, 1)]) == (1, 0)
+    assert _forced_cycle_seed(range(4), swap, 2, [(1, 0), (1, 0)]) == (1, 0)
+    # (0, 2) and (1, 3) share an orbit under the pair map; repeats change nothing
+    pair = [{0: 1, 2: 3}]
+    once = orbit_structure(range(4), pair, [2], {2: [(0, 2)]})
+    again = orbit_structure(range(4), pair, [2], {2: [(1, 3), (0, 2), (1, 3), (0, 2)]})
+    assert again == once and {(0, 2), (1, 3)} <= once.relation_map[2]
+
+
+def test_a_cycle_can_close_only_through_an_earlier_seed_orbit():
+    # (2, 0) and its orbit-mate (3, 1) are the shifts of (0, 2) and (1, 3),
+    # which the first seed's orbit holds: the later seed is reported
+    pair = [{0: 1, 2: 3}]
+    assert _forced_cycle_seed(range(4), pair, 2, [(1, 3), (0, 1), (3, 1)]) == (3, 1)
+    assert _forced_cycle_seed(range(4), pair, 2, [(3, 1), (0, 1), (0, 2)]) == (0, 2)
+    # at arity 3 a cycle needs three orbits: (2, 3, 1) never joins (1, 2, 3), (3, 1, 2)
+    seeds = [(1, 2, 3), (0, 1, 2), (1, 2, 0), (0, 1, 3), (2, 0, 1), (3, 1, 2)]
+    assert _forced_cycle_seed(range(4), [], 3, seeds) == (2, 0, 1)
+
+
 def test_orbit_structure_input_checks():
     with pytest.raises(NotInjectiveError):
         orbit_structure([0, 1, 2], [{0: 2, 1: 2}], [2])
@@ -367,7 +414,7 @@ def _random_partial_injection(rng: random.Random, points: list) -> dict:
 def test_orbit_structure_matches_the_tuple_at_a_time_reference():
     rng = random.Random(7)
     outcomes = {"built": 0, "seed_cycle": 0, "subset_cycle": 0}
-    for trial in range(240):
+    for trial in range(480):
         l = 2 if trial % 2 else 3
         k = rng.randint(l, 7 if l == 2 else 6)
         if trial % 3 == 0:
@@ -375,7 +422,7 @@ def test_orbit_structure_matches_the_tuple_at_a_time_reference():
         else:
             universe = sorted(rng.sample(range(40), k))
         gens = [_random_partial_injection(rng, universe) for _ in range(rng.randint(0, 2))]
-        seeds = {l: [tuple(rng.sample(universe, l)) for _ in range(rng.randint(0, 3))]}
+        seeds = {l: [tuple(rng.sample(universe, l)) for _ in range(rng.randint(0, 8))]}
         try:
             expected = oracles.oracle_orbit_structure(universe, gens, [l], seeds)
         except ForcedCycleError as exc:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stallings import (
     InputError,
     Word,
+    eppa_extend,
     family_from_list,
     family_to_list,
     graph_from_dict,
@@ -168,6 +169,55 @@ def test_json_blocks_split_int_arrays_on_block_boundaries(width):
         blocks = list(json_blocks(payload))
         assert _mismatch("".join(blocks), json.dumps(payload, indent=2, sort_keys=True)) is None
         assert max(len(b) for b in blocks) <= BLOCK_CHARS
+
+
+_WIDE = list(range(-1, BLOCK_ITEMS + 1))
+_NESTED_INT_LISTS = {
+    "automorphisms": [[[0, 1], [1, 2], [2, 0]], [[0, 0], [1, 1], [2, 2]]],
+    "ragged rows": [[1, 2], [3], [4, 5, 6]],
+    "items of different widths": [[7, 8, 9], [[4, 5], [6, 7]], [[1, 2, 3]]],
+    "an empty inner list": [[[0, 1]], []],
+    "an empty row": [[[0, 1]], [[]]],
+    "only empty lists": [[], []],
+    "int rows and a string row": [[[0, 1], [1, 0]], ["a", "b"]],
+    "an int row beside a row of string rows": [[0, 1], [["a"]]],
+    "bools among the ints": [[[0, 1]], [[True, 1]]],
+    "rows wider than a block": [_WIDE, _WIDE[:3]],
+    "row lists wider than a block": [[_WIDE, _WIDE], [[0, 1]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_INT_LISTS))
+def test_json_blocks_write_lists_of_int_arrays_as_the_json_module_does(name):
+    value = _NESTED_INT_LISTS[name]
+    for payload in (value, {"automorphisms": value, "z": {"inner": [value]}}):
+        expected = json.dumps(payload, indent=2, sort_keys=True)
+        assert _mismatch("".join(json_blocks(payload)), expected) is None
+
+
+def test_relation_rows_write_int_str_and_list_labels_at_two_depths():
+    labels = (3, -1, "x", "", [0, 1], [[0, 1], [2, 3]], [[[1, 2]], [[3]]], [], [["a"], 1], [True])
+    digits = np.array([[i, (i * 3 + 1) % len(labels)] for i in range(len(labels))], dtype=np.int32)
+    rows = RelationRows(labels, digits)
+    for payload, plain in (
+        (rows, rows.tolist()),
+        ({"outer": {"inner": {"2": rows}}}, {"outer": {"inner": {"2": rows.tolist()}}}),
+    ):
+        expected = json.dumps(plain, indent=2, sort_keys=True)
+        assert _mismatch("".join(json_blocks(payload)), expected) is None
+
+
+def test_json_blocks_write_an_extension_without_the_pure_python_encoder(monkeypatch):
+    # Only dict keys go through the encoder, by its C string path.
+    pairs = [(x, y) for x in range(6) for y in range(x + 1, 6)]
+    host = make_hypertournament(range(6), [2], {2: pairs})
+    family = make_family(host, [{0: 5}, {1: 4}])
+    payload = serialize.extension_to_dict(eppa_extend(host, family))
+    extended = payload["extended"]
+    plain = {**extended, "relations": {"2": extended["relations"]["2"].tolist()}}
+    expected = json.dumps({**payload, "extended": plain}, indent=2, sort_keys=True)
+    monkeypatch.setattr(serialize._ENCODER, "iterencode", None)
+    assert "".join(json_blocks(payload)) == expected
 
 
 def test_json_blocks_write_near_miss_record_lists_as_the_json_module_does():
