@@ -137,29 +137,42 @@ class FpMatrix(_Residues):
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p and its pivot columns. Rows from the
-    current pivot row down are zero left of the current column, so each
-    pivot clears its column with one update of the rows that are nonzero
-    there, from that column on."""
+    current pivot row down are zero mod p left of the current column, so
+    each pivot clears its column with one update of the rows that are
+    nonzero there, from that column on.
+
+    Reduction is lazy: each step reduces only the current column and the
+    pivot row mod p, so an update adds at most (p - 1)^2 to the size of an
+    entry, and the whole matrix is reduced once at the end. It is reduced
+    early whenever the next update could take an entry past 2^62, far
+    inside int64."""
     m = a % p
     rows, cols = m.shape
     pivots = []
+    size = p - 1  # no entry of m exceeds this in absolute value
+    step = (p - 1) ** 2
     r = 0
     for c in range(cols):
         if r == rows:
             break
+        m[:, c] %= p
         below = np.flatnonzero(m[r:, c])
         if not below.size:
             continue
         hit = r + below[0]
         if hit != r:
             m[[r, hit]] = m[[hit, r]]
-        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), p - 2, p)) % p
+        if size + step > 1 << 62:
+            m %= p
+            size = p - 1
+        m[r, c:] = (m[r, c:] % p * pow(int(m[r, c]), p - 2, p)) % p
         others = np.flatnonzero(m[:, c])
         others = others[others != r]
-        m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+        m[others, c:] -= np.outer(m[others, c], m[r, c:])
+        size += step
         pivots.append(c)
         r += 1
-    return m, tuple(pivots)
+    return m % p, tuple(pivots)
 
 
 # -- chain complexes ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -49,6 +49,8 @@ from .graphs import (
     make_graph,
 )
 from .separability import (
+    CosetClause,
+    CosetSystem,
     FiniteQuotient,
     Perm,
     left_coset,
@@ -234,19 +236,25 @@ def _code_dtype(n: int, l: int):
 
 
 def _encode(digits: np.ndarray, n: int, dtype) -> np.ndarray:
-    """Codes of the rows of an (m, l) array of universe positions."""
+    """Codes of the rows of an (..., l) array of universe positions, the
+    last axis read as the digits of one tuple."""
     digits = digits.astype(dtype, copy=False)
-    codes = np.zeros(len(digits), dtype=dtype)
-    for k in range(digits.shape[1]):
-        codes = codes * n + digits[:, k]
+    codes = np.zeros(digits.shape[:-1], dtype=dtype)
+    for k in range(digits.shape[-1]):
+        codes = codes * n + digits[..., k]
     return codes
 
 
 def _decode(codes: np.ndarray, n: int, l: int) -> np.ndarray:
-    """The (m, l) int32 array of universe positions of each code."""
-    return np.stack(
-        [(codes // n ** (l - 1 - k) % n).astype(np.int32) for k in range(l)], axis=1
-    )
+    """The (m, l) int32 array of universe positions of each code, read from
+    the last digit up."""
+    out = np.empty((len(codes), l), dtype=np.int32)
+    rest = codes
+    for k in range(l - 1, 0, -1):
+        out[:, k] = rest % n
+        rest = rest // n
+    out[:, 0] = rest
+    return out
 
 
 def _contains(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -258,11 +266,30 @@ def _contains(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return found
 
 
+@lru_cache(maxsize=8)
 def _permutation_digits(k: int, l: int) -> np.ndarray:
-    """The (m, l) int32 array of ``itertools.permutations(range(k), l)``,
-    in its order."""
-    rows = itertools.permutations(range(k), l)
-    return np.array(list(rows), dtype=np.int32).reshape(-1, l)
+    """The read-only (m, l) int32 array of
+    ``itertools.permutations(range(k), l)``, in its order, which is code
+    order. It is built a column at a time: each row is followed by the
+    digits it does not hold yet, in increasing order. The table is shared
+    by every caller of one (k, l)."""
+    rows = np.zeros((1, 0), dtype=np.int32)
+    for _ in range(l):
+        free = np.ones((len(rows), k), dtype=bool)
+        free[np.arange(len(rows))[:, None], rows] = False
+        row, digit = np.nonzero(free)
+        rows = np.column_stack([rows[row], digit.astype(np.int32)])
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _permutation_codes(k: int, l: int) -> np.ndarray:
+    """The sorted, read-only codes of :func:`_permutation_digits` over k
+    points, in the code dtype of k points."""
+    codes = _encode(_permutation_digits(k, l), k, _code_dtype(k, l))
+    codes.setflags(write=False)
+    return codes
 
 
 def _related(h: Hypertournament, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -548,10 +575,7 @@ def orbit_structure(
                 count=comb(n, l) * l,
             ).reshape(-1, l)
             # column j: the j-th arrangement of each subset in code order
-            arrangements = np.stack(
-                [_encode(subsets[:, list(p)], n, np.int32) for p in itertools.permutations(range(l))],
-                axis=1,
-            )
+            arrangements = _encode(subsets[:, _permutation_digits(l, l)], n, np.int32)
             orbit_of = labels[arrangements]
             forced = np.zeros(n**l, dtype=bool)
             forced[orbit_of[labels[_shift(arrangements, n, l)] == orbit_of]] = True
@@ -616,6 +640,12 @@ def eppa_extend(
     and completed. The result passes one full :func:`verify_extension`
     audit before it is returned; a failed audit or any other broken
     postcondition raises :class:`PostconditionError`.
+
+    The coset system is built on arrays (:func:`_coset_system`): each
+    constraint is a row of clause ids, the relation constraints come from
+    one sort-and-search join of the free and the related tuples of each
+    arity on their component patterns, and each clause word is built once.
+    A constraint that no quotient separates is named from its index.
     """
     if p.host != m:
         raise InputError("family is not over the given hypertournament")
@@ -660,43 +690,16 @@ def eppa_extend(
                     l=l,
                 )
 
-    h = {x: loops[component[x]] for x in points}
-    empty = empty_word(k)
-    constraints = []
-    labels: list[tuple] = []
-    for x, y in itertools.combinations(points, 2):
-        if component[x] == component[y]:
-            constraints.append(((w[x].inverse() * w[y], h[x]), (empty, h[x])))
-            labels.append(("embedding", x, y))
-    # the relation clauses share one word per (y, z) pair and one conjugate
-    # of the vertex group per y
-    w_inv = {y: w[y].inverse() for y in points}
-    coset_word = {
-        (y, z): w[z] * w_inv[y] for y in points for z in points if component[y] == component[z]
-    }
-    stabilizer = {y: w[y] * h[y] * w_inv[y] if h[y] is not None else None for y in points}
-    for l, codes in m.codes.items():
-        every = _encode(_permutation_digits(n, l), n, codes.dtype)
-        free = every[~_contains(codes, every)]
-        related: dict[tuple, list[tuple]] = {}
-        for ys in map(tuple, code_labels(codes, points, l).tolist()):
-            related.setdefault(tuple(component[y] for y in ys), []).append(ys)
-        for zs in map(tuple, code_labels(free, points, l).tolist()):
-            for ys in related.get(tuple(component[z] for z in zs), ()):
-                constraints.append(
-                    tuple((coset_word[y, z], stabilizer[y]) for y, z in zip(ys, zs))
-                )
-                labels.append(("relation", ys, zs))
-
+    system, label = _coset_system(m, k, component, w, loops)
     try:
-        q = separate_coset_system(constraints, k, m.L, bound, seed)
+        q = separate_coset_system(system, k, m.L, bound, seed)
     except SearchCapError as exc:
         index = exc.details.get("constraint_index")
-        if index is not None and index < len(labels):
+        if index is not None and index < len(system):
             raise SearchCapError(
-                f"no quotient separates {labels[index]}",
+                f"no quotient separates {label(index)}",
                 constraint_index=index,
-                label=labels[index],
+                label=label(index),
             ) from exc
         raise
 
@@ -734,6 +737,102 @@ def eppa_extend(
     if not verify_extension(result, m, p):
         raise PostconditionError("extension failed its own audit")
     return result
+
+
+def _coset_system(
+    m: Hypertournament, k: int, component: Mapping, w: Mapping, loops: Sequence[Word | None]
+) -> tuple[CosetSystem, Callable[[int], tuple]]:
+    """The coset system of :func:`eppa_extend` as rows of clause ids, and
+    the label of each constraint by its index.
+
+    The embedding constraints come first, one per pair x < y of points of
+    one component: (w_x^-1 w_y, H) against (1, H), H the component's vertex
+    group. A relation constraint pairs a free tuple zs with a related tuple
+    ys whose points lie, position by position, in the same components; its
+    clause j is the coset w_{z_j} w_{y_j}^-1 of the conjugate
+    w_{y_j} H w_{y_j}^-1. Per arity, the pairs are a join of the free and
+    the related tuples on the code of their component pattern: free tuple
+    first, then related tuple, both in code order.
+
+    A clause is first named by a raw id: the embedding pair's index, then
+    one (1, H) clause per component, then n * y + z for the relation clause
+    of (y, z). The raw ids that occur are numbered in increasing order, and
+    only their clauses are built, each once."""
+    points = m.universe
+    n = len(points)
+    comp = np.array([component[x] for x in points], dtype=np.int32)
+    c = len(loops)
+    first, second = np.nonzero(comp[:, None] == comp)
+    first, second = first[first < second], second[first < second]  # x < y, in combinations order
+    base = len(first) + c
+    embedding = np.empty((len(first), 2), dtype=np.intp)
+    embedding[:, 0] = np.arange(len(first))
+    embedding[:, 1] = len(first) + comp[first]
+    raw = [embedding]
+    pairs = []
+    for l, codes in m.codes.items():
+        rows = _permutation_digits(n, l)
+        free = np.ones(len(rows), dtype=bool)
+        free[np.searchsorted(_permutation_codes(n, l), codes)] = False
+        related = ~free
+        pattern = _encode(comp[rows], c, _code_dtype(c, l))
+        f, r = _pattern_join(pattern[free], pattern[related])
+        ys, zs = rows[related][r], rows[free][f]
+        pairs.append((ys, zs))
+        raw.append(base + n * ys.astype(np.intp) + zs)
+    named = np.zeros(base + n * n, dtype=bool)
+    for ids in raw:
+        named[ids] = True
+    number = np.cumsum(named) - 1
+    blocks = [number[ids] for ids in raw]
+
+    # per point: its path word, the word's inverse and its stabilizer, the
+    # conjugate of its component's vertex group
+    wp = [w[x] for x in points]
+    w_inv = [word.inverse() for word in wp]
+    hp = [loops[j] for j in comp.tolist()]
+    stabilizer = [word * h * inv if h is not None else None for word, h, inv in zip(wp, hp, w_inv)]
+    empty = empty_word(k)
+
+    def clause(i: int) -> CosetClause:
+        if i < len(first):
+            x, y = int(first[i]), int(second[i])
+            return (w_inv[x] * wp[y], hp[x])
+        if i < base:
+            return (empty, loops[i - len(first)])
+        y, z = divmod(i - base, n)
+        return (wp[z] * w_inv[y], stabilizer[y])
+
+    system = CosetSystem(map(clause, np.flatnonzero(named).tolist()), blocks)
+
+    def label(index: int) -> tuple:
+        if index < len(first):
+            return ("embedding", points[int(first[index])], points[int(second[index])])
+        index -= len(first)
+        for ys, zs in pairs:
+            if index < len(ys):
+                return (
+                    "relation",
+                    tuple(points[y] for y in ys[index].tolist()),
+                    tuple(points[z] for z in zs[index].tolist()),
+                )
+            index -= len(ys)
+        raise IndexError("no such constraint")
+
+    return system, label
+
+
+def _pattern_join(free: np.ndarray, related: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (f, r) with ``free[f] == related[r]``, ordered by f and
+    then by r: the related codes are sorted stably, and each free code
+    finds its run of equal related codes by ``searchsorted``."""
+    order = np.argsort(related, kind="stable")
+    related = related[order]
+    lo = np.searchsorted(related, free, "left")
+    counts = np.searchsorted(related, free, "right") - lo
+    f = np.repeat(np.arange(len(free)), counts)
+    r = order[np.arange(len(f)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    return f, r
 
 
 def _coset_space(
@@ -785,11 +884,11 @@ def verify_extension(
         if not set(e.values()) <= set(ext.universe):
             return False
         index = ext.position
-        inner = np.arange(len(m.universe), dtype=np.int32)
         outer = np.array([index[e[x]] for x in m.universe], dtype=np.int32)
-        for l in sorted(m.L):
-            rows = _permutation_digits(len(m.universe), l)
-            if not np.array_equal(_related(m, inner, rows), _related(ext, outer, rows)):
+        k = len(m.universe)
+        for l, codes in m.codes.items():
+            inner = _contains(codes, _permutation_codes(k, l))
+            if not np.array_equal(inner, _related(ext, outer, _permutation_digits(k, l))):
                 return False
         if len(r.automorphisms) != len(p.maps):
             return False

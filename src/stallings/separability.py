@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -194,8 +194,11 @@ def direct_product(*factors: FiniteQuotient) -> FiniteQuotient:
     in the order given.
 
     The image is a subgroup of the full direct product, so the certified
-    order is the product of the factor orders; no closure is computed.
+    order is the product of the factor orders; no closure is computed. One
+    factor is its own product.
     """
+    if len(factors) == 1:
+        return factors[0]
     n = factors[0].n
     if any(f.n != n for f in factors):
         raise InputError("alphabet mismatch in product")
@@ -847,6 +850,83 @@ def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
 # -- coset systems -----------------------------------------------------------------
 
 
+class CosetSystem(Sequence):
+    """A coset system held as rows of clause ids.
+
+    ``clauses`` lists distinct (coset word, generator) clauses, each named
+    by some constraint. The constraints are given as blocks, (m, width) int
+    arrays whose rows are rows of clause ids, and are the blocks' rows in
+    order. ``rows`` stacks them, each row padded to the widest by repeating
+    its last clause, which leaves its coset intersection as it is, and
+    ``widths`` keeps each row's own width. As a Sequence the system yields
+    each constraint as its tuple of clauses, built on demand, so the
+    product tier and :func:`constraint_satisfied` read it as they read a
+    list.
+    """
+
+    def __init__(self, clauses: Sequence[CosetClause], blocks: Iterable[np.ndarray]):
+        blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
+        wide = max((b.shape[1] for b in blocks), default=0)
+        self.clauses = tuple(clauses)
+        padded = [np.zeros((0, wide), dtype=np.intp)]
+        for b in blocks:
+            if b.shape[1] < wide:
+                last = b[:, -1:] if b.shape[1] else np.zeros((len(b), 1), dtype=np.intp)
+                b = np.concatenate([b, last.repeat(wide - b.shape[1], axis=1)], axis=1)
+            padded.append(b)
+        self.rows = np.concatenate(padded)
+        self.widths = list(
+            itertools.chain.from_iterable(itertools.repeat(b.shape[1], len(b)) for b in blocks)
+        )
+
+    @classmethod
+    def of(cls, constraints: Iterable[Constraint]) -> "CosetSystem":
+        """The system of a list of constraints, clauses numbered by the
+        identity of their words, one block per run of constraints of one
+        width."""
+        ids: dict[tuple[int, int], int] = {}
+        clauses: list[CosetClause] = []
+
+        def number(clause: CosetClause) -> int:
+            key = (id(clause[0]), id(clause[1]))
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(clauses)
+                clauses.append(clause)
+            return i
+
+        blocks = []
+        for width, run in itertools.groupby(constraints, len):
+            rows = [list(map(number, cons)) for cons in run]
+            blocks.append(np.array(rows, dtype=np.intp).reshape(len(rows), width))
+        return cls(clauses, blocks)
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = self.rows[index, : self.widths[index]]
+        return tuple(map(self.clauses.__getitem__, row.tolist()))
+
+    def __iter__(self):
+        for row, width in zip(self.rows.tolist(), self.widths):
+            yield tuple(map(self.clauses.__getitem__, row[:width]))
+
+    def word_rows(self) -> tuple[list[Word], np.ndarray]:
+        """The distinct coset words of the clauses, by identity, and
+        ``rows`` with every clause id replaced by its word's index."""
+        index: dict[int, int] = {}
+        word_of = np.fromiter(
+            (index.setdefault(id(word), len(index)) for word, _ in self.clauses),
+            dtype=np.intp,
+            count=len(self.clauses),
+        )
+        words = list({id(word): word for word, _ in self.clauses}.values())
+        return words, word_of[self.rows]
+
+
 def separate_coset_system(
     constraints: Sequence[Constraint],
     n: int,
@@ -856,7 +936,9 @@ def separate_coset_system(
 ) -> FiniteQuotient:
     """One finite quotient of the free group on n letters, of order prime to
     every l in L, in which every constraint's coset intersection is empty.
-    An empty system gets the trivial quotient.
+    An empty system gets the trivial quotient. The constraints may be a
+    :class:`CosetSystem`, rows of clause ids, or any sequence of clause
+    tuples, which is numbered into one.
 
     When there are constraints and every clause generator is trivial, each
     coset is one element and a constraint holds exactly when its clause
@@ -870,33 +952,40 @@ def separate_coset_system(
     satisfied in a product. Otherwise the product tier serves every
     constraint.
 
-    Every constraint is re-verified against the returned quotient; with
-    trivial generators this compares the images of each distinct clause
-    word, evaluated once.
+    On that trivial-generator path each distinct clause word is evaluated
+    once per stage (its exponent sums, its image in N, its image in the
+    returned quotient) and numbered by its value; a constraint's row of
+    clause ids becomes a row of value ids by one gather, and "all clause
+    values equal" is decided over every row at once.
+
+    Every constraint is re-verified against the returned quotient.
     """
     L = frozenset(L)
     for l in sorted(L):
         if not is_prime(l):
             raise InputError(f"{l} in L is not prime")
-    if any(w is not None and w.n > n for cons in constraints for cl in cons for w in cl):
+    system = constraints if isinstance(constraints, CosetSystem) else CosetSystem.of(constraints)
+    if any(w is not None and w.n > n for clause in system.clauses for w in clause):
         raise InputError(f"a constraint word uses letters beyond the {n} given")
-    if constraints and all(g is None for cons in constraints for _, g in cons):
-        sets, sums = _clause_values(constraints, partial(_letter_sums, n=n))
-        obstructed = [(i, cons) for i, (cons, s) in enumerate(zip(constraints, sets)) if len(s) < 2]
-        rest = [(cons, s) for cons, s in zip(constraints, sets) if len(s) > 1]
+    if len(system) and all(g is None for _, g in system.clauses):
+        words, rows = system.word_rows()
+        value, sums = _values(words, partial(_letter_sums, n=n))
+        equal = _all_equal(value[rows])
+        rest = rows[~equal]
         factors = []
-        if obstructed:
+        if equal.any():
+            obstructed = [(i, system[i]) for i in np.flatnonzero(equal).tolist()]
             factors.append(_product_tier(obstructed, n, L, bound, seed))
-            held, _ = _clause_values([cons for cons, _ in rest], factors[0].evaluate)
-            rest = [r for r, h in zip(rest, held) if len(h) < 2]
-        if rest:
-            factors.append(_cyclic_tier([s for _, s in rest], sums, n, L))
+            image, _ = _values(words, factors[0].evaluate)
+            rest = rest[_all_equal(image[rest])]
+        if len(rest):
+            factors.append(_cyclic_tier(value[rest], np.array(sums, dtype=np.int64), n, L))
         q = direct_product(*factors)
-        images, _ = _clause_values(constraints, q.evaluate)
-        failing = (i for i, ids in enumerate(images) if len(ids) < 2)
+        image, _ = _values(words, q.evaluate)
+        failing = iter(np.flatnonzero(_all_equal(image[rows])).tolist())
     else:
-        q = _product_tier(list(enumerate(constraints)), n, L, bound, seed)
-        failing = (i for i, cons in enumerate(constraints) if not constraint_satisfied(q, cons))
+        q = _product_tier(list(enumerate(system)), n, L, bound, seed)
+        failing = (i for i, cons in enumerate(system) if not constraint_satisfied(q, cons))
     index = next(failing, None)
     if index is not None:
         raise SearchCapError(f"constraint {index} fails in {q.name}", constraint_index=index)
@@ -905,33 +994,25 @@ def separate_coset_system(
     return q
 
 
-def _clause_values(
-    constraints: Sequence[Constraint], value: Callable[[Word], object]
-) -> tuple[list[frozenset[int]], list]:
-    """For each constraint, the ids of the distinct values its clause words
-    take, and the list of those values by id. Words are keyed by identity:
-    the clauses of a system share a few word objects, and all of them live
-    as long as the constraints do."""
-    id_of_word: dict[int, int] = {}
-    id_of_value: dict = {}
-    sets = []
-    for cons in constraints:
-        ids = set()
-        for word, _ in cons:
-            i = id_of_word.get(id(word))
-            if i is None:
-                i = id_of_word[id(word)] = id_of_value.setdefault(value(word), len(id_of_value))
-            ids.add(i)
-        sets.append(frozenset(ids))
-    return sets, list(id_of_value)
+def _values(words: Sequence[Word], value: Callable[[Word], object]) -> tuple[np.ndarray, list]:
+    """The id of each word's value, ids in order of first appearance, and
+    the list of those values by id."""
+    ids: dict = {}
+    out = np.fromiter(
+        (ids.setdefault(value(w), len(ids)) for w in words), dtype=np.intp, count=len(words)
+    )
+    return out, list(ids)
 
 
-def _cyclic_tier(
-    sets: Sequence[frozenset[int]], sums: Sequence[tuple[int, ...]], n: int, L: frozenset
-) -> FiniteQuotient:
+def _all_equal(rows: np.ndarray) -> np.ndarray:
+    """Whether all entries of each row are equal; true for empty rows."""
+    return (rows == rows[:, :1]).all(axis=1)
+
+
+def _cyclic_tier(rows: np.ndarray, sums: np.ndarray, n: int, L: frozenset) -> FiniteQuotient:
     """The first Z/q on the moment curve in which every constraint holds,
-    each given as the set of its clauses' distinct exponent-sum vectors
-    (ids into ``sums``), at least two of them.
+    each given as a row of ids into ``sums``, the distinct exponent-sum
+    vectors of the clause words, with at least two distinct ids per row.
 
     In Z/q with letter shifts s, a word maps to a . s, where a is its
     exponent-sum vector; a constraint holds exactly when some difference
@@ -943,13 +1024,6 @@ def _cyclic_tier(
     most V(V - 1)/2 such polynomials up to sign, so a prime q not in L above
     both (k - 1) * V(V - 1)/2 and every |d_j| leaves some t that is a root
     of none: the search ends there at the latest."""
-    sums = np.array(sums, dtype=np.int64)
-    # fewest vectors first: with eppa_extend's systems, the embedding
-    # constraints rule out most shifts before the relation constraints run
-    by_size: dict[int, list[list[int]]] = {}
-    for vectors in set(sets):
-        by_size.setdefault(len(vectors), []).append(list(vectors))
-    groups = [np.array(by_size[size]) for size in sorted(by_size)]
     pairs = len(sums) * (len(sums) - 1) // 2
     limit = max((n - 1) * pairs, int(sums.max() - sums.min()))
     excluded = prod(L)
@@ -963,10 +1037,8 @@ def _cyclic_tier(
         # each clause vector's value at each t; a narrow dtype keeps the
         # gathers below small
         values = (sums @ curve % q).astype(np.min_scalar_type(q - 1))
-        for rows in groups:
-            at = values[rows]
-            survive = (at != at[:, :1]).any(axis=1).all(axis=0)
-            t, values = t[survive], values[:, survive]
+        at = values[rows]
+        t = t[(at != at[:, :1]).any(axis=1).all(axis=0)]
         if t.size:
             shifts = [pow(int(t[0]), j, q) for j in range(n)]
             return FiniteQuotient(n, q, q, tuple(_rotation(q, s) for s in shifts), f"Z/{q}")

@@ -141,6 +141,20 @@ def test_row_reduce_matches_the_row_by_row_reference(monkeypatch):
         assert sol is None or np.array_equal(sol.array, want_sol.array)
 
 
+def test_row_reduce_reduces_early_for_a_prime_near_two_to_the_31():
+    # At p = 2^31 - 1 one update takes an entry near 2^62, so every further
+    # pivot must reduce the whole matrix first; without that int64 wraps.
+    p = 2**31 - 1
+    rng = random.Random(6)
+    for rows, cols in ((6, 6), (9, 14), (14, 9), (12, 12)):
+        a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+        a[rng.randrange(1, rows)] = a[0]  # a dependent row
+        red, pivots = homology._row_reduce(a, p)
+        want_red, want_pivots = oracles.oracle_row_reduce(a.copy(), p)
+        assert pivots == want_pivots and np.array_equal(red, want_red), (rows, cols)
+        assert len(pivots) >= 5
+
+
 def test_solve_reports_unsolvable_systems():
     a = FpMatrix.from_array([[1], [1]], 2)
     b = FpMatrix.from_array([[0], [1]], 2)

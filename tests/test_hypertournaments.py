@@ -657,3 +657,50 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
         assert len(words) <= len(points) ** 2 + len(points) + 1
         checked += len(relation_part)
     assert checked > 500 and loops >= 4, (checked, loops)
+
+
+def test_permutation_digits_match_itertools():
+    from stallings.hypertournaments import _permutation_digits
+
+    for k in range(10):
+        for l in range(1, 5):
+            got = _permutation_digits(k, l)
+            want = np.array(list(itertools.permutations(range(k), l)), dtype=np.int32)
+            assert got.dtype == np.int32 and got.shape == (len(want), l), (k, l)
+            assert np.array_equal(got, want.reshape(-1, l)), (k, l)
+            assert not got.flags.writeable
+            assert _permutation_digits(k, l) is got  # one shared table per (k, l)
+    assert _permutation_digits(2, 3).shape == (0, 3)
+
+
+def test_pattern_join_matches_the_pair_loop():
+    from stallings.hypertournaments import _pattern_join
+
+    rng = random.Random(31)
+    for _ in range(300):
+        free = np.array([rng.randrange(5) for _ in range(rng.randint(0, 12))], dtype=np.intp)
+        related = np.array([rng.randrange(5) for _ in range(rng.randint(0, 12))], dtype=np.intp)
+        f, r = _pattern_join(free, related)
+        want = [(i, j) for i, a in enumerate(free) for j, b in enumerate(related) if a == b]
+        assert list(zip(f.tolist(), r.tolist())) == want
+
+
+@pytest.mark.parametrize(
+    "rows, maps, bound, label, index",
+    [
+        # the swap closes a loop, so the product tier serves the system and
+        # gives up on the first embedding constraint at once
+        ([(0, 2, 1)], [{0: 1, 1: 0}], 0, ("embedding", 0, 1), 0),
+        # a bound of 3 lets the embedding constraint through and stops at
+        # the first relation constraint
+        ([(0, 1, 2)], [{2: 2}, {1: 1, 2: 0}], 3, ("relation", (0, 1, 2), (2, 1, 0)), 1),
+    ],
+)
+def test_search_cap_names_the_constraint_it_gave_up_on(rows, maps, bound, label, index):
+    from stallings.errors import SearchCapError
+
+    m = make_hypertournament(range(3), [3], {3: rows})
+    with pytest.raises(SearchCapError) as caught:
+        eppa_extend(m, make_family(m, maps), bound=bound)
+    assert str(caught.value) == f"no quotient separates {label}"
+    assert caught.value.details == {"constraint_index": index, "label": label}

@@ -30,7 +30,7 @@ from stallings import (
 from stallings import separability
 from stallings.arith import valuation
 from stallings.errors import NotPartialIsomorphismError, SearchCapError
-from stallings.separability import _constraint_search, group_library
+from stallings.separability import CosetSystem, _constraint_search, group_library
 from stallings.separability import closure as perm_closure
 from stallings.separability import p_identity, p_inv, p_mul, perm_order
 from stallings.words import empty_word
@@ -503,6 +503,62 @@ def test_systems_outside_the_cyclic_tier_take_the_product_unchanged():
     three = [((_w("ab", 3), None), (_w("ba", 3), None)), ((_w("c", 3), None), (empty_word(3), None))]
     q = separate_coset_system(three, 3, [2])
     assert q.name == _product_tier(three[:1], 3, [2]).name + " x Z/3" and q.order == 81
+
+
+def test_coset_system_reads_as_its_constraint_list():
+    e, a, b = empty_word(2), _w("a"), _w("b")
+    constraints = [
+        ((a, None), (e, None)),
+        ((b, a), (e, a), (_w("ab"), None)),
+        ((a, None),),
+        (),
+        ((b, None), (a, None)),
+    ]
+    system = CosetSystem.of(constraints)
+    assert len(system) == 5 and list(system) == constraints
+    assert [system[i] for i in range(-5, 5)] == constraints * 2
+    assert system[1:4] == constraints[1:4] and system[::-2] == constraints[::-2]
+    with pytest.raises(IndexError):
+        system[5]
+    # one clause per distinct (word, generator) pair of objects, and each row
+    # padded to width 3 by repeating its last clause (clause 0 for the empty one)
+    assert len(system.clauses) == 6 and system.widths == [2, 3, 1, 0, 2]
+    assert system.rows.tolist() == [[0, 1, 1], [2, 3, 4], [0, 0, 0], [0, 0, 0], [5, 0, 0]]
+    words, rows = system.word_rows()
+    assert words == [a, e, b, _w("ab")] and rows.tolist() == [
+        [0, 1, 1], [2, 1, 3], [0, 0, 0], [0, 0, 0], [2, 0, 0]
+    ]
+
+
+def test_eppa_coset_systems_and_their_lists_give_one_quotient(monkeypatch):
+    # eppa_extend numbers its clauses by raw id; a list of the same
+    # constraints is numbered afresh by word identity
+    handed = []
+
+    def record(constraints, n, L, bound, seed):
+        handed.append((constraints, n, L))
+        return separate_coset_system(constraints, n, L, bound, seed)
+
+    monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
+    rng = random.Random(4002)
+    for l, n in ((2, 5), (2, 6), (3, 4), (3, 5), (3, 6)) * 3:
+        rows = [tuple(rng.sample(t, l)) for t in itertools.combinations(range(n), l)]
+        m = make_hypertournament(range(n), [l], {l: rows})
+        x, y, z = rng.sample(range(n), 3)
+        for maps in ([{x: y}, {y: z}], [{x: y, y: x}], [{x: y, y: z, z: x}]):
+            try:
+                eppa_extend(m, make_family(m, maps))
+            except NotPartialIsomorphismError:
+                pass
+    monkeypatch.undo()
+    # both branches: systems with trivial generators only, and looped ones
+    looped = [any(g is not None for _, g in s.clauses) for s, _, _ in handed]
+    assert len(handed) >= 20 and 0 < sum(looped) < len(looped)
+    for system, n, L in handed:
+        assert isinstance(system, CosetSystem)
+        q = separate_coset_system(system, n, L)
+        from_list = separate_coset_system(list(system), n, L)
+        assert (q.images, q.order, q.name) == (from_list.images, from_list.order, from_list.name)
 
 
 @pytest.mark.parametrize("tier", ["_cyclic_tier", "_product_tier"])
