@@ -196,13 +196,14 @@ def _surjective_shift(
     slots = np.concatenate(
         [(g.src * g.n + g.letter - 1) * 2, (g.dst * g.n + g.letter - 1) * 2 + 1]
     )
-    if len(np.unique(slots)) < len(slots):
-        raise PreconditionError("graph is not immersed")
     order = np.argsort(slots)
+    slots = slots[order]
+    if (slots[1:] == slots[:-1]).any():
+        raise PreconditionError("graph is not immersed")
     far = np.concatenate([g.dst, g.src])[order].tolist()
     edge = (order % len(g.src)).tolist()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.size)]
-    for v, w, j in zip((slots[order] // (2 * g.n)).tolist(), far, edge):
+    for v, w, j in zip((slots // (2 * g.n)).tolist(), far, edge):
         adjacency[v].append((w, j))
     root = 0 if g.basepoint is None else g.basepoint
     tree = np.zeros(len(g.src), dtype=bool)

@@ -180,35 +180,38 @@ def make_hypertournament(
     universe = _canonical_universe(universe)
     _check_arities(L)
     index = {v: i for i, v in enumerate(universe)}
-    codes = {
-        l: _parse_tuples(frozenset(map(tuple, relations.get(l, ()))), index, l)
-        for l in sorted(L)
-    }
+    codes = {l: _parse_tuples(list(relations.get(l, ())), index, l) for l in sorted(L)}
     return Hypertournament(universe, L, codes)
 
 
-def _parse_tuples(tuples: frozenset, index: Mapping, l: int) -> np.ndarray:
-    """Sorted codes of a set of label tuples of arity l."""
+def _parse_tuples(rows: Sequence, index: Mapping, l: int) -> np.ndarray:
+    """Sorted distinct codes of rows of labels of arity l, read in the given
+    order; InputError names the first bad row."""
     n = len(index)
     digits = None
-    if set(map(len, tuples)) <= {l}:
+    if set(map(len, rows)) <= {l}:
         digits = np.fromiter(
-            map(index.get, itertools.chain.from_iterable(tuples), itertools.repeat(-1)),
+            map(index.get, itertools.chain.from_iterable(rows), itertools.repeat(-1)),
             dtype=np.int32,
-            count=l * len(tuples),
+            count=l * len(rows),
         ).reshape(-1, l)
         ordered = np.sort(digits, axis=1)  # -1 marks a label outside the universe
         if (ordered[:, :1] < 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
             digits = None
-    if digits is None:  # name the first bad tuple in iteration order
-        for t in tuples:
+    if digits is None:
+        for t in map(tuple, rows):
             if len(t) != l:
                 raise InputError(f"tuple {t} has arity {len(t)}, expected {l}")
             if len(set(t)) != l:
                 raise InputError(f"tuple {t} has repeated entries")
             if not set(t) <= index.keys():
                 raise InputError(f"tuple {t} uses labels outside the universe")
-    return np.sort(_encode(digits, n, _code_dtype(n, l)))
+    # sorting and dropping repeats, not np.unique, whose hash kernel faults
+    # in about half a megabyte of numpy's library on first use
+    codes = np.sort(_encode(digits, n, _code_dtype(n, l)))
+    repeated = np.zeros(len(codes), dtype=bool)
+    repeated[1:] = codes[1:] == codes[:-1]
+    return codes[~repeated]
 
 
 def _label_key(v):
@@ -695,7 +698,7 @@ def eppa_extend(
         q = separate_coset_system(system, k, m.L, bound, seed)
     except SearchCapError as exc:
         index = exc.details.get("constraint_index")
-        if index is not None and index < len(system):
+        if index is not None:
             raise SearchCapError(
                 f"no quotient separates {label(index)}",
                 constraint_index=index,

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .arith import is_prime, require_prime, smallest_prime_not_in, valuation
+from .arith import is_prime, primes, require_prime, smallest_prime_not_in, valuation
 from .errors import (
     InputError,
     PostconditionError,
@@ -146,22 +146,6 @@ class FiniteQuotient:
             out.add(cur)
             cur = p_mul(cur, g)
         return frozenset(out)
-
-    @cached_property
-    def _cosets(self) -> dict[CosetClause, frozenset[Perm]]:
-        return {}
-
-    def coset(self, coset_word: Word, generator: Word | None) -> frozenset[Perm]:
-        """The coset evaluate(coset_word) * <evaluate(generator)>, built once
-        per quotient: the constraints of a coset system share a few coset
-        words and generators across thousands of clauses."""
-        key = (coset_word, generator)
-        found = self._cosets.get(key)
-        if found is None:
-            shifts = self.cyclic_image(generator) - {p_identity(self.degree)}
-            found = frozenset(left_coset(self.evaluate(coset_word), shifts))
-            self._cosets[key] = found
-        return found
 
 
 def _capped_quotient(n: int, images: Sequence[Perm], order: int, name: str) -> FiniteQuotient:
@@ -405,6 +389,11 @@ def verify_witness(w: SeparationWitness) -> bool:
 # satisfied in a quotient when the intersection of the cosets
 # evaluate(coset_word) * <evaluate(generator)> is empty. Non-membership of g in
 # a cyclic subgroup <h> is the two-clause constraint ((g, h), (empty, h)).
+# A coset system holds its constraints as rows of clause ids (CosetSystem),
+# and one rule, _unsatisfied, says which rows fail in a quotient, evaluating
+# each clause once: in a system whose generators are all trivial a row fails
+# when its clause images are all equal, and in any other system when the
+# cosets of its clauses share an element.
 #
 # The library search goes round by round: one round is one group and one set
 # of active letters, and its assignments put non-identity values on those
@@ -422,9 +411,12 @@ Constraint = tuple[CosetClause, ...]
 
 def constraint_satisfied(q: FiniteQuotient, constraint: Constraint) -> bool:
     """True when the intersection of the clause cosets is empty in q."""
+    identity = p_identity(q.degree)
     common: frozenset[Perm] | None = None
     for coset_word, generator in constraint:
-        coset = q.coset(coset_word, generator)
+        coset = frozenset(
+            left_coset(q.evaluate(coset_word), q.cyclic_image(generator) - {identity})
+        )
         common = coset if common is None else common & coset
         if not common:
             return True
@@ -738,6 +730,15 @@ def _separate_maximal_root(a: Word, g: Word, p: int, bound: int, seed: int) -> S
     )
 
 
+def _prime_set(L: Iterable[int]) -> frozenset:
+    """L as a set; InputError unless every l in L is prime."""
+    L = frozenset(L)
+    for l in sorted(L):
+        if not is_prime(l):
+            raise InputError(f"{l} in L is not prime")
+    return L
+
+
 def separate_from_cyclic(
     c: Word, g: Word, L: Iterable[int], bound: int = 500_000, seed: int = 0
 ) -> SeparationWitness:
@@ -750,10 +751,7 @@ def separate_from_cyclic(
     exactly when gcd(i, l) = 1 (:func:`fiber.power_root_closure`). The
     maximal root is taken once.
     """
-    L = frozenset(L)
-    for l in sorted(L):
-        if not is_prime(l):
-            raise InputError(f"{l} in L is not prime")
+    L = _prime_set(L)
     if not c:
         raise InputError("cyclic generator must be nontrivial")
     n = max(c.n, g.n)
@@ -850,7 +848,7 @@ def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
 # -- coset systems -----------------------------------------------------------------
 
 
-class CosetSystem(Sequence):
+class CosetSystem:
     """A coset system held as rows of clause ids.
 
     ``clauses`` lists distinct (coset word, generator) clauses, each named
@@ -858,10 +856,10 @@ class CosetSystem(Sequence):
     arrays whose rows are rows of clause ids, and are the blocks' rows in
     order. ``rows`` stacks them, each row padded to the widest by repeating
     its last clause, which leaves its coset intersection as it is, and
-    ``widths`` keeps each row's own width. As a Sequence the system yields
-    each constraint as its tuple of clauses, built on demand, so the
-    product tier and :func:`constraint_satisfied` read it as they read a
-    list.
+    ``widths`` keeps each row's own width. The rows are the only form of the
+    constraints: :func:`_unsatisfied` decides them in a quotient. When every
+    generator is trivial a row fails when its clause images are all equal,
+    and otherwise when its clause cosets share an element.
     """
 
     def __init__(self, clauses: Sequence[CosetClause], blocks: Iterable[np.ndarray]):
@@ -875,9 +873,7 @@ class CosetSystem(Sequence):
                 b = np.concatenate([b, last.repeat(wide - b.shape[1], axis=1)], axis=1)
             padded.append(b)
         self.rows = np.concatenate(padded)
-        self.widths = list(
-            itertools.chain.from_iterable(itertools.repeat(b.shape[1], len(b)) for b in blocks)
-        )
+        self.widths = [b.shape[1] for b in blocks for _ in range(len(b))]
 
     @classmethod
     def of(cls, constraints: Iterable[Constraint]) -> "CosetSystem":
@@ -901,34 +897,36 @@ class CosetSystem(Sequence):
             blocks.append(np.array(rows, dtype=np.intp).reshape(len(rows), width))
         return cls(clauses, blocks)
 
-    def __len__(self) -> int:
-        return len(self.widths)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        row = self.rows[index, : self.widths[index]]
-        return tuple(map(self.clauses.__getitem__, row.tolist()))
+def _unsatisfied(q: FiniteQuotient, system: CosetSystem, rows: np.ndarray) -> np.ndarray:
+    """Whether each of the given rows of the system fails in q, that is,
+    whether the cosets of its clauses share an element of q.
 
-    def __iter__(self):
-        for row, width in zip(self.rows.tolist(), self.widths):
-            yield tuple(map(self.clauses.__getitem__, row[:width]))
-
-    def word_rows(self) -> tuple[list[Word], np.ndarray]:
-        """The distinct coset words of the clauses, by identity, and
-        ``rows`` with every clause id replaced by its word's index."""
-        index: dict[int, int] = {}
-        word_of = np.fromiter(
-            (index.setdefault(id(word), len(index)) for word, _ in self.clauses),
-            dtype=np.intp,
-            count=len(self.clauses),
-        )
-        words = list({id(word): word for word, _ in self.clauses}.values())
-        return words, word_of[self.rows]
+    When every generator of the system is trivial a coset is one element:
+    each clause of the system is evaluated once, and a row fails exactly
+    when its clause images are all equal, decided over every row at once.
+    Otherwise each clause the rows name is evaluated once and its coset
+    built, each generator's cyclic image once, and the cosets are
+    intersected row by row."""
+    used = system.rows[rows]
+    if all(generator is None for _, generator in system.clauses):
+        image, _ = _values([word for word, _ in system.clauses], q.evaluate)
+        return _all_equal(image[used])
+    ids, inverse = np.unique(used, return_inverse=True)
+    inverse = inverse.reshape(used.shape)
+    clauses = [system.clauses[i] for i in ids.tolist()]
+    identity = p_identity(q.degree)
+    shifts = cache(lambda generator: q.cyclic_image(generator) - {identity})
+    cosets = [frozenset(left_coset(q.evaluate(word), shifts(h))) for word, h in clauses]
+    return np.array(
+        [bool(cosets[first].intersection(*map(cosets.__getitem__, rest)))
+         for first, *rest in inverse.tolist()],
+        dtype=bool,
+    )
 
 
 def separate_coset_system(
-    constraints: Sequence[Constraint],
+    constraints: CosetSystem | Sequence[Constraint],
     n: int,
     L: Iterable[int],
     bound: int = 500_000,
@@ -952,42 +950,33 @@ def separate_coset_system(
     satisfied in a product. Otherwise the product tier serves every
     constraint.
 
-    On that trivial-generator path each distinct clause word is evaluated
-    once per stage (its exponent sums, its image in N, its image in the
-    returned quotient) and numbered by its value; a constraint's row of
-    clause ids becomes a row of value ids by one gather, and "all clause
-    values equal" is decided over every row at once.
-
-    Every constraint is re-verified against the returned quotient.
+    Which rows a quotient leaves unsatisfied is decided by one rule,
+    :func:`_unsatisfied`: all clause images equal when every generator is
+    trivial, a common element of the clause cosets otherwise. It serves the
+    product tier, the rows left after N, and the final check, which
+    re-verifies every constraint against the returned quotient.
     """
-    L = frozenset(L)
-    for l in sorted(L):
-        if not is_prime(l):
-            raise InputError(f"{l} in L is not prime")
+    L = _prime_set(L)
     system = constraints if isinstance(constraints, CosetSystem) else CosetSystem.of(constraints)
     if any(w is not None and w.n > n for clause in system.clauses for w in clause):
         raise InputError(f"a constraint word uses letters beyond the {n} given")
-    if len(system) and all(g is None for _, g in system.clauses):
-        words, rows = system.word_rows()
-        value, sums = _values(words, partial(_letter_sums, n=n))
-        equal = _all_equal(value[rows])
-        rest = rows[~equal]
+    rows = np.arange(len(system.rows))
+    if len(rows) and all(g is None for _, g in system.clauses):
+        value, sums = _values([word for word, _ in system.clauses], partial(_letter_sums, n=n))
+        obstructed = _all_equal(value[system.rows])
+        rest = rows[~obstructed]
         factors = []
-        if equal.any():
-            obstructed = [(i, system[i]) for i in np.flatnonzero(equal).tolist()]
-            factors.append(_product_tier(obstructed, n, L, bound, seed))
-            image, _ = _values(words, factors[0].evaluate)
-            rest = rest[_all_equal(image[rest])]
+        if obstructed.any():
+            factors.append(_product_tier(system, rows[obstructed], n, L, bound, seed))
+            rest = rest[_unsatisfied(factors[0], system, rest)]
         if len(rest):
-            factors.append(_cyclic_tier(value[rest], np.array(sums, dtype=np.int64), n, L))
+            factors.append(_cyclic_tier(value[system.rows[rest]], np.array(sums, np.int64), n, L))
         q = direct_product(*factors)
-        image, _ = _values(words, q.evaluate)
-        failing = iter(np.flatnonzero(_all_equal(image[rows])).tolist())
     else:
-        q = _product_tier(list(enumerate(system)), n, L, bound, seed)
-        failing = (i for i, cons in enumerate(system) if not constraint_satisfied(q, cons))
-    index = next(failing, None)
-    if index is not None:
+        q = _product_tier(system, rows, n, L, bound, seed)
+    failing = np.flatnonzero(_unsatisfied(q, system, rows))
+    if failing.size:
+        index = int(failing[0])
         raise SearchCapError(f"constraint {index} fails in {q.name}", constraint_index=index)
     if prime_factors(q.order) & L:
         raise PostconditionError("quotient order picked up an excluded prime", order=q.order)
@@ -1050,42 +1039,39 @@ def _cyclic_tier(rows: np.ndarray, sums: np.ndarray, n: int, L: frozenset) -> Fi
 
 
 def _product_tier(
-    numbered: Sequence[tuple[int, Constraint]], n: int, L: frozenset, bound: int, seed: int
+    system: CosetSystem, rows: np.ndarray, n: int, L: frozenset, bound: int, seed: int
 ) -> FiniteQuotient:
     """The product tier of :func:`separate_coset_system`, before its final
-    check, on (index, constraint) pairs; errors name a constraint by its
-    index.
+    check, on the given rows of the system; errors name a constraint by its
+    row index.
 
-    Constraint by constraint, a direct product of individual library
-    witnesses; satisfied constraints stay satisfied under products. Factors
-    made redundant by later, stronger ones are pruned, largest first."""
+    Row by row, a direct product of individual library witnesses: the first
+    row the product so far leaves unsatisfied takes the next factor, found
+    by :func:`_constraint_search` on that row's clauses, and satisfied rows
+    stay satisfied under products. Factors made redundant by later,
+    stronger ones are pruned, largest first."""
+    ladder = list(itertools.islice((p for p in primes() if p not in L), 3))
     q = FiniteQuotient.trivial(n)
     factors: list[FiniteQuotient] = []
-    ladder = []
-    seen_p = set()
-    while len(ladder) < 3:
-        p = smallest_prime_not_in(L | seen_p)
-        ladder.append(p)
-        seen_p.add(p)
-    for index, cons in numbered:
-        if constraint_satisfied(q, cons):
-            continue
-        found = None
+    todo = rows  # the trivial quotient satisfies no constraint
+    while todo.size:
+        index, todo = int(todo[0]), todo[1:]
+        row = system.rows[index, : system.widths[index]].tolist()
+        cons = tuple(map(system.clauses.__getitem__, row))
         for p in ladder:
             try:
-                found, _ = _constraint_search(
-                    n, p, cons, bound, f"constraint {index}", seed
-                )
+                found, _ = _constraint_search(n, p, cons, bound, f"constraint {index}", seed)
                 break
             except SearchCapError:
                 continue
-        if found is None:
+        else:
             raise SearchCapError(
                 f"no quotient found for constraint {index}",
                 constraint_index=index,
             )
         factors.append(found)
         q = direct_product(q, found)
+        todo = todo[_unsatisfied(q, system, todo)]
 
     keep = [True] * len(factors)
     for i in sorted(range(len(factors)), key=lambda j: -factors[j].order):
@@ -1095,7 +1081,7 @@ def _product_tier(
         trial = direct_product(
             FiniteQuotient.trivial(n), *(f for f, k in zip(factors, keep) if k)
         )
-        if all(constraint_satisfied(trial, cons) for _, cons in numbered):
+        if not _unsatisfied(trial, system, rows).any():
             q = trial
         else:
             keep[i] = True

@@ -45,7 +45,8 @@ class Word:
                 raise InputError(
                     f"word {self.letters} is not freely reduced at {a}, {b}"
                 )
-        # words key the coset memos, so the hash is computed once, not per lookup
+        # words key dicts, such as a quotient's cyclic images of coset
+        # generators, so the hash is computed once, not per lookup
         object.__setattr__(self, "_hash", hash((self.letters, self.n)))
 
     def then(self, t: int) -> "Word":

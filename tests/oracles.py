@@ -505,6 +505,16 @@ def oracle_constraint_search(n: int, p: int, constraint, bound: int):
     return None
 
 
+def oracle_constraint_list(system) -> list:
+    """The constraints of a ``separability.CosetSystem`` as the clause tuples
+    its rows stand for: each row cut to its own width, each clause id
+    replaced by its clause."""
+    return [
+        tuple(system.clauses[i] for i in row[:width])
+        for row, width in zip(system.rows.tolist(), system.widths)
+    ]
+
+
 def oracle_constraint_satisfied(q, constraint) -> bool:
     """``separability.constraint_satisfied`` as it was before the coset
     memo: every clause's coset is built afresh from permutation products."""

@@ -4,10 +4,13 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import click
 import pytest
@@ -191,6 +194,99 @@ def test_eppa_extend_output_is_pinned_at_scale(tmp_path, l, n):
     payload = json.loads(result.stdout)
     assert payload["verified"] is True and payload["size"] == size
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def _circulant_structure(k: int, n: int) -> list:
+    """The circulant tournament on 0, ..., k - 1 (i -> i + d mod k for
+    d = 1, ..., (k - 1) / 2), inside a tournament on range(n) whose other
+    arcs are oriented by seeded coin flips."""
+    rng = random.Random(f"circulant/{k}/{n}")
+    relation = []
+    for i, j in itertools.combinations(range(n), 2):
+        forward = (j - i) % k <= (k - 1) // 2 if j < k else rng.random() < 0.5
+        relation.append([i, j] if forward else [j, i])
+    return relation
+
+
+def _looped_structure() -> list:
+    """A seeded 3-hypertournament on range(8), one arrangement per triple."""
+    rng = random.Random("looped/0")
+    return [rng.sample(t, 3) for t in itertools.combinations(range(8), 3)]
+
+
+# Digests of eppa-extend on families whose vertex groups are not all
+# trivial, so the coset system has clause generators. The circulant k-cycle
+# with its rotation as the map is its own component with vertex group <a^k>;
+# Z/k serves it, and each other point takes a k-point orbit. The looped
+# family swaps 0 and 1, sends 2 -> 6 and 6 -> 3: its product tier finds
+# Z/2, Z/2 and Z/4 and prunes one Z/2.
+_EPPA_LOOPED_CASES = {
+    "circulant3/40": (
+        2, 40, lambda: _circulant_structure(3, 40), [{"0": 1, "1": 2, "2": 0}], 114,
+        "0bbc59f4b94b0baf0b64fee28e042938d132b6dfeb3b11345204d0c2db78253b",
+    ),
+    "circulant3/80": (
+        2, 80, lambda: _circulant_structure(3, 80), [{"0": 1, "1": 2, "2": 0}], 234,
+        "2362016a74216be61d90350ab4674c87d00a026d3e09db84ba6ed562a9bc02e9",
+    ),
+    "circulant9/40": (
+        2, 40, lambda: _circulant_structure(9, 40), [{str(i): (i + 1) % 9 for i in range(9)}], 288,
+        "cbbfbd369c017fccada0e12473075cf4a54e7b4ff3d34eff931a3b31f576da28",
+    ),
+    "circulant9/80": (
+        2, 80, lambda: _circulant_structure(9, 80), [{str(i): (i + 1) % 9 for i in range(9)}], 648,
+        "2d44c7e6e52d197fccc4dadb0ca6f2fbc725623d3962ef77539073239d3eddb9",
+    ),
+    "looped8": (
+        3, 8, _looped_structure, [{"0": 1, "1": 0, "2": 6}, {"6": 3}], 36,
+        "2a8af0fb7432b2a77382fd4fb149f730590c62a2cb8acfbf4de68e1c587bfd52",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EPPA_LOOPED_CASES))
+def test_eppa_extend_output_is_pinned_on_looped_families(tmp_path, name):
+    l, n, relation, maps, size, digest = _EPPA_LOOPED_CASES[name]
+    structure = _structure_file(tmp_path, list(range(n)), l, relation())
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": mp} for mp in maps])
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["verified"] is True and payload["size"] == size
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    bad = _json_file(tmp_path, "bad.json", {
+        "L": [2],
+        "universe": ["a", "b", "c", "d"],
+        "relations": {"2": [["a", "b"], ["c", "c"], ["d", "d"], ["b", "b"], ["a", "zz"], ["zz", "a"]]},
+    })
+    structure = _structure_file(tmp_path, ["p", "q", "r", "s", "t"], 2, _LETTERS5)
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"p": "q"}}])
+    graph = _json_file(tmp_path, "graph.json", {
+        "n": 2,
+        "vertices": ["x", "y", "z", "w"],
+        "edges": [["x", "y", "a"], ["y", "x", "a"], ["x", "z", "b"], ["z", "z", "a"], ["x", "w", "b"], ["w", "x", "b"]],
+        "basepoint": "x",
+    })
+    commands = [
+        (["validate", bad], 2),
+        (["eppa-extend", structure, maps_path], 0),
+        (["fold", graph, "--core"], 0),
+        (["malnormal", graph], 1),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for args, status in commands:
+        runs = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "stallings.cli", *args], env=env, capture_output=True, text=True
+            )
+            runs.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(runs) == 1, (args, runs)
+        assert runs.pop()[0] == status, args
 
 
 def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):

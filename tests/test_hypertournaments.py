@@ -590,6 +590,20 @@ def test_code_constructor_refuses_bad_codes():
     assert wide.codes[2].dtype == np.int32 and wide == ok
 
 
+def test_relation_errors_name_the_first_bad_row_in_input_order():
+    universe = ["a", "b", "c", "d"]
+    rows = [["a", "b"], ["c", "c"], ["d", "d"], ["b", "b"], ["a", "zz"], ["zz", "a"]]
+    with pytest.raises(InputError, match=r"^tuple \('c', 'c'\) has repeated entries$"):
+        make_hypertournament(universe, [2], {2: rows})
+    with pytest.raises(InputError, match=r"^tuple \('a', 'zz'\) uses labels outside the universe$"):
+        make_hypertournament(universe, [2], {2: [rows[0], rows[4], rows[1]]})
+    with pytest.raises(InputError, match=r"^tuple \('d',\) has arity 1, expected 2$"):
+        make_hypertournament(universe, [2], {2: [("d",), rows[1]]})
+    # repeated rows are one tuple, and rows may be lists or tuples
+    m = make_hypertournament(universe, [2], {2: [["a", "b"], ("b", "c"), ("a", "b")]})
+    assert m.relation_map[2] == {("a", "b"), ("b", "c")} and m.codes[2].tolist() == [1, 6]
+
+
 def _eppa_inputs(rng: random.Random, l: int, cyclic: bool):
     """A seeded instance; with ``cyclic`` the map closes a loop (a swap at
     arity 3, the rotation of a cyclic triangle at arity 2) when one exists,
@@ -644,7 +658,7 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
                 w[x], h[x], component[x] = path.reversed().letters, loop, base
         loops += any(loop is not None for loop in h.values())
         expected = oracles.oracle_eppa_constraints(points, w, h, component, m.relation_map)
-        (constraints,) = handed
+        constraints = oracles.oracle_constraint_list(*handed)
         as_tuples = [
             tuple((c.letters, g.letters if g is not None else None) for c, g in clause)
             for clause in constraints

@@ -261,7 +261,7 @@ def test_coset_system_takes_its_letter_count_from_the_caller():
         separate_coset_system([_non_membership(_w("b"), _w("a"))], 1, [3])
 
 
-# -- the coset memo -------------------------------------------------------------------
+# -- the decider ---------------------------------------------------------------------
 
 
 def _library_quotients(rng, p: int) -> list[FiniteQuotient]:
@@ -294,32 +294,41 @@ def _eppa_style_constraints(rng, points: int = 5) -> list:
     return out
 
 
-def _no_evaluation(q, w):
-    raise AssertionError("a coset was built twice")
-
-
 @pytest.mark.parametrize("p", [2, 3])
-def test_coset_memo_matches_the_oracle(p, monkeypatch):
+def test_decider_matches_the_oracle(p, monkeypatch):
     rng = random.Random(2000 + p)
+    evaluated = []
+    evaluate = FiniteQuotient.evaluate
+    monkeypatch.setattr(FiniteQuotient, "evaluate", lambda q, w: evaluated.append(w) or evaluate(q, w))
     verdicts = set()
     for q in _library_quotients(rng, p):
         constraints = _eppa_style_constraints(rng)
+        # the same clause words with trivial generators: one element per coset
+        constraints += [tuple((w, None) for w, _ in c) for c in constraints[:10]]
         expected = [oracles.oracle_constraint_satisfied(q, c) for c in constraints]
         verdicts.update(expected)
-        # a fresh quotient with the same images starts an empty memo
-        twin = FiniteQuotient(q.n, q.degree, q.order, q.images, q.name)
-        for quotient in (q, twin):
-            order = list(range(len(constraints)))
-            rng.shuffle(order)
-            for i in order:
-                assert constraint_satisfied(quotient, constraints[i]) == expected[i], (q.name, i)
-            with monkeypatch.context() as patch:
-                patch.setattr(FiniteQuotient, "evaluate", _no_evaluation)
-                assert [constraint_satisfied(quotient, c) for c in constraints] == expected
+        assert [constraint_satisfied(q, c) for c in constraints] == expected
+        for part in (constraints, constraints[-10:]):
+            system = CosetSystem.of(part)
+            rows = np.arange(len(part))
+            rng.shuffle(rows)
+            rows = rows[: rng.randint(1, len(rows))]
+            evaluated.clear()
+            failing = separability._unsatisfied(q, system, rows)
+            # each clause is evaluated once: in a system with a generator
+            # each clause the rows name, and each distinct generator once
+            # more for its cyclic image; otherwise every clause of the system
+            named = [system.clauses[i] for i in np.unique(system.rows[rows]).tolist()]
+            generators = {h for _, h in named if h is not None}
+            if any(h is not None for _, h in system.clauses):
+                assert len(evaluated) == len(named) + len(generators)
+            else:
+                assert len(evaluated) == len(system.clauses)
+            assert failing.tolist() == [not oracles.oracle_constraint_satisfied(q, part[i]) for i in rows]
     assert verdicts == {True, False}
 
 
-def test_equal_words_share_one_coset_memo_entry(monkeypatch):
+def test_equal_words_share_one_coset():
     q = FiniteQuotient(2, 3, 6, ((1, 2, 0), (1, 0, 2)), "S3")
     a, b = Word.parse("a", 2), Word.parse("b", 2)
     built = [
@@ -332,10 +341,14 @@ def test_equal_words_share_one_coset_memo_entry(monkeypatch):
     assert len(set(built)) == 1 and len({hash(w) for w in built}) == 1
     assert built[0] != Word.parse("aBA") and built[0] != Word((1, 2, -1), 3)
     assert sorted([Word.parse("ba"), built[1], Word.parse("aB")]) == [Word.parse("aB"), built[0], Word.parse("ba")]
-    first = q.coset(built[0], None)
-    monkeypatch.setattr(FiniteQuotient, "evaluate", _no_evaluation)
-    assert all(q.coset(w, None) is first for w in built)
-    assert q._cosets.keys() == {(built[0], None)}
+    # every pair of them shares its coset, with or without a generator
+    pairs = [
+        ((u, h), (v, h)) for u, v in itertools.combinations(built, 2) for h in (None, a, b * a)
+    ]
+    for constraints in (pairs, [c for c in pairs if c[0][1] is None]):
+        rows = np.arange(len(constraints))
+        assert separability._unsatisfied(q, CosetSystem.of(constraints), rows).all()
+    assert not any(constraint_satisfied(q, c) for c in pairs)
 
 
 def _coset_systems(monkeypatch, seed: int = 11) -> list:
@@ -346,7 +359,7 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
     systems = []
 
     def record(constraints, n, L, bound, seed):
-        systems.append((list(constraints), n, frozenset(L)))
+        systems.append((oracles.oracle_constraint_list(constraints), n, frozenset(L)))
         return separate_coset_system(constraints, n, L, bound, seed)
 
     monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
@@ -367,14 +380,23 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
 
 def _product_tier(constraints, n, L):
     """The product tier of separate_coset_system alone, on any system."""
-    return separability._product_tier(list(enumerate(constraints)), n, frozenset(L), 500_000, 0)
+    rows = np.arange(len(constraints))
+    return separability._product_tier(CosetSystem.of(constraints), rows, n, frozenset(L), 500_000, 0)
 
 
-def test_coset_system_is_unchanged_by_the_memo(monkeypatch):
-    systems = _coset_systems(monkeypatch)
-    assert len(systems) == 4 and min(len(cons) for cons, _, _ in systems) >= 10
+def _oracle_unsatisfied(q, system, rows):
+    """``separability._unsatisfied`` by the oracle, one constraint at a time."""
+    constraints = oracles.oracle_constraint_list(system)
+    return np.array(
+        [not oracles.oracle_constraint_satisfied(q, constraints[i]) for i in rows.tolist()], dtype=bool
+    )
+
+
+def test_product_tier_is_unchanged_by_the_decider(monkeypatch):
+    systems = _coset_systems(monkeypatch) + _looped_systems(monkeypatch, 5)
+    assert len(systems) == 6 and min(len(cons) for cons, _, _ in systems) >= 10
     got = [_product_tier(*system) for system in systems]
-    monkeypatch.setattr(separability, "constraint_satisfied", oracles.oracle_constraint_satisfied)
+    monkeypatch.setattr(separability, "_unsatisfied", _oracle_unsatisfied)
     for system, q in zip(systems, got):
         expected = _product_tier(*system)
         assert (q.images, q.order, q.name) == (expected.images, expected.order, expected.name)
@@ -390,9 +412,10 @@ def _looped_systems(monkeypatch, seed: int) -> list:
     systems = []
     product_tier = separability._product_tier
 
-    def record(numbered, n, L, bound, seed):
-        systems.append(([cons for _, cons in numbered], n, L))
-        return product_tier(numbered, n, L, bound, seed)
+    def record(system, rows, n, L, bound, seed):
+        constraints = oracles.oracle_constraint_list(system)
+        systems.append(([constraints[i] for i in rows.tolist()], n, L))
+        return product_tier(system, rows, n, L, bound, seed)
 
     monkeypatch.setattr(separability, "_product_tier", record)
     rng = random.Random(seed)
@@ -515,19 +538,18 @@ def test_coset_system_reads_as_its_constraint_list():
         ((b, None), (a, None)),
     ]
     system = CosetSystem.of(constraints)
-    assert len(system) == 5 and list(system) == constraints
-    assert [system[i] for i in range(-5, 5)] == constraints * 2
-    assert system[1:4] == constraints[1:4] and system[::-2] == constraints[::-2]
-    with pytest.raises(IndexError):
-        system[5]
+    assert oracles.oracle_constraint_list(system) == constraints
     # one clause per distinct (word, generator) pair of objects, and each row
     # padded to width 3 by repeating its last clause (clause 0 for the empty one)
     assert len(system.clauses) == 6 and system.widths == [2, 3, 1, 0, 2]
     assert system.rows.tolist() == [[0, 1, 1], [2, 3, 4], [0, 0, 0], [0, 0, 0], [5, 0, 0]]
-    words, rows = system.word_rows()
-    assert words == [a, e, b, _w("ab")] and rows.tolist() == [
-        [0, 1, 1], [2, 1, 3], [0, 0, 0], [0, 0, 0], [2, 0, 0]
-    ]
+    # padding leaves each verdict as it is, also for a one-clause or an empty
+    # constraint, which hold nowhere; without row 1 every generator is trivial
+    for images in (((1, 0), (0, 1)), ((1, 0), (1, 0))):
+        q = FiniteQuotient(2, 2, 2, images, "Z/2")
+        for rows in (np.arange(5), np.array([4, 0, 2, 3])):
+            expected = [not oracles.oracle_constraint_satisfied(q, constraints[i]) for i in rows]
+            assert separability._unsatisfied(q, system, rows).tolist() == expected
 
 
 def test_eppa_coset_systems_and_their_lists_give_one_quotient(monkeypatch):
@@ -557,7 +579,7 @@ def test_eppa_coset_systems_and_their_lists_give_one_quotient(monkeypatch):
     for system, n, L in handed:
         assert isinstance(system, CosetSystem)
         q = separate_coset_system(system, n, L)
-        from_list = separate_coset_system(list(system), n, L)
+        from_list = separate_coset_system(oracles.oracle_constraint_list(system), n, L)
         assert (q.images, q.order, q.name) == (from_list.images, from_list.order, from_list.name)
 
 
