@@ -70,7 +70,15 @@ def p_inv(f: Perm) -> Perm:
     return tuple(out)
 
 
+def _past_cap() -> ResourceCapError:
+    return ResourceCapError(f"permutation group exceeds {GROUP_ORDER_CAP} elements")
+
+
 def closure(perms: Iterable[Perm]) -> frozenset[Perm]:
+    """Every element of the group the perms generate, by a breadth-first
+    search over products. No library code calls it; ``bench/tracing.py``
+    still wraps it. :func:`group_order` gives the order without listing the
+    group."""
     gens = [p for p in perms]
     if not gens:
         raise InputError("closure of an empty generator list has no degree")
@@ -83,13 +91,135 @@ def closure(perms: Iterable[Perm]) -> frozenset[Perm]:
                 h = p_mul(f, g)
                 if h not in seen:
                     if len(seen) >= GROUP_ORDER_CAP:
-                        raise ResourceCapError(
-                            f"permutation group exceeds {GROUP_ORDER_CAP} elements"
-                        )
+                        raise _past_cap()
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
     return frozenset(seen)
+
+
+def group_order(perms: Iterable[Perm]) -> int:
+    """Order of the permutation group the perms generate, without listing its
+    elements; ResourceCapError once it exceeds GROUP_ORDER_CAP.
+
+    When every perm is a rotation x -> x + s mod the degree, the group is
+    cyclic of order degree / gcd(degree, s_1, ..., s_k). Otherwise the order
+    is the product of the basic orbit lengths of a stabilizer chain built by
+    :func:`_chain_order`."""
+    gens = list(perms)
+    if not gens:
+        raise InputError("group_order of an empty generator list has no degree")
+    degree = len(gens[0])
+    if degree == 0:
+        return 1
+    shifts = [g[0] for g in gens]
+    if all(g == _rotation(degree, s) for g, s in zip(gens, shifts)):
+        order = degree // gcd(degree, *shifts)
+        if order > GROUP_ORDER_CAP:
+            raise _past_cap()
+        return order
+    return _chain_order(gens, degree)
+
+
+def _chain_order(gens: Sequence[Perm], degree: int) -> int:
+    """The deterministic Schreier-Sims algorithm (SCHREIERSIMS in Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005).
+
+    Level i has a base point, the strong generators fixing the base points
+    before it, and an explicit transversal: for each point x of the base
+    point's orbit, an element u_x taking the base point to x, and its
+    inverse. A new base point is the least point its strong generator moves.
+    Schreier generators u_x s u_(x^s)^-1 of a level are sifted through the
+    levels below it; a residue joins the levels from the one below to the
+    one where it dropped out, and the search resumes there. A Schreier
+    generator is checked again until it sifts to the identity, and since
+    transversal entries never change, not after; one that defines an orbit
+    point's transversal entry is the identity and is never checked.
+
+    Each level's group is a subgroup of the stabilizer, in the level above,
+    of that level's base point, so the product of the orbit lengths never
+    exceeds the order, and equals it once every Schreier generator sifts:
+    the order is refused as soon as that product, with an orbit counted as
+    far as it has grown, passes GROUP_ORDER_CAP.
+    """
+    identity = p_identity(degree)
+    base: list[int] = []
+    strong: list[list[Perm]] = []
+    transversal: list[dict[int, Perm]] = []
+    transversal_inv: list[dict[int, Perm]] = []
+    sifted: list[set[tuple[int, int]]] = []
+    strong_inv: dict[Perm, Perm] = {}  # every strong generator's inverse
+    bound = 1
+
+    def join(g: Perm, first: int, last: int) -> None:
+        """g becomes a strong generator of levels first..last; a level past
+        the base is opened at the least point g moves."""
+        nonlocal bound
+        if last == len(base):
+            point = next(x for x in range(degree) if g[x] != x)
+            base.append(point)
+            strong.append([])
+            transversal.append({point: identity})
+            transversal_inv.append({point: identity})
+            sifted.append(set())
+        strong_inv[g] = p_inv(g)
+        for level in range(first, last + 1):
+            gens_here, orbit, back = strong[level], transversal[level], transversal_inv[level]
+            gens_here.append(g)
+            others = bound // len(orbit)  # the other levels' orbit lengths
+            # g on the old points, then every generator on each new point
+            edges = [(x, len(gens_here) - 1) for x in orbit]
+            while edges:
+                fresh = []
+                for x, k in edges:
+                    s = gens_here[k]
+                    y = s[x]
+                    if y not in orbit:
+                        orbit[y] = p_mul(orbit[x], s)
+                        back[y] = p_mul(strong_inv[s], back[x])
+                        # u_x s u_y^-1 is the identity
+                        sifted[level].add((x, k))
+                        fresh.append(y)
+                        if others * len(orbit) > GROUP_ORDER_CAP:
+                            raise _past_cap()
+                edges = [(y, k) for y in fresh for k in range(len(gens_here))]
+            bound = others * len(orbit)
+
+    def sift(h: Perm, start: int) -> tuple[Perm, int]:
+        for level in range(start, len(base)):
+            x = h[base[level]]
+            if x not in transversal[level]:
+                return h, level
+            h = p_mul(h, transversal_inv[level][x])
+        return h, len(base)
+
+    def unsifted(level: int) -> tuple[Perm, int] | None:
+        """The residue and drop-out level of the level's first Schreier
+        generator that does not sift to the identity, or None."""
+        done = sifted[level]
+        for x, u in transversal[level].items():
+            for k, s in enumerate(strong[level]):
+                if (x, k) not in done:
+                    schreier = p_mul(p_mul(u, s), transversal_inv[level][s[x]])
+                    residue, drop = sift(schreier, level + 1)
+                    if residue != identity:
+                        return residue, drop
+                    done.add((x, k))
+        return None
+
+    for g in gens:
+        if g != identity and g not in strong_inv:
+            join(g, 0, next((i for i, b in enumerate(base) if g[b] != b), len(base)))
+    level = len(base) - 1
+    while level >= 0:
+        found = unsifted(level)
+        if found is None:
+            level -= 1
+        else:
+            residue, drop = found
+            join(residue, level + 1, drop)
+            level = drop
+    return bound
 
 
 @dataclass(frozen=True)
@@ -97,12 +227,13 @@ class FiniteQuotient:
     """A quotient of F_n presented by letter images in a permutation group.
 
     ``order`` is the order of the group the images were drawn from: a
-    library group, Z/q, a sampled group's closure, or for a direct product
-    the product of its factors' orders. The image is a subgroup of it, so
-    every order-theoretic guarantee (which primes can divide element
+    library group, Z/q, the group a sample generates, or for a direct
+    product the product of its factors' orders. The image is a subgroup of
+    it, so every order-theoretic guarantee (which primes can divide element
     orders) passes to the image by Lagrange; ``verify_witness`` computes the
-    image's order, by the one closure a witness gets, and checks that it
-    divides this one.
+    image's order with :func:`group_order`, by the rotation closed form or
+    a stabilizer chain, never listing the image, and checks that it divides
+    this one.
     """
 
     n: int
@@ -150,10 +281,11 @@ class FiniteQuotient:
 
 def _capped_quotient(n: int, images: Sequence[Perm], order: int, name: str) -> FiniteQuotient:
     """The quotient on images drawn from a group of the given order. A group
-    past GROUP_ORDER_CAP is refused here, with the error that the closure in
-    ``verify_witness`` raises on images that generate it."""
+    past GROUP_ORDER_CAP is refused here, with the error that
+    :func:`group_order` in ``verify_witness`` raises on images that generate
+    it."""
     if order > GROUP_ORDER_CAP:
-        raise ResourceCapError(f"permutation group exceeds {GROUP_ORDER_CAP} elements")
+        raise _past_cap()
     return FiniteQuotient(n, len(images[0]), order, tuple(images), name)
 
 
@@ -374,7 +506,7 @@ def verify_witness(w: SeparationWitness) -> bool:
             return False
         if factors & set(w.excluded_primes):
             return False
-        actual = len(closure(q.images))
+        actual = group_order(q.images)
         if actual == 0 or q.order % actual:
             return False
         sub_image = q.cyclic_image(w.subgroup)
@@ -515,7 +647,10 @@ def _table_block(
     index array per distinct word, each generator's cyclic subgroup as its
     powers up to the largest order in the block, each coset as the products
     of its representative with those powers, and the first clause's coset
-    compared element by element with each other clause's."""
+    compared element by element with each other clause's. A clause with the
+    first clause's generator needs only its representative: cosets of one
+    subgroup are equal or disjoint, so its coset meets the first exactly when
+    its representative lies in the first."""
 
     def product(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return group.mul[i.astype(np.intp, copy=False) * group.order + j]
@@ -545,10 +680,16 @@ def _table_block(
             while (column[-1] != 0).any():
                 column.append(product(column[-1], h))
             powers[generator] = np.stack(column[:-1], axis=1)
-        coset = product(image(coset_word)[:, None], powers[generator])
+        rep = image(coset_word)
         if common is None:
-            first, common = coset, np.ones(coset.shape, dtype=bool)
+            first_generator = generator
+            first = product(rep[:, None], powers[generator])
+            common = np.ones(first.shape, dtype=bool)
+        elif generator == first_generator:
+            # cosets of one subgroup are equal or disjoint
+            common &= (first == rep[:, None]).any(axis=1)[:, None]
         else:
+            coset = product(rep[:, None], powers[generator])
             common &= (first[:, :, None] == coset[:, None, :]).any(axis=2)
     return ~common.any(axis=1)
 
@@ -576,7 +717,7 @@ def _constraint_search(
     A round (one group, one set of active letters) is checked a block of
     assignments at a time, and the first satisfying assignment of the first
     block that has one is the hit; only the hit becomes permutations, and
-    its quotient's order is its group's, so no closure runs here. Cyclic
+    its quotient's order is its group's, so no order is computed here. Cyclic
     groups are checked by exponent-sum arithmetic, the rest by gathers from
     their Cayley tables. With one active letter the image is cyclic: in
     Z/p^k the shift 1 is the first hit if any shift is one, and a
@@ -587,8 +728,8 @@ def _constraint_search(
     any class-2 group. The fallback samples letter images from the Sylow
     p-subgroup of the symmetric group on p^2 or p^3 points, the iterated
     wreath product that contains every p-group acting on that many points;
-    a sample is accepted only when the generated group stays inside the
-    certification cap, so witnesses remain checkable.
+    a sample is accepted only when the group it generates stays inside the
+    certification cap (:func:`group_order`), so witnesses remain checkable.
     """
     occurring = _occurring_letters(constraint)
     clauses = tuple(
@@ -672,7 +813,7 @@ def _constraint_search(
         if not constraint_satisfied(raw, constraint):
             continue
         try:
-            order = len(closure(images))
+            order = group_order(images)
         except ResourceCapError:
             misses += 1
             if misses >= FALLBACK_CLOSURE_TRIES:
@@ -683,7 +824,7 @@ def _constraint_search(
         score = order
         for _, generator in constraint:
             if generator is not None:
-                score = min(score, order // len(raw.cyclic_image(generator)))
+                score = min(score, order // perm_order(raw.evaluate(generator)))
         if best is None or (score, order) < (best[0], best[1]):
             best = (score, order, tuple(images))
         pooled += 1
@@ -722,7 +863,7 @@ def _separate_maximal_root(a: Word, g: Word, p: int, bound: int, seed: int) -> S
     )
     transcript = (
         f"images in {quotient.name} (order {quotient.order})",
-        f"cyclic image of {a} has {len(quotient.cyclic_image(a))} elements",
+        f"cyclic image of {a} has {perm_order(quotient.evaluate(a))} elements",
         f"image of {g} lies outside it ({examined} homomorphisms examined)",
     )
     return SeparationWitness(

@@ -434,22 +434,28 @@ def oracle_cyclic_satisfied(rows, q: int, shifts) -> bool:
     )
 
 
-def oracle_group_order(images) -> int:
-    """Order of the permutation group the images generate, by a
-    breadth-first search over its elements."""
-    identity = tuple(range(len(images[0])))
+def group_closure(perms) -> set[tuple]:
+    """Every element of the permutation group the perms generate ("f, then
+    g" is the tuple g[f[x]]), by a breadth-first search over products, with
+    no cap."""
+    identity = tuple(range(len(perms[0])))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for f in frontier:
-            for g in images:
-                h = tuple(g[x] for x in f)
+            for g in perms:
+                h = tuple([g[x] for x in f])
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def oracle_group_order(images) -> int:
+    """Order of the permutation group the images generate."""
+    return len(group_closure(images))
 
 
 def oracle_constraint_search(n: int, p: int, constraint, bound: int):

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -783,16 +784,16 @@ def test_separate_builds_no_subgroup_graph(monkeypatch):
 
 
 def test_separate_closes_the_witness_group_once(monkeypatch):
-    # the library hit carries its group's order, so the one closure is the
-    # independent check in verify_witness
+    # the library hit carries its group's order, so the one order computed is
+    # the independent check in verify_witness
     calls = []
-    closure = separability.closure
+    group_order = separability.group_order
 
     def spy(perms):
         calls.append(1)
-        return closure(perms)
+        return group_order(perms)
 
-    monkeypatch.setattr(separability, "closure", spy)
+    monkeypatch.setattr(separability, "group_order", spy)
     args, _, digest = _SEPARATE_CASES["Heis(7)"]
     result = _invoke("separate", *args)
     assert result.exit_code == 0, result.output
@@ -800,9 +801,51 @@ def test_separate_closes_the_witness_group_once(monkeypatch):
     assert len(calls) == 1
 
 
+# Two witnesses whose group verify_witness once listed element by element,
+# with digests taken then: a sampled Z/3 wr Z/3 wr Z/3 witness, a bench op,
+# whose search also checked 40 samples past the cap (1.6 s in process); and
+# Z/11^4, 14,641 rotations of 14,641 points (16 s and 1.67 GB).
+_SAMPLED_WITNESS = (
+    ("--cyclic", "BaBABaBABaBA", "--word", "Abbba", "--L", "2"),
+    "b5a81d41bb20192f2671ec11a2e6f28652dbfac4c6c29a3b3d171d23648a4b7d",
+)
+_Z_11_4_WITNESS = (
+    ("--cyclic", "b", "--word", "a" * 1331, "--L", "2", "--L", "3", "--L", "5", "--L", "7"),
+    "4d8249a0e4c79a2eb24dc7236673e25b5c0db1e39cda330202d4da1c22664818",
+)
+
+
+def test_separate_certifies_a_sampled_witness_without_listing_its_group():
+    args, digest = _SAMPLED_WITNESS
+    start = time.perf_counter()
+    result = _invoke("separate", *args)
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["verified"] is True
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+    assert elapsed < 0.2, elapsed
+
+
+def test_separate_certifies_a_large_cyclic_witness_in_bounded_time_and_memory():
+    args, digest = _Z_11_4_WITNESS
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stallings.cli", "separate", *args], env=env, capture_output=True, text=True
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is True
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    assert elapsed < 2, elapsed
+    # the largest resident set of any child this process has waited for, in KB
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 300 * 1024
+
+
 def test_separate_refuses_a_witness_group_past_the_order_cap():
     # the first hit is the shift 1 in Z/13^4, whose 28,561 elements are more
-    # than the closure in verify_witness may build
+    # than verify_witness may certify
     L = ("--L", "2", "--L", "3", "--L", "5", "--L", "7", "--L", "11")
     result = _invoke("separate", "--cyclic", "b", "--word", "a" * 2197, *L)
     assert result.exit_code == 3, result.output

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from stallings import (
 )
 from stallings import separability
 from stallings.arith import valuation
-from stallings.errors import NotPartialIsomorphismError, SearchCapError
+from stallings.errors import NotPartialIsomorphismError, ResourceCapError, SearchCapError
 from stallings.separability import CosetSystem, _constraint_search, group_library
 from stallings.separability import closure as perm_closure
 from stallings.separability import p_identity, p_inv, p_mul, perm_order
@@ -69,6 +70,155 @@ def test_prime_factors():
     assert prime_factors(12) == {2, 3}
     assert prime_factors(1) == set()
     assert prime_factors(125) == {5}
+
+
+# -- group orders --------------------------------------------------------------------
+#
+# group_order against the set-BFS reference oracles.group_closure. Checks end
+# in pytest.fail rather than assert, so that they hold under -O as well.
+
+
+def _order_mismatches(cases) -> list:
+    """(label, perms) cases whose group_order differs from the reference."""
+    out = []
+    for label, perms in cases:
+        expected = len(oracles.group_closure(perms))
+        got = separability.group_order(perms)
+        if got != expected:
+            out.append((label, got, expected))
+    return out
+
+
+def _library_sets(p: int, rng) -> list:
+    """1 to 3 seeded elements of every library group for p, a table group's
+    from its ``elements``: sets of each size, or of one seeded size for a
+    group of 1,000 elements or more, whose reference closure is slow."""
+    cases = []
+    for name, kind, data in group_library(p):
+        order = data if kind == "cyclic" else data.order
+        for k in (1, 2, 3) if order < 1_000 else (rng.randint(1, 3),):
+            if kind == "cyclic":
+                perms = [separability._rotation(data, rng.randrange(data)) for _ in range(k)]
+            else:
+                perms = [tuple(data.elements[rng.randrange(data.order)].tolist()) for _ in range(k)]
+            cases.append((f"{name}, {k} elements", perms))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_group_order_matches_the_set_closure_on_library_groups(p):
+    mismatches = _order_mismatches(_library_sets(p, random.Random(40 + p)))
+    if mismatches:
+        pytest.fail(f"orders differ: {mismatches}")
+
+
+def test_group_order_matches_the_set_closure_on_rotations():
+    rotation = separability._rotation
+    cases = [
+        ("degree 12, shifts 4 and 8", [rotation(12, 4), rotation(12, 8)]),
+        ("degree 12, shifts 6, 9 and 0", [rotation(12, 6), rotation(12, 9), rotation(12, 0)]),
+        ("degree 30, shifts 12 and 18", [rotation(30, 12), rotation(30, 18)]),
+        ("degree 30, shifts 10, 15 and 6", [rotation(30, 10), rotation(30, 15), rotation(30, 6)]),
+        ("degree 9, the identity", [p_identity(9)]),
+        ("degree 9, the identity and shift 3", [p_identity(9), rotation(9, 3)]),
+        ("degree 1", [(0,)]),
+        ("degree 1, twice", [(0,), (0,)]),
+        ("degree 2, shift 1", [(1, 0)]),
+        ("degree 0", [()]),
+    ]
+    mismatches = _order_mismatches(cases)
+    if mismatches:
+        pytest.fail(f"orders differ: {mismatches}")
+    orders = [separability.group_order(perms) for _, perms in cases]
+    if orders != [3, 4, 5, 30, 1, 3, 1, 1, 2, 1]:
+        pytest.fail(f"orders {orders}")
+
+
+@pytest.mark.parametrize("p, levels", [(2, 3), (3, 2), (5, 2)])
+def test_group_order_matches_the_set_closure_on_tower_samples(p, levels):
+    rng = random.Random(50 + p)
+    nodes = sum(p**i for i in range(levels))
+    cases = []
+    for k in (1, 2, 2, 3):
+        perms = [separability._tower_perm(p, levels, [rng.randrange(p) for _ in range(nodes)]) for _ in range(k)]
+        cases.append((f"{k} samples", perms))
+    mismatches = _order_mismatches(cases)
+    if mismatches:
+        pytest.fail(f"orders differ: {mismatches}")
+
+
+def test_group_order_agrees_with_the_capped_closure_on_depth_three_samples():
+    # Z/3 wr Z/3 wr Z/3 has 3^13 elements, too many for the uncapped
+    # reference; pairs of the fallback's samples, some of them generating
+    # subgroups of it and some past the cap, are checked against the capped
+    # set-BFS, order for order and refusal for refusal
+    def outcome(compute, perms):
+        try:
+            return compute(perms)
+        except ResourceCapError as exc:
+            return str(exc)
+
+    rng = random.Random(53)
+    outcomes = []
+    for _ in range(12):
+        perms = [separability._tower_perm(3, 3, [rng.randrange(3) for _ in range(13)]) for _ in range(2)]
+        got = outcome(separability.group_order, perms)
+        expected = outcome(lambda g: len(perm_closure(g)), perms)
+        if got != expected:
+            pytest.fail(f"group_order {got}, set closure {expected}")
+        outcomes.append(got)
+    kinds = {type(o) for o in outcomes}
+    if kinds != {int, str}:
+        pytest.fail(f"the samples do not reach both sides of the cap: {outcomes}")
+
+
+def test_group_order_matches_the_set_closure_on_direct_products():
+    rng = random.Random(61)
+    cases = []
+    for p in (2, 3):
+        library = group_library(p)
+        for _ in range(4):
+            factors = []
+            for name, kind, data in rng.sample(library, 2):
+                if kind == "cyclic":
+                    images = tuple(separability._rotation(data, rng.randrange(data)) for _ in range(2))
+                    order = data
+                else:
+                    images = tuple(data.perm(rng.randrange(data.order)) for _ in range(2))
+                    order = data.order
+                factors.append(FiniteQuotient(2, len(images[0]), order, images, name))
+            q = direct_product(*factors)
+            cases.append((q.name, list(q.images)))
+    mismatches = _order_mismatches(cases)
+    if mismatches:
+        pytest.fail(f"orders differ: {mismatches}")
+
+
+def test_group_order_refuses_groups_past_the_cap_with_the_closure_message():
+    message = f"permutation group exceeds {separability.GROUP_ORDER_CAP} elements"
+    # the rotation closed form: Z/20011, prime, past the cap
+    with pytest.raises(ResourceCapError) as info:
+        separability.group_order([separability._rotation(20_011, 1)])
+    if str(info.value) != message:
+        pytest.fail(str(info.value))
+    # the stabilizer chain: a pair in Z/7 wr Z/7, whose 7^8 elements the
+    # set-BFS stops listing at the cap, refused as soon as the orbits pass it
+    pair = [
+        separability._tower_perm(7, 2, [1, 0, 0, 0, 0, 0, 0, 0]),
+        separability._tower_perm(7, 2, [0, 1, 0, 0, 0, 0, 0, 0]),
+    ]
+    with pytest.raises(ResourceCapError) as info:
+        perm_closure(pair)
+    if str(info.value) != message:
+        pytest.fail(str(info.value))
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError) as info:
+        separability.group_order(pair)
+    elapsed = time.perf_counter() - start
+    if str(info.value) != message or elapsed >= 1:
+        pytest.fail(f"{info.value} after {elapsed:.3f} s")
+    with pytest.raises(InputError):
+        separability.group_order([])
 
 
 # -- finite quotients ---------------------------------------------------------------
