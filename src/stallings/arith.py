@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers shared across modules."""
+"""Small number-theoretic helpers and input checks shared across modules."""
 
 from __future__ import annotations
 
@@ -24,6 +24,12 @@ def require_prime(p: int) -> int:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     return p
+
+
+def require_bound(bound: int) -> None:
+    """InputError unless the search bound is at least 0."""
+    if bound < 0:
+        raise InputError(f"bound {bound} is negative")
 
 
 def primes() :

@@ -9,6 +9,7 @@ violated preconditions), 3 for an exhausted search or resource cap.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -59,14 +60,20 @@ from .verify import verify_counterexample
 from .words import Word, maximal_root
 
 
-def _echo(payload, file=None) -> None:
+def _echo(payload, file=None, out: str | None = None) -> None:
+    """Print the payload's JSON; with ``out``, write each block to that file too."""
     # An explicit file: without one, click caches a wrapper per stream in a
     # WeakKeyDictionary whose value refers to its key, so every stream an
     # in-process caller (such as CliRunner) swaps in stays alive for good.
     file = file or sys.stdout
-    for block in json_blocks(payload):
-        click.echo(block, nl=False, file=file)
-    click.echo(file=file)
+    with open(out, "w") if out else contextlib.nullcontext() as copy:
+        for block in json_blocks(payload):
+            click.echo(block, nl=False, file=file)
+            if copy:
+                copy.write(block)
+        click.echo(file=file)
+        if copy:
+            copy.write("\n")
 
 
 def _write_out(payload, out: str | None) -> None:
@@ -141,8 +148,7 @@ def fold_cmd(graph: str, take_core: bool, out: str | None) -> None:
     """Fold a labeled graph; prints the folded graph as JSON."""
     g = fold(read_graph(_load_json(graph)))
     payload = graph_to_dict(relabel_canonical(core(g)) if take_core else g.graph)
-    _echo(payload)
-    _write_out(payload, out)
+    _echo(payload, out=out)
 
 
 @main.command()
@@ -423,8 +429,7 @@ def separate(
     witness = separate_from_cyclic(c, g, set(ls), bound=bound, seed=seed)
     payload = witness_to_dict(witness)
     payload["verified"] = verify_witness(witness)
-    _echo(payload)
-    _write_out(payload, out)
+    _echo(payload, out=out)
     sys.exit(0 if payload["verified"] else 1)
 
 
@@ -475,8 +480,7 @@ def eppa_extend_cmd(
     payload["size"] = len(result.extended.universe)
     payload["verified"] = True  # eppa_extend raises unless its audit passed
     del result  # its relation sets are not needed to print the payload
-    _echo(payload)
-    _write_out(payload, out)
+    _echo(payload, out=out)
 
 
 @main.command("verify-extension")
@@ -504,8 +508,7 @@ def verify_counterexample_cmd(p: int, depth: int, out: str | None) -> None:
     every sub-check passes."""
     report = verify_counterexample(p, depth)
     payload = report.as_dict()
-    _echo(payload)
-    _write_out(payload, out)
+    _echo(payload, out=out)
     sys.exit(0 if report.passed else 1)
 
 

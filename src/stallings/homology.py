@@ -17,16 +17,14 @@ once. A matrix acts by one gather and one sum per row: the term a t^k of
 entry [r, c] adds a times coordinate c, rolled by k, to row r. The
 (1-t)-valuation of a vector is found by exact division by 1 - t: a(t) is
 divisible exactly when its coefficients sum to 0 mod p, and the quotient's
-coefficients are the running sums of a's. ``one_minus_t_factor`` reads
-the factorisation after one change of basis of all rows to powers of
-s = 1 - t: the valuation is the first power at which some row is nonzero,
-and dividing by (1-t)^k shifts every row down by k powers.
+coefficients are the running sums of a's. ``one_minus_t_factor`` uses the
+same division: it takes the valuation k, then divides k times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -280,31 +278,6 @@ def _push_forward(f: IndexMorphism, bx: FpMatrix) -> FpMatrix:
 # -- the twisted group ring (Z/p)[t] / (1 - t^p) --------------------------------------
 
 
-@cache
-def _t_to_s(p: int) -> np.ndarray:
-    """Basis change t^j = (1 - s)^j: entry [k, j] = C(j, k) (-1)^k mod p,
-    the coefficient of s^k. With s = 1 - t the map is an involution, so the
-    same matrix also takes s-coefficients back to t-coefficients. Built once
-    per p by Pascal's rule mod p and shared read-only."""
-    binom = np.zeros((p, p), dtype=np.int64)  # binom[j, k] = C(j, k) mod p
-    binom[0, 0] = 1
-    for j in range(1, p):
-        binom[j, 0] = 1
-        binom[j, 1:] = (binom[j - 1, 1:] + binom[j - 1, :-1]) % p
-    sign = np.where(np.arange(p) % 2, p - 1, 1)
-    m = binom.T * sign[:, None] % p
-    m.setflags(write=False)
-    return m
-
-
-def _s_coefficients(vec: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Every row of ``vec`` in powers of s = 1 - t, and the (1-t)-valuation:
-    the first power at which some row is nonzero, p if none is."""
-    s = np.atleast_2d(np.asarray(vec, dtype=np.int64)) % p @ _t_to_s(p).T % p
-    hit = s.any(axis=0)
-    return s, int(hit.argmax()) if hit.any() else p
-
-
 def one_minus_t_valuation(vec: np.ndarray, p: int) -> int | np.ndarray:
     """Largest k <= p with vec divisible by (1-t)^k coordinatewise; p for 0.
 
@@ -334,12 +307,13 @@ def one_minus_t_valuation(vec: np.ndarray, p: int) -> int | np.ndarray:
 
 def one_minus_t_factor(vec: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """(k, w) with vec = (1-t)^k * w and k maximal (k = p for the zero vector,
-    with w = 0)."""
-    s, k = _s_coefficients(vec, p)
-    w = np.zeros_like(s)
-    if k < p:
-        w[:, : p - k] = s[:, k:]
-    return k, w @ _t_to_s(p).T % p
+    with w = 0): k is the valuation, and w the k-th quotient of the same
+    division by 1 - t, k running sums mod p of each row."""
+    w = np.atleast_2d(np.asarray(vec, dtype=np.int64)) % p
+    k = one_minus_t_valuation(w, p)
+    for _ in range(k):
+        w = np.cumsum(w, axis=1) % p
+    return k, w
 
 
 @dataclass(frozen=True, eq=False)

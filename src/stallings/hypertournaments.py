@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, require_bound
 from .errors import (
     ForcedCycleError,
     InputError,
@@ -77,8 +77,8 @@ class Hypertournament:
     encoding and its order). The universe is a tuple in label order (by type
     name, then value), so code order is the order of label tuples. The
     constructor checks the universe and the codes; label tuples are parsed
-    by :func:`make_hypertournament`. ``relations`` and ``relation_map`` are
-    label-tuple views, built from the codes on first use.
+    by :func:`make_hypertournament`. ``relations`` is the one label-tuple
+    view, built from the codes on first use.
     """
 
     universe: tuple
@@ -109,17 +109,13 @@ class Hypertournament:
         return hash((self.universe, self.L))
 
     @cached_property
-    def relation_map(self) -> dict:
-        """{l: frozenset of label tuples}, decoded from the codes."""
-        return {
-            l: frozenset(zip(*code_labels(codes, self.universe, l).T.tolist()))
-            for l, codes in self.codes.items()
-        }
-
-    @cached_property
     def relations(self) -> tuple:
-        """((l, frozenset of label tuples), ...) sorted by l."""
-        return tuple(sorted(self.relation_map.items()))
+        """((l, frozenset of label tuples), ...) sorted by l, decoded from the
+        codes; ``dict(h.relations)`` looks a relation up by its arity."""
+        return tuple(
+            (l, frozenset(zip(*code_labels(codes, self.universe, l).T.tolist())))
+            for l, codes in self.codes.items()
+        )
 
     @cached_property
     def position(self) -> dict:
@@ -395,7 +391,7 @@ class PartialAutomorphismFamily:
                 seen_src.add(x)
                 seen_dst.add(y)
         for index, pairs in enumerate(self.maps):
-            bad = _iso_violation(self.host, dict(pairs))
+            bad = _iso_violation(self.host, self.host, dict(pairs))
             if bad is not None:
                 t, image = bad
                 raise NotPartialIsomorphismError(
@@ -406,16 +402,20 @@ class PartialAutomorphismFamily:
                 )
 
 
-def _iso_violation(host: Hypertournament, m: Mapping) -> tuple | None:
-    """The first tuple over the domain of the injective map m whose relation
-    status differs from its image's, with that image; None if m preserves
-    and reflects every relation."""
+def _iso_violation(
+    source: Hypertournament, target: Hypertournament, m: Mapping
+) -> tuple | None:
+    """The first tuple over the domain of the injective map m, from source
+    into target, whose relation status in source differs from its image's in
+    target, with that image; None if m preserves and reflects every
+    relation. The two structures carry the same L; each arity takes one
+    batched lookup per side."""
     dom = sorted(m, key=_label_key)
-    src = np.array([host.position[x] for x in dom], dtype=np.int32)
-    dst = np.array([host.position[m[x]] for x in dom], dtype=np.int32)
-    for l in sorted(host.L):
+    src = np.array([source.position[x] for x in dom], dtype=np.int32)
+    dst = np.array([target.position[m[x]] for x in dom], dtype=np.int32)
+    for l in sorted(source.L):
         rows = _permutation_digits(len(dom), l)
-        bad = np.flatnonzero(_related(host, src, rows) != _related(host, dst, rows))
+        bad = np.flatnonzero(_related(source, src, rows) != _related(target, dst, rows))
         if bad.size:
             t = tuple(dom[i] for i in rows[bad[0]])
             return t, tuple(m[x] for x in t)
@@ -654,6 +654,7 @@ def eppa_extend(
         raise InputError("family is not over the given hypertournament")
     if not m.L:
         raise InputError("L must be a nonempty set of primes")
+    require_bound(bound)
     ok, violation = validate(m)
     if not ok:
         raise PreconditionError(
@@ -875,8 +876,9 @@ def verify_extension(
 ) -> bool:
     """Re-check every claimed property from scratch; False on the first
     violation, never an exception. Relations are checked on tuple codes:
-    the embedding by one batched lookup per arity, and each automorphism
-    must carry the sorted codes of every relation onto themselves."""
+    the embedding by :func:`_iso_violation` from m into the extension, and
+    each automorphism must carry the sorted codes of every relation onto
+    themselves."""
     try:
         ext = r.extended
         if not validate(ext)[0] or ext.L != m.L:
@@ -884,23 +886,18 @@ def verify_extension(
         e = r.embedding_map
         if set(e) != set(m.universe) or len(set(e.values())) != len(e):
             return False
-        if not set(e.values()) <= set(ext.universe):
+        points = set(ext.universe)
+        if not set(e.values()) <= points:
             return False
-        index = ext.position
-        outer = np.array([index[e[x]] for x in m.universe], dtype=np.int32)
-        k = len(m.universe)
-        for l, codes in m.codes.items():
-            inner = _contains(codes, _permutation_codes(k, l))
-            if not np.array_equal(inner, _related(ext, outer, _permutation_digits(k, l))):
-                return False
+        if _iso_violation(m, ext, e) is not None:
+            return False
         if len(r.automorphisms) != len(p.maps):
             return False
-        points = set(ext.universe)
         n = len(ext.universe)
         for auto, pairs in zip(r.automorphism_maps, p.maps):
             if set(auto) != points or set(auto.values()) != points:
                 return False
-            perm = np.array([index[auto[v]] for v in ext.universe], dtype=np.int32)
+            perm = np.array([ext.position[auto[v]] for v in ext.universe], dtype=np.int32)
             for l, codes in ext.codes.items():
                 image = _encode(perm[_decode(codes, n, l)], n, codes.dtype)
                 if not np.array_equal(np.sort(image), codes):

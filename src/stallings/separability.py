@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .arith import is_prime, primes, require_prime, smallest_prime_not_in, valuation
+from .arith import is_prime, primes, require_bound, require_prime, smallest_prime_not_in, valuation
 from .errors import (
     InputError,
     PostconditionError,
@@ -521,11 +521,12 @@ def verify_witness(w: SeparationWitness) -> bool:
 # satisfied in a quotient when the intersection of the cosets
 # evaluate(coset_word) * <evaluate(generator)> is empty. Non-membership of g in
 # a cyclic subgroup <h> is the two-clause constraint ((g, h), (empty, h)).
-# A coset system holds its constraints as rows of clause ids (CosetSystem),
-# and one rule, _unsatisfied, says which rows fail in a quotient, evaluating
-# each clause once: in a system whose generators are all trivial a row fails
-# when its clause images are all equal, and in any other system when the
-# cosets of its clauses share an element.
+# A coset system holds its constraints as rows of clause ids (CosetSystem).
+# One helper, _clause_cosets, builds clause cosets, each generator's cyclic
+# image once, for constraint_satisfied and for _unsatisfied, the one rule that
+# says which rows fail in a quotient: in a system whose generators are all
+# trivial a row fails when its clause images are all equal, and in any other
+# system when the cosets of its clauses share an element.
 #
 # The library search goes round by round: one round is one group and one set
 # of active letters, and its assignments put non-identity values on those
@@ -543,16 +544,16 @@ Constraint = tuple[CosetClause, ...]
 
 def constraint_satisfied(q: FiniteQuotient, constraint: Constraint) -> bool:
     """True when the intersection of the clause cosets is empty in q."""
+    cosets = _clause_cosets(q, constraint)
+    return bool(cosets) and not cosets[0].intersection(*cosets[1:])
+
+
+def _clause_cosets(q: FiniteQuotient, clauses: Iterable[CosetClause]) -> list[frozenset[Perm]]:
+    """The coset evaluate(coset_word) * <evaluate(generator)> of each clause
+    in q, each generator's cyclic image built once."""
     identity = p_identity(q.degree)
-    common: frozenset[Perm] | None = None
-    for coset_word, generator in constraint:
-        coset = frozenset(
-            left_coset(q.evaluate(coset_word), q.cyclic_image(generator) - {identity})
-        )
-        common = coset if common is None else common & coset
-        if not common:
-            return True
-    return common is not None and not common
+    shifts = cache(lambda generator: q.cyclic_image(generator) - {identity})
+    return [frozenset(left_coset(q.evaluate(word), shifts(h))) for word, h in clauses]
 
 
 def _letter_sums(w: Word, n: int) -> tuple[int, ...]:
@@ -846,6 +847,7 @@ def separate_maximal_cyclic(
     """Witness that g avoids the maximal cyclic subgroup generated by a,
     inside a finite p-group."""
     require_prime(p)
+    require_bound(bound)
     _, exponent = maximal_root(a)
     if exponent != 1:
         raise PreconditionError(f"{a} is a proper power, not a maximal root")
@@ -893,6 +895,7 @@ def separate_from_cyclic(
     maximal root is taken once.
     """
     L = _prime_set(L)
+    require_bound(bound)
     if not c:
         raise InputError("cyclic generator must be nontrivial")
     n = max(c.n, g.n)
@@ -914,63 +917,55 @@ def separate_from_cyclic(
         p = smallest_prime_not_in(L)
         base = _separate_maximal_root(a, g, p, bound, seed)
         quotient = base.quotient
-        _require_separated(quotient, c, g)
         transcript = base.transcript + (
             f"maximal root {a} separated; restriction to powers of {c} retained",
         )
-        return SeparationWitness(
-            quotient, c, g, frozenset([p]), L, transcript
-        )
-
-    # Case 2: g = a^e is a power of the maximal root a, c = a^i
-    m = e % i
-    p = None
-    for cand in sorted(prime_factors(i)):
-        if valuation(m, cand) < valuation(i, cand):
-            p = cand
-            break
-    if p is None:
-        raise PostconditionError(
-            f"{i} does not divide {m}, yet no prime factor of {i} shows it", m=m, i=i
-        )
-    if p in L:
-        raise PostconditionError(
-            f"prime {p} divides the exponent {i} and lies in L, yet {c} passed "
-            f"the root-closure check; by the gcd rule <{a}^{i}> is not closed "
-            f"under {p}-th roots",
-            p=p,
-            i=i,
-        )
-    k = valuation(m, p) + 1
-    q_order = p ** k
-    quotient = _cyclic_quotient_killing(a, n, q_order)
-    if quotient is None:
-        # every exponent sum of a vanishes mod p: fall back to the library
-        constraint: Constraint = ((g, c), (empty_word(n), c))
-        quotient, examined = _constraint_search(
-            n, p, constraint, bound, "separate_from_cyclic", seed
-        )
-        transcript = (
-            f"power case: g = root^{e}, subgroup = root^{i} powers",
-            f"abelian exponent sums of {a} all vanish mod {p}",
-            f"library search found {quotient.name} ({examined} homomorphisms)",
-        )
     else:
-        transcript = (
-            f"power case: g = root^{e}, subgroup = root^{i} powers",
-            f"prime {p} divides {i} with excess over its share of {m}",
-            f"cyclic quotient Z/{q_order} maps the root to a unit",
-        )
-    _require_separated(quotient, c, g)
-    return SeparationWitness(quotient, c, g, frozenset([p]), L, transcript)
-
-
-def _require_separated(quotient: FiniteQuotient, c: Word, g: Word) -> None:
+        # Case 2: g = a^e is a power of the maximal root a, c = a^i
+        m = e % i
+        p = None
+        for cand in sorted(prime_factors(i)):
+            if valuation(m, cand) < valuation(i, cand):
+                p = cand
+                break
+        if p is None:
+            raise PostconditionError(
+                f"{i} does not divide {m}, yet no prime factor of {i} shows it", m=m, i=i
+            )
+        if p in L:
+            raise PostconditionError(
+                f"prime {p} divides the exponent {i} and lies in L, yet {c} passed "
+                f"the root-closure check; by the gcd rule <{a}^{i}> is not closed "
+                f"under {p}-th roots",
+                p=p,
+                i=i,
+            )
+        k = valuation(m, p) + 1
+        q_order = p ** k
+        quotient = _cyclic_quotient_killing(a, n, q_order)
+        if quotient is None:
+            # every exponent sum of a vanishes mod p: fall back to the library
+            constraint: Constraint = ((g, c), (empty_word(n), c))
+            quotient, examined = _constraint_search(
+                n, p, constraint, bound, "separate_from_cyclic", seed
+            )
+            transcript = (
+                f"power case: g = root^{e}, subgroup = root^{i} powers",
+                f"abelian exponent sums of {a} all vanish mod {p}",
+                f"library search found {quotient.name} ({examined} homomorphisms)",
+            )
+        else:
+            transcript = (
+                f"power case: g = root^{e}, subgroup = root^{i} powers",
+                f"prime {p} divides {i} with excess over its share of {m}",
+                f"cyclic quotient Z/{q_order} maps the root to a unit",
+            )
     if quotient.evaluate(g) in quotient.cyclic_image(c):
         raise PostconditionError(
             f"the image of {g} in {quotient.name} lies in the image of <{c}>",
             quotient=quotient.name,
         )
+    return SeparationWitness(quotient, c, g, frozenset([p]), L, transcript)
 
 
 def _cyclic_quotient_killing(a: Word, n: int, q: int) -> FiniteQuotient | None:
@@ -998,9 +993,7 @@ class CosetSystem:
     order. ``rows`` stacks them, each row padded to the widest by repeating
     its last clause, which leaves its coset intersection as it is, and
     ``widths`` keeps each row's own width. The rows are the only form of the
-    constraints: :func:`_unsatisfied` decides them in a quotient. When every
-    generator is trivial a row fails when its clause images are all equal,
-    and otherwise when its clause cosets share an element.
+    constraints: :func:`_unsatisfied` decides them in a quotient.
     """
 
     def __init__(self, clauses: Sequence[CosetClause], blocks: Iterable[np.ndarray]):
@@ -1046,19 +1039,15 @@ def _unsatisfied(q: FiniteQuotient, system: CosetSystem, rows: np.ndarray) -> np
     When every generator of the system is trivial a coset is one element:
     each clause of the system is evaluated once, and a row fails exactly
     when its clause images are all equal, decided over every row at once.
-    Otherwise each clause the rows name is evaluated once and its coset
-    built, each generator's cyclic image once, and the cosets are
-    intersected row by row."""
+    Otherwise :func:`_clause_cosets` builds the coset of each clause the
+    rows name, once, and the cosets are intersected row by row."""
     used = system.rows[rows]
     if all(generator is None for _, generator in system.clauses):
         image, _ = _values([word for word, _ in system.clauses], q.evaluate)
         return _all_equal(image[used])
     ids, inverse = np.unique(used, return_inverse=True)
     inverse = inverse.reshape(used.shape)
-    clauses = [system.clauses[i] for i in ids.tolist()]
-    identity = p_identity(q.degree)
-    shifts = cache(lambda generator: q.cyclic_image(generator) - {identity})
-    cosets = [frozenset(left_coset(q.evaluate(word), shifts(h))) for word, h in clauses]
+    cosets = _clause_cosets(q, [system.clauses[i] for i in ids.tolist()])
     return np.array(
         [bool(cosets[first].intersection(*map(cosets.__getitem__, rest)))
          for first, *rest in inverse.tolist()],
@@ -1091,13 +1080,12 @@ def separate_coset_system(
     satisfied in a product. Otherwise the product tier serves every
     constraint.
 
-    Which rows a quotient leaves unsatisfied is decided by one rule,
-    :func:`_unsatisfied`: all clause images equal when every generator is
-    trivial, a common element of the clause cosets otherwise. It serves the
-    product tier, the rows left after N, and the final check, which
+    :func:`_unsatisfied` decides which rows a quotient leaves unsatisfied
+    for the product tier, the rows left after N, and the final check, which
     re-verifies every constraint against the returned quotient.
     """
     L = _prime_set(L)
+    require_bound(bound)
     system = constraints if isinstance(constraints, CosetSystem) else CosetSystem.of(constraints)
     if any(w is not None and w.n > n for clause in system.clauses for w in clause):
         raise InputError(f"a constraint word uses letters beyond the {n} given")

@@ -510,7 +510,7 @@ def hypertournament_from_dict(d: Mapping) -> Hypertournament:
     if not isinstance(d, Mapping):
         raise InputError("hypertournament JSON must be an object")
     try:
-        L = [int(l) for l in d["L"]]
+        L = [_integer(l, "arity") for l in d["L"]]
         universe = [_freeze(x) for x in d["universe"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"hypertournament JSON needs L and universe: {exc}") from exc

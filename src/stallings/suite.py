@@ -148,7 +148,7 @@ def random_disjoint_partial_map(rng: random.Random, h: Hypertournament) -> dict:
         size = rng.randint(1, top)
         chosen = rng.sample(points, 2 * size)
         mapping = dict(zip(chosen[:size], chosen[size:]))
-        if _iso_violation(h, mapping) is None:
+        if _iso_violation(h, h, mapping) is None:
             return mapping
 
 
@@ -469,7 +469,7 @@ def _brute_validate(h: Hypertournament) -> bool:
     from itertools import combinations
 
     for l in sorted(h.L):
-        rel = h.relation_map[l]
+        rel = dict(h.relations)[l]
         for combo in combinations(h.universe, l):
             arranged = [t for t in permutations(combo) if t in rel]
             if not arranged:
@@ -530,7 +530,7 @@ def _inv_orbits(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if not ok:
             failures.append(f"trial {t}: orbit completion is not a valid structure on {labels}")
             continue
-        rel = h.relation_map[2]
+        rel = dict(h.relations)[2]
         for g in gens:
             for x, y in rel:
                 if x in g and y in g and (g[x], g[y]) not in rel:

@@ -323,7 +323,7 @@ def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     assert len(blocks) > len(text) // BLOCK_CHARS >= 1
     assert max(map(len, blocks)) <= BLOCK_CHARS
 
-    # --out walks the same payload a second time
+    # --out writes the same blocks to the file in the same pass
     out = tmp_path / "extension.json"
     result = _invoke("eppa-extend", structure, maps_path, "--out", str(out))
     assert result.exit_code == 0, result.output
@@ -1041,6 +1041,58 @@ def test_command_refuses_bad_input(tmp_path, name):
     assert json.loads(result.stderr)["error"] == code
 
 
+def test_negative_search_bounds_are_refused_before_any_search(tmp_path, monkeypatch):
+    # A negative bound was read as a cap: separate reported
+    # search_cap_exhausted with "examined": -4, and eppa-extend on a family
+    # with a vertex-group generator (a 3-cycle rotated by its map) said that
+    # no quotient separates a constraint.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("searched with a negative bound")
+
+    monkeypatch.setattr(separability, "_constraint_search", forbidden)
+    structure = _structure_file(tmp_path, list(range(8)), 2, _circulant_structure(3, 8))
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1, "1": 2, "2": 0}}])
+    for args in (
+        ("separate", "--cyclic", "ab", "--word", "ba", "--L", "2", "--bound", "-5"),
+        ("eppa-extend", structure, maps_path, "--bound", "-1"),
+    ):
+        result = _invoke(*args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert error == {"error": "invalid_input", "message": f"bound {args[-1]} is negative"}
+
+
+@pytest.mark.parametrize("command", ["fold", "separate", "eppa-extend", "verify-counterexample"])
+def test_out_file_is_stdout_from_one_encoding(tmp_path, monkeypatch, command):
+    # Each JSON block goes to stdout and to the --out file in one pass, so
+    # the payload is encoded once.
+    calls = []
+    real = cli.json_blocks
+
+    def counted(payload):
+        calls.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(cli, "json_blocks", counted)
+    transitive = [[i, j] for i, j in itertools.combinations(range(4), 2)]
+    args = {
+        "fold": ("fold", "@abABa,b", "--core"),
+        "separate": ("separate", "--cyclic", "ab", "--word", "ba", "--L", "2"),
+        "eppa-extend": (
+            "eppa-extend",
+            _structure_file(tmp_path, list(range(4)), 2, transitive),
+            _json_file(tmp_path, "maps.json", [{"map": {"0": 3}}]),
+        ),
+        "verify-counterexample": ("verify-counterexample", "--p", "2", "--depth", "1"),
+    }[command]
+    out = tmp_path / "out.json"
+    result = _invoke(*_command_args(tmp_path, args), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert result.stdout and out.read_text() == result.stdout
+    assert len(calls) == 1
+
+
 # Malformed JSON that reached a Python exception instead of the error-JSON
 # contract: a container of the wrong type, a JSON object used as a label,
 # and an integer field that is not an integer.
@@ -1092,6 +1144,9 @@ _MALFORMED = {
     "vertex_map key listed twice": (
         "gersten-check", {**_GERSTEN_CONFIG, "vertex_map": _GERSTEN_CONFIG["vertex_map"] + [[0, 0]]},
     ),
+    # arities that int() would take: a float cut short to 2, a bool read as 1
+    "arity not integral": ("validate", {"L": [2.5], "universe": [0, 1], "relations": {}}),
+    "arity a bool": ("validate", {"L": [True], "universe": [0, 1], "relations": {}}),
 }
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from math import comb
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from click.testing import CliRunner
 
 from stallings import covers, homology
 from stallings.cli import main
-from stallings.homology import _s_coefficients, _t_to_s
 from stallings.serialize import graph_to_dict
 
 
@@ -274,18 +272,6 @@ def test_one_minus_t_is_nilpotent_of_index_p():
             assert one_minus_t_valuation(acc, p) == expected
 
 
-def test_basis_change_matches_binomials_and_is_shared_read_only():
-    for p in (2, 3, 5, 31):
-        m = _t_to_s(p)
-        expected = [[comb(j, k) * (-1) ** k % p for j in range(p)] for k in range(p)]
-        assert m.tolist() == expected
-        assert _t_to_s(p) is m
-        with pytest.raises(ValueError):
-            m[0, 0] = 0
-        # t -> s -> t is the identity: the one matrix serves both ways
-        assert np.array_equal(m @ m % p, np.eye(p, dtype=np.int64))
-
-
 def _times_one_minus_t(rows: np.ndarray, p: int) -> np.ndarray:
     omt = np.zeros(p, dtype=np.int64)
     omt[0], omt[1] = 1, p - 1
@@ -388,7 +374,7 @@ def test_stacked_valuations_match_the_basis_change():
         for _ in range(25):
             cols, depth = rng.randint(1, 3), rng.randint(1, 6)
             stack = _stack(rng, p, cols, depth)
-            want = [_s_coefficients(v, p)[1] for v in stack]
+            want = [_reference_valuation(v, p) for v in stack]
             got = one_minus_t_valuation(stack, p)
             assert got.shape == (depth,) and got.tolist() == want
             assert one_minus_t_valuation(stack[None], p).tolist() == [want]

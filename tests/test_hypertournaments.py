@@ -129,7 +129,7 @@ def test_orbit_structure_invariance():
         except ForcedCycleError:
             continue
         assert validate(h)[0]
-        rel = h.relation_map[2]
+        rel = dict(h.relations)[2]
         for x, y in rel:
             if x in shift and y in shift:
                 assert (shift[x], shift[y]) in rel
@@ -174,7 +174,7 @@ def test_repeated_seeds_and_seeds_of_one_orbit_report_the_earlier_seed():
     pair = [{0: 1, 2: 3}]
     once = orbit_structure(range(4), pair, [2], {2: [(0, 2)]})
     again = orbit_structure(range(4), pair, [2], {2: [(1, 3), (0, 2), (1, 3), (0, 2)]})
-    assert again == once and {(0, 2), (1, 3)} <= once.relation_map[2]
+    assert again == once and {(0, 2), (1, 3)} <= dict(once.relations)[2]
 
 
 def test_a_cycle_can_close_only_through_an_earlier_seed_orbit():
@@ -334,6 +334,15 @@ def test_verify_extension_catches_tampering():
     swapped = dataclasses.replace(result, automorphisms=(tuple(sorted(auto.items())),))
     assert not verify_extension(swapped, m, fam)
 
+    # an embedding that is injective and lands in the extension but swaps the
+    # images of 1 and 2, which reverses the arc (1, 2) alone; the map 0 -> 3
+    # still holds, so only the embedding check can refuse it
+    assert verify_extension(result, m, fam)
+    moved = dict(e)
+    moved[1], moved[2] = e[2], e[1]
+    reversed_arc = dataclasses.replace(result, embedding=tuple(sorted(moved.items())))
+    assert not verify_extension(reversed_arc, m, fam)
+
 
 def _tournament_with_a_map(seed: int, n: int = 10, pairs: int = 2):
     """A seeded tournament on n points and the first partial isomorphism of
@@ -433,7 +442,7 @@ def test_orbit_structure_matches_the_tuple_at_a_time_reference():
             outcomes["seed_cycle" if rep in seeds[l] else "subset_cycle"] += 1
             continue
         h = orbit_structure(universe, gens, [l], seeds)
-        assert h.relation_map == expected, (universe, gens, seeds)
+        assert dict(h.relations) == expected, (universe, gens, seeds)
         outcomes["built"] += 1
     assert min(outcomes.values()) >= 10, outcomes
 
@@ -542,7 +551,7 @@ def _seeded_orbit_structures():
 def test_code_built_structure_equals_the_label_parsed_one():
     for h in _seeded_orbit_structures():
         (l,) = h.L
-        parsed = make_hypertournament(h.universe, h.L, h.relation_map)
+        parsed = make_hypertournament(h.universe, h.L, dict(h.relations))
         assert parsed == h
         assert parsed.codes[l].dtype == h.codes[l].dtype
         assert np.array_equal(parsed.codes[l], h.codes[l])
@@ -550,7 +559,8 @@ def test_code_built_structure_equals_the_label_parsed_one():
         assert not h.codes[l].flags.writeable
         # relations are a view: one frozenset per arity, in arity order
         assert [k for k, _ in h.relations] == [l]
-        assert h.relation_map[l] is dict(h.relations)[l]
+        assert type(h.relations[0][1]) is frozenset
+        assert h.relations is h.relations  # decoded once, on first use
 
 
 def test_holds_agrees_with_frozenset_membership():
@@ -560,7 +570,7 @@ def test_holds_agrees_with_frozenset_membership():
         outside = ("zz", 99, (5, 5))
         points = list(h.universe) + [x for x in outside if x not in h.universe][:1]
         for k in range(1, 5):
-            rel = h.relation_map.get(k, frozenset())
+            rel = dict(h.relations).get(k, frozenset())
             for t in itertools.product(points, repeat=k):
                 assert h.holds(t) == (t in rel), (h.universe, t)
 
@@ -570,7 +580,7 @@ def test_code_constructor_refuses_bad_codes():
 
     universe = (0, 1, 2)
     ok = Hypertournament(universe, frozenset([2]), {2: np.array([1, 5, 6])})
-    assert ok.relation_map[2] == {(0, 1), (1, 2), (2, 0)}
+    assert dict(ok.relations)[2] == {(0, 1), (1, 2), (2, 0)}
     # unsorted, duplicate, below and above the range [0, 9)
     for codes in ([5, 1], [1, 1, 5], [-1, 5], [5, 9]):
         with pytest.raises(InputError):
@@ -601,7 +611,7 @@ def test_relation_errors_name_the_first_bad_row_in_input_order():
         make_hypertournament(universe, [2], {2: [("d",), rows[1]]})
     # repeated rows are one tuple, and rows may be lists or tuples
     m = make_hypertournament(universe, [2], {2: [["a", "b"], ("b", "c"), ("a", "b")]})
-    assert m.relation_map[2] == {("a", "b"), ("b", "c")} and m.codes[2].tolist() == [1, 6]
+    assert dict(m.relations)[2] == {("a", "b"), ("b", "c")} and m.codes[2].tolist() == [1, 6]
 
 
 def _eppa_inputs(rng: random.Random, l: int, cyclic: bool):
@@ -657,7 +667,7 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
             for x, path in path_words_from(sub, base).items():
                 w[x], h[x], component[x] = path.reversed().letters, loop, base
         loops += any(loop is not None for loop in h.values())
-        expected = oracles.oracle_eppa_constraints(points, w, h, component, m.relation_map)
+        expected = oracles.oracle_eppa_constraints(points, w, h, component, dict(m.relations))
         constraints = oracles.oracle_constraint_list(*handed)
         as_tuples = [
             tuple((c.letters, g.letters if g is not None else None) for c, g in clause)

@@ -994,3 +994,20 @@ def test_search_cap_falls_on_the_same_assignment_at_any_block_size(monkeypatch, 
         for bound in (at - 1, at, at + 1):
             got = _search_outcome(_constraint_search, n, p, constraint, bound, "test")
             assert (got[0], got[-1]) == (("cap", at) if bound < at else (name, at)), bound
+
+
+def test_negative_bounds_are_refused_before_any_search(monkeypatch):
+    # A negative bound was read as a cap: a search stopped at once and
+    # reported a negative count of assignments examined.
+    monkeypatch.setattr(separability, "_constraint_search", None)  # a search fails to call it
+    m = make_hypertournament(range(3), [2], {2: [(0, 1), (1, 2), (2, 0)]})
+    entries = [
+        lambda bound: separate_maximal_cyclic(_w("ab"), _w("ba"), 3, bound=bound),
+        lambda bound: separate_from_cyclic(_w("ab"), _w("ba"), [2], bound=bound),
+        lambda bound: separate_coset_system([], 2, [2], bound=bound),
+        lambda bound: eppa_extend(m, make_family(m, [{0: 1, 1: 2, 2: 0}]), bound=bound),
+    ]
+    for entry in entries:
+        with pytest.raises(InputError, match="bound -1 is negative"):
+            entry(-1)
+    assert separate_coset_system([], 2, [2], bound=0).order == 1  # 0 is a cap, not an error

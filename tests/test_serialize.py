@@ -40,7 +40,7 @@ def _random_family(rng: random.Random):
     while len(maps) < 3:
         k = rng.randint(1, 3)
         m = dict(zip(rng.sample(labels, k), rng.sample(labels, k)))
-        if _iso_violation(host, m) is None:
+        if _iso_violation(host, host, m) is None:
             maps.append(m)
     return host, make_family(host, maps)
 
@@ -62,6 +62,13 @@ def test_family_to_list_refuses_keys_that_read_back_as_another_label():
     for maps in ([{1: 2}], [{1: 2}, {"1": 2}]):
         with pytest.raises(InputError, match="read back"):
             family_to_list(make_family(host, maps))
+
+
+@pytest.mark.parametrize("arity", [2.5, True, "x"])
+def test_hypertournament_arities_are_read_as_integers(arity):
+    # int() read 2.5 as arity 2 and True as arity 1
+    with pytest.raises(InputError, match="is not an integer"):
+        serialize.hypertournament_from_dict({"L": [arity], "universe": [0, 1], "relations": {}})
 
 
 # -- the indented emitter -------------------------------------------------------------
