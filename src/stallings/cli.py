@@ -66,7 +66,7 @@ def _echo(payload, file=None, out: str | None = None) -> None:
     # WeakKeyDictionary whose value refers to its key, so every stream an
     # in-process caller (such as CliRunner) swaps in stays alive for good.
     file = file or sys.stdout
-    with open(out, "w") if out else contextlib.nullcontext() as copy:
+    with _out_file(out) as copy:
         for block in json_blocks(payload):
             click.echo(block, nl=False, file=file)
             if copy:
@@ -76,11 +76,14 @@ def _echo(payload, file=None, out: str | None = None) -> None:
             copy.write("\n")
 
 
-def _write_out(payload, out: str | None) -> None:
-    if out:
-        with open(out, "w") as f:
-            f.writelines(json_blocks(payload))
-            f.write("\n")
+def _out_file(out: str | None):
+    """The ``--out`` file of every command, opened for writing before the
+    command prints anything, or a null context without one; a path that
+    cannot be opened is invalid input."""
+    try:
+        return open(out, "w") if out else contextlib.nullcontext()
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _safe_details(details: dict) -> dict:
@@ -215,8 +218,10 @@ def fiber_product_cmd(left: str, right: str, out: str | None) -> None:
         "diagonal": fp.diagonal,
         "component_stats": _component_stats(fp),
     }
-    _echo(payload)
-    _write_out(payload["graph"], out)
+    with _out_file(out) as copy:
+        _echo(payload)
+        if copy:
+            _echo(payload["graph"], copy)
 
 
 @main.command()
@@ -299,7 +304,7 @@ def gersten_check_cmd(config: str) -> None:
             raise InputError(f"config is missing {key!r}")
     p = _integer(data["p"], "p")
     f = read_morphism(data)
-    yhat = build_cover(cocycle_from_value(f.codomain.graph, p, data["cocycle"]))
+    yhat = build_cover(f.codomain, p, cocycle_from_value(f.codomain, p, data["cocycle"]))
     xhat, lift = pullback(f, yhat)
     report = gersten_check(f, xhat, yhat, lift, p)
     _echo(
@@ -322,9 +327,8 @@ def gersten_check_cmd(config: str) -> None:
 @_guarded
 def cover(graph: str, p: int, cocycle_text: str, out: str | None) -> None:
     """Degree-p cover of a graph from a per-letter Z/p cocycle."""
-    base = graph_from_dict(_load_json(graph))
-    desc = cocycle_from_value(base, p, parse_cocycle_text(cocycle_text))
-    built = build_cover(desc)
+    base = IndexGraph.of(graph_from_dict(_load_json(graph)))
+    built = build_cover(base, p, cocycle_from_value(base, p, parse_cocycle_text(cocycle_text)))
     total = graph_to_dict(built.space.graph)
     payload = {
         "graph": total,
@@ -332,8 +336,10 @@ def cover(graph: str, p: int, cocycle_text: str, out: str | None) -> None:
         "connected": built.is_connected,
         "h1_ranks": built.space.component_ranks(),
     }
-    _echo(payload)
-    _write_out(total, out)
+    with _out_file(out) as copy:
+        _echo(payload)
+        if copy:
+            _echo(total, copy)
 
 
 @main.command()
@@ -361,15 +367,15 @@ def tower(
 ) -> None:
     """Tower of degree-p covers from surjective cocycles, with an optional
     pull-back report for a based graph over a one-vertex base."""
-    base = graph_from_dict(_load_json(graph))
+    base = IndexGraph.of(graph_from_dict(_load_json(graph)))
     if pullback_path is not None:
         # the pull-back outgrows the tower, so it is checked first
-        if len(base.vertices) != 1:
+        if base.size != 1:
             raise InputError("pull-back reports need a one-vertex base graph")
         a = graph_from_dict(_load_json(pullback_path))
         if a.basepoint is None:
             raise InputError("the pulled-back graph needs a basepoint")
-        f = to_wedge(a, IndexGraph.of(base))
+        f = to_wedge(a, base)
         require_cover_size(f.domain, p, depth)
     built = cover_tower(base, p, depth, strategy=strategy, seed=seed)
     levels = []
@@ -397,9 +403,10 @@ def tower(
                 }
             )
         payload["pullbacks"] = rows
-    _echo(payload)
-    if out:
-        _write_out(graph_to_dict(built.spaces[-1].graph), out)
+    with _out_file(out) as copy:
+        _echo(payload)
+        if copy:
+            _echo(graph_to_dict(built.spaces[-1].graph), copy)
 
 
 @main.command()

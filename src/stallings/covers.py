@@ -1,24 +1,25 @@
-"""Regular Z/p covers of labeled graphs, built from edge cocycles, their
-towers, and pull-backs of covers along morphisms.
+"""Regular Z/p covers of graphs, built from edge cocycles, their towers,
+and pull-backs of covers along morphisms.
 
-A cocycle assigns an element of Z/p to every edge of the base graph; the
-cover places p sheets over each vertex and routes the lift of an edge from
-sheet k to sheet k + cocycle(e). Every regular Z/p cover arises this way,
-and cocycles vanishing on a spanning tree give a canonical finite
-enumeration. The deck transformation shifts sheets by one.
+A cocycle assigns an element of Z/p to every edge of the base graph: it is
+one integer shift per base edge, in ``sorted_edges`` order. The cover places
+p sheets over each vertex and routes the lift of edge j from sheet k to
+sheet k + shift[j]. Every regular Z/p cover arises this way, and cocycles
+vanishing on a spanning tree give a canonical finite enumeration. The deck
+transformation shifts sheets by one.
 
-Covers, towers and pull-backs are ``IndexGraph``s in the index layout of
-``graphs`` (sheet k over v is v·p + k): the projection is v·p + k -> v, a
-deck shift by s sends v·p + k to v·p + (k + s) mod p, and a lift along an
-``IndexMorphism`` is index arithmetic. The labels (v, k) of ``.graph`` are
-made only when asked for.
+Bases, covers, towers and pull-backs are ``IndexGraph``s in the index
+layout of ``graphs`` (sheet k over v is v·p + k): the projection is
+v·p + k -> v, a deck shift by s sends v·p + k to v·p + (k + s) mod p, and a
+lift along an ``IndexMorphism`` is index arithmetic. The labels (v, k) of
+``.graph`` are made only when asked for.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -30,10 +31,8 @@ from .errors import (
     ResourceCapError,
 )
 from .graphs import (
-    Edge,
     IndexGraph,
     IndexMorphism,
-    LabeledGraph,
     _pair_graph,
     bfs_edges,
     same_graph,
@@ -44,47 +43,6 @@ from .graphs import (
 # largest towers it admits, verify-counterexample at 2^18 and 3^11, run in
 # about 4 s and 1.5 s at 300 MB and 180 MB peak on a 2-vCPU VM.
 COVER_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class CoverDescription:
-    base: LabeledGraph
-    p: int
-    cocycle: tuple[tuple[Edge, int], ...]
-
-    def __post_init__(self):
-        require_prime(self.p)
-        given = {e for e, _ in self.cocycle}
-        missing = set(self.base.edges) - given
-        if missing:
-            raise InputError(f"cocycle undefined on {len(missing)} edge(s)")
-        unknown = given - set(self.base.edges)
-        if unknown:
-            raise InputError(f"cocycle defined on non-edges: {sorted_repr(unknown)}")
-
-    @staticmethod
-    def from_dict(base: LabeledGraph, p: int, values: dict) -> "CoverDescription":
-        ix = base.vertex_index
-        items = tuple(
-            sorted(
-                ((e, int(v) % p) for e, v in values.items()),
-                key=lambda kv: (ix[kv[0][0]], ix[kv[0][1]], kv[0][2]),
-            )
-        )
-        return CoverDescription(base, p, items)
-
-    @cached_property
-    def values(self) -> dict[Edge, int]:
-        return {e: v % self.p for e, v in self.cocycle}
-
-    @cached_property
-    def shift(self) -> np.ndarray:
-        """The cocycle as one value per edge of ``base.sorted_edges``."""
-        return np.array([self.values[e] for e in self.base.sorted_edges], dtype=np.int64)
-
-
-def sorted_repr(edges) -> str:
-    return ", ".join(repr(e) for e in sorted(edges, key=repr))
 
 
 # -- covers --------------------------------------------------------------------------
@@ -139,10 +97,15 @@ def _cover(base: IndexGraph, p: int, shift: np.ndarray) -> CoverGraph:
     return CoverGraph(base, p, shift, space, position)
 
 
-def build_cover(c: CoverDescription) -> CoverGraph:
-    base = IndexGraph.of(c.base)
-    require_cover_size(base, c.p)
-    return _cover(base, c.p, c.shift)
+def build_cover(base: IndexGraph, p: int, shift) -> CoverGraph:
+    """The Z/p cover of ``base`` whose cocycle is ``shift``, one integer per
+    edge of ``base`` in edge order, read mod p."""
+    require_prime(p)
+    shift = np.asarray(shift)
+    if shift.shape != base.src.shape or (shift.size and shift.dtype.kind not in "iu"):
+        raise InputError(f"a cocycle needs one integer per edge: {len(base.src)} edges")
+    require_cover_size(base, p)
+    return _cover(base, p, (shift % p).astype(np.int64, copy=False))
 
 
 # -- pull-backs -------------------------------------------------------------------
@@ -184,10 +147,20 @@ class CoverTower:
         return len(self.steps)
 
 
-def _surjective_shift(
-    g: IndexGraph, p: int, strategy: str, seed: int | None
+def surjective_cocycle(
+    g: IndexGraph, p: int, strategy: str = "first", seed: int | None = None
 ) -> np.ndarray:
-    """The values of ``surjective_cocycle`` on g's edges, in edge order."""
+    """A spanning-tree-normalized cocycle on g's edges, in edge order, whose
+    pairing with the cycle space is surjective onto Z/p, so the resulting
+    cover is connected.
+
+    The cocycle vanishes on a BFS spanning tree (of the whole connected
+    graph, from the basepoint or else the first vertex, in the walk's slot
+    order); its value on a chord equals its pairing with that chord's
+    fundamental cycle, so surjectivity just needs one nonzero chord value.
+    ``first`` takes the lexicographically first such assignment in chord
+    order; ``random`` draws uniformly until surjective.
+    """
     require_prime(p)
     if not g.size or not g.is_connected:
         raise InputError("cover towers need a connected base")
@@ -227,25 +200,8 @@ def _surjective_shift(
     return shift
 
 
-def surjective_cocycle(
-    g: LabeledGraph, p: int, strategy: str = "first", seed: int | None = None
-) -> CoverDescription:
-    """A spanning-tree-normalized cocycle whose pairing with the cycle space
-    is surjective onto Z/p, so the resulting cover is connected.
-
-    The cocycle vanishes on a BFS spanning tree (of the whole connected
-    graph, from the basepoint or else the first vertex, in the walk's slot
-    order); its value on a chord equals its pairing with that chord's
-    fundamental cycle, so surjectivity just needs one nonzero chord value.
-    ``first`` takes the lexicographically first such assignment in chord
-    order; ``random`` draws uniformly until surjective.
-    """
-    shift = _surjective_shift(IndexGraph.of(g), p, strategy, seed)
-    return CoverDescription(g, p, tuple(zip(g.sorted_edges, shift.tolist())))
-
-
 def cover_tower(
-    x: LabeledGraph,
+    x: IndexGraph,
     p: int,
     depth: int,
     strategy: str = "first",
@@ -253,11 +209,11 @@ def cover_tower(
 ) -> CoverTower:
     if depth < 0:
         raise InputError("tower depth must be >= 0")
-    spaces = [IndexGraph.of(x)]
+    spaces = [x]
     steps: list[CoverGraph] = []
     for k in range(depth):
         step_seed = None if seed is None else seed + k
-        shift = _surjective_shift(spaces[-1], p, strategy, step_seed)
+        shift = surjective_cocycle(spaces[-1], p, strategy, step_seed)
         if k == 0:
             # x passed the checks that every later level inherits
             require_cover_size(spaces[0], p, depth)

@@ -28,7 +28,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .covers import CoverDescription
+from .arith import require_prime
 from .errors import InputError
 from .graphs import (
     IndexGraph,
@@ -428,19 +428,20 @@ def _pairs(items, what: str) -> list[tuple]:
 # -- cocycles -----------------------------------------------------------------------
 
 
-def cocycle_from_value(base: LabeledGraph, p: int, value) -> CoverDescription:
-    """Two accepted shapes: a per-letter object {"a": 1, "b": 0} giving one
-    value to every edge with that label, or a per-edge list
-    [[[u, v, "a"], 1], ...]. Unmentioned edges get 0."""
+def cocycle_from_value(base: IndexGraph, p: int, value) -> np.ndarray:
+    """A cocycle for ``covers.build_cover``: one shift per edge of ``base``,
+    in ``sorted_edges`` order, reduced mod the prime p. Two accepted shapes:
+    a per-letter object {"a": 1, "b": 0} giving one value to every edge with
+    that label, or a per-edge list [[[u, v, "a"], 1], ...]. Unmentioned
+    edges get 0."""
     if isinstance(value, Mapping):
         shifts = {}
         for k, v in value.items():
             shifts[parse_letter(k, base.n)] = _integer(v, "cocycle value")
-        values = {e: shifts.get(e[2], 0) for e in base.edges}
-        return CoverDescription.from_dict(base, p, values)
-    if isinstance(value, (list, tuple)):
-        given = {}
-        edge_set = set(base.edges)
+        values = [shifts.get(i, 0) for i in base.letter.tolist()]
+    elif isinstance(value, (list, tuple)):
+        edge_index = {e: j for j, e in enumerate(base.graph.sorted_edges)}
+        values = [0] * len(base.src)
         for item in value:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise InputError(f"cocycle entry {item!r} is not an [edge, value] pair")
@@ -452,12 +453,14 @@ def cocycle_from_value(base: LabeledGraph, p: int, value) -> CoverDescription:
                 _freeze(raw_edge[1]),
                 parse_letter(raw_edge[2], base.n),
             )
-            if e not in edge_set:
+            if e not in edge_index:
                 raise InputError(f"cocycle names a non-edge {raw_edge!r}")
-            given[e] = _integer(val, "cocycle value")
-        values = {e: given.get(e, 0) for e in base.edges}
-        return CoverDescription.from_dict(base, p, values)
-    raise InputError("cocycle must be a per-letter object or an [edge, value] list")
+            values[edge_index[e]] = _integer(val, "cocycle value")
+    else:
+        raise InputError("cocycle must be a per-letter object or an [edge, value] list")
+    require_prime(p)
+    # reduced as Python ints, which may not fit int64
+    return np.array([v % p for v in values], dtype=np.int64)
 
 
 def _integer(value, what: str) -> int:

@@ -38,7 +38,6 @@ from .graphs import (
     rank,
     subgroup_graph,
     to_wedge,
-    wedge_graph,
 )
 from .homology import TwistedMatrix, _spanning_forest, chain_complex, h1_basis, induced_h1_map
 from .hypertournaments import (
@@ -399,9 +398,10 @@ def _inv_pullback(rng: random.Random, trials: int) -> tuple[int, Failures]:
     for t in range(trials):
         p = rng.choice((2, 3, 5))
         h = random_homology_iso_subgroup(rng, p)
-        desc = surjective_cocycle(wedge_graph(2), p, "random", rng.randrange(2**32))
-        cover = build_cover(desc)
-        pulled, _ = pullback(to_wedge(h.graph), cover)
+        f = to_wedge(h.graph)
+        shift = surjective_cocycle(f.codomain, p, "random", rng.randrange(2**32))
+        cover = build_cover(f.codomain, p, shift)
+        pulled, _ = pullback(f, cover)
         if not pulled.is_connected:
             failures.append(f"trial {t}: pull-back disconnected at p={p}")
             continue
@@ -417,9 +417,8 @@ def _inv_deck(rng: random.Random, trials: int) -> tuple[int, Failures]:
     for t in range(trials):
         p = rng.choice((2, 3, 5))
         n = rng.randint(1, 3)
-        base = random_cover_of_wedge(rng, n, rng.randint(1, 3))
-        desc = surjective_cocycle(base, p, "random", rng.randrange(2**32))
-        cover = build_cover(desc)
+        base = IndexGraph.of(random_cover_of_wedge(rng, n, rng.randint(1, 3)))
+        cover = build_cover(base, p, surjective_cocycle(base, p, "random", rng.randrange(2**32)))
         g = cover.space
         over, sheet = np.divmod(np.arange(g.size), p)
         decks = [over * p + (sheet + s) % p for s in range(p)]

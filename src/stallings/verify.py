@@ -18,7 +18,7 @@ from .arith import require_prime
 from .covers import cover_tower, require_cover_size, tower_pullbacks
 from .errors import InputError
 from .fiber import is_malnormal
-from .graphs import IndexGraph, subgroup_graph, to_wedge, wedge_graph
+from .graphs import IndexGraph, subgroup_graph, to_wedge
 from .homology import induced_h1_map
 from .words import Word
 
@@ -84,7 +84,8 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
 
     gens = [Word.parse(text, 2) for text in GENERATOR_TEXTS]
     h = subgroup_graph(gens, 2)
-    sub_counts = _counts(IndexGraph.of(h.graph))
+    f = to_wedge(h.graph)
+    sub_counts = _counts(f.domain)
     check(
         "core graph size",
         sub_counts == {"vertices": 5, "a_edges": 3, "b_edges": 3},
@@ -119,7 +120,6 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
 
     check("malnormal", mal.malnormal, "no conjugate intersects nontrivially")
 
-    f = to_wedge(h.graph)
     f_star = induced_h1_map(f, p)
     h1_iso = f_star.is_isomorphism
     check(
@@ -131,7 +131,7 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
     # the pull-backs of G's core outgrow the wedge's tower, so an oversized
     # run is refused here, before either is built
     require_cover_size(f.domain, p, depth)
-    tower = cover_tower(wedge_graph(2), p, depth)
+    tower = cover_tower(f.codomain, p, depth)
     table = []
     for level, (cover, _lift) in enumerate(tower_pullbacks(f, tower), start=1):
         ranks = cover.space.component_ranks()

@@ -431,6 +431,13 @@ _GERSTEN_CONFIG = {
     "vertex_map": [[0, 0], [1, 0], [2, 0], [3, 0]],
     "cocycle": {"a": 2, "b": 3},
 }
+# Changes to _GERSTEN_CONFIG, by the file spec that names them.
+_GERSTEN_VARIANTS = {
+    "@gersten": {},
+    "@gersten p=0": {"p": 0},
+    # cocycle values outside int64, read mod p as Python ints
+    "@gersten wide cocycle": {"cocycle": [[[0, 0, "a"], 2**64 + 3], [[0, 0, "b"], -7]]},
+}
 _GRAPH_CASES = {
     "fold-core": (
         ("fold", "@raw", "--core"), 0,
@@ -485,8 +492,8 @@ _GRAPH_CASES.update({
 def _graph_case_file(tmp_path, spec: str, k: int) -> str:
     if spec == "@raw":
         return _json_file(tmp_path, f"{k}.json", _RAW_GRAPH)
-    if spec == "@gersten":
-        return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG)
+    if spec in _GERSTEN_VARIANTS:
+        return _json_file(tmp_path, f"{k}.json", {**_GERSTEN_CONFIG, **_GERSTEN_VARIANTS[spec]})
     if spec == "@domain":
         return _json_file(tmp_path, f"{k}.json", _GERSTEN_CONFIG["domain"])
     if spec == "@missing":
@@ -505,6 +512,16 @@ def test_graph_command_output_is_pinned(tmp_path, name):
     result = _invoke(*_command_args(tmp_path, args))
     assert result.exit_code == status, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_gersten_check_reads_each_graph_once(tmp_path, monkeypatch):
+    # the cover is built on the codomain that the morphism was read onto
+    built = []
+    real = graphs.IndexGraph.of
+    monkeypatch.setattr(graphs.IndexGraph, "of", staticmethod(lambda g: built.append(g) or real(g)))
+    result = _invoke(*_command_args(tmp_path, ("gersten-check", "@gersten")))
+    assert result.exit_code == 0, result.output
+    assert [len(g.vertices) for g in built] == [4, 1]
 
 
 def _random_words(seed: int, n: int, lengths) -> list[str]:
@@ -969,6 +986,8 @@ _COMMAND_ERRORS = {
     "membership": (("membership", "abAB"), 2, "invalid_input"),
     "basis": (("basis", "@missing"), 2, "invalid_input"),
     "cover": (("cover", "@a,b", "--p", "3", "--cocycle", "a1"), 2, "invalid_input"),
+    "cover p=0": (("cover", "@a,b", "--p", "0", "--cocycle", "a=1"), 2, "invalid_input"),
+    "gersten-check p=0": (("gersten-check", "@gersten p=0"), 2, "invalid_input"),
     "tower": (("tower", "@abABa,b", "--p", "2", "--depth", "1", "--pullback", "@a,b"), 2, "invalid_input"),
     "verify-counterexample": (("verify-counterexample", "--p", "4"), 2, "invalid_input"),
     "suite": (("suite", "--trials", "0"), 2, "invalid_input"),
@@ -1017,6 +1036,15 @@ _COVER_CASES = {
         "bbc06ea0f82aa552fd4757f0142d021256253e39ed3f4a9b14c2071f9053fb46",
         "2f2a4743c811cbb65666c5fa1804c89b989711d35b0b81a0647ed5fc89048fa7",
     ),
+    # cocycle values outside int64, negative ones, and both read mod p
+    "cover, wide cocycle values": (
+        ("cover", "@a,b", "--p", "3", "--cocycle", "a=-1,b=99999999999999999999999"),
+        "171e5d1a278ba618e0fd8c13062e4fdbcab07adef86adf13044d8f1fb3dd5c70", None,
+    ),
+    "gersten-check, wide cocycle values": (
+        ("gersten-check", "@gersten wide cocycle"),
+        "4e5eda8934341513925c3286937178f3f10b6aa25d3f55c714f2eb23a3220549", None,
+    ),
 }
 
 
@@ -1063,6 +1091,39 @@ def test_negative_search_bounds_are_refused_before_any_search(tmp_path, monkeypa
         assert error == {"error": "invalid_input", "message": f"bound {args[-1]} is negative"}
 
 
+def _out_command_args(tmp_path, command: str) -> list[str]:
+    """A run of one of the seven commands that take --out, without it."""
+    transitive = [[i, j] for i, j in itertools.combinations(range(4), 2)]
+    args = {
+        "fold": ("fold", "@abABa,b", "--core"),
+        "separate": ("separate", "--cyclic", "ab", "--word", "ba", "--L", "2"),
+        "eppa-extend": (
+            "eppa-extend",
+            _structure_file(tmp_path, list(range(4)), 2, transitive),
+            _json_file(tmp_path, "maps.json", [{"map": {"0": 3}}]),
+        ),
+        "verify-counterexample": ("verify-counterexample", "--p", "2", "--depth", "1"),
+        "tower": ("tower", "@a,b", "--p", "2", "--depth", "1"),
+        "cover": ("cover", "@a,b", "--p", "3", "--cocycle", "a=1"),
+        "fiber-product": ("fiber-product", "@abABa,b", "@aa,abb"),
+    }[command]
+    return _command_args(tmp_path, args)
+
+
+@pytest.mark.parametrize(
+    "command", ["fold", "separate", "eppa-extend", "verify-counterexample", "tower", "cover", "fiber-product"]
+)
+def test_an_out_path_that_cannot_be_opened_is_invalid_input(tmp_path, command):
+    # The --out file is opened before anything is printed, so nothing is.
+    out = tmp_path / "missing" / "out.json"
+    result = _invoke(*_out_command_args(tmp_path, command), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "invalid_input" and error["message"].startswith(f"cannot write {out}")
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["fold", "separate", "eppa-extend", "verify-counterexample"])
 def test_out_file_is_stdout_from_one_encoding(tmp_path, monkeypatch, command):
     # Each JSON block goes to stdout and to the --out file in one pass, so
@@ -1075,19 +1136,8 @@ def test_out_file_is_stdout_from_one_encoding(tmp_path, monkeypatch, command):
         return real(payload)
 
     monkeypatch.setattr(cli, "json_blocks", counted)
-    transitive = [[i, j] for i, j in itertools.combinations(range(4), 2)]
-    args = {
-        "fold": ("fold", "@abABa,b", "--core"),
-        "separate": ("separate", "--cyclic", "ab", "--word", "ba", "--L", "2"),
-        "eppa-extend": (
-            "eppa-extend",
-            _structure_file(tmp_path, list(range(4)), 2, transitive),
-            _json_file(tmp_path, "maps.json", [{"map": {"0": 3}}]),
-        ),
-        "verify-counterexample": ("verify-counterexample", "--p", "2", "--depth", "1"),
-    }[command]
     out = tmp_path / "out.json"
-    result = _invoke(*_command_args(tmp_path, args), "--out", str(out))
+    result = _invoke(*_out_command_args(tmp_path, command), "--out", str(out))
     assert result.exit_code == 0, result.output
     assert result.stdout and out.read_text() == result.stdout
     assert len(calls) == 1

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from stallings import (
-    CoverDescription,
     CoverTower,
     IndexGraph,
     InputError,
@@ -37,9 +36,8 @@ def _sub(*texts: str, n: int = 2):
 
 
 def _wedge_cover(p: int, a_val: int, b_val: int):
-    wedge = wedge_graph(2)
-    values = {e: (a_val if e[2] == 1 else b_val) for e in wedge.edges}
-    return build_cover(CoverDescription.from_dict(wedge, p, values))
+    wedge = IndexGraph.of(wedge_graph(2))
+    return build_cover(wedge, p, np.where(wedge.letter == 1, a_val, b_val))
 
 
 def test_build_cover_counts_and_lifts():
@@ -58,44 +56,40 @@ def test_build_cover_counts_and_lifts():
 
 
 def test_cocycle_must_cover_every_edge():
-    wedge = wedge_graph(2)
-    a_edge = next(e for e in wedge.edges if e[2] == 1)
+    wedge = IndexGraph.of(wedge_graph(2))
     with pytest.raises(InputError):
-        CoverDescription(wedge, 2, ((a_edge, 1),))
+        build_cover(wedge, 2, [1])
     with pytest.raises(InputError):
-        CoverDescription.from_dict(wedge, 9, {e: 0 for e in wedge.edges})
+        build_cover(wedge, 2, [1, 0.5])
+    with pytest.raises(InputError):
+        build_cover(wedge, 9, [0, 0])
 
 
 def test_connectivity_tracks_the_cocycle():
     assert _wedge_cover(2, 1, 0).is_connected
     assert _wedge_cover(2, 0, 1).is_connected
     # the zero cocycle gives p disjoint copies
-    wedge = wedge_graph(2)
-    zero = CoverDescription.from_dict(wedge, 2, {e: 0 for e in wedge.edges})
-    assert not build_cover(zero).is_connected
+    assert not _wedge_cover(2, 0, 0).is_connected
 
 
 def test_surjective_cocycle_vanishes_on_a_tree_and_connects():
-    h = _sub("abABa", "b")
+    g = IndexGraph.of(_sub("abABa", "b").graph)
     for strategy, seed in (("first", None), ("random", 5)):
-        desc = surjective_cocycle(h.graph, 3, strategy, seed)
-        assert build_cover(desc).is_connected
-        nonzero = [e for e, v in desc.values.items() if v]
-        chords = len(h.graph.edges) - (len(h.graph.vertices) - 1)
-        assert len(nonzero) <= chords
+        shift = surjective_cocycle(g, 3, strategy, seed)
+        assert build_cover(g, 3, shift).is_connected
+        chords = len(g.src) - (g.size - 1)
+        assert np.count_nonzero(shift) <= chords
 
 
 def test_surjective_cocycle_determinism_and_errors():
-    h = _sub("aa", "b")
-    first = surjective_cocycle(h.graph, 5, "random", 11)
-    again = surjective_cocycle(h.graph, 5, "random", 11)
-    assert first == again
+    g = IndexGraph.of(_sub("aa", "b").graph)
+    first = surjective_cocycle(g, 5, "random", 11)
+    again = surjective_cocycle(g, 5, "random", 11)
+    assert np.array_equal(first, again)
     with pytest.raises(InputError):
-        surjective_cocycle(h.graph, 5, "sideways")
+        surjective_cocycle(g, 5, "sideways")
     # a tree base has no chords to hit
-    from stallings import make_graph
-
-    tree = make_graph(2, [0, 1], [(0, 1, 1)], 0)
+    tree = IndexGraph.of(make_graph(2, [0, 1], [(0, 1, 1)], 0))
     with pytest.raises(InputError):
         surjective_cocycle(tree, 2)
 
@@ -104,9 +98,9 @@ def test_pullback_commutes_with_projections():
     # lift, then project = project, then f, on vertices and on edges: over
     # the wedge, and along the identity of a base with five vertices
     cases = [(to_wedge(_sub("aa", "b").graph), _wedge_cover(3, 1, 1))]
-    h = _sub("abABa", "b")
+    g = IndexGraph.of(_sub("abABa", "b").graph)
     for p in (2, 5):
-        cov = build_cover(surjective_cocycle(h.graph, p, "random", p))
+        cov = build_cover(g, p, surjective_cocycle(g, p, "random", p))
         cases.append((index_morphism(cov.base_space, cov.base_space, range(5)), cov))
     for f, cov in cases:
         p = cov.degree
@@ -143,15 +137,17 @@ def test_pullback_rejects_mismatched_bases():
     with pytest.raises(InputError):
         pullback(to_wedge(wedge_graph(3)), cov)
     h = _sub("aa")
-    two = build_cover(CoverDescription.from_dict(h.graph, 2, {e: 1 for e in h.graph.edges}))
+    g = IndexGraph.of(h.graph)
+    two = build_cover(g, 2, np.ones(len(g.src), dtype=np.int64))
     with pytest.raises(InputError):
         pullback(to_wedge(h.graph), two)
 
 
 def test_cover_tower_shape():
     for p in (2, 3):
-        tower = cover_tower(wedge_graph(2), p, 3)
-        assert tower.depth == 3
+        wedge = IndexGraph.of(wedge_graph(2))
+        tower = cover_tower(wedge, p, 3)
+        assert tower.spaces[0] is wedge and tower.depth == 3
         assert [step.degree for step in tower.steps] == [p] * 3
         for k, level in enumerate(tower.spaces):
             assert level.is_connected
@@ -159,14 +155,14 @@ def test_cover_tower_shape():
         for k, step in enumerate(tower.steps):
             assert step.base_space is tower.spaces[k] and step.space is tower.spaces[k + 1]
     with pytest.raises(InputError):
-        cover_tower(wedge_graph(2), 2, -1)
+        cover_tower(wedge, 2, -1)
 
 
 def test_tower_pullbacks_keep_rank_and_connectivity():
     h = _sub("abABa", "b")
     f = to_wedge(h.graph)
     for p in (2, 3):
-        tower = cover_tower(wedge_graph(2), p, 2)
+        tower = cover_tower(f.codomain, p, 2)
         pulls = tower_pullbacks(f, tower)
         assert len(pulls) == 2
         for k, (cov, lift) in enumerate(pulls, start=1):
@@ -182,8 +178,8 @@ def test_disconnected_embedding_verdict():
     rng = random.Random(23)
     for trial in range(30):
         p = rng.choice((2, 3, 5))
-        base = _sub(*rng.sample(("ab", "aB", "abA", "bb", "aab"), 2)).graph
-        cov = build_cover(surjective_cocycle(base, p, "random", trial))
+        base = IndexGraph.of(_sub(*rng.sample(("ab", "aB", "abA", "bb", "aab"), 2)).graph)
+        cov = build_cover(base, p, surjective_cocycle(base, p, "random", trial))
         g = cov.space
         # A: the part of the cover spanned by some of its vertices
         keep = sorted(rng.sample(range(g.size), rng.randint(1, g.size)))
@@ -204,16 +200,16 @@ def test_a_disconnected_tower_step_is_a_postcondition_error(monkeypatch):
     # A surjective cocycle always gives a connected step; a zero one in its
     # place must raise, also under python -O, rather than build the tower.
     monkeypatch.setattr(
-        covers, "_surjective_shift", lambda g, p, strategy, seed: np.zeros(len(g.src), dtype=np.int64)
+        covers, "surjective_cocycle", lambda g, p, strategy, seed: np.zeros(len(g.src), dtype=np.int64)
     )
     with pytest.raises(PostconditionError, match="disconnected cover"):
-        cover_tower(wedge_graph(2), 3, 2)
+        cover_tower(IndexGraph.of(wedge_graph(2)), 3, 2)
 
 
-def _coboundary(g, p: int, rng: random.Random) -> dict:
+def _coboundary(g: IndexGraph, p: int, rng: random.Random) -> np.ndarray:
     """delta h for a random h on the vertices: its cover is disconnected."""
-    h = {v: rng.randrange(p) for v in g.vertices}
-    return {(u, v, i): h[v] - h[u] for u, v, i in g.edges}
+    h = np.array([rng.randrange(p) for _ in range(g.size)], dtype=np.int64)
+    return h[g.dst] - h[g.src]
 
 
 def test_cover_components_match_the_bfs_oracle():
@@ -230,19 +226,16 @@ def test_cover_components_match_the_bfs_oracle():
     ]
     disconnected = 0
     for p in (2, 3, 5):
-        for g in bases:
-            ix = g.vertex_index
-            base_edges = [(ix[u], ix[v], i) for u, v, i in g.sorted_edges]
-            for values in (
-                {e: rng.randrange(p) for e in g.edges},
-                {e: 0 for e in g.edges},
+        for g in map(IndexGraph.of, bases):
+            base_edges = list(zip(g.src.tolist(), g.dst.tolist(), g.letter.tolist()))
+            for shift in (
+                np.array([rng.randrange(p) for _ in base_edges], dtype=np.int64),
+                np.zeros(len(base_edges), dtype=np.int64),
                 _coboundary(g, p, rng),
             ):
-                cov = build_cover(CoverDescription.from_dict(g, p, values))
+                cov = build_cover(g, p, shift)
                 space = cov.space
-                want = oracles.oracle_cover_edges(
-                    base_edges, len(g.vertices), p, [values[e] % p for e in g.sorted_edges]
-                )
+                want = oracles.oracle_cover_edges(base_edges, g.size, p, (shift % p).tolist())
                 got = zip(space.src.tolist(), space.dst.tolist(), space.letter.tolist())
                 assert list(got) == sorted(want)
                 connected, ranks = oracles.oracle_components(space.size, want)
@@ -258,7 +251,7 @@ def test_pullback_components_match_the_bfs_oracle():
     verdicts = set()
     for p in (2, 3, 5):
         for strategy, seed in (("first", None), ("random", p)):
-            tower = cover_tower(wedge_graph(2), p, 3, strategy, seed)
+            tower = cover_tower(IndexGraph.of(wedge_graph(2)), p, 3, strategy, seed)
             for g in graphs:
                 pulls = tower_pullbacks(to_wedge(g), tower)
                 for level, (cov, lift) in enumerate(pulls, start=1):
@@ -276,8 +269,7 @@ def test_verify_sums_the_ranks_of_a_disconnected_pullback(monkeypatch):
     # A tower whose one step is the zero cocycle (a coboundary) pulls G's
     # core back to p disjoint copies of rank 2: the row must say so.
     p = 3
-    wedge = wedge_graph(2)
-    step = build_cover(CoverDescription.from_dict(wedge, p, {e: 0 for e in wedge.edges}))
+    step = _wedge_cover(p, 0, 0)
     tower = CoverTower((step.base_space, step.space), (step,))
     monkeypatch.setattr(verify, "cover_tower", lambda x, p, depth: tower)
     report = verify_counterexample(p, 1)
@@ -287,6 +279,19 @@ def test_verify_sums_the_ranks_of_a_disconnected_pullback(monkeypatch):
     assert not report.passed
     failed = {name for name, ok, _ in report.checks if not ok}
     assert failed == {"level 1 pull-back connected", "level 1 homology rank"}
+
+
+def test_verify_builds_the_tower_on_the_codomain_of_its_morphism(monkeypatch):
+    bases = []
+    real = verify.tower_pullbacks
+
+    def spy(f, tower):
+        bases.append(f.codomain is tower.spaces[0])
+        return real(f, tower)
+
+    monkeypatch.setattr(verify, "tower_pullbacks", spy)
+    assert verify_counterexample(3, 2).passed
+    assert bases == [True]
 
 
 def test_counterexample_holds_deep_in_the_tower():
@@ -312,19 +317,15 @@ def test_verify_refuses_oversized_pullbacks_before_building_the_tower(monkeypatc
 
 def test_covers_past_the_cap_are_refused(monkeypatch):
     monkeypatch.setattr(covers, "COVER_CAP", 50)
-    wedge = wedge_graph(2)
-
-    def wedge_desc(p):
-        return CoverDescription.from_dict(wedge, p, {e: 1 for e in wedge.edges})
-
-    assert len(build_cover(wedge_desc(23)).space.src) == 46
+    wedge = IndexGraph.of(wedge_graph(2))
+    assert len(_wedge_cover(23, 1, 1).space.src) == 46
     with pytest.raises(ResourceCapError):
-        build_cover(wedge_desc(29))  # 58 edges
+        _wedge_cover(29, 1, 1)  # 58 edges
     assert cover_tower(wedge, 2, 4).depth == 4
     with pytest.raises(ResourceCapError):
         cover_tower(wedge, 2, 5)  # 64 edges at the top
     f = to_wedge(_sub("abABa", "b").graph)  # 5 vertices, 6 edges
     with pytest.raises(ResourceCapError):
-        pullback(f, build_cover(wedge_desc(11)))  # 66 edges
+        pullback(f, _wedge_cover(11, 1, 1))  # 66 edges
     with pytest.raises(ResourceCapError):
         tower_pullbacks(f, cover_tower(wedge, 2, 4))  # 96 edges at the top

@@ -9,7 +9,6 @@ from click.testing import CliRunner
 
 import oracles
 from stallings import (
-    CoverDescription,
     IndexGraph,
     InputError,
     LabeledGraph,
@@ -110,7 +109,8 @@ def _factor(f):
 
 
 def _random_cover(rng: random.Random, base: LabeledGraph, p: int):
-    return build_cover(CoverDescription.from_dict(base, p, {e: rng.randrange(p) for e in base.edges}))
+    g = IndexGraph.of(base)
+    return build_cover(g, p, [rng.randrange(p) for _ in range(len(g.src))])
 
 
 def _check_against_oracle(fp, f, g):

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from stallings import (
-    CoverDescription,
     FpMatrix,
     IndexGraph,
     IndexMorphism,
@@ -210,10 +209,9 @@ def _induced_map_cases():
             fp = fiber_product(h, _sub(*rng.sample(pool, rng.randint(1, 3))))
             proj = oracles.oracle_morphism(fp.space, IndexGraph.of(h.graph), fp.pairs // len(fp.right.vertices))
             yield proj, p
-            cover = CoverDescription.from_dict(
-                h.graph, p, {e: rng.randrange(p) for e in h.graph.edges}
-            )
-            yield pullback(proj, build_cover(cover))[1], p
+            base = proj.codomain
+            shift = [rng.randrange(p) for _ in range(len(base.src))]
+            yield pullback(proj, build_cover(base, p, shift))[1], p
     # a cycle x -a-> y <-a- x' -b-> w <-b- x folded onto a tree
     square = make_graph(2, ["x", "X", "y", "w"], [("x", "y", 1), ("X", "y", 1), ("X", "w", 2), ("x", "w", 2)])
     tree = make_graph(2, [0, 1, 2], [(0, 1, 1), (0, 2, 2)])
@@ -416,10 +414,8 @@ def test_stacked_matvec_matches_the_per_vector_product():
 
 def _square(h, p: int, values: dict):
     f = to_wedge(h.graph)
-    wedge = wedge_graph(2)
-    cover_y = build_cover(CoverDescription.from_dict(
-        wedge, p, {e: values[e[2]] for e in wedge.edges}
-    ))
+    wedge = f.codomain
+    cover_y = build_cover(wedge, p, [values[i] for i in wedge.letter.tolist()])
     cover_x, lift = pullback(f, cover_y)
     return f, cover_x, cover_y, lift
 
@@ -472,7 +468,7 @@ def test_gersten_check_validates_the_square():
     # every vertex to another fiber does not commute with the projections
     x = IndexGraph.of(h.graph)
     f = index_morphism(x, x, range(x.size))
-    cy = build_cover(CoverDescription.from_dict(h.graph, 2, {e: 1 for e in h.graph.edges}))
+    cy = build_cover(x, 2, np.ones(len(x.src), dtype=np.int64))
     cx, lift = pullback(f, cy)
     assert gersten_check(f, cx, cy, lift, 2).lift_star_injective
     moved = IndexMorphism(lift.domain, lift.codomain, np.roll(lift.vertices, 2), lift.edges)
