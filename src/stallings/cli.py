@@ -28,14 +28,13 @@ from .covers import build_cover, cover_tower, pullback, require_cover_size, towe
 from .fiber import fiber_product, is_l_root_closed, is_malnormal
 from .graphs import (
     IndexGraph,
-    component_ranks,
     core,
     fold,
     relabel_canonical,
     subgroup_graph,
     to_wedge,
 )
-from .homology import chain_complex, gersten_check, h1_basis
+from .homology import boundary_matrix, gersten_check, h1_basis
 from .hypertournaments import eppa_extend, validate, verify_extension
 from .separability import separate_from_cyclic, verify_witness
 from .serialize import (
@@ -274,16 +273,15 @@ def root_closed(graph: str, l: int) -> None:
 @_guarded
 def h1(graph: str, p: int) -> None:
     """First homology with Z/p coefficients: dimension, basis, boundary."""
-    g = graph_from_dict(_load_json(graph))
-    basis_matrix = h1_basis(g, p)
-    complex_ = chain_complex(g, p)
+    x = IndexGraph.of(graph_from_dict(_load_json(graph)))
+    basis_matrix = h1_basis(x, p)
     _echo(
         {
             "p": p,
             "dimension": basis_matrix.cols,
-            "component_ranks": component_ranks(g),
+            "component_ranks": x.component_ranks(),
             "basis": basis_matrix.array.tolist(),
-            "boundary": complex_.boundary.array.tolist(),
+            "boundary": boundary_matrix(x, p).array.tolist(),
         }
     )
 

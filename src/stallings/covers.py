@@ -162,7 +162,7 @@ def surjective_cocycle(
     order; ``random`` draws uniformly until surjective.
     """
     require_prime(p)
-    if not g.size or not g.is_connected:
+    if not g.is_connected:
         raise InputError("cover towers need a connected base")
     # Step slot of each edge at its ends: out along +i at src, in along -i at
     # dst; slots are numbered in the walk's order, +1, -1, +2, ...

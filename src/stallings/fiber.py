@@ -7,8 +7,9 @@ equal images and an edge for every pair of edges with equal images. Over
 the wedge, reading a word in the product reads it in both coordinates
 simultaneously, which is what makes component fundamental groups compute
 intersections of conjugates. The morphisms are ``IndexMorphism``s, and the
-product is an ``IndexGraph`` in the pair layout of ``graphs``; its labelled
-view, on pair vertices (a, b), is built only when asked for.
+product and its two factors are ``IndexGraph``s, the product in the pair
+layout of ``graphs``; its labelled view, on pair vertices (a, b), is built
+only when asked for.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .graphs import (
     relabel_canonical,
     same_graph,
     to_wedge,
-    wedge_graph,
 )
 from .words import Word, maximal_root
 
@@ -66,11 +66,13 @@ def _check_product_input(g: LabeledGraph, side: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FiberProduct:
-    """``space`` is the product on indices, and ``pairs[k]`` is the pair
-    index u·|V_B| + v of its vertex k."""
+    """``left`` and ``right`` are the factors, the domains of the two
+    morphisms, and their labels are read through ``.graph``. ``space`` is
+    the product on indices, and ``pairs[k]`` is the pair index
+    u·right.size + v of its vertex k."""
 
-    left: LabeledGraph
-    right: LabeledGraph
+    left: IndexGraph
+    right: IndexGraph
     space: IndexGraph
     pairs: np.ndarray
 
@@ -81,9 +83,11 @@ class FiberProduct:
     @cached_property
     def diagonal(self) -> int | None:
         """Component id of the diagonal, when the two factors coincide."""
-        diag = np.arange(len(self.left.vertices)) * (len(self.left.vertices) + 1)
+        if self.left.graph != self.right.graph:
+            return None
+        diag = np.arange(self.left.size) * (self.left.size + 1)
         at = np.searchsorted(self.pairs, diag)  # len(pairs) if past the end
-        if self.left != self.right or not np.array_equal(np.append(self.pairs, -1)[at], diag):
+        if not np.array_equal(np.append(self.pairs, -1)[at], diag):
             return None
         ids = np.unique(self.space.component_ids[at])
         # more than one id can only happen for a disconnected factor
@@ -148,7 +152,7 @@ def fiber_product_over(a: IndexMorphism, b: IndexMorphism) -> FiberProduct:
         ga.n, len(pairs), src[order], dst[order], letter[order], bp,
         partial(_pair_graph, ga, gb.graph.vertices, pairs),
     )
-    return FiberProduct(ga.graph, gb.graph, space, pairs)
+    return FiberProduct(ga, gb, space, pairs)
 
 
 def fiber_product(
@@ -160,8 +164,8 @@ def fiber_product(
         raise InputError(f"alphabet mismatch: {ga.n} vs {gb.n}")
     _check_product_input(ga, "left")
     _check_product_input(gb, "right")
-    wedge = IndexGraph.of(wedge_graph(ga.n))
-    return fiber_product_over(to_wedge(ga, wedge), to_wedge(gb, wedge))
+    fa = to_wedge(ga)
+    return fiber_product_over(fa, fa if ga is gb else to_wedge(gb, fa.codomain))
 
 
 def component_pi1(
@@ -169,9 +173,9 @@ def component_pi1(
 ) -> SubgroupGraph:
     """Core based graph of the product component at (a, b); its membership
     predicate is 'loop at a in the left factor AND loop at b in the right'."""
-    ia, ib = fp.left.vertex_index.get(a), fp.right.vertex_index.get(b)
+    ia, ib = fp.left.graph.vertex_index.get(a), fp.right.graph.vertex_index.get(b)
     if ia is not None and ib is not None:
-        pair = ia * len(fp.right.vertices) + ib
+        pair = ia * fp.right.size + ib
         k = int(np.searchsorted(fp.pairs, pair))
         if k < len(fp.pairs) and fp.pairs[k] == pair:
             cored = relabel_canonical(core(_component_graph(fp, k)))
@@ -190,7 +194,7 @@ def _component_graph(fp: FiberProduct, k: int) -> LabeledGraph:
     src, dst = (np.searchsorted(comp, end[inside]) for end in (g.src, g.dst))
     sub = IndexGraph(
         g.n, len(comp), src, dst, g.letter[inside], int(np.searchsorted(comp, k)),
-        partial(_pair_graph, IndexGraph.of(fp.left), fp.right.vertices, fp.pairs[comp]),
+        partial(_pair_graph, fp.left, fp.right.graph.vertices, fp.pairs[comp]),
     )
     return sub.graph
 

@@ -19,12 +19,13 @@ An immersed graph is read through that table (``LabeledGraph.table``): words
 are traced on it, and one walk (BFS, steps in slot order +1, -1, +2, ...)
 numbers it canonically and gives spanning trees, path words and cycle bases.
 
-Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s:
-vertices 0..size-1, edge arrays src/dst/letter in ``sorted_edges`` order. A
-vertex made from a pair (u, k) of indices, k < m, has index u·m + k, kept
-pairs numbered in that order: sheet k over base vertex u of a Z/p cover is
-u·p + k, and the pair (u, v) of a fiber product is u·|V_B| + v. Morphisms
-between them are :class:`IndexMorphism`s, arrays of vertex and edge images.
+Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s,
+and homology reads only those: vertices 0..size-1, edge arrays
+src/dst/letter in ``sorted_edges`` order. A vertex made from a pair (u, k)
+of indices, k < m, has index u·m + k, kept pairs numbered in that order:
+sheet k over base vertex u of a Z/p cover is u·p + k, and the pair (u, v)
+of a fiber product is u·|V_B| + v. Morphisms between them are
+:class:`IndexMorphism`s, arrays of vertex and edge images.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class LabeledGraph:
 
     @cached_property
     def is_connected(self) -> bool:
-        return len(self.component_lists) <= 1
+        return len(self.component_lists) == 1
 
     def restrict(
         self, keep: Iterable[Vertex], basepoint: Vertex | None = None
@@ -549,20 +550,11 @@ def _walk(
 def path_words_from(g: LabeledGraph, start: Vertex) -> dict[Vertex, Word]:
     """Shortest path words from ``start`` to every reachable vertex, in the
     order of the walk."""
-    return spanning_tree(g, start)[1]
+    words, _, _ = _walk(g.table, _vertex(g, start))
+    return {g.vertices[v]: w for v, w in words.items()}
 
 
 # -- bases and ranks -------------------------------------------------------------
-
-
-def spanning_tree(
-    g: LabeledGraph, root: Vertex
-) -> tuple[set[Edge], dict[Vertex, Word]]:
-    """The walk's spanning tree of root's component of an immersed graph:
-    (tree edge set, path words)."""
-    words, tree, _ = _walk(g.table, _vertex(g, root))
-    at = g.vertices
-    return {(at[u], at[v], t) for u, v, t in tree}, {at[v]: w for v, w in words.items()}
 
 
 def cycle_basis(g: LabeledGraph, v: Vertex | None = None) -> list[Word]:
@@ -582,17 +574,12 @@ def cycle_basis(g: LabeledGraph, v: Vertex | None = None) -> list[Word]:
 
 def rank(g: LabeledGraph) -> int:
     """E - V + 1 of a connected graph (the rank of its fundamental group)."""
-    if not g.is_connected:
-        raise InputError("rank of a disconnected graph is per component; "
-                         "use component_ranks")
     if not g.vertices:
         raise InputError("rank of the empty graph is undefined")
+    if not g.is_connected:
+        raise InputError("rank of a disconnected graph is per component; "
+                         "use IndexGraph.component_ranks")
     return len(g.edges) - len(g.vertices) + 1
-
-
-def component_ranks(g: LabeledGraph) -> list[int]:
-    """E - V + 1 for each connected component, in component order."""
-    return IndexGraph.of(g).component_ranks()
 
 
 # -- graphs and morphisms on vertex indices ------------------------------------------
@@ -634,7 +621,7 @@ class IndexGraph:
 
     @property
     def is_connected(self) -> bool:
-        return not self.component_ids.any()
+        return len(self.component_sizes) == 1
 
     @cached_property
     def component_sizes(self) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from .arith import require_prime
 from .covers import CoverGraph
 from .errors import InputError, PostconditionError, PreconditionError
-from .graphs import Edge, IndexGraph, IndexMorphism, LabeledGraph, Vertex, bfs_edges, same_graph
+from .graphs import IndexGraph, IndexMorphism, bfs_edges, same_graph
 
 
 # -- matrices over GF(p) -----------------------------------------------------------
@@ -176,23 +176,15 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 # -- chain complexes ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    graph: LabeledGraph
-    p: int
-    vertex_order: tuple[Vertex, ...]
-    edge_order: tuple[Edge, ...]
-    boundary: FpMatrix
-
-
-def chain_complex(g: LabeledGraph, p: int) -> ChainComplex:
+def boundary_matrix(x: IndexGraph, p: int) -> FpMatrix:
+    """The boundary map C_1 -> C_0 of x over GF(p): column j is head minus
+    tail of edge j, and zero for a loop."""
     require_prime(p)
-    x = IndexGraph.of(g)
     cols = np.arange(len(x.src))
     b = np.zeros((x.size, len(x.src)), dtype=np.int64)
     np.add.at(b, (x.dst, cols), 1)
     np.subtract.at(b, (x.src, cols), 1)
-    return ChainComplex(g, p, g.vertices, g.sorted_edges, FpMatrix.from_array(b, p))
+    return FpMatrix.from_array(b, p)
 
 
 @dataclass(frozen=True)
@@ -228,14 +220,13 @@ def _spanning_forest(x: IndexGraph) -> _SpanningForest:
     return _SpanningForest(parent, depth, edge, sign, is_tree)
 
 
-def h1_basis(g: LabeledGraph | IndexGraph, p: int) -> FpMatrix:
+def h1_basis(x: IndexGraph, p: int) -> FpMatrix:
     """Columns are the fundamental cycles of spanning-tree chords; they span
     the kernel of the boundary, E - V + 1 columns per component. The cycle
     of chord (u, v) is +1 on the chord, plus the tree path from the root to
     u, minus the tree path to v; the two paths are walked up from u and v
     together until they meet, so the common part is never written."""
     require_prime(p)
-    x = g if isinstance(g, IndexGraph) else IndexGraph.of(g)
     forest = _spanning_forest(x)
     chords = np.flatnonzero(~forest.is_tree)
     mat = np.zeros((len(forest.is_tree), len(chords)), dtype=np.int64)

@@ -518,7 +518,7 @@ def orbit_structure(
     """An L-hypertournament on the set, invariant under the partial action.
 
     Each generator is a partial injection, given as a Mapping or as its
-    (x, y) pairs.
+    (x, y) pairs; pairs that define a point twice are refused.
 
     Seed tuples are first closed under the action orbit by orbit; remaining
     l-subsets then receive the lexicographically least arrangement whose
@@ -552,8 +552,13 @@ def orbit_structure(
     position = {v: i for i, v in enumerate(universe)}
     n = len(universe)
     steps = []
-    for g in generators:
-        g = dict(g)
+    for index, g in enumerate(generators):
+        pairs = g if isinstance(g, Mapping) else tuple(g)
+        g = dict(pairs)
+        if len(g) != len(pairs):
+            xs = [x for x, _ in pairs]
+            x = next(x for x in xs if xs.count(x) > 1)
+            raise InputError(f"generator {index} defines {x!r} twice")
         for x, y in g.items():
             if x not in position or y not in position:
                 raise InputError("generator moves labels outside the universe")

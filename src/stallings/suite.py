@@ -28,7 +28,6 @@ from .graphs import (
     SubgroupGraph,
     _walk,
     canonical_form,
-    component_ranks,
     contains,
     core,
     cycle_basis,
@@ -39,7 +38,7 @@ from .graphs import (
     subgroup_graph,
     to_wedge,
 )
-from .homology import TwistedMatrix, _spanning_forest, chain_complex, h1_basis, induced_h1_map
+from .homology import TwistedMatrix, _spanning_forest, boundary_matrix, h1_basis, induced_h1_map
 from .hypertournaments import (
     Hypertournament,
     _iso_violation,
@@ -321,7 +320,7 @@ def _inv_fiber_counts(rng: random.Random, trials: int) -> tuple[int, Failures]:
             failures.append(f"trial {t}: vertex count is not {va * vb}")
         counts = fp.letter_counts.sum(axis=0).tolist()
         for letter in (1, 2):
-            ea, eb = (int((IndexGraph.of(h.graph).letter == letter).sum()) for h in (a, b))
+            ea, eb = (int((g.letter == letter).sum()) for g in (fp.left, fp.right))
             if counts[letter - 1] != ea * eb:
                 failures.append(f"trial {t}: letter {letter} count is not {ea * eb}")
     return trials, failures
@@ -362,20 +361,19 @@ def _inv_malnormal_roots(rng: random.Random, trials: int) -> tuple[int, Failures
 def _inv_h1(rng: random.Random, trials: int) -> tuple[int, Failures]:
     failures = []
     for t in range(trials):
-        g = random_raw_graph(rng, n=2, max_vertices=10)
+        x = IndexGraph.of(random_raw_graph(rng, n=2, max_vertices=10))
         p = rng.choice((2, 3, 5))
-        basis = h1_basis(g, p)
-        expected = sum(component_ranks(g))
+        basis = h1_basis(x, p)
+        expected = sum(x.component_ranks())
         if basis.cols != expected:
             failures.append(f"trial {t}: h1 dimension {basis.cols} != {expected}")
             continue
-        chords = ~_spanning_forest(IndexGraph.of(g)).is_tree
+        chords = ~_spanning_forest(x).is_tree
         if basis.rank != expected or not np.array_equal(
             basis.array[chords], np.eye(expected)
         ):
             failures.append(f"trial {t}: h1 basis is not the identity on the chords")
-        boundary = chain_complex(g, p).boundary
-        product = boundary @ basis
+        product = boundary_matrix(x, p) @ basis
         if product.array.any():
             failures.append(f"trial {t}: boundary of a cycle is nonzero")
     return trials, failures

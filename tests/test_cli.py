@@ -524,6 +524,27 @@ def test_gersten_check_reads_each_graph_once(tmp_path, monkeypatch):
     assert [len(g.vertices) for g in built] == [4, 1]
 
 
+def test_h1_indexes_its_graph_once(tmp_path, monkeypatch):
+    built = []
+    real = graphs.IndexGraph.of
+    monkeypatch.setattr(graphs.IndexGraph, "of", staticmethod(lambda g: built.append(g) or real(g)))
+    result = _invoke(*_command_args(tmp_path, ("h1", "@raw", "--p", "3")))
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+
+
+def test_the_empty_graph_is_not_connected(tmp_path):
+    # no component at all: its cover is not connected, and no tower stands on it
+    empty = _json_file(tmp_path, "empty.json", {"n": 2, "vertices": [], "edges": []})
+    result = _invoke("cover", empty, "--p", "3", "--cocycle", "a=1")
+    assert result.exit_code == 0, result.output
+    graph = {"edges": [], "n": 2, "vertices": []}
+    assert json.loads(result.stdout) == {"connected": False, "degree": 3, "graph": graph, "h1_ranks": []}
+    result = _invoke("tower", empty, "--p", "2", "--depth", "1")
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {"error": "invalid_input", "message": "cover towers need a connected base"}
+
+
 def _random_words(seed: int, n: int, lengths) -> list[str]:
     """Seeded freely reduced words over n letters, one per length."""
     rng = random.Random(seed)

@@ -43,10 +43,24 @@ def _sub(*texts: str, n: int = 2):
 def test_projections_are_graph_maps():
     # pair index u·|V_B| + v: its quotient and remainder are the coordinates
     fp = fiber_product(_sub("ab", "ba"), _sub("aa", "b"))
-    for factor, coordinate in zip((fp.left, fp.right), divmod(fp.pairs, len(fp.right.vertices))):
-        proj = index_morphism(fp.space, IndexGraph.of(factor), coordinate)
-        assert proj.vertices.tolist() == [v[factor is fp.right] for v in fp.product.vertices]
-        assert set(proj.edges.tolist()) <= set(range(len(factor.edges)))
+    for factor, coordinate in zip((fp.left, fp.right), divmod(fp.pairs, fp.right.size)):
+        proj = index_morphism(fp.space, factor, coordinate)
+        assert [factor.graph.vertices[u] for u in proj.vertices.tolist()] == [
+            v[factor is fp.right] for v in fp.product.vertices
+        ]
+        assert set(proj.edges.tolist()) <= set(range(len(factor.src)))
+
+
+def test_malnormality_indexes_each_graph_once(monkeypatch):
+    # the wedge and the subgroup's graph; verify-counterexample adds them once more
+    built = []
+    real = IndexGraph.of
+    monkeypatch.setattr(IndexGraph, "of", staticmethod(lambda g: built.append(g) or real(g)))
+    is_malnormal(_sub("abABa", "b"))
+    assert len(built) <= 2
+    built.clear()
+    verify_counterexample(2, 3)
+    assert len(built) <= 4
 
 
 def test_diagonal_exists_only_for_equal_factors():

@@ -12,11 +12,11 @@ from stallings import (
     PreconditionError,
     ResourceCapError,
     Word,
-    component_ranks,
     core,
     fold,
     make_graph,
     index_morphism,
+    rank,
     subgroup_graph,
     to_wedge,
     wedge_graph,
@@ -29,7 +29,6 @@ from stallings.graphs import (
     is_core,
     path_words_from,
     relabel_canonical,
-    spanning_tree,
     trace,
 )
 from stallings.serialize import graph_from_dict, graph_to_dict, read_graph
@@ -112,17 +111,22 @@ def test_membership_against_oracle():
                 assert letters in deep, (gen_set, w)
 
 
+def _walk_tree(g: LabeledGraph, root) -> set:
+    """The tree edges of the walk from root, on g's vertex labels."""
+    _, tree, _ = _walk(g.table, g.vertex_index[root])
+    return {(g.vertices[u], g.vertices[v], t) for u, v, t in tree}
+
+
 def test_spanning_tree_and_path_words():
-    h = subgroup_graph(_words("abABa", "b"), 2)
-    tree, words = spanning_tree(h.graph, h.graph.basepoint)
-    assert len(tree) == len(h.graph.vertices) - 1
-    paths = path_words_from(h.graph, h.graph.basepoint)
-    assert paths == words
+    g = subgroup_graph(_words("abABa", "b"), 2).graph
+    words, tree, _ = oracles.oracle_walk(g.n, g.vertices, g.edges, g.basepoint)
+    assert _walk_tree(g, g.basepoint) == tree
+    assert len(tree) == len(g.vertices) - 1
+    paths = path_words_from(g, g.basepoint)
+    assert [(v, w.letters) for v, w in paths.items()] == list(words.items())
     for v, w in paths.items():
-        assert trace(h.graph, h.graph.basepoint, w) == v
+        assert trace(g, g.basepoint, w) == v
     folds = make_graph(2, [0, 1, 2], [(0, 1, 1), (0, 2, 1)], 0)
-    with pytest.raises(PreconditionError):
-        spanning_tree(folds, 0)
     with pytest.raises(PreconditionError):
         path_words_from(folds, 0)
 
@@ -342,7 +346,7 @@ def test_walk_matches_a_slot_order_bfs():
         words, tree, loops = oracles.oracle_walk(g.n, g.vertices, g.edges, root)
         paths = path_words_from(g, root)
         assert [(v, w.letters) for v, w in paths.items()] == list(words.items()), (g, root)
-        assert spanning_tree(g, root) == (tree, paths)
+        assert _walk_tree(g, root) == tree, (g, root)
         comp = g.restrict(words, root)
         assert [w.letters for w in cycle_basis(comp)] == loops, (g, root)
         if len(words) < len(g.vertices):
@@ -375,7 +379,7 @@ def test_walk_loops_equal_the_products_of_their_path_words():
 
 def test_walk_readers_refuse_a_root_that_is_not_a_vertex():
     g = subgroup_graph(_words("ab", "aBB"), 2).graph
-    readers = (spanning_tree, path_words_from, cycle_basis, lambda g, v: trace(g, v, Word((), 2)))
+    readers = (path_words_from, cycle_basis, lambda g, v: trace(g, v, Word((), 2)))
     for read in readers:
         with pytest.raises(InputError, match="99 is not a vertex"):
             read(g, 99)
@@ -406,6 +410,16 @@ def test_core_and_canonical_numbering_ask_for_a_folded_graph():
     assert relabel_canonical(core(fold(raw))) == wedge_graph(1)
 
 
+def test_the_empty_graph_has_no_component():
+    empty = make_graph(2, [], [])
+    assert not empty.is_connected and not IndexGraph.of(empty).is_connected
+    with pytest.raises(InputError, match="rank of the empty graph is undefined"):
+        rank(empty)
+    with pytest.raises(InputError, match="disconnected"):
+        rank(make_graph(2, [0, 1], []))
+    assert rank(make_graph(2, [0], [(0, 0, 1)])) == 1
+
+
 def test_component_ranks_on_thousands_of_components():
     # four component shapes with known E - V + 1, their vertices shuffled,
     # so component order is the order of each component's first vertex
@@ -428,4 +442,4 @@ def test_component_ranks_on_thousands_of_components():
         first.setdefault(v[0], len(first))
     g = make_graph(2, vertices, edges)
     expected = [shapes[kinds[k]][2] for k in sorted(first, key=first.get)]
-    assert component_ranks(g) == expected
+    assert IndexGraph.of(g).component_ranks() == expected

@@ -197,6 +197,16 @@ def test_orbit_structure_input_checks():
         orbit_structure([0, 1, 2], [{}], [2], seeds={2: [(0, 0)]})
 
 
+def test_orbit_structure_refuses_pairs_that_define_a_point_twice():
+    # a dict of the pairs would keep only the last image of the point
+    for pairs in ([(0, 1), (0, 2)], [(1, 2), (0, 1), (0, 1)], iter([(2, 0), (2, 0)])):
+        with pytest.raises(InputError, match="generator 1 defines . twice") as caught:
+            orbit_structure(range(3), [{}, pairs], [2])
+        assert not isinstance(caught.value, NotInjectiveError)
+    pairs = [(0, 1), (1, 2)]
+    assert orbit_structure(range(3), [pairs], [2]) == orbit_structure(range(3), [dict(pairs)], [2])
+
+
 def test_eppa_extend_single_map():
     m = _transitive(4)
     fam = make_family(m, [{0: 3}])
