@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .errors import (
     InputError,
     ResourceCapError,
@@ -135,7 +136,7 @@ def _component_stats(fp) -> RecordColumns:
 
 
 @click.group()
-@click.version_option(package_name="stallings")
+@click.version_option(version=__version__)
 def main() -> None:
     """Subgroup graphs of free groups, their fiber products, homology of
     finite covers, separation witnesses, and hypertournament extensions."""

@@ -40,8 +40,9 @@ from .graphs import (
 
 # Most vertices, and most edges, that one cover may have. Every vertex index
 # v·p + k then fits int32 (``component_labels``) with room to spare. The
-# largest towers it admits, verify-counterexample at 2^18 and 3^11, run in
-# about 4 s and 1.5 s at 300 MB and 180 MB peak on a 2-vCPU VM.
+# largest towers it admits, verify-counterexample at 2^18 and 3^11, took
+# 2.5–4 s at 297 MB peak and 1.2–1.4 s at 170 MB peak, each in a fresh
+# process on a 2-vCPU VM.
 COVER_CAP = 2_000_000
 
 
@@ -177,10 +178,10 @@ def surjective_cocycle(
     edge = (order % len(g.src)).tolist()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.size)]
     for v, w, j in zip((slots // (2 * g.n)).tolist(), far, edge):
-        adjacency[v].append((w, j))
+        adjacency[v].append((j, w))
     root = 0 if g.basepoint is None else g.basepoint
     tree = np.zeros(len(g.src), dtype=bool)
-    tree[[j for _, j, _ in bfs_edges(adjacency, root)]] = True
+    tree[[j for _, j, _ in bfs_edges(adjacency.__getitem__, root)]] = True
     chords = np.flatnonzero(~tree)
     if not len(chords):
         raise InputError("no surjective cocycle: the graph is a tree")

@@ -14,7 +14,6 @@ only when asked for.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
@@ -37,6 +36,7 @@ from .graphs import (
     _pair_graph,
     _shift,
     _signed_letters,
+    bfs_edges,
     core,
     cycle_basis,
     is_core,
@@ -164,7 +164,7 @@ def fiber_product(
         raise InputError(f"alphabet mismatch: {ga.n} vs {gb.n}")
     _check_product_input(ga, "left")
     _check_product_input(gb, "right")
-    fa = to_wedge(ga)
+    fa = a.wedge_map if isinstance(a, SubgroupGraph) else to_wedge(ga)
     return fiber_product_over(fa, fa if ga is gb else to_wedge(gb, fa.codomain))
 
 
@@ -337,7 +337,7 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
 
     first = int(hits.min())
     hit = [first // nv ** k % nv for k in range(l)]
-    v_word = _tuple_path_word(g, maps.tolist(), hit, l)
+    v_word = _tuple_path_word(g.n, maps.tolist(), hit)
     u = path_words_from(g, g.basepoint)[g.vertices[hit[0]]]
     witness = u * v_word * u.inverse()
     return RootClosureResult(False, witness)
@@ -351,42 +351,28 @@ def _letter_tables(g: LabeledGraph) -> np.ndarray:
     return np.array(rows, dtype=np.int32).reshape(2 * g.n, len(steps))
 
 
-def _tuple_path_word(
-    g: LabeledGraph, maps: list[list[int]], start_digits: list[int], l: int
-) -> Word:
-    """BFS path word in the l-fold product from a tuple to its cyclic shift."""
-    signed = _signed_letters(g.n)
-    start = tuple(start_digits)
+def _tuple_path_word(n: int, maps: list[list[int]], start_digits: list[int]) -> Word:
+    """The walk's path word in the l-fold product from a tuple to its cyclic
+    shift: ``bfs_edges`` over the product's steps, made as it goes, stopped
+    at the shift."""
+    rows = list(zip(_signed_letters(n), maps))
+
+    def steps(cur):
+        for t, m in rows:
+            nxt = tuple(map(m.__getitem__, cur))
+            if -1 not in nxt:
+                yield t, nxt
+
     goal = tuple(start_digits[1:] + start_digits[:1])
-    prev: dict[tuple, tuple | None] = {start: None}
-    letter_to: dict[tuple, int] = {}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur == goal:
+    parent: dict[tuple, tuple[tuple, int]] = {}
+    for v, t, w in bfs_edges(steps, tuple(start_digits)):
+        parent[w] = v, t
+        if w == goal:
             letters = []
-            node = cur
-            while prev[node] is not None:
-                letters.append(letter_to[node])
-                node = prev[node]
-            return Word(tuple(reversed(letters)), g.n)
-        for k, s in enumerate(signed):
-            m = maps[k]
-            nxt = []
-            ok = True
-            for d in cur:
-                md = m[d]
-                if md < 0:
-                    ok = False
-                    break
-                nxt.append(md)
-            if not ok:
-                continue
-            nt = tuple(nxt)
-            if nt not in prev:
-                prev[nt] = cur
-                letter_to[nt] = s
-                queue.append(nt)
+            while w in parent:
+                w, t = parent[w]
+                letters.append(t)
+            return Word(tuple(reversed(letters)), n)
     raise PostconditionError(
         "the component labelling joined a tuple to its cyclic shift, "
         "but no path in the product links them",

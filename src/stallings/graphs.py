@@ -16,8 +16,11 @@ Graphs read from JSON or built from words are :class:`ListGraph`s of Python
 ints (no numpy per call). The fold's class tables are the step table that
 core and canonical numbering read; only the graph returned gets labels.
 An immersed graph is read through that table (``LabeledGraph.table``): words
-are traced on it, and one walk (BFS, steps in slot order +1, -1, +2, ...)
-numbers it canonically and gives spanning trees, path words and cycle bases.
+are traced on it, and one walk from the basepoint (``bfs_edges``, steps in
+slot order +1, -1, +2, ...) numbers it canonically and gives spanning trees,
+path words and cycle bases. The table keeps its walk (``ListGraph.walk``),
+and ``relabel_canonical`` hands its walk, renumbered, to the graph it
+returns, so a subgroup graph is walked from its basepoint once.
 
 Covers, towers, pull-backs and fiber products are :class:`IndexGraph`s,
 and homology reads only those: vertices 0..size-1, edge arrays
@@ -30,11 +33,10 @@ of a fiber product is u·|V_B| + v. Morphisms between them are
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -199,10 +201,15 @@ class ListGraph:
 
     @cached_property
     def slot_steps(self) -> list[list[tuple[int, int]]]:
-        """Each vertex's steps (w, t) in slot order +1, -1, +2, ... (folded
-        graphs only): the adjacency of the one walk, ``bfs_edges``."""
+        """Each vertex's steps (t, w) in slot order +1, -1, +2, ... (folded
+        graphs only): what ``bfs_edges`` walks."""
         slots = _signed_letters(self.n)
-        return [[(step[t], t) for t in slots if t in step] for step in self.steps]
+        return [[(t, step[t]) for t in slots if t in step] for step in self.steps]
+
+    @cached_property
+    def walk(self) -> list[tuple[int, int, int]]:
+        """The walk from the basepoint (folded based graphs only)."""
+        return list(bfs_edges(self.slot_steps.__getitem__, self.basepoint))
 
 
 # -- folding ------------------------------------------------------------------
@@ -363,12 +370,9 @@ def core(g: LabeledGraph | ListGraph) -> LabeledGraph | ListGraph:
                 queue.append(w)
     reached = bytearray(len(adj))
     reached[bp] = 1
-    order = [bp]
-    for v in order:  # the basepoint's component of what is kept
-        for w in adj[v]:
-            if kept[w] and not reached[w]:
-                reached[w] = 1
-                order.append(w)
+    # the basepoint's component of what is kept; the search needs no letters
+    for *_, w in bfs_edges(lambda v: [(0, w) for w in adj[v] if kept[w]], bp):
+        reached[w] = 1
     keep = list(compress(range(len(adj)), reached))
     if isinstance(g, LabeledGraph):
         return g.restrict(map(g.vertices.__getitem__, keep), g.basepoint)
@@ -391,12 +395,15 @@ def relabel_canonical(g: LabeledGraph | ListGraph) -> LabeledGraph:
     if g.basepoint is None:
         raise PreconditionError("canonical relabeling needs a connected based graph")
     g = g.table
-    order = [g.basepoint] + [w for *_, w in bfs_edges(g.slot_steps, g.basepoint)]
+    order = [g.basepoint] + [w for *_, w in g.walk]
     if len(order) < len(g.steps):
         raise PreconditionError("canonical relabeling needs a connected based graph")
     number = {v: k for k, v in enumerate(order)}
     steps = [{t: number[w] for t, w in g.steps[v].items()} for v in order]
-    return ListGraph(g.n, range(len(order)), 0, steps=steps).graph
+    h = ListGraph(g.n, range(len(order)), 0, steps=steps)
+    # the walk does not depend on the numbering: the result's is this one, renumbered
+    h.__dict__["walk"] = [(number[v], t, k) for k, (v, t, _) in enumerate(g.walk, start=1)]
+    return h.graph
 
 
 def canonical_form(g: LabeledGraph) -> tuple:
@@ -424,7 +431,7 @@ class SubgroupGraph:
         except PreconditionError:
             raise InputError("subgroup graph must be immersed") from None
         bp = g.basepoint
-        if len(bfs_edges(g.slot_steps, bp)) + 1 < len(g.steps):
+        if len(g.walk) + 1 < len(g.steps):
             raise InputError("subgroup graph must be connected")
         if any(len(step) < 2 and v != bp for v, step in enumerate(g.steps)):
             raise InputError("subgroup graph must be core")
@@ -435,6 +442,11 @@ class SubgroupGraph:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def wedge_map(self) -> "IndexMorphism":
+        """The graph's map onto the wedge of n circles (``to_wedge``)."""
+        return to_wedge(self.graph)
 
     def contains(self, w: Word) -> bool:
         return contains(self, w)
@@ -505,25 +517,22 @@ def contains(h: SubgroupGraph | LabeledGraph, w: Word) -> bool:
 
 
 def bfs_edges(
-    adjacency: Mapping[Vertex, Sequence[tuple[Vertex, int]]], root: Vertex
-) -> list[tuple[Vertex, int, Vertex]]:
-    """Breadth-first search from ``root``: one (v, t, w) per vertex w reached
-    after the root, in discovery order, first reached from v along signed
-    letter t. ``adjacency[v]`` lists the steps (w, t) in the order to try.
-    Over ``ListGraph.slot_steps`` (at most one step per signed letter, in
-    order +1, -1, +2, ...) it is the walk: the search depends only on the
-    root, which makes ``relabel_canonical`` canonical."""
+    steps: Callable[[Vertex], Iterable[tuple[int, Vertex]]], root: Vertex
+) -> Iterator[tuple[Vertex, int, Vertex]]:
+    """The package's one breadth-first search: yields (v, t, w) as it first
+    reaches each vertex w other than ``root``, from v along step t.
+    ``steps(v)`` gives v's steps (t, w) in the order to try, when v leaves
+    the queue, so steps may be made on the fly and a caller may stop early.
+    Over ``ListGraph.slot_steps`` (slot order +1, -1, +2, ...) it is the
+    walk, which depends only on the root: ``relabel_canonical`` is canonical."""
     seen = {root}
-    found: list[tuple[Vertex, int, Vertex]] = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w, t in adjacency[v]:
+    queue = [root]
+    for v in queue:
+        for t, w in steps(v):
             if w not in seen:
                 seen.add(w)
-                found.append((v, t, w))
                 queue.append(w)
-    return found
+                yield v, t, w
 
 
 def _walk(
@@ -531,10 +540,12 @@ def _walk(
 ) -> tuple[dict[int, Word], set[tuple[int, int, int]], list[Word]]:
     """The walk from ``root`` over a step table: path words of root's
     component (reduced, since the walk does not backtrack), its tree edges,
-    and the loop word of each other edge of the component, in edge order."""
+    and the loop word of each other edge of the component, in edge order.
+    From the basepoint it is the table's kept walk."""
     words = {root: empty_word(g.n)}
     tree = set()
-    for v, t, w in bfs_edges(g.slot_steps, root):
+    walk = g.walk if root == g.basepoint else bfs_edges(g.slot_steps.__getitem__, root)
+    for v, t, w in walk:
         words[w] = words[v].then(t)
         tree.add((v, w, t) if t > 0 else (w, v, -t))
     chords = sorted(

@@ -205,13 +205,13 @@ class _SpanningForest:
 def _spanning_forest(x: IndexGraph) -> _SpanningForest:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(x.size)]
     for j, (u, v) in enumerate(zip(x.src.tolist(), x.dst.tolist()), start=1):
-        adj[u].append((v, j))
+        adj[u].append((j, v))
         if v != u:
-            adj[v].append((u, -j))
+            adj[v].append((-j, u))
     parent, depth, edge, sign = [-1] * x.size, [0] * x.size, [-1] * x.size, [0] * x.size
     for root in range(x.size):
         if edge[root] < 0:  # not reached from an earlier root
-            for a, t, b in bfs_edges(adj, root):
+            for a, t, b in bfs_edges(adj.__getitem__, root):
                 parent[b], depth[b] = a, depth[a] + 1
                 edge[b], sign[b] = abs(t) - 1, 1 if t > 0 else -1
     parent, depth, edge, sign = (np.array(a, dtype=np.int64) for a in (parent, depth, edge, sign))

@@ -18,7 +18,7 @@ from .arith import require_prime
 from .covers import cover_tower, require_cover_size, tower_pullbacks
 from .errors import InputError
 from .fiber import is_malnormal
-from .graphs import IndexGraph, subgroup_graph, to_wedge
+from .graphs import IndexGraph, subgroup_graph
 from .homology import induced_h1_map
 from .words import Word
 
@@ -84,7 +84,7 @@ def verify_counterexample(p: int, depth: int = 2) -> VerificationReport:
 
     gens = [Word.parse(text, 2) for text in GENERATOR_TEXTS]
     h = subgroup_graph(gens, 2)
-    f = to_wedge(h.graph)
+    f = h.wedge_map  # is_malnormal's fiber product reuses it
     sub_counts = _counts(f.domain)
     check(
         "core graph size",

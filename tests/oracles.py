@@ -366,6 +366,40 @@ def oracle_walk(n: int, vertices, edges, root):
     return words, tree, loops
 
 
+def oracle_tuple_path_word(n: int, maps, start_digits):
+    """Breadth-first search over the l-fold product of a step table from a
+    vertex tuple to its cyclic shift, on a dict of tuples: ``maps[k]`` takes
+    each vertex along the k-th signed letter of +1, -1, +2, -2, ..., -1
+    where it has no such step. The letters of the first path found, or None
+    when the shift is out of reach."""
+    from collections import deque
+
+    signed = [t for i in range(1, n + 1) for t in (i, -i)]
+    start = tuple(start_digits)
+    goal = tuple(start_digits[1:] + start_digits[:1])
+    prev = {start: None}
+    letter_to = {}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if cur == goal:
+            letters = []
+            node = cur
+            while prev[node] is not None:
+                letters.append(letter_to[node])
+                node = prev[node]
+            return tuple(reversed(letters))
+        for k, s in enumerate(signed):
+            nxt = tuple(maps[k][d] for d in cur)
+            if -1 in nxt:
+                continue
+            if nxt not in prev:
+                prev[nxt] = cur
+                letter_to[nxt] = s
+                queue.append(nxt)
+    return None
+
+
 def _oracle_library(p: int) -> list:
     """The p-group library as permutation element lists, in the order and
     with the element order the library searched before Cayley tables;

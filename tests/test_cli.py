@@ -29,6 +29,7 @@ from stallings import (
     separability,
     subgroup_graph,
 )
+import stallings
 from stallings import cli, fiber, graphs, words
 from stallings.cli import main
 from stallings.serialize import BLOCK_CHARS
@@ -531,6 +532,17 @@ def test_h1_indexes_its_graph_once(tmp_path, monkeypatch):
     result = _invoke(*_command_args(tmp_path, ("h1", "@raw", "--p", "3")))
     assert result.exit_code == 0, result.output
     assert len(built) == 1
+
+
+def test_version_runs_from_a_source_checkout():
+    # the version comes from the package itself, not from installed metadata
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stallings.cli", "--version"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith(f"version {stallings.__version__}"), proc.stdout
 
 
 def test_the_empty_graph_is_not_connected(tmp_path):

@@ -16,22 +16,26 @@ from stallings import (
     fold,
     make_graph,
     index_morphism,
+    is_l_root_closed,
+    is_malnormal,
     rank,
     subgroup_graph,
     to_wedge,
     wedge_graph,
 )
+from stallings import graphs
 from stallings.graphs import (
     LabeledGraph,
     SubgroupGraph,
     _walk,
+    bfs_edges,
     cycle_basis,
     is_core,
     path_words_from,
     relabel_canonical,
     trace,
 )
-from stallings.serialize import graph_from_dict, graph_to_dict, read_graph
+from stallings.serialize import graph_from_dict, graph_to_dict, read_graph, subgroup_from_dict
 from stallings.suite import random_cover_of_wedge, random_raw_graph
 
 
@@ -363,6 +367,45 @@ def test_walk_matches_a_slot_order_bfs():
         seen["root not first"] += root != g.vertices[0]
         seen["several loops"] += len(loops) > 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_relabel_hands_on_the_walk_of_its_result():
+    # the walk does not depend on the numbering, so the walk that numbered a
+    # graph, renumbered, is a fresh walk of the graph it numbered
+    rng = random.Random(47)
+    seen = dict.fromkeys(("loop edge", "three letters"), 0)
+    for _ in range(300):
+        g = _random_immersed_graph(rng)
+        root = rng.choice(g.vertices)
+        comp = g.restrict(path_words_from(g, root), root)
+        canon = relabel_canonical(comp).table
+        assert "walk" in canon.__dict__, comp
+        assert canon.walk == list(bfs_edges(canon.slot_steps.__getitem__, 0)), comp
+        seen["loop edge"] += any(u == v for u, v, _ in comp.edges)
+        seen["three letters"] += comp.n == 3 and len({i for *_, i in comp.edges}) == 3
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_subgroup_graph_is_walked_once(monkeypatch):
+    # after relabel_canonical numbers a subgroup's graph, the connectivity
+    # check, its cycle basis and its path words read the walk it handed on
+    searches = []
+    real = graphs.bfs_edges
+    monkeypatch.setattr(graphs, "bfs_edges", lambda steps, root: searches.append(root) or real(steps, root))
+    raw = {"n": 2, "vertices": [0, 1, 2, 3], "basepoint": 0,
+           "edges": [[0, 1, "a"], [1, 0, "a"], [0, 2, "b"], [2, 0, "b"], [0, 3, "a"]]}
+    h = subgroup_from_dict(raw)  # the core's search, then the walk that numbers it
+    assert len(searches) == 2
+    searches.clear()
+    result = is_malnormal(h)
+    assert result.certificate is not None
+    assert len(searches) == 1  # the cycle basis of the bad component, not of h
+    cyclic = subgroup_from_dict(graph_to_dict(subgroup_graph(_words("aa"), 2).graph))
+    searches.clear()
+    assert not is_l_root_closed(cyclic, 2).closed
+    assert searches == []
+    for table in (h.graph.table, cyclic.graph.table):
+        assert "slot_steps" not in table.__dict__
 
 
 def test_walk_loops_equal_the_products_of_their_path_words():
