@@ -135,7 +135,28 @@ def _component_stats(fp) -> RecordColumns:
     })
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group. A click usage error (an unknown or missing option,
+    a bad value, an unknown command) is invalid input, on the JSON error
+    contract; ``--help``, ``--version`` and a bare call print as click prints
+    them."""
+
+    def parse_args(self, ctx, args):
+        call = super().parse_args
+        return self._usage(call, ctx, args) if args else call(ctx, args)
+
+    def invoke(self, ctx):
+        return self._usage(super().invoke, ctx)
+
+    @staticmethod
+    def _usage(call, *args):
+        try:
+            return call(*args)
+        except click.UsageError as exc:
+            _fail(InputError(exc.format_message()), 2)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main() -> None:
     """Subgroup graphs of free groups, their fiber products, homology of
@@ -415,24 +436,17 @@ def tower(
 @click.option("--n", "n_opt", type=int, default=2, show_default=True,
               help="Ambient free group rank.")
 @click.option("--bound", type=int, default=500_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
 @_guarded
 def separate(
-    cyclic_text: str,
-    word_text: str,
-    ls: tuple[int, ...],
-    n_opt: int,
-    bound: int,
-    seed: int,
-    out: str | None,
+    cyclic_text: str, word_text: str, ls: tuple[int, ...], n_opt: int, bound: int, out: str | None
 ) -> None:
     """Finite quotient of order prime to every l in L in which WORD leaves
     the cyclic subgroup generated by --cyclic."""
     n = max(n_opt, Word.parse(cyclic_text).n, Word.parse(word_text).n)
     c = Word.parse(cyclic_text, n)
     g = Word.parse(word_text, n)
-    witness = separate_from_cyclic(c, g, set(ls), bound=bound, seed=seed)
+    witness = separate_from_cyclic(c, g, set(ls), bound=bound)
     payload = witness_to_dict(witness)
     payload["verified"] = verify_witness(witness)
     _echo(payload, out=out)
@@ -462,16 +476,10 @@ def validate_cmd(structure: str) -> None:
 @click.argument("maps", type=str)
 @click.option("--L", "ls", type=int, multiple=True)
 @click.option("--bound", type=int, default=500_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
 @_guarded
 def eppa_extend_cmd(
-    structure: str,
-    maps: str,
-    ls: tuple[int, ...],
-    bound: int,
-    seed: int,
-    out: str | None,
+    structure: str, maps: str, ls: tuple[int, ...], bound: int, out: str | None
 ) -> None:
     """Extend a subtadpole family of partial maps to automorphisms of a
     finite superstructure."""
@@ -481,7 +489,7 @@ def eppa_extend_cmd(
             f"--L gives {sorted(set(ls))} but the structure carries L={sorted(m.L)}"
         )
     fam = family_from_list(m, _load_json(maps))
-    result = eppa_extend(m, fam, bound=bound, seed=seed)
+    result = eppa_extend(m, fam, bound=bound)
     payload = extension_to_dict(result)
     payload["size"] = len(result.extended.universe)
     payload["verified"] = True  # eppa_extend raises unless its audit passed

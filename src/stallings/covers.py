@@ -208,6 +208,11 @@ def cover_tower(
     strategy: str = "first",
     seed: int | None = None,
 ) -> CoverTower:
+    """The tower of ``depth`` connected Z/p covers over x, each step from
+    :func:`surjective_cocycle` with the given strategy. Only the ``random``
+    strategy reads ``seed``, level k from ``seed + k``: a random cocycle is
+    its point, and ``tower --seed`` and the property suite ask for different ones."""
+    require_prime(p)
     if depth < 0:
         raise InputError("tower depth must be >= 0")
     spaces = [x]

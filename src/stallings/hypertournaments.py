@@ -627,10 +627,7 @@ class ExtensionResult:
 
 
 def eppa_extend(
-    m: Hypertournament,
-    p: PartialAutomorphismFamily,
-    bound: int = 500_000,
-    seed: int = 0,
+    m: Hypertournament, p: PartialAutomorphismFamily, bound: int = 500_000
 ) -> ExtensionResult:
     """Extend every partial map of a subtadpole family to an automorphism of
     a finite hypertournament containing m.
@@ -653,7 +650,8 @@ def eppa_extend(
     constraint is a row of clause ids, the relation constraints come from
     one sort-and-search join of the free and the related tuples of each
     arity on their component patterns, and each clause word is built once.
-    A constraint that no quotient separates is named from its index.
+    A constraint that no quotient separates is named from its index. The
+    quotient, and so the extension, depends on the input alone.
     """
     if p.host != m:
         raise InputError("family is not over the given hypertournament")
@@ -701,7 +699,7 @@ def eppa_extend(
 
     system, label = _coset_system(m, k, component, w, loops)
     try:
-        q = separate_coset_system(system, k, m.L, bound, seed)
+        q = separate_coset_system(system, k, m.L, bound)
     except SearchCapError as exc:
         index = exc.details.get("constraint_index")
         if index is not None:

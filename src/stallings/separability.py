@@ -696,16 +696,12 @@ def _table_block(
 
 
 def _constraint_search(
-    n: int,
-    p: int,
-    constraint: Constraint,
-    bound: int,
-    context: str,
-    seed: int = 0,
+    n: int, p: int, constraint: Constraint, bound: int, context: str
 ) -> tuple[FiniteQuotient, int]:
     """First quotient in the p-group library satisfying the constraint;
     returns (quotient, assignments examined). Deterministic order, then a
-    seeded randomized fallback.
+    sampled fallback whose stream is fixed by p, so the result depends on
+    the input alone.
 
     Letters absent from the constraint cannot affect it, so assignments put
     non-identity elements on a subset of the occurring letters and the
@@ -795,7 +791,7 @@ def _constraint_search(
     levels = 3 if p <= 3 else 2
     degree = p ** levels
     nodes = sum(p ** i for i in range(levels))
-    rng = random.Random(seed * 1_000_003 + p * 1_009 + levels)
+    rng = random.Random(p * 1_009 + levels)
     name = " wr ".join([f"Z/{p}"] * levels) + " sample"
     identity = p_identity(degree)
     misses = 0
@@ -841,9 +837,7 @@ def _constraint_search(
     )
 
 
-def separate_maximal_cyclic(
-    a: Word, g: Word, p: int, bound: int = 500_000, seed: int = 0
-) -> SeparationWitness:
+def separate_maximal_cyclic(a: Word, g: Word, p: int, bound: int = 500_000) -> SeparationWitness:
     """Witness that g avoids the maximal cyclic subgroup generated by a,
     inside a finite p-group."""
     require_prime(p)
@@ -853,16 +847,14 @@ def separate_maximal_cyclic(
         raise PreconditionError(f"{a} is a proper power, not a maximal root")
     if power_exponent(g, a) is not None:
         raise PreconditionError(f"{g} lies in the cyclic subgroup of {a}")
-    return _separate_maximal_root(a, g, p, bound, seed)
+    return _separate_maximal_root(a, g, p, bound)
 
 
-def _separate_maximal_root(a: Word, g: Word, p: int, bound: int, seed: int) -> SeparationWitness:
+def _separate_maximal_root(a: Word, g: Word, p: int, bound: int) -> SeparationWitness:
     """:func:`separate_maximal_cyclic` once its preconditions are known."""
     n = max(a.n, g.n)
     constraint: Constraint = ((g, a), (empty_word(n), a))
-    quotient, examined = _constraint_search(
-        n, p, constraint, bound, "separate_maximal_cyclic", seed
-    )
+    quotient, examined = _constraint_search(n, p, constraint, bound, "separate_maximal_cyclic")
     transcript = (
         f"images in {quotient.name} (order {quotient.order})",
         f"cyclic image of {a} has {perm_order(quotient.evaluate(a))} elements",
@@ -883,7 +875,7 @@ def _prime_set(L: Iterable[int]) -> frozenset:
 
 
 def separate_from_cyclic(
-    c: Word, g: Word, L: Iterable[int], bound: int = 500_000, seed: int = 0
+    c: Word, g: Word, L: Iterable[int], bound: int = 500_000
 ) -> SeparationWitness:
     """Witness that g avoids the cyclic subgroup generated by c, in a finite
     quotient whose order avoids every prime in L. Requires that subgroup to
@@ -915,7 +907,7 @@ def separate_from_cyclic(
     if e is None:
         # Case 1: g avoids even the maximal cyclic subgroup
         p = smallest_prime_not_in(L)
-        base = _separate_maximal_root(a, g, p, bound, seed)
+        base = _separate_maximal_root(a, g, p, bound)
         quotient = base.quotient
         transcript = base.transcript + (
             f"maximal root {a} separated; restriction to powers of {c} retained",
@@ -946,9 +938,7 @@ def separate_from_cyclic(
         if quotient is None:
             # every exponent sum of a vanishes mod p: fall back to the library
             constraint: Constraint = ((g, c), (empty_word(n), c))
-            quotient, examined = _constraint_search(
-                n, p, constraint, bound, "separate_from_cyclic", seed
-            )
+            quotient, examined = _constraint_search(n, p, constraint, bound, "separate_from_cyclic")
             transcript = (
                 f"power case: g = root^{e}, subgroup = root^{i} powers",
                 f"abelian exponent sums of {a} all vanish mod {p}",
@@ -1056,11 +1046,7 @@ def _unsatisfied(q: FiniteQuotient, system: CosetSystem, rows: np.ndarray) -> np
 
 
 def separate_coset_system(
-    constraints: CosetSystem | Sequence[Constraint],
-    n: int,
-    L: Iterable[int],
-    bound: int = 500_000,
-    seed: int = 0,
+    constraints: CosetSystem | Sequence[Constraint], n: int, L: Iterable[int], bound: int = 500_000
 ) -> FiniteQuotient:
     """One finite quotient of the free group on n letters, of order prime to
     every l in L, in which every constraint's coset intersection is empty.
@@ -1082,7 +1068,8 @@ def separate_coset_system(
 
     :func:`_unsatisfied` decides which rows a quotient leaves unsatisfied
     for the product tier, the rows left after N, and the final check, which
-    re-verifies every constraint against the returned quotient.
+    re-verifies every constraint against the returned quotient. Every
+    search runs in a fixed order, so the quotient depends on the input alone.
     """
     L = _prime_set(L)
     require_bound(bound)
@@ -1096,13 +1083,13 @@ def separate_coset_system(
         rest = rows[~obstructed]
         factors = []
         if obstructed.any():
-            factors.append(_product_tier(system, rows[obstructed], n, L, bound, seed))
+            factors.append(_product_tier(system, rows[obstructed], n, L, bound))
             rest = rest[_unsatisfied(factors[0], system, rest)]
         if len(rest):
             factors.append(_cyclic_tier(value[system.rows[rest]], np.array(sums, np.int64), n, L))
         q = direct_product(*factors)
     else:
-        q = _product_tier(system, rows, n, L, bound, seed)
+        q = _product_tier(system, rows, n, L, bound)
     failing = np.flatnonzero(_unsatisfied(q, system, rows))
     if failing.size:
         index = int(failing[0])
@@ -1168,7 +1155,7 @@ def _cyclic_tier(rows: np.ndarray, sums: np.ndarray, n: int, L: frozenset) -> Fi
 
 
 def _product_tier(
-    system: CosetSystem, rows: np.ndarray, n: int, L: frozenset, bound: int, seed: int
+    system: CosetSystem, rows: np.ndarray, n: int, L: frozenset, bound: int
 ) -> FiniteQuotient:
     """The product tier of :func:`separate_coset_system`, before its final
     check, on the given rows of the system; errors name a constraint by its
@@ -1189,7 +1176,7 @@ def _product_tier(
         cons = tuple(map(system.clauses.__getitem__, row))
         for p in ladder:
             try:
-                found, _ = _constraint_search(n, p, cons, bound, f"constraint {index}", seed)
+                found, _ = _constraint_search(n, p, cons, bound, f"constraint {index}")
                 break
             except SearchCapError:
                 continue

@@ -453,7 +453,7 @@ def _inv_witness(rng: random.Random, trials: int) -> tuple[int, Failures]:
         if h.contains(g):
             continue
         l = rng.choice((2, 3))
-        witness = separate_from_cyclic(c, g, {l}, seed=rng.randrange(2**31))
+        witness = separate_from_cyclic(c, g, {l})
         if not verify_witness(witness):
             failures.append(f"trial {done}: witness for {g} outside <{c}> fails to verify")
         if witness.quotient.order % l == 0:
@@ -544,7 +544,7 @@ def _inv_eppa(rng: random.Random, trials: int) -> tuple[int, Failures]:
         m = random_tournament(rng, range(size))
         fam = make_family(m, [random_disjoint_partial_map(rng, m)])
         try:
-            result = eppa_extend(m, fam, seed=rng.randrange(2**31))
+            result = eppa_extend(m, fam)
         except StallingsError as exc:
             failures.append(f"trial {t}: extension failed with {exc}")
             continue

@@ -826,7 +826,7 @@ def tw_convolve(a, b, p: int):
     return out % p
 
 
-def oracle_separate_coset_system(constraints, n, L, bound: int = 500_000, seed: int = 0):
+def oracle_separate_coset_system(constraints, n, L, bound: int = 500_000):
     """``separability.separate_coset_system`` as it was before each pruning
     trial became one product: every trial and the final quotient are
     assembled by pairwise products from the trivial quotient on n letters.
@@ -859,7 +859,7 @@ def oracle_separate_coset_system(constraints, n, L, bound: int = 500_000, seed: 
         found = None
         for p in ladder:
             try:
-                found, _ = _constraint_search(n, p, cons, bound, f"constraint {index}", seed)
+                found, _ = _constraint_search(n, p, cons, bound, f"constraint {index}")
                 break
             except SearchCapError:
                 continue

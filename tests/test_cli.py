@@ -277,6 +277,8 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
         (["eppa-extend", structure, maps_path], 0),
         (["fold", graph, "--core"], 0),
         (["malnormal", graph], 1),
+        # a sampled witness: Z/3 wr Z/3 wr Z/3, drawn from a stream fixed by p
+        (["separate", "--cyclic", "BaBABaBABaBA", "--word", "Abbba", "--L", "2"], 0),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     for args, status in commands:
@@ -331,7 +333,7 @@ def test_eppa_extend_writes_its_output_in_bounded_blocks(tmp_path, monkeypatch):
     assert out.read_text() == result.stdout == text + "\n"
     m = make_hypertournament(universe, [2], {2: relation})
     family = make_family(m, [{int(x): y for x, y in mp.items()} for mp in maps])
-    extension = eppa_extend(m, family, bound=500_000, seed=0)
+    extension = eppa_extend(m, family, bound=500_000)
     rows = extension_to_dict(extension)["extended"]["relations"]["2"]
     assert payload["extended"]["relations"]["2"] == rows.tolist()
 
@@ -958,6 +960,15 @@ def test_tower_checks_its_pullback_first(tmp_path, name):
     assert message in json.loads(result.stderr)["message"]
 
 
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+@pytest.mark.parametrize("pull", [(), ("--pullback", "@abABa,b")])
+def test_tower_refuses_a_non_prime_at_depth_zero(tmp_path, p, pull):
+    result = _invoke(*_command_args(tmp_path, ("tower", "@a,b", "--p", p, "--depth", "0", *pull)))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "invalid_input", "message": f"{p} is not prime"}
+
+
 @pytest.mark.parametrize("command", [
     ("fiber-product", "@abABa,b", "@abABa,b"),
     ("malnormal", "@abABa,b"),
@@ -1100,6 +1111,36 @@ def test_command_refuses_bad_input(tmp_path, name):
     assert result.exit_code == status, result.output
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == code
+
+
+# click's own usage errors follow the JSON error contract too, with click's
+# message; the removed --seed options of separate and eppa-extend are unknown
+_USAGE_ERRORS = {
+    "unknown option": (("separate", "--cyclic", "a", "--word", "b", "--L", "2", "--bogus", "1"),
+                       "No such option '--bogus'. (Did you mean one of: '--bound', '--out'?)"),
+    "missing option": (("separate", "--cyclic", "a", "--L", "2"), "Missing option '--word'."),
+    "separate --seed": (("separate", "--cyclic", "a", "--word", "b", "--L", "2", "--seed", "0"),
+                        "No such option '--seed'."),
+    "eppa-extend --seed": (("eppa-extend", "x.json", "y.json", "--seed", "0"), "No such option '--seed'."),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_USAGE_ERRORS))
+def test_usage_errors_are_error_json(name):
+    args, message = _USAGE_ERRORS[name]
+    result = _invoke(*args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("command", ["separate", "eppa-extend"])
+def test_help_lists_no_seed_and_version_prints_as_before(command):
+    result = _invoke(command, "--help")
+    assert result.exit_code == 0 and result.stdout.startswith("Usage: ")
+    assert "--bound" in result.stdout and "--seed" not in result.stdout
+    result = _invoke("--version")
+    assert result.exit_code == 0 and result.stdout == f"main, version {stallings.__version__}\n"
 
 
 def test_negative_search_bounds_are_refused_before_any_search(tmp_path, monkeypatch):

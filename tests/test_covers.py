@@ -158,6 +158,13 @@ def test_cover_tower_shape():
         cover_tower(wedge, 2, -1)
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, -3])
+def test_cover_tower_refuses_a_non_prime_at_depth_zero(p):
+    # depth 0 draws no cocycle, so p is checked on entry
+    with pytest.raises(InputError, match="not prime"):
+        cover_tower(IndexGraph.of(wedge_graph(2)), p, 0)
+
+
 def test_tower_pullbacks_keep_rank_and_connectivity():
     h = _sub("abABa", "b")
     f = to_wedge(h.graph)

@@ -417,7 +417,7 @@ def test_seeded_families_of_up_to_three_maps_extend_and_validate():
                 eppa_extend(m, fam)
             outcomes["refused"] += 1
             continue
-        result = eppa_extend(m, fam, seed=trial)
+        result = eppa_extend(m, fam)
         assert verify_extension(result, m, fam), (m.relations, maps)
         assert _brute_validate(result.extended), (m.relations, maps)
         outcomes["extended"] += 1
@@ -666,7 +666,7 @@ def test_constraint_words_match_the_per_clause_reference(monkeypatch):
         if not is_subtadpole(graph):
             continue
         handed.clear()
-        eppa_extend(m, fam, seed=trial)
+        eppa_extend(m, fam)
         points = sorted(m.universe)
         w, h, component = {}, {}, {}
         for comp in graph.component_lists:

@@ -361,8 +361,8 @@ def test_heisenberg_witnesses_act_on_p_squared_points_and_tampering_is_caught(p)
 
 
 def test_separation_is_deterministic():
-    a = separate_from_cyclic(_w("ab"), _w("ba"), [2], seed=7)
-    b = separate_from_cyclic(_w("ab"), _w("ba"), [2], seed=7)
+    a = separate_from_cyclic(_w("ab"), _w("ba"), [2])
+    b = separate_from_cyclic(_w("ab"), _w("ba"), [2])
     assert a.quotient.images == b.quotient.images
     assert a.quotient.order == b.quotient.order
 
@@ -508,9 +508,9 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
     under two letters, which gives each system at least ten constraints."""
     systems = []
 
-    def record(constraints, n, L, bound, seed):
+    def record(constraints, n, L, bound):
         systems.append((oracles.oracle_constraint_list(constraints), n, frozenset(L)))
-        return separate_coset_system(constraints, n, L, bound, seed)
+        return separate_coset_system(constraints, n, L, bound)
 
     monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
     rng = random.Random(seed)
@@ -531,7 +531,7 @@ def _coset_systems(monkeypatch, seed: int = 11) -> list:
 def _product_tier(constraints, n, L):
     """The product tier of separate_coset_system alone, on any system."""
     rows = np.arange(len(constraints))
-    return separability._product_tier(CosetSystem.of(constraints), rows, n, frozenset(L), 500_000, 0)
+    return separability._product_tier(CosetSystem.of(constraints), rows, n, frozenset(L), 500_000)
 
 
 def _oracle_unsatisfied(q, system, rows):
@@ -562,10 +562,10 @@ def _looped_systems(monkeypatch, seed: int) -> list:
     systems = []
     product_tier = separability._product_tier
 
-    def record(system, rows, n, L, bound, seed):
+    def record(system, rows, n, L, bound):
         constraints = oracles.oracle_constraint_list(system)
         systems.append(([constraints[i] for i in rows.tolist()], n, L))
-        return product_tier(system, rows, n, L, bound, seed)
+        return product_tier(system, rows, n, L, bound)
 
     monkeypatch.setattr(separability, "_product_tier", record)
     rng = random.Random(seed)
@@ -707,9 +707,9 @@ def test_eppa_coset_systems_and_their_lists_give_one_quotient(monkeypatch):
     # constraints is numbered afresh by word identity
     handed = []
 
-    def record(constraints, n, L, bound, seed):
+    def record(constraints, n, L, bound):
         handed.append((constraints, n, L))
-        return separate_coset_system(constraints, n, L, bound, seed)
+        return separate_coset_system(constraints, n, L, bound)
 
     monkeypatch.setattr(hypertournaments, "separate_coset_system", record)
     rng = random.Random(4002)
