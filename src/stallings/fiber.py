@@ -34,9 +34,9 @@ from .graphs import (
     Vertex,
     _orbit_labels,
     _pair_graph,
-    _shift,
     _signed_letters,
     bfs_edges,
+    component_labels,
     core,
     cycle_basis,
     is_core,
@@ -49,6 +49,8 @@ from .words import Word, maximal_root
 
 # Most vertex tuples of an l-fold product, and most vertex pairs or edge
 # pairs of a fiber product; it keeps every tuple code and pair index int32.
+# Root closure labels fewer tuples than it counts, but the cap still bounds
+# nv^l, so the sizes it refuses are as before.
 TUPLE_CAP = 2_000_000
 
 
@@ -262,7 +264,8 @@ def is_l_root_closed(h: SubgroupGraph, l: int) -> RootClosureResult:
     subgroup exactly when g = a^e with i | e, and the subgroup is closed
     exactly when gcd(i, l) = 1. No vertex tuples are built.
 
-    Rank 2 and up: the l-fold product test of :func:`_product_root_closure`.
+    Rank 2 and up: :func:`_product_root_closure`, on the l-tuples whose
+    consecutive pairs share one component of the pair product.
     """
     if l < 2:
         raise InputError("root index l must be at least 2")
@@ -302,7 +305,8 @@ def power_root_closure(a: Word, i: int, l: int) -> RootClosureResult:
 
 
 def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
-    """The l-fold product test, valid for every rank.
+    """The l-fold product test, decided on the pair product; valid for every
+    rank.
 
     The subgroup fails to be closed under l-th roots exactly when some
     component of the l-fold simultaneous product of its graph contains a
@@ -310,37 +314,89 @@ def _product_root_closure(h: SubgroupGraph, l: int) -> RootClosureResult:
     between them reads t_0 -> t_1, ..., t_{l-1} -> t_0 in the graph, so v^l
     is a loop while v is not.
 
-    Tuples are handled as the tuple codes of :func:`graphs._orbit_labels`;
-    the product's components are the orbits of the positive letters. The
-    tuples that meet their shift are closed under reversing their digits:
-    reversal turns the shift of t into the inverse shift of the reversed t,
-    and a word that carries a tuple to its inverse shift carries it to its
-    shift when applied l - 1 times. So the least such code, read from its
-    least significant digit, names one of them too; the witness comes from
-    that tuple.
+    Only non-constant tuples whose consecutive pairs (t_i, t_{i+1}), with
+    t_l = t_0, all lie in one component of the pair product H x_wedge H are
+    labelled; at l = 2 these are the hits. The filter is exact: v carries
+    each pair to the next along one path, so every hit passes, and letters
+    move pairs within their components, so the tuples that pass are whole
+    components of the l-fold product, with their labels and the least hit.
+
+    Tuples are handled as the tuple codes of :func:`graphs._orbit_labels`.
+    The tuples that meet their shift are closed under reversing their
+    digits: reversal turns the shift of t into the inverse shift of the
+    reversed t, and a word that carries a tuple to its inverse shift carries
+    it to its shift when applied l - 1 times. So the least such code, read
+    from its least significant digit, names one of them too; the witness
+    comes from that tuple.
     """
     g = h.graph
     nv = len(g.vertices)
-    if nv ** l > TUPLE_CAP:
+    if nv ** min(l, 32) > TUPLE_CAP:  # nv >= 2 passes the cap by l = 21
         raise ResourceCapError(
             f"{nv}^{l} vertex tuples exceed the cap of {TUPLE_CAP}",
             vertices=nv,
             l=l,
         )
-    maps = _letter_tables(g)  # int32: TUPLE_CAP < 2^31 bounds every tuple code
-    labels = _orbit_labels(nv, l, maps[::2])
-    codes = np.arange(nv**l, dtype=np.int32)
-    shift = _shift(codes, nv, l)
-    hits = codes[(shift != codes) & (labels == labels[shift])]
-    if hits.size == 0:
+    if nv == 1:
+        return RootClosureResult(True, None)
+    maps = _letter_tables(g)
+    first = _least_hit(maps, nv, l)
+    if first is None:
         return RootClosureResult(True, None)
 
-    first = int(hits.min())
     hit = [first // nv ** k % nv for k in range(l)]
     v_word = _tuple_path_word(g.n, maps.tolist(), hit)
     u = path_words_from(g, g.basepoint)[g.vertices[hit[0]]]
     witness = u * v_word * u.inverse()
     return RootClosureResult(False, witness)
+
+
+def _least_hit(maps: np.ndarray, nv: int, l: int) -> int | None:
+    """The least code of an l-tuple in the component of its cyclic shift, or
+    None, by the pair-product filter of :func:`_product_root_closure`. Codes
+    are int32: TUPLE_CAP < 2^31 bounds them."""
+    label = _orbit_labels(nv, 2, maps[::2])
+    apart = ~np.eye(nv, dtype=bool)  # the pairs (t_0, t_1) with t_0 != t_1
+    if l == 2:
+        square = label.reshape(nv, nv)
+        hits = apart & (square == square.T)
+        return int(hits.argmax()) if hits.any() else None
+    kept = np.flatnonzero(apart).astype(np.int32)
+    keys = label[kept] * nv + kept // nv  # the pairs a -> b by (label, a), then b
+    order = np.argsort(keys, kind="stable")
+    keys, heads = keys[order], kept[order] % nv
+    for k in range(l - 2):  # kept holds the codes of (t_0, ..., t_{k+1}), ascending
+        want = label[kept // nv**k] * nv + kept % nv
+        lo = np.searchsorted(keys, want)
+        count = np.searchsorted(keys, want, side="right") - lo
+        arc = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        kept = np.repeat(kept, count) * nv + heads[arc]
+    top = nv ** (l - 1)
+    kept = kept[label[kept % nv * nv + kept // top] == label[kept // (top // nv)]]
+    if kept.size == 0:
+        return None
+    # the letters and the shift keep these tuples: index them through a table
+    index = np.full(nv**l, -1, dtype=np.int32)
+    index[kept] = np.arange(len(kept), dtype=np.int32)
+    lead, rest = np.divmod(kept, top)  # t_0, and the code of (t_1, ..., t_{l-1})
+    edges = []
+    for step in maps[::2]:
+        tail = step  # the image of every (l-1)-tuple code, -1 where undefined
+        for _ in range(l - 2):
+            tail = _join(step[:, None], tail, len(tail)).ravel()
+        image = _join(step[lead], tail[rest], top)
+        src = None if image.min() >= 0 else np.flatnonzero(image >= 0).astype(np.int32)
+        edges.append((src, index[image if src is None else image[src]]))
+    shift = index[rest * nv + lead]
+    del index, lead, rest, image, tail
+    labels = component_labels(len(kept), edges)
+    hits = np.flatnonzero(labels == labels[shift])
+    return int(kept[hits[0]]) if hits.size else None
+
+
+def _join(head: np.ndarray, tail: np.ndarray, size: int) -> np.ndarray:
+    """The codes head·size + tail, -1 where either part is -1."""
+    return np.where((head < 0) | (tail < 0), -1, head * size + tail)
 
 
 def _letter_tables(g: LabeledGraph) -> np.ndarray:

@@ -400,6 +400,26 @@ def oracle_tuple_path_word(n: int, maps, start_digits):
     return None
 
 
+def oracle_least_root_hit(maps, nv: int, l: int):
+    """The least l-tuple over 0..nv-1, in lexicographic order, that is not
+    constant and lies in the orbit of its cyclic shift, or None. ``maps`` is
+    a step table as in :func:`oracle_tuple_path_word`, of which only the
+    positive letters are read; every orbit is a ``_tuple_orbit`` search
+    over the whole l-fold product."""
+    import itertools
+
+    forward = [{x: y for x, y in enumerate(m) if y >= 0} for m in maps[::2]]
+    backward = [{y: x for x, y in f.items()} for f in forward]
+    orbit_of: dict = {}
+    for t in itertools.product(range(nv), repeat=l):
+        if t not in orbit_of:
+            orbit = _tuple_orbit(t, forward, backward)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+        if len(set(t)) > 1 and t[1:] + t[:1] in orbit_of[t]:
+            return t
+    return None
+
+
 def _oracle_library(p: int) -> list:
     """The p-group library as permutation element lists, in the order and
     with the element order the library searched before Cayley tables;

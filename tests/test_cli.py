@@ -28,6 +28,7 @@ from stallings import (
     make_hypertournament,
     separability,
     subgroup_graph,
+    wedge_graph,
 )
 import stallings
 from stallings import cli, fiber, graphs, words
@@ -68,6 +69,18 @@ def test_root_closed_rank_two(tmp_path):
     result = _invoke("root-closed", path, "--l", "3")
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout) == {"verdict": True, "l": 3, "certificate": None}
+
+
+def test_root_closed_on_the_wedge_answers_a_huge_l_at_once(tmp_path):
+    # F_2 itself: its one-vertex product holds only the constant tuple, which
+    # took time linear in l to build (9 s at this l)
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(graph_to_dict(wedge_graph(2))))
+    start = time.perf_counter()
+    result = _invoke("root-closed", str(path), "--l", "2000003")
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout) == {"verdict": True, "l": 2000003, "certificate": None}
 
 
 def test_separate_refuses_a_subgroup_that_is_not_root_closed():

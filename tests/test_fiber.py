@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import time
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -31,7 +33,16 @@ from stallings import (
 from stallings import fiber
 from stallings.cli import _component_stats, main
 from stallings.fiber import TUPLE_CAP, _product_root_closure, cyclic_root_closure
-from stallings.graphs import core, relabel_canonical
+from stallings.graphs import (
+    SubgroupGraph,
+    _orbit_labels,
+    _shift,
+    core,
+    cycle_basis,
+    make_graph,
+    path_words_from,
+    relabel_canonical,
+)
 from stallings.serialize import json_blocks
 from stallings.suite import random_reduced_word
 from stallings.verify import verify_counterexample
@@ -354,8 +365,13 @@ def test_root_closure_rejects_silly_l_and_caps_blowups():
     with pytest.raises(InputError):
         is_l_root_closed(h, 1)
     big = _sub("abABa", "b")
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"^5\^12 vertex tuples exceed the cap of 2000000$"):
         is_l_root_closed(big, 12)
+    # refused without computing 5^2000003, which took 0.36 s
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"^5\^2000003 vertex tuples exceed the cap"):
+        is_l_root_closed(big, 2_000_003)
+    assert time.perf_counter() - start < 0.1
 
 
 # Witnesses of rank >= 2 subgroups as the per-tuple Python scan reported
@@ -451,8 +467,8 @@ def test_product_path_words_match_the_dict_bfs():
                 continue
             maps = fiber._letter_tables(g)
             codes = np.arange(nv**l)
-            shift = fiber._shift(codes, nv, l)
-            labels = fiber._orbit_labels(nv, l, maps[::2])
+            shift = _shift(codes, nv, l)
+            labels = _orbit_labels(nv, l, maps[::2])
             hits = codes[(shift != codes) & (labels == labels[shift])].tolist()
             for code in {hits[0], *rng.sample(hits, min(3, len(hits)))}:
                 digits = [code // nv**k % nv for k in range(l)]
@@ -460,6 +476,84 @@ def test_product_path_words_match_the_dict_bfs():
                 assert word.letters == oracles.oracle_tuple_path_word(n, maps.tolist(), digits), (g, l, digits)
                 compared[l] += 1
                 long_words += len(word) >= 3
+
+
+def _permutation_subgroup(rng: random.Random, n: int, m: int, keep: float):
+    """The subgroup graph of random partial permutations of 0..m-1, each point
+    keeping its edge of each letter with probability ``keep``; None when the
+    core is not connected. With keep = 1 the subgroup has finite index."""
+    edges = []
+    for i in range(1, n + 1):
+        images = rng.sample(range(m), m)
+        edges += [(u, images[u], i) for u in range(m) if rng.random() < keep]
+    g = relabel_canonical(core(make_graph(n, range(m), edges, 0)))
+    return SubgroupGraph(g, tuple(cycle_basis(g))) if g.is_connected else None
+
+
+def _oracle_root_witness(h, l: int) -> str | None:
+    """The witness of the least full-product hit, with the dict BFS of
+    ``oracles.oracle_tuple_path_word``."""
+    g = h.graph
+    maps = fiber._letter_tables(g).tolist()
+    t = oracles.oracle_least_root_hit(maps, len(g.vertices), l)
+    if t is None:
+        return None
+    hit = list(reversed(t))  # the least code, read from its last digit
+    v = Word(oracles.oracle_tuple_path_word(g.n, maps, hit), g.n)
+    u = path_words_from(g, g.basepoint)[g.vertices[hit[0]]]
+    return str(u * v * u.inverse())
+
+
+def test_root_closure_matches_the_full_product_oracle():
+    # verdict and witness text against the least hit over every l-tuple, on
+    # random subgroups, some with a generator raised to the l-th power, and
+    # on (partial) permutation graphs, where one pair-product component
+    # holds nearly every pair of distinct vertices
+    rng = random.Random(83)
+    seen = set()
+    for trial in range(120):
+        kind = ("words", "power", "finite", "partial")[trial % 4]
+        n, l = rng.choice((2, 3)), rng.choice((2, 3, 5, 7))
+        if kind in ("words", "power"):
+            gens = [random_reduced_word(rng, n, 1, 5) for _ in range(rng.randint(2, 3))]
+            if kind == "power":
+                gens[0] = gens[0] ** l
+            h = subgroup_graph(gens, n)
+        else:
+            h = _permutation_subgroup(rng, n, rng.randint(2, int(20_000 ** (1 / l))), 1 if kind == "finite" else 0.85)
+        if h is None or h.rank() < 2 or len(h.graph.vertices) ** l > 20_000:
+            continue
+        res = _product_root_closure(h, l)
+        expected = _oracle_root_witness(h, l)
+        assert res.closed == (expected is None), (h.graph, l)
+        assert (None if res.witness is None else str(res.witness)) == expected, (h.graph, l)
+        seen.add((kind, l, res.closed))
+    # a non-closed case at l = 7 needs a 7-cycle of vertices, past the size bound
+    assert {(l, v) for _, l, v in seen} == {(l, v) for l in (2, 3, 5, 7) for v in (True, False)} - {(7, False)}
+    assert {k for k, _, v in seen if not v} == {"words", "power", "finite", "partial"}
+
+
+def test_root_closure_near_the_cap_labels_no_l_fold_product():
+    # two generators whose wedge is already folded: 125 vertices, 125^3 =
+    # 1,953,125 tuples, closed at l = 3. Labelling every tuple peaked at
+    # 35,159,748 traced bytes; the pair-product filter stays under half.
+    rng = random.Random(1)
+    words = []
+    for letter, length in ((1, 62), (2, 64)):
+        w = random_reduced_word(rng, 2, length, length)
+        while w.letters[0] != letter or w.letters[-1] != letter:
+            w = random_reduced_word(rng, 2, length, length)
+        words.append(w)
+    h = subgroup_graph(words, 2)
+    assert len(h.graph.vertices) == 125 and h.rank() == 2
+    tracemalloc.start()
+    try:
+        res = is_l_root_closed(h, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.closed
+    assert peak < 35_159_748 // 2, peak
 
 
 def _random_maximal_root(rng: random.Random, n: int, length: int) -> Word:
