@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from .errors import InputError, PostconditionError
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
+    """False for anything that is not an integer (Python's or numpy's);
+    ``int`` is tested first, since the ``Integral`` test costs more."""
+    if not isinstance(m, (int, Integral)) or m < 2:
         return False
     if m < 4:
         return True

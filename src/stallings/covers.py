@@ -4,8 +4,12 @@ and pull-backs of covers along morphisms.
 A cocycle assigns an element of Z/p to every edge of the base graph: it is
 one integer shift per base edge, in ``sorted_edges`` order. The cover places
 p sheets over each vertex and routes the lift of edge j from sheet k to
-sheet k + shift[j]. Every regular Z/p cover arises this way, and cocycles
-vanishing on a spanning tree give a canonical finite enumeration. The deck
+sheet k + shift[j]. Every regular Z/p cover arises this way. Each cocycle
+class has one cocycle that vanishes on the tree edges of
+``graphs._spanning_forest``, the forest whose chords index the H1 basis of
+``homology.h1_basis``. Such a cocycle is given by its chord values, and they
+are its H1 coordinates: the fundamental cycle of chord c is 1 on c and 0 on
+every other chord, so the cocycle pairs with it to shift[c]. The deck
 transformation shifts sheets by one.
 
 Bases, covers, towers and pull-backs are ``IndexGraph``s in the index
@@ -24,19 +28,8 @@ from functools import partial
 import numpy as np
 
 from .arith import require_prime
-from .errors import (
-    InputError,
-    PostconditionError,
-    PreconditionError,
-    ResourceCapError,
-)
-from .graphs import (
-    IndexGraph,
-    IndexMorphism,
-    _pair_graph,
-    bfs_edges,
-    same_graph,
-)
+from .errors import InputError, PostconditionError, ResourceCapError
+from .graphs import IndexGraph, IndexMorphism, _pair_graph, _spanning_forest, same_graph
 
 # Most vertices, and most edges, that one cover may have. Every vertex index
 # v·p + k then fits int32 (``component_labels``) with room to spare. The
@@ -151,43 +144,22 @@ class CoverTower:
 def surjective_cocycle(
     g: IndexGraph, p: int, strategy: str = "first", seed: int | None = None
 ) -> np.ndarray:
-    """A spanning-tree-normalized cocycle on g's edges, in edge order, whose
-    pairing with the cycle space is surjective onto Z/p, so the resulting
-    cover is connected.
-
-    The cocycle vanishes on a BFS spanning tree (of the whole connected
-    graph, from the basepoint or else the first vertex, in the walk's slot
-    order); its value on a chord equals its pairing with that chord's
-    fundamental cycle, so surjectivity just needs one nonzero chord value.
-    ``first`` takes the lexicographically first such assignment in chord
-    order; ``random`` draws uniformly until surjective.
+    """A cocycle on g's edges, in edge order, that vanishes on the tree of
+    ``graphs._spanning_forest`` and is nonzero on some chord. Its pairing
+    with H1 (its coordinates on the columns of ``h1_basis(g, p)``) is its
+    vector of chord values, so it maps H1 onto Z/p, and g being connected,
+    its cover is connected, whether g is immersed or not. ``first`` takes
+    the lexicographically first nonzero chord vector, (0, ..., 0, 1) in
+    chord order; ``random`` draws uniformly until some value is nonzero.
     """
     require_prime(p)
     if not g.is_connected:
         raise InputError("cover towers need a connected base")
-    # Step slot of each edge at its ends: out along +i at src, in along -i at
-    # dst; slots are numbered in the walk's order, +1, -1, +2, ...
-    slots = np.concatenate(
-        [(g.src * g.n + g.letter - 1) * 2, (g.dst * g.n + g.letter - 1) * 2 + 1]
-    )
-    order = np.argsort(slots)
-    slots = slots[order]
-    if (slots[1:] == slots[:-1]).any():
-        raise PreconditionError("graph is not immersed")
-    far = np.concatenate([g.dst, g.src])[order].tolist()
-    edge = (order % len(g.src)).tolist()
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.size)]
-    for v, w, j in zip((slots // (2 * g.n)).tolist(), far, edge):
-        adjacency[v].append((j, w))
-    root = 0 if g.basepoint is None else g.basepoint
-    tree = np.zeros(len(g.src), dtype=bool)
-    tree[[j for _, j, _ in bfs_edges(adjacency.__getitem__, root)]] = True
-    chords = np.flatnonzero(~tree)
+    chords = np.flatnonzero(~_spanning_forest(g).is_tree)
     if not len(chords):
         raise InputError("no surjective cocycle: the graph is a tree")
     shift = np.zeros(len(g.src), dtype=np.int64)
     if strategy == "first":
-        # lexicographically first nonzero chord vector is (0, ..., 0, 1)
         shift[chords[-1]] = 1
     elif strategy == "random":
         rng = random.Random(seed)

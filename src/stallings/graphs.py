@@ -28,7 +28,9 @@ src/dst/letter in ``sorted_edges`` order. A vertex made from a pair (u, k)
 of indices, k < m, has index u·m + k, kept pairs numbered in that order:
 sheet k over base vertex u of a Z/p cover is u·p + k, and the pair (u, v)
 of a fiber product is u·|V_B| + v. Morphisms between them are
-:class:`IndexMorphism`s, arrays of vertex and edge images.
+:class:`IndexMorphism`s, arrays of vertex and edge images. An IndexGraph
+has one spanning forest (``_spanning_forest``): H1 bases take their chords
+from it, and tower cocycles vanish on its tree edges.
 """
 
 from __future__ import annotations
@@ -643,6 +645,51 @@ class IndexGraph:
         sizes = self.component_sizes
         edges = np.bincount(self.component_ids[self.src], minlength=len(sizes))
         return (edges - sizes + 1).tolist()
+
+
+@dataclass(frozen=True)
+class _SpanningForest:
+    """Arrays indexed by vertex: the parent (-1 at a root), the depth, the
+    index in ``sorted_edges`` of the tree edge to the parent (-1 at a root),
+    and its sign (+1 when the edge points away from the root, 0 at a root).
+    ``is_tree`` masks the tree edges; the others are the chords."""
+
+    parent: np.ndarray
+    depth: np.ndarray
+    edge: np.ndarray
+    sign: np.ndarray
+    is_tree: np.ndarray
+
+
+def _spanning_forest(x: IndexGraph) -> _SpanningForest:
+    """The one spanning forest of an IndexGraph: ``bfs_edges`` from each
+    least vertex not yet reached, every vertex trying its edges in
+    ``sorted_edges`` order. Edge end 2j is the tail of edge j and end 2j + 1
+    its head, so a stable sort of the ends by vertex lists each vertex's
+    steps (end, far vertex) in that order, one slice of each of two lists."""
+    ends = np.stack([x.src, x.dst], axis=1).ravel()
+    order = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[order], np.arange(x.size + 1)).tolist()
+    near, far = order.tolist(), ends[order ^ 1].tolist()
+    del ends, order
+
+    def steps(v: int) -> Iterator[tuple[int, int]]:
+        a, b = bounds[v], bounds[v + 1]
+        return zip(near[a:b], far[a:b])
+
+    parent, depth, end = [-1] * x.size, [0] * x.size, [-1] * x.size
+    for root in range(x.size):
+        if end[root] < 0:  # not reached from an earlier root
+            for v, t, w in bfs_edges(steps, root):
+                parent[w], depth[w], end[w] = v, depth[v] + 1, t
+    end = np.array(end, dtype=np.int64)
+    edge = end >> 1  # -1 stays -1 at a root
+    is_tree = np.zeros(len(x.src), dtype=bool)
+    is_tree[edge[end >= 0]] = True
+    sign = np.where(end >= 0, 1 - 2 * (end & 1), 0)
+    return _SpanningForest(
+        np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64), edge, sign, is_tree
+    )
 
 
 def _pair_graph(

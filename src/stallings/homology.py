@@ -2,8 +2,9 @@
 induced maps, and the injectivity-lifting check for Z/p covers.
 
 H_1 of a graph is the kernel of the boundary map C_1 -> C_0; we present it
-by the fundamental cycles of spanning-tree chords, which makes every matrix
-here deterministic. In that basis each column is 1 on its own chord and 0 on
+by the fundamental cycles of the chords of ``graphs._spanning_forest``, the
+one spanning forest of an IndexGraph, which makes every matrix here
+deterministic. In that basis each column is 1 on its own chord and 0 on
 every other chord, so the coordinates of any cycle are its entries on the
 chords: induced maps are read off the chord rows, with no elimination. The
 lifting check follows the module-theoretic argument:
@@ -31,7 +32,7 @@ import numpy as np
 from .arith import require_prime
 from .covers import CoverGraph
 from .errors import InputError, PostconditionError, PreconditionError
-from .graphs import IndexGraph, IndexMorphism, bfs_edges, same_graph
+from .graphs import IndexGraph, IndexMorphism, _spanning_forest, same_graph
 
 
 # -- matrices over GF(p) -----------------------------------------------------------
@@ -187,41 +188,8 @@ def boundary_matrix(x: IndexGraph, p: int) -> FpMatrix:
     return FpMatrix.from_array(b, p)
 
 
-@dataclass(frozen=True)
-class _SpanningForest:
-    """A BFS tree per component, rooted at the component's first vertex, with
-    each vertex trying its edges in ``sorted_edges`` order. Arrays are indexed
-    by vertex index: the parent (-1 at a root), the depth, the index in
-    ``sorted_edges`` of the tree edge to the parent, and its sign (+1 when
-    the edge points away from the root). ``is_tree`` masks the tree edges."""
-
-    parent: np.ndarray
-    depth: np.ndarray
-    edge: np.ndarray
-    sign: np.ndarray
-    is_tree: np.ndarray
-
-
-def _spanning_forest(x: IndexGraph) -> _SpanningForest:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(x.size)]
-    for j, (u, v) in enumerate(zip(x.src.tolist(), x.dst.tolist()), start=1):
-        adj[u].append((j, v))
-        if v != u:
-            adj[v].append((-j, u))
-    parent, depth, edge, sign = [-1] * x.size, [0] * x.size, [-1] * x.size, [0] * x.size
-    for root in range(x.size):
-        if edge[root] < 0:  # not reached from an earlier root
-            for a, t, b in bfs_edges(adj.__getitem__, root):
-                parent[b], depth[b] = a, depth[a] + 1
-                edge[b], sign[b] = abs(t) - 1, 1 if t > 0 else -1
-    parent, depth, edge, sign = (np.array(a, dtype=np.int64) for a in (parent, depth, edge, sign))
-    is_tree = np.zeros(len(x.src), dtype=bool)
-    is_tree[edge[edge >= 0]] = True
-    return _SpanningForest(parent, depth, edge, sign, is_tree)
-
-
 def h1_basis(x: IndexGraph, p: int) -> FpMatrix:
-    """Columns are the fundamental cycles of spanning-tree chords; they span
+    """Columns are the fundamental cycles of the forest's chords; they span
     the kernel of the boundary, E - V + 1 columns per component. The cycle
     of chord (u, v) is +1 on the chord, plus the tree path from the root to
     u, minus the tree path to v; the two paths are walked up from u and v

@@ -135,7 +135,7 @@ class Hypertournament:
 
 def _check_arities(L: frozenset) -> None:
     for l in L:
-        if not (isinstance(l, int) and is_prime(l)):
+        if not is_prime(l):
             raise InputError(f"arity {l} is not a prime")
 
 

@@ -518,6 +518,7 @@ def hypertournament_from_dict(d: Mapping) -> Hypertournament:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"hypertournament JSON needs L and universe: {exc}") from exc
     relations: dict[int, list] = {}
+    keys: dict[int, str] = {}
     raw = d.get("relations") or {}
     if not isinstance(raw, Mapping):
         raise InputError("relations must be an object keyed by arity")
@@ -526,6 +527,8 @@ def hypertournament_from_dict(d: Mapping) -> Hypertournament:
             l = int(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"relation arity {key!r} is not an integer") from exc
+        if keys.setdefault(l, key) != key:
+            raise InputError(f"relation keys {keys[l]!r} and {key!r} both name arity {l}")
         if not isinstance(tuples, list):
             raise InputError(f"relation {key!r} is not a list of tuples")
         if not all(map(isinstance, tuples, repeat((list, tuple)))):
@@ -577,9 +580,12 @@ def family_from_list(host: Hypertournament, items) -> PartialAutomorphismFamily:
     for k, item in enumerate(items):
         if not isinstance(item, Mapping) or not isinstance(item.get("map"), Mapping):
             raise InputError(f"entry {k} must be an object with a map field")
-        m = {}
+        m, keys = {}, {}
         for src, dst in item["map"].items():
-            m[_resolve_label(src, points)] = _resolve_label(dst, points)
+            x = _resolve_label(src, points)
+            if keys.setdefault(x, src) != src:
+                raise InputError(f"map {k} defines {x!r} twice, as {keys[x]!r} and {src!r}")
+            m[x] = _resolve_label(dst, points)
         maps.append(m)
     return make_family(host, maps)
 

@@ -26,6 +26,7 @@ from .graphs import (
     IndexGraph,
     LabeledGraph,
     SubgroupGraph,
+    _spanning_forest,
     _walk,
     canonical_form,
     contains,
@@ -38,7 +39,7 @@ from .graphs import (
     subgroup_graph,
     to_wedge,
 )
-from .homology import TwistedMatrix, _spanning_forest, boundary_matrix, h1_basis, induced_h1_map
+from .homology import TwistedMatrix, boundary_matrix, h1_basis, induced_h1_map
 from .hypertournaments import (
     Hypertournament,
     _iso_violation,

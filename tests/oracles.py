@@ -754,6 +754,38 @@ def oracle_component_of(size: int, edges) -> list[int]:
     return where
 
 
+def oracle_spanning_forest(size: int, edges) -> dict[str, list]:
+    """The spanning forest of the graph on 0..size-1 whose edge j is the
+    (src, dst, ...) tuple edges[j]: an adjacency list in edge order (a loop
+    listed once) and a breadth-first search from each least vertex not yet
+    reached. Per vertex: the parent (-1 at a root), the depth, the tree edge
+    to the parent (-1 at a root) and its sign (+1 when it points away from
+    the root, 0 at a root); per edge, whether it is a tree edge."""
+    adjacent = [[] for _ in range(size)]
+    for j, (u, v, *_) in enumerate(edges):
+        adjacent[u].append((j, 1, v))
+        if v != u:
+            adjacent[v].append((j, -1, u))
+    parent, depth, edge, sign = [-1] * size, [0] * size, [-1] * size, [0] * size
+    reached = [False] * size
+    for root in range(size):
+        if reached[root]:
+            continue
+        reached[root] = True
+        queue = [root]
+        for u in queue:
+            for j, s, w in adjacent[u]:
+                if not reached[w]:
+                    reached[w] = True
+                    parent[w], depth[w], edge[w], sign[w] = u, depth[u] + 1, j, s
+                    queue.append(w)
+    is_tree = [False] * len(edges)
+    for j in edge:
+        if j >= 0:
+            is_tree[j] = True
+    return {"parent": parent, "depth": depth, "edge": edge, "sign": sign, "is_tree": is_tree}
+
+
 def oracle_components(size: int, edges) -> tuple[bool, list[int]]:
     """Connectivity and E - V + 1 per component, in the order of
     :func:`oracle_component_of`."""

@@ -398,6 +398,32 @@ def test_validate_reports_the_smallest_violation(tmp_path):
     }
 
 
+def test_validate_refuses_two_relation_keys_for_one_arity(tmp_path):
+    # "2" and "02" were read as one arity, the last kept: the 3-cycle then
+    # lost two of its pairs and was reported as unoriented
+    structure = _json_file(tmp_path, "cycle.json", {
+        "universe": [0, 1, 2], "L": [2],
+        "relations": {"2": [[0, 1], [1, 2], [2, 0]], "02": [[1, 0]]},
+    })
+    result = _invoke("validate", structure)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "invalid_input", "message": "relation keys '2' and '02' both name arity 2",
+    }
+
+
+def test_eppa_extend_refuses_two_map_keys_for_one_label(tmp_path):
+    # "0" and " 0" both resolve to the label 0; the last was kept, and the
+    # map was extended as 0 -> 2
+    structure = _structure_file(tmp_path, [0, 1, 2], 2, [[0, 1], [1, 2], [2, 0]])
+    maps_path = _json_file(tmp_path, "maps.json", [{"map": {"0": 1, " 0": 2}}])
+    result = _invoke("eppa-extend", structure, maps_path)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "invalid_input", "message": "map 0 defines 0 twice, as '0' and ' 0'",
+    }
+
+
 def test_eppa_extend_refuses_a_family_that_is_not_a_subtadpole(tmp_path):
     six = [
         [0, 1], [2, 5], [4, 3], [0, 5], [3, 1], [0, 2], [0, 3], [0, 4],
@@ -1063,7 +1089,8 @@ def test_command_output_is_pinned(tmp_path, name):
 # --out file, a random tower and a cover on a non-wedge base: stdout digest
 # and --out file digest, taken from the tuple-labelled covers that index
 # arrays replaced. The random tower's --out file depends on the spanning
-# tree of each level, so it pins the slot order of the search.
+# tree of each level, so it pins the forest of ``graphs._spanning_forest``:
+# rooted at vertex 0, each vertex trying its edges in edge order.
 _COVER_CASES = {
     "verify-counterexample 2^9": (
         ("verify-counterexample", "--p", "2", "--depth", "9"),
@@ -1086,7 +1113,7 @@ _COVER_CASES = {
         ("tower", "@abABa,b", "--p", "3", "--depth", "3", "--strategy", "random", "--seed", "0",
          "--out", "@out"),
         "a578d3aafccab7366f7ef0b3aeb90e3fd83fa3b7bddbdc7c2b196683426abbf8",
-        "8e4476613a68f24f7a9d47a455f9dbbd95a24491fa32c34508c9fecb6a9c7436",
+        "d63a8535ad1a548f636a1938d070918ace8e6fdd790fbf6f50a07c0e89508895",
     ),
     "cover of the core graph": (
         ("cover", "@abABa,b", "--p", "3", "--cocycle", "a=1,b=2", "--out", "@out"),

@@ -27,7 +27,9 @@ from stallings import (
     wedge_graph,
 )
 from stallings import covers, verify
-from stallings.suite import random_raw_graph
+from stallings.graphs import _spanning_forest
+from stallings.homology import h1_basis
+from stallings.suite import random_cover_of_wedge, random_raw_graph
 from stallings.verify import verify_counterexample
 
 
@@ -92,6 +94,57 @@ def test_surjective_cocycle_determinism_and_errors():
     tree = IndexGraph.of(make_graph(2, [0, 1], [(0, 1, 1)], 0))
     with pytest.raises(InputError):
         surjective_cocycle(tree, 2)
+
+
+def test_build_cover_refuses_a_non_integer_prime():
+    # is_prime(3.0) was True, and building the cover crashed with a TypeError
+    with pytest.raises(InputError, match="3.0 is not prime"):
+        build_cover(IndexGraph.of(wedge_graph(2)), 3.0, [1, 0])
+
+
+def _connected_bases(rng: random.Random) -> list[IndexGraph]:
+    """Subgroup graphs, covers of the wedge, and raw graphs that need not be
+    immersed, each connected and with a chord."""
+    bases = [_sub("abABa", "b").graph, _sub("aab", "bA", "abab").graph, wedge_graph(3)]
+    bases += [random_cover_of_wedge(rng, 2, rng.randint(1, 6)) for _ in range(10)]
+    while len(bases) < 40:
+        g = random_raw_graph(rng)
+        if g.is_connected and len(g.edges) >= len(g.vertices):
+            bases.append(g)
+    return [IndexGraph.of(g) for g in bases]
+
+
+def test_a_surjective_cocycle_pairs_with_h1_as_its_chord_values():
+    # the cocycle vanishes on the tree whose chords index the H1 basis, so
+    # its H1 coordinates are its values on the chords
+    rng = random.Random(41)
+    for g in _connected_bases(rng):
+        is_tree = _spanning_forest(g).is_tree
+        chords = np.flatnonzero(~is_tree)
+        for p in (2, 3, 5):
+            basis = h1_basis(g, p).array
+            for strategy, seed in (("first", None), ("random", rng.randrange(2**32))):
+                shift = surjective_cocycle(g, p, strategy, seed)
+                assert not shift[is_tree].any()
+                assert np.array_equal(basis.T @ shift % p, shift[chords] % p), (g, p, strategy)
+            first = basis.T @ surjective_cocycle(g, p) % p
+            assert first.tolist() == [0] * (len(chords) - 1) + [1]
+
+
+def test_a_tower_over_a_base_that_is_not_immersed_is_connected():
+    # the raw bouquet of abab and bb: two b-edges enter the basepoint. A
+    # cocycle nonzero on one chord connects the cover all the same
+    bouquet = make_graph(
+        2, range(5), [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2), (0, 4, 2), (4, 0, 2)], 0
+    )
+    x = IndexGraph.of(bouquet)
+    r = rank(bouquet)
+    for strategy, seed in (("first", None), ("random", 7)):
+        for p in (2, 3):
+            tower = cover_tower(x, p, 3, strategy, seed)
+            for k, level in enumerate(tower.spaces):
+                assert level.is_connected, (strategy, p, k)
+                assert level.component_ranks() == [1 + p**k * (r - 1)], (strategy, p, k)
 
 
 def test_pullback_commutes_with_projections():

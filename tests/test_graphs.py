@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -27,6 +28,7 @@ from stallings import graphs
 from stallings.graphs import (
     LabeledGraph,
     SubgroupGraph,
+    _spanning_forest,
     _walk,
     bfs_edges,
     cycle_basis,
@@ -406,6 +408,46 @@ def test_a_subgroup_graph_is_walked_once(monkeypatch):
     assert searches == []
     for table in (h.graph.table, cyclic.graph.table):
         assert "slot_steps" not in table.__dict__
+
+
+def _raw_edge_graph(rng: random.Random) -> IndexGraph:
+    """A graph with repeats allowed, on up to 12 vertices in up to three
+    vertex classes that no edge joins: loops, repeated edges, isolated
+    vertices and several components all occur."""
+    nv = rng.randint(1, 12)
+    tag = [rng.randrange(3) for _ in range(nv)]
+    edges = []
+    for _ in range(rng.randint(0, 2 * nv)):
+        u = rng.randrange(nv)
+        roll = rng.random()
+        if roll < 0.15:
+            edges.append((u, u, rng.randint(1, 2)))
+        elif roll < 0.3 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            v = rng.choice([w for w in range(nv) if tag[w] == tag[u]])
+            edges.append((u, v, rng.randint(1, 2)))
+    return IndexGraph.of(LabeledGraph(2, tuple(range(nv)), tuple(sorted(edges))))
+
+
+def test_spanning_forest_matches_the_adjacency_list_oracle():
+    # the forest's steps are sliced from edge ends sorted by vertex; the
+    # oracle lists each vertex's edges in a Python adjacency list instead
+    rng = random.Random(40)
+    seen = dict.fromkeys(("loop", "repeated edge", "isolated vertex", "several components"), 0)
+    for _ in range(400):
+        x = _raw_edge_graph(rng)
+        forest = _spanning_forest(x)
+        edges = list(zip(x.src.tolist(), x.dst.tolist(), x.letter.tolist()))
+        want = oracles.oracle_spanning_forest(x.size, edges)
+        for name, values in want.items():
+            got = getattr(forest, name)
+            assert np.array_equal(got, np.array(values, dtype=got.dtype)), (name, x.size, edges)
+        seen["loop"] += any(u == v for u, v, _ in edges)
+        seen["repeated edge"] += len(set(edges)) < len(edges)
+        seen["isolated vertex"] += len({w for u, v, _ in edges for w in (u, v)}) < x.size
+        seen["several components"] += len(x.component_sizes) > 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_walk_loops_equal_the_products_of_their_path_words():

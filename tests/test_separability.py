@@ -403,6 +403,18 @@ def test_coset_system_rejects_non_prime_l():
         separate_coset_system([_non_membership(_w("b"), _w("a"))], 2, [6])
 
 
+# is_prime(2.5) was True: separate_from_cyclic then crashed with a
+# TypeError, and separate_coset_system returned a Z/2 quotient
+def test_separate_from_cyclic_refuses_a_non_integer_prime():
+    with pytest.raises(InputError, match="2.5 in L is not prime"):
+        separate_from_cyclic(_w("a"), _w("b"), {2.5})
+
+
+def test_coset_system_refuses_a_non_integer_prime():
+    with pytest.raises(InputError, match="2.5 in L is not prime"):
+        separate_coset_system([_non_membership(_w("b"), _w("a"))], 2, [2.5])
+
+
 def test_coset_system_takes_its_letter_count_from_the_caller():
     # an empty system has no words to count letters from
     q = separate_coset_system([], 3, [2])
